@@ -5,8 +5,8 @@
 //! performance pass — is a [`Diagnostic`]: a kind, a severity, the
 //! source site it anchors to, a concrete fix suggestion, and an
 //! occurrence count. [`DiagnosticSet`] is the single accumulation path
-//! shared by the per-scenario environment, the sequential explorer and
-//! the parallel merge: diagnostics dedup by `(kind, site)` and their
+//! shared by the analysis passes, the sequential explorer and the
+//! parallel merge: diagnostics dedup by `(kind, site)` and their
 //! occurrence counts add, so folding the same scenarios in the same
 //! order always yields the same list.
 
@@ -244,8 +244,7 @@ impl DiagnosticSet {
     /// Folds in one diagnostic: a new `(kind, site)` appends, a known
     /// one adds its occurrences to the existing entry. Merging keeps
     /// the richer typed edit: an edit-carrying duplicate upgrades an
-    /// entry recorded without one (the inline perf path reports eagerly
-    /// with no edit; the graph pass derives the `DeleteFlush`).
+    /// entry recorded without one.
     pub fn insert(&mut self, d: Diagnostic) {
         match self.index.get(&(d.kind, d.site.clone())) {
             Some(&i) => {

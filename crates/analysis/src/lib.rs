@@ -40,12 +40,12 @@
 //!    deduplicating accumulation path used by both the sequential
 //!    explorer and the parallel merge, and SARIF 2.1.0 output
 //!    ([`to_sarif`]) for CI consumption.
-//! 7. **Static persistence slicing** ([`SliceReport`]): the recovery
-//!    read footprint (cache lines recovery-flagged loads observe),
-//!    absorption facts (a line's last fenced store masks earlier
-//!    writeback choices), and crash-point equivalence classes — the
-//!    static prediction of the explorer's dynamic pruning, plus the
-//!    footprint-driven dead-flush pass ([`dead_flushes`]).
+//! 7. **Static persistence slicing** ([`SliceReport`]): an advisory
+//!    report of the recovery read footprint (cache lines
+//!    recovery-flagged loads observe), absorption facts (a line's last
+//!    fenced store masks earlier writeback choices), and crash-point
+//!    equivalence classes, plus the footprint-driven dead-flush pass
+//!    ([`dead_flushes`]).
 //! 8. **Typed repair edits** ([`FixEdit`], [`minimize_edits`]): every
 //!    error-class diagnostic carries a machine-applicable edit —
 //!    insert flush, insert fence, delete flush — at its interned site,
@@ -60,6 +60,7 @@
 
 mod diagnostic;
 mod graph;
+mod json;
 mod localize;
 mod perf;
 mod races;
@@ -71,6 +72,7 @@ mod vclock;
 
 pub use diagnostic::{Diagnostic, DiagnosticKind, DiagnosticSet, Severity};
 pub use graph::{Edge, EdgeKind, FlushRef, LinePersist, PersistGraph, SiteTable, StoreNode};
+pub use json::json_string;
 pub use localize::{localize, RfEvidence};
 pub use perf::{dead_flushes, flush_redundancy};
 pub use races::{cross_thread_races, recovery_read_lines, torn_candidates};

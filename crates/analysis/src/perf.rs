@@ -145,9 +145,9 @@ pub fn flush_redundancy(graph: &PersistGraph<'_>) -> Vec<Diagnostic> {
 /// The footprint must come from an *exhaustive* exploration (every
 /// recovery branch observed), otherwise a line read only on a rare
 /// recovery path would be misreported; the checker guarantees this by
-/// folding recovery reads to a fixpoint before calling the pass. An
-/// empty footprint means no recovery ever ran (or read nothing) — the
-/// pass stays silent rather than condemning every flush in the program.
+/// running the pass only after an untruncated run. An empty footprint
+/// means no recovery ever ran (or read nothing) — the pass stays
+/// silent rather than condemning every flush in the program.
 pub fn dead_flushes(graph: &PersistGraph<'_>, footprint: &HashSet<u64>) -> Vec<Diagnostic> {
     if footprint.is_empty() {
         return Vec::new();

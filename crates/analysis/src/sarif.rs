@@ -22,26 +22,8 @@
 use std::fmt::Write as _;
 
 use crate::diagnostic::{Diagnostic, DiagnosticKind, Severity};
+use crate::json::json_string;
 use crate::repair::{parse_site, FixEdit};
-
-/// Escapes `s` as JSON string contents (without the quotes).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn level(sev: Severity) -> &'static str {
     match sev {
@@ -67,14 +49,14 @@ fn push_fix(out: &mut String, fix: &FixEdit) {
     out.push_str("          \"fixes\": [\n            {\n");
     let _ = writeln!(
         out,
-        "              \"description\": {{ \"text\": \"{}\" }},",
-        escape(&fix.to_string())
+        "              \"description\": {{ \"text\": {} }},",
+        json_string(&fix.to_string())
     );
     out.push_str("              \"artifactChanges\": [\n                {\n");
     let _ = writeln!(
         out,
-        "                  \"artifactLocation\": {{ \"uri\": \"{}\" }},",
-        escape(file)
+        "                  \"artifactLocation\": {{ \"uri\": {} }},",
+        json_string(file)
     );
     out.push_str("                  \"replacements\": [\n                    {\n");
     match fix.inserted_text() {
@@ -88,8 +70,8 @@ fn push_fix(out: &mut String, fix: &FixEdit) {
             );
             let _ = writeln!(
                 out,
-                "                      \"insertedContent\": {{ \"text\": \"{}\" }}",
-                escape(text)
+                "                      \"insertedContent\": {{ \"text\": {} }}",
+                json_string(text)
             );
         }
         // Deletions drop the anchored line.
@@ -133,7 +115,7 @@ pub fn to_sarif_with_verified(
     out.push_str("  \"runs\": [\n    {\n");
     out.push_str("      \"tool\": {\n        \"driver\": {\n");
     out.push_str("          \"name\": \"jaaru\",\n");
-    let _ = writeln!(out, "          \"version\": \"{}\",", escape(tool_version));
+    let _ = writeln!(out, "          \"version\": {},", json_string(tool_version));
     out.push_str("          \"informationUri\": \"https://github.com/uci-plrg/jaaru\",\n");
     out.push_str("          \"rules\": [\n");
     for (i, kind) in kinds_present.iter().enumerate() {
@@ -141,8 +123,8 @@ pub fn to_sarif_with_verified(
         let _ = writeln!(out, "              \"id\": \"{}\",", kind.as_str());
         let _ = writeln!(
             out,
-            "              \"shortDescription\": {{ \"text\": \"{}\" }},",
-            escape(kind.describe())
+            "              \"shortDescription\": {{ \"text\": {} }},",
+            json_string(kind.describe())
         );
         let _ = writeln!(
             out,
@@ -165,8 +147,8 @@ pub fn to_sarif_with_verified(
         let _ = writeln!(out, "          \"level\": \"{}\",", level(d.severity()));
         let _ = writeln!(
             out,
-            "          \"message\": {{ \"text\": \"{}\" }},",
-            escape(&d.message)
+            "          \"message\": {{ \"text\": {} }},",
+            json_string(&d.message)
         );
         out.push_str("          \"locations\": [\n            {\n");
         out.push_str("              \"physicalLocation\": {\n");
@@ -174,8 +156,8 @@ pub fn to_sarif_with_verified(
             Some((file, line, column)) => {
                 let _ = writeln!(
                     out,
-                    "                \"artifactLocation\": {{ \"uri\": \"{}\" }},",
-                    escape(file)
+                    "                \"artifactLocation\": {{ \"uri\": {} }},",
+                    json_string(file)
                 );
                 let _ = writeln!(
                     out,
@@ -185,8 +167,8 @@ pub fn to_sarif_with_verified(
             None => {
                 let _ = writeln!(
                     out,
-                    "                \"artifactLocation\": {{ \"uri\": \"{}\" }}",
-                    escape(&d.site)
+                    "                \"artifactLocation\": {{ \"uri\": {} }}",
+                    json_string(&d.site)
                 );
             }
         }
@@ -211,8 +193,8 @@ pub fn to_sarif_with_verified(
                 let _ = writeln!(out, "            \"occurrences\": {},", d.occurrences);
                 let _ = writeln!(
                     out,
-                    "            \"addr\": \"{}\"",
-                    escape(&addr.to_string())
+                    "            \"addr\": {}",
+                    json_string(&addr.to_string())
                 );
             }
             None => {

@@ -1,9 +1,8 @@
 //! Static persistence slicing.
 //!
-//! A pre-exploration analysis over recorded operation traces that
-//! computes what a recovery execution can actually *observe* of the
-//! pre-crash persist order, and from it which crash points (and hence
-//! which reads-from enumerations) are redundant:
+//! An analysis over recorded operation traces that computes what a
+//! recovery execution can actually *observe* of the pre-crash persist
+//! order, and from it which crash points recovery cannot tell apart:
 //!
 //! * the **recovery read footprint** — the cache lines whose persisted
 //!   contents any recovery execution reads, seeded from the
@@ -16,19 +15,16 @@
 //!   injection points with no footprint-line activity between them.
 //!   Two crash points in the same class expose byte-identical
 //!   persisted footprint state to recovery, so recovery cannot
-//!   distinguish them and one representative per class suffices. This
-//!   is exactly the reads-from quotient the explorer's dynamic pruning
-//!   enforces (see DESIGN.md, "Static persistence slicing"); here it
-//!   is computed statically, as a prediction and an explanation.
+//!   distinguish them.
 //!
-//! The pass is advisory: the explorer proves the same facts
-//! dynamically (with a footprint folded to a fixpoint) before skipping
-//! anything. `jaaru_cli analyze` surfaces this report.
+//! The report is advisory: the explorer still expands every crash
+//! point. `jaaru_cli analyze` surfaces it.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use jaaru_tso::{OpTrace, TraceOpKind};
 
+use crate::json::json_string;
 use crate::races::recovery_read_lines;
 
 /// One absorption fact: the last store to `line` is flushed and
@@ -52,9 +48,10 @@ pub struct Absorption {
 #[derive(Clone, Debug)]
 pub struct CrashPointClass {
     /// Ordinal (0-based injection-point index) of the representative —
-    /// the first member, which the explorer always expands.
+    /// the first member.
     pub representative: usize,
-    /// Ordinals of the other members, which pruning skips.
+    /// Ordinals of the other members, which recovery cannot tell apart
+    /// from the representative.
     pub members: Vec<usize>,
 }
 
@@ -73,8 +70,8 @@ pub struct SliceReport {
     pub classes: Vec<CrashPointClass>,
     /// Total predicted injection points in the pre-failure execution.
     pub total_points: usize,
-    /// Points pruning is predicted to skip (`total_points` minus one
-    /// representative per class).
+    /// Points predicted to behave like their class representative
+    /// (`total_points` minus one representative per class).
     pub predicted_skipped: usize,
 }
 
@@ -188,24 +185,6 @@ impl SliceReport {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Lines whose *last* store is covered by a flush that takes effect
 /// (a `clflush`, or a `clflushopt` followed by a same-thread ordering
 /// op): every earlier store to the line is masked.
@@ -269,8 +248,7 @@ fn absorption_facts(pre: &OpTrace, footprint: &HashSet<u64>) -> Vec<Absorption> 
 }
 
 /// Predicts the pre-failure execution's injection points and groups
-/// them into equivalence classes, mirroring the explorer's dynamic
-/// rule: a point joins its predecessor's class iff nothing since the
+/// them into equivalence classes: a point joins its predecessor's class iff nothing since the
 /// previous point touched a footprint line — counting stores, eager
 /// flushes, and parked `clflushopt`s applied by a later fence or RMW.
 fn crash_point_classes(pre: &OpTrace, footprint: &HashSet<u64>) -> (Vec<CrashPointClass>, usize) {

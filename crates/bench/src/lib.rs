@@ -14,6 +14,5 @@
 //! | `--bench exploration` | exploration micro-costs and ablations |
 
 pub mod registry;
-pub mod scratch;
 pub mod table;
 pub mod timing;

@@ -27,10 +27,6 @@
 //! SARIF 2.1.0 document for CI ingestion.
 //! `--no-snapshot` disables crash-point snapshots (replay every prefix);
 //! `--snapshot-cap <bytes>` bounds the per-cache snapshot footprint.
-//! `--no-prune` disables persistence-slice pruning (on by default here:
-//! the CLI explores with the recovery-read-footprint oracle, which
-//! preserves verdicts, bug sets, and lint findings while skipping
-//! crash points recovery cannot distinguish).
 //! e.g. `cargo run --release -p jaaru-cli --bin jaaru_cli -- bug recipe 10`
 //!
 //! The `serve` subcommand accepts newline-delimited JSON job specs on a
@@ -72,21 +68,18 @@ struct SnapshotOpts {
     cap: Option<usize>,
 }
 
-fn config(jobs: usize, lint: bool, snapshots: SnapshotOpts, prune: bool) -> Config {
+fn config(jobs: usize, lint: bool, snapshots: SnapshotOpts) -> Config {
     let mut c = Config::new();
     c.pool_size(1 << 18)
         .max_ops_per_execution(40_000)
         .max_scenarios(20_000)
         .jobs(jobs)
-        .snapshots(snapshots.enabled)
-        .prune(prune);
+        .snapshots(snapshots.enabled);
     if let Some(cap) = snapshots.cap {
         c.snapshot_cap(cap);
     }
     if lint {
-        // All graph passes on. The graph-based flush-redundancy pass
-        // replaces the inline `flag_perf_issues` machinery here —
-        // enabling both would double-count redundant flushes.
+        // All graph passes on.
         c.lints(true)
             .lint_cross_thread(true)
             .lint_torn_stores(true)
@@ -143,9 +136,8 @@ fn run(
     format: Format,
     lint: bool,
     snapshots: SnapshotOpts,
-    prune: bool,
 ) -> i32 {
-    let report = ModelChecker::new(config(jobs, lint, snapshots, prune)).check(program);
+    let report = ModelChecker::new(config(jobs, lint, snapshots)).check(program);
     emit(name, &report, format)
 }
 
@@ -154,8 +146,8 @@ fn run(
 /// the crash-consistency fix, not chase advisory flush-hygiene
 /// warnings on flushes the bug rows plant on purpose. `fuzz --repair`
 /// exercises delete-flush synthesis on its redundant-flush class.
-fn repair_config(jobs: usize, snapshots: SnapshotOpts, prune: bool) -> Config {
-    let mut c = config(jobs, true, snapshots, prune);
+fn repair_config(jobs: usize, snapshots: SnapshotOpts) -> Config {
+    let mut c = config(jobs, true, snapshots);
     c.lint_flush_redundancy(false);
     c
 }
@@ -169,9 +161,8 @@ fn repair_run(
     jobs: usize,
     format: Format,
     snapshots: SnapshotOpts,
-    prune: bool,
 ) -> i32 {
-    let outcome = synthesize_repair(&repair_config(jobs, snapshots, prune), program);
+    let outcome = synthesize_repair(&repair_config(jobs, snapshots), program);
     match format {
         Format::Json | Format::JsonCanonical => print!("{}", outcome.to_json()),
         Format::Sarif => {
@@ -218,22 +209,20 @@ fn repair_run(
     i32::from(!outcome.verified)
 }
 
-/// The `analyze` subcommand: the static persistence-slicing pass and a
-/// pruned exploration, side by side. Text shows the recovery read
-/// footprint with per-line read/write counts, absorption facts,
-/// predicted crash-point equivalence classes, and the dynamic pruning
-/// summary; JSON wraps the full report and the static slice in one
-/// object; SARIF carries the run's diagnostics (dead-flush findings
-/// included).
+/// The `analyze` subcommand: the advisory static persistence slice next
+/// to an ordinary lint check. Text shows the recovery read footprint
+/// with per-line read/write counts, absorption facts and predicted
+/// crash-point equivalence classes; JSON wraps the full report and the
+/// static slice in one object; SARIF carries the run's diagnostics
+/// (dead-flush findings included).
 fn analyze_run(
     name: &str,
     program: &(dyn Program + Sync),
     jobs: usize,
     format: Format,
     snapshots: SnapshotOpts,
-    prune: bool,
 ) -> i32 {
-    let checker = ModelChecker::new(config(jobs, true, snapshots, prune));
+    let checker = ModelChecker::new(config(jobs, true, snapshots));
     let report = checker.check(program);
     let slice = checker.slice(program);
     match format {
@@ -277,22 +266,12 @@ fn analyze_run(
                 slice.predicted_skipped,
                 slice.classes.len()
             );
-            match &report.slice {
-                Some(dynamic) => println!(
-                    "dynamic pruning: {} point(s) skipped over {} fixpoint round(s), \
-                     footprint {} line(s)",
-                    dynamic.points_skipped,
-                    dynamic.rounds,
-                    dynamic.footprint.len()
-                ),
-                None => println!("dynamic pruning: off (--no-prune)"),
-            }
             println!("{report}");
             for d in &report.diagnostics {
                 println!("{d}");
             }
             if report.is_clean() && !report.has_errors() {
-                println!("VERDICT: crash consistent; slice above explains the pruned search");
+                println!("VERDICT: crash consistent");
             } else {
                 println!(
                     "VERDICT: {} bug(s), {} diagnostic(s)",
@@ -337,9 +316,7 @@ fn usage() -> ! {
          --format text|json|json-canonical|sarif (-f) output format\n                         \
          (json-canonical: run-invariant bytes; sarif: lint diagnostics as SARIF 2.1.0)\n  \
          --no-snapshot          replay every prefix instead of restoring snapshots\n  \
-         --snapshot-cap BYTES   per-cache snapshot byte budget (default 64 MiB)\n  \
-         --no-prune             disable persistence-slice pruning (explore every\n                         \
-         crash point instead of one representative per slice class)\n\
+         --snapshot-cap BYTES   per-cache snapshot byte budget (default 64 MiB)\n\
          fuzz options:\n  \
          --seeds N              programs to generate (default 200)\n  \
          --seed-start S         first seed (default 0)\n  \
@@ -771,11 +748,6 @@ fn main() {
         snapshots.cap = Some(cap);
         args.drain(pos..=pos + 1);
     }
-    let mut prune = true;
-    if let Some(pos) = args.iter().position(|a| a == "--no-prune") {
-        prune = false;
-        args.remove(pos);
-    }
     let code = match args.first().map(String::as_str) {
         Some("list") => {
             println!("fixed benchmarks (check / lint):");
@@ -804,9 +776,7 @@ fn main() {
             let name = args.get(1).unwrap_or_else(|| usage());
             let keys = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(6);
             match find_fixed(name, keys) {
-                Some((name, program)) => {
-                    run(&name, &*program, jobs, format, false, snapshots, prune)
-                }
+                Some((name, program)) => run(&name, &*program, jobs, format, false, snapshots),
                 None => {
                     eprintln!("unknown benchmark {name:?}; try `jaaru_cli list`");
                     2
@@ -838,25 +808,13 @@ fn main() {
                             }
                             let name = format!("{suite} row {id}: {}", case.benchmark);
                             match cmd {
-                                "repair" => repair_run(
-                                    &name,
-                                    &*case.program,
-                                    jobs,
-                                    format,
-                                    snapshots,
-                                    prune,
-                                ),
-                                "analyze" => analyze_run(
-                                    &name,
-                                    &*case.program,
-                                    jobs,
-                                    format,
-                                    snapshots,
-                                    prune,
-                                ),
-                                _ => {
-                                    run(&name, &*case.program, jobs, format, lint, snapshots, prune)
+                                "repair" => {
+                                    repair_run(&name, &*case.program, jobs, format, snapshots)
                                 }
+                                "analyze" => {
+                                    analyze_run(&name, &*case.program, jobs, format, snapshots)
+                                }
+                                _ => run(&name, &*case.program, jobs, format, lint, snapshots),
                             }
                         }
                         None => {
@@ -871,13 +829,13 @@ fn main() {
                     let keys = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(6);
                     match find_fixed(name, keys) {
                         Some((name, program)) if cmd == "repair" => {
-                            repair_run(&name, &*program, jobs, format, snapshots, prune)
+                            repair_run(&name, &*program, jobs, format, snapshots)
                         }
                         Some((name, program)) if cmd == "analyze" => {
-                            analyze_run(&name, &*program, jobs, format, snapshots, prune)
+                            analyze_run(&name, &*program, jobs, format, snapshots)
                         }
                         Some((name, program)) => {
-                            run(&name, &*program, jobs, format, true, snapshots, prune)
+                            run(&name, &*program, jobs, format, true, snapshots)
                         }
                         None => {
                             eprintln!("unknown benchmark {name:?}; try `jaaru_cli list`");
@@ -894,8 +852,7 @@ fn main() {
         Some("perf") => {
             let keys = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(8);
             for (name, program) in recipe_fixed_cases(keys) {
-                let report =
-                    ModelChecker::new(config(jobs, false, snapshots, prune)).check(&*program);
+                let report = ModelChecker::new(config(jobs, false, snapshots)).check(&*program);
                 println!("{name:<11} {}", report.summary());
             }
             0

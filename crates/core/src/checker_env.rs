@@ -8,11 +8,9 @@
 //! and on detected bugs.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::panic::{panic_any, Location};
-use std::sync::Arc;
 
-use jaaru_analysis::{Diagnostic, DiagnosticKind, DiagnosticSet};
 use jaaru_pmem::{PmAddr, CACHE_LINE_SIZE, NULL_PAGE_SIZE};
 use jaaru_tso::{
     do_read, read_pre_failure, CurrentRead, ExecutionStorage, OpTrace, RfCandidate, RfSource,
@@ -28,34 +26,6 @@ use crate::PmEnv;
 
 /// Cap on remembered race reports (debugging aid, not a bug list).
 const MAX_RACES: usize = 256;
-
-/// The persistence-slicing oracle consulted at crash-point expansion.
-///
-/// Wraps the frozen recovery read footprint of the current fixpoint
-/// round: the set of cache lines any recovery execution has been
-/// observed to read. An injection point is *invisible* when nothing
-/// since the previous consulted point touched a footprint line —
-/// crashing there is behaviorally identical to crashing at that
-/// previous point, so the explorer keeps only the representative (see
-/// [`injection_point_impl`](CheckerEnv::injection_point_impl) and
-/// DESIGN.md, "Static persistence slicing" for the soundness argument).
-#[derive(Clone, Debug)]
-pub(crate) struct PruneOracle {
-    footprint: Arc<HashSet<u64>>,
-}
-
-impl PruneOracle {
-    pub(crate) fn new(footprint: HashSet<u64>) -> Self {
-        PruneOracle {
-            footprint: Arc::new(footprint),
-        }
-    }
-
-    /// Whether any of `touched` is a line recovery can observe.
-    fn visible(&self, touched: &HashSet<u64>) -> bool {
-        touched.iter().any(|l| self.footprint.contains(l))
-    }
-}
 
 struct Inner {
     machine: TsoMachine,
@@ -83,30 +53,16 @@ struct Inner {
     load_choice_points: u64,
     max_rf_set: usize,
 
-    /// Perf-warning diagnostics (redundant flushes/fences), deduplicated
-    /// by site through the shared [`DiagnosticSet`] fold.
-    diagnostics: DiagnosticSet,
-    /// Stores and flushes since the last fence (redundant-fence check).
-    work_since_fence: u64,
     /// Per-execution operation traces for the lint engine (empty unless
     /// [`Config::lints`] is on); the last entry is the running execution.
     op_traces: Vec<OpTrace>,
 
-    /// Cache lines stored to or flushed since the last *consulted*
-    /// injection point (maintained only while a [`PruneOracle`] is
-    /// installed; volatile — reset per point and per execution).
-    touched: HashSet<u64>,
-    /// Lines with a clflushopt issued but not yet applied by a fence,
-    /// keyed by thread: the fence applying them counts as touching them
-    /// (maintained only while pruning; volatile).
-    parked: HashMap<u32, HashSet<u64>>,
-    /// Per-line counts of recovery reads: post-failure loads that missed
-    /// the running execution's own state and consulted pre-failure
-    /// storage. Always collected (cheap); accumulates across executions
-    /// and participates in snapshots.
-    recovery_reads: HashMap<u64, u64>,
-    /// Injection points the prune oracle skipped in this scenario.
-    points_skipped: u64,
+    /// Cache lines recovery read: post-failure loads that missed the
+    /// running execution's own state and consulted pre-failure storage.
+    /// Collected only for the dead-flush pass
+    /// ([`Config::lint_flush_redundancy`]); accumulates across
+    /// executions and participates in snapshots.
+    recovery_reads: HashSet<u64>,
 }
 
 /// Per-scenario results harvested by the explorer after a run.
@@ -115,14 +71,11 @@ pub(crate) struct ScenarioRecord {
     pub crash_points: Vec<usize>,
     pub points_per_exec: Vec<usize>,
     pub races: Vec<RaceReport>,
-    pub diagnostics: Vec<Diagnostic>,
     pub op_traces: Vec<OpTrace>,
     pub load_choice_points: u64,
     pub max_rf_set: usize,
-    /// Per-line recovery read counts, sorted by line.
-    pub recovery_reads: Vec<(u64, u64)>,
-    /// Injection points skipped by the prune oracle.
-    pub points_skipped: u64,
+    /// Cache lines recovery read (empty unless the dead-flush pass is on).
+    pub recovery_reads: HashSet<u64>,
 }
 
 /// The instrumented environment for one failure scenario.
@@ -134,15 +87,13 @@ pub(crate) struct CheckerEnv {
     skip_unchanged: bool,
     max_ops: u64,
     flag_races: bool,
-    flag_perf: bool,
     flag_lints: bool,
+    /// Whether recovery reads are collected (the dead-flush footprint).
+    track_footprint: bool,
     /// Override for recorded trace sites while executing a composite
     /// primitive (locked RMW): the constituent ops carry the guest call
     /// site of the RMW, not the environment-internal one.
     lint_loc: Cell<Option<SourceLoc>>,
-    /// The frozen recovery-read footprint of the current fixpoint round;
-    /// `None` disables pruning (replay always runs with `None`).
-    prune: Option<PruneOracle>,
 }
 
 impl CheckerEnv {
@@ -166,17 +117,12 @@ impl CheckerEnv {
                 race_keys: HashSet::new(),
                 load_choice_points: 0,
                 max_rf_set: 1,
-                diagnostics: DiagnosticSet::new(),
-                work_since_fence: 0,
                 op_traces: if config.trace_ops_value() {
                     vec![OpTrace::new()]
                 } else {
                     Vec::new()
                 },
-                touched: HashSet::new(),
-                parked: HashMap::new(),
-                recovery_reads: HashMap::new(),
-                points_skipped: 0,
+                recovery_reads: HashSet::new(),
             }),
             pool_size: config.pool_size_value() as u64,
             max_failures: config.failure_limit(),
@@ -186,19 +132,10 @@ impl CheckerEnv {
             // The localization pass correlates lint candidates with
             // read-from evidence, so analysis passes imply race flagging.
             flag_races: config.flag_races_value() || config.trace_ops_value(),
-            flag_perf: config.flag_perf_issues_value(),
             flag_lints: config.trace_ops_value(),
+            track_footprint: config.lint_flush_redundancy_value(),
             lint_loc: Cell::new(None),
-            prune: None,
         }
-    }
-
-    /// Installs the prune oracle for this scenario. Called by the
-    /// explorer right after construction (both the fresh and the
-    /// from-snapshot paths); [`replay`](crate::ModelChecker::replay)
-    /// never installs one, so replayed traces are taken verbatim.
-    pub(crate) fn set_prune(&mut self, prune: Option<PruneOracle>) {
-        self.prune = prune;
     }
 
     /// Rolls the environment over into the next (post-failure) execution:
@@ -220,8 +157,6 @@ impl CheckerEnv {
         inner.points_this_exec = 0;
         inner.current_tid = ThreadId(0);
         inner.next_tid = 1;
-        inner.touched.clear();
-        inner.parked.clear();
         if self.flag_lints {
             inner.op_traces.push(OpTrace::new());
         }
@@ -252,11 +187,8 @@ impl CheckerEnv {
             inner.race_keys = snap.race_keys.clone();
             inner.load_choice_points = snap.load_choice_points;
             inner.max_rf_set = snap.max_rf_set;
-            inner.diagnostics = snap.diagnostics.clone();
-            inner.work_since_fence = snap.work_since_fence;
             inner.op_traces = snap.op_traces.clone();
             inner.recovery_reads = snap.recovery_reads.clone();
-            inner.points_skipped = snap.points_skipped;
         }
         fresh
     }
@@ -284,11 +216,8 @@ impl CheckerEnv {
             race_keys: inner.race_keys.clone(),
             load_choice_points: inner.load_choice_points,
             max_rf_set: inner.max_rf_set,
-            diagnostics: inner.diagnostics.clone(),
-            work_since_fence: inner.work_since_fence,
             op_traces: inner.op_traces.clone(),
             recovery_reads: inner.recovery_reads.clone(),
-            points_skipped: inner.points_skipped,
             prefix,
             bytes,
         }
@@ -313,19 +242,15 @@ impl CheckerEnv {
     pub(crate) fn finish(self) -> ScenarioRecord {
         let mut inner = self.inner.into_inner();
         inner.points_per_exec.push(inner.points_this_exec);
-        let mut recovery_reads: Vec<(u64, u64)> = inner.recovery_reads.into_iter().collect();
-        recovery_reads.sort_unstable();
         ScenarioRecord {
             decisions: inner.decisions,
             crash_points: inner.crash_points,
             points_per_exec: inner.points_per_exec,
             races: inner.races,
-            diagnostics: inner.diagnostics.into_vec(),
             op_traces: inner.op_traces,
             load_choice_points: inner.load_choice_points,
             max_rf_set: inner.max_rf_set,
-            recovery_reads,
-            points_skipped: inner.points_skipped,
+            recovery_reads: inner.recovery_reads,
         }
     }
 
@@ -421,24 +346,6 @@ impl CheckerEnv {
         let ordinal = inner.points_this_exec;
         inner.points_this_exec += 1;
         inner.writes_since_point = false;
-        if let Some(oracle) = &self.prune {
-            // Slice pruning: if nothing since the previous consulted
-            // point touched a footprint line, crashing here is
-            // behaviorally identical to crashing there — recovery reads
-            // the same values from the same candidates. Consume a
-            // forced "continue" (one alternative) so decision positions
-            // stay 1:1 with unpruned runs and pruned bug traces replay.
-            // The first point of every execution and the end-of-
-            // execution point are always kept as representatives.
-            let invisible = !at_end && ordinal > 0 && !oracle.visible(&inner.touched);
-            inner.touched.clear();
-            if invisible {
-                inner.points_skipped += 1;
-                let forced = inner.decisions.next(1, ChoiceKind::Crash, exec);
-                debug_assert_eq!(forced, 0);
-                return;
-            }
-        }
         let choice = inner.decisions.next(2, ChoiceKind::Crash, exec);
         if choice == 1 {
             inner.crash_points.push(ordinal);
@@ -455,14 +362,10 @@ impl CheckerEnv {
         match inner.machine.read_current(inner.current_tid, addr) {
             CurrentRead::Buffered(v) | CurrentRead::Cached(v) => v,
             CurrentRead::Miss => {
-                if inner.exec_index >= 1 {
+                if self.track_footprint && inner.exec_index >= 1 {
                     // A recovery read: this load consulted pre-failure
-                    // persisted state. The set of lines observed here
-                    // seeds the slicing footprint (fixpoint rounds).
-                    *inner
-                        .recovery_reads
-                        .entry(addr.cache_line().index())
-                        .or_insert(0) += 1;
+                    // persisted state, so its line is in the footprint.
+                    inner.recovery_reads.insert(addr.cache_line().index());
                 }
                 let cands = read_pre_failure(&inner.stack, addr);
                 inner.max_rf_set = inner.max_rf_set.max(cands.len());
@@ -503,22 +406,8 @@ impl CheckerEnv {
         self.injection_point();
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        inner.work_since_fence += 1;
         let first = addr.cache_line().index();
         let last = (addr + (len.max(1) as u64 - 1)).cache_line().index();
-        if self.prune.is_some() {
-            if opt {
-                // A clflushopt only takes effect at a later fence in
-                // this thread; park it so the fence's drain registers
-                // the lines as touched at that point too.
-                inner
-                    .parked
-                    .entry(inner.current_tid.0)
-                    .or_default()
-                    .extend(first..=last);
-            }
-            inner.touched.extend(first..=last);
-        }
         if self.flag_lints {
             let kind = if opt {
                 TraceOpKind::Clflushopt {
@@ -533,25 +422,6 @@ impl CheckerEnv {
             };
             self.record_trace(inner, loc, kind);
         }
-        if self.flag_perf {
-            // The §5.1 extension: a flush of a range with no unflushed
-            // stores wastes a persistency operation (the bug class PMTest
-            // and pmemcheck report).
-            let redundant = (first..=last).all(|l| {
-                !inner
-                    .machine
-                    .storage()
-                    .has_unflushed_stores(jaaru_pmem::CacheLineId::new(l))
-            });
-            if redundant {
-                let (kind, what) = if opt {
-                    (DiagnosticKind::RedundantFlushOpt, "clflushopt/clwb")
-                } else {
-                    (DiagnosticKind::RedundantFlush, "clflush")
-                };
-                record_perf(inner, kind, Some(addr), loc, what);
-            }
-        }
         for l in first..=last {
             let line = jaaru_pmem::CacheLineId::new(l);
             if opt {
@@ -560,15 +430,6 @@ impl CheckerEnv {
                 inner.machine.clflush(inner.current_tid, line);
             }
         }
-    }
-}
-
-/// Folds the current thread's parked (unfenced) clflushopt lines into
-/// the touched set: a fence applying them is a persistency effect at
-/// the fence, even when the flush itself preceded the anchor point.
-fn drain_parked(inner: &mut Inner) {
-    if let Some(lines) = inner.parked.get_mut(&inner.current_tid.0) {
-        inner.touched.extend(lines.drain());
     }
 }
 
@@ -616,32 +477,6 @@ fn record_race(
     });
 }
 
-fn record_perf(
-    inner: &mut Inner,
-    kind: DiagnosticKind,
-    addr: Option<PmAddr>,
-    loc: &'static Location<'static>,
-    what: &str,
-) {
-    let site = format!("{}:{}:{}", loc.file(), loc.line(), loc.column());
-    let message = match kind {
-        DiagnosticKind::RedundantFence => {
-            format!("the {what} has no buffered stores or flushes to order; remove it")
-        }
-        _ => format!("the {what} covers no unflushed stores; remove it"),
-    };
-    inner.diagnostics.insert(Diagnostic {
-        kind,
-        site,
-        message,
-        // The graph-based redundancy pass is the canonical producer of
-        // DeleteFlush edits; this inline path stays advisory.
-        suggestion: None,
-        addr,
-        occurrences: 1,
-    });
-}
-
 impl PmEnv for CheckerEnv {
     #[track_caller]
     fn load_bytes(&self, addr: PmAddr, buf: &mut [u8]) {
@@ -682,14 +517,6 @@ impl PmEnv for CheckerEnv {
         inner.machine.store(inner.current_tid, addr, bytes, loc);
         inner.writes_since_point = true;
         inner.any_writes_this_exec = true;
-        inner.work_since_fence += 1;
-        if self.prune.is_some() {
-            let first = addr.cache_line().index();
-            let last = (addr + (bytes.len().max(1) as u64 - 1))
-                .cache_line()
-                .index();
-            inner.touched.extend(first..=last);
-        }
         if self.flag_lints {
             self.record_trace(
                 inner,
@@ -731,13 +558,6 @@ impl PmEnv for CheckerEnv {
         let loc = Location::caller();
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        if self.flag_perf && inner.work_since_fence == 0 {
-            record_perf(inner, DiagnosticKind::RedundantFence, None, loc, "sfence");
-        }
-        inner.work_since_fence = 0;
-        if self.prune.is_some() {
-            drain_parked(inner);
-        }
         if self.flag_lints {
             self.record_trace(inner, loc, TraceOpKind::Sfence);
         }
@@ -759,10 +579,6 @@ impl PmEnv for CheckerEnv {
         let loc = Location::caller();
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        inner.work_since_fence = 0;
-        if self.prune.is_some() {
-            drain_parked(inner);
-        }
         if self.flag_lints {
             self.record_trace(inner, loc, TraceOpKind::Mfence);
         }
@@ -785,7 +601,6 @@ impl PmEnv for CheckerEnv {
         self.lint_loc.set(prev);
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        inner.work_since_fence = 0;
         if self.flag_lints {
             // Failed attempts are recorded too: a failed CAS is still a
             // locked instruction (fences, acquires) — it just publishes
@@ -799,9 +614,6 @@ impl PmEnv for CheckerEnv {
                     recovery: inner.exec_index >= 1,
                 },
             );
-        }
-        if self.prune.is_some() {
-            drain_parked(inner);
         }
         inner.machine.mfence(inner.current_tid);
         observed

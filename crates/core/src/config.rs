@@ -25,7 +25,6 @@ pub struct Config {
     max_bugs: usize,
     stop_on_first_bug: bool,
     flag_races: bool,
-    flag_perf_issues: bool,
     lints: bool,
     lint_cross_thread: bool,
     lint_torn_stores: bool,
@@ -34,7 +33,6 @@ pub struct Config {
     snapshots: bool,
     snapshot_cap: usize,
     repair_max_rounds: usize,
-    prune: bool,
     /// Internal: keep every scenario's op traces on its outcome (the
     /// static slicing pass consumes them). Collection-only — never part
     /// of the fingerprint.
@@ -58,7 +56,6 @@ impl Config {
             max_bugs: 64,
             stop_on_first_bug: false,
             flag_races: true,
-            flag_perf_issues: false,
             lints: false,
             lint_cross_thread: false,
             lint_torn_stores: false,
@@ -67,7 +64,6 @@ impl Config {
             snapshots: true,
             snapshot_cap: 64 << 20,
             repair_max_rounds: 8,
-            prune: false,
             collect_traces: false,
         }
     }
@@ -207,19 +203,6 @@ impl Config {
         self.flag_races
     }
 
-    /// Report wasted persistency operations (redundant flushes/fences) —
-    /// the performance-bug extension the paper sketches in §5.1.
-    /// Default `false`: wasted flushes are a cost, not a correctness bug.
-    pub fn flag_perf_issues(&mut self, yes: bool) -> &mut Self {
-        self.flag_perf_issues = yes;
-        self
-    }
-
-    /// Whether wasted persistency operations are flagged.
-    pub fn flag_perf_issues_value(&self) -> bool {
-        self.flag_perf_issues
-    }
-
     /// Enable the persistency lint engine (default `false`).
     ///
     /// With lints on, the checker records the full per-thread operation
@@ -274,9 +257,10 @@ impl Config {
     /// Enable the flush-redundancy performance pass (default `false`):
     /// report same-line re-flushes with no intervening store, fences
     /// over empty flush buffers, and flushes before any store, as
-    /// warning-severity diagnostics with occurrence counts. This is the
-    /// graph-based successor of [`Config::flag_perf_issues`]; enabling
-    /// both double-counts redundant flushes.
+    /// warning-severity diagnostics with occurrence counts — the
+    /// performance-bug extension the paper sketches in §5.1. On an
+    /// untruncated run it also reports dead flushes: flushes of lines
+    /// no recovery execution reads.
     pub fn lint_flush_redundancy(&mut self, yes: bool) -> &mut Self {
         self.lint_flush_redundancy = yes;
         self
@@ -346,28 +330,6 @@ impl Config {
         self.repair_max_rounds
     }
 
-    /// Enable static persistence-slice pruning (default `false`): before
-    /// committing to a crash point, the explorer consults the recovery
-    /// read footprint — the cache lines any recovery execution has been
-    /// observed to read — and skips injection points that no operation
-    /// since the previous point could make distinguishable. The
-    /// footprint is computed to a fixpoint by re-running exploration
-    /// whenever recovery reads a line outside the current footprint, so
-    /// pruning never hides a verdict, bug, or lint: it only removes
-    /// crash points equivalent to one already explored (see DESIGN.md,
-    /// "Static persistence slicing"). Exploration *statistics* (scenario
-    /// and execution counts) do shrink, which is the point — so `prune`
-    /// is a semantic knob and participates in [`Config::fingerprint`].
-    pub fn prune(&mut self, yes: bool) -> &mut Self {
-        self.prune = yes;
-        self
-    }
-
-    /// Whether persistence-slice pruning is enabled.
-    pub fn prune_value(&self) -> bool {
-        self.prune
-    }
-
     /// The configured worker count, as set (`0` = auto).
     pub fn jobs_value(&self) -> usize {
         self.jobs
@@ -413,12 +375,10 @@ impl Config {
             self.skip_unchanged,
             self.stop_on_first_bug,
             self.flag_races,
-            self.flag_perf_issues,
             self.lints,
             self.lint_cross_thread,
             self.lint_torn_stores,
             self.lint_flush_redundancy,
-            self.prune,
         ]
         .iter()
         .fold(0u64, |acc, &b| (acc << 1) | b as u64);
@@ -449,7 +409,6 @@ mod tests {
         assert_eq!(c.jobs_value(), 1, "sequential by default");
         assert!(c.snapshots_value(), "snapshots on by default");
         assert_eq!(c.snapshot_cap_value(), 64 << 20);
-        assert!(!c.prune_value(), "pruning is opt-in at the library level");
     }
 
     #[test]
@@ -546,9 +505,6 @@ mod tests {
         let mut c = Config::new();
         c.lints(true);
         assert_ne!(c.fingerprint(), base);
-        let mut c = Config::new();
-        c.prune(true);
-        assert_ne!(c.fingerprint(), base, "pruning changes exploration stats");
         let mut c = Config::new();
         c.eviction(EvictionPolicy::OnFence);
         assert_ne!(c.fingerprint(), base);

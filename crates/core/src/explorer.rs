@@ -17,21 +17,21 @@
 //! directly at recovery — the original system's fork-based rollback,
 //! without a guest process to fork (see `crate::snapshot`).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use jaaru_analysis::Diagnostic;
-use jaaru_tso::{OpTrace, TraceOpKind};
+use jaaru_analysis::{dead_flushes, Diagnostic, PersistGraph};
+use jaaru_tso::OpTrace;
 
-use crate::checker_env::{CheckerEnv, PruneOracle};
+use crate::checker_env::CheckerEnv;
 use crate::config::Config;
 use crate::decision::DecisionLog;
 use crate::lint::lint_scenario;
 use crate::parallel::merge::ReportAccumulator;
-use crate::report::{BugKind, BugReport, CheckReport, CheckStats, RaceReport, SliceSummary};
+use crate::report::{BugKind, BugReport, CheckReport, CheckStats, RaceReport};
 use crate::signal::{
     install_panic_hook, panic_message, take_last_panic_location, with_quiet_panics, AbortSignal,
     CrashSignal,
@@ -72,17 +72,14 @@ pub(crate) struct ScenarioOutcome {
     pub failure_points: u64,
     /// Racy loads observed (when race flagging is on).
     pub races: Vec<RaceReport>,
-    /// Diagnostics this scenario contributes: perf warnings (when perf
-    /// flagging is on) and lint findings (when lints are on).
+    /// Lint findings this scenario contributes (when lints are on).
     pub diagnostics: Vec<Diagnostic>,
     /// The bug this scenario hit, if any, with crash points and trace
     /// filled in.
     pub bug: Option<BugReport>,
-    /// Per-line recovery read counts observed by this scenario, sorted
-    /// by line (slicing footprint observations).
-    pub recovery_reads: Vec<(u64, u64)>,
-    /// Injection points the prune oracle skipped in this scenario.
-    pub points_skipped: u64,
+    /// Cache lines this scenario's recoveries read (collected only for
+    /// the dead-flush pass).
+    pub recovery_reads: HashSet<u64>,
     /// The complete pre-failure operation trace, present only for the
     /// crash-free, bug-free scenario with lints on (one per run): the
     /// input of the footprint-driven dead-flush pass.
@@ -94,13 +91,12 @@ pub(crate) struct ScenarioOutcome {
     pub op_traces: Vec<OpTrace>,
 }
 
-/// Exploration by-products the fixpoint driver needs beyond the report:
-/// the union of recovery-read observations (footprint extension), the
-/// total skip count, and the canonical crash-free trace.
+/// Exploration by-products the dead-flush pass needs beyond the report:
+/// the union of the lines recovery read (the footprint) and the
+/// canonical crash-free trace.
 #[derive(Debug, Default)]
 pub(crate) struct ExploreAux {
-    pub recovery_reads: HashMap<u64, u64>,
-    pub points_skipped: u64,
+    pub recovery_reads: HashSet<u64>,
     pub clean_trace: Option<OpTrace>,
 }
 
@@ -119,14 +115,13 @@ pub(crate) fn run_scenario(
     program: &dyn Program,
     decisions: DecisionLog,
     snapshots: CacheRef<'_>,
-    prune: Option<&PruneOracle>,
 ) -> (ScenarioOutcome, DecisionLog) {
     let mut executions_restored = 0usize;
     // The restore clones checker state out of the cache under the shard
     // lock; `decisions` is consumed by whichever constructor runs, so it
     // rides in an Option the closures take from.
     let mut log = Some(decisions);
-    let mut env = match snapshots {
+    let env = match snapshots {
         Some((cache, group)) => {
             let planned = log.as_ref().expect("log present").planned_prefix();
             cache
@@ -138,7 +133,6 @@ pub(crate) fn run_scenario(
         }
         None => CheckerEnv::new(config, log.take().expect("log present")),
     };
-    env.set_prune(prune.cloned());
     let mut executions_this_scenario = 0usize;
     let mut scenario_bug: Option<BugReport> = None;
 
@@ -201,9 +195,7 @@ pub(crate) fn run_scenario(
         b.crash_points = record.crash_points.clone();
         b.trace = record.decisions.trace();
     }
-    let lints = lint_scenario(&record, bug.is_some(), config);
-    let mut diagnostics = record.diagnostics;
-    diagnostics.extend(lints);
+    let diagnostics = lint_scenario(&record, bug.is_some(), config);
     // Exactly one scenario per run never crashes and never hits a bug:
     // the all-continue one. Its first (and only) trace is the canonical
     // complete pre-failure trace, which the dead-flush pass consumes.
@@ -229,7 +221,6 @@ pub(crate) fn run_scenario(
         diagnostics,
         bug,
         recovery_reads: record.recovery_reads,
-        points_skipped: record.points_skipped,
         clean_trace,
         op_traces,
     };
@@ -329,33 +320,44 @@ impl ModelChecker {
     /// work-stealing thread pool; for non-truncated runs the report is
     /// byte-identical (per [`CheckReport::digest`]) to the sequential one.
     ///
-    /// With [`Config::prune`] on, exploration runs as a fixpoint of
-    /// slicing rounds: each round freezes the recovery read footprint
-    /// observed so far, prunes injection points invisible to it, and
-    /// extends the footprint with any new recovery reads; the final
-    /// report carries cumulative work statistics across rounds and a
-    /// [`SliceSummary`]. Pruning preserves verdicts, bug sets, and lint
-    /// findings — only scenario/execution counts shrink.
+    /// With [`Config::lint_flush_redundancy`] on, an untruncated run also
+    /// reports dead flushes: flushes of lines no recovery execution read
+    /// (see [`jaaru_analysis::dead_flushes`]).
     pub fn check(&self, program: &(dyn Program + Sync)) -> CheckReport {
-        if !self.config.prune_value() {
-            return self.check_round(program, None, 0).0;
+        let (mut report, aux) = match self.config.effective_jobs() {
+            0 | 1 => self.check_sequential(program),
+            jobs => crate::parallel::check_parallel(
+                &self.config,
+                program,
+                jobs,
+                self.shared_cache.as_ref().map(|c| (c, self.cache_group)),
+                self.abort.clone(),
+            ),
+        };
+        // The footprint is complete only when every recovery branch ran:
+        // a truncated run may have skipped the one that reads a line.
+        if self.config.lint_flush_redundancy_value() && !report.truncated {
+            if let Some(trace) = &aux.clean_trace {
+                let graph = PersistGraph::build(trace);
+                report
+                    .diagnostics
+                    .extend(dead_flushes(&graph, &aux.recovery_reads));
+            }
         }
-        self.check_pruned(program)
+        report
     }
 
     /// Runs the *static* persistence-slicing pass: a bounded sequential
     /// exploration with op tracing forced on, whose recorded traces feed
     /// [`jaaru_analysis::SliceReport::build`]. The result names the
     /// recovery read footprint, absorption facts, and the predicted
-    /// crash-point equivalence classes — the explanation for what
-    /// [`Config::prune`] skips dynamically. Advisory only: it never
-    /// affects `check`'s exploration or verdicts.
+    /// crash-point equivalence classes. Advisory only: it never affects
+    /// `check`'s exploration or verdicts.
     pub fn slice(&self, program: &(dyn Program + Sync)) -> jaaru_analysis::SliceReport {
         install_panic_hook();
         let mut config = self.config.clone();
-        // `lints(true)` turns per-execution op tracing on; prune stays
-        // off so the slice describes the unpruned scenario walk.
-        config.lints(true).prune(false).jobs(1);
+        // `lints(true)` turns per-execution op tracing on.
+        config.lints(true).jobs(1);
         config.collect_traces = true;
 
         let mut decisions = DecisionLog::new();
@@ -363,7 +365,7 @@ impl ModelChecker {
         let mut recoveries: Vec<OpTrace> = Vec::new();
         let mut scenarios = 0u64;
         loop {
-            let (mut outcome, log) = run_scenario(&config, program, decisions, None, None);
+            let (mut outcome, log) = run_scenario(&config, program, decisions, None);
             decisions = log;
             scenarios += 1;
             if let Some(trace) = outcome.clean_trace.take() {
@@ -379,154 +381,6 @@ impl ModelChecker {
         let mut traces = vec![pre.unwrap_or_default()];
         traces.append(&mut recoveries);
         jaaru_analysis::SliceReport::build(&traces)
-    }
-
-    /// One full exploration pass with a frozen prune oracle (or none).
-    /// `salt` perturbs the snapshot-cache key group: rounds with
-    /// different footprints force different crash-decision alternative
-    /// counts (1 vs 2) at the same positions, so their snapshots must
-    /// never adopt each other's prefixes.
-    fn check_round(
-        &self,
-        program: &(dyn Program + Sync),
-        prune: Option<&PruneOracle>,
-        salt: u64,
-    ) -> (CheckReport, ExploreAux) {
-        match self.config.effective_jobs() {
-            0 | 1 => self.check_sequential(program, prune, salt),
-            jobs => crate::parallel::check_parallel(
-                &self.config,
-                program,
-                jobs,
-                self.shared_cache.as_ref().map(|c| (c, self.cache_group)),
-                self.abort.clone(),
-                prune,
-                salt,
-            ),
-        }
-    }
-
-    /// The slicing fixpoint. Round 1 runs with an empty footprint —
-    /// only the representative points (first of each execution, end of
-    /// execution) are expanded — and observes which lines recovery
-    /// reads; each later round reruns with the extended footprint until
-    /// no new line appears. Convergence is self-certifying: in the
-    /// final round every explored recovery read only footprint lines,
-    /// and by the representative-equivalence argument (DESIGN.md,
-    /// "Static persistence slicing") every pruned point behaves
-    /// identically to its representative, so nothing else was readable.
-    fn check_pruned(&self, program: &(dyn Program + Sync)) -> CheckReport {
-        // Each round must add at least one line, so this cap is only
-        // reachable for pathologically value-dependent recovery code;
-        // past it, trust nothing and run one unpruned final round.
-        const MAX_ROUNDS: u64 = 32;
-        let start = Instant::now();
-        let mut footprint: HashSet<u64> = HashSet::new();
-        let mut reads: HashMap<u64, u64> = HashMap::new();
-        let mut rounds = 0u64;
-        // Work carried over from earlier fixpoint rounds: discovery is
-        // real work the pruned check performed, so the final report's
-        // scenario/execution counts are cumulative (the pruning bench
-        // compares exactly these against unpruned runs).
-        let mut carry = CheckStats::default();
-        loop {
-            rounds += 1;
-            let oracle = PruneOracle::new(footprint.clone());
-            let (report, aux) =
-                self.check_round(program, Some(&oracle), footprint_salt(&footprint));
-            for (line, n) in &aux.recovery_reads {
-                *reads.entry(*line).or_insert(0) += n;
-            }
-            let new_lines: Vec<u64> = aux
-                .recovery_reads
-                .keys()
-                .filter(|l| !footprint.contains(l))
-                .copied()
-                .collect();
-            let converged = new_lines.is_empty();
-            footprint.extend(new_lines);
-            // A truncated round (budget, bug cap, abort) ends the
-            // fixpoint too: truncated runs carry no exhaustiveness
-            // guarantee with or without pruning.
-            if converged || report.truncated {
-                return self.finalize_pruned(report, aux, footprint, reads, carry, rounds, start);
-            }
-            if rounds >= MAX_ROUNDS {
-                let (report, aux) = self.check_round(program, None, 0);
-                return self.finalize_pruned(
-                    report,
-                    aux,
-                    footprint,
-                    reads,
-                    carry,
-                    rounds + 1,
-                    start,
-                );
-            }
-            carry.scenarios += report.stats.scenarios;
-            carry.executions += report.stats.executions;
-            carry.executions_replayed += report.stats.executions_replayed;
-            carry.executions_restored += report.stats.executions_restored;
-        }
-    }
-
-    /// Folds the discovery rounds' work into the final round's report,
-    /// runs the footprint-driven dead-flush pass over the crash-free
-    /// trace, and attaches the slice summary.
-    #[allow(clippy::too_many_arguments)]
-    fn finalize_pruned(
-        &self,
-        mut report: CheckReport,
-        aux: ExploreAux,
-        footprint: HashSet<u64>,
-        reads: HashMap<u64, u64>,
-        carry: CheckStats,
-        rounds: u64,
-        start: Instant,
-    ) -> CheckReport {
-        let final_round_executions = report.stats.executions;
-        let final_round_scenarios = report.stats.scenarios;
-        report.stats.scenarios += carry.scenarios;
-        report.stats.executions += carry.executions;
-        report.stats.executions_replayed += carry.executions_replayed;
-        report.stats.executions_restored += carry.executions_restored;
-        report.stats.duration = start.elapsed();
-
-        let mut writes_per_line: Vec<(u64, u64)> = Vec::new();
-        if let Some(trace) = &aux.clean_trace {
-            if self.config.lint_flush_redundancy_value() {
-                let graph = jaaru_analysis::PersistGraph::build(trace);
-                report
-                    .diagnostics
-                    .extend(jaaru_analysis::dead_flushes(&graph, &footprint));
-            }
-            let mut writes: HashMap<u64, u64> = HashMap::new();
-            for op in trace.ops() {
-                if matches!(op.kind, TraceOpKind::Store { .. }) {
-                    if let Some((first, last)) = op.kind.line_range() {
-                        for l in first..=last {
-                            *writes.entry(l).or_insert(0) += 1;
-                        }
-                    }
-                }
-            }
-            writes_per_line = writes.into_iter().collect();
-            writes_per_line.sort_unstable();
-        }
-        let mut fp: Vec<u64> = footprint.into_iter().collect();
-        fp.sort_unstable();
-        let mut reads_per_line: Vec<(u64, u64)> = reads.into_iter().collect();
-        reads_per_line.sort_unstable();
-        report.slice = Some(SliceSummary {
-            footprint: fp,
-            reads_per_line,
-            writes_per_line,
-            points_skipped: aux.points_skipped,
-            rounds,
-            final_round_executions,
-            final_round_scenarios,
-        });
-        report
     }
 
     /// Resolves the snapshot cache a run uses: the installed shared one,
@@ -549,12 +403,7 @@ impl ModelChecker {
     }
 
     /// The single-threaded depth-first walk over the decision tree.
-    fn check_sequential(
-        &self,
-        program: &dyn Program,
-        prune: Option<&PruneOracle>,
-        salt: u64,
-    ) -> (CheckReport, ExploreAux) {
+    fn check_sequential(&self, program: &dyn Program) -> (CheckReport, ExploreAux) {
         install_panic_hook();
         let start = Instant::now();
 
@@ -566,8 +415,7 @@ impl ModelChecker {
             &self.config,
             self.shared_cache.as_ref().map(|c| (c, self.cache_group)),
             &mut local,
-        )
-        .map(|(c, g)| (c, g ^ salt));
+        );
         // On a long-lived shared cache, report only this run's activity.
         let base = cache.map(|(c, _)| c.stats());
 
@@ -576,7 +424,7 @@ impl ModelChecker {
                 truncated = true;
                 break;
             }
-            let (outcome, log) = run_scenario(&self.config, program, decisions, cache, prune);
+            let (outcome, log) = run_scenario(&self.config, program, decisions, cache);
             decisions = log;
             let had_bug = outcome.bug.is_some();
             acc.add(outcome);
@@ -607,22 +455,6 @@ impl ModelChecker {
             aux,
         )
     }
-}
-
-/// FNV-1a over the sorted footprint lines: the per-round snapshot-cache
-/// group salt. Deterministic in the footprint *set*, not its iteration
-/// order.
-fn footprint_salt(footprint: &HashSet<u64>) -> u64 {
-    let mut lines: Vec<u64> = footprint.iter().copied().collect();
-    lines.sort_unstable();
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in lines {
-        for byte in line.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
 }
 
 impl ModelChecker {
@@ -690,9 +522,7 @@ impl ModelChecker {
             }
         }
         let record = env.finish();
-        let lints = lint_scenario(&record, !bugs.is_empty(), &self.config);
-        let mut diagnostics = record.diagnostics;
-        diagnostics.extend(lints);
+        let diagnostics = lint_scenario(&record, !bugs.is_empty(), &self.config);
         if let Some(bug) = bugs.first_mut() {
             bug.crash_points = record.crash_points;
         }
@@ -1165,7 +995,7 @@ mod tests {
             env.sfence(); // nothing to order: wasted fence
         };
         let mut config = small_config();
-        config.flag_perf_issues(true);
+        config.lint_flush_redundancy(true);
         let report = ModelChecker::new(config).check(&program);
         assert!(report.is_clean(), "perf issues are not bugs: {report}");
         assert!(!report.has_errors(), "perf warnings are not errors");
@@ -1192,9 +1022,9 @@ mod tests {
         let off = ModelChecker::new(small_config()).check(&program);
         assert!(off.diagnostics.is_empty());
         let mut config = small_config();
-        config.flag_perf_issues(true);
+        config.lint_flush_redundancy(true);
         let on = ModelChecker::new(config).check(&program);
-        assert_eq!(off.stats.scenarios, on.stats.scenarios, "diagnostics only");
+        assert_eq!(off.exploration_digest(), on.exploration_digest());
         assert!(!on.diagnostics.is_empty());
     }
 
@@ -1209,7 +1039,7 @@ mod tests {
             env.sfence(); // orders the clflushopt: necessary
         };
         let mut config = small_config();
-        config.flag_perf_issues(true);
+        config.lint_flush_redundancy(true);
         let report = ModelChecker::new(config).check(&program);
         assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
     }
@@ -1381,8 +1211,7 @@ mod tests {
     }
 
     /// Commit-store pattern plus a tail of scratch lines recovery never
-    /// reads: every scratch flush is an injection point the slice can
-    /// prune.
+    /// reads: every scratch flush is a dead flush.
     fn scratch_tail_program(env: &dyn PmEnv, bug: bool) {
         let root = env.root();
         let data = root + 64;
@@ -1406,158 +1235,100 @@ mod tests {
         env.sfence();
     }
 
-    fn bug_keys(report: &CheckReport) -> Vec<(String, String, Option<String>)> {
-        let mut keys: Vec<_> = report
-            .bugs
+    fn dead_flushes_of(report: &CheckReport) -> Vec<&Diagnostic> {
+        use jaaru_analysis::DiagnosticKind;
+        report
+            .diagnostics
             .iter()
-            .map(|b| {
-                (
-                    format!("{:?}", b.kind),
-                    b.message.clone(),
-                    b.location.clone(),
-                )
-            })
-            .collect();
-        keys.sort();
-        keys
+            .filter(|d| d.kind == DiagnosticKind::DeadFlush)
+            .collect()
     }
 
     #[test]
-    fn pruning_preserves_verdicts_and_skips_points() {
-        let program = |env: &dyn PmEnv| scratch_tail_program(env, false);
-        let off = ModelChecker::new(small_config()).check(&program);
+    fn lints_flag_dead_flushes_from_the_recovery_footprint() {
+        use jaaru_analysis::{FixEdit, Severity};
+        let program = |env: &dyn PmEnv| scratch_tail_program(env, true);
         let mut config = small_config();
-        config.prune(true);
-        let on = ModelChecker::new(config).check(&program);
-
-        assert!(off.is_clean() && on.is_clean(), "{on}");
-        assert_eq!(bug_keys(&off), bug_keys(&on));
-        assert_eq!(off.lint_digest(), on.lint_digest());
-        assert!(off.slice.is_none(), "slice only attached when pruning");
-        let slice = on.slice.as_ref().expect("slice summary attached");
-        assert!(slice.points_skipped > 0, "{on}");
-        assert!(slice.rounds >= 2, "discovery + converged round");
-        assert!(!slice.footprint.is_empty(), "recovery reads root and data");
+        config.lints(true).lint_flush_redundancy(true);
+        let report = ModelChecker::new(config.clone()).check(&program);
+        assert!(!report.is_clean(), "{report}");
+        // Recovery reads lines 1 (root) and 2 (data): the scratch-tail
+        // flush site (lines 3..=10, eight times) is dead, nothing else.
+        let dead = dead_flushes_of(&report);
+        assert_eq!(dead.len(), 1, "{dead:?}");
+        assert_eq!(dead[0].occurrences, 8);
+        assert_eq!(dead[0].severity(), Severity::Warning);
         assert!(
-            on.stats.executions < off.stats.executions,
-            "pruning must pay for its discovery rounds: {} on vs {} off",
-            on.stats.executions,
-            off.stats.executions
+            matches!(
+                dead[0].suggestion,
+                Some(FixEdit::DeleteFlush { line: Some(3), .. })
+            ),
+            "{}",
+            dead[0]
         );
-        assert_eq!(
-            on.stats.failure_points, off.stats.failure_points,
-            "skipped points are still counted as failure points"
-        );
-    }
 
-    #[test]
-    fn pruning_finds_the_same_bugs() {
-        let program = |env: &dyn PmEnv| scratch_tail_program(env, true);
-        let off = ModelChecker::new(small_config()).check(&program);
-        let mut config = small_config();
-        config.prune(true);
-        let on = ModelChecker::new(config).check(&program);
-        assert!(!off.is_clean() && !on.is_clean());
-        assert_eq!(bug_keys(&off), bug_keys(&on));
-    }
-
-    #[test]
-    fn pruned_bug_traces_replay_to_the_same_bug() {
-        let program = |env: &dyn PmEnv| scratch_tail_program(env, true);
-        let mut config = small_config();
-        config.prune(true);
-        let checker = ModelChecker::new(config);
-        let report = checker.check(&program);
-        let bug = &report.bugs[0];
-        // Replay never prunes, but a pruned trace's forced-continue
-        // decisions are position-aligned with unpruned ones, so the
-        // trace replays verbatim.
-        let replayed = checker.replay(&program, &bug.trace);
-        assert_eq!(replayed.bugs.len(), 1, "{replayed}");
-        assert_eq!(replayed.bugs[0].kind, bug.kind);
-        assert_eq!(replayed.bugs[0].message, bug.message);
-        assert_eq!(replayed.bugs[0].crash_points, bug.crash_points);
-    }
-
-    #[test]
-    fn pruning_matches_across_worker_counts() {
-        let program = |env: &dyn PmEnv| scratch_tail_program(env, true);
-        let mut config = small_config();
-        config.prune(true);
-        let sequential = ModelChecker::new(config.clone()).check(&program);
         for jobs in [2usize, 4] {
             let mut config = config.clone();
             config.jobs(jobs);
             let parallel = ModelChecker::new(config).check(&program);
-            assert_eq!(sequential.digest(), parallel.digest(), "jobs={jobs}");
+            assert_eq!(report.digest(), parallel.digest(), "jobs={jobs}");
         }
     }
 
     #[test]
-    fn pruning_with_lints_preserves_findings_and_flags_dead_flushes() {
-        use jaaru_analysis::DiagnosticKind;
-        let program = |env: &dyn PmEnv| scratch_tail_program(env, true);
+    fn truncated_lint_runs_report_no_dead_flushes() {
+        // Recovery reads B only when A did not persist, which only a
+        // crash before clflush(B) shows. Depth-first order explores the
+        // crash at the end first, so a run cut after two scenarios has
+        // seen recovery read A alone.
+        let program = |env: &dyn PmEnv| {
+            let a = env.root();
+            let b = a + 64;
+            if env.is_recovery() {
+                if env.load_u64(a) == 0 {
+                    let _ = env.load_u64(b);
+                }
+                return;
+            }
+            env.store_u64(b, 1);
+            env.clflush(b, 8);
+            env.store_u64(a, 1);
+            env.clflush(a, 8);
+            env.sfence();
+        };
         let mut config = small_config();
         config.lints(true).lint_flush_redundancy(true);
-        let off = ModelChecker::new(config.clone()).check(&program);
-        config.prune(true);
-        let on = ModelChecker::new(config).check(&program);
+        let full = ModelChecker::new(config.clone()).check(&program);
+        assert!(!full.truncated && full.is_clean(), "{full}");
+        assert!(dead_flushes_of(&full).is_empty(), "{:?}", full.diagnostics);
 
-        assert_eq!(bug_keys(&off), bug_keys(&on));
-        assert_eq!(off.lint_digest(), on.lint_digest());
-        // The scratch-tail flushes persist lines recovery never reads:
-        // the footprint-driven pass flags them, pruned runs only.
-        assert!(
-            on.diagnostics
-                .iter()
-                .any(|d| d.kind == DiagnosticKind::DeadFlush),
-            "{:?}",
-            on.diagnostics
-        );
-        assert!(
-            !off.diagnostics
-                .iter()
-                .any(|d| d.kind == DiagnosticKind::DeadFlush),
-            "dead flushes need a footprint"
-        );
+        config.max_scenarios(2);
+        let cut = ModelChecker::new(config).check(&program);
+        assert!(cut.truncated, "{cut}");
+        assert!(dead_flushes_of(&cut).is_empty(), "{:?}", cut.diagnostics);
     }
 
     #[test]
-    fn static_slice_agrees_with_dynamic_pruning() {
+    fn static_slice_footprint_matches_the_dead_flush_lint() {
         let program = |env: &dyn PmEnv| scratch_tail_program(env, false);
-        let checker = ModelChecker::new(small_config());
+        let mut config = small_config();
+        config.lints(true).lint_flush_redundancy(true);
+        let checker = ModelChecker::new(config);
         let slice = checker.slice(&program);
+        assert_eq!(slice.footprint, vec![1, 2], "{slice:?}");
         assert!(slice.predicted_skipped > 0, "{slice:?}");
         assert!(slice.total_points > slice.predicted_skipped);
 
-        let mut config = small_config();
-        config.prune(true);
-        let on = ModelChecker::new(config).check(&program);
-        let dynamic = on.slice.as_ref().expect("slice summary");
-        assert_eq!(
-            slice.footprint, dynamic.footprint,
-            "static and dynamic footprints agree on a deterministic program"
-        );
-    }
-
-    #[test]
-    fn pruning_a_program_with_no_recovery_reads_converges_immediately() {
-        let program = |env: &dyn PmEnv| {
-            let root = env.root();
-            env.store_u64(root, 5);
-            env.persist(root, 8);
-            env.store_u64(root + 64, 6);
-            env.persist(root + 64, 8);
-        };
-        let off = ModelChecker::new(small_config()).check(&program);
-        let mut config = small_config();
-        config.prune(true);
-        let on = ModelChecker::new(config).check(&program);
-        assert!(on.is_clean() && off.is_clean());
-        let slice = on.slice.as_ref().expect("slice");
-        assert_eq!(slice.rounds, 1, "empty footprint is already a fixpoint");
-        assert!(slice.footprint.is_empty());
-        assert!(on.stats.scenarios < off.stats.scenarios, "{on}");
+        // The dead flush covers a line outside the static footprint.
+        let report = checker.check(&program);
+        let dead = dead_flushes_of(&report);
+        assert_eq!(dead.len(), 1, "{dead:?}");
+        match dead[0].suggestion {
+            Some(jaaru_analysis::FixEdit::DeleteFlush {
+                line: Some(line), ..
+            }) => assert!(!slice.footprint.contains(&line), "{}", dead[0]),
+            _ => panic!("{}", dead[0]),
+        }
     }
 
     #[test]

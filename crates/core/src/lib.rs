@@ -92,11 +92,11 @@ pub use report::{
 pub use signal::with_quiet_panics;
 pub use snapshot::SharedSnapshotCache;
 
-// The unified diagnostic framework (lint findings + perf warnings)
-// and its SARIF 2.1.0 rendering.
+// The unified diagnostic framework (lint findings + perf warnings),
+// its SARIF 2.1.0 rendering, and the shared JSON string escaper.
 pub use jaaru_analysis::{
-    minimize_edits, to_sarif, to_sarif_with_verified, Absorption, CrashPointClass, Diagnostic,
-    DiagnosticKind, DiagnosticSet, FixEdit, Severity, SliceReport,
+    json_string, minimize_edits, to_sarif, to_sarif_with_verified, Absorption, CrashPointClass,
+    Diagnostic, DiagnosticKind, DiagnosticSet, FixEdit, Severity, SliceReport,
 };
 
 // Snapshot-cache counters, surfaced through `CheckReport::snapshots`.

@@ -26,9 +26,8 @@ use super::worker::WorkerPartial;
 /// a [`CheckReport`]. Feeding outcomes in canonical (sequential
 /// discovery) order makes the result independent of how they were
 /// produced. Diagnostics fold through [`DiagnosticSet`] — the same
-/// `(kind, site)` dedup the per-scenario environment uses, so the
-/// sequential explorer and the parallel merge share one accumulation
-/// path.
+/// `(kind, site)` dedup the analysis passes use, so the sequential
+/// explorer and the parallel merge share one accumulation path.
 #[derive(Debug, Default)]
 pub(crate) struct ReportAccumulator {
     stats: CheckStats,
@@ -61,10 +60,7 @@ impl ReportAccumulator {
         self.stats.max_rf_set = self.stats.max_rf_set.max(outcome.max_rf_set);
         self.stats.failure_points = self.stats.failure_points.max(outcome.failure_points);
 
-        self.aux.points_skipped += outcome.points_skipped;
-        for (line, n) in outcome.recovery_reads {
-            *self.aux.recovery_reads.entry(line).or_insert(0) += n;
-        }
+        self.aux.recovery_reads.extend(outcome.recovery_reads);
         if self.aux.clean_trace.is_none() {
             self.aux.clean_trace = outcome.clean_trace;
         }
@@ -97,8 +93,8 @@ impl ReportAccumulator {
         self.bugs.len()
     }
 
-    /// Takes the accumulated exploration by-products (recovery reads,
-    /// skip counts, the crash-free trace). Call before
+    /// Takes the accumulated exploration by-products (the recovery read
+    /// footprint and the crash-free trace). Call before
     /// [`into_report`](Self::into_report).
     pub fn take_aux(&mut self) -> ExploreAux {
         std::mem::take(&mut self.aux)

@@ -35,7 +35,6 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::checker_env::PruneOracle;
 use crate::config::Config;
 use crate::explorer::ExploreAux;
 use crate::report::CheckReport;
@@ -46,25 +45,20 @@ use crate::{ModelChecker, Program};
 use scheduler::Scheduler;
 use worker::worker_loop;
 
-/// Explores `program`'s scenario tree on `jobs` worker threads. `prune`
-/// and `salt` carry the current slicing round's frozen oracle and its
-/// snapshot-cache group perturbation (see
-/// [`ModelChecker::check`](crate::ModelChecker::check)).
+/// Explores `program`'s scenario tree on `jobs` worker threads.
 pub(crate) fn check_parallel(
     config: &Config,
     program: &(dyn Program + Sync),
     jobs: usize,
     shared: Option<(&SharedSnapshotCache, u64)>,
     abort: Option<Arc<AtomicBool>>,
-    prune: Option<&PruneOracle>,
-    salt: u64,
 ) -> (CheckReport, ExploreAux) {
     install_panic_hook();
     let start = Instant::now();
     let scheduler = Scheduler::new(jobs, config, abort);
 
     let mut local = None;
-    let cache = ModelChecker::resolve_cache(config, shared, &mut local).map(|(c, g)| (c, g ^ salt));
+    let cache = ModelChecker::resolve_cache(config, shared, &mut local);
     // Stats ownership is single-read: the run reads the shared cache's
     // counters once before and once after, and reports the difference —
     // never a per-worker sum, so a jointly owned cache is counted once.
@@ -74,7 +68,7 @@ pub(crate) fn check_parallel(
         let handles: Vec<_> = (0..jobs)
             .map(|worker| {
                 let scheduler = &scheduler;
-                scope.spawn(move || worker_loop(worker, scheduler, config, program, cache, prune))
+                scope.spawn(move || worker_loop(worker, scheduler, config, program, cache))
             })
             .collect();
         handles

@@ -11,7 +11,6 @@
 
 use std::time::Instant;
 
-use crate::checker_env::PruneOracle;
 use crate::config::Config;
 use crate::decision::DecisionLog;
 use crate::explorer::{bug_dedup_key, run_scenario, CacheRef, ScenarioOutcome};
@@ -33,7 +32,6 @@ pub(crate) fn worker_loop(
     config: &Config,
     program: &dyn Program,
     cache: CacheRef<'_>,
-    prune: Option<&PruneOracle>,
 ) -> WorkerPartial {
     let start = Instant::now();
     let mut stats = WorkerStats {
@@ -63,13 +61,8 @@ pub(crate) fn worker_loop(
             break;
         }
 
-        let (outcome, log) = run_scenario(
-            config,
-            program,
-            DecisionLog::from_trace(&item.trace),
-            cache,
-            prune,
-        );
+        let (outcome, log) =
+            run_scenario(config, program, DecisionLog::from_trace(&item.trace), cache);
         let children = log
             .sibling_prefixes(log.prefix_len())
             .into_iter()

@@ -704,7 +704,7 @@ mod tests {
             env.sfence();
         }
         let mut config = lint_config();
-        config.flag_perf_issues(true).lint_flush_redundancy(true);
+        config.lint_flush_redundancy(true);
         let outcome = synthesize_repair(&config, &doubled);
         assert!(outcome.verified, "diagnosed: {:?}", outcome.diagnosed);
         assert!(

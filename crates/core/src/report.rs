@@ -3,7 +3,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use jaaru_analysis::Diagnostic;
+use jaaru_analysis::{json_string, Diagnostic};
 use jaaru_pmem::PmAddr;
 use jaaru_snapshot::SnapshotStats;
 
@@ -209,77 +209,19 @@ impl fmt::Display for ParallelStats {
     }
 }
 
-/// Summary of the static persistence slice that steered a pruned run
-/// (attached when [`Config::prune`](crate::Config::prune) is on).
-///
-/// Excluded from [`CheckReport::digest`]: pruning must leave verdicts,
-/// bug sets, and lint findings untouched, but the slice itself — the
-/// footprint, the skip counts — is exactly what differs between pruned
-/// and unpruned runs.
+/// Crash-point pruning counters. The checker no longer prunes and never
+/// sets [`CheckReport::slice`], so these read 0. The type stays only
+/// because the benchmark harness (`perfbench`) reads them into its
+/// `prune.*` per-layer metrics, until the next benchmark change drops
+/// that reader.
 #[derive(Clone, Debug, Default)]
 pub struct SliceSummary {
-    /// Cache lines any recovery execution was observed to read (the
-    /// recovery read footprint), sorted.
-    pub footprint: Vec<u64>,
-    /// Per-line recovery read counts summed over explored scenarios and
-    /// fixpoint rounds, sorted by line.
-    pub reads_per_line: Vec<(u64, u64)>,
-    /// Per-line pre-failure store counts from the crash-free execution
-    /// trace (empty unless [`Config::lints`](crate::Config::lints) is
-    /// on), sorted by line.
-    pub writes_per_line: Vec<(u64, u64)>,
-    /// Injection points the prune oracle skipped in the final fixpoint
-    /// round, summed over scenarios.
+    /// Injection points skipped (always 0).
     pub points_skipped: u64,
-    /// Fixpoint rounds run until the footprint stabilized.
+    /// Pruning rounds run (always 0).
     pub rounds: u64,
-    /// Logical executions of the final (converged) round alone — the
-    /// cost of the pruned exploration proper, once the footprint is
-    /// known. [`CheckStats::executions`] is cumulative over every
-    /// discovery round; this field is what amortized re-checking (a
-    /// warm service cache, a CI re-run) pays per check.
+    /// Executions of the final pruning round (always 0).
     pub final_round_executions: u64,
-    /// Scenarios of the final (converged) round alone (the cumulative
-    /// [`CheckStats::scenarios`] counterpart of
-    /// [`final_round_executions`](Self::final_round_executions)).
-    pub final_round_scenarios: u64,
-}
-
-impl SliceSummary {
-    /// The slice as a JSON object (embedded in
-    /// [`CheckReport::to_json`]).
-    pub fn to_json(&self) -> String {
-        use fmt::Write;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"footprint\": {:?}, \"reads_per_line\": [",
-            self.footprint
-        );
-        for (i, (line, n)) in self.reads_per_line.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "[{line}, {n}]");
-        }
-        out.push_str("], \"writes_per_line\": [");
-        for (i, (line, n)) in self.writes_per_line.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "[{line}, {n}]");
-        }
-        let _ = write!(
-            out,
-            "], \"points_skipped\": {}, \"rounds\": {}, \"final_round_executions\": {}, \
-             \"final_round_scenarios\": {}}}",
-            self.points_skipped,
-            self.rounds,
-            self.final_round_executions,
-            self.final_round_scenarios
-        );
-        out
-    }
 }
 
 /// The result of a model-checking run.
@@ -294,7 +236,8 @@ pub struct CheckReport {
     /// error-severity robustness violations from the lint engine (with
     /// [`Config::lints`](crate::Config::lints) on) and warning-severity
     /// wasted persistency operations (with
-    /// [`Config::flag_perf_issues`](crate::Config::flag_perf_issues) on).
+    /// [`Config::lint_flush_redundancy`](crate::Config::lint_flush_redundancy)
+    /// on).
     pub diagnostics: Vec<Diagnostic>,
     /// Exploration statistics.
     pub stats: CheckStats,
@@ -311,9 +254,8 @@ pub struct CheckReport {
     /// make hit/eviction counts nondeterministic, while the explored
     /// scenario set is not.
     pub snapshots: Option<SnapshotStats>,
-    /// The persistence slice that steered pruning; `None` when
-    /// [`Config::prune`](crate::Config::prune) was off. Excluded from
-    /// [`digest`](Self::digest) and from the canonical JSON view.
+    /// Always `None`: kept only for the benchmark harness's reader (see
+    /// [`SliceSummary`]).
     pub slice: Option<SliceSummary>,
 }
 
@@ -368,38 +310,6 @@ impl CheckReport {
     /// what exploration finds.
     pub fn exploration_digest(&self) -> String {
         self.digest_impl(false)
-    }
-
-    /// A deterministic, occurrence-insensitive fingerprint of the lint
-    /// findings: every diagnostic's severity, rule id, site, and
-    /// message, sorted. Pruning may visit fewer scenarios and therefore
-    /// see a finding fewer *times*, but must never change *which*
-    /// findings exist — so the pruning soundness comparisons (fuzz
-    /// oracle, determinism suite, bench) pin this digest rather than
-    /// the occurrence-carrying [`digest`](Self::digest).
-    ///
-    /// Dead-flush findings are excluded: they are *derived from* the
-    /// slice footprint and exist only on pruned runs by construction.
-    pub fn lint_digest(&self) -> String {
-        use jaaru_analysis::DiagnosticKind;
-        let mut lines: Vec<String> = self
-            .diagnostics
-            .iter()
-            .filter(|d| d.kind != DiagnosticKind::DeadFlush)
-            .map(|d| {
-                format!(
-                    "{}[{}] {}: {}",
-                    d.severity().as_str(),
-                    d.kind.as_str(),
-                    d.site,
-                    d.message
-                )
-            })
-            .collect();
-        lines.sort_unstable();
-        let mut out = lines.join("\n");
-        out.push('\n');
-        out
     }
 
     fn digest_impl(&self, include_diagnostics: bool) -> String {
@@ -497,14 +407,6 @@ impl CheckReport {
         }
         out.push_str("},\n");
         if timings {
-            match &self.slice {
-                Some(s) => {
-                    let _ = writeln!(out, "  \"slice\": {},", s.to_json());
-                }
-                None => {
-                    let _ = writeln!(out, "  \"slice\": null,");
-                }
-            }
             match &self.snapshots {
                 Some(s) => {
                     let _ = writeln!(
@@ -619,27 +521,6 @@ impl CheckReport {
     }
 }
 
-/// Escapes `s` as a JSON string literal, double quotes included.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn json_opt_string(s: Option<&str>) -> String {
     match s {
         Some(s) => json_string(s),
@@ -655,15 +536,6 @@ impl fmt::Display for CheckReport {
         }
         if let Some(s) = &self.snapshots {
             writeln!(f, "  snapshots: {s}")?;
-        }
-        if let Some(s) = &self.slice {
-            writeln!(
-                f,
-                "  slice: footprint {} line(s), {} point(s) skipped, {} round(s)",
-                s.footprint.len(),
-                s.points_skipped,
-                s.rounds
-            )?;
         }
         for b in &self.bugs {
             writeln!(f, "  {b}")?;

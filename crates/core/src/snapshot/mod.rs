@@ -10,7 +10,7 @@
 //! always runs `Program::run` fresh. The only state that must round-trip
 //! is the *checker's*: the stack of crashed executions' storage (store
 //! queues and writeback intervals, which post-failure reads refine
-//! in-place — hence copy-on-restore), crash bookkeeping, race/diagnostic
+//! in-place — hence copy-on-restore), crash bookkeeping, race
 //! accumulators, lint traces, and the decision-log position. A snapshot
 //! is taken immediately after
 //! [`advance_execution`](crate::checker_env::CheckerEnv::advance_execution)
@@ -20,11 +20,10 @@
 //! scenario's *prescribed* prefix — restoring is always equivalent to
 //! replaying those executions.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
-use jaaru_analysis::DiagnosticSet;
 use jaaru_snapshot::{ShardedCache, SnapshotPayload, SnapshotStats};
 use jaaru_tso::{ExecutionStorage, OpTrace};
 
@@ -125,14 +124,11 @@ pub(crate) struct CheckerSnapshot {
     pub(crate) race_keys: HashSet<String>,
     pub(crate) load_choice_points: u64,
     pub(crate) max_rf_set: usize,
-    pub(crate) diagnostics: DiagnosticSet,
-    pub(crate) work_since_fence: u64,
     pub(crate) op_traces: Vec<OpTrace>,
-    /// Per-line recovery read counts accumulated over the snapshotted
-    /// executions (the slicing footprint observations up to this point).
-    pub(crate) recovery_reads: HashMap<u64, u64>,
-    /// Injection points the prune oracle skipped in the prefix.
-    pub(crate) points_skipped: u64,
+    /// Cache lines the snapshotted executions' recoveries read (the
+    /// dead-flush footprint up to this point; empty unless that pass
+    /// is on).
+    pub(crate) recovery_reads: HashSet<u64>,
     /// Full metadata of the consumed decision prefix, so a restore into
     /// a `DecisionLog::from_trace` placeholder log can rehydrate the
     /// alternative counts and execution indices replay would have
@@ -163,7 +159,7 @@ pub(crate) fn estimate_bytes(
     op_traces: &[OpTrace],
     races: &[RaceReport],
     prefix: &[Decision],
-    recovery_reads: &HashMap<u64, u64>,
+    recovery_reads: &HashSet<u64>,
 ) -> usize {
     let storage: usize = stack.iter().map(ExecutionStorage::approx_bytes).sum();
     let traces: usize = op_traces.iter().map(OpTrace::approx_bytes).sum();
@@ -174,6 +170,6 @@ pub(crate) fn estimate_bytes(
         .map(|r| 96 + r.load_location.len() + r.candidates.len() * 64)
         .sum();
     let prefix = std::mem::size_of_val(prefix);
-    let reads = recovery_reads.len() * 2 * std::mem::size_of::<u64>();
+    let reads = recovery_reads.len() * std::mem::size_of::<u64>();
     256 + storage + traces + races + prefix + reads
 }

@@ -17,9 +17,6 @@
 //!   [`FaultClass`] — planted cross-thread, torn,
 //!   and redundant-flush constructs flagged on their faulted line,
 //!   never on seeds that lack them;
-//! * **pruning** — the static-persistence-slicing run must reach the
-//!   same verdict, bug set, and lint findings as the unpruned run
-//!   (exploration stats legitimately shrink; results never change);
 //! * **the eager baseline** — a bounded Yat-style enumeration
 //!   ([`eager_check_bounded`]) must agree on clean/buggy and on the
 //!   exact set of bug messages. Seeds whose eager state space exceeds
@@ -54,8 +51,7 @@ pub struct Divergence {
     /// Generator seed of the diverging program.
     pub seed: u64,
     /// Which comparison failed (`ground-truth`, `snapshots-off`,
-    /// `jobs-2`, `jobs-4`, `lints-on`, `lint-truth`, `prune`, `yat`,
-    /// `guard`).
+    /// `jobs-2`, `jobs-4`, `lints-on`, `lint-truth`, `yat`, `guard`).
     pub axis: &'static str,
     /// Human-readable description of the disagreement.
     pub detail: String,
@@ -150,7 +146,6 @@ impl Oracle {
         self.check_ground_truth(program, expect_buggy, &base, &mut divergences);
         let (yat_skipped, yat_states) = if self.differential {
             self.check_axes(program, &base, &mut divergences);
-            self.check_prune(program, &mut divergences);
             self.check_yat(program, &base, &mut divergences)
         } else {
             (false, 0)
@@ -266,71 +261,6 @@ impl Oracle {
             if axis == "lints-on" {
                 self.check_lint_truth(program, &report, divergences);
             }
-        }
-    }
-
-    /// Static persistence slicing must be invisible in every
-    /// user-facing result: the pruned run must reach the same verdict,
-    /// the same bug set, and the same lint findings as the unpruned
-    /// run. The exploration *stats* legitimately differ (fewer
-    /// post-failure executions is the point), so this axis compares
-    /// semantic keys, not digest bytes. Cross-thread lints stay off on
-    /// both sides — that pass keys off trace extents pruning shortens —
-    /// and the lint digest already excludes the pruning-only dead-flush
-    /// diagnostic.
-    fn check_prune(&self, program: &GenProgram, divergences: &mut Vec<Divergence>) {
-        let seed = program.seed;
-        let mut plain = self.base_config(1);
-        plain
-            .lints(true)
-            .lint_torn_stores(true)
-            .lint_flush_redundancy(true);
-        let mut pruned = plain.clone();
-        pruned.prune(true);
-        let plain = ModelChecker::new(plain).check(program);
-        let pruned = ModelChecker::new(pruned).check(program);
-        if plain.is_clean() != pruned.is_clean() {
-            divergences.push(Divergence {
-                seed,
-                axis: "prune",
-                detail: format!(
-                    "verdict differs: unpruned clean={}, pruned clean={}",
-                    plain.is_clean(),
-                    pruned.is_clean()
-                ),
-            });
-            return;
-        }
-        let bug_keys = |report: &CheckReport| {
-            let mut keys: Vec<(String, String, Option<String>)> = report
-                .bugs
-                .iter()
-                .map(|b| {
-                    (
-                        format!("{:?}", b.kind),
-                        b.message.clone(),
-                        b.location.clone(),
-                    )
-                })
-                .collect();
-            keys.sort();
-            keys.dedup();
-            keys
-        };
-        let (want, got) = (bug_keys(&plain), bug_keys(&pruned));
-        if want != got {
-            divergences.push(Divergence {
-                seed,
-                axis: "prune",
-                detail: format!("bug set differs: unpruned {want:?}, pruned {got:?}"),
-            });
-        }
-        if plain.lint_digest() != pruned.lint_digest() {
-            divergences.push(Divergence {
-                seed,
-                axis: "prune",
-                detail: diff_digests(&plain.lint_digest(), &pruned.lint_digest()),
-            });
         }
     }
 

@@ -34,12 +34,12 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use jaaru::SharedSnapshotCache;
+use jaaru::{json_string, SharedSnapshotCache};
 use jaaru_snapshot::{ShardedCache, SnapshotStats};
 
 use crate::exec::{execute, job_config, CachedReply};
 use crate::job::{JobSpec, Request};
-use crate::json::{escape, parse};
+use crate::json::parse;
 use crate::metrics::{JobStatus, Metrics};
 use crate::queue::{BoundedQueue, CancelRegistry, DEFAULT_QUEUE_CAP};
 
@@ -170,10 +170,10 @@ impl Daemon {
     ) -> String {
         format!(
             "{{\"artifact\":{},\"cached\":{},\"error\":{},\"id\":{},\"metrics\":{},\"status\":\"{}\"}}",
-            artifact.map_or_else(|| "null".to_string(), escape),
+            artifact.map_or_else(|| "null".to_string(), json_string),
             cached,
-            error.map_or_else(|| "null".to_string(), escape),
-            escape(id),
+            error.map_or_else(|| "null".to_string(), json_string),
+            json_string(id),
             self.render_metrics(),
             status.as_str(),
         )
@@ -260,7 +260,7 @@ impl Daemon {
                 let _ = reply.send(format!(
                     "{{\"artifact\":null,\"cached\":false,\"error\":\"internal executor error\",\
                      \"id\":{},\"metrics\":{{}},\"status\":\"failed\"}}",
-                    escape(&id)
+                    json_string(&id)
                 ));
                 self.cancels.deregister(&id);
             }

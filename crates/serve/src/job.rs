@@ -136,12 +136,6 @@ pub struct JobSpec {
     /// Worker threads for this job's exploration (the one-shot
     /// `--jobs`); performance-only, invisible in the artifact.
     pub jobs: usize,
-    /// Whether static persistence slicing prunes the exploration
-    /// (the one-shot default; `"prune": false` mirrors `--no-prune`).
-    /// Semantic for caching: it changes the exploration even though
-    /// verdicts and findings are preserved, so it is part of the
-    /// config fingerprint the cache groups fold in.
-    pub prune: bool,
     /// Cooperative deadline in milliseconds; `None` = no deadline.
     pub deadline_ms: Option<u64>,
 }
@@ -304,7 +298,6 @@ fn parse_job(kind: &str, value: &Value, default_jobs: usize) -> Result<JobSpec, 
         workload,
         format,
         jobs: get_usize("jobs")?.unwrap_or(default_jobs),
-        prune: value.get("prune").and_then(Value::as_bool).unwrap_or(true),
         deadline_ms: value.get("deadline_ms").and_then(Value::as_u64),
     })
 }
@@ -511,22 +504,6 @@ mod tests {
 
         let more_keys = job(r#"{"kind":"check","benchmark":"P-CLHT","keys":9}"#);
         assert_ne!(a.program_hash(), more_keys.program_hash());
-    }
-
-    #[test]
-    fn prune_defaults_on_and_is_semantic_for_caching() {
-        let on = job(r#"{"kind":"check","benchmark":"P-CLHT"}"#);
-        assert!(on.prune, "matches the one-shot CLI default");
-        let off = job(r#"{"kind":"check","benchmark":"P-CLHT","prune":false}"#);
-        assert!(!off.prune);
-        // The knob flows into the config fingerprint, so the pruned and
-        // unpruned runs of the same program never share snapshot
-        // prefixes or cached results.
-        let mut pruned = Config::new();
-        pruned.prune(true);
-        let plain = Config::new();
-        assert_ne!(on.snapshot_group(&pruned), off.snapshot_group(&plain));
-        assert_ne!(on.result_group(&pruned), off.result_group(&plain));
     }
 
     #[test]

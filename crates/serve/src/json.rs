@@ -2,8 +2,8 @@
 //!
 //! The workspace builds offline with no serialization dependency, so the
 //! daemon parses its newline-delimited requests with this small
-//! recursive-descent parser and emits replies through the same escaping
-//! helpers the core report uses. It accepts exactly standard JSON
+//! recursive-descent parser and emits replies through the escaper the
+//! core report uses ([`jaaru::json_string`]). It accepts exactly standard JSON
 //! (RFC 8259) minus one deliberate restriction: numbers are parsed as
 //! `f64` (every protocol field fits losslessly — ids, key counts, byte
 //! budgets, millisecond deadlines).
@@ -286,30 +286,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Escapes `s` as a JSON string literal, double quotes included. The
-/// inverse of the parser's string rule: `parse` of the result yields
-/// `s` back byte-for-byte, which is what lets multi-line artifacts ride
-/// inside single-line reply envelopes without losing byte identity.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,8 +325,10 @@ mod tests {
 
     #[test]
     fn escape_round_trips_through_parse() {
+        // `parse` is the inverse of the shared escaper: multi-line
+        // artifacts ride inside single-line reply envelopes unchanged.
         let nasty = "line1\nline2\t\"quoted\" \\backslash\\ \u{1}\u{1f980} end";
-        let escaped = escape(nasty);
+        let escaped = jaaru::json_string(nasty);
         assert!(!escaped[1..escaped.len() - 1].contains('\n'), "single line");
         assert_eq!(parse(&escaped).unwrap(), Value::String(nasty.into()));
     }

@@ -180,14 +180,6 @@ impl ExecutionStorage {
         self.queues.keys().copied()
     }
 
-    /// Whether `line` holds stores newer than its most recent applied
-    /// flush (used by the redundant-flush performance diagnostics).
-    pub fn has_unflushed_stores(&self, line: CacheLineId) -> bool {
-        self.lines
-            .get(&line)
-            .is_some_and(|l| l.store_seqs.last().is_some_and(|&s| s > l.interval.begin()))
-    }
-
     /// Sequence numbers of stores to `line`, in cache order. Together with
     /// the line's interval these define the candidate writeback points the
     /// eager baseline must enumerate.

@@ -5,7 +5,7 @@
 //! same traces, and the same statistics, and the parallel engine
 //! (`Config::jobs`) must be indistinguishable from the sequential walk in
 //! everything but wall-clock time. `CheckReport::digest` is the
-//! comparison surface — it covers every bug, race, performance issue,
+//! comparison surface — it covers every bug, race, diagnostic,
 //! and exploration statistic, excluding only timing, per-worker
 //! scheduling stats, and snapshot-cache counters (crash-point snapshots
 //! are required to be invisible to results; the tests below enforce it).
@@ -92,7 +92,7 @@ fn parallel_matches_sequential_on_a_buggy_workload() {
 
 fn lint_config(jobs: usize) -> Config {
     let mut c = config(jobs);
-    c.lints(true).flag_perf_issues(true);
+    c.lints(true);
     c
 }
 
@@ -166,80 +166,6 @@ fn sarif_output_is_byte_identical_across_worker_counts() {
             "test",
         );
         assert_eq!(baseline, sarif, "jobs={jobs} changed the SARIF bytes");
-    }
-}
-
-fn prune_config(jobs: usize, prune: bool) -> Config {
-    let mut c = config(jobs);
-    // Cross-thread lints stay off: that pass keys off trace extents
-    // pruning legitimately shortens. Every other finding must match.
-    c.lints(true)
-        .lint_torn_stores(true)
-        .lint_flush_redundancy(true)
-        .prune(prune);
-    c
-}
-
-/// Order- and occurrence-insensitive bug identity: what the user is
-/// told, not how often exploration re-encountered it.
-fn bug_keys(report: &CheckReport) -> Vec<(String, String, Option<String>)> {
-    let mut keys: Vec<_> = report
-        .bugs
-        .iter()
-        .map(|b| {
-            (
-                format!("{:?}", b.kind),
-                b.message.clone(),
-                b.location.clone(),
-            )
-        })
-        .collect();
-    keys.sort();
-    keys.dedup();
-    keys
-}
-
-/// Static persistence slicing is a pure exploration optimization: the
-/// pruned run must reach the same verdict, report the same bugs, and
-/// surface the same lint findings as the unpruned walk, at every worker
-/// count. Stats are *not* compared — fewer post-failure executions is
-/// the point.
-#[test]
-fn pruning_preserves_verdicts_bugs_and_lints_at_every_worker_count() {
-    let buggy = IndexWorkload::<Pclht>::new(PclhtFault::CtorNotFlushed, 4);
-    let fixed = IndexWorkload::<FastFair>::new(FastFairFault::None, 6);
-    for program in [&buggy as &(dyn Program + Sync), &fixed] {
-        let plain = ModelChecker::new(prune_config(1, false)).check(program);
-        for jobs in [1usize, 2, 4] {
-            let pruned = ModelChecker::new(prune_config(jobs, true)).check(program);
-            assert_eq!(plain.is_clean(), pruned.is_clean(), "jobs={jobs}");
-            assert_eq!(bug_keys(&plain), bug_keys(&pruned), "jobs={jobs}");
-            assert_eq!(plain.lint_digest(), pruned.lint_digest(), "jobs={jobs}");
-        }
-    }
-}
-
-/// The pruned exploration itself is deterministic: byte-identical
-/// digests across repeats and worker counts, exactly like the unpruned
-/// engine.
-#[test]
-fn pruned_exploration_is_deterministic_across_worker_counts() {
-    let program = IndexWorkload::<Pclht>::new(PclhtFault::CtorNotFlushed, 4);
-    let sequential = ModelChecker::new(prune_config(1, true)).check(&program);
-    assert_eq!(
-        sequential.digest(),
-        ModelChecker::new(prune_config(1, true))
-            .check(&program)
-            .digest(),
-        "pruned repeat unstable"
-    );
-    for jobs in [2usize, 4] {
-        let parallel = ModelChecker::new(prune_config(jobs, true)).check(&program);
-        assert_eq!(
-            sequential.digest(),
-            parallel.digest(),
-            "jobs={jobs} diverged under pruning"
-        );
     }
 }
 

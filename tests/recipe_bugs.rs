@@ -118,3 +118,39 @@ fn races_flag_the_missing_flush_sites() {
         .iter()
         .any(|r| r.candidates.iter().any(|c| c.location.is_some())));
 }
+
+/// Fixed FAST_FAIR at 16 keys, checked with the configuration a
+/// `jaaru_cli check` user gets, reports one known defect: an allocator
+/// store flushed only after the commit store lets recovery follow a
+/// stale pointer. The benchmark's fig14-d1 workload lists the same
+/// defect (`KNOWN_DEFECTS` in perfbench/src/fig14.rs); fixing the
+/// workload deletes this test together with that entry.
+#[test]
+fn fixed_fast_fair_at_16_keys_reports_its_known_defect() {
+    let line = r#"{"kind":"check","benchmark":"FAST_FAIR","keys":16}"#;
+    let value = jaaru_serve::json::parse(line).expect("valid spec");
+    let Ok(jaaru_serve::Request::Job(spec)) = jaaru_serve::Request::from_value(&value, 1) else {
+        panic!("{line} is a job spec");
+    };
+    let (_, program) = jaaru_bench::registry::recipe_fixed_cases(16)
+        .into_iter()
+        .find(|(name, _)| *name == "FAST_FAIR")
+        .expect("FAST_FAIR is a fixed registry program");
+    let report = ModelChecker::new(jaaru_serve::job_config(&spec, None)).check(&*program);
+
+    assert_eq!(report.bugs.len(), 1, "{report}");
+    let bug = &report.bugs[0];
+    assert_eq!(bug.execution_index, 1, "{bug}");
+    assert_eq!(bug.crash_points, vec![53], "{bug}");
+    assert_eq!(bug.occurrences, 42, "{bug}");
+    // Where debug assertions are on, `debug_assert!(count < CAP)` in
+    // `fast_insert` fires first; otherwise the stale pointer is read
+    // out of bounds.
+    let site = if cfg!(debug_assertions) {
+        "fast_fair.rs:131:"
+    } else {
+        "fast_fair.rs:104:"
+    };
+    let location = bug.location.as_deref().unwrap_or_default();
+    assert!(location.contains(site), "{bug}");
+}
