@@ -13,7 +13,7 @@ use std::panic::{panic_any, Location};
 
 use jaaru_pmem::{PmAddr, CACHE_LINE_SIZE, NULL_PAGE_SIZE};
 use jaaru_tso::{
-    do_read, read_pre_failure, CurrentRead, ExecutionStorage, OpTrace, RfCandidate, RfSource,
+    do_read, read_pre_failure_into, CurrentRead, ExecutionStorage, OpTrace, RfCandidate, RfSource,
     SourceLoc, ThreadId, TraceOpKind, TsoMachine,
 };
 
@@ -52,6 +52,9 @@ struct Inner {
     race_keys: HashSet<String>,
     load_choice_points: u64,
     max_rf_set: usize,
+    /// Reads-from candidates of the byte being loaded; kept to reuse its
+    /// allocation.
+    cands: Vec<RfCandidate>,
 
     /// Per-execution operation traces for the lint engine (empty unless
     /// [`Config::lints`] is on); the last entry is the running execution.
@@ -117,6 +120,7 @@ impl CheckerEnv {
                 race_keys: HashSet::new(),
                 load_choice_points: 0,
                 max_rf_set: 1,
+                cands: Vec::new(),
                 op_traces: if config.trace_ops_value() {
                     vec![OpTrace::new()]
                 } else {
@@ -164,12 +168,13 @@ impl CheckerEnv {
 
     /// Builds an environment that resumes from a crash-point snapshot:
     /// accumulated checker state is cloned from the capture
-    /// (copy-on-restore — post-failure reads refine intervals in place),
-    /// per-execution volatile state starts fresh exactly as
-    /// [`advance_execution`](Self::advance_execution) would leave it, and
-    /// the decision log adopts the snapshot's consumed prefix. Running
-    /// `Program::run` against the result is equivalent to replaying the
-    /// prefix executions, minus the replay.
+    /// (copy-on-restore — post-failure reads refine intervals in place; the
+    /// crashed executions' store logs are frozen and shared, so only their
+    /// intervals are copied), per-execution volatile state starts fresh
+    /// exactly as [`advance_execution`](Self::advance_execution) would
+    /// leave it, and the decision log adopts the snapshot's consumed
+    /// prefix. Running `Program::run` against the result is equivalent to
+    /// replaying the prefix executions, minus the replay.
     pub(crate) fn from_snapshot(
         config: &Config,
         mut decisions: DecisionLog,
@@ -356,9 +361,7 @@ impl CheckerEnv {
 
     /// Loads one byte, resolving pre-failure nondeterminism through the
     /// decision log and refining writeback intervals (Figures 9–11).
-    fn load_byte(&self, addr: PmAddr, loc: &'static Location<'static>) -> u8 {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
+    fn load_byte(&self, inner: &mut Inner, addr: PmAddr, loc: &'static Location<'static>) -> u8 {
         match inner.machine.read_current(inner.current_tid, addr) {
             CurrentRead::Buffered(v) | CurrentRead::Cached(v) => v,
             CurrentRead::Miss => {
@@ -367,22 +370,28 @@ impl CheckerEnv {
                     // persisted state, so its line is in the footprint.
                     inner.recovery_reads.insert(addr.cache_line().index());
                 }
-                let cands = read_pre_failure(&inner.stack, addr);
+                let mut cands = std::mem::take(&mut inner.cands);
+                read_pre_failure_into(&inner.stack, addr, &mut cands);
                 inner.max_rf_set = inner.max_rf_set.max(cands.len());
-                let choice = if cands.len() == 1 {
-                    0
+                // A sole candidate leaves every interval as it is, so it
+                // needs no `do_read`.
+                let value = if let [only] = cands[..] {
+                    only.value
                 } else {
                     inner.load_choice_points += 1;
                     if self.flag_races {
                         record_race(inner, addr, loc, &cands);
                     }
-                    inner
-                        .decisions
-                        .next(cands.len(), ChoiceKind::ReadFrom, inner.exec_index)
+                    let choice =
+                        inner
+                            .decisions
+                            .next(cands.len(), ChoiceKind::ReadFrom, inner.exec_index);
+                    let chosen = cands[choice];
+                    do_read(&mut inner.stack, addr, chosen);
+                    chosen.value
                 };
-                let chosen = cands[choice];
-                do_read(&mut inner.stack, addr, chosen);
-                chosen.value
+                inner.cands = cands;
+                value
             }
         }
     }
@@ -483,12 +492,12 @@ impl PmEnv for CheckerEnv {
         self.tick();
         self.check_range(addr, buf.len());
         let loc = Location::caller();
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
         if self.flag_lints {
             // The cross-thread race pass keys buggy-scenario reports to
             // the lines recovery actually reads; loads are inert in the
             // persist-order replay itself.
-            let mut inner = self.inner.borrow_mut();
-            let inner = &mut *inner;
             self.record_trace(
                 inner,
                 loc,
@@ -503,7 +512,7 @@ impl PmEnv for CheckerEnv {
         // "Mixed size accesses"). Each byte's committed choice refines the
         // line interval before the next byte's candidates are computed.
         for (i, slot) in buf.iter_mut().enumerate() {
-            *slot = self.load_byte(addr + i as u64, loc);
+            *slot = self.load_byte(inner, addr + i as u64, loc);
         }
     }
 

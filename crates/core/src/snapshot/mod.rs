@@ -9,8 +9,9 @@
 //! the guest closure never needs to be resumed mid-flight — recovery
 //! always runs `Program::run` fresh. The only state that must round-trip
 //! is the *checker's*: the stack of crashed executions' storage (store
-//! queues and writeback intervals, which post-failure reads refine
-//! in-place — hence copy-on-restore), crash bookkeeping, race
+//! logs, frozen at the crash and shared by every capture and restore, and
+//! writeback intervals, which post-failure reads refine in place — hence
+//! copy-on-restore, of the intervals only), crash bookkeeping, race
 //! accumulators, lint traces, and the decision-log position. A snapshot
 //! is taken immediately after
 //! [`advance_execution`](crate::checker_env::CheckerEnv::advance_execution)
@@ -113,7 +114,8 @@ impl fmt::Debug for SharedSnapshotCache {
 /// bump cursor, thread ids — re-initialized fresh on restore).
 pub(crate) struct CheckerSnapshot {
     /// Storage of every crashed execution, oldest first. Post-failure
-    /// reads *mutate* these (interval refinement), so restoring clones.
+    /// reads *mutate* their intervals (refinement), so restoring clones:
+    /// an `Arc` bump of each frozen store log plus a copy of its intervals.
     pub(crate) stack: Vec<ExecutionStorage>,
     /// Executions completed so far — exactly the `Program::run`
     /// invocations a restore saves over full replay.
@@ -153,7 +155,9 @@ impl SnapshotPayload for CheckerSnapshot {
 }
 
 /// Estimates a snapshot's heap footprint. Called once at capture; the
-/// cache uses the result for LRU byte accounting.
+/// cache uses the result for LRU byte accounting. Each stacked store log
+/// is charged in full although captures share it, so the cache's byte
+/// cap still bounds what its entries can pin.
 pub(crate) fn estimate_bytes(
     stack: &[ExecutionStorage],
     op_traces: &[OpTrace],

@@ -19,8 +19,7 @@ pub const NULL_PAGE_SIZE: u64 = CACHE_LINE_SIZE as u64;
 /// Addresses are offsets from the pool base. Offset `0` is the null
 /// address; the whole first cache line (the *null page*) traps on access.
 ///
-/// `PmAddr` is a plain value type: it is `Copy`, ordered, and hashable so
-/// it can key the per-byte store queues in the TSO simulator.
+/// `PmAddr` is a plain value type: it is `Copy`, ordered, and hashable.
 ///
 /// # Example
 ///

@@ -459,6 +459,32 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_rejected_and_the_next_job_answered() {
+        let d = daemon();
+        let input = format!(
+            "{}\n{}\n",
+            "[".repeat(50_000),
+            r#"{"kind":"bug","suite":"recipe","row":10,"id":"next"}"#
+        );
+        let mut out = Vec::new();
+        run_batch(&d, &input, &mut out).unwrap();
+        let replies: Vec<Value> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| parse(l).unwrap())
+            .collect();
+        assert_eq!(replies.len(), 2);
+        assert_eq!(field(&replies[0], "status").as_str(), Some("rejected"));
+        let error = field(&replies[0], "error").as_str().unwrap();
+        assert!(
+            error.starts_with("invalid JSON: nesting too deep"),
+            "{error}"
+        );
+        assert_eq!(field(&replies[1], "id").as_str(), Some("next"));
+        assert_eq!(field(&replies[1], "status").as_str(), Some("violation"));
+    }
+
+    #[test]
     fn queue_full_applies_backpressure() {
         let d = Arc::new(Daemon::new(ServeOptions {
             queue_cap: 1,

@@ -72,11 +72,18 @@ impl fmt::Display for ParseError {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. Job specs are
+/// at most three levels deep; the cap keeps a hostile line from
+/// overflowing the stack of the recursive parser.
+const MAX_DEPTH: usize = 64;
+
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -88,8 +95,11 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -121,8 +131,9 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err("nesting too deep")),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -130,6 +141,16 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &'static str, value: Value) -> Result<Value, ParseError> {
@@ -223,12 +244,15 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (the input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let s = std::str::from_utf8(&self.bytes[self.pos..]).expect("valid utf-8");
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next quote,
+                    // escape or control byte. Those are ASCII, so the run
+                    // ends on a character boundary of the input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.input[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -340,6 +364,43 @@ mod tests {
             Value::String("A\u{1f980}".into())
         );
         assert!(parse(r#""\ud83e""#).is_err(), "unpaired surrogate");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let err = parse(&"[".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.offset, err.message), (MAX_DEPTH, "nesting too deep"));
+        assert!(parse(&r#"{"a":"#.repeat(50_000)).is_err());
+        // A socket connection's thread has a small stack.
+        let line = "[".repeat(50_000);
+        let err = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || parse(&line).unwrap_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(err.message, "nesting too deep");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Mostly plain characters, with escapes and a multi-byte one.
+        let piece = r#"0123456789 abcdef 🦀 \u00e9 \" "#;
+        let line = format!(r#"{{"id":"{}"}}"#, piece.repeat(1 << 17));
+        let start = std::time::Instant::now();
+        let value = parse(&line).unwrap();
+        let elapsed = start.elapsed();
+        let id = value.get("id").and_then(Value::as_str).unwrap();
+        let decoded = "0123456789 abcdef 🦀 é \" ";
+        assert_eq!(id.len(), decoded.len() << 17);
+        assert!(id.starts_with(&decoded.repeat(2)));
+        assert!(
+            elapsed < std::time::Duration::from_secs(30),
+            "a {} MiB line took {elapsed:?}",
+            line.len() >> 20
+        );
     }
 
     #[test]

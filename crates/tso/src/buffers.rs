@@ -7,10 +7,11 @@
 //! whose persistency effect is deferred until the next ordering
 //! instruction (`sfence`, `mfence`, or a locked RMW).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use jaaru_pmem::{CacheLineId, PmAddr};
 
+use crate::hash::LineMap;
 use crate::{Seq, SourceLoc};
 
 /// An operation sitting in a store buffer.
@@ -74,7 +75,7 @@ pub struct ThreadBuffers {
     pub flush_buffer: Vec<FbEntry>,
     /// `t_{τ,cl}`: per line, the sequence number of the most recent store
     /// or `clflush` to that line by this thread.
-    pub line_stamp: HashMap<CacheLineId, Seq>,
+    pub(crate) line_stamp: LineMap<CacheLineId, Seq>,
     /// `t_τ`: the sequence number of the most recent `sfence` by this
     /// thread.
     pub sfence_stamp: Seq,

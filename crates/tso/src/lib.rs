@@ -10,9 +10,10 @@
 //! * per-thread **flush buffers** deferring `clflushopt` effects until an
 //!   ordering instruction (Figure 8, `Evict_FB`),
 //! * a global **cache total order** over stores and flushes ([`Seq`]),
-//! * per-execution **storage state**: per-byte store queues and per-line
-//!   most-recent-writeback intervals ([`ExecutionStorage`],
-//!   [`FlushInterval`]),
+//! * per-execution **storage state**: per cache line, a log of the stores
+//!   that reached the cache and a most-recent-writeback interval
+//!   ([`ExecutionStorage`], [`FlushInterval`]); a crashed execution's log
+//!   is frozen and shared by every clone, which copies only the intervals,
 //! * the **reads-from** computation and **constraint refinement** across a
 //!   stack of crashed executions ([`read_pre_failure`], [`do_read`];
 //!   Figures 9/10).
@@ -54,6 +55,7 @@
 
 mod buffers;
 mod event;
+mod hash;
 mod interval;
 mod machine;
 mod rf;
@@ -65,7 +67,7 @@ pub use buffers::{FbEntry, SbEntry, ThreadBuffers};
 pub use event::{SourceLoc, StoreEvent, StoreId, ThreadId};
 pub use interval::FlushInterval;
 pub use machine::{CurrentRead, EvictionPolicy, TsoMachine};
-pub use rf::{do_read, read_pre_failure, RfCandidate, RfSource};
+pub use rf::{do_read, read_pre_failure, read_pre_failure_into, RfCandidate, RfSource};
 pub use seq::Seq;
-pub use storage::{ExecutionStorage, QueueEntry};
+pub use storage::ExecutionStorage;
 pub use trace::{OpTrace, TraceOp, TraceOpKind, TRACE_LINE_SIZE};

@@ -117,12 +117,31 @@ impl TsoMachine {
     /// `Exec_Store` (Figure 7): enqueue a store into `S_τ`.
     pub fn store(&mut self, tid: ThreadId, addr: PmAddr, bytes: &[u8], loc: SourceLoc) {
         assert!(!bytes.is_empty(), "zero-length store");
+        if self.policy == EvictionPolicy::Eager && self.thread(tid).store_buffer.is_empty() {
+            // Push-then-drain, without the buffer entry.
+            self.evict_store(tid, addr, bytes, loc);
+            return;
+        }
         self.thread(tid).store_buffer.push_back(SbEntry::Store {
             addr,
             bytes: bytes.to_vec(),
             loc,
         });
         self.maybe_drain(tid);
+    }
+
+    /// `Evict_SB(⟨store, addr, val⟩)` (Figure 8): the store takes effect in
+    /// the cache.
+    fn evict_store(&mut self, tid: ThreadId, addr: PmAddr, bytes: &[u8], loc: SourceLoc) {
+        let seq = self.sigma.bump();
+        self.storage.record_store(addr, bytes, tid, loc, seq);
+        // One stamp per touched line (a store may straddle lines).
+        let first = addr.cache_line();
+        let last = (addr + (bytes.len() as u64 - 1)).cache_line();
+        let th = self.thread(tid);
+        for l in first.index()..=last.index() {
+            th.line_stamp.insert(CacheLineId::new(l), seq);
+        }
     }
 
     /// `Exec_CLFLUSH` (Figure 7): enqueue a cache-line flush into `S_τ`.
@@ -173,17 +192,7 @@ impl TsoMachine {
             return false;
         };
         match entry {
-            SbEntry::Store { addr, bytes, loc } => {
-                let seq = self.sigma.bump();
-                self.storage.record_store(addr, &bytes, tid, loc, seq);
-                // One stamp per touched line (a store may straddle lines).
-                let first = addr.cache_line();
-                let last = (addr + (bytes.len() as u64 - 1)).cache_line();
-                let th = self.thread(tid);
-                for l in first.index()..=last.index() {
-                    th.line_stamp.insert(CacheLineId::new(l), seq);
-                }
-            }
+            SbEntry::Store { addr, bytes, loc } => self.evict_store(tid, addr, &bytes, loc),
             SbEntry::Clflush { line } => {
                 let seq = self.sigma.bump();
                 self.storage.record_flush(line, seq);
@@ -235,7 +244,7 @@ impl TsoMachine {
             return CurrentRead::Buffered(v);
         }
         match self.storage.last_cache_value(addr) {
-            Some(e) => CurrentRead::Cached(e.value),
+            Some(v) => CurrentRead::Cached(v),
             None => CurrentRead::Miss,
         }
     }
@@ -421,7 +430,7 @@ mod tests {
         m.store(T0, a, &[3], loc());
         m.clflushopt(T0, a.cache_line());
         let storage = m.finish();
-        assert_eq!(storage.last_cache_value(a).unwrap().value, 3);
+        assert_eq!(storage.last_cache_value(a), Some(3));
         assert!(storage.interval(a.cache_line()).is_unconstrained());
     }
 

@@ -13,6 +13,7 @@
 
 use jaaru_pmem::PmAddr;
 
+use crate::storage::LineStore;
 use crate::{ExecutionStorage, Seq, StoreId};
 
 /// Where a post-failure load's value comes from.
@@ -64,43 +65,54 @@ impl RfCandidate {
 ///
 /// The returned set is never empty.
 pub fn read_pre_failure(stack: &[ExecutionStorage], addr: PmAddr) -> Vec<RfCandidate> {
-    let line = addr.cache_line();
     let mut out = Vec::new();
+    read_pre_failure_into(stack, addr, &mut out);
+    out
+}
+
+/// [`read_pre_failure`] into a caller's buffer, which is cleared first, so
+/// a hot loop can reuse one allocation.
+///
+/// A single candidate is either the store pinned at or before its
+/// execution's interval begin, with no newer store of the byte inside any
+/// newer execution's interval, or initial memory with no store inside any
+/// interval. [`do_read`] of it changes no interval, so a caller may skip
+/// that call.
+pub fn read_pre_failure_into(stack: &[ExecutionStorage], addr: PmAddr, out: &mut Vec<RfCandidate>) {
+    out.clear();
+    let off = addr.line_offset();
     for (exec, st) in stack.iter().enumerate().rev() {
-        let iv = st.interval(line);
-        let q = st.queue(addr);
-        // Entries with σ ≤ begin: only the newest one is readable (it is
+        let Some((log, iv)) = st.line(addr.cache_line()) else {
+            continue;
+        };
+        let candidate = |s: &LineStore| RfCandidate {
+            source: RfSource::Store {
+                exec,
+                store: s.store,
+            },
+            value: log.value(s, off),
+            seq: s.seq,
+        };
+        // Stores with σ ≤ begin: only the newest one is readable (it is
         // what the last writeback captured if the writeback happened at
-        // `begin`). Entries with begin < σ < end are all readable.
-        let idx_begin = q.partition_point(|e| e.seq <= iv.begin());
-        let readable_after = q[idx_begin..].iter().take_while(|e| e.seq < iv.end());
-        for e in readable_after.collect::<Vec<_>>().into_iter().rev() {
-            out.push(RfCandidate {
-                source: RfSource::Store {
-                    exec,
-                    store: e.store,
-                },
-                value: e.value,
-                seq: e.seq,
-            });
-        }
-        if idx_begin > 0 {
-            let e = q[idx_begin - 1];
-            out.push(RfCandidate {
-                source: RfSource::Store {
-                    exec,
-                    store: e.store,
-                },
-                value: e.value,
-                seq: e.seq,
-            });
+        // `begin`). Stores with begin < σ < end are all readable.
+        let (before, after) = log.stores.split_at(log.after(iv.begin()));
+        let readable = after.partition_point(|s| s.seq < iv.end());
+        out.extend(
+            after[..readable]
+                .iter()
+                .rev()
+                .filter(|s| s.covers(off))
+                .map(candidate),
+        );
+        if let Some(pinned) = before.iter().rev().find(|s| s.covers(off)) {
+            out.push(candidate(pinned));
             // A store at or before `begin` pins the line: the writeback
             // definitely captured it, so older executions are invisible.
-            return out;
+            return;
         }
     }
     out.push(RfCandidate::INITIAL);
-    out
 }
 
 /// `DoRead`/`UpdateRanges` (Figure 10): refine writeback intervals after
@@ -113,7 +125,8 @@ pub fn read_pre_failure(stack: &[ExecutionStorage], addr: PmAddr) -> Vec<RfCandi
 /// and before the next store to the byte.
 ///
 /// Reads satisfied by the *current* execution's buffers/cache involve no
-/// refinement and must not be passed here.
+/// refinement and must not be passed here. Only intervals change: no
+/// execution's stores are written.
 pub fn do_read(stack: &mut [ExecutionStorage], addr: PmAddr, chosen: RfCandidate) {
     let line = addr.cache_line();
     let newer_than = match chosen.source {
@@ -122,13 +135,17 @@ pub fn do_read(stack: &mut [ExecutionStorage], addr: PmAddr, chosen: RfCandidate
     };
     for st in &mut stack[newer_than..] {
         if let Some(first) = st.first_store_seq(addr) {
-            st.interval_mut(line).lower_end(first);
+            st.interval_mut(line)
+                .expect("a stored line has a slot")
+                .lower_end(first);
         }
     }
     if let RfSource::Store { exec, .. } = chosen.source {
         let st = &mut stack[exec];
         let next = st.next_store_after(addr, chosen.seq);
-        let iv = st.interval_mut(line);
+        let iv = st
+            .interval_mut(line)
+            .expect("the chosen store's line has a slot");
         iv.raise_begin(chosen.seq);
         if let Some(next) = next {
             iv.lower_end(next);

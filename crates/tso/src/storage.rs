@@ -1,39 +1,126 @@
 //! Per-execution storage state: cache contents and writeback intervals.
 //!
-//! An [`ExecutionStorage`] is the frozen record of everything one execution
-//! wrote to the cache: the paper's `e.queue(addr)` map (per-byte store
-//! queues) and `e.getcacheline(addr)` map (per-line most-recent-writeback
-//! intervals). While an execution runs, its storage is owned by the
-//! [`TsoMachine`](crate::TsoMachine); after a simulated power failure the
-//! storage is pushed onto the execution stack where post-failure executions
-//! query and refine it.
+//! An [`ExecutionStorage`] is the record of everything one execution wrote
+//! to the cache, kept per cache line as the paper's model is
+//! (`e.getcacheline`, Figures 9–10). Each line the execution touched gets a
+//! dense *slot*: the line's stores in cache order, each with the mask of
+//! bytes it wrote, and the line's most-recent-writeback interval. A byte's
+//! store queue (`e.queue(addr)`) is the subsequence of its line's stores
+//! whose mask covers it.
+//!
+//! Stores and intervals live apart. While an execution runs, its
+//! [`TsoMachine`](crate::TsoMachine) owns the store log alone. After a
+//! simulated power failure nothing writes the log again: post-failure
+//! refinement (`DoRead`) only narrows intervals. So clones of a crashed
+//! execution's storage, which snapshot capture and restore make, share the
+//! log and copy only the intervals.
 
-use std::collections::HashMap;
+use std::mem::size_of;
+use std::sync::Arc;
 
-use jaaru_pmem::{CacheLineId, PmAddr};
+use jaaru_pmem::{CacheLineId, PmAddr, CACHE_LINE_SIZE};
 
+use crate::hash::LineMap;
 use crate::{FlushInterval, Seq, SourceLoc, StoreEvent, StoreId, ThreadId};
 
-/// One entry in a per-byte store queue: a value written to this byte and
-/// the sequence number at which it reached the cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QueueEntry {
-    /// Byte value written.
-    pub value: u8,
+/// One store's part in one cache line. A store that straddles two lines
+/// has one entry in each, with the same `seq`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LineStore {
     /// Cache total-order position of the store.
-    pub seq: Seq,
-    /// The store event this byte belongs to (for debugging reports).
-    pub store: StoreId,
+    pub(crate) seq: Seq,
+    /// The store event this part belongs to.
+    pub(crate) store: StoreId,
+    /// The line bytes written: bit `i` is line offset `i`.
+    mask: u64,
+    /// Where the written bytes start in the line's `data`.
+    data: u32,
 }
 
-/// Per-cache-line bookkeeping.
+impl LineStore {
+    /// Whether the store wrote the byte at line offset `off`.
+    pub(crate) fn covers(&self, off: usize) -> bool {
+        self.mask >> off & 1 != 0
+    }
+}
+
+/// The stores one execution made to one cache line.
+#[derive(Clone, Debug)]
+pub(crate) struct LineLog {
+    line: CacheLineId,
+    /// In cache order, so `seq` strictly increases.
+    pub(crate) stores: Vec<LineStore>,
+    /// The bytes of every store, concatenated in `stores` order.
+    data: Vec<u8>,
+    /// The line's cache image: the newest value of each byte in `written`.
+    cur: [u8; CACHE_LINE_SIZE],
+    written: u64,
+}
+
+impl LineLog {
+    fn new(line: CacheLineId) -> Self {
+        LineLog {
+            line,
+            stores: Vec::new(),
+            data: Vec::new(),
+            cur: [0; CACHE_LINE_SIZE],
+            written: 0,
+        }
+    }
+
+    /// Appends a store of `bytes` at line offset `off`.
+    fn push(&mut self, seq: Seq, store: StoreId, off: usize, bytes: &[u8]) {
+        let mask = (u64::MAX >> (CACHE_LINE_SIZE - bytes.len())) << off;
+        let data = u32::try_from(self.data.len()).expect("line data fits in u32");
+        self.stores.push(LineStore {
+            seq,
+            store,
+            mask,
+            data,
+        });
+        self.data.extend_from_slice(bytes);
+        self.cur[off..off + bytes.len()].copy_from_slice(bytes);
+        self.written |= mask;
+    }
+
+    /// The value `s` wrote to the byte at line offset `off` (which its
+    /// mask must cover).
+    pub(crate) fn value(&self, s: &LineStore, off: usize) -> u8 {
+        let first = s.mask.trailing_zeros() as usize;
+        self.data[s.data as usize + off - first]
+    }
+
+    /// Index of the first store with `σ > seq`.
+    pub(crate) fn after(&self, seq: Seq) -> usize {
+        self.stores.partition_point(|s| s.seq <= seq)
+    }
+}
+
+/// The stores of one execution: frozen, and shared by every clone of the
+/// storage, once the execution has crashed.
 #[derive(Clone, Debug, Default)]
-struct LineState {
-    interval: FlushInterval,
-    /// Sequence numbers of stores to this line, in cache order. Used by the
-    /// eager (Yat-style) baseline to enumerate candidate writeback points
-    /// and by the analytic state counter.
-    store_seqs: Vec<Seq>,
+struct StoreLog {
+    /// Line → slot in `lines` (and in the storage's `intervals`).
+    slots: LineMap<CacheLineId, u32>,
+    lines: Vec<LineLog>,
+    events: Vec<StoreEvent>,
+    /// Heap footprint estimate, kept up to date as stores are logged.
+    bytes: usize,
+}
+
+impl StoreLog {
+    /// The slot of `line`, created (with an unconstrained interval pushed
+    /// onto `intervals`) if the execution never touched the line.
+    fn slot_mut(&mut self, line: CacheLineId, intervals: &mut Vec<FlushInterval>) -> usize {
+        let next = self.lines.len();
+        let slot = *self.slots.entry(line).or_insert(next as u32) as usize;
+        if slot == next {
+            self.lines.push(LineLog::new(line));
+            self.bytes += size_of::<(CacheLineId, u32)>() + size_of::<LineLog>();
+            intervals.push(FlushInterval::unconstrained());
+        }
+        slot
+    }
 }
 
 /// The cache/persistency record of a single execution.
@@ -49,14 +136,14 @@ struct LineState {
 /// let mut sigma = Seq::ZERO;
 /// let seq = sigma.bump();
 /// st.record_store(addr, &[42], ThreadId(0), std::panic::Location::caller(), seq);
-/// assert_eq!(st.last_cache_value(addr).unwrap().value, 42);
+/// assert_eq!(st.last_cache_value(addr), Some(42));
 /// assert!(st.interval(addr.cache_line()).is_unconstrained());
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ExecutionStorage {
-    queues: HashMap<PmAddr, Vec<QueueEntry>>,
-    lines: HashMap<CacheLineId, LineState>,
-    events: Vec<StoreEvent>,
+    log: Arc<StoreLog>,
+    /// One interval per slot of the log.
+    intervals: Vec<FlushInterval>,
 }
 
 impl ExecutionStorage {
@@ -65,9 +152,27 @@ impl ExecutionStorage {
         Self::default()
     }
 
+    fn slot(&self, line: CacheLineId) -> Option<usize> {
+        self.log.slots.get(&line).map(|&s| s as usize)
+    }
+
+    /// The stores to `line` and its interval, if this execution touched it.
+    pub(crate) fn line(&self, line: CacheLineId) -> Option<(&LineLog, FlushInterval)> {
+        self.slot(line)
+            .map(|slot| (&self.log.lines[slot], self.intervals[slot]))
+    }
+
+    /// Mutable access to an existing line's interval, for refinement
+    /// (`DoRead`). Never creates a slot, so a crashed execution's shared
+    /// log stays untouched.
+    pub(crate) fn interval_mut(&mut self, line: CacheLineId) -> Option<&mut FlushInterval> {
+        let slot = self.slot(line)?;
+        Some(&mut self.intervals[slot])
+    }
+
     /// Records a store taking effect in the cache (Figure 8,
-    /// `Evict_SB(⟨store, addr, val⟩)`): appends the event and one queue
-    /// entry per byte, all sharing `seq`.
+    /// `Evict_SB(⟨store, addr, val⟩)`): appends the event and its part in
+    /// each line it covers, all sharing `seq`.
     ///
     /// Returns the event id for debugging reports.
     pub fn record_store(
@@ -78,26 +183,26 @@ impl ExecutionStorage {
         loc: SourceLoc,
         seq: Seq,
     ) -> StoreId {
-        let id = StoreId(self.events.len() as u32);
-        self.events.push(StoreEvent {
+        let log = Arc::make_mut(&mut self.log);
+        let id = StoreId(log.events.len() as u32);
+        let (mut at, mut rest) = (addr, bytes);
+        while !rest.is_empty() {
+            let off = at.line_offset();
+            let n = rest.len().min(CACHE_LINE_SIZE - off);
+            let slot = log.slot_mut(at.cache_line(), &mut self.intervals);
+            log.lines[slot].push(seq, id, off, &rest[..n]);
+            log.bytes += size_of::<LineStore>() + n;
+            at = at + n as u64;
+            rest = &rest[n..];
+        }
+        log.bytes += size_of::<StoreEvent>() + bytes.len();
+        log.events.push(StoreEvent {
             addr,
             bytes: bytes.to_vec(),
             seq,
             thread,
             loc,
         });
-        for (i, &b) in bytes.iter().enumerate() {
-            let byte_addr = addr + i as u64;
-            self.queues.entry(byte_addr).or_default().push(QueueEntry {
-                value: b,
-                seq,
-                store: id,
-            });
-            let line = self.lines.entry(byte_addr.cache_line()).or_default();
-            if line.store_seqs.last() != Some(&seq) {
-                line.store_seqs.push(seq);
-            }
-        }
         id
     }
 
@@ -105,47 +210,41 @@ impl ExecutionStorage {
     /// `Evict_SB(⟨clflush, addr⟩)` and `Evict_FB`): raises the lower bound
     /// of the line's most-recent-writeback interval.
     pub fn record_flush(&mut self, line: CacheLineId, seq: Seq) {
-        self.lines
-            .entry(line)
-            .or_default()
-            .interval
-            .raise_begin(seq);
+        let slot = self
+            .slot(line)
+            .unwrap_or_else(|| Arc::make_mut(&mut self.log).slot_mut(line, &mut self.intervals));
+        self.intervals[slot].raise_begin(seq);
     }
 
     /// The most-recent-writeback interval for `line` (`e.getcacheline`).
     pub fn interval(&self, line: CacheLineId) -> FlushInterval {
-        self.lines
-            .get(&line)
-            .map(|l| l.interval)
-            .unwrap_or_default()
-    }
-
-    /// Mutable access to the interval for refinement (`DoRead`).
-    pub fn interval_mut(&mut self, line: CacheLineId) -> &mut FlushInterval {
-        &mut self.lines.entry(line).or_default().interval
-    }
-
-    /// The per-byte store queue for `addr` (`e.queue`), oldest first.
-    pub fn queue(&self, addr: PmAddr) -> &[QueueEntry] {
-        self.queues.get(&addr).map(Vec::as_slice).unwrap_or(&[])
+        self.slot(line)
+            .map_or_else(FlushInterval::unconstrained, |slot| self.intervals[slot])
     }
 
     /// The newest cache value of `addr` in this execution, if any store
     /// reached the cache.
-    pub fn last_cache_value(&self, addr: PmAddr) -> Option<QueueEntry> {
-        self.queue(addr).last().copied()
+    pub fn last_cache_value(&self, addr: PmAddr) -> Option<u8> {
+        let (log, _) = self.line(addr.cache_line())?;
+        let off = addr.line_offset();
+        (log.written >> off & 1 != 0).then_some(log.cur[off])
     }
 
     /// Sequence number of the first store to `addr` in this execution.
     pub fn first_store_seq(&self, addr: PmAddr) -> Option<Seq> {
-        self.queue(addr).first().map(|e| e.seq)
+        let (log, _) = self.line(addr.cache_line())?;
+        let off = addr.line_offset();
+        log.stores.iter().find(|s| s.covers(off)).map(|s| s.seq)
     }
 
     /// Sequence number of the first store to `addr` strictly after `seq`.
     pub fn next_store_after(&self, addr: PmAddr, seq: Seq) -> Option<Seq> {
-        let q = self.queue(addr);
-        let idx = q.partition_point(|e| e.seq <= seq);
-        q.get(idx).map(|e| e.seq)
+        let (log, _) = self.line(addr.cache_line())?;
+        let off = addr.line_offset();
+        log.stores[log.after(seq)..]
+            .iter()
+            .find(|s| s.covers(off))
+            .map(|s| s.seq)
     }
 
     /// The store event behind a [`StoreId`].
@@ -154,40 +253,27 @@ impl ExecutionStorage {
     ///
     /// Panics if the id does not belong to this execution.
     pub fn event(&self, id: StoreId) -> &StoreEvent {
-        &self.events[id.0 as usize]
+        &self.log.events[id.0 as usize]
     }
 
     /// All store events of this execution, in cache order.
     pub fn events(&self) -> &[StoreEvent] {
-        &self.events
+        &self.log.events
     }
 
     /// Number of stores that reached the cache.
     pub fn store_count(&self) -> usize {
-        self.events.len()
+        self.log.events.len()
     }
 
-    /// Cache lines written by this execution.
+    /// Cache lines written by this execution, in the order it first stored
+    /// to or flushed them.
     pub fn touched_lines(&self) -> impl Iterator<Item = CacheLineId> + '_ {
-        self.lines
+        self.log
+            .lines
             .iter()
-            .filter(|(_, s)| !s.store_seqs.is_empty())
-            .map(|(&l, _)| l)
-    }
-
-    /// Byte addresses written by this execution.
-    pub fn touched_addrs(&self) -> impl Iterator<Item = PmAddr> + '_ {
-        self.queues.keys().copied()
-    }
-
-    /// Sequence numbers of stores to `line`, in cache order. Together with
-    /// the line's interval these define the candidate writeback points the
-    /// eager baseline must enumerate.
-    pub fn line_store_seqs(&self, line: CacheLineId) -> &[Seq] {
-        self.lines
-            .get(&line)
-            .map(|l| l.store_seqs.as_slice())
-            .unwrap_or(&[])
+            .filter(|l| !l.stores.is_empty())
+            .map(|l| l.line)
     }
 
     /// The candidate writeback points for `line` that are consistent with
@@ -200,52 +286,37 @@ impl ExecutionStorage {
     pub fn writeback_points(&self, line: CacheLineId) -> Vec<Seq> {
         let iv = self.interval(line);
         let mut points = vec![iv.begin()];
-        for &s in self.line_store_seqs(line) {
-            if s > iv.begin() && s < iv.end() {
-                points.push(s);
-            }
+        if let Some((log, _)) = self.line(line) {
+            points.extend(
+                log.stores[log.after(iv.begin())..]
+                    .iter()
+                    .map(|s| s.seq)
+                    .take_while(|&s| s < iv.end()),
+            );
         }
         points
     }
 
     /// Approximate heap footprint of this storage in bytes, for snapshot
-    /// cache accounting (an estimate over map entries, queue entries,
-    /// per-line bookkeeping and store events — not an exact measurement).
+    /// cache accounting. The log's share is counted in full, although
+    /// clones share it, so a cache byte cap still bounds what its entries
+    /// can pin. It is kept up to date as stores are logged, so this never
+    /// walks the log (an estimate, not an exact measurement).
     pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let queue_bytes: usize = self
-            .queues
-            .values()
-            .map(|q| {
-                size_of::<PmAddr>()
-                    + size_of::<Vec<QueueEntry>>()
-                    + q.len() * size_of::<QueueEntry>()
-            })
-            .sum();
-        let line_bytes: usize = self
-            .lines
-            .values()
-            .map(|l| {
-                size_of::<CacheLineId>()
-                    + size_of::<LineState>()
-                    + l.store_seqs.len() * size_of::<Seq>()
-            })
-            .sum();
-        let event_bytes: usize = self
-            .events
-            .iter()
-            .map(|e| size_of::<StoreEvent>() + e.bytes.len())
-            .sum();
-        size_of::<Self>() + queue_bytes + line_bytes + event_bytes
+        size_of::<Self>() + self.log.bytes + self.intervals.len() * size_of::<FlushInterval>()
     }
 
     /// The value of `addr` in a persistent snapshot whose last writeback of
     /// the address's line happened at `w`: the newest store with `σ ≤ w`,
     /// or `None` if the byte still holds its pre-execution value.
     pub fn snapshot_value(&self, addr: PmAddr, w: Seq) -> Option<u8> {
-        let q = self.queue(addr);
-        let idx = q.partition_point(|e| e.seq <= w);
-        idx.checked_sub(1).map(|i| q[i].value)
+        let (log, _) = self.line(addr.cache_line())?;
+        let off = addr.line_offset();
+        log.stores[..log.after(w)]
+            .iter()
+            .rev()
+            .find(|s| s.covers(off))
+            .map(|s| log.value(s, off))
     }
 }
 
@@ -268,14 +339,17 @@ mod tests {
     fn queues_are_per_byte_and_ordered() {
         let mut st = ExecutionStorage::new();
         let mut sigma = Seq::ZERO;
-        store(&mut st, &mut sigma, 64, &[1, 2]);
-        store(&mut st, &mut sigma, 65, &[9]);
-        assert_eq!(st.queue(PmAddr::new(64)).len(), 1);
-        let q65 = st.queue(PmAddr::new(65));
-        assert_eq!(q65.len(), 2);
-        assert!(q65[0].seq < q65[1].seq);
-        assert_eq!(q65[1].value, 9);
-        assert_eq!(st.last_cache_value(PmAddr::new(65)).unwrap().value, 9);
+        let s1 = store(&mut st, &mut sigma, 64, &[1, 2]);
+        let s2 = store(&mut st, &mut sigma, 65, &[9]);
+        let (a64, a65) = (PmAddr::new(64), PmAddr::new(65));
+        assert_eq!(st.first_store_seq(a64), Some(s1));
+        assert_eq!(st.next_store_after(a64, s1), None);
+        assert_eq!(st.first_store_seq(a65), Some(s1));
+        assert_eq!(st.next_store_after(a65, s1), Some(s2));
+        assert!(s1 < s2);
+        assert_eq!(st.snapshot_value(a65, s1), Some(2));
+        assert_eq!(st.last_cache_value(a65), Some(9));
+        assert_eq!(st.last_cache_value(a64), Some(1));
         assert!(st.last_cache_value(PmAddr::new(66)).is_none());
     }
 
@@ -285,10 +359,32 @@ mod tests {
         let mut sigma = Seq::ZERO;
         let seq = store(&mut st, &mut sigma, 64, &[1, 2, 3, 4]);
         for i in 0..4 {
-            assert_eq!(st.queue(PmAddr::new(64 + i))[0].seq, seq);
+            assert_eq!(st.first_store_seq(PmAddr::new(64 + i)), Some(seq));
         }
         assert_eq!(st.store_count(), 1);
-        assert_eq!(st.line_store_seqs(CacheLineId::new(1)), &[seq]);
+        assert_eq!(
+            st.writeback_points(CacheLineId::new(1)),
+            vec![Seq::ZERO, seq]
+        );
+    }
+
+    #[test]
+    fn straddling_store_splits_across_lines() {
+        let mut st = ExecutionStorage::new();
+        let mut sigma = Seq::ZERO;
+        let seq = store(&mut st, &mut sigma, 124, &[1, 2, 3, 4, 5, 6, 7, 8]);
+        for (i, v) in (124..132).zip(1..) {
+            assert_eq!(st.last_cache_value(PmAddr::new(i)), Some(v));
+            assert_eq!(st.snapshot_value(PmAddr::new(i), seq), Some(v));
+            assert_eq!(st.snapshot_value(PmAddr::new(i), Seq::ZERO), None);
+        }
+        for line in [1, 2] {
+            assert_eq!(
+                st.writeback_points(CacheLineId::new(line)),
+                vec![Seq::ZERO, seq]
+            );
+        }
+        assert_eq!(st.store_count(), 1);
     }
 
     #[test]
@@ -368,6 +464,37 @@ mod tests {
         store(&mut st, &mut sigma, 200, &[3]);
         let lines: Vec<_> = st.touched_lines().collect();
         assert_eq!(lines.len(), 2);
-        assert_eq!(st.touched_addrs().count(), 3);
+        let written = (0..512)
+            .filter(|&a| st.last_cache_value(PmAddr::new(a)).is_some())
+            .count();
+        assert_eq!(written, 3);
+    }
+
+    #[test]
+    fn a_flush_alone_does_not_touch_a_line() {
+        let mut st = ExecutionStorage::new();
+        let mut sigma = Seq::ZERO;
+        let f = sigma.bump();
+        st.record_flush(CacheLineId::new(7), f);
+        assert_eq!(st.interval(CacheLineId::new(7)).begin(), f);
+        assert_eq!(st.touched_lines().count(), 0);
+    }
+
+    #[test]
+    fn clones_share_the_log_and_copy_intervals() {
+        let mut st = ExecutionStorage::new();
+        let mut sigma = Seq::ZERO;
+        let s1 = store(&mut st, &mut sigma, 64, &[1]);
+        let s2 = store(&mut st, &mut sigma, 64, &[2]);
+        let line = CacheLineId::new(1);
+        let mut copy = st.clone();
+        assert!(Arc::ptr_eq(&st.log, &copy.log));
+        copy.interval_mut(line).expect("stored line").lower_end(s2);
+        assert!(Arc::ptr_eq(&st.log, &copy.log), "refinement shares the log");
+        assert!(st.interval(line).is_unconstrained());
+        assert_eq!(copy.interval(line).end(), s2);
+        assert!(copy.interval_mut(CacheLineId::new(9)).is_none());
+        assert_eq!(copy.writeback_points(line), vec![Seq::ZERO, s1]);
+        assert_eq!(st.approx_bytes(), copy.approx_bytes());
     }
 }

@@ -16,7 +16,10 @@ use std::collections::BTreeSet;
 use std::panic::Location;
 
 use jaaru_pmem::{CacheLineId, PmAddr};
-use jaaru_tso::{do_read, read_pre_failure, ExecutionStorage, RfCandidate, Seq, ThreadId};
+use jaaru_tso::{
+    do_read, read_pre_failure, read_pre_failure_into, ExecutionStorage, FlushInterval, RfCandidate,
+    RfSource, Seq, ThreadId,
+};
 
 const LINE: CacheLineId = CacheLineId::new(1);
 const SLOTS: u64 = 8;
@@ -224,4 +227,235 @@ fn full_refinement_converges_to_one_snapshot() {
             "seed {seed}: snapshot {snapshot:?} not a legal cut of {events:?}"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Stacks of executions storing 1/2/4/8 bytes across two adjacent lines.
+// ---------------------------------------------------------------------
+
+/// The two lines the stacked model covers; stores may straddle them.
+const LINES: [CacheLineId; 2] = [CacheLineId::new(1), CacheLineId::new(2)];
+
+/// One crashed execution of the stacked model: its stores as `(seq,
+/// first byte, bytes)` and the newest flush of each of `LINES`.
+struct Exec {
+    stores: Vec<(u64, u64, Vec<u8>)>,
+    flushed: [u64; 2],
+}
+
+impl Exec {
+    /// The newest store to byte `addr` at or before cut `w`: its seq and
+    /// the value it wrote there.
+    fn newest(&self, addr: u64, w: u64) -> Option<(u64, u8)> {
+        self.stores
+            .iter()
+            .rev()
+            .filter(|(seq, _, _)| *seq <= w)
+            .find_map(|(seq, first, bytes)| {
+                let i = addr.checked_sub(*first)?;
+                bytes.get(i as usize).map(|&v| (*seq, v))
+            })
+    }
+
+    /// The cut positions of `line` that give distinct persistent states:
+    /// the flush, and every store to the line after it.
+    fn cuts(&self, line: usize) -> Vec<u64> {
+        let begin = self.flushed[line];
+        let mut cuts = vec![begin];
+        for (seq, first, bytes) in &self.stores {
+            let last = first + bytes.len() as u64 - 1;
+            let touches = (*first..=last).any(|a| PmAddr::new(a).cache_line() == LINES[line]);
+            if *seq > begin && touches {
+                cuts.push(*seq);
+            }
+        }
+        cuts
+    }
+}
+
+/// Random executions: 1–3 of them, each 0–7 operations, four stores to
+/// each flush. A quarter of the wider stores straddle the line boundary.
+fn random_stack(rng: &mut Rng) -> (Vec<ExecutionStorage>, Vec<Exec>) {
+    let depth = 1 + rng.below(3);
+    let mut stack = Vec::new();
+    let mut model = Vec::new();
+    for _ in 0..depth {
+        let mut st = ExecutionStorage::new();
+        let mut sigma = Seq::ZERO;
+        let mut exec = Exec {
+            stores: Vec::new(),
+            flushed: [0; 2],
+        };
+        for _ in 0..rng.below(8) {
+            let seq = sigma.bump();
+            if rng.below(5) < 4 {
+                let width = [1, 2, 4, 8][rng.below(4) as usize];
+                let boundary = LINES[1].base().offset();
+                let first = if width > 1 && rng.below(4) == 0 {
+                    boundary - 1 - rng.below(width - 1)
+                } else {
+                    LINES[0].base().offset() + rng.below(128 - width + 1)
+                };
+                let bytes: Vec<u8> = (0..width).map(|_| 1 + rng.below(200) as u8).collect();
+                st.record_store(
+                    PmAddr::new(first),
+                    &bytes,
+                    ThreadId(0),
+                    Location::caller(),
+                    seq,
+                );
+                exec.stores.push((seq.value(), first, bytes));
+            } else {
+                let line = rng.below(2) as usize;
+                st.record_flush(LINES[line], seq);
+                exec.flushed[line] = seq.value();
+            }
+        }
+        stack.push(st);
+        model.push(exec);
+    }
+    (stack, model)
+}
+
+/// What a recovery read of a byte observes: the executions' sources, as
+/// `(exec, seq)`, or initial memory.
+type Source = Option<(usize, u64)>;
+
+/// The byte's source and value when each execution's last writeback of
+/// the byte's line happened at `cut[exec]`.
+fn persisted(model: &[Exec], addr: u64, cut: &[u64]) -> (Source, u8) {
+    for (exec, e) in model.iter().enumerate().rev() {
+        if let Some((seq, v)) = e.newest(addr, cut[exec]) {
+            return (Some((exec, seq)), v);
+        }
+    }
+    (None, 0)
+}
+
+/// Every combination of per-execution cuts of one line.
+fn all_cuts(model: &[Exec], line: usize) -> Vec<Vec<u64>> {
+    let mut combos = vec![Vec::new()];
+    for e in model {
+        combos = combos
+            .into_iter()
+            .flat_map(|c| {
+                e.cuts(line).into_iter().map(move |w| {
+                    let mut c = c.clone();
+                    c.push(w);
+                    c
+                })
+            })
+            .collect();
+    }
+    combos
+}
+
+fn line_bytes(line: usize) -> impl Iterator<Item = u64> {
+    let base = LINES[line].base().offset();
+    base..base + 64
+}
+
+fn intervals(stack: &[ExecutionStorage]) -> Vec<FlushInterval> {
+    stack
+        .iter()
+        .flat_map(|st| LINES.map(|l| st.interval(l)))
+        .collect()
+}
+
+/// Checks every byte of both lines against the model's allowed cuts, and
+/// that each single-candidate read would refine nothing.
+fn check_all_bytes(
+    stack: &[ExecutionStorage],
+    model: &[Exec],
+    allowed: &[Vec<Vec<u64>>; 2],
+    ctx: &str,
+) {
+    let mut cands = Vec::new();
+    for (line, cuts) in allowed.iter().enumerate() {
+        for addr in line_bytes(line) {
+            read_pre_failure_into(stack, PmAddr::new(addr), &mut cands);
+            let lazy: BTreeSet<u8> = cands.iter().map(|c| c.value).collect();
+            let brute: BTreeSet<u8> = cuts
+                .iter()
+                .map(|cut| persisted(model, addr, cut).1)
+                .collect();
+            assert_eq!(lazy, brute, "{ctx}: byte {addr}");
+            if let [only] = cands[..] {
+                let mut after = stack.to_vec();
+                do_read(&mut after, PmAddr::new(addr), only);
+                assert_eq!(
+                    intervals(&after),
+                    intervals(stack),
+                    "{ctx}: the sole candidate of byte {addr} refined an interval"
+                );
+            }
+        }
+    }
+}
+
+/// Per byte, the lazy candidate sets of a stack of executions equal the
+/// brute-force model, before refinement and after each of up to four
+/// committed recovery reads, and every single-candidate read leaves every
+/// interval as it was.
+#[test]
+fn stacked_multibyte_candidates_match_brute_force() {
+    let mut singles = 0;
+    for seed in 0..300u64 {
+        let mut rng = Rng::new(seed ^ 0x57ac_4ed0);
+        let (mut stack, model) = random_stack(&mut rng);
+        let mut allowed = [all_cuts(&model, 0), all_cuts(&model, 1)];
+        let ctx = format!("seed {seed}");
+        check_all_bytes(&stack, &model, &allowed, &ctx);
+        for step in 0..4 {
+            let line = rng.below(2) as usize;
+            let addr = LINES[line].base().offset() + rng.below(64);
+            let cands = read_pre_failure(&stack, PmAddr::new(addr));
+            singles += usize::from(cands.len() == 1);
+            let chosen: RfCandidate = cands[rng.below(cands.len() as u64) as usize];
+            do_read(&mut stack, PmAddr::new(addr), chosen);
+            let source = match chosen.source {
+                RfSource::Initial => None,
+                RfSource::Store { exec, .. } => Some((exec, chosen.seq.value())),
+            };
+            allowed[line].retain(|cut| persisted(&model, addr, cut).0 == source);
+            assert!(!allowed[line].is_empty(), "{ctx}: {chosen:?} is realizable");
+            let ctx = format!("{ctx}, step {step}: byte {addr} read {chosen:?}");
+            check_all_bytes(&stack, &model, &allowed, &ctx);
+        }
+    }
+    assert!(singles > 100, "single-candidate reads exercised: {singles}");
+}
+
+/// Two environments restored from one snapshot share its frozen store
+/// logs; a refining recovery read in one leaves the other's (and the
+/// snapshot's) candidates unchanged.
+#[test]
+fn restored_stacks_are_isolated() {
+    let mut refined = 0;
+    for seed in 0..300u64 {
+        let mut rng = Rng::new(seed ^ 0x150_1a7e);
+        let (snapshot, _) = random_stack(&mut rng);
+        let all = |stack: &[ExecutionStorage]| -> Vec<Vec<RfCandidate>> {
+            (64..192)
+                .map(|a| read_pre_failure(stack, PmAddr::new(a)))
+                .collect()
+        };
+        let before = all(&snapshot);
+        let Some(addr) = (64..192).find(|&a| before[a as usize - 64].len() > 1) else {
+            continue;
+        };
+        let (mut first, second) = (snapshot.clone(), snapshot.clone());
+        let cands = &before[addr as usize - 64];
+        let chosen = cands[1 + rng.below(cands.len() as u64 - 1) as usize];
+        do_read(&mut first, PmAddr::new(addr), chosen);
+        assert_ne!(intervals(&first), intervals(&snapshot), "seed {seed}");
+        assert_eq!(
+            all(&second),
+            before,
+            "seed {seed}: the second restore moved"
+        );
+        assert_eq!(all(&snapshot), before, "seed {seed}: the snapshot moved");
+        refined += 1;
+    }
+    assert!(refined > 100, "refining reads exercised: {refined}");
 }

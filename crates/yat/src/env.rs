@@ -393,7 +393,8 @@ mod tests {
         let storage = env.into_storage();
         // The second store executed before the crash (Eager eviction) but
         // the second clflush did not.
-        assert_eq!(storage.queue(a).len(), 2);
+        assert_eq!(storage.store_count(), 2);
+        assert_eq!(storage.last_cache_value(a), Some(2));
     }
 
     #[test]
