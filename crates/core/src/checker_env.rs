@@ -21,7 +21,7 @@ use crate::config::Config;
 use crate::decision::{ChoiceKind, DecisionLog};
 use crate::report::{BugKind, RaceCandidate, RaceReport};
 use crate::signal::{AbortSignal, CrashSignal};
-use crate::snapshot::{estimate_bytes, CheckerSnapshot};
+use crate::snapshot::{estimate_bytes, CacheRef, CheckerSnapshot};
 use crate::PmEnv;
 
 /// Cap on remembered race reports (debugging aid, not a bug list).
@@ -82,8 +82,11 @@ pub(crate) struct ScenarioRecord {
 }
 
 /// The instrumented environment for one failure scenario.
-pub(crate) struct CheckerEnv {
+pub(crate) struct CheckerEnv<'c> {
     inner: RefCell<Inner>,
+    /// Where crash-point snapshots are captured (`None` when snapshots
+    /// are off).
+    snapshots: CacheRef<'c>,
     pool_size: u64,
     max_failures: usize,
     inject_at_end: bool,
@@ -99,9 +102,10 @@ pub(crate) struct CheckerEnv {
     lint_loc: Cell<Option<SourceLoc>>,
 }
 
-impl CheckerEnv {
+impl<'c> CheckerEnv<'c> {
     pub(crate) fn new(config: &Config, decisions: DecisionLog) -> Self {
         CheckerEnv {
+            snapshots: None,
             inner: RefCell::new(Inner {
                 machine: TsoMachine::new(config.eviction_value()),
                 stack: Vec::new(),
@@ -198,40 +202,11 @@ impl CheckerEnv {
         fresh
     }
 
-    /// Captures the environment as a [`CheckerSnapshot`]. Must be called
-    /// right after [`advance_execution`](Self::advance_execution), so the
-    /// crashed execution's storage is on the stack and the consumed
-    /// decision prefix ends in the crash decision that got us here.
-    pub(crate) fn snapshot(&self) -> CheckerSnapshot {
-        let inner = self.inner.borrow();
-        let prefix = inner.decisions.prefix_decisions(inner.decisions.consumed());
-        let bytes = estimate_bytes(
-            &inner.stack,
-            &inner.op_traces,
-            &inner.races,
-            &prefix,
-            &inner.recovery_reads,
-        );
-        CheckerSnapshot {
-            stack: inner.stack.clone(),
-            exec_index: inner.exec_index,
-            points_per_exec: inner.points_per_exec.clone(),
-            crash_points: inner.crash_points.clone(),
-            races: inner.races.clone(),
-            race_keys: inner.race_keys.clone(),
-            load_choice_points: inner.load_choice_points,
-            max_rf_set: inner.max_rf_set,
-            op_traces: inner.op_traces.clone(),
-            recovery_reads: inner.recovery_reads.clone(),
-            prefix,
-            bytes,
-        }
-    }
-
-    /// The decision-trace prefix consumed so far — the snapshot key of
-    /// the current crash point.
-    pub(crate) fn consumed_trace(&self) -> Vec<usize> {
-        self.inner.borrow().decisions.consumed_trace()
+    /// Captures a crash-point snapshot into `snapshots` at every
+    /// crash-eligible injection point this environment passes.
+    pub(crate) fn with_snapshots(mut self, snapshots: CacheRef<'c>) -> Self {
+        self.snapshots = snapshots;
+        self
     }
 
     /// The end-of-execution injection point (the paper's third point in
@@ -352,10 +327,69 @@ impl CheckerEnv {
         inner.points_this_exec += 1;
         inner.writes_since_point = false;
         let choice = inner.decisions.next(2, ChoiceKind::Crash, exec);
+        // The fork: checkpoint what a crash here leaves. Depth-first
+        // search takes the continue branch first, so the scenario that
+        // later takes this crash restores the capture and starts at
+        // recovery; the crash branch itself runs only if it was evicted.
+        // A concurrent insert between probe and insert is benign
+        // (duplicate inserts are no-ops).
+        if let Some((cache, group)) = self.snapshots {
+            let mut key = inner.decisions.consumed_trace();
+            *key.last_mut().expect("the crash decision was consumed") = 1;
+            if !cache.contains(group, &key) {
+                cache.insert(group, key, self.capture(&inner, ordinal));
+            }
+        }
         if choice == 1 {
             inner.crash_points.push(ordinal);
             drop(inner);
             panic_any(CrashSignal);
+        }
+    }
+
+    /// The snapshot a crash at the injection point just consumed (point
+    /// `ordinal` of the running execution) leaves: built from live state
+    /// exactly as [`advance_execution`](Self::advance_execution) would
+    /// leave it after the crash, with the consumed decision prefix ending
+    /// in the crash alternative.
+    fn capture(&self, inner: &Inner, ordinal: usize) -> CheckerSnapshot {
+        let mut prefix = inner.decisions.prefix_decisions(inner.decisions.consumed());
+        prefix
+            .last_mut()
+            .expect("the crash decision was consumed")
+            .chosen = 1;
+        // `TsoMachine::crash` keeps the storage and drops the buffers.
+        let mut stack = Vec::with_capacity(inner.stack.len() + 1);
+        stack.extend_from_slice(&inner.stack);
+        stack.push(inner.machine.storage().clone());
+        let mut points_per_exec = inner.points_per_exec.clone();
+        points_per_exec.push(inner.points_this_exec);
+        let mut crash_points = inner.crash_points.clone();
+        crash_points.push(ordinal);
+        let mut op_traces = inner.op_traces.clone();
+        if self.flag_lints {
+            op_traces.push(OpTrace::new());
+        }
+        let bytes = estimate_bytes(
+            &stack,
+            &op_traces,
+            &inner.races,
+            &prefix,
+            &inner.recovery_reads,
+        );
+        CheckerSnapshot {
+            stack,
+            exec_index: inner.exec_index + 1,
+            points_per_exec,
+            crash_points,
+            races: inner.races.clone(),
+            race_keys: inner.race_keys.clone(),
+            load_choice_points: inner.load_choice_points,
+            max_rf_set: inner.max_rf_set,
+            op_traces,
+            recovery_reads: inner.recovery_reads.clone(),
+            prefix,
+            bytes,
         }
     }
 
@@ -486,7 +520,7 @@ fn record_race(
     });
 }
 
-impl PmEnv for CheckerEnv {
+impl PmEnv for CheckerEnv<'_> {
     #[track_caller]
     fn load_bytes(&self, addr: PmAddr, buf: &mut [u8]) {
         self.tick();
@@ -703,7 +737,7 @@ mod tests {
     use crate::decision::DecisionLog;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    fn env() -> CheckerEnv {
+    fn env() -> CheckerEnv<'static> {
         let mut c = Config::new();
         c.pool_size(4096);
         CheckerEnv::new(&c, DecisionLog::new())

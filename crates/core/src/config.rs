@@ -277,9 +277,10 @@ impl Config {
         self.lints || self.lint_cross_thread || self.lint_torn_stores || self.lint_flush_redundancy
     }
 
-    /// Enable crash-point snapshots (default `true`): checkpoint checker
-    /// state at every injected failure and restore it to start later
-    /// scenarios directly at recovery, instead of replaying their
+    /// Enable crash-point snapshots (default `true`): checkpoint, at
+    /// every failure injection point, the checker state a crash there
+    /// leaves, and restore it to start the scenarios that take that crash
+    /// directly at recovery, instead of replaying their
     /// pre-failure prefix from scratch. Purely a performance setting —
     /// [`CheckReport::digest`](crate::CheckReport::digest) is
     /// byte-identical either way. Disable to measure the re-execution

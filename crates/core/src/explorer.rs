@@ -11,11 +11,14 @@
 //! post-failure loads read) has been explored exactly once.
 //!
 //! Re-execution normally replays a scenario's pre-failure prefix from
-//! scratch. With snapshots enabled (the default), the driver instead
-//! checkpoints checker state at each crash point and restores the longest
-//! cached prefix of the next scenario's decision trace, starting it
-//! directly at recovery — the original system's fork-based rollback,
-//! without a guest process to fork (see `crate::snapshot`).
+//! scratch. With snapshots enabled (the default), the environment instead
+//! checkpoints, at each failure injection point it passes, the checker
+//! state a crash there would leave — where the original system forks,
+//! without a guest process to fork (see `crate::snapshot`). Depth-first
+//! search explores the continue branch first, so when it flips that
+//! decision to crash, the scenario restores the checkpoint and starts
+//! directly at recovery: every guest run is some scenario's last
+//! execution unless the cache evicted the checkpoint.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,13 +39,8 @@ use crate::signal::{
     install_panic_hook, panic_message, take_last_panic_location, with_quiet_panics, AbortSignal,
     CrashSignal,
 };
-use crate::snapshot::SharedSnapshotCache;
+use crate::snapshot::{CacheRef, SharedSnapshotCache};
 use crate::Program;
-
-/// The snapshot cache a scenario consults, with the key group its
-/// entries live under: `(handle, group)`. `Copy` so the sequential loop
-/// and every parallel worker can share one resolved reference.
-pub(crate) type CacheRef<'a> = Option<(&'a SharedSnapshotCache, u64)>;
 
 /// Everything one completed failure scenario contributes to the final
 /// report. Both the sequential DFS and the parallel workers produce
@@ -108,8 +106,9 @@ pub(crate) struct ExploreAux {
 /// When `snapshots` is provided, the scenario first probes the cache for
 /// the longest snapshot matching its planned decision prefix; a hit skips
 /// replaying that prefix's executions entirely (counted in
-/// `executions_restored`). Every crash point the scenario does execute
-/// through is checkpointed into the cache for later scenarios.
+/// `executions_restored`). At every crash-eligible injection point the
+/// scenario passes, the environment checkpoints what a crash there would
+/// leave, so the scenario that later takes that crash starts at recovery.
 pub(crate) fn run_scenario(
     config: &Config,
     program: &dyn Program,
@@ -132,7 +131,8 @@ pub(crate) fn run_scenario(
                 .unwrap_or_else(|| CheckerEnv::new(config, log.take().expect("log present")))
         }
         None => CheckerEnv::new(config, log.take().expect("log present")),
-    };
+    }
+    .with_snapshots(snapshots);
     let mut executions_this_scenario = 0usize;
     let mut scenario_bug: Option<BugReport> = None;
 
@@ -150,16 +150,6 @@ pub(crate) fn run_scenario(
             Err(payload) => {
                 if payload.is::<CrashSignal>() {
                     env.advance_execution();
-                    if let Some((cache, group)) = snapshots {
-                        let key = env.consumed_trace();
-                        // The contains probe keeps the expensive
-                        // `env.snapshot()` capture off the warm path; a
-                        // concurrent insert between probe and insert is
-                        // benign (duplicate inserts are no-ops).
-                        if !cache.contains(group, &key) {
-                            cache.insert(group, key, env.snapshot());
-                        }
-                    }
                     continue;
                 }
                 let (kind, message, location) = match payload.downcast::<AbortSignal>() {
@@ -830,6 +820,51 @@ mod tests {
         let stats = on.snapshots.expect("snapshot stats are reported");
         assert!(stats.hits > 0, "{stats}");
         assert!(off.snapshots.is_none(), "disabled runs report no cache");
+    }
+
+    #[test]
+    fn every_guest_run_is_a_scenarios_last_execution() {
+        // A checkpoint is taken at every injection point, and depth-first
+        // search takes its continue branch before its crash branch. With a
+        // cache that evicts nothing, every scenario restores its last
+        // crash and runs only its final execution, sequential or parallel.
+        // The program is the one of
+        // `snapshots_halve_guest_runs_on_deep_scenarios`.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let runs = AtomicUsize::new(0);
+        let program = |env: &dyn PmEnv| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            let root = env.root();
+            let generation = env.load_u64(root);
+            for i in 0..3u64 {
+                let _ = env.load_u64(root + 8 + i * 64);
+            }
+            for i in 0..3u64 {
+                env.store_u64(root + 8 + i * 64, generation + i);
+            }
+            env.store_u64(root, generation + 1);
+            env.clflush(root, 8);
+            env.sfence();
+        };
+        for max_failures in 1..=3 {
+            let mut config = small_config();
+            config.max_failures(max_failures).snapshot_cap(1 << 30);
+            let mut off = config.clone();
+            off.snapshots(false);
+            let replayed = ModelChecker::new(off).check(&program);
+            for jobs in [1usize, 2, 4] {
+                config.jobs(jobs);
+                runs.store(0, Ordering::Relaxed);
+                let report = ModelChecker::new(config.clone()).check(&program);
+                let runs = runs.load(Ordering::Relaxed) as u64;
+                let at = format!("max_failures={max_failures} jobs={jobs}");
+                assert_eq!(report.digest(), replayed.digest(), "{at}");
+                assert_eq!(runs, report.stats.scenarios, "{at}");
+                assert_eq!(runs, report.stats.executions_replayed, "{at}");
+                let stats = report.snapshots.expect("snapshot stats are reported");
+                assert_eq!(stats.evictions, 0, "{at}: {stats}");
+            }
+        }
     }
 
     #[test]

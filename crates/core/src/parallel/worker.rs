@@ -13,8 +13,9 @@ use std::time::Instant;
 
 use crate::config::Config;
 use crate::decision::DecisionLog;
-use crate::explorer::{bug_dedup_key, run_scenario, CacheRef, ScenarioOutcome};
+use crate::explorer::{bug_dedup_key, run_scenario, ScenarioOutcome};
 use crate::report::WorkerStats;
+use crate::snapshot::CacheRef;
 use crate::Program;
 
 use super::scheduler::{Scheduler, WorkItem};

@@ -2,8 +2,8 @@
 //!
 //! This is the checker half of the snapshot subsystem (the generic LRU
 //! cache lives in the `jaaru-snapshot` crate): what exactly gets
-//! captured when a scenario reaches a crash point, and how the explorer
-//! keys and reuses those captures.
+//! captured at a failure injection point, and how the explorer keys and
+//! reuses those captures.
 //!
 //! A power failure discards the guest's volatile state by definition, so
 //! the guest closure never needs to be resumed mid-flight — recovery
@@ -13,13 +13,18 @@
 //! writeback intervals, which post-failure reads refine in place — hence
 //! copy-on-restore, of the intervals only), crash bookkeeping, race
 //! accumulators, lint traces, and the decision-log position. A snapshot
-//! is taken immediately after
+//! is taken where the original system forks: at each crash-eligible
+//! injection point, on either branch, the environment builds from live
+//! state what
 //! [`advance_execution`](crate::checker_env::CheckerEnv::advance_execution)
-//! and keyed by the decision-trace prefix consumed so far; since that
-//! prefix ends in a crash decision (alternative `1`) and fresh decisions
-//! always choose `0`, a cached key can only match inside a later
-//! scenario's *prescribed* prefix — restoring is always equivalent to
-//! replaying those executions.
+//! would leave after a crash there, and keys it by the decision-trace
+//! prefix consumed so far with its last decision set to crash. Since
+//! that key ends in a crash decision (alternative `1`) and fresh
+//! decisions always choose `0`, a cached key can only match inside a
+//! later scenario's *prescribed* prefix — restoring is always equivalent
+//! to replaying those executions. Depth-first search explores the
+//! continue branch first, so the scenario that takes the crash finds
+//! the capture waiting and runs only its recovery.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -30,6 +35,11 @@ use jaaru_tso::{ExecutionStorage, OpTrace};
 
 use crate::decision::Decision;
 use crate::report::RaceReport;
+
+/// The snapshot cache a scenario consults, with the key group its
+/// entries live under: `(handle, group)`. `Copy` so the sequential loop
+/// and every parallel worker can share one resolved reference.
+pub(crate) type CacheRef<'a> = Option<(&'a SharedSnapshotCache, u64)>;
 
 /// A shareable cache of crash-point checkpoints, keyed by `(group,
 /// consumed decision-trace prefix)`.
@@ -108,10 +118,11 @@ impl fmt::Debug for SharedSnapshotCache {
 }
 
 /// Everything a post-failure execution needs from the checker's past:
-/// the frozen state of a [`CheckerEnv`](crate::checker_env::CheckerEnv)
-/// right after a power failure was injected, minus the per-execution
-/// volatile state that `advance_execution` resets anyway (op budget,
-/// bump cursor, thread ids — re-initialized fresh on restore).
+/// the state of a [`CheckerEnv`](crate::checker_env::CheckerEnv) as a
+/// power failure injected at one point would leave it, minus the
+/// per-execution volatile state that `advance_execution` resets anyway
+/// (op budget, bump cursor, thread ids — re-initialized fresh on
+/// restore).
 pub(crate) struct CheckerSnapshot {
     /// Storage of every crashed execution, oldest first. Post-failure
     /// reads *mutate* their intervals (refinement), so restoring clones:

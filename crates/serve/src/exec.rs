@@ -180,9 +180,10 @@ fn verdict(report: &CheckReport) -> JobStatus {
 /// `cancel` is the registry flag for this job's id: set before the run
 /// starts → `cancelled` without executing; set mid-run → the checker
 /// winds down at the next scenario boundary and the reply fails closed
-/// (no artifact). A deadline arms a watchdog thread that trips the same
-/// cooperative stop but reports `deadline` instead. A panicking run is
-/// caught and retried once; a second panic is a `failed` outcome.
+/// (no artifact). A run that returns at or after its deadline reports
+/// `deadline` the same way, and a watchdog thread trips the cooperative
+/// stop once the deadline passes. A panicking run is caught and retried
+/// once; a second panic is a `failed` outcome.
 pub fn execute(
     spec: &JobSpec,
     config: &Config,
@@ -226,21 +227,20 @@ pub fn execute(
         Err(error) => return JobOutcome::failed(error),
     };
 
-    // Deadline watchdog: trips the job's cancel flag once the budget
-    // elapses, and records that the stop was a deadline, not a client
-    // cancellation. `done` disarms it when the run finishes first.
-    let deadline_fired = Arc::new(AtomicBool::new(false));
+    // The deadline: a run that returns at or after it fails closed, and
+    // a watchdog trips the job's cooperative stop once it passes, so a
+    // long run winds down. `done` disarms the watchdog when the run
+    // finishes first.
+    let deadline = spec
+        .deadline_ms
+        .map(|ms| Instant::now() + Duration::from_millis(ms));
     let done = Arc::new(AtomicBool::new(false));
-    let watchdog = spec.deadline_ms.map(|ms| {
-        let deadline = Duration::from_millis(ms);
+    let watchdog = deadline.map(|deadline| {
         let cancel = Arc::clone(cancel);
-        let fired = Arc::clone(&deadline_fired);
         let done = Arc::clone(&done);
         thread::spawn(move || {
-            let armed = Instant::now();
             while !done.load(Ordering::Relaxed) {
-                if armed.elapsed() >= deadline {
-                    fired.store(true, Ordering::Relaxed);
+                if Instant::now() >= deadline {
                     cancel.store(true, Ordering::Relaxed);
                     return;
                 }
@@ -277,7 +277,7 @@ pub fn execute(
         }));
         match attempt {
             Ok((status, artifact)) => {
-                if deadline_fired.load(Ordering::Relaxed) {
+                if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
                     break JobOutcome {
                         status: JobStatus::Deadline,
                         artifact: None,

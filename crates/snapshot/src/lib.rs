@@ -2,15 +2,16 @@
 //! reuse substrate behind the checker's prefix sharing and the serving
 //! daemon's cross-job memoization.
 //!
-//! The original Jaaru `fork()`s at each injected power failure so every
+//! The original Jaaru `fork()`s at each failure injection point so every
 //! post-failure execution restarts from the failure point rather than
 //! from `main()`. This reproduction replaces the fork with an explicit
 //! checkpoint of checker-side state (the guest's volatile state is
 //! discarded by the failure anyway, so it never needs to round-trip):
-//! when a scenario reaches a crash point for the first time, the checker
-//! snapshots its state and caches it under the decision-trace prefix
-//! consumed so far; every later scenario whose planned trace starts with
-//! that prefix restores the snapshot instead of replaying the prefix.
+//! at each injection point a scenario passes, the checker captures the
+//! state a crash there would leave and caches it under the decision-trace
+//! prefix that ends in that crash; every later scenario whose planned
+//! trace starts with that prefix restores the snapshot instead of
+//! replaying the prefix.
 //!
 //! This crate holds the generic, dependency-free part of that subsystem:
 //!
@@ -37,8 +38,9 @@
 //! # Keying discipline
 //!
 //! Within a group, snapshot keys are the *chosen alternatives* of the
-//! decisions a scenario had consumed when it crashed — so every
-//! snapshot key ends in a crash decision (`1`). Fresh decisions default
+//! decisions consumed up to an injection point, with that point's
+//! decision set to crash — so every snapshot key ends in a crash
+//! decision (`1`). Fresh decisions default
 //! to alternative `0`, which means a cached key can only match inside
 //! the *prescribed* prefix of a later scenario, never inside its fresh
 //! tail; a longest-prefix [`lookup`](SnapshotCache::lookup) over the

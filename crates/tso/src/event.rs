@@ -44,13 +44,14 @@ pub type SourceLoc = &'static Location<'static>;
 ///
 /// Multi-byte accesses are a single event: the paper implements them as a
 /// sequence of byte accesses *performed atomically*, which is equivalent to
-/// assigning one sequence number to all bytes of the store.
-#[derive(Clone, Debug)]
+/// assigning one sequence number to all bytes of the store. The bytes
+/// themselves live in the execution's per-line store log.
+#[derive(Clone, Copy, Debug)]
 pub struct StoreEvent {
     /// First byte written.
     pub addr: PmAddr,
-    /// The bytes written (length = access width).
-    pub bytes: Vec<u8>,
+    /// Access width in bytes.
+    pub len: u32,
     /// Position in the cache total order, assigned when the store left the
     /// store buffer.
     pub seq: Seq,
@@ -60,36 +61,13 @@ pub struct StoreEvent {
     pub loc: SourceLoc,
 }
 
-impl StoreEvent {
-    /// Renders the stored value as an integer when it has a natural width.
-    pub fn value_display(&self) -> String {
-        match self.bytes.len() {
-            1 => format!("{:#x}", self.bytes[0]),
-            2 => format!(
-                "{:#x}",
-                u16::from_le_bytes(self.bytes[..2].try_into().unwrap())
-            ),
-            4 => format!(
-                "{:#x}",
-                u32::from_le_bytes(self.bytes[..4].try_into().unwrap())
-            ),
-            8 => format!(
-                "{:#x}",
-                u64::from_le_bytes(self.bytes[..8].try_into().unwrap())
-            ),
-            _ => format!("{:02x?}", self.bytes),
-        }
-    }
-}
-
 impl fmt::Display for StoreEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "store {}B @ {} = {} ({} at {}:{}:{})",
-            self.bytes.len(),
+            "store {}B @ {} ({} at {}:{}:{})",
+            self.len,
             self.addr,
-            self.value_display(),
             self.seq,
             self.loc.file(),
             self.loc.line(),
@@ -108,31 +86,16 @@ mod tests {
     }
 
     #[test]
-    fn value_display_by_width() {
-        let mk = |bytes: Vec<u8>| StoreEvent {
-            addr: PmAddr::new(64),
-            bytes,
-            seq: Seq::new(1),
-            thread: ThreadId(0),
-            loc: here(),
-        };
-        assert_eq!(mk(vec![0xff]).value_display(), "0xff");
-        assert_eq!(mk(vec![0x34, 0x12]).value_display(), "0x1234");
-        assert_eq!(mk(vec![1, 0, 0, 0]).value_display(), "0x1");
-        assert_eq!(mk(vec![2, 0, 0, 0, 0, 0, 0, 0]).value_display(), "0x2");
-        assert_eq!(mk(vec![1, 2, 3]).value_display(), "[01, 02, 03]");
-    }
-
-    #[test]
     fn display_is_informative() {
         let ev = StoreEvent {
             addr: PmAddr::new(64),
-            bytes: vec![7],
+            len: 1,
             seq: Seq::new(3),
             thread: ThreadId(1),
             loc: here(),
         };
         let s = ev.to_string();
+        assert!(s.contains("1B"));
         assert!(s.contains("0x40"));
         assert!(s.contains("σ3"));
         assert!(s.contains("event.rs"));

@@ -195,10 +195,10 @@ impl ExecutionStorage {
             at = at + n as u64;
             rest = &rest[n..];
         }
-        log.bytes += size_of::<StoreEvent>() + bytes.len();
+        log.bytes += size_of::<StoreEvent>();
         log.events.push(StoreEvent {
             addr,
-            bytes: bytes.to_vec(),
+            len: u32::try_from(bytes.len()).expect("store width fits in u32"),
             seq,
             thread,
             loc,

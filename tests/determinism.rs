@@ -263,20 +263,29 @@ fn snapshots_do_not_change_the_digest_at_any_worker_count() {
 #[test]
 fn snapshots_do_not_change_bug_or_lint_results() {
     let program = IndexWorkload::<Pclht>::new(PclhtFault::CtorNotFlushed, 4);
-    let mut on = lint_config(1);
-    let baseline = ModelChecker::new(on.clone()).check(&program);
-    assert!(!baseline.is_clean());
-    on.snapshots(false);
-    let replayed = ModelChecker::new(on).check(&program);
-    assert_eq!(baseline.digest(), replayed.digest());
-    for jobs in [2usize, 4] {
-        let mut c = lint_config(jobs);
-        c.snapshots(false);
+    // Two failures deep, snapshots also carry recovery executions' op
+    // traces and races.
+    for max_failures in [1usize, 2] {
+        let mut on = lint_config(1);
+        on.max_failures(max_failures);
+        let baseline = ModelChecker::new(on.clone()).check(&program);
+        assert!(!baseline.is_clean());
+        on.snapshots(false);
+        let replayed = ModelChecker::new(on).check(&program);
         assert_eq!(
             baseline.digest(),
-            ModelChecker::new(c).check(&program).digest(),
-            "jobs={jobs} without snapshots diverged"
+            replayed.digest(),
+            "max_failures={max_failures}"
         );
+        for jobs in [2usize, 4] {
+            let mut c = lint_config(jobs);
+            c.max_failures(max_failures).snapshots(false);
+            assert_eq!(
+                baseline.digest(),
+                ModelChecker::new(c).check(&program).digest(),
+                "jobs={jobs} without snapshots diverged at max_failures={max_failures}"
+            );
+        }
     }
 }
 
