@@ -22,16 +22,15 @@
 //! `--jobs N` explores on N worker threads (0 = all cores; default 1).
 //! `--format json` prints the machine-readable report instead of text;
 //! `--format json-canonical` prints the run-invariant view (identical
-//! bytes across worker counts and cache states — what the serve daemon
+//! bytes across worker counts and snapshot settings — what the serve daemon
 //! replies with); `--format sarif` prints the run's diagnostics as a
 //! SARIF 2.1.0 document for CI ingestion.
-//! `--no-snapshot` disables crash-point snapshots (replay every prefix);
-//! `--snapshot-cap <bytes>` bounds the per-cache snapshot footprint.
+//! `--no-snapshot` disables crash-point snapshots (replay every prefix).
 //! e.g. `cargo run --release -p jaaru-cli --bin jaaru_cli -- bug recipe 10`
 //!
 //! The `serve` subcommand accepts newline-delimited JSON job specs on a
 //! Unix domain socket (`--socket PATH`) or from a file (`--batch FILE`,
-//! for CI), sharing one snapshot/result cache across all jobs; see the
+//! for CI), sharing one result cache across all jobs; see the
 //! `jaaru-serve` crate docs for the protocol.
 //!
 //! Exit status: 0 when the run is clean, 1 when bugs or error-severity
@@ -61,23 +60,13 @@ enum Format {
     Sarif,
 }
 
-/// Snapshot settings drained from the command line.
-#[derive(Clone, Copy)]
-struct SnapshotOpts {
-    enabled: bool,
-    cap: Option<usize>,
-}
-
-fn config(jobs: usize, lint: bool, snapshots: SnapshotOpts) -> Config {
+fn config(jobs: usize, lint: bool, snapshots: bool) -> Config {
     let mut c = Config::new();
     c.pool_size(1 << 18)
         .max_ops_per_execution(40_000)
         .max_scenarios(20_000)
         .jobs(jobs)
-        .snapshots(snapshots.enabled);
-    if let Some(cap) = snapshots.cap {
-        c.snapshot_cap(cap);
-    }
+        .snapshots(snapshots);
     if lint {
         // All graph passes on.
         c.lints(true)
@@ -135,7 +124,7 @@ fn run(
     jobs: usize,
     format: Format,
     lint: bool,
-    snapshots: SnapshotOpts,
+    snapshots: bool,
 ) -> i32 {
     let report = ModelChecker::new(config(jobs, lint, snapshots)).check(program);
     emit(name, &report, format)
@@ -146,7 +135,7 @@ fn run(
 /// the crash-consistency fix, not chase advisory flush-hygiene
 /// warnings on flushes the bug rows plant on purpose. `fuzz --repair`
 /// exercises delete-flush synthesis on its redundant-flush class.
-fn repair_config(jobs: usize, snapshots: SnapshotOpts) -> Config {
+fn repair_config(jobs: usize, snapshots: bool) -> Config {
     let mut c = config(jobs, true, snapshots);
     c.lint_flush_redundancy(false);
     c
@@ -160,7 +149,7 @@ fn repair_run(
     program: &(dyn Program + Sync),
     jobs: usize,
     format: Format,
-    snapshots: SnapshotOpts,
+    snapshots: bool,
 ) -> i32 {
     let outcome = synthesize_repair(&repair_config(jobs, snapshots), program);
     match format {
@@ -220,7 +209,7 @@ fn analyze_run(
     program: &(dyn Program + Sync),
     jobs: usize,
     format: Format,
-    snapshots: SnapshotOpts,
+    snapshots: bool,
 ) -> i32 {
     let checker = ModelChecker::new(config(jobs, true, snapshots));
     let report = checker.check(program);
@@ -315,8 +304,7 @@ fn usage() -> ! {
          --jobs N (-j)          worker threads (0 = all cores; default 1)\n  \
          --format text|json|json-canonical|sarif (-f) output format\n                         \
          (json-canonical: run-invariant bytes; sarif: lint diagnostics as SARIF 2.1.0)\n  \
-         --no-snapshot          replay every prefix instead of restoring snapshots\n  \
-         --snapshot-cap BYTES   per-cache snapshot byte budget (default 64 MiB)\n\
+         --no-snapshot          replay every prefix instead of restoring snapshots\n\
          fuzz options:\n  \
          --seeds N              programs to generate (default 200)\n  \
          --seed-start S         first seed (default 0)\n  \
@@ -337,7 +325,7 @@ fn usage() -> ! {
          --batch FILE           run request lines from FILE and exit (CI mode)\n  \
          --queue-cap N          bounded job-queue capacity (default 64)\n  \
          --result-cap BYTES     cross-job result-cache budget (default 16 MiB)\n\
-         serve inherits --jobs (per-job default) and --snapshot-cap (shared cache budget)"
+         serve inherits --jobs (per-job default)"
     );
     std::process::exit(2);
 }
@@ -630,16 +618,13 @@ fn litmus(opts: LitmusOpts, jobs: usize, format: Format) -> i32 {
 
 /// The `serve` subcommand: stand the daemon up on a socket, or run a
 /// batch file of request lines for CI.
-fn serve(args: &[String], jobs: usize, snapshots: SnapshotOpts) -> i32 {
+fn serve(args: &[String], jobs: usize, snapshots: bool) -> i32 {
     let mut socket: Option<PathBuf> = None;
     let mut batch: Option<PathBuf> = None;
     let mut opts = ServeOptions {
         default_jobs: jobs,
         ..ServeOptions::default()
     };
-    if let Some(cap) = snapshots.cap {
-        opts.snapshot_cap = cap;
-    }
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -662,7 +647,7 @@ fn serve(args: &[String], jobs: usize, snapshots: SnapshotOpts) -> i32 {
             _ => usage(),
         }
     }
-    if !snapshots.enabled {
+    if !snapshots {
         eprintln!("serve requires snapshots (drop --no-snapshot)");
         return 2;
     }
@@ -733,20 +718,10 @@ fn main() {
         };
         args.drain(pos..=pos + 1);
     }
-    let mut snapshots = SnapshotOpts {
-        enabled: true,
-        cap: None,
-    };
+    let mut snapshots = true;
     if let Some(pos) = args.iter().position(|a| a == "--no-snapshot") {
-        snapshots.enabled = false;
+        snapshots = false;
         args.remove(pos);
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--snapshot-cap") {
-        let Some(cap) = args.get(pos + 1).and_then(|a| a.parse().ok()) else {
-            usage()
-        };
-        snapshots.cap = Some(cap);
-        args.drain(pos..=pos + 1);
     }
     let code = match args.first().map(String::as_str) {
         Some("list") => {

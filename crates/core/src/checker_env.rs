@@ -21,7 +21,7 @@ use crate::config::Config;
 use crate::decision::{ChoiceKind, DecisionLog};
 use crate::report::{BugKind, RaceCandidate, RaceReport};
 use crate::signal::{AbortSignal, CrashSignal};
-use crate::snapshot::{estimate_bytes, CacheRef, CheckerSnapshot};
+use crate::snapshot::CheckerSnapshot;
 use crate::PmEnv;
 
 /// Cap on remembered race reports (debugging aid, not a bug list).
@@ -66,6 +66,10 @@ struct Inner {
     /// ([`Config::lint_flush_redundancy`]); accumulates across
     /// executions and participates in snapshots.
     recovery_reads: HashSet<u64>,
+
+    /// Checkpoints captured at this scenario's fresh crash decisions,
+    /// with each decision's index, in decision order.
+    captures: Vec<(usize, CheckerSnapshot)>,
 }
 
 /// Per-scenario results harvested by the explorer after a run.
@@ -79,14 +83,18 @@ pub(crate) struct ScenarioRecord {
     pub max_rf_set: usize,
     /// Cache lines recovery read (empty unless the dead-flush pass is on).
     pub recovery_reads: HashSet<u64>,
+    /// The crash-point checkpoints this scenario captured, each with the
+    /// index of the fresh crash decision it forks (empty when snapshots
+    /// are off).
+    pub captures: Vec<(usize, CheckerSnapshot)>,
 }
 
 /// The instrumented environment for one failure scenario.
-pub(crate) struct CheckerEnv<'c> {
+pub(crate) struct CheckerEnv {
     inner: RefCell<Inner>,
-    /// Where crash-point snapshots are captured (`None` when snapshots
-    /// are off).
-    snapshots: CacheRef<'c>,
+    /// Whether fresh crash decisions capture a checkpoint
+    /// ([`Config::snapshots`]).
+    capture: bool,
     pool_size: u64,
     max_failures: usize,
     inject_at_end: bool,
@@ -102,10 +110,10 @@ pub(crate) struct CheckerEnv<'c> {
     lint_loc: Cell<Option<SourceLoc>>,
 }
 
-impl<'c> CheckerEnv<'c> {
+impl CheckerEnv {
     pub(crate) fn new(config: &Config, decisions: DecisionLog) -> Self {
         CheckerEnv {
-            snapshots: None,
+            capture: config.snapshots_value(),
             inner: RefCell::new(Inner {
                 machine: TsoMachine::new(config.eviction_value()),
                 stack: Vec::new(),
@@ -131,6 +139,7 @@ impl<'c> CheckerEnv<'c> {
                     Vec::new()
                 },
                 recovery_reads: HashSet::new(),
+                captures: Vec::new(),
             }),
             pool_size: config.pool_size_value() as u64,
             max_failures: config.failure_limit(),
@@ -202,13 +211,6 @@ impl<'c> CheckerEnv<'c> {
         fresh
     }
 
-    /// Captures a crash-point snapshot into `snapshots` at every
-    /// crash-eligible injection point this environment passes.
-    pub(crate) fn with_snapshots(mut self, snapshots: CacheRef<'c>) -> Self {
-        self.snapshots = snapshots;
-        self
-    }
-
     /// The end-of-execution injection point (the paper's third point in
     /// the Figure 4 walkthrough). Called by the explorer after `run`
     /// returns normally; may unwind with a [`CrashSignal`].
@@ -231,6 +233,7 @@ impl<'c> CheckerEnv<'c> {
             load_choice_points: inner.load_choice_points,
             max_rf_set: inner.max_rf_set,
             recovery_reads: inner.recovery_reads,
+            captures: inner.captures,
         }
     }
 
@@ -327,18 +330,12 @@ impl<'c> CheckerEnv<'c> {
         inner.points_this_exec += 1;
         inner.writes_since_point = false;
         let choice = inner.decisions.next(2, ChoiceKind::Crash, exec);
-        // The fork: checkpoint what a crash here leaves. Depth-first
-        // search takes the continue branch first, so the scenario that
-        // later takes this crash restores the capture and starts at
-        // recovery; the crash branch itself runs only if it was evicted.
-        // A concurrent insert between probe and insert is benign
-        // (duplicate inserts are no-ops).
-        if let Some((cache, group)) = self.snapshots {
-            let mut key = inner.decisions.consumed_trace();
-            *key.last_mut().expect("the crash decision was consumed") = 1;
-            if !cache.contains(group, &key) {
-                cache.insert(group, key, self.capture(&inner, ordinal));
-            }
+        // The fork: a fresh decision continues, so checkpoint what a
+        // crash here leaves for the scenarios that later take it.
+        let index = inner.decisions.consumed() - 1;
+        if self.capture && index >= inner.decisions.prefix_len() {
+            let snapshot = self.capture(&inner, ordinal);
+            inner.captures.push((index, snapshot));
         }
         if choice == 1 {
             inner.crash_points.push(ordinal);
@@ -370,13 +367,6 @@ impl<'c> CheckerEnv<'c> {
         if self.flag_lints {
             op_traces.push(OpTrace::new());
         }
-        let bytes = estimate_bytes(
-            &stack,
-            &op_traces,
-            &inner.races,
-            &prefix,
-            &inner.recovery_reads,
-        );
         CheckerSnapshot {
             stack,
             exec_index: inner.exec_index + 1,
@@ -389,7 +379,6 @@ impl<'c> CheckerEnv<'c> {
             op_traces,
             recovery_reads: inner.recovery_reads.clone(),
             prefix,
-            bytes,
         }
     }
 
@@ -520,7 +509,7 @@ fn record_race(
     });
 }
 
-impl PmEnv for CheckerEnv<'_> {
+impl PmEnv for CheckerEnv {
     #[track_caller]
     fn load_bytes(&self, addr: PmAddr, buf: &mut [u8]) {
         self.tick();
@@ -737,7 +726,7 @@ mod tests {
     use crate::decision::DecisionLog;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    fn env() -> CheckerEnv<'static> {
+    fn env() -> CheckerEnv {
         let mut c = Config::new();
         c.pool_size(4096);
         CheckerEnv::new(&c, DecisionLog::new())

@@ -31,7 +31,6 @@ pub struct Config {
     lint_flush_redundancy: bool,
     jobs: usize,
     snapshots: bool,
-    snapshot_cap: usize,
     repair_max_rounds: usize,
     /// Internal: keep every scenario's op traces on its outcome (the
     /// static slicing pass consumes them). Collection-only — never part
@@ -62,7 +61,6 @@ impl Config {
             lint_flush_redundancy: false,
             jobs: 1,
             snapshots: true,
-            snapshot_cap: 64 << 20,
             repair_max_rounds: 8,
             collect_traces: false,
         }
@@ -278,13 +276,14 @@ impl Config {
     }
 
     /// Enable crash-point snapshots (default `true`): checkpoint, at
-    /// every failure injection point, the checker state a crash there
+    /// every fresh crash decision, the checker state a crash there
     /// leaves, and restore it to start the scenarios that take that crash
     /// directly at recovery, instead of replaying their
-    /// pre-failure prefix from scratch. Purely a performance setting —
+    /// pre-failure prefix from scratch. A checkpoint lives until the
+    /// subtree below its crash is explored. Purely a performance setting —
     /// [`CheckReport::digest`](crate::CheckReport::digest) is
     /// byte-identical either way. Disable to measure the re-execution
-    /// baseline or to shed the cache's memory footprint.
+    /// baseline or to shed the checkpoints' memory.
     pub fn snapshots(&mut self, yes: bool) -> &mut Self {
         self.snapshots = yes;
         self
@@ -293,21 +292,6 @@ impl Config {
     /// Whether crash-point snapshots are enabled.
     pub fn snapshots_value(&self) -> bool {
         self.snapshots
-    }
-
-    /// Byte budget for the snapshot cache (default 64 MiB), enforced per
-    /// cache — sequential runs own one, parallel runs one per worker.
-    /// Least-recently-used snapshots are evicted once the estimated
-    /// resident footprint exceeds the cap; eviction only costs replays,
-    /// never correctness.
-    pub fn snapshot_cap(&mut self, bytes: usize) -> &mut Self {
-        self.snapshot_cap = bytes;
-        self
-    }
-
-    /// The snapshot-cache byte budget.
-    pub fn snapshot_cap_value(&self) -> usize {
-        self.snapshot_cap
     }
 
     /// Bounds the diagnose → edit → re-check iterations of repair
@@ -350,10 +334,10 @@ impl Config {
     /// A stable fingerprint of every *semantic* knob: two configs with
     /// equal fingerprints explore the same scenario tree and produce
     /// digest-identical reports for the same program. Performance-only
-    /// knobs — `jobs`, `snapshots`, `snapshot_cap` — are deliberately
-    /// excluded, so a serving daemon keying its cross-job cache on
-    /// (program hash, fingerprint) serves one cached result to
-    /// submissions that differ only in worker count or cache sizing.
+    /// knobs — `jobs`, `snapshots` — are deliberately excluded, so a
+    /// serving daemon keying its cross-job result cache on (program
+    /// hash, fingerprint) serves one cached result to submissions that
+    /// differ only in worker count.
     pub fn fingerprint(&self) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         let mut fold = |word: u64| {
@@ -409,7 +393,6 @@ mod tests {
         assert_eq!(c.eviction_value(), EvictionPolicy::Eager);
         assert_eq!(c.jobs_value(), 1, "sequential by default");
         assert!(c.snapshots_value(), "snapshots on by default");
-        assert_eq!(c.snapshot_cap_value(), 64 << 20);
     }
 
     #[test]
@@ -444,9 +427,9 @@ mod tests {
     #[test]
     fn snapshot_builders_chain() {
         let mut c = Config::new();
-        c.snapshots(false).snapshot_cap(1 << 10);
+        c.snapshots(false).jobs(2);
         assert!(!c.snapshots_value());
-        assert_eq!(c.snapshot_cap_value(), 1 << 10);
+        assert_eq!(c.jobs_value(), 2);
     }
 
     #[test]
@@ -482,10 +465,7 @@ mod tests {
     fn fingerprint_ignores_performance_knobs() {
         let base = Config::new().fingerprint();
         let mut c = Config::new();
-        c.jobs(4)
-            .snapshots(false)
-            .snapshot_cap(1 << 10)
-            .repair_max_rounds(3);
+        c.jobs(4).snapshots(false).repair_max_rounds(3);
         assert_eq!(c.fingerprint(), base, "driver knobs excluded");
     }
 

@@ -153,29 +153,17 @@ impl DecisionLog {
         self.decisions.iter().map(|d| d.chosen).collect()
     }
 
-    /// The alternatives prescribed for the upcoming run — the replayed
-    /// prefix, before any fresh decision is appended. This is the plan a
-    /// snapshot lookup matches cached crash-point keys against.
-    pub fn planned_prefix(&self) -> Vec<usize> {
-        self.decisions[..self.prefix_len.min(self.decisions.len())]
-            .iter()
-            .map(|d| d.chosen)
-            .collect()
+    /// Whether decision `index` injects a power failure: a crash
+    /// decision that takes alternative 1.
+    pub fn crashes_at(&self, index: usize) -> bool {
+        self.decisions
+            .get(index)
+            .is_some_and(|d| d.kind == ChoiceKind::Crash && d.chosen == 1)
     }
 
     /// Number of decisions consumed so far in the current run.
     pub fn consumed(&self) -> usize {
         self.cursor
-    }
-
-    /// The alternatives chosen by the decisions consumed so far — the
-    /// snapshot key of the current crash point (its last element is the
-    /// crash decision itself).
-    pub fn consumed_trace(&self) -> Vec<usize> {
-        self.decisions[..self.cursor]
-            .iter()
-            .map(|d| d.chosen)
-            .collect()
     }
 
     /// Copies of the first `len` decisions, with full metadata. Stored
@@ -194,8 +182,8 @@ impl DecisionLog {
     /// # Panics
     ///
     /// Panics if the prefix disagrees with the planned trace in chosen
-    /// alternatives (the snapshot key did not actually prefix the plan)
-    /// or in metadata (a nondeterministic guest program).
+    /// alternatives (the checkpoint was not taken on the plan's path) or
+    /// in metadata (a nondeterministic guest program).
     pub fn adopt_prefix(&mut self, prefix: &[Decision]) {
         assert_eq!(self.cursor, 0, "adopt_prefix requires an unconsumed log");
         assert!(
@@ -206,7 +194,7 @@ impl DecisionLog {
             let d = &mut self.decisions[i];
             assert_eq!(
                 d.chosen, snap.chosen,
-                "snapshot key does not prefix the planned trace at decision {i}"
+                "snapshot prefix does not prefix the planned trace at decision {i}"
             );
             if d.total == usize::MAX {
                 d.total = snap.total;
@@ -398,8 +386,7 @@ mod tests {
         let mut log = DecisionLog::from_trace(&[1, 2]);
         log.adopt_prefix(&prefix);
         assert_eq!(log.consumed(), 1);
-        assert_eq!(log.consumed_trace(), vec![1]);
-        assert_eq!(log.planned_prefix(), vec![1, 2]);
+        assert!(log.crashes_at(0), "the adopted crash is taken");
         // The run continues from the adopted point: the next decision is
         // the ReadFrom one, replaying alternative 2.
         assert_eq!(log.next(3, ChoiceKind::ReadFrom, 1), 2);
@@ -421,12 +408,29 @@ mod tests {
     #[test]
     fn consumed_trace_tracks_the_cursor() {
         let mut log = DecisionLog::new();
-        assert!(log.consumed_trace().is_empty());
+        assert_eq!(log.consumed(), 0);
         log.next(2, ChoiceKind::Crash, 0);
-        assert_eq!(log.consumed_trace(), vec![0]);
         assert_eq!(log.consumed(), 1);
         log.next(3, ChoiceKind::ReadFrom, 1);
-        assert_eq!(log.consumed_trace(), vec![0, 0]);
+        assert_eq!(log.consumed(), 2);
+        let consumed: Vec<usize> = log
+            .prefix_decisions(log.consumed())
+            .iter()
+            .map(|d| d.chosen)
+            .collect();
+        assert_eq!(consumed, vec![0, 0]);
+    }
+
+    #[test]
+    fn crashes_at_names_the_taken_crash_decisions() {
+        let mut log = DecisionLog::new();
+        run(&mut log); // (0, None): the crash decision continues
+        assert!(!log.crashes_at(0));
+        assert!(log.backtrack());
+        run(&mut log); // (1, Some(0)): crash, then a read-from choice
+        assert!(log.crashes_at(0));
+        assert!(!log.crashes_at(1), "a read-from decision never crashes");
+        assert!(!log.crashes_at(2), "past the end");
     }
 
     #[test]

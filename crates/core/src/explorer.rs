@@ -12,13 +12,14 @@
 //!
 //! Re-execution normally replays a scenario's pre-failure prefix from
 //! scratch. With snapshots enabled (the default), the environment instead
-//! checkpoints, at each failure injection point it passes, the checker
-//! state a crash there would leave — where the original system forks,
-//! without a guest process to fork (see `crate::snapshot`). Depth-first
-//! search explores the continue branch first, so when it flips that
-//! decision to crash, the scenario restores the checkpoint and starts
-//! directly at recovery: every guest run is some scenario's last
-//! execution unless the cache evicted the checkpoint.
+//! checkpoints, at each fresh crash decision, the checker state a crash
+//! there would leave — where the original system forks, without a guest
+//! process to fork (see `crate::snapshot`). The walk keeps the
+//! checkpoints of the crash decisions on its current decision path; when
+//! depth-first search flips one of those decisions to crash, each
+//! scenario below it restores the deepest checkpoint its plan takes and
+//! starts directly at recovery, so every guest run is some scenario's
+//! last execution.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -39,7 +40,7 @@ use crate::signal::{
     install_panic_hook, panic_message, take_last_panic_location, with_quiet_panics, AbortSignal,
     CrashSignal,
 };
-use crate::snapshot::{CacheRef, SharedSnapshotCache};
+use crate::snapshot::CheckerSnapshot;
 use crate::Program;
 
 /// Everything one completed failure scenario contributes to the final
@@ -59,6 +60,8 @@ pub(crate) struct ScenarioOutcome {
     /// executions_restored` is the scenario's logical execution count —
     /// invariant across snapshot settings.
     pub executions_restored: usize,
+    /// Crash-point checkpoints this scenario captured.
+    pub checkpoints_captured: usize,
     /// Execution index from which this scenario diverged from its
     /// predecessor (fork-equivalent accounting).
     pub divergence: usize,
@@ -99,40 +102,29 @@ pub(crate) struct ExploreAux {
 }
 
 /// Runs one complete failure scenario steered by `decisions` and returns
-/// its outcome plus the decision log (with alternative counts filled in),
+/// its outcome, the decision log (with alternative counts filled in),
 /// ready for [`DecisionLog::backtrack`] or
-/// [`DecisionLog::sibling_prefixes`].
+/// [`DecisionLog::sibling_prefixes`], and the checkpoints it captured.
 ///
-/// When `snapshots` is provided, the scenario first probes the cache for
-/// the longest snapshot matching its planned decision prefix; a hit skips
-/// replaying that prefix's executions entirely (counted in
-/// `executions_restored`). At every crash-eligible injection point the
-/// scenario passes, the environment checkpoints what a crash there would
-/// leave, so the scenario that later takes that crash starts at recovery.
+/// `checkpoint`, when given, is the checkpoint of the deepest crash the
+/// planned trace takes: the scenario restores it instead of replaying the
+/// executions before that crash (counted in `executions_restored`). With
+/// [`Config::snapshots`] on, every fresh crash decision the scenario makes
+/// captures a checkpoint, returned with the decision's index, for the
+/// scenarios that later take that crash.
 pub(crate) fn run_scenario(
     config: &Config,
     program: &dyn Program,
     decisions: DecisionLog,
-    snapshots: CacheRef<'_>,
-) -> (ScenarioOutcome, DecisionLog) {
-    let mut executions_restored = 0usize;
-    // The restore clones checker state out of the cache under the shard
-    // lock; `decisions` is consumed by whichever constructor runs, so it
-    // rides in an Option the closures take from.
-    let mut log = Some(decisions);
-    let env = match snapshots {
-        Some((cache, group)) => {
-            let planned = log.as_ref().expect("log present").planned_prefix();
-            cache
-                .lookup(group, &planned, |snap| {
-                    executions_restored = snap.executions_saved();
-                    CheckerEnv::from_snapshot(config, log.take().expect("log present"), snap)
-                })
-                .unwrap_or_else(|| CheckerEnv::new(config, log.take().expect("log present")))
-        }
-        None => CheckerEnv::new(config, log.take().expect("log present")),
-    }
-    .with_snapshots(snapshots);
+    checkpoint: Option<&CheckerSnapshot>,
+) -> (ScenarioOutcome, DecisionLog, Vec<(usize, CheckerSnapshot)>) {
+    let (env, executions_restored) = match checkpoint {
+        Some(snap) => (
+            CheckerEnv::from_snapshot(config, decisions, snap),
+            snap.executions_saved(),
+        ),
+        None => (CheckerEnv::new(config, decisions), 0),
+    };
     let mut executions_this_scenario = 0usize;
     let mut scenario_bug: Option<BugReport> = None;
 
@@ -203,6 +195,7 @@ pub(crate) fn run_scenario(
         trace: record.decisions.trace(),
         executions_replayed: executions_this_scenario,
         executions_restored,
+        checkpoints_captured: record.captures.len(),
         divergence: record.decisions.divergence_exec_index(),
         load_choice_points: record.load_choice_points,
         max_rf_set: record.max_rf_set,
@@ -214,7 +207,7 @@ pub(crate) fn run_scenario(
         clean_trace,
         op_traces,
     };
-    (outcome, record.decisions)
+    (outcome, record.decisions, record.captures)
 }
 
 /// The Jaaru model checker.
@@ -246,8 +239,6 @@ pub(crate) fn run_scenario(
 #[derive(Debug)]
 pub struct ModelChecker {
     config: Config,
-    shared_cache: Option<SharedSnapshotCache>,
-    cache_group: u64,
     abort: Option<Arc<AtomicBool>>,
 }
 
@@ -256,8 +247,6 @@ impl ModelChecker {
     pub fn new(config: Config) -> Self {
         ModelChecker {
             config,
-            shared_cache: None,
-            cache_group: 0,
             abort: None,
         }
     }
@@ -270,21 +259,6 @@ impl ModelChecker {
     /// The active configuration.
     pub fn config(&self) -> &Config {
         &self.config
-    }
-
-    /// Uses `cache` for crash-point snapshots instead of a private
-    /// per-run cache, keying this checker's entries under `group`.
-    ///
-    /// A long-lived service shares one cache across jobs: keying the
-    /// group by (program hash, config fingerprint) lets resubmissions of
-    /// the same job reuse each other's snapshots while distinct jobs
-    /// never collide (see [`Config::fingerprint`]). Ignored when
-    /// [`Config::snapshots`] is off. Purely a performance setting —
-    /// results are identical to a cold private cache.
-    pub fn shared_cache(&mut self, cache: SharedSnapshotCache, group: u64) -> &mut Self {
-        self.shared_cache = Some(cache);
-        self.cache_group = group;
-        self
     }
 
     /// Installs a cooperative abort flag: when `flag` becomes `true`,
@@ -316,13 +290,9 @@ impl ModelChecker {
     pub fn check(&self, program: &(dyn Program + Sync)) -> CheckReport {
         let (mut report, aux) = match self.config.effective_jobs() {
             0 | 1 => self.check_sequential(program),
-            jobs => crate::parallel::check_parallel(
-                &self.config,
-                program,
-                jobs,
-                self.shared_cache.as_ref().map(|c| (c, self.cache_group)),
-                self.abort.clone(),
-            ),
+            jobs => {
+                crate::parallel::check_parallel(&self.config, program, jobs, self.abort.clone())
+            }
         };
         // The footprint is complete only when every recovery branch ran:
         // a truncated run may have skipped the one that reads a line.
@@ -346,8 +316,9 @@ impl ModelChecker {
     pub fn slice(&self, program: &(dyn Program + Sync)) -> jaaru_analysis::SliceReport {
         install_panic_hook();
         let mut config = self.config.clone();
-        // `lints(true)` turns per-execution op tracing on.
-        config.lints(true).jobs(1);
+        // `lints(true)` turns per-execution op tracing on. The pass
+        // replays every prefix, so it captures no checkpoints.
+        config.lints(true).jobs(1).snapshots(false);
         config.collect_traces = true;
 
         let mut decisions = DecisionLog::new();
@@ -355,7 +326,7 @@ impl ModelChecker {
         let mut recoveries: Vec<OpTrace> = Vec::new();
         let mut scenarios = 0u64;
         loop {
-            let (mut outcome, log) = run_scenario(&config, program, decisions, None);
+            let (mut outcome, log, _) = run_scenario(&config, program, decisions, None);
             decisions = log;
             scenarios += 1;
             if let Some(trace) = outcome.clean_trace.take() {
@@ -373,25 +344,6 @@ impl ModelChecker {
         jaaru_analysis::SliceReport::build(&traces)
     }
 
-    /// Resolves the snapshot cache a run uses: the installed shared one,
-    /// a fresh private one (created into `local`), or none.
-    pub(crate) fn resolve_cache<'a>(
-        config: &Config,
-        shared: Option<(&'a SharedSnapshotCache, u64)>,
-        local: &'a mut Option<SharedSnapshotCache>,
-    ) -> CacheRef<'a> {
-        if !config.snapshots_value() {
-            return None;
-        }
-        match shared {
-            Some(s) => Some(s),
-            None => {
-                let cache = local.insert(SharedSnapshotCache::new(config.snapshot_cap_value()));
-                Some((cache, 0))
-            }
-        }
-    }
-
     /// The single-threaded depth-first walk over the decision tree.
     fn check_sequential(&self, program: &dyn Program) -> (CheckReport, ExploreAux) {
         install_panic_hook();
@@ -400,22 +352,25 @@ impl ModelChecker {
         let mut decisions = DecisionLog::new();
         let mut acc = ReportAccumulator::new();
         let mut truncated = false;
-        let mut local = None;
-        let cache = Self::resolve_cache(
-            &self.config,
-            self.shared_cache.as_ref().map(|c| (c, self.cache_group)),
-            &mut local,
-        );
-        // On a long-lived shared cache, report only this run's activity.
-        let base = cache.map(|(c, _)| c.stats());
+        // The checkpoints of the crash decisions on the current decision
+        // path, by decision index (ascending).
+        let mut checkpoints: Vec<(usize, CheckerSnapshot)> = Vec::new();
 
         loop {
             if self.aborted() {
                 truncated = true;
                 break;
             }
-            let (outcome, log) = run_scenario(&self.config, program, decisions, cache);
+            // The deepest crash the plan takes.
+            let checkpoint = checkpoints
+                .iter()
+                .rev()
+                .find(|(index, _)| decisions.crashes_at(*index))
+                .map(|(_, snap)| snap);
+            let (outcome, log, captures) =
+                run_scenario(&self.config, program, decisions, checkpoint);
             decisions = log;
+            checkpoints.extend(captures);
             let had_bug = outcome.bug.is_some();
             acc.add(outcome);
 
@@ -433,13 +388,14 @@ impl ModelChecker {
             if !decisions.backtrack() {
                 break;
             }
+            // Backtracking popped every decision past the flipped one:
+            // their subtrees are done.
+            let depth = decisions.prefix_len();
+            checkpoints.truncate(checkpoints.partition_point(|(index, _)| *index < depth));
         }
 
-        let snapshots = cache.map(|(c, _)| {
-            c.stats()
-                .since(&base.expect("base read when cache present"))
-        });
         let aux = acc.take_aux();
+        let snapshots = self.config.snapshots_value();
         (
             acc.into_report(truncated, start.elapsed(), None, snapshots),
             aux,
@@ -824,11 +780,10 @@ mod tests {
 
     #[test]
     fn every_guest_run_is_a_scenarios_last_execution() {
-        // A checkpoint is taken at every injection point, and depth-first
-        // search takes its continue branch before its crash branch. With a
-        // cache that evicts nothing, every scenario restores its last
-        // crash and runs only its final execution, sequential or parallel.
-        // The program is the one of
+        // A checkpoint is taken at every fresh crash decision and handed
+        // to the scenarios that take that crash, so every scenario
+        // restores its last crash and runs only its final execution,
+        // sequential or parallel. The program is the one of
         // `snapshots_halve_guest_runs_on_deep_scenarios`.
         use std::sync::atomic::{AtomicUsize, Ordering};
         let runs = AtomicUsize::new(0);
@@ -848,7 +803,7 @@ mod tests {
         };
         for max_failures in 1..=3 {
             let mut config = small_config();
-            config.max_failures(max_failures).snapshot_cap(1 << 30);
+            config.max_failures(max_failures);
             let mut off = config.clone();
             off.snapshots(false);
             let replayed = ModelChecker::new(off).check(&program);
@@ -861,8 +816,6 @@ mod tests {
                 assert_eq!(report.digest(), replayed.digest(), "{at}");
                 assert_eq!(runs, report.stats.scenarios, "{at}");
                 assert_eq!(runs, report.stats.executions_replayed, "{at}");
-                let stats = report.snapshots.expect("snapshot stats are reported");
-                assert_eq!(stats.evictions, 0, "{at}: {stats}");
             }
         }
     }

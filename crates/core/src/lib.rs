@@ -90,7 +90,6 @@ pub use report::{
     SliceSummary, WorkerStats,
 };
 pub use signal::with_quiet_panics;
-pub use snapshot::SharedSnapshotCache;
 
 // The unified diagnostic framework (lint findings + perf warnings),
 // its SARIF 2.1.0 rendering, and the shared JSON string escaper.
@@ -99,7 +98,7 @@ pub use jaaru_analysis::{
     Diagnostic, DiagnosticKind, DiagnosticSet, FixEdit, Severity, SliceReport,
 };
 
-// Snapshot-cache counters, surfaced through `CheckReport::snapshots`.
+// Crash-point checkpoint counters, surfaced through `CheckReport::snapshots`.
 pub use jaaru_snapshot::SnapshotStats;
 
 // Re-exports for downstream crates (baselines, workloads, benches).

@@ -37,6 +37,7 @@ pub(crate) struct ReportAccumulator {
     race_keys: HashSet<String>,
     diagnostics: DiagnosticSet,
     aux: ExploreAux,
+    snapshots: SnapshotStats,
 }
 
 impl ReportAccumulator {
@@ -56,6 +57,12 @@ impl ReportAccumulator {
         self.stats.executions += (execs - outcome.divergence.min(execs - 1)) as u64;
         self.stats.executions_replayed += outcome.executions_replayed as u64;
         self.stats.executions_restored += outcome.executions_restored as u64;
+        if outcome.executions_restored > 0 {
+            self.snapshots.hits += 1;
+        } else {
+            self.snapshots.misses += 1;
+        }
+        self.snapshots.inserts += outcome.checkpoints_captured as u64;
         self.stats.load_choice_points += outcome.load_choice_points;
         self.stats.max_rf_set = self.stats.max_rf_set.max(outcome.max_rf_set);
         self.stats.failure_points = self.stats.failure_points.max(outcome.failure_points);
@@ -100,13 +107,14 @@ impl ReportAccumulator {
         std::mem::take(&mut self.aux)
     }
 
-    /// Finalizes the report.
+    /// Finalizes the report; `snapshots` says whether the run had
+    /// crash-point snapshots on, so it reports their counters.
     pub fn into_report(
         mut self,
         truncated: bool,
         duration: Duration,
         parallel: Option<ParallelStats>,
-        snapshots: Option<SnapshotStats>,
+        snapshots: bool,
     ) -> CheckReport {
         self.stats.duration = duration;
         CheckReport {
@@ -116,7 +124,7 @@ impl ReportAccumulator {
             stats: self.stats,
             truncated,
             parallel,
-            snapshots,
+            snapshots: snapshots.then_some(self.snapshots),
             slice: None,
         }
     }
@@ -124,16 +132,13 @@ impl ReportAccumulator {
 
 /// Merges the workers' partial results into the final report: sort every
 /// outcome by trace (canonical sequential order), fold them through the
-/// accumulator, and attach the scheduling statistics plus the run's
-/// snapshot-cache counters (read once from the shared cache by the
-/// caller — workers no longer own caches, so there is nothing per-worker
-/// to sum).
+/// accumulator, and attach the scheduling statistics.
 pub(crate) fn merge_partials(
     partials: Vec<WorkerPartial>,
     jobs: usize,
     truncated: bool,
     duration: Duration,
-    snapshots: Option<SnapshotStats>,
+    snapshots: bool,
 ) -> (CheckReport, ExploreAux) {
     let mut workers = Vec::with_capacity(jobs);
     let mut outcomes = Vec::new();

@@ -9,13 +9,13 @@
 //! * [`scheduler`] — partitions the frontier by decision-trace prefix
 //!   and balances it across workers with work stealing, while enforcing
 //!   the scenario/bug budgets through shared atomics;
-//! * [`worker`] — each worker replays its prefixes through the same
+//! * [`worker`] — each worker runs its items through the same
 //!   [`run_scenario`](crate::explorer::run_scenario) machinery the
-//!   sequential walk uses, with a private `PmPool`/TSO machine per
-//!   scenario and a crash-point snapshot cache shared across workers
-//!   (restores are outcome-equivalent to replays, so sharing — sharded,
-//!   with per-shard locking — trades no determinism for reuse of every
-//!   worker's checkpoints);
+//!   sequential walk uses, with a private TSO machine per scenario; an
+//!   item carries the crash-point checkpoint of the deepest crash its
+//!   trace takes, so the scenario starts at its last execution (restores
+//!   are outcome-equivalent to replays, so which worker captured a
+//!   checkpoint never matters);
 //! * [`merge`] — orders every outcome by canonical trace order and folds
 //!   them through the sequential path's accumulator, making the final
 //!   report byte-identical (per [`CheckReport::digest`]) to the
@@ -39,8 +39,7 @@ use crate::config::Config;
 use crate::explorer::ExploreAux;
 use crate::report::CheckReport;
 use crate::signal::install_panic_hook;
-use crate::snapshot::SharedSnapshotCache;
-use crate::{ModelChecker, Program};
+use crate::Program;
 
 use scheduler::Scheduler;
 use worker::worker_loop;
@@ -50,25 +49,17 @@ pub(crate) fn check_parallel(
     config: &Config,
     program: &(dyn Program + Sync),
     jobs: usize,
-    shared: Option<(&SharedSnapshotCache, u64)>,
     abort: Option<Arc<AtomicBool>>,
 ) -> (CheckReport, ExploreAux) {
     install_panic_hook();
     let start = Instant::now();
     let scheduler = Scheduler::new(jobs, config, abort);
 
-    let mut local = None;
-    let cache = ModelChecker::resolve_cache(config, shared, &mut local);
-    // Stats ownership is single-read: the run reads the shared cache's
-    // counters once before and once after, and reports the difference —
-    // never a per-worker sum, so a jointly owned cache is counted once.
-    let base = cache.map(|(c, _)| c.stats());
-
     let partials = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..jobs)
             .map(|worker| {
                 let scheduler = &scheduler;
-                scope.spawn(move || worker_loop(worker, scheduler, config, program, cache))
+                scope.spawn(move || worker_loop(worker, scheduler, config, program))
             })
             .collect();
         handles
@@ -77,16 +68,12 @@ pub(crate) fn check_parallel(
             .collect::<Vec<_>>()
     });
 
-    let snapshots = cache.map(|(c, _)| {
-        c.stats()
-            .since(&base.expect("base read when cache present"))
-    });
     merge::merge_partials(
         partials,
         jobs,
         scheduler.truncated(),
         start.elapsed(),
-        snapshots,
+        config.snapshots_value(),
     )
 }
 
@@ -154,6 +141,8 @@ mod tests {
         let report = ModelChecker::new(config_with_jobs(2)).check(&fan_out_program);
         let stats = report.snapshots.expect("snapshots on by default");
         assert!(stats.inserts > 0, "{stats}");
+        assert_eq!(stats.misses, 1, "only the root item starts cold: {stats}");
+        assert_eq!(stats.hits + stats.misses, report.stats.scenarios);
 
         let mut config = config_with_jobs(2);
         config.snapshots(false);

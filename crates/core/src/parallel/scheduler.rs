@@ -4,7 +4,9 @@
 //! scenario: replaying the prefix (fresh decisions default to
 //! alternative 0) runs exactly one leaf of the decision tree, and the
 //! fresh decisions' untaken alternatives become new items
-//! (`DecisionLog::sibling_prefixes`).
+//! (`DecisionLog::sibling_prefixes`). With snapshots on, an item also
+//! carries the checkpoint of the deepest crash its prefix takes, so the
+//! scenario resumes there instead of replaying.
 //! Starting from the root (empty) prefix, this enumerates every leaf
 //! exactly once, in any order — which is what makes the frontier safe to
 //! distribute.
@@ -32,11 +34,15 @@ use std::sync::{Arc, Mutex};
 
 use crate::config::Config;
 use crate::report::BugKind;
+use crate::snapshot::CheckerSnapshot;
 
 /// One unexplored scenario: the decision-trace prefix that steers to it.
-#[derive(Clone, Debug)]
 pub(crate) struct WorkItem {
     pub trace: Vec<usize>,
+    /// The checkpoint of the deepest crash `trace` takes; `None` for the
+    /// root item and when snapshots are off. Shared by the read-from
+    /// siblings below that crash, and freed when the last of them is done.
+    pub checkpoint: Option<Arc<CheckerSnapshot>>,
 }
 
 /// Shared scheduler state for one parallel check.
@@ -64,10 +70,10 @@ impl Scheduler {
     pub fn new(jobs: usize, config: &Config, abort: Option<Arc<AtomicBool>>) -> Self {
         let mut queues: Vec<Mutex<VecDeque<WorkItem>>> =
             (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-        queues[0]
-            .get_mut()
-            .unwrap()
-            .push_back(WorkItem { trace: Vec::new() });
+        queues[0].get_mut().unwrap().push_back(WorkItem {
+            trace: Vec::new(),
+            checkpoint: None,
+        });
         Scheduler {
             queues,
             pending: AtomicUsize::new(1),

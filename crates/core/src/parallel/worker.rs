@@ -2,20 +2,21 @@
 //!
 //! Each worker is a self-contained sequential checker: it owns its own
 //! [`CheckerEnv`](crate::checker_env::CheckerEnv) — and therefore its
-//! own `PmPool` and TSO machine — per scenario, buffers its outcomes
-//! locally until the merge, and shares only the scheduler and the
-//! snapshot cache with the other workers. The cache is safe to share
-//! because restores are outcome-equivalent to replays: whichever worker
-//! captured a snapshot, restoring it changes performance, never
-//! results.
+//! own TSO machine — per scenario, buffers its outcomes locally until
+//! the merge, and shares only the scheduler with the other workers. A
+//! scenario restores the checkpoint its work item carries, and hands
+//! each checkpoint it captures to the crash sibling of that decision;
+//! read-from siblings inherit the item's own. Restores are
+//! outcome-equivalent to replays, so whichever worker captured a
+//! checkpoint, restoring it changes performance, never results.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::config::Config;
 use crate::decision::DecisionLog;
 use crate::explorer::{bug_dedup_key, run_scenario, ScenarioOutcome};
 use crate::report::WorkerStats;
-use crate::snapshot::CacheRef;
 use crate::Program;
 
 use super::scheduler::{Scheduler, WorkItem};
@@ -32,7 +33,6 @@ pub(crate) fn worker_loop(
     scheduler: &Scheduler,
     config: &Config,
     program: &dyn Program,
-    cache: CacheRef<'_>,
 ) -> WorkerPartial {
     let start = Instant::now();
     let mut stats = WorkerStats {
@@ -62,12 +62,26 @@ pub(crate) fn worker_loop(
             break;
         }
 
-        let (outcome, log) =
-            run_scenario(config, program, DecisionLog::from_trace(&item.trace), cache);
+        let (outcome, log, captures) = run_scenario(
+            config,
+            program,
+            DecisionLog::from_trace(&item.trace),
+            item.checkpoint.as_deref(),
+        );
+        // Both run in decision order, and every capture is at a fresh
+        // crash decision, whose one sibling takes the crash.
+        let mut captures = captures.into_iter().peekable();
         let children = log
             .sibling_prefixes(log.prefix_len())
             .into_iter()
-            .map(|trace| WorkItem { trace })
+            .map(|trace| {
+                let decision = trace.len() - 1;
+                let checkpoint = match captures.next_if(|(index, _)| *index == decision) {
+                    Some((_, snap)) => Some(Arc::new(snap)),
+                    None => item.checkpoint.clone(),
+                };
+                WorkItem { trace, checkpoint }
+            })
             .collect();
         scheduler.push_children(worker, children);
         scheduler.complete();

@@ -19,18 +19,14 @@
 //!    flush made redundant) contribute new edits for the next round,
 //!    up to [`Config::repair_max_rounds`](crate::Config::repair_max_rounds).
 //! 4. **Minimize.** A verified edit set is shrunk to a 1-minimal
-//!    repair with [`minimize_edits`]; every probe is one more (warm)
+//!    repair with [`minimize_edits`]; every probe is one more
 //!    model-checking run, memoized by subset.
 //!
 //! A repair is reported *verified* only when its re-check finds no
 //! bug, no error diagnostic, and no remaining diagnostic with an
 //! applicable edit — advisory warnings without an edit (e.g. a
 //! redundant fence, where deletion could unorder unseen flushes) are
-//! tolerated. Re-checks reuse the crash-point snapshot cache: each
-//! edit subset gets its own cache group (a distinct program variant
-//! must never restore another variant's prefix), and the empty subset
-//! shares the caller's group, so a repair job served by a warm daemon
-//! starts from the plain check's snapshots.
+//! tolerated.
 
 use std::collections::HashMap;
 use std::panic::Location;
@@ -45,7 +41,6 @@ use crate::env::PmEnv;
 use crate::explorer::ModelChecker;
 use crate::program::Program;
 use crate::report::CheckReport;
-use crate::snapshot::SharedSnapshotCache;
 
 /// A [`FixEdit`] with its site string parsed once into the
 /// `(file, line, column)` triple that [`Location`] comparisons need.
@@ -361,12 +356,10 @@ impl RepairOutcome {
 }
 
 /// Drives repair synthesis over a [`ModelChecker`] configuration.
-/// Mirrors the checker's builder surface: an optional shared snapshot
-/// cache (with a base group the per-subset groups are derived from)
-/// and an optional cooperative abort flag.
+/// Mirrors the checker's builder surface: an optional cooperative abort
+/// flag.
 pub struct RepairDriver {
     config: Config,
-    cache: Option<(SharedSnapshotCache, u64)>,
     abort: Option<Arc<AtomicBool>>,
 }
 
@@ -376,18 +369,8 @@ impl RepairDriver {
     pub fn new(config: Config) -> Self {
         RepairDriver {
             config,
-            cache: None,
             abort: None,
         }
-    }
-
-    /// Reuses `cache` across all re-checks. The empty edit subset maps
-    /// to `group` itself (sharing any warm prefixes a plain check of
-    /// the same program left there); every non-empty subset gets a
-    /// group derived from `group` and the subset's content.
-    pub fn shared_cache(&mut self, cache: SharedSnapshotCache, group: u64) -> &mut Self {
-        self.cache = Some((cache, group));
-        self
     }
 
     /// Cooperative cancellation, forwarded to every re-check.
@@ -406,9 +389,6 @@ impl RepairDriver {
             }
             let repaired = RepairedProgram::new(program, edits);
             let mut checker = ModelChecker::new(self.config.clone());
-            if let Some((cache, base)) = &self.cache {
-                checker.shared_cache(cache.clone(), base ^ subset_group(edits));
-            }
             if let Some(flag) = &self.abort {
                 checker.abort_flag(Arc::clone(flag));
             }
@@ -483,8 +463,7 @@ impl RepairDriver {
     }
 }
 
-/// One-shot repair synthesis with a private snapshot cache per
-/// re-check: `RepairDriver::new(config).synthesize(program)`.
+/// One-shot repair synthesis: `RepairDriver::new(config).synthesize(program)`.
 pub fn synthesize_repair(config: &Config, program: &(dyn Program + Sync)) -> RepairOutcome {
     RepairDriver::new(config.clone()).synthesize(program)
 }
@@ -562,25 +541,6 @@ fn absorb(diagnosed: &mut Vec<Diagnostic>, report: &CheckReport) {
             diagnosed.push(d.clone());
         }
     }
-}
-
-/// FNV-1a over the edit set's rendered form, used to derive a snapshot
-/// cache group per program variant. The empty subset maps to `0` so
-/// `base ^ 0 == base`: the baseline re-check shares the caller's group.
-fn subset_group(edits: &[FixEdit]) -> u64 {
-    if edits.is_empty() {
-        return 0;
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for e in edits {
-        for b in e.to_string().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -721,23 +681,5 @@ mod tests {
             "{:?}",
             repaired.diagnostics
         );
-    }
-
-    #[test]
-    fn cached_rechecks_share_the_baseline_group() {
-        let cache = SharedSnapshotCache::new(1 << 20);
-        let mut driver = RepairDriver::new(lint_config());
-        driver.shared_cache(cache.clone(), 0x1234);
-        let a = driver.synthesize(&missing_flush);
-        let warm = cache.stats();
-        let b = driver.synthesize(&missing_flush);
-        assert_eq!(a.edits, b.edits);
-        assert_eq!(a.verified, b.verified);
-        assert!(
-            cache.stats().hits > warm.hits,
-            "second synthesis must hit the warm cache"
-        );
-        assert_eq!(subset_group(&[]), 0);
-        assert_ne!(subset_group(&a.edits), 0);
     }
 }

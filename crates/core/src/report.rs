@@ -171,7 +171,7 @@ pub struct WorkerStats {
     pub executions: u64,
     /// `Program::run` invocations this worker actually performed.
     pub executions_replayed: u64,
-    /// Prefix executions this worker skipped via its snapshot cache.
+    /// Prefix executions this worker skipped by restoring checkpoints.
     pub executions_restored: u64,
     /// Work items this worker stole from another worker's queue.
     pub steals: u64,
@@ -247,12 +247,12 @@ pub struct CheckReport {
     /// [`Config::jobs`](crate::Config::jobs) > 1; `None` for sequential
     /// runs.
     pub parallel: Option<ParallelStats>,
-    /// Snapshot-cache activity attributed to this run (read once from
-    /// the run's — possibly shared — cache, as a delta over its counters
-    /// at run start); `None` when snapshots were disabled. Excluded from
-    /// [`digest`](Self::digest): cache contents and worker scheduling
-    /// make hit/eviction counts nondeterministic, while the explored
-    /// scenario set is not.
+    /// Crash-point checkpoint counters of this run: `hits` counts
+    /// scenarios restored from a checkpoint, `misses` scenarios run from
+    /// the start, `inserts` checkpoints captured, and the other axes read
+    /// 0; `None` when snapshots were disabled. Excluded from
+    /// [`digest`](Self::digest): they describe how the run was executed,
+    /// not what it explored.
     pub snapshots: Option<SnapshotStats>,
     /// Always `None`: kept only for the benchmark harness's reader (see
     /// [`SliceSummary`]).
@@ -354,9 +354,9 @@ impl CheckReport {
     }
 
     /// [`to_json`](Self::to_json) restricted to the run-invariant view:
-    /// wall-clock time and snapshot-cache counters are omitted, so two
-    /// runs of the same program and configuration — at any worker count,
-    /// with any cache state, absent truncation — produce byte-identical
+    /// wall-clock time and snapshot counters are omitted, so two runs
+    /// of the same program and configuration — at any worker count, with
+    /// snapshots on or off, absent truncation — produce byte-identical
     /// output. This is the artifact contract of the serving daemon
     /// (`--format json-canonical`): a cached reply must match a freshly
     /// computed one to the byte.

@@ -137,14 +137,14 @@ impl Reproducer {
                 other => return Err(format!("unknown key {other:?}")),
             }
         }
-        let program = GenProgram::from_parts(
+        let program = GenProgram::try_from_parts(
             seed.ok_or("missing seed")?,
             layout_lines.ok_or("missing lines")?,
             ops,
             commit.ok_or("missing commit")?,
             fault,
-        )
-        .with_class(class);
+            class,
+        )?;
         Ok(Reproducer {
             name: name.ok_or("missing name")?,
             axis: axis.ok_or("missing axis")?,
@@ -236,6 +236,41 @@ mod tests {
         let mut text = sample().to_text();
         text = text.replace("op: store", "op: warble");
         assert!(Reproducer::parse(&text).is_err());
+
+        // Well-formed lines whose values break the program layout are
+        // errors too, not panics.
+        let repro = |fields: &str| {
+            format!("{MAGIC}\nname: bad\nseed: 1\naxis: seeded-fault\n{fields}trace:\ndigest:\n")
+        };
+        for (fields, error) in [
+            ("lines: 0\ncommit: true\n", "lines out of range"),
+            (
+                "lines: 3\ncommit: true\nfault: 7\n",
+                "fault line out of range",
+            ),
+            (
+                "lines: 3\ncommit: false\nfault: 1\n",
+                "a seeded fault requires the commit epilogue",
+            ),
+            (
+                "lines: 3\ncommit: true\nfault: 0\nclass: torn\n",
+                "a torn fault must be on the last data line",
+            ),
+            (
+                "lines: 1\ncommit: true\nop: store 2 0 5\n",
+                "op line out of range: store 2 0 5",
+            ),
+            (
+                "lines: 1\ncommit: true\nop: load 0 9\n",
+                "op slot out of range: load 0 9",
+            ),
+        ] {
+            assert_eq!(
+                Reproducer::parse(&repro(fields)),
+                Err(error.to_string()),
+                "{fields}"
+            );
+        }
     }
 
     #[test]
@@ -253,6 +288,14 @@ mod tests {
             loaded,
             vec![b, a],
             "sorted by file name, non-.repro ignored"
+        );
+        let bad = dir.join("bad.repro");
+        let good = sample();
+        let lines = format!("lines: {}", good.program.lines);
+        fs::write(&bad, good.to_text().replace(&lines, "lines: 0")).unwrap();
+        assert_eq!(
+            load_dir(&dir),
+            Err(format!("{}: lines out of range", bad.display()))
         );
         fs::remove_dir_all(&dir).unwrap();
         assert_eq!(load_dir(&dir).unwrap(), vec![]);

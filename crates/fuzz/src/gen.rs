@@ -287,8 +287,13 @@ const TORN_MARK: u64 = 0xAAAA_BBBB_CCCC_DDDD;
 type Histories = Vec<Vec<Vec<u64>>>;
 
 impl GenProgram {
-    /// Builds a program from explicit parts (corpus deserialization and
-    /// the minimizer; generation goes through [`generate`]).
+    /// Builds a program from explicit parts (the minimizer and tests;
+    /// generation goes through [`generate`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parts break a layout invariant (see
+    /// [`try_from_parts`](Self::try_from_parts)).
     pub fn from_parts(
         seed: u64,
         lines: usize,
@@ -296,50 +301,45 @@ impl GenProgram {
         commit: bool,
         fault: Option<u8>,
     ) -> GenProgram {
-        assert!((1..=MAX_LINES).contains(&lines), "lines out of range");
-        assert!(
-            fault.is_none() || commit,
-            "a seeded fault requires the commit epilogue"
-        );
-        if let Some(f) = fault {
-            assert!((f as usize) < lines, "fault line out of range");
-        }
-        for op in &ops {
-            if let Some((line, slot)) = op.touches() {
-                assert!((line as usize) < lines, "op line out of range: {op}");
-                if let Some(slot) = slot {
-                    assert!(
-                        (slot as usize) < SLOTS_PER_LINE,
-                        "op slot out of range: {op}"
-                    );
-                }
-            }
-        }
-        GenProgram {
+        Self::try_from_parts(seed, lines, ops, commit, fault, FaultClass::MissingFlush)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a program from explicit parts, or says which layout
+    /// invariant they break (`lines` in range, faults and ops inside the
+    /// layout). Corpus deserialization goes through here, so a malformed
+    /// file is an error, never a panic.
+    pub fn try_from_parts(
+        seed: u64,
+        lines: usize,
+        ops: Vec<Op>,
+        commit: bool,
+        fault: Option<u8>,
+        class: FaultClass,
+    ) -> Result<GenProgram, String> {
+        let program = GenProgram {
             seed,
             lines,
             ops,
             commit,
             fault,
-            fault_class: FaultClass::MissingFlush,
+            fault_class: class,
             name: format!("fuzz-{seed:#x}"),
-        }
+        };
+        program.check()?;
+        Ok(program)
     }
 
-    /// Sets the fault class (builder-style; generation and corpus
-    /// deserialization). A torn fault must sit on the last data line —
-    /// its straddling store targets the line past the layout.
+    /// Sets the fault class (builder-style; generation and the
+    /// minimizer). A torn fault must sit on the last data line — its
+    /// straddling store targets the line past the layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a torn fault anywhere else.
     pub fn with_class(mut self, class: FaultClass) -> GenProgram {
-        if class == FaultClass::Torn {
-            if let Some(f) = self.fault {
-                assert_eq!(
-                    f as usize,
-                    self.lines - 1,
-                    "a torn fault must be on the last data line"
-                );
-            }
-        }
         self.fault_class = class;
+        self.check().unwrap_or_else(|e| panic!("{e}"));
         self
     }
 
@@ -538,6 +538,42 @@ impl Program for GenProgram {
 
     fn name(&self) -> &str {
         &self.name
+    }
+}
+
+// Defined below the guest code: committed corpus digests name the source
+// lines of `body` and `recover`.
+impl GenProgram {
+    /// The layout invariants every program satisfies: `lines` within
+    /// `1..=MAX_LINES`, a fault only with the commit epilogue and on a
+    /// data line, a torn fault on the last data line, and every op inside
+    /// the layout.
+    fn check(&self) -> Result<(), String> {
+        if !(1..=MAX_LINES).contains(&self.lines) {
+            return Err("lines out of range".into());
+        }
+        if let Some(f) = self.fault {
+            if !self.commit {
+                return Err("a seeded fault requires the commit epilogue".into());
+            }
+            if f as usize >= self.lines {
+                return Err("fault line out of range".into());
+            }
+            if self.fault_class == FaultClass::Torn && f as usize != self.lines - 1 {
+                return Err("a torn fault must be on the last data line".into());
+            }
+        }
+        for op in &self.ops {
+            if let Some((line, slot)) = op.touches() {
+                if line as usize >= self.lines {
+                    return Err(format!("op line out of range: {op}"));
+                }
+                if slot.is_some_and(|slot| slot as usize >= SLOTS_PER_LINE) {
+                    return Err(format!("op slot out of range: {op}"));
+                }
+            }
+        }
+        Ok(())
     }
 }
 

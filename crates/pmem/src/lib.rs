@@ -37,4 +37,4 @@ mod pool;
 
 pub use addr::{CacheLineId, PmAddr, CACHE_LINE_SIZE, NULL_PAGE_SIZE};
 pub use error::PmError;
-pub use pool::{PmPool, PoolCheckpoint};
+pub use pool::PmPool;

@@ -197,57 +197,6 @@ impl PmPool {
     pub fn as_bytes_mut(&mut self) -> &mut [u8] {
         &mut self.bytes
     }
-
-    /// Captures the pool's full state — contents and bump cursor — as a
-    /// [`PoolCheckpoint`] that [`restore`](Self::restore) can later roll
-    /// back to. This is the pool half of the snapshot subsystem: a
-    /// checkpoint taken at a crash point stands in for the `fork()`-based
-    /// rollback of the original Jaaru.
-    pub fn checkpoint(&self) -> PoolCheckpoint {
-        PoolCheckpoint {
-            bytes: self.bytes.clone(),
-            bump: self.bump,
-        }
-    }
-
-    /// Rolls the pool back to a previously captured checkpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint was taken from a pool of a different
-    /// size.
-    pub fn restore(&mut self, checkpoint: &PoolCheckpoint) {
-        assert_eq!(
-            self.bytes.len(),
-            checkpoint.bytes.len(),
-            "checkpoint belongs to a pool of a different size"
-        );
-        self.bytes.copy_from_slice(&checkpoint.bytes);
-        self.bump = checkpoint.bump;
-    }
-}
-
-/// A captured [`PmPool`] state (contents + bump cursor), produced by
-/// [`PmPool::checkpoint`] and consumed by [`PmPool::restore`]. Restoring
-/// copies — the checkpoint itself is immutable and reusable, so one
-/// checkpoint can seed any number of post-failure replays.
-#[derive(Clone, Debug)]
-pub struct PoolCheckpoint {
-    bytes: Vec<u8>,
-    bump: u64,
-}
-
-impl PoolCheckpoint {
-    /// Size of the checkpointed pool in bytes.
-    pub fn pool_size(&self) -> u64 {
-        self.bytes.len() as u64
-    }
-
-    /// Approximate heap footprint of the checkpoint, for snapshot cache
-    /// accounting.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.bytes.len()
-    }
 }
 
 #[cfg(test)]
@@ -345,48 +294,5 @@ mod tests {
         pool.reset_bump();
         let again = pool.alloc(8, 8).unwrap();
         assert_eq!(first, again);
-    }
-
-    #[test]
-    fn checkpoint_round_trips_contents_and_bump() {
-        let mut pool = PmPool::new(512);
-        let root = pool.root();
-        pool.write(root, b"before").unwrap();
-        let a = pool.alloc(8, 8).unwrap();
-        let saved = pool.checkpoint();
-        assert_eq!(saved.pool_size(), 512);
-        assert!(saved.approx_bytes() >= 512);
-
-        pool.write(root, b"mutate").unwrap();
-        pool.alloc(64, 8).unwrap();
-        pool.restore(&saved);
-
-        let mut buf = [0u8; 6];
-        pool.read(root, &mut buf).unwrap();
-        assert_eq!(&buf, b"before");
-        // The bump cursor rolled back too: the next alloc lands where it
-        // would have right after the checkpoint.
-        assert_eq!(pool.alloc(8, 8).unwrap(), a + 8);
-    }
-
-    #[test]
-    fn checkpoint_is_reusable_across_restores() {
-        let mut pool = PmPool::new(512);
-        let root = pool.root();
-        pool.write_u8(root, 1).unwrap();
-        let saved = pool.checkpoint();
-        for round in 2..5u8 {
-            pool.write_u8(root, round).unwrap();
-            pool.restore(&saved);
-            assert_eq!(pool.read_u8(root).unwrap(), 1);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different size")]
-    fn checkpoint_from_another_pool_size_is_rejected() {
-        let small = PmPool::new(256);
-        let mut big = PmPool::new(512);
-        big.restore(&small.checkpoint());
     }
 }

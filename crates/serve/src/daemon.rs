@@ -1,5 +1,5 @@
-//! The daemon itself: admission, the executor loop, the two shared
-//! cache layers, reply envelopes, and the two front ends (a Unix domain
+//! The daemon itself: admission, the executor loop, the cross-job
+//! result cache, reply envelopes, and the two front ends (a Unix domain
 //! socket serve loop and an offline `--batch` mode for CI).
 //!
 //! ## Wire protocol
@@ -30,12 +30,12 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use jaaru::{json_string, SharedSnapshotCache};
-use jaaru_snapshot::{ShardedCache, SnapshotStats};
+use jaaru::json_string;
+use jaaru_snapshot::{SnapshotCache, SnapshotStats};
 
 use crate::exec::{execute, job_config, CachedReply};
 use crate::job::{JobSpec, Request};
@@ -43,9 +43,6 @@ use crate::json::parse;
 use crate::metrics::{JobStatus, Metrics};
 use crate::queue::{BoundedQueue, CancelRegistry, DEFAULT_QUEUE_CAP};
 
-/// Default byte budget for the shared snapshot-prefix cache (matches
-/// the one-shot checker's default snapshot cap).
-pub const DEFAULT_SNAPSHOT_CAP: usize = 64 << 20;
 /// Default byte budget for the cross-job result cache.
 pub const DEFAULT_RESULT_CAP: usize = 16 << 20;
 
@@ -56,8 +53,6 @@ pub struct ServeOptions {
     pub queue_cap: usize,
     /// Worker threads for jobs that do not set `"jobs"` themselves.
     pub default_jobs: usize,
-    /// Byte budget for the shared snapshot-prefix cache.
-    pub snapshot_cap: usize,
     /// Byte budget for the cross-job result cache.
     pub result_cap: usize,
 }
@@ -67,7 +62,6 @@ impl Default for ServeOptions {
         ServeOptions {
             queue_cap: DEFAULT_QUEUE_CAP,
             default_jobs: 1,
-            snapshot_cap: DEFAULT_SNAPSHOT_CAP,
             result_cap: DEFAULT_RESULT_CAP,
         }
     }
@@ -96,7 +90,7 @@ pub enum LineAction {
 }
 
 /// The checking service: admission control, a single executor draining
-/// the bounded queue, and the two shared cache layers. One instance is
+/// the bounded queue, and the cross-job result cache. One instance is
 /// shared (via `Arc`) between the socket/batch front ends and the
 /// executor thread.
 pub struct Daemon {
@@ -104,8 +98,9 @@ pub struct Daemon {
     queue: BoundedQueue<QueuedJob>,
     cancels: CancelRegistry,
     metrics: Metrics,
-    snapshots: SharedSnapshotCache,
-    results: ShardedCache<CachedReply>,
+    /// Completed replies by result group. Only the executor touches it;
+    /// the lock lets `stats` requests read its counters.
+    results: Mutex<SnapshotCache<CachedReply>>,
     next_ordinal: AtomicU64,
     shutting_down: AtomicBool,
 }
@@ -117,8 +112,7 @@ impl Daemon {
             queue: BoundedQueue::new(opts.queue_cap),
             cancels: CancelRegistry::new(),
             metrics: Metrics::new(),
-            snapshots: SharedSnapshotCache::new(opts.snapshot_cap),
-            results: ShardedCache::new(opts.result_cap),
+            results: Mutex::new(SnapshotCache::new(opts.result_cap)),
             next_ordinal: AtomicU64::new(1),
             shutting_down: AtomicBool::new(false),
         }
@@ -126,11 +120,6 @@ impl Daemon {
 
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// The shared snapshot-prefix cache (exposed for benches/tests).
-    pub fn snapshot_cache(&self) -> &SharedSnapshotCache {
-        &self.snapshots
     }
 
     pub fn shutting_down(&self) -> bool {
@@ -145,15 +134,17 @@ impl Daemon {
         self.queue.close();
     }
 
-    /// Both cache layers' counters in one [`SnapshotStats`]: base axes
-    /// are the snapshot-prefix cache, `shared_*` axes the result cache.
+    /// The result cache's counters in the `shared_*` axes of a
+    /// [`SnapshotStats`]; the other axes read 0 (checks share no
+    /// checkpoints across jobs).
     pub fn cache_stats(&self) -> SnapshotStats {
-        let mut stats = self.snapshots.stats();
-        let results = self.results.stats();
-        stats.shared_hits += results.hits;
-        stats.shared_misses += results.misses;
-        stats.shared_evictions += results.evictions;
-        stats
+        let results = self.results().stats();
+        SnapshotStats {
+            shared_hits: results.hits,
+            shared_misses: results.misses,
+            shared_evictions: results.evictions,
+            ..SnapshotStats::default()
+        }
     }
 
     fn render_metrics(&self) -> String {
@@ -269,7 +260,7 @@ impl Daemon {
 
     fn process(&self, job: QueuedJob) {
         self.metrics.dequeued();
-        let config = job_config(&job.spec, Some(self.opts.snapshot_cap));
+        let config = job_config(&job.spec, None);
         let result_group = job.spec.result_group(&config);
 
         // Cancellation beats the cache: a cancelled duplicate must not
@@ -281,22 +272,18 @@ impl Daemon {
                 Some("cancelled before execution".to_string()),
                 false,
             )
-        } else if let Some(hit) = self
-            .results
-            .get(result_group, &[], |r: &CachedReply| r.clone())
-        {
+        } else if let Some(hit) = self.cached(result_group) {
             (hit.status, Some(hit.artifact), None, true)
         } else {
-            let outcome = execute(&job.spec, &config, &self.snapshots, &job.cancel);
+            let outcome = execute(&job.spec, &config, &job.cancel);
             if outcome.retried {
                 self.metrics.retried();
             }
             if let (JobStatus::Ok | JobStatus::Violation, Some(artifact)) =
                 (outcome.status, outcome.artifact.as_ref())
             {
-                self.results.insert(
+                self.results().insert(
                     result_group,
-                    Vec::new(),
                     CachedReply {
                         status: outcome.status,
                         artifact: artifact.clone(),
@@ -316,6 +303,18 @@ impl Daemon {
             error.as_deref(),
         ));
         self.cancels.deregister(&job.id);
+    }
+
+    /// The cached reply of `result_group`, if any: cloned, so the lock is
+    /// released before a miss runs the job and inserts its reply.
+    fn cached(&self, result_group: u64) -> Option<CachedReply> {
+        self.results().get(result_group).cloned()
+    }
+
+    fn results(&self) -> MutexGuard<'_, SnapshotCache<CachedReply>> {
+        self.results
+            .lock()
+            .expect("only a lookup or an insert runs under the result-cache lock")
     }
 }
 

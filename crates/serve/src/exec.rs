@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use jaaru::{
     to_sarif_with_verified, CheckReport, Config, FixEdit, ModelChecker, Program, RepairDriver,
-    RepairOutcome, SharedSnapshotCache,
+    RepairOutcome,
 };
 use jaaru_bench::registry::{
     lockfree_bug_cases, lockfree_fixed_cases, pmdk_bug_cases, pmdk_fixed_cases, recipe_bug_cases,
@@ -83,18 +83,19 @@ impl SnapshotPayload for CachedReply {
 }
 
 /// Builds the checker configuration for a job — the same knobs
-/// `jaaru_cli` sets for its one-shot subcommands, so cache groups and
+/// `jaaru_cli` sets for its one-shot subcommands, so result groups and
 /// artifacts line up between the two front ends.
-pub fn job_config(spec: &JobSpec, snapshot_cap: Option<usize>) -> Config {
+///
+/// The second argument is retired and ignored: it was the snapshot
+/// cache's byte budget, and checkpoints are no longer cached. It stays
+/// only so existing callers keep compiling.
+pub fn job_config(spec: &JobSpec, _retired: Option<usize>) -> Config {
     let mut c = Config::new();
     c.pool_size(1 << 18)
         .max_ops_per_execution(40_000)
         .max_scenarios(20_000)
         .jobs(spec.jobs)
         .snapshots(true);
-    if let Some(cap) = snapshot_cap {
-        c.snapshot_cap(cap);
-    }
     if spec.lint() {
         c.lints(true)
             .lint_cross_thread(true)
@@ -184,12 +185,7 @@ fn verdict(report: &CheckReport) -> JobStatus {
 /// `deadline` the same way, and a watchdog thread trips the cooperative
 /// stop once the deadline passes. A panicking run is caught and retried
 /// once; a second panic is a `failed` outcome.
-pub fn execute(
-    spec: &JobSpec,
-    config: &Config,
-    snapshots: &SharedSnapshotCache,
-    cancel: &Arc<AtomicBool>,
-) -> JobOutcome {
+pub fn execute(spec: &JobSpec, config: &Config, cancel: &Arc<AtomicBool>) -> JobOutcome {
     if cancel.load(Ordering::Relaxed) {
         return JobOutcome {
             status: JobStatus::Cancelled,
@@ -257,9 +253,7 @@ pub fn execute(
             }
             if spec.kind == JobKind::Repair {
                 let mut driver = RepairDriver::new(config.clone());
-                driver
-                    .shared_cache(snapshots.clone(), spec.snapshot_group(config))
-                    .abort_flag(Arc::clone(cancel));
+                driver.abort_flag(Arc::clone(cancel));
                 let outcome = driver.synthesize(&*program);
                 let status = if outcome.verified {
                     JobStatus::Ok
@@ -269,9 +263,7 @@ pub fn execute(
                 return (status, render_repair(&outcome, spec.format));
             }
             let mut checker = ModelChecker::new(config.clone());
-            checker
-                .shared_cache(snapshots.clone(), spec.snapshot_group(config))
-                .abort_flag(Arc::clone(cancel));
+            checker.abort_flag(Arc::clone(cancel));
             let report = checker.check(&*program);
             (verdict(&report), render(&report, spec.format))
         }));
@@ -415,8 +407,7 @@ mod tests {
 
     fn run(spec: &JobSpec) -> JobOutcome {
         let config = job_config(spec, None);
-        let cache = SharedSnapshotCache::new(1 << 20);
-        execute(spec, &config, &cache, &Arc::new(AtomicBool::new(false)))
+        execute(spec, &config, &Arc::new(AtomicBool::new(false)))
     }
 
     #[test]
@@ -447,9 +438,8 @@ mod tests {
     fn precancelled_job_never_runs() {
         let spec = spec(r#"{"kind":"check","benchmark":"p-clht"}"#);
         let config = job_config(&spec, None);
-        let cache = SharedSnapshotCache::new(1 << 20);
         let cancel = Arc::new(AtomicBool::new(true));
-        let out = execute(&spec, &config, &cache, &cancel);
+        let out = execute(&spec, &config, &cancel);
         assert_eq!(out.status, JobStatus::Cancelled);
         assert!(out.artifact.is_none(), "fails closed");
     }

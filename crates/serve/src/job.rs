@@ -361,21 +361,13 @@ impl JobSpec {
         hash
     }
 
-    /// The group key this job's *snapshot prefixes* live under in the
-    /// shared cache: (program, semantic config) — format excluded, so a
-    /// JSON and a SARIF submission of the same job warm each other.
-    pub fn snapshot_group(&self, config: &Config) -> u64 {
+    /// The key this job's *result* lives under in the daemon's result
+    /// cache: (program, semantic config, kind, artifact format) — a lint
+    /// and a check of the same program produce different artifacts, as
+    /// do JSON and SARIF.
+    pub fn result_group(&self, config: &Config) -> u64 {
         let mut hash = self.program_hash();
         fnv1a(&mut hash, &config.fingerprint().to_le_bytes());
-        hash
-    }
-
-    /// The group key this job's *result* lives under in the shared
-    /// cache: the snapshot group plus the artifact format and kind (a
-    /// lint and a check of the same program produce different
-    /// artifacts, as do JSON and SARIF).
-    pub fn result_group(&self, config: &Config) -> u64 {
-        let mut hash = self.snapshot_group(config);
         fnv1a(&mut hash, self.kind.as_str().as_bytes());
         fnv1a(&mut hash, self.format.as_str().as_bytes());
         hash
@@ -461,8 +453,8 @@ mod tests {
         assert!(matches!(by_row.workload, Workload::Row { .. }));
         assert!(req(r#"{"kind":"repair"}"#).is_err());
 
-        // A repair and a lint of the same row share snapshots but not
-        // results: the artifacts differ.
+        // A repair and a lint of the same row share no result: the
+        // artifacts differ.
         let config = Config::new();
         let lint = job(r#"{"kind":"lint","suite":"recipe","row":3}"#);
         assert_ne!(by_row.result_group(&config), lint.result_group(&config));
@@ -507,12 +499,13 @@ mod tests {
     }
 
     #[test]
-    fn result_group_separates_format_and_kind_but_snapshot_group_does_not() {
+    fn result_group_separates_format_and_kind() {
         let config = Config::new();
         let json = job(r#"{"kind":"bug","suite":"recipe","row":10}"#);
         let sarif = job(r#"{"kind":"bug","suite":"recipe","row":10,"format":"sarif"}"#);
-        assert_eq!(json.snapshot_group(&config), sarif.snapshot_group(&config));
         assert_ne!(json.result_group(&config), sarif.result_group(&config));
+        let lint = job(r#"{"kind":"lint","suite":"recipe","row":10}"#);
+        assert_ne!(json.result_group(&config), lint.result_group(&config));
     }
 
     #[test]

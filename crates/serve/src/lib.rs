@@ -17,13 +17,12 @@
 //!   knob), with panics isolated into `failed` replies, one retry for
 //!   transient failures, and cooperative deadline/cancellation stops at
 //!   scenario boundaries.
-//! - **Shared cross-job cache**: completed `ok`/`violation` artifacts
-//!   are replayed byte-identically for duplicate submissions, and all
-//!   jobs share one sharded snapshot-prefix cache
-//!   ([`jaaru::SharedSnapshotCache`]), so a resubmitted or related job
-//!   restores crash-point prefixes other jobs already paid for.
+//! - **Cross-job result cache**: completed `ok`/`violation` artifacts
+//!   are replayed byte-identically for duplicate submissions. Checks
+//!   share nothing else: each one's crash-point checkpoints live and die
+//!   with its own exploration.
 //! - **Service metrics** ([`metrics`]): queue depth, per-status
-//!   completion counts, cache hit rates for both layers, and p50/p99
+//!   completion counts, the result cache's hit rate, and p50/p99
 //!   latency, rendered deterministically into every reply envelope and
 //!   on demand via a `stats` request.
 //!

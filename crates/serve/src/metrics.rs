@@ -133,10 +133,8 @@ impl Metrics {
     }
 
     /// Renders the metrics snapshot as a single-line JSON object with
-    /// sorted keys. `caches` carries both shared cache layers' counters
-    /// in one [`SnapshotStats`]: the base axes are the snapshot-prefix
-    /// cache, the `shared_*` axes the cross-job result cache (see
-    /// `Daemon::cache_stats`).
+    /// sorted keys. `caches` carries the cross-job result cache's
+    /// counters in its `shared_*` axes (see `Daemon::cache_stats`).
     pub fn render(&self, caches: &SnapshotStats) -> String {
         let m = self.lock();
         let mut lat = m.latencies.clone();
@@ -145,8 +143,7 @@ impl Metrics {
         let completed = m.ok + m.violation + m.failed + m.cancelled + m.deadline;
         format!(
             concat!(
-                "{{\"cache\":{{\"result_evictions\":{},\"result_hits\":{},\"result_misses\":{},",
-                "\"snapshot_evictions\":{},\"snapshot_hits\":{},\"snapshot_misses\":{}}},",
+                "{{\"cache\":{{\"result_evictions\":{},\"result_hits\":{},\"result_misses\":{}}},",
                 "\"jobs\":{{\"admitted\":{},\"cancelled\":{},\"completed\":{},",
                 "\"deadline\":{},\"failed\":{},\"ok\":{},\"rejected\":{},",
                 "\"retries\":{},\"violation\":{}}},",
@@ -156,9 +153,6 @@ impl Metrics {
             caches.shared_evictions,
             caches.shared_hits,
             caches.shared_misses,
-            caches.evictions,
-            caches.hits,
-            caches.misses,
             m.admitted,
             m.cancelled,
             completed,
@@ -195,8 +189,6 @@ mod tests {
         assert_eq!(metrics.result_hits(), 1);
 
         let caches = SnapshotStats {
-            hits: 7,
-            misses: 3,
             shared_hits: 1,
             shared_misses: 1,
             ..SnapshotStats::default()
@@ -212,11 +204,7 @@ mod tests {
         let cache = v.get("cache").unwrap();
         assert_eq!(cache.get("result_hits").and_then(Value::as_u64), Some(1));
         assert_eq!(cache.get("result_misses").and_then(Value::as_u64), Some(1));
-        assert_eq!(cache.get("snapshot_hits").and_then(Value::as_u64), Some(7));
-        assert_eq!(
-            cache.get("snapshot_misses").and_then(Value::as_u64),
-            Some(3)
-        );
+        assert!(cache.get("snapshot_hits").is_none(), "no snapshot cache");
         let queue = v.get("queue").unwrap();
         assert_eq!(queue.get("depth").and_then(Value::as_u64), Some(0));
         assert_eq!(queue.get("peak").and_then(Value::as_u64), Some(2));

@@ -15,7 +15,6 @@
 //! execution's storage, which snapshot capture and restore make, share the
 //! log and copy only the intervals.
 
-use std::mem::size_of;
 use std::sync::Arc;
 
 use jaaru_pmem::{CacheLineId, PmAddr, CACHE_LINE_SIZE};
@@ -104,8 +103,6 @@ struct StoreLog {
     slots: LineMap<CacheLineId, u32>,
     lines: Vec<LineLog>,
     events: Vec<StoreEvent>,
-    /// Heap footprint estimate, kept up to date as stores are logged.
-    bytes: usize,
 }
 
 impl StoreLog {
@@ -116,7 +113,6 @@ impl StoreLog {
         let slot = *self.slots.entry(line).or_insert(next as u32) as usize;
         if slot == next {
             self.lines.push(LineLog::new(line));
-            self.bytes += size_of::<(CacheLineId, u32)>() + size_of::<LineLog>();
             intervals.push(FlushInterval::unconstrained());
         }
         slot
@@ -191,11 +187,9 @@ impl ExecutionStorage {
             let n = rest.len().min(CACHE_LINE_SIZE - off);
             let slot = log.slot_mut(at.cache_line(), &mut self.intervals);
             log.lines[slot].push(seq, id, off, &rest[..n]);
-            log.bytes += size_of::<LineStore>() + n;
             at = at + n as u64;
             rest = &rest[n..];
         }
-        log.bytes += size_of::<StoreEvent>();
         log.events.push(StoreEvent {
             addr,
             len: u32::try_from(bytes.len()).expect("store width fits in u32"),
@@ -295,15 +289,6 @@ impl ExecutionStorage {
             );
         }
         points
-    }
-
-    /// Approximate heap footprint of this storage in bytes, for snapshot
-    /// cache accounting. The log's share is counted in full, although
-    /// clones share it, so a cache byte cap still bounds what its entries
-    /// can pin. It is kept up to date as stores are logged, so this never
-    /// walks the log (an estimate, not an exact measurement).
-    pub fn approx_bytes(&self) -> usize {
-        size_of::<Self>() + self.log.bytes + self.intervals.len() * size_of::<FlushInterval>()
     }
 
     /// The value of `addr` in a persistent snapshot whose last writeback of
@@ -495,6 +480,5 @@ mod tests {
         assert_eq!(copy.interval(line).end(), s2);
         assert!(copy.interval_mut(CacheLineId::new(9)).is_none());
         assert_eq!(copy.writeback_points(line), vec![Seq::ZERO, s1]);
-        assert_eq!(st.approx_bytes(), copy.approx_bytes());
     }
 }

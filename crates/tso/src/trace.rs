@@ -165,13 +165,6 @@ impl OpTrace {
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
-
-    /// Approximate heap footprint of this trace in bytes, for snapshot
-    /// cache accounting. Counts the vector's capacity, not its length —
-    /// the allocation is what the cache budget pays for.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.ops.capacity() * std::mem::size_of::<TraceOp>()
-    }
 }
 
 /// The number of bytes per simulated cache line (re-exported for

@@ -7,10 +7,11 @@
 //! everything but wall-clock time. `CheckReport::digest` is the
 //! comparison surface — it covers every bug, race, diagnostic,
 //! and exploration statistic, excluding only timing, per-worker
-//! scheduling stats, and snapshot-cache counters (crash-point snapshots
-//! are required to be invisible to results; the tests below enforce it).
+//! scheduling stats, and snapshot counters (crash-point snapshots are
+//! required to be invisible to results; the tests below enforce it).
 
 use jaaru::{CheckReport, Config, ModelChecker, PmEnv, Program};
+use jaaru_bench::registry::recipe_fixed_cases;
 use jaaru_workloads::recipe::{
     fast_fair::{FastFair, FastFairFault},
     pclht::{Pclht, PclhtFault},
@@ -233,27 +234,39 @@ fn worker_count_does_not_leak_into_the_digest() {
 /// Crash-point snapshots are a pure performance substitution: every
 /// combination of snapshot setting and worker count must land on the
 /// same digest. This is the subsystem's determinism contract — restore
-/// must be observably equivalent to replay.
+/// must be observably equivalent to replay. With snapshots on, every
+/// scenario also restores the checkpoint of its last crash, so every
+/// guest run is some scenario's last execution — on a real program,
+/// three failures deep, under the default snapshot settings.
 #[test]
 fn snapshots_do_not_change_the_digest_at_any_worker_count() {
-    let mut deep = config(1);
-    deep.max_failures(2);
-    let baseline = ModelChecker::new(deep).check(&fan_out);
-    for jobs in [1usize, 2, 4] {
-        for snapshots in [true, false] {
-            let mut c = config(jobs);
-            c.max_failures(2).snapshots(snapshots);
-            let report = ModelChecker::new(c).check(&fan_out);
-            assert_eq!(
-                baseline.digest(),
-                report.digest(),
-                "jobs={jobs} snapshots={snapshots} diverged"
-            );
-            if snapshots {
-                assert!(report.snapshots.is_some());
-            } else {
-                assert!(report.snapshots.is_none());
-                assert_eq!(report.stats.executions_restored, 0);
+    let (_, pclht) = recipe_fixed_cases(1)
+        .into_iter()
+        .find(|(name, _)| *name == "P-CLHT")
+        .expect("P-CLHT is registered");
+    let programs: [(&(dyn Program + Sync), usize); 2] = [(&fan_out, 2), (&*pclht, 3)];
+    for (program, max_failures) in programs {
+        let mut off = config(1);
+        off.max_failures(max_failures).snapshots(false);
+        let baseline = ModelChecker::new(off).check(program);
+        assert!(!baseline.truncated, "max_failures={max_failures}");
+        for jobs in [1usize, 2, 4] {
+            for snapshots in [true, false] {
+                let mut c = config(jobs);
+                c.max_failures(max_failures).snapshots(snapshots);
+                let report = ModelChecker::new(c).check(program);
+                let at = format!("max_failures={max_failures} jobs={jobs} snapshots={snapshots}");
+                assert_eq!(baseline.digest(), report.digest(), "{at} diverged");
+                if snapshots {
+                    assert!(report.snapshots.is_some(), "{at}");
+                    assert_eq!(
+                        report.stats.executions_replayed, report.stats.scenarios,
+                        "{at}: every guest run is a scenario's last execution"
+                    );
+                } else {
+                    assert!(report.snapshots.is_none(), "{at}");
+                    assert_eq!(report.stats.executions_restored, 0, "{at}");
+                }
             }
         }
     }
@@ -287,27 +300,4 @@ fn snapshots_do_not_change_bug_or_lint_results() {
             );
         }
     }
-}
-
-/// A snapshot cache too small to hold anything still explores the
-/// identical scenario set: eviction may cost replays, never coverage.
-#[test]
-fn tiny_snapshot_cap_only_costs_replays() {
-    let mut c = config(1);
-    c.max_failures(2);
-    let roomy = ModelChecker::new(c.clone()).check(&fan_out);
-    c.snapshot_cap(1);
-    let starved = ModelChecker::new(c).check(&fan_out);
-    assert_eq!(roomy.digest(), starved.digest());
-    let stats = starved.snapshots.expect("cache still reports stats");
-    assert!(stats.evictions > 0, "a 1-byte cap must evict: {stats}");
-    assert_eq!(
-        starved.stats.executions_restored, 0,
-        "nothing survives in a 1-byte cache to restore from"
-    );
-    assert!(
-        roomy.stats.executions_restored > 0,
-        "the roomy cache actually restores"
-    );
-    assert!(roomy.stats.executions_replayed < starved.stats.executions_replayed);
 }
