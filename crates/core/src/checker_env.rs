@@ -13,8 +13,8 @@ use std::panic::{panic_any, Location};
 
 use jaaru_pmem::{PmAddr, CACHE_LINE_SIZE, NULL_PAGE_SIZE};
 use jaaru_tso::{
-    do_read, read_pre_failure_into, CurrentRead, ExecutionStorage, OpTrace, RfCandidate, RfSource,
-    SourceLoc, ThreadId, TraceOpKind, TsoMachine,
+    do_read, line_parts, read_pre_failure_into, read_pre_failure_line, ExecutionStorage, OpTrace,
+    RfCandidate, RfSource, SourceLoc, ThreadId, TraceOpKind, TsoMachine,
 };
 
 use crate::config::Config;
@@ -26,6 +26,9 @@ use crate::PmEnv;
 
 /// Cap on remembered race reports (debugging aid, not a bug list).
 const MAX_RACES: usize = 256;
+
+/// A load site as a race report names it: file, line and column.
+pub(crate) type LoadSite = (&'static str, u32, u32);
 
 struct Inner {
     machine: TsoMachine,
@@ -49,11 +52,12 @@ struct Inner {
     next_tid: u32,
 
     races: Vec<RaceReport>,
-    race_keys: HashSet<String>,
+    /// The load sites `races` reports.
+    race_keys: HashSet<LoadSite>,
     load_choice_points: u64,
     max_rf_set: usize,
-    /// Reads-from candidates of the byte being loaded; kept to reuse its
-    /// allocation.
+    /// Reads-from candidates of the byte being chosen for; kept to reuse
+    /// its allocation.
     cands: Vec<RfCandidate>,
 
     /// Per-execution operation traces for the lint engine (empty unless
@@ -382,41 +386,33 @@ impl CheckerEnv {
         }
     }
 
-    /// Loads one byte, resolving pre-failure nondeterminism through the
-    /// decision log and refining writeback intervals (Figures 9–11).
-    fn load_byte(&self, inner: &mut Inner, addr: PmAddr, loc: &'static Location<'static>) -> u8 {
-        match inner.machine.read_current(inner.current_tid, addr) {
-            CurrentRead::Buffered(v) | CurrentRead::Cached(v) => v,
-            CurrentRead::Miss => {
-                if self.track_footprint && inner.exec_index >= 1 {
-                    // A recovery read: this load consulted pre-failure
-                    // persisted state, so its line is in the footprint.
-                    inner.recovery_reads.insert(addr.cache_line().index());
-                }
-                let mut cands = std::mem::take(&mut inner.cands);
-                read_pre_failure_into(&inner.stack, addr, &mut cands);
-                inner.max_rf_set = inner.max_rf_set.max(cands.len());
-                // A sole candidate leaves every interval as it is, so it
-                // needs no `do_read`.
-                let value = if let [only] = cands[..] {
-                    only.value
-                } else {
-                    inner.load_choice_points += 1;
-                    if self.flag_races {
-                        record_race(inner, addr, loc, &cands);
-                    }
-                    let choice =
-                        inner
-                            .decisions
-                            .next(cands.len(), ChoiceKind::ReadFrom, inner.exec_index);
-                    let chosen = cands[choice];
-                    do_read(&mut inner.stack, addr, chosen);
-                    chosen.value
-                };
-                inner.cands = cands;
-                value
+    /// Loads a byte of a recovery load that [`read_pre_failure_line`]
+    /// found more than one candidate for. Its candidates are recomputed
+    /// under the intervals the load's lower bytes left; if several remain,
+    /// the decision log picks one and the intervals are refined
+    /// (Figures 9–11).
+    fn read_from(&self, inner: &mut Inner, addr: PmAddr, loc: &'static Location<'static>) -> u8 {
+        let mut cands = std::mem::take(&mut inner.cands);
+        read_pre_failure_into(&inner.stack, addr, &mut cands);
+        inner.max_rf_set = inner.max_rf_set.max(cands.len());
+        // A sole candidate leaves every interval as it is, so it needs no
+        // `do_read`.
+        let value = if let [only] = cands[..] {
+            only.value
+        } else {
+            inner.load_choice_points += 1;
+            if self.flag_races {
+                record_race(inner, addr, loc, &cands);
             }
-        }
+            let choice = inner
+                .decisions
+                .next(cands.len(), ChoiceKind::ReadFrom, inner.exec_index);
+            let chosen = cands[choice];
+            do_read(&mut inner.stack, addr, chosen);
+            chosen.value
+        };
+        inner.cands = cands;
+        value
     }
 
     /// Appends an op to the running execution's lint trace (callers
@@ -474,8 +470,10 @@ fn record_race(
     if inner.races.len() >= MAX_RACES {
         return;
     }
-    let key = format!("{}:{}:{}", loc.file(), loc.line(), loc.column());
-    if !inner.race_keys.insert(key.clone()) {
+    if !inner
+        .race_keys
+        .insert((loc.file(), loc.line(), loc.column()))
+    {
         return;
     }
     let candidates = cands
@@ -503,7 +501,7 @@ fn record_race(
         .collect();
     inner.races.push(RaceReport {
         addr,
-        load_location: key,
+        load_location: format!("{}:{}:{}", loc.file(), loc.line(), loc.column()),
         execution_index: inner.exec_index,
         candidates,
     });
@@ -532,10 +530,31 @@ impl PmEnv for CheckerEnv {
             );
         }
         // Byte accesses performed atomically, low address first (paper §4,
-        // "Mixed size accesses"). Each byte's committed choice refines the
+        // "Mixed size accesses"), one cache line at a time. The running
+        // execution, then the pre-failure stack, settle every byte with a
+        // single candidate; each other byte's committed choice refines the
         // line interval before the next byte's candidates are computed.
-        for (i, slot) in buf.iter_mut().enumerate() {
-            *slot = self.load_byte(inner, addr + i as u64, loc);
+        // Refinement only narrows intervals, so it never unsettles a byte.
+        let tid = inner.current_tid;
+        let mut vals = [0; CACHE_LINE_SIZE];
+        for (line, want, start) in line_parts(addr, buf.len()) {
+            let missed = inner.machine.read_current(tid, line, want, &mut vals);
+            if missed != 0 {
+                if self.track_footprint && inner.exec_index >= 1 {
+                    // A recovery read: this load consulted pre-failure
+                    // persisted state, so its line is in the footprint.
+                    inner.recovery_reads.insert(line.index());
+                }
+                let mut multi = read_pre_failure_line(&inner.stack, line, missed, &mut vals);
+                while multi != 0 {
+                    let off = multi.trailing_zeros() as usize;
+                    multi &= multi - 1;
+                    vals[off] = self.read_from(inner, line.base() + off as u64, loc);
+                }
+            }
+            let first = want.trailing_zeros() as usize;
+            let part = &mut buf[start..start + want.count_ones() as usize];
+            part.copy_from_slice(&vals[first..first + part.len()]);
         }
     }
 

@@ -902,6 +902,67 @@ mod tests {
     }
 
     #[test]
+    fn wide_recovery_loads_explore_like_byte_loads() {
+        // Recovery reads a u64 at line offset 60, so its bytes 0-3 are in
+        // one line and 4-7 in the next. Byte 0 is pinned by a flush; bytes
+        // 1, 3 and 5 have several pre-failure candidates (choosing byte 1
+        // can leave byte 3 just one); byte 2 was stored by the recovery
+        // itself; bytes 6-7 are a u16 that OnFence eviction still holds in
+        // the store buffer; byte 4 was never stored. One u64 load must
+        // explore exactly as eight byte loads do.
+        use jaaru_tso::EvictionPolicy;
+        use std::collections::BTreeSet;
+        use std::sync::Mutex;
+        let explore = |policy, jobs, wide: bool| {
+            let observed = Mutex::new(BTreeSet::new());
+            let program = |env: &dyn PmEnv| {
+                let w = env.root() + 124;
+                if env.is_recovery() {
+                    env.store_u8(w + 2, 0x44);
+                    env.sfence();
+                    env.store_u16(w + 6, 0x6655);
+                    let v = if wide {
+                        env.load_u64(w)
+                    } else {
+                        u64::from_le_bytes(std::array::from_fn(|i| env.load_u8(w + i as u64)))
+                    };
+                    observed.lock().unwrap().insert(v);
+                    return;
+                }
+                env.store_u8(w, 9);
+                env.store_u8(w + 5, 3);
+                env.sfence();
+                env.clflush(w, 1);
+                env.store_u8(w + 1, 1);
+                env.store_u8(w + 3, 7);
+                env.store_u8(w + 1, 2);
+                env.mfence();
+            };
+            let mut config = small_config();
+            config.eviction(policy).jobs(jobs);
+            let report = ModelChecker::new(config).check(&program);
+            assert!(report.is_clean(), "{report}");
+            let observed = observed.into_inner().unwrap();
+            (observed, report.stats.scenarios, report.stats.executions)
+        };
+        for policy in [EvictionPolicy::Eager, EvictionPolicy::OnFence] {
+            for jobs in [1, 2] {
+                let wide = explore(policy, jobs, true);
+                assert!(wide.0.len() >= 8, "{policy:?}: {:x?}", wide.0);
+                assert!(
+                    wide.0
+                        .iter()
+                        .all(|v| v >> 48 == 0x6655 && v >> 16 & 0xff == 0x44),
+                    "{policy:?}: {:x?}",
+                    wide.0
+                );
+                let bytes = explore(policy, jobs, false);
+                assert_eq!(wide, bytes, "{policy:?} at jobs {jobs}");
+            }
+        }
+    }
+
+    #[test]
     fn same_symptom_from_multiple_scenarios_dedups() {
         let program = |env: &dyn PmEnv| {
             let root = env.root();

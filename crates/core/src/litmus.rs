@@ -12,8 +12,8 @@
 use std::collections::BTreeSet;
 use std::panic::Location;
 
-use jaaru_pmem::{CacheLineId, PmAddr};
-use jaaru_tso::{CurrentRead, EvictionPolicy, FlushInterval, Seq, ThreadId, TsoMachine};
+use jaaru_pmem::{CacheLineId, PmAddr, CACHE_LINE_SIZE};
+use jaaru_tso::{EvictionPolicy, FlushInterval, Seq, ThreadId, TsoMachine};
 
 /// One instruction of a litmus thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -275,10 +275,7 @@ impl LitmusProgram {
         match op {
             LitmusOp::Store(addr, v) => state.machine.store(tid, addr, &[v], loc),
             LitmusOp::Load(addr) => {
-                let v = match state.machine.read_current(tid, addr) {
-                    CurrentRead::Buffered(v) | CurrentRead::Cached(v) => v,
-                    CurrentRead::Miss => 0, // initial memory
-                };
+                let v = load(&state.machine, tid, addr);
                 state.regs[t].push(v);
             }
             LitmusOp::Clflush(addr) => state.machine.clflush(tid, addr.cache_line()),
@@ -291,16 +288,22 @@ impl LitmusProgram {
                 // atomically within one litmus step, which is exactly the
                 // global ordering a locked instruction provides.
                 state.machine.mfence(tid);
-                let old = match state.machine.read_current(tid, addr) {
-                    CurrentRead::Buffered(b) | CurrentRead::Cached(b) => b,
-                    CurrentRead::Miss => 0,
-                };
+                let old = load(&state.machine, tid, addr);
                 state.regs[t].push(old);
                 state.machine.store(tid, addr, &[v], loc);
                 state.machine.mfence(tid);
             }
         }
     }
+}
+
+/// `tid`'s load of `addr`: its store buffer, then the cache, else initial
+/// memory (0).
+fn load(machine: &TsoMachine, tid: ThreadId, addr: PmAddr) -> u8 {
+    let mut vals = [0; CACHE_LINE_SIZE];
+    let off = addr.line_offset();
+    machine.read_current(tid, addr.cache_line(), 1 << off, &mut vals);
+    vals[off]
 }
 
 /// Expands one terminal machine state into its allowed crash states:

@@ -33,6 +33,7 @@ use std::collections::HashSet;
 
 use jaaru_tso::{ExecutionStorage, OpTrace};
 
+use crate::checker_env::LoadSite;
 use crate::decision::Decision;
 use crate::report::RaceReport;
 
@@ -53,7 +54,7 @@ pub(crate) struct CheckerSnapshot {
     pub(crate) points_per_exec: Vec<usize>,
     pub(crate) crash_points: Vec<usize>,
     pub(crate) races: Vec<RaceReport>,
-    pub(crate) race_keys: HashSet<String>,
+    pub(crate) race_keys: HashSet<LoadSite>,
     pub(crate) load_choice_points: u64,
     pub(crate) max_rf_set: usize,
     pub(crate) op_traces: Vec<OpTrace>,

@@ -16,7 +16,8 @@
 //!   is frozen and shared by every clone, which copies only the intervals,
 //! * the **reads-from** computation and **constraint refinement** across a
 //!   stack of crashed executions ([`read_pre_failure`], [`do_read`];
-//!   Figures 9/10).
+//!   Figures 9/10), with [`read_pre_failure_line`] settling a load's
+//!   single-candidate bytes one cache line at a time.
 //!
 //! The reordering constraints of the paper's Table 1 are emergent from the
 //! buffer rules; `tests/table1_reordering.rs` in the workspace derives the
@@ -66,8 +67,10 @@ mod trace;
 pub use buffers::{FbEntry, SbEntry, ThreadBuffers};
 pub use event::{SourceLoc, StoreEvent, StoreId, ThreadId};
 pub use interval::FlushInterval;
-pub use machine::{CurrentRead, EvictionPolicy, TsoMachine};
-pub use rf::{do_read, read_pre_failure, read_pre_failure_into, RfCandidate, RfSource};
+pub use machine::{EvictionPolicy, TsoMachine};
+pub use rf::{
+    do_read, read_pre_failure, read_pre_failure_into, read_pre_failure_line, RfCandidate, RfSource,
+};
 pub use seq::Seq;
-pub use storage::ExecutionStorage;
+pub use storage::{line_parts, ExecutionStorage};
 pub use trace::{OpTrace, TraceOp, TraceOpKind, TRACE_LINE_SIZE};

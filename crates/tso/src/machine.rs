@@ -8,8 +8,9 @@
 //! discards all buffered (not yet cache-visible) operations and freezes the
 //! execution's storage for post-failure refinement.
 
-use jaaru_pmem::{CacheLineId, PmAddr};
+use jaaru_pmem::{CacheLineId, PmAddr, CACHE_LINE_SIZE};
 
+use crate::storage::offsets;
 use crate::{ExecutionStorage, FbEntry, SbEntry, Seq, SourceLoc, ThreadBuffers, ThreadId};
 
 /// When buffered operations drain to the cache.
@@ -33,31 +34,22 @@ pub enum EvictionPolicy {
     OnFence,
 }
 
-/// A read serviced from the current execution (Figure 9, lines 2–5).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CurrentRead {
-    /// The owning thread's store buffer had a covering store (bypass).
-    Buffered(u8),
-    /// The cache had a value written by this execution.
-    Cached(u8),
-    /// This execution never wrote the byte; the value must come from
-    /// pre-failure executions (`ReadPreFailure`).
-    Miss,
-}
-
 /// The simulated TSO machine for one execution.
 ///
 /// # Example
 ///
 /// ```
 /// use jaaru_pmem::PmAddr;
-/// use jaaru_tso::{CurrentRead, EvictionPolicy, ThreadId, TsoMachine};
+/// use jaaru_tso::{EvictionPolicy, ThreadId, TsoMachine};
 ///
 /// let mut m = TsoMachine::new(EvictionPolicy::Eager);
 /// let t = ThreadId(0);
 /// let a = PmAddr::new(64);
 /// m.store(t, a, &[7], std::panic::Location::caller());
-/// assert_eq!(m.read_current(t, a), CurrentRead::Cached(7));
+/// // Offset 0 of line 1 is cached; offset 1 was never written.
+/// let mut vals = [0; 64];
+/// assert_eq!(m.read_current(t, a.cache_line(), 0b11, &mut vals), 0b10);
+/// assert_eq!(vals[0], 7);
 /// m.clflush(t, a.cache_line());
 /// let storage = m.crash();
 /// assert!(!storage.interval(a.cache_line()).is_unconstrained());
@@ -237,16 +229,29 @@ impl TsoMachine {
         }
     }
 
-    /// Services a load from the *current* execution (Figure 9, lines 2–5):
-    /// store-buffer bypass first, then the cache.
-    pub fn read_current(&self, tid: ThreadId, addr: PmAddr) -> CurrentRead {
-        if let Some(v) = self.thread_ref(tid).and_then(|t| t.bypass(addr)) {
-            return CurrentRead::Buffered(v);
+    /// Services the bytes `want` of `line` (bit `i` is line offset `i`)
+    /// from the *current* execution (Figure 9, lines 2–5): store-buffer
+    /// bypass first, then the cache. Writes each byte found into `vals` at
+    /// its line offset and returns the mask of the bytes this execution
+    /// never wrote, whose values must come from pre-failure executions
+    /// ([`read_pre_failure_line`](crate::read_pre_failure_line)).
+    pub fn read_current(
+        &self,
+        tid: ThreadId,
+        line: CacheLineId,
+        want: u64,
+        vals: &mut [u8; CACHE_LINE_SIZE],
+    ) -> u64 {
+        let mut miss = want;
+        if let Some(t) = self.thread_ref(tid).filter(|t| !t.store_buffer.is_empty()) {
+            for off in offsets(want) {
+                if let Some(v) = t.bypass(line.base() + off as u64) {
+                    vals[off] = v;
+                    miss &= !(1 << off);
+                }
+            }
         }
-        match self.storage.last_cache_value(addr) {
-            Some(v) => CurrentRead::Cached(v),
-            None => CurrentRead::Miss,
-        }
+        self.storage.read_cache(line, miss, vals)
     }
 
     /// Whether any thread still has buffered operations.
@@ -293,11 +298,18 @@ mod tests {
     const T0: ThreadId = ThreadId(0);
     const T1: ThreadId = ThreadId(1);
 
+    /// `tid`'s view of byte 64 from the current execution, `None` on a
+    /// miss.
+    fn read_64(m: &TsoMachine, tid: ThreadId) -> Option<u8> {
+        let mut vals = [0; CACHE_LINE_SIZE];
+        (m.read_current(tid, CacheLineId::new(1), 1, &mut vals) == 0).then_some(vals[0])
+    }
+
     #[test]
     fn eager_policy_makes_stores_cache_visible_immediately() {
         let mut m = TsoMachine::new(EvictionPolicy::Eager);
         m.store(T0, PmAddr::new(64), &[5], loc());
-        assert_eq!(m.read_current(T1, PmAddr::new(64)), CurrentRead::Cached(5));
+        assert_eq!(read_64(&m, T1), Some(5));
     }
 
     #[test]
@@ -305,13 +317,29 @@ mod tests {
         let mut m = TsoMachine::new(EvictionPolicy::OnFence);
         m.store(T0, PmAddr::new(64), &[5], loc());
         // Own thread sees it via bypass; the other thread does not.
-        assert_eq!(
-            m.read_current(T0, PmAddr::new(64)),
-            CurrentRead::Buffered(5)
-        );
-        assert_eq!(m.read_current(T1, PmAddr::new(64)), CurrentRead::Miss);
+        assert_eq!(read_64(&m, T0), Some(5));
+        assert_eq!(read_64(&m, T1), None);
         m.mfence(T0);
-        assert_eq!(m.read_current(T1, PmAddr::new(64)), CurrentRead::Cached(5));
+        assert_eq!(read_64(&m, T1), Some(5));
+    }
+
+    #[test]
+    fn line_reads_take_bypass_then_cache_per_byte() {
+        // Cached bytes 64..68, then a buffered u16 over 66..68 and a
+        // buffered byte at 70.
+        let mut m = TsoMachine::new(EvictionPolicy::OnFence);
+        m.store(T0, PmAddr::new(64), &[1, 2, 3, 4], loc());
+        m.mfence(T0);
+        m.store(T0, PmAddr::new(66), &[8, 9], loc());
+        m.store(T0, PmAddr::new(70), &[7], loc());
+        let line = CacheLineId::new(1);
+        let mut vals = [0xee; CACHE_LINE_SIZE];
+        assert_eq!(m.read_current(T0, line, 0xff, &mut vals), 0b1011_0000);
+        assert_eq!(vals[..8], [1, 2, 8, 9, 0xee, 0xee, 7, 0xee]);
+        // Another thread sees only the cache.
+        let mut vals = [0xee; CACHE_LINE_SIZE];
+        assert_eq!(m.read_current(T1, line, 0xff, &mut vals), 0xf0);
+        assert_eq!(vals[..5], [1, 2, 3, 4, 0xee]);
     }
 
     #[test]

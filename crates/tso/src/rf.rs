@@ -6,14 +6,20 @@
 //! `DoRead`/`UpdateRanges` (Figure 10), which refine those intervals once
 //! the exploration commits the load to one candidate.
 //!
+//! `ReadPreFailure` comes in two grains. [`read_pre_failure_line`] takes
+//! every byte a load wants from one cache line at once and settles each
+//! byte with a single candidate; the rare byte with several goes through
+//! [`read_pre_failure`] (or [`read_pre_failure_into`]), which lists them
+//! for the exploration to choose from.
+//!
 //! The *execution stack* passed to these functions holds the storage of
 //! every execution that ended in a failure, oldest first; the currently
 //! running execution is *not* on the stack (its store buffer and cache are
-//! consulted first, by [`TsoMachine::read_current`](crate::TsoMachine)).
+//! consulted first, by [`TsoMachine::read_current`](crate::TsoMachine::read_current)).
 
-use jaaru_pmem::PmAddr;
+use jaaru_pmem::{CacheLineId, PmAddr, CACHE_LINE_SIZE};
 
-use crate::storage::LineStore;
+use crate::storage::{offsets, LineStore};
 use crate::{ExecutionStorage, Seq, StoreId};
 
 /// Where a post-failure load's value comes from.
@@ -113,6 +119,61 @@ pub fn read_pre_failure_into(stack: &[ExecutionStorage], addr: PmAddr, out: &mut
         }
     }
     out.push(RfCandidate::INITIAL);
+}
+
+/// `ReadPreFailure` for the bytes `want` of `line` at once (bit `i` is line
+/// offset `i`): per execution, one slot lookup and two binary searches,
+/// however many bytes are wanted.
+///
+/// Writes the value of each wanted byte with a single candidate (see
+/// [`read_pre_failure_into`]) into `vals` at its line offset, and returns
+/// the mask of the other wanted bytes: those whose [`read_pre_failure`]
+/// has more than one candidate. Bytes outside `want` are left as they are.
+///
+/// A byte with a single candidate keeps it, and its value, whatever
+/// [`do_read`] refines: refinement only narrows intervals, so no store
+/// enters a readable window and no newer store becomes pinned. A load may
+/// therefore settle its single-candidate bytes first and choose the others
+/// one by one.
+pub fn read_pre_failure_line(
+    stack: &[ExecutionStorage],
+    line: CacheLineId,
+    want: u64,
+    vals: &mut [u8; CACHE_LINE_SIZE],
+) -> u64 {
+    let mut multi = 0;
+    // Wanted bytes that no newer execution has pinned or made multi.
+    let mut need = want;
+    for st in stack.iter().rev() {
+        if need == 0 {
+            break;
+        }
+        let Some((log, iv)) = st.line(line) else {
+            continue;
+        };
+        let (before, after) = log.stores.split_at(log.after(iv.begin()));
+        let readable = after.partition_point(|s| s.seq < iv.end());
+        // A readable store is one candidate, and the byte's pinned store
+        // (here or older) or initial memory is always another.
+        let window = after[..readable].iter().fold(0, |m, s| m | s.mask);
+        multi |= need & window;
+        need &= !window;
+        // Each other byte's newest store at or before `begin` pins it.
+        for s in before.iter().rev() {
+            if need == 0 {
+                break;
+            }
+            let pinned = need & s.mask;
+            for off in offsets(pinned) {
+                vals[off] = log.value(s, off);
+            }
+            need &= !pinned;
+        }
+    }
+    for off in offsets(need) {
+        vals[off] = RfCandidate::INITIAL.value;
+    }
+    multi
 }
 
 /// `DoRead`/`UpdateRanges` (Figure 10): refine writeback intervals after

@@ -22,6 +22,50 @@ use jaaru_pmem::{CacheLineId, PmAddr, CACHE_LINE_SIZE};
 use crate::hash::LineMap;
 use crate::{FlushInterval, Seq, SourceLoc, StoreEvent, StoreId, ThreadId};
 
+/// Splits the `len` bytes at `addr` at cache-line boundaries: for each
+/// line the access touches, lowest first, the line, the mask of the line
+/// offsets the access covers (bit `i` is offset `i`), and the index in the
+/// access of its first byte in the line.
+///
+/// ```
+/// use jaaru_pmem::{CacheLineId, PmAddr};
+/// use jaaru_tso::line_parts;
+///
+/// let parts: Vec<_> = line_parts(PmAddr::new(126), 4).collect();
+/// assert_eq!(
+///     parts,
+///     vec![(CacheLineId::new(1), 0b11 << 62, 0), (CacheLineId::new(2), 0b11, 2)]
+/// );
+/// ```
+pub fn line_parts(addr: PmAddr, len: usize) -> impl Iterator<Item = (CacheLineId, u64, usize)> {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        (start < len).then(|| {
+            let at = addr + start as u64;
+            let off = at.line_offset();
+            let n = (len - start).min(CACHE_LINE_SIZE - off);
+            let part = (
+                at.cache_line(),
+                (u64::MAX >> (CACHE_LINE_SIZE - n)) << off,
+                start,
+            );
+            start += n;
+            part
+        })
+    })
+}
+
+/// The line offsets set in `mask`, lowest first.
+pub(crate) fn offsets(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let off = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            off
+        })
+    })
+}
+
 /// One store's part in one cache line. A store that straddles two lines
 /// has one entry in each, with the same `seq`.
 #[derive(Clone, Copy, Debug)]
@@ -31,7 +75,7 @@ pub(crate) struct LineStore {
     /// The store event this part belongs to.
     pub(crate) store: StoreId,
     /// The line bytes written: bit `i` is line offset `i`.
-    mask: u64,
+    pub(crate) mask: u64,
     /// Where the written bytes start in the line's `data`.
     data: u32,
 }
@@ -67,9 +111,9 @@ impl LineLog {
         }
     }
 
-    /// Appends a store of `bytes` at line offset `off`.
-    fn push(&mut self, seq: Seq, store: StoreId, off: usize, bytes: &[u8]) {
-        let mask = (u64::MAX >> (CACHE_LINE_SIZE - bytes.len())) << off;
+    /// Appends a store of `bytes` to the line bytes in `mask`.
+    fn push(&mut self, seq: Seq, store: StoreId, mask: u64, bytes: &[u8]) {
+        let off = mask.trailing_zeros() as usize;
         let data = u32::try_from(self.data.len()).expect("line data fits in u32");
         self.stores.push(LineStore {
             seq,
@@ -181,14 +225,10 @@ impl ExecutionStorage {
     ) -> StoreId {
         let log = Arc::make_mut(&mut self.log);
         let id = StoreId(log.events.len() as u32);
-        let (mut at, mut rest) = (addr, bytes);
-        while !rest.is_empty() {
-            let off = at.line_offset();
-            let n = rest.len().min(CACHE_LINE_SIZE - off);
-            let slot = log.slot_mut(at.cache_line(), &mut self.intervals);
-            log.lines[slot].push(seq, id, off, &rest[..n]);
-            at = at + n as u64;
-            rest = &rest[n..];
+        for (line, mask, start) in line_parts(addr, bytes.len()) {
+            let slot = log.slot_mut(line, &mut self.intervals);
+            let end = start + mask.count_ones() as usize;
+            log.lines[slot].push(seq, id, mask, &bytes[start..end]);
         }
         log.events.push(StoreEvent {
             addr,
@@ -214,6 +254,27 @@ impl ExecutionStorage {
     pub fn interval(&self, line: CacheLineId) -> FlushInterval {
         self.slot(line)
             .map_or_else(FlushInterval::unconstrained, |slot| self.intervals[slot])
+    }
+
+    /// Fills each byte of `want`, a mask of `line`'s offsets, that a store
+    /// of this execution wrote with the byte's newest cache value (at its
+    /// line offset in `vals`), and returns the mask of the others.
+    pub(crate) fn read_cache(
+        &self,
+        line: CacheLineId,
+        want: u64,
+        vals: &mut [u8; CACHE_LINE_SIZE],
+    ) -> u64 {
+        if want == 0 {
+            return 0;
+        }
+        let Some((log, _)) = self.line(line) else {
+            return want;
+        };
+        for off in offsets(want & log.written) {
+            vals[off] = log.cur[off];
+        }
+        want & !log.written
     }
 
     /// The newest cache value of `addr` in this execution, if any store

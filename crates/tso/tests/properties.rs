@@ -17,8 +17,8 @@ use std::panic::Location;
 
 use jaaru_pmem::{CacheLineId, PmAddr};
 use jaaru_tso::{
-    do_read, read_pre_failure, read_pre_failure_into, ExecutionStorage, FlushInterval, RfCandidate,
-    RfSource, Seq, ThreadId,
+    do_read, read_pre_failure, read_pre_failure_into, read_pre_failure_line, ExecutionStorage,
+    FlushInterval, RfCandidate, RfSource, Seq, ThreadId,
 };
 
 const LINE: CacheLineId = CacheLineId::new(1);
@@ -424,6 +424,104 @@ fn stacked_multibyte_candidates_match_brute_force() {
         }
     }
     assert!(singles > 100, "single-candidate reads exercised: {singles}");
+}
+
+/// A random mask of wanted line bytes: the whole line, one contiguous run
+/// (what an access covers), or any subset.
+fn random_want(rng: &mut Rng) -> u64 {
+    match rng.below(3) {
+        0 => u64::MAX,
+        1 => {
+            let off = rng.below(64);
+            let len = 1 + rng.below(64 - off);
+            (u64::MAX >> (64 - len)) << off
+        }
+        _ => rng.next_u64(),
+    }
+}
+
+/// Never a stored value (`random_stack` stores 1..=200) nor initial 0.
+const UNTOUCHED: u8 = 0xff;
+
+/// Reads a random mask of each of `LINES` with [`read_pre_failure_line`]
+/// and checks it against the per-byte [`read_pre_failure`]: the returned
+/// mask is exactly the wanted bytes with several candidates, every other
+/// wanted byte holds its sole candidate's value, and no byte outside the
+/// mask is written. Returns each byte's sole candidate value (`None` for a
+/// byte with several), both lines in address order.
+fn check_line_reads(
+    stack: &[ExecutionStorage],
+    rng: &mut Rng,
+    ctx: &str,
+    wanted_multi: &mut usize,
+) -> Vec<Option<u8>> {
+    let mut sole = Vec::new();
+    for line in LINES {
+        let want = random_want(rng);
+        let mut vals = [UNTOUCHED; 64];
+        let multi = read_pre_failure_line(stack, line, want, &mut vals);
+        for (off, &val) in vals.iter().enumerate() {
+            let addr = line.base() + off as u64;
+            let cands = read_pre_failure(stack, addr);
+            let single = (cands.len() == 1).then(|| cands[0].value);
+            sole.push(single);
+            let bit = 1 << off;
+            if want & bit == 0 {
+                assert_eq!(val, UNTOUCHED, "{ctx}: unwanted byte {addr} written");
+                assert_eq!(multi & bit, 0, "{ctx}: unwanted byte {addr} in the mask");
+                continue;
+            }
+            assert_eq!(
+                multi & bit != 0,
+                single.is_none(),
+                "{ctx}: byte {addr} with candidates {cands:?}"
+            );
+            *wanted_multi += usize::from(single.is_none());
+            if let Some(v) = single {
+                assert_eq!(val, v, "{ctx}: value of byte {addr}");
+            }
+        }
+    }
+    sole
+}
+
+/// The line resolver agrees with the per-byte reference on random stacks,
+/// before and after each of up to four committed recovery reads, and a
+/// byte with a single candidate keeps it, with its value, through every
+/// refinement.
+#[test]
+fn line_reads_match_per_byte_reads() {
+    let (mut wanted_multi, mut refinements) = (0, 0);
+    for seed in 0..300u64 {
+        let mut rng = Rng::new(seed ^ 0x11e_4ead);
+        let (mut stack, _) = random_stack(&mut rng);
+        let ctx = format!("seed {seed}");
+        let mut sole = check_line_reads(&stack, &mut rng, &ctx, &mut wanted_multi);
+        for step in 0..4 {
+            // A byte with several candidates where there is one, so that
+            // reads mostly refine.
+            let multi: Vec<u64> = (0..128).filter(|&i| sole[i as usize].is_none()).collect();
+            let byte = match multi.len() {
+                0 => rng.below(128),
+                n => multi[rng.below(n as u64) as usize],
+            };
+            let addr = LINES[0].base() + byte;
+            let cands = read_pre_failure(&stack, addr);
+            let chosen = cands[rng.below(cands.len() as u64) as usize];
+            do_read(&mut stack, addr, chosen);
+            refinements += usize::from(cands.len() > 1);
+            let ctx = format!("{ctx}, step {step}: byte {addr} read {chosen:?}");
+            let after = check_line_reads(&stack, &mut rng, &ctx, &mut wanted_multi);
+            for (byte, (was, now)) in (LINES[0].base().offset()..).zip(sole.iter().zip(&after)) {
+                if was.is_some() {
+                    assert_eq!(now, was, "{ctx}: byte {byte} lost its sole candidate");
+                }
+            }
+            sole = after;
+        }
+    }
+    assert!(wanted_multi > 1000, "multi-candidate bytes: {wanted_multi}");
+    assert!(refinements > 500, "refining reads: {refinements}");
 }
 
 /// Two environments restored from one snapshot share its frozen store

@@ -7,7 +7,7 @@ use std::panic::panic_any;
 
 use jaaru::{PmEnv, PmPool};
 use jaaru_pmem::{CacheLineId, PmAddr, CACHE_LINE_SIZE, NULL_PAGE_SIZE};
-use jaaru_tso::{CurrentRead, EvictionPolicy, ExecutionStorage, ThreadId, TsoMachine};
+use jaaru_tso::{line_parts, EvictionPolicy, ExecutionStorage, ThreadId, TsoMachine};
 
 /// Panic payload: the designated injection point was reached.
 pub(crate) struct YatCrash;
@@ -139,14 +139,15 @@ impl PmEnv for PreFailureEnv {
         self.tick();
         self.check_range(addr, buf.len());
         let inner = self.inner.borrow();
-        for (i, slot) in buf.iter_mut().enumerate() {
-            *slot = match inner
+        for (line, want, start) in line_parts(addr, buf.len()) {
+            // Bytes this execution never wrote read initial memory (0).
+            let mut vals = [0; CACHE_LINE_SIZE];
+            inner
                 .machine
-                .read_current(inner.current_tid, addr + i as u64)
-            {
-                CurrentRead::Buffered(v) | CurrentRead::Cached(v) => v,
-                CurrentRead::Miss => 0,
-            };
+                .read_current(inner.current_tid, line, want, &mut vals);
+            let first = want.trailing_zeros() as usize;
+            let part = &mut buf[start..start + want.count_ones() as usize];
+            part.copy_from_slice(&vals[first..first + part.len()]);
         }
     }
 
