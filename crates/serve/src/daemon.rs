@@ -23,8 +23,11 @@
 //! Everything fails closed: rejected, failed, cancelled, and
 //! deadline-exceeded jobs carry `"artifact":null` plus an `error`
 //! string, and are never admitted to the result cache. Only completed
-//! `ok`/`violation` results are cached and replayed for duplicate
-//! submissions (with `"cached":true`).
+//! `ok`/`violation` results are cached. The cache holds a job's result,
+//! not its artifact, keyed without the format
+//! ([`JobSpec::result_group`]): a resubmission in either format is
+//! answered from it (with `"cached":true`) by rendering the result in
+//! the resubmission's own format.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -98,7 +101,7 @@ pub struct Daemon {
     queue: BoundedQueue<QueuedJob>,
     cancels: CancelRegistry,
     metrics: Metrics,
-    /// Completed replies by result group. Only the executor touches it;
+    /// Completed results by result group. Only the executor touches it;
     /// the lock lets `stats` requests read its counters.
     results: Mutex<SnapshotCache<CachedReply>>,
     next_ordinal: AtomicU64,
@@ -264,7 +267,8 @@ impl Daemon {
         let result_group = job.spec.result_group(&config);
 
         // Cancellation beats the cache: a cancelled duplicate must not
-        // come back as a cached success.
+        // come back as a cached success. Every artifact is rendered
+        // outside the cache lock, in this job's own format.
         let (status, artifact, error, cached) = if job.cancel.load(Ordering::Relaxed) {
             (
                 JobStatus::Cancelled,
@@ -273,28 +277,35 @@ impl Daemon {
                 false,
             )
         } else if let Some(hit) = self.cached(result_group) {
-            (hit.status, Some(hit.artifact), None, true)
+            (
+                hit.status,
+                Some(hit.result.render(job.spec.format)),
+                None,
+                true,
+            )
         } else {
             let outcome = execute(&job.spec, &config, &job.cancel);
             if outcome.retried {
                 self.metrics.retried();
             }
-            if let (JobStatus::Ok | JobStatus::Violation, Some(artifact)) =
-                (outcome.status, outcome.artifact.as_ref())
+            let result = outcome.result.map(Arc::new);
+            let artifact = result.as_ref().map(|result| result.render(job.spec.format));
+            if let (JobStatus::Ok | JobStatus::Violation, Some(result), Some(artifact)) =
+                (outcome.status, result, artifact.as_ref())
             {
                 self.results().insert(
                     result_group,
                     CachedReply {
                         status: outcome.status,
-                        artifact: artifact.clone(),
+                        result,
+                        bytes: artifact.len(),
                     },
                 );
             }
-            (outcome.status, outcome.artifact, outcome.error, false)
+            (outcome.status, artifact, outcome.error, false)
         };
 
-        self.metrics
-            .finished(status, cached, job.submitted.elapsed());
+        self.metrics.finished(status, job.submitted.elapsed());
         let _ = job.reply.send(self.envelope(
             &job.id,
             status,
@@ -305,8 +316,9 @@ impl Daemon {
         self.cancels.deregister(&job.id);
     }
 
-    /// The cached reply of `result_group`, if any: cloned, so the lock is
-    /// released before a miss runs the job and inserts its reply.
+    /// The cached reply of `result_group`, if any. The clone copies a
+    /// pointer to the result, and the lock is released before the reply
+    /// is rendered or a miss runs the job.
     fn cached(&self, result_group: u64) -> Option<CachedReply> {
         self.results().get(result_group).cloned()
     }
@@ -557,7 +569,7 @@ mod tests {
             field(&replies[1], "artifact").as_str(),
             "cached artifact is byte-identical"
         );
-        assert_eq!(d.metrics().result_hits(), 1);
+        assert_eq!(d.cache_stats().shared_hits, 1);
         let cache = field(field(&replies[1], "metrics"), "cache");
         assert_eq!(cache.get("result_hits").and_then(Value::as_u64), Some(1));
     }

@@ -3,10 +3,12 @@
 //! isolation, one retry, cooperative cancellation, and a deadline
 //! watchdog.
 //!
-//! The artifact bytes come from the same renderers the one-shot CLI
-//! uses (`CheckReport::to_canonical_json`, `jaaru::to_sarif`), so a
-//! served reply is byte-identical to `jaaru_cli --format json-canonical`
-//! / `--format sarif` for the same job.
+//! A run yields a [`JobResult`], which holds no format. Every artifact
+//! is rendered from it by [`JobResult::render`], with the same renderers
+//! the one-shot CLI uses (`CheckReport::to_canonical_json`,
+//! `jaaru::to_sarif`), so a served reply is byte-identical to
+//! `jaaru_cli --format json-canonical` / `--format sarif` for the same
+//! job.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,12 +45,50 @@ fn is_panic_workload(workload: &Workload) -> bool {
     matches!(workload, Workload::Fixed { benchmark, .. } if benchmark == PANIC_WORKLOAD)
 }
 
-/// One finished job, ready to be wrapped in a reply envelope.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A completed job's result, before it is rendered in any format.
+#[derive(Clone, Debug)]
+pub enum JobResult {
+    /// The report of a `check`, `bug` or `lint` job.
+    Check(Box<CheckReport>),
+    /// The outcome of a `repair` job.
+    Repair(Box<RepairOutcome>),
+    /// The JSON report of a `fuzz` or `litmus` job. Neither has a SARIF
+    /// view, so every format renders these bytes.
+    Json(String),
+}
+
+impl JobResult {
+    /// The artifact in `format`: the bytes `jaaru_cli` prints for the
+    /// same job. A pure function of the result, so a cached result
+    /// renders the bytes a fresh run of the job would.
+    pub fn render(&self, format: ArtifactFormat) -> String {
+        match (self, format) {
+            (JobResult::Check(report), ArtifactFormat::JsonCanonical) => report.to_canonical_json(),
+            (JobResult::Check(report), ArtifactFormat::Sarif) => {
+                jaaru::to_sarif(&report.diagnostics, env!("CARGO_PKG_VERSION"))
+            }
+            (JobResult::Repair(outcome), ArtifactFormat::JsonCanonical) => outcome.to_json(),
+            // The diagnosed findings, with proven fixes flagged
+            // `verified`.
+            (JobResult::Repair(outcome), ArtifactFormat::Sarif) => {
+                let verified: &[FixEdit] = if outcome.verified {
+                    &outcome.edits
+                } else {
+                    &[]
+                };
+                to_sarif_with_verified(&outcome.diagnosed, env!("CARGO_PKG_VERSION"), verified)
+            }
+            (JobResult::Json(json), _) => json.clone(),
+        }
+    }
+}
+
+/// One finished job, ready to be rendered into a reply envelope.
+#[derive(Clone, Debug)]
 pub struct JobOutcome {
     pub status: JobStatus,
-    /// The rendered artifact; present only for `ok`/`violation`.
-    pub artifact: Option<String>,
+    /// The result; present only for `ok`/`violation`.
+    pub result: Option<JobResult>,
     /// Human-readable failure reason for every other status.
     pub error: Option<String>,
     /// Whether the run was retried after a panic before succeeding.
@@ -59,26 +99,29 @@ impl JobOutcome {
     fn failed(error: String) -> JobOutcome {
         JobOutcome {
             status: JobStatus::Failed,
-            artifact: None,
+            result: None,
             error: Some(error),
             retried: false,
         }
     }
 }
 
-/// A result-cache payload: the terminal status plus the exact artifact
-/// bytes of a completed job. Only `ok`/`violation` results are cached —
-/// failures, cancellations, and deadline kills always re-run (fail
-/// closed, never fail cached).
+/// A result-cache payload: the terminal status and the shared result of
+/// a completed job, which every reply renders in its own format. Only
+/// `ok`/`violation` results are cached — failures, cancellations, and
+/// deadline kills always re-run (fail closed, never fail cached).
 #[derive(Clone, Debug)]
 pub struct CachedReply {
     pub status: JobStatus,
-    pub artifact: String,
+    pub result: Arc<JobResult>,
+    /// The byte charge against the cache budget, fixed at insert: the
+    /// length of the inserting reply's artifact.
+    pub bytes: usize,
 }
 
 impl SnapshotPayload for CachedReply {
     fn approx_bytes(&self) -> usize {
-        self.artifact.len() + std::mem::size_of::<CachedReply>()
+        self.bytes + std::mem::size_of::<CachedReply>()
     }
 }
 
@@ -145,29 +188,6 @@ fn find_program(workload: &Workload) -> Result<Box<dyn Program + Sync>, String> 
     }
 }
 
-fn render(report: &CheckReport, format: ArtifactFormat) -> String {
-    match format {
-        ArtifactFormat::JsonCanonical => report.to_canonical_json(),
-        ArtifactFormat::Sarif => jaaru::to_sarif(&report.diagnostics, env!("CARGO_PKG_VERSION")),
-    }
-}
-
-/// The `repair` artifact: the outcome's deterministic JSON, or the
-/// diagnosed findings as SARIF with proven fixes flagged `verified`.
-fn render_repair(outcome: &RepairOutcome, format: ArtifactFormat) -> String {
-    match format {
-        ArtifactFormat::JsonCanonical => outcome.to_json(),
-        ArtifactFormat::Sarif => {
-            let verified: &[FixEdit] = if outcome.verified {
-                &outcome.edits
-            } else {
-                &[]
-            };
-            to_sarif_with_verified(&outcome.diagnosed, env!("CARGO_PKG_VERSION"), verified)
-        }
-    }
-}
-
 fn verdict(report: &CheckReport) -> JobStatus {
     if report.is_clean() && !report.has_errors() {
         JobStatus::Ok
@@ -189,7 +209,7 @@ pub fn execute(spec: &JobSpec, config: &Config, cancel: &Arc<AtomicBool>) -> Job
     if cancel.load(Ordering::Relaxed) {
         return JobOutcome {
             status: JobStatus::Cancelled,
-            artifact: None,
+            result: None,
             error: Some("cancelled before execution".into()),
             retried: false,
         };
@@ -260,19 +280,19 @@ pub fn execute(spec: &JobSpec, config: &Config, cancel: &Arc<AtomicBool>) -> Job
                 } else {
                     JobStatus::Violation
                 };
-                return (status, render_repair(&outcome, spec.format));
+                return (status, JobResult::Repair(Box::new(outcome)));
             }
             let mut checker = ModelChecker::new(config.clone());
             checker.abort_flag(Arc::clone(cancel));
             let report = checker.check(&*program);
-            (verdict(&report), render(&report, spec.format))
+            (verdict(&report), JobResult::Check(Box::new(report)))
         }));
         match attempt {
-            Ok((status, artifact)) => {
+            Ok((status, result)) => {
                 if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
                     break JobOutcome {
                         status: JobStatus::Deadline,
-                        artifact: None,
+                        result: None,
                         error: Some(format!(
                             "deadline of {} ms exceeded",
                             spec.deadline_ms.unwrap_or(0)
@@ -283,14 +303,14 @@ pub fn execute(spec: &JobSpec, config: &Config, cancel: &Arc<AtomicBool>) -> Job
                 if cancel.load(Ordering::Relaxed) {
                     break JobOutcome {
                         status: JobStatus::Cancelled,
-                        artifact: None,
+                        result: None,
                         error: Some("cancelled during execution".into()),
                         retried,
                     };
                 }
                 break JobOutcome {
                     status,
-                    artifact: Some(artifact),
+                    result: Some(result),
                     error: None,
                     retried,
                 };
@@ -300,7 +320,7 @@ pub fn execute(spec: &JobSpec, config: &Config, cancel: &Arc<AtomicBool>) -> Job
                 if retried || cancel.load(Ordering::Relaxed) {
                     break JobOutcome {
                         status: JobStatus::Failed,
-                        artifact: None,
+                        result: None,
                         error: Some(format!("job panicked: {message}")),
                         retried,
                     };
@@ -338,9 +358,7 @@ fn run_fuzz(
             } else {
                 JobStatus::Violation
             },
-            // Fuzz campaigns always reply with the campaign JSON —
-            // there is no SARIF view of a campaign.
-            artifact: Some(report.to_json()),
+            result: Some(JobResult::Json(report.to_json())),
             error: None,
             retried: false,
         },
@@ -352,9 +370,9 @@ fn run_fuzz(
 }
 
 /// A `litmus` job: the named corpus or the exhaustive conformance
-/// sweep. The artifact is always the deterministic JSON report (there
-/// is no SARIF view of a conformance run); a divergence or corpus
-/// failure is a `violation` reply so batch mode fails the pipeline.
+/// sweep. The result is the deterministic JSON report; a divergence or
+/// corpus failure is a `violation` reply so batch mode fails the
+/// pipeline.
 fn run_litmus(spec: &JobSpec, sweep: bool, bound: &SweepBound) -> JobOutcome {
     let jobs = spec.jobs.max(1);
     let attempt = catch_unwind(AssertUnwindSafe(|| {
@@ -367,13 +385,13 @@ fn run_litmus(spec: &JobSpec, sweep: bool, bound: &SweepBound) -> JobOutcome {
         }
     }));
     match attempt {
-        Ok((clean, artifact)) => JobOutcome {
+        Ok((clean, json)) => JobOutcome {
             status: if clean {
                 JobStatus::Ok
             } else {
                 JobStatus::Violation
             },
-            artifact: Some(artifact),
+            result: Some(JobResult::Json(json)),
             error: None,
             retried: false,
         },
@@ -410,11 +428,18 @@ mod tests {
         execute(spec, &config, &Arc::new(AtomicBool::new(false)))
     }
 
+    /// The outcome's canonical JSON artifact, if it has a result.
+    fn artifact(out: &JobOutcome) -> Option<String> {
+        out.result
+            .as_ref()
+            .map(|result| result.render(ArtifactFormat::JsonCanonical))
+    }
+
     #[test]
     fn unknown_benchmark_fails_closed() {
         let out = run(&spec(r#"{"kind":"check","benchmark":"no-such-bench"}"#));
         assert_eq!(out.status, JobStatus::Failed);
-        assert!(out.artifact.is_none());
+        assert!(out.result.is_none());
         assert!(out.error.unwrap().contains("no-such-bench"));
     }
 
@@ -441,25 +466,25 @@ mod tests {
         let cancel = Arc::new(AtomicBool::new(true));
         let out = execute(&spec, &config, &cancel);
         assert_eq!(out.status, JobStatus::Cancelled);
-        assert!(out.artifact.is_none(), "fails closed");
+        assert!(out.result.is_none(), "fails closed");
     }
 
     #[test]
     fn litmus_jobs_reply_ok_with_deterministic_artifacts() {
         let corpus = run(&spec(r#"{"kind":"litmus"}"#));
         assert_eq!(corpus.status, JobStatus::Ok, "{:?}", corpus.error);
-        let artifact = corpus.artifact.expect("corpus report");
-        assert!(artifact.contains("\"clean\": true"), "{artifact}");
+        let report = artifact(&corpus).expect("corpus report");
+        assert!(report.contains("\"clean\": true"), "{report}");
         let again = run(&spec(r#"{"kind":"litmus"}"#));
-        assert_eq!(Some(artifact), again.artifact, "byte-identical replies");
+        assert_eq!(Some(report), artifact(&again), "byte-identical replies");
 
         let sweep = run(&spec(
             r#"{"kind":"litmus","mode":"sweep","max_ops_per_thread":2,"max_total_ops":2,"jobs":2}"#,
         ));
         assert_eq!(sweep.status, JobStatus::Ok, "{:?}", sweep.error);
-        let artifact = sweep.artifact.expect("sweep report");
-        assert!(artifact.contains("\"clean\": true"), "{artifact}");
-        assert!(artifact.contains("\"fingerprint\""), "{artifact}");
+        let report = artifact(&sweep).expect("sweep report");
+        assert!(report.contains("\"clean\": true"), "{report}");
+        assert!(report.contains("\"fingerprint\""), "{report}");
     }
 
     #[test]
@@ -467,7 +492,7 @@ mod tests {
         let spec = spec(r#"{"kind":"bug","suite":"recipe","row":10}"#);
         let out = run(&spec);
         assert_eq!(out.status, JobStatus::Violation);
-        let artifact = out.artifact.expect("violation still carries the report");
+        let artifact = artifact(&out).expect("violation still carries the report");
         assert!(artifact.contains("\"executions_logical\""));
         assert!(!artifact.contains("duration_secs"), "canonical view");
         assert_eq!(spec.kind, JobKind::Bug);
@@ -482,8 +507,8 @@ mod tests {
         assert_eq!(plain, legacy);
         let (plain, legacy) = (run(&plain), run(&legacy));
         assert_eq!(plain.status, JobStatus::Violation);
-        assert_eq!(plain.artifact, legacy.artifact);
-        let artifact = plain.artifact.expect("violation carries the report");
+        assert_eq!(artifact(&plain), artifact(&legacy));
+        let artifact = artifact(&plain).expect("violation carries the report");
         assert!(
             artifact.contains("durably committed key lost"),
             "{artifact}"
@@ -495,7 +520,7 @@ mod tests {
         let spec = spec(r#"{"kind":"repair","suite":"recipe","row":3,"keys":3}"#);
         let out = run(&spec);
         assert_eq!(out.status, JobStatus::Ok, "{:?}", out.error);
-        let artifact = out.artifact.expect("verified repair carries the outcome");
+        let artifact = artifact(&out).expect("verified repair carries the outcome");
         assert!(artifact.contains("\"verified\": true"), "{artifact}");
         assert!(artifact.contains("\"edit\": \"insert-"), "{artifact}");
     }

@@ -27,6 +27,15 @@ pub const DEFAULT_CHECK_KEYS: usize = 6;
 /// Default key count for bug-row jobs (matches `jaaru_cli bug`).
 pub const DEFAULT_BUG_KEYS: usize = 5;
 
+/// Largest explicit `"jobs"`: a run starts that many worker threads at
+/// once, before any deadline can stop it.
+pub(crate) const MAX_JOBS: usize = 256;
+/// Largest `"keys"`: the registry builds every program's key set before
+/// picking the job's program.
+pub(crate) const MAX_KEYS: usize = 1024;
+/// Largest fuzz `"ops_max"`: it sizes each generated program.
+pub(crate) const MAX_OPS: usize = 4096;
+
 /// What kind of work a job runs; mirrors the one-shot subcommands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobKind {
@@ -115,15 +124,6 @@ pub enum ArtifactFormat {
     Sarif,
 }
 
-impl ArtifactFormat {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ArtifactFormat::JsonCanonical => "json",
-            ArtifactFormat::Sarif => "sarif",
-        }
-    }
-}
-
 /// One parsed job: what to run and how.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobSpec {
@@ -209,6 +209,16 @@ fn parse_job(kind: &str, value: &Value, default_jobs: usize) -> Result<JobSpec, 
                 .ok_or_else(|| SpecError(format!("{key:?} must be a non-negative integer"))),
         }
     };
+    // Fields that size threads or allocations before a run starts are
+    // refused above their bound, never clamped: a clamped job would not
+    // be the job that was asked for.
+    let get_bounded = |key: &str, max: usize| -> Result<Option<usize>, SpecError> {
+        match get_usize(key)? {
+            Some(n) if n > max => Err(SpecError(format!("{key:?} must be at most {max}"))),
+            n => Ok(n),
+        }
+    };
+    let keys = get_bounded("keys", MAX_KEYS)?;
 
     let benchmark = value.get("benchmark").and_then(Value::as_str);
     let suite = match value.get("suite").and_then(Value::as_str) {
@@ -224,7 +234,7 @@ fn parse_job(kind: &str, value: &Value, default_jobs: usize) -> Result<JobSpec, 
         JobKind::Fuzz => Workload::Campaign {
             seeds: value.get("seeds").and_then(Value::as_u64).unwrap_or(20),
             seed_start: value.get("seed_start").and_then(Value::as_u64).unwrap_or(0),
-            ops_max: get_usize("ops_max")?.unwrap_or(10),
+            ops_max: get_bounded("ops_max", MAX_OPS)?.unwrap_or(10),
             differential: value
                 .get("differential")
                 .and_then(Value::as_bool)
@@ -249,7 +259,7 @@ fn parse_job(kind: &str, value: &Value, default_jobs: usize) -> Result<JobSpec, 
                 .to_string();
             Workload::Fixed {
                 benchmark,
-                keys: get_usize("keys")?.unwrap_or(DEFAULT_CHECK_KEYS),
+                keys: keys.unwrap_or(DEFAULT_CHECK_KEYS),
             }
         }
         JobKind::Bug => {
@@ -258,14 +268,14 @@ fn parse_job(kind: &str, value: &Value, default_jobs: usize) -> Result<JobSpec, 
             Workload::Row {
                 suite,
                 row,
-                keys: get_usize("keys")?.unwrap_or(DEFAULT_BUG_KEYS),
+                keys: keys.unwrap_or(DEFAULT_BUG_KEYS),
             }
         }
         // Lint and repair take either shape, like the one-shot CLI.
         JobKind::Lint | JobKind::Repair => match (benchmark, suite) {
             (Some(benchmark), None) => Workload::Fixed {
                 benchmark: benchmark.to_string(),
-                keys: get_usize("keys")?.unwrap_or(DEFAULT_CHECK_KEYS),
+                keys: keys.unwrap_or(DEFAULT_CHECK_KEYS),
             },
             (None, Some(suite)) => {
                 let row = row.ok_or_else(|| {
@@ -274,7 +284,7 @@ fn parse_job(kind: &str, value: &Value, default_jobs: usize) -> Result<JobSpec, 
                 Workload::Row {
                     suite,
                     row,
-                    keys: get_usize("keys")?.unwrap_or(DEFAULT_BUG_KEYS),
+                    keys: keys.unwrap_or(DEFAULT_BUG_KEYS),
                 }
             }
             _ => {
@@ -297,7 +307,7 @@ fn parse_job(kind: &str, value: &Value, default_jobs: usize) -> Result<JobSpec, 
         kind,
         workload,
         format,
-        jobs: get_usize("jobs")?.unwrap_or(default_jobs),
+        jobs: get_bounded("jobs", MAX_JOBS)?.unwrap_or(default_jobs),
         deadline_ms: value.get("deadline_ms").and_then(Value::as_u64),
     })
 }
@@ -362,14 +372,14 @@ impl JobSpec {
     }
 
     /// The key this job's *result* lives under in the daemon's result
-    /// cache: (program, semantic config, kind, artifact format) — a lint
-    /// and a check of the same program produce different artifacts, as
-    /// do JSON and SARIF.
+    /// cache: (program, semantic config, kind). A lint and a check of
+    /// the same program produce different results. The artifact format
+    /// is not part of the key: the cache holds the result, and each
+    /// reply renders it in its own format.
     pub fn result_group(&self, config: &Config) -> u64 {
         let mut hash = self.program_hash();
         fnv1a(&mut hash, &config.fingerprint().to_le_bytes());
         fnv1a(&mut hash, self.kind.as_str().as_bytes());
-        fnv1a(&mut hash, self.format.as_str().as_bytes());
         hash
     }
 }
@@ -453,8 +463,8 @@ mod tests {
         assert!(matches!(by_row.workload, Workload::Row { .. }));
         assert!(req(r#"{"kind":"repair"}"#).is_err());
 
-        // A repair and a lint of the same row share no result: the
-        // artifacts differ.
+        // A repair and a lint of the same row share no result: a repair
+        // outcome is not a lint report.
         let config = Config::new();
         let lint = job(r#"{"kind":"lint","suite":"recipe","row":3}"#);
         assert_ne!(by_row.result_group(&config), lint.result_group(&config));
@@ -499,13 +509,70 @@ mod tests {
     }
 
     #[test]
-    fn result_group_separates_format_and_kind() {
+    fn result_group_separates_kind_but_not_format() {
         let config = Config::new();
         let json = job(r#"{"kind":"bug","suite":"recipe","row":10}"#);
         let sarif = job(r#"{"kind":"bug","suite":"recipe","row":10,"format":"sarif"}"#);
-        assert_ne!(json.result_group(&config), sarif.result_group(&config));
+        assert_eq!(json.result_group(&config), sarif.result_group(&config));
         let lint = job(r#"{"kind":"lint","suite":"recipe","row":10}"#);
         assert_ne!(json.result_group(&config), lint.result_group(&config));
+        let mut other = Config::new();
+        other.max_failures(2);
+        assert_ne!(config.fingerprint(), other.fingerprint());
+        assert_ne!(json.result_group(&config), json.result_group(&other));
+    }
+
+    #[test]
+    fn sizing_fields_are_refused_above_their_bounds() {
+        let at = job(&format!(
+            r#"{{"kind":"check","benchmark":"CCEH","jobs":{MAX_JOBS},"keys":{MAX_KEYS}}}"#
+        ));
+        assert_eq!(at.jobs, MAX_JOBS);
+        assert!(matches!(
+            at.workload,
+            Workload::Fixed { keys: MAX_KEYS, .. }
+        ));
+        let fuzz = job(&format!(r#"{{"kind":"fuzz","ops_max":{MAX_OPS}}}"#));
+        assert!(matches!(
+            fuzz.workload,
+            Workload::Campaign {
+                ops_max: MAX_OPS,
+                ..
+            }
+        ));
+        assert_eq!(
+            job(r#"{"kind":"check","benchmark":"CCEH","jobs":0}"#).jobs,
+            0,
+            "0 still means one worker per core"
+        );
+
+        for (line, key) in [
+            (
+                format!(
+                    r#"{{"kind":"check","benchmark":"CCEH","jobs":{}}}"#,
+                    MAX_JOBS + 1
+                ),
+                "jobs",
+            ),
+            (
+                r#"{"kind":"check","benchmark":"CCEH","jobs":1000000}"#.to_string(),
+                "jobs",
+            ),
+            (
+                format!(
+                    r#"{{"kind":"lint","suite":"recipe","row":3,"keys":{}}}"#,
+                    MAX_KEYS + 1
+                ),
+                "keys",
+            ),
+            (
+                format!(r#"{{"kind":"fuzz","ops_max":{}}}"#, MAX_OPS + 1),
+                "ops_max",
+            ),
+        ] {
+            let error = req(&line).expect_err(&line);
+            assert!(error.0.contains(key), "{error}");
+        }
     }
 
     #[test]

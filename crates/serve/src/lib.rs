@@ -17,10 +17,14 @@
 //!   knob), with panics isolated into `failed` replies, one retry for
 //!   transient failures, and cooperative deadline/cancellation stops at
 //!   scenario boundaries.
-//! - **Cross-job result cache**: completed `ok`/`violation` artifacts
-//!   are replayed byte-identically for duplicate submissions. Checks
-//!   share nothing else: each one's crash-point checkpoints live and die
-//!   with its own exploration.
+//! - **Cross-job result cache**: the result of each completed
+//!   `ok`/`violation` job ([`JobResult`]) is kept under its program,
+//!   semantic configuration and kind, without the artifact format. A
+//!   duplicate submission, or a resubmission in the other format, is
+//!   answered by rendering the cached result in its own format, byte
+//!   for byte what a fresh run would reply. Checks share nothing else:
+//!   each one's crash-point checkpoints live and die with its own
+//!   exploration.
 //! - **Service metrics** ([`metrics`]): queue depth, per-status
 //!   completion counts, the result cache's hit rate, and p50/p99
 //!   latency, rendered deterministically into every reply envelope and
@@ -39,6 +43,6 @@ pub mod metrics;
 pub mod queue;
 
 pub use daemon::{run_batch, serve, Daemon, LineAction, ServeOptions};
-pub use exec::{execute, job_config, CachedReply, JobOutcome, PANIC_WORKLOAD};
+pub use exec::{execute, job_config, CachedReply, JobOutcome, JobResult, PANIC_WORKLOAD};
 pub use job::{ArtifactFormat, JobKind, JobSpec, Request, Suite, Workload};
 pub use metrics::{JobStatus, Metrics};

@@ -49,8 +49,6 @@ struct Inner {
     cancelled: u64,
     deadline: u64,
     retries: u64,
-    result_hits: u64,
-    result_misses: u64,
     queue_depth: u64,
     queue_peak: u64,
     latencies: Vec<Duration>,
@@ -100,9 +98,8 @@ impl Metrics {
         self.lock().retries += 1;
     }
 
-    /// A job reached a terminal status. `cached` says whether the reply
-    /// was served from the result cache; `latency` is submission-to-reply.
-    pub fn finished(&self, status: JobStatus, cached: bool, latency: Duration) {
+    /// A job reached a terminal status; `latency` is submission-to-reply.
+    pub fn finished(&self, status: JobStatus, latency: Duration) {
         let mut m = self.lock();
         match status {
             JobStatus::Ok => m.ok += 1,
@@ -113,11 +110,6 @@ impl Metrics {
             JobStatus::Rejected => m.rejected += 1,
         }
         if status != JobStatus::Rejected {
-            if cached {
-                m.result_hits += 1;
-            } else {
-                m.result_misses += 1;
-            }
             m.latencies.push(latency);
         }
     }
@@ -126,10 +118,6 @@ impl Metrics {
     pub fn completed(&self) -> u64 {
         let m = self.lock();
         m.ok + m.violation + m.failed + m.cancelled + m.deadline
-    }
-
-    pub fn result_hits(&self) -> u64 {
-        self.lock().result_hits
     }
 
     /// Renders the metrics snapshot as a single-line JSON object with
@@ -181,12 +169,11 @@ mod tests {
         metrics.admitted();
         metrics.admitted();
         metrics.dequeued();
-        metrics.finished(JobStatus::Ok, false, Duration::from_millis(10));
+        metrics.finished(JobStatus::Ok, Duration::from_millis(10));
         metrics.dequeued();
-        metrics.finished(JobStatus::Violation, true, Duration::from_millis(2));
+        metrics.finished(JobStatus::Violation, Duration::from_millis(2));
         metrics.rejected();
         assert_eq!(metrics.completed(), 2);
-        assert_eq!(metrics.result_hits(), 1);
 
         let caches = SnapshotStats {
             shared_hits: 1,
@@ -214,7 +201,7 @@ mod tests {
     fn latency_percentiles_are_millisecond_integers() {
         let metrics = Metrics::new();
         for ms in [10u64, 20, 30, 40] {
-            metrics.finished(JobStatus::Ok, false, Duration::from_millis(ms));
+            metrics.finished(JobStatus::Ok, Duration::from_millis(ms));
         }
         let v = parse(&metrics.render(&SnapshotStats::default())).unwrap();
         let lat = v.get("latency_ms").unwrap();
@@ -226,8 +213,8 @@ mod tests {
     fn render_is_deterministic_for_equal_state() {
         let a = Metrics::new();
         let b = Metrics::new();
-        a.finished(JobStatus::Ok, true, Duration::from_millis(5));
-        b.finished(JobStatus::Ok, true, Duration::from_millis(5));
+        a.finished(JobStatus::Ok, Duration::from_millis(5));
+        b.finished(JobStatus::Ok, Duration::from_millis(5));
         let stats = SnapshotStats::default();
         assert_eq!(a.render(&stats), b.render(&stats));
     }

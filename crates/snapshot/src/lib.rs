@@ -17,8 +17,9 @@
 //!   fills in for cross-job result reuse.
 //! * [`SnapshotCache`] — a single-owner LRU cache keyed by `u64` with a
 //!   byte/entry budget. The serving daemon keys it by a job's result
-//!   group (program, semantic configuration, kind and format), so a
-//!   resubmission replays the first reply byte for byte.
+//!   group (program, semantic configuration and kind) and keeps the
+//!   job's result in it, so a resubmission in either format is rendered
+//!   from the first run's result.
 //!
 //! # Example
 //!

@@ -1,9 +1,9 @@
 //! End-to-end checks for the checking-as-a-service daemon: served
 //! artifacts are byte-identical to one-shot CLI output (across worker
-//! counts), duplicate submissions are served from the shared result
-//! cache, cancellation / deadlines / panics fail closed without
-//! affecting neighboring jobs, and the Unix-socket front end round-trips
-//! the same protocol.
+//! counts), duplicate submissions and resubmissions in the other format
+//! are served from the shared result cache, cancellation / deadlines /
+//! panics fail closed without affecting neighboring jobs, and the
+//! Unix-socket front end round-trips the same protocol.
 
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -106,7 +106,7 @@ fn duplicate_submissions_are_served_from_the_result_cache() {
             "cached bytes identical"
         );
     }
-    assert_eq!(d.metrics().result_hits(), 2);
+    assert_eq!(d.cache_stats().shared_hits, 2);
     let cache = field(field(&replies[2], "metrics"), "cache");
     assert_eq!(cache.get("result_hits").and_then(Value::as_u64), Some(2));
     assert_eq!(cache.get("result_misses").and_then(Value::as_u64), Some(1));
@@ -114,22 +114,68 @@ fn duplicate_submissions_are_served_from_the_result_cache() {
 
 #[test]
 fn different_configs_do_not_share_results() {
-    // Same program, different semantic config (lint vs bug) and
-    // different format: three distinct result-cache entries.
+    // Same program, different semantic config (lint vs bug): two
+    // distinct result-cache entries.
     let d = new_daemon();
     let input = concat!(
         r#"{"kind":"bug","suite":"recipe","row":10}"#,
         "\n",
         r#"{"kind":"lint","suite":"recipe","row":10}"#,
         "\n",
-        r#"{"kind":"bug","suite":"recipe","row":10,"format":"sarif"}"#,
-        "\n",
     );
     let (_, replies) = batch(&d, input);
     for reply in &replies {
         assert_eq!(field(reply, "cached").as_bool(), Some(false));
     }
-    assert_eq!(d.metrics().result_hits(), 0);
+    assert_eq!(d.cache_stats().shared_hits, 0);
+}
+
+#[test]
+fn other_format_resubmission_renders_the_cached_result() {
+    let json_line = r#"{"kind":"lint","suite":"recipe","row":10}"#;
+    let sarif_line = r#"{"kind":"lint","suite":"recipe","row":10,"format":"sarif"}"#;
+    let report = one_shot(json_line, 1);
+    let json = report.to_canonical_json();
+    let sarif = jaaru::to_sarif(&report.diagnostics, env!("CARGO_PKG_VERSION"));
+    for [(first, first_bytes), (second, second_bytes)] in [
+        [(json_line, &json), (sarif_line, &sarif)],
+        [(sarif_line, &sarif), (json_line, &json)],
+    ] {
+        let d = new_daemon();
+        let (_, replies) = batch(&d, &format!("{first}\n{second}\n"));
+        assert_eq!(field(&replies[0], "cached").as_bool(), Some(false));
+        assert_eq!(artifact(&replies[0]), first_bytes, "{first}");
+        assert_eq!(
+            field(&replies[1], "cached").as_bool(),
+            Some(true),
+            "{second} after {first}"
+        );
+        assert_eq!(
+            artifact(&replies[1]),
+            second_bytes,
+            "{second} renders the one-shot bytes from the cached result"
+        );
+        assert_eq!(d.cache_stats().shared_hits, 1);
+        let cache = field(field(&replies[1], "metrics"), "cache");
+        assert_eq!(cache.get("result_hits").and_then(Value::as_u64), Some(1));
+    }
+
+    // A fuzz campaign has only its JSON view, so a SARIF resubmission
+    // replays the same bytes.
+    let d = new_daemon();
+    let (_, replies) = batch(
+        &d,
+        concat!(
+            r#"{"kind":"fuzz","seeds":2}"#,
+            "\n",
+            r#"{"kind":"fuzz","seeds":2,"format":"sarif"}"#,
+            "\n",
+        ),
+    );
+    assert_eq!(status(&replies[0]), "ok");
+    assert_eq!(field(&replies[1], "cached").as_bool(), Some(true));
+    assert_eq!(artifact(&replies[1]), artifact(&replies[0]));
+    assert_eq!(d.cache_stats().shared_hits, 1);
 }
 
 #[test]
