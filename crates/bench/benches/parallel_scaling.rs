@@ -2,7 +2,7 @@
 //! increasing worker counts (`Config::jobs`). The workload fans out into
 //! several hundred failure scenarios, each with enough per-execution
 //! work that the scenario cost dominates scheduling overhead — the
-//! regime the work-stealing engine targets.
+//! regime in which donating subtrees to idle workers pays.
 //!
 //! Run with: `cargo bench -p jaaru-bench --bench parallel_scaling`
 

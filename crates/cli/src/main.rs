@@ -401,6 +401,7 @@ fn fuzz(opts: FuzzOpts, jobs: usize, format: Format) -> i32 {
         opts.seed_start,
         opts.seeds,
         opts.ops_max,
+        None,
         |program, outcome| {
             if opts.harvest && outcome.buggy && outcome.divergences.is_empty() {
                 if let Some(repro) = harvest(program) {
@@ -576,7 +577,7 @@ fn litmus(opts: LitmusOpts, jobs: usize, format: Format) -> i32 {
         jobs
     };
     let corpus = opts.corpus.then(run_corpus_report);
-    let sweep = opts.sweep.then(|| run_sweep(&opts.bound, jobs));
+    let sweep = opts.sweep.then(|| run_sweep(&opts.bound, jobs, None));
     match format {
         Format::Json | Format::JsonCanonical => match (&corpus, &sweep) {
             (Some(c), Some(s)) => {

@@ -71,9 +71,9 @@ struct Inner {
     /// executions and participates in snapshots.
     recovery_reads: HashSet<u64>,
 
-    /// Checkpoints captured at this scenario's fresh crash decisions,
-    /// with each decision's index, in decision order.
-    captures: Vec<(usize, CheckerSnapshot)>,
+    /// Checkpoints captured at this scenario's fresh crash decisions, in
+    /// decision order.
+    captures: Vec<CheckerSnapshot>,
 }
 
 /// Per-scenario results harvested by the explorer after a run.
@@ -87,10 +87,9 @@ pub(crate) struct ScenarioRecord {
     pub max_rf_set: usize,
     /// Cache lines recovery read (empty unless the dead-flush pass is on).
     pub recovery_reads: HashSet<u64>,
-    /// The crash-point checkpoints this scenario captured, each with the
-    /// index of the fresh crash decision it forks (empty when snapshots
-    /// are off).
-    pub captures: Vec<(usize, CheckerSnapshot)>,
+    /// The crash-point checkpoints this scenario captured at its fresh
+    /// crash decisions (empty when snapshots are off).
+    pub captures: Vec<CheckerSnapshot>,
 }
 
 /// The instrumented environment for one failure scenario.
@@ -189,15 +188,15 @@ impl CheckerEnv {
     /// crashed executions' store logs are frozen and shared, so only their
     /// intervals are copied), per-execution volatile state starts fresh
     /// exactly as [`advance_execution`](Self::advance_execution) would
-    /// leave it, and the decision log adopts the snapshot's consumed
-    /// prefix. Running `Program::run` against the result is equivalent to
+    /// leave it, and the decision log resumes right after the crash the
+    /// snapshot forks. Running `Program::run` against the result is equivalent to
     /// replaying the prefix executions, minus the replay.
     pub(crate) fn from_snapshot(
         config: &Config,
         mut decisions: DecisionLog,
         snap: &CheckerSnapshot,
     ) -> Self {
-        decisions.adopt_prefix(&snap.prefix);
+        decisions.adopt_prefix(snap.decision + 1);
         let fresh = CheckerEnv::new(config, decisions);
         {
             let mut inner = fresh.inner.borrow_mut();
@@ -338,8 +337,8 @@ impl CheckerEnv {
         // crash here leaves for the scenarios that later take it.
         let index = inner.decisions.consumed() - 1;
         if self.capture && index >= inner.decisions.prefix_len() {
-            let snapshot = self.capture(&inner, ordinal);
-            inner.captures.push((index, snapshot));
+            let snapshot = self.capture(&inner, index, ordinal);
+            inner.captures.push(snapshot);
         }
         if choice == 1 {
             inner.crash_points.push(ordinal);
@@ -348,17 +347,12 @@ impl CheckerEnv {
         }
     }
 
-    /// The snapshot a crash at the injection point just consumed (point
-    /// `ordinal` of the running execution) leaves: built from live state
-    /// exactly as [`advance_execution`](Self::advance_execution) would
-    /// leave it after the crash, with the consumed decision prefix ending
-    /// in the crash alternative.
-    fn capture(&self, inner: &Inner, ordinal: usize) -> CheckerSnapshot {
-        let mut prefix = inner.decisions.prefix_decisions(inner.decisions.consumed());
-        prefix
-            .last_mut()
-            .expect("the crash decision was consumed")
-            .chosen = 1;
+    /// The snapshot a crash at the injection point just consumed
+    /// (decision `decision`, point `ordinal` of the running execution)
+    /// leaves: built from live state exactly as
+    /// [`advance_execution`](Self::advance_execution) would leave it
+    /// after the crash.
+    fn capture(&self, inner: &Inner, decision: usize, ordinal: usize) -> CheckerSnapshot {
         // `TsoMachine::crash` keeps the storage and drops the buffers.
         let mut stack = Vec::with_capacity(inner.stack.len() + 1);
         stack.extend_from_slice(&inner.stack);
@@ -382,7 +376,7 @@ impl CheckerEnv {
             max_rf_set: inner.max_rf_set,
             op_traces,
             recovery_reads: inner.recovery_reads.clone(),
-            prefix,
+            decision,
         }
     }
 

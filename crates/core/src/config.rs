@@ -141,11 +141,12 @@ impl Config {
     }
 
     /// Number of worker threads exploring failure scenarios. `1`
-    /// (default) runs the single-threaded depth-first search; `0` uses
-    /// [`std::thread::available_parallelism`]; `n > 1` partitions the
-    /// scenario frontier over `n` work-stealing workers. The final
-    /// report is byte-identical across job counts for non-truncated
-    /// runs (see DESIGN.md, "Parallel exploration").
+    /// (default) runs the depth-first walk on the calling thread; `0`
+    /// uses [`std::thread::available_parallelism`]; `n > 1` runs the same
+    /// walk on `n` threads, which split the decision tree by donating
+    /// subtrees to idle peers. The final report is byte-identical across
+    /// job counts for non-truncated runs (see DESIGN.md, "Parallel
+    /// exploration").
     pub fn jobs(&mut self, n: usize) -> &mut Self {
         self.jobs = n;
         self

@@ -40,16 +40,27 @@ pub struct Decision {
     pub exec_index: usize,
 }
 
+impl Decision {
+    /// Whether an alternative after the chosen one is left.
+    fn has_alternatives(&self) -> bool {
+        self.chosen + 1 < self.total
+    }
+}
+
 /// A replayable decision trace with DFS backtracking.
 ///
 /// During a run, [`DecisionLog::next`] either replays a recorded decision
 /// or appends a fresh one choosing alternative `0`. Between runs,
-/// [`DecisionLog::backtrack`] advances to the next unexplored trace.
+/// [`DecisionLog::backtrack`] advances to the next unexplored trace. The
+/// decisions below the log's *floor* are fixed: they name the subtree
+/// this log explores, and [`DecisionLog::split`] raises the floor when it
+/// hands subtrees to another explorer.
 #[derive(Clone, Debug, Default)]
 pub struct DecisionLog {
     decisions: Vec<Decision>,
     cursor: usize,
     prefix_len: usize,
+    floor: usize,
 }
 
 impl DecisionLog {
@@ -76,6 +87,7 @@ impl DecisionLog {
                 .collect(),
             cursor: 0,
             prefix_len: trace.len(),
+            floor: 0,
         }
     }
 
@@ -166,53 +178,23 @@ impl DecisionLog {
         self.cursor
     }
 
-    /// Copies of the first `len` decisions, with full metadata. Stored
-    /// alongside a snapshot so [`adopt_prefix`](Self::adopt_prefix) can
-    /// rehydrate placeholder logs built by [`from_trace`](Self::from_trace).
-    pub fn prefix_decisions(&self, len: usize) -> Vec<Decision> {
-        self.decisions[..len].to_vec()
-    }
-
-    /// Adopts snapshot-recorded metadata for the first `prefix.len()`
-    /// decisions and marks them consumed, as if the prefix executions
-    /// had replayed them. `from_trace` placeholders (unknown alternative
-    /// counts) take the snapshot's metadata; already-known decisions are
-    /// cross-checked instead.
+    /// Marks the first `len` decisions consumed, as if the executions
+    /// before a restored checkpoint had replayed them. The restore skips
+    /// those executions, so the decisions keep the metadata recorded by
+    /// the run that made them.
     ///
     /// # Panics
     ///
-    /// Panics if the prefix disagrees with the planned trace in chosen
-    /// alternatives (the checkpoint was not taken on the plan's path) or
-    /// in metadata (a nondeterministic guest program).
-    pub fn adopt_prefix(&mut self, prefix: &[Decision]) {
+    /// Panics unless the last of the `len` decisions is a taken crash:
+    /// the one whose checkpoint is being restored.
+    pub fn adopt_prefix(&mut self, len: usize) {
         assert_eq!(self.cursor, 0, "adopt_prefix requires an unconsumed log");
         assert!(
-            prefix.len() <= self.decisions.len(),
-            "snapshot prefix longer than the planned trace"
+            len > 0 && self.crashes_at(len - 1),
+            "a checkpoint does not prefix the planned trace: its {len} decisions \
+             do not end in a crash the plan takes"
         );
-        for (i, snap) in prefix.iter().enumerate() {
-            let d = &mut self.decisions[i];
-            assert_eq!(
-                d.chosen, snap.chosen,
-                "snapshot prefix does not prefix the planned trace at decision {i}"
-            );
-            if d.total == usize::MAX {
-                d.total = snap.total;
-                d.kind = snap.kind;
-                d.exec_index = snap.exec_index;
-            } else {
-                assert!(
-                    d.total == snap.total && d.kind == snap.kind,
-                    "nondeterministic guest program: snapshot recorded {:?} with {} \
-                     alternatives at decision {i}, plan has {:?} with {}",
-                    snap.kind,
-                    snap.total,
-                    d.kind,
-                    d.total,
-                );
-            }
-        }
-        self.cursor = prefix.len();
+        self.cursor = len;
     }
 
     /// Length of the prescribed prefix of the most recent run (decisions
@@ -221,33 +203,45 @@ impl DecisionLog {
         self.prefix_len
     }
 
-    /// The unexplored sibling subtrees of this completed run, rooted at
-    /// or after decision `start`, as trace prefixes: for each decision
-    /// `i >= start` and each alternative it did *not* take, the prefix
-    /// `trace[..i] + [alt]`. Running each prefix (and recursively
-    /// expanding *its* fresh decisions) enumerates exactly the leaves a
-    /// depth-first [`backtrack`](Self::backtrack) walk would visit after
-    /// this one within the subtree rooted at `trace[..start]` — the
-    /// frontier-splitting rule behind parallel exploration.
-    pub fn sibling_prefixes(&self, start: usize) -> Vec<Vec<usize>> {
-        let chosen: Vec<usize> = self.trace();
-        let mut out = Vec::new();
-        for (i, d) in self.decisions.iter().enumerate().skip(start) {
-            for alt in (d.chosen + 1)..d.total {
-                let mut prefix = chosen[..i].to_vec();
-                prefix.push(alt);
-                out.push(prefix);
-            }
-        }
-        out
+    /// Splits off the subtrees of the shallowest decision at or above
+    /// the floor that has untaken alternatives: one log per such
+    /// alternative, holding the path up to that decision (with full
+    /// metadata) with the alternative taken, and its own length as its
+    /// floor. This log's floor rises past the decision, so
+    /// [`backtrack`](Self::backtrack) never enters a split-off subtree.
+    /// The donated logs and what this log still explores cover the
+    /// leaves it had left, each exactly once. Empty when nothing at or
+    /// above the floor is left to explore.
+    pub fn split(&mut self) -> Vec<DecisionLog> {
+        let Some(at) =
+            (self.floor..self.decisions.len()).find(|&i| self.decisions[i].has_alternatives())
+        else {
+            return Vec::new();
+        };
+        self.floor = at + 1;
+        let taken = self.decisions[at];
+        (taken.chosen + 1..taken.total)
+            .map(|alt| {
+                let mut decisions = self.decisions[..=at].to_vec();
+                decisions[at].chosen = alt;
+                DecisionLog {
+                    decisions,
+                    cursor: 0,
+                    prefix_len: at + 1,
+                    floor: at + 1,
+                }
+            })
+            .collect()
     }
 
     /// Advances to the next unexplored trace: flips the deepest decision
-    /// with remaining alternatives and truncates everything after it.
-    /// Returns `false` when the whole tree has been explored.
+    /// at or above the floor with remaining alternatives and truncates
+    /// everything after it. Returns `false` when this log's subtree has
+    /// been explored.
     pub fn backtrack(&mut self) -> bool {
-        while let Some(last) = self.decisions.last_mut() {
-            if last.chosen + 1 < last.total {
+        while self.decisions.len() > self.floor {
+            let last = self.decisions.last_mut().expect("above the floor");
+            if last.has_alternatives() {
                 last.chosen += 1;
                 self.cursor = 0;
                 self.prefix_len = self.decisions.len();
@@ -368,41 +362,36 @@ mod tests {
     fn sibling_prefixes_enumerate_untaken_alternatives() {
         let mut log = DecisionLog::new();
         run(&mut log); // (0, None): one binary decision, alternative 0
-        assert_eq!(log.sibling_prefixes(0), vec![vec![1]]);
-        // Prefixes starting past every decision are empty.
-        assert_eq!(log.sibling_prefixes(1), Vec::<Vec<usize>>::new());
+        let donated: Vec<Vec<usize>> = log.split().iter().map(DecisionLog::trace).collect();
+        assert_eq!(donated, vec![vec![1]]);
+        // The floor is now past every decision: nothing is left here.
+        assert!(log.split().is_empty());
+        assert!(!log.backtrack());
     }
 
     #[test]
     fn adopt_prefix_rehydrates_from_trace_placeholders() {
-        // Record a real run to harvest decision metadata.
-        let mut recorded = DecisionLog::new();
-        run(&mut recorded);
-        assert!(recorded.backtrack());
-        run(&mut recorded); // (1, Some(0)): two decisions with metadata
-        let prefix = recorded.prefix_decisions(1);
-
-        // A worker log for the same subtree starts as placeholders.
+        // A restore consumes the plan up to its crash; the run resumes at
+        // the next decision, and a `from_trace` placeholder there adopts
+        // the real metadata as it replays.
         let mut log = DecisionLog::from_trace(&[1, 2]);
-        log.adopt_prefix(&prefix);
+        log.adopt_prefix(1);
         assert_eq!(log.consumed(), 1);
-        assert!(log.crashes_at(0), "the adopted crash is taken");
-        // The run continues from the adopted point: the next decision is
-        // the ReadFrom one, replaying alternative 2.
         assert_eq!(log.next(3, ChoiceKind::ReadFrom, 1), 2);
         assert_eq!(log.divergence_exec_index(), 1);
+        assert!(log.to_string().ends_with("r2/3]"), "{log}");
     }
 
     #[test]
     #[should_panic(expected = "does not prefix")]
     fn adopt_prefix_rejects_mismatched_keys() {
-        let mut recorded = DecisionLog::new();
-        run(&mut recorded);
-        assert!(recorded.backtrack());
-        run(&mut recorded);
-        let prefix = recorded.prefix_decisions(1); // chose 1
-        let mut log = DecisionLog::from_trace(&[0]);
-        log.adopt_prefix(&prefix);
+        let mut log = DecisionLog::new();
+        run(&mut log); // (0, None): the crash decision continues
+        assert!(log.backtrack());
+        run(&mut log); // (1, Some(0))
+        assert!(log.backtrack()); // (1, Some(1)) planned
+                                  // Decision 1 is a read-from choice, not a crash.
+        log.adopt_prefix(2);
     }
 
     #[test]
@@ -413,12 +402,7 @@ mod tests {
         assert_eq!(log.consumed(), 1);
         log.next(3, ChoiceKind::ReadFrom, 1);
         assert_eq!(log.consumed(), 2);
-        let consumed: Vec<usize> = log
-            .prefix_decisions(log.consumed())
-            .iter()
-            .map(|d| d.chosen)
-            .collect();
-        assert_eq!(consumed, vec![0, 0]);
+        assert_eq!(log.trace()[..log.consumed()], [0, 0]);
     }
 
     #[test]
@@ -433,25 +417,39 @@ mod tests {
         assert!(!log.crashes_at(2), "past the end");
     }
 
-    #[test]
-    fn frontier_expansion_covers_the_dfs_tree_exactly_once() {
-        // Worklist exploration via sibling_prefixes must visit the same
-        // leaf set as the sequential backtracking walk, each leaf once.
-        let mut log = DecisionLog::new();
-        let mut dfs_leaves = Vec::new();
+    /// The DFS leaves of a log walked by `walk` until it is exhausted,
+    /// in visit order.
+    fn walk_all(mut log: DecisionLog, walk: fn(&mut DecisionLog) -> Vec<usize>) -> Vec<Vec<usize>> {
+        let mut leaves = Vec::new();
         loop {
-            dfs_leaves.push(run(&mut log));
+            leaves.push(walk(&mut log));
             if !log.backtrack() {
-                break;
+                return leaves;
             }
         }
+    }
 
-        let mut work = vec![Vec::new()];
+    #[test]
+    fn frontier_expansion_covers_the_dfs_tree_exactly_once() {
+        // Splitting after every scenario and exploring the donated logs
+        // as a worklist must visit the same leaf set as the plain
+        // backtracking walk, each leaf once.
+        let leaf = |log: &mut DecisionLog| {
+            let (a, b) = run(log);
+            vec![a, b.map_or(9, |b| b)]
+        };
+        let dfs_leaves = walk_all(DecisionLog::new(), leaf);
+
+        let mut work = vec![DecisionLog::new()];
         let mut frontier_leaves = Vec::new();
-        while let Some(prefix) = work.pop() {
-            let mut log = DecisionLog::from_trace(&prefix);
-            frontier_leaves.push(run(&mut log));
-            work.extend(log.sibling_prefixes(prefix.len()));
+        while let Some(mut log) = work.pop() {
+            loop {
+                frontier_leaves.push(leaf(&mut log));
+                work.extend(log.split());
+                if !log.backtrack() {
+                    break;
+                }
+            }
         }
 
         frontier_leaves.sort();
@@ -463,5 +461,66 @@ mod tests {
             dfs_leaves.len(),
             "no leaf visited twice"
         );
+    }
+
+    /// A deeper tree: a crash decision, then (after a crash) two
+    /// read-from choices of 3 and 2 alternatives and a second crash
+    /// decision; without the first crash, a second crash decision. The
+    /// leaf is the full trace.
+    fn deep(log: &mut DecisionLog) -> Vec<usize> {
+        if log.next(2, ChoiceKind::Crash, 0) == 1 {
+            log.next(3, ChoiceKind::ReadFrom, 1);
+            log.next(2, ChoiceKind::ReadFrom, 1);
+            log.next(2, ChoiceKind::Crash, 1);
+        } else {
+            log.next(2, ChoiceKind::Crash, 0);
+        }
+        log.trace()
+    }
+
+    #[test]
+    fn split_hands_off_every_leaf_exactly_once() {
+        let dfs_leaves = walk_all(DecisionLog::new(), deep);
+        assert_eq!(dfs_leaves.len(), 2 + 3 * 2 * 2);
+        // Split after every `every`-th scenario, so the donor splits at
+        // different depths; the donor and every donated log must
+        // together visit each leaf once, and a donor must never
+        // backtrack below its floor.
+        for every in 1..=4 {
+            let mut work = vec![DecisionLog::new()];
+            let mut leaves = Vec::new();
+            while let Some(mut log) = work.pop() {
+                // The floor: a donated log's own length, raised by split.
+                let mut fixed = log.prefix_len();
+                for scenario in 1.. {
+                    leaves.push(deep(&mut log));
+                    if scenario % every == 0 {
+                        let donated = log.split();
+                        if let Some(first) = donated.first() {
+                            fixed = first.prefix_len();
+                            let trace = log.trace();
+                            for d in &donated {
+                                // Same path up to the split decision,
+                                // then an alternative the donor had left.
+                                let at = d.prefix_len() - 1;
+                                assert_eq!(d.trace()[..at], trace[..at]);
+                                assert!(d.trace()[at] > trace[at]);
+                            }
+                        }
+                        work.extend(donated);
+                    }
+                    let before = log.trace();
+                    if !log.backtrack() {
+                        break;
+                    }
+                    assert!(log.prefix_len() > fixed, "backtracked below the floor");
+                    assert_eq!(log.trace()[..fixed], before[..fixed]);
+                }
+            }
+            leaves.sort();
+            let mut expected = dfs_leaves.clone();
+            expected.sort();
+            assert_eq!(leaves, expected, "split every {every} scenario(s)");
+        }
     }
 }

@@ -3,12 +3,15 @@
 //! This is the re-execution form of the paper's `Explore` algorithm
 //! (Figure 11). Each iteration runs one complete failure scenario — a
 //! pre-failure execution, zero or more injected power failures, and the
-//! recovery executions between them — steered by a decision trace. When a
-//! scenario finishes, the driver backtracks to the deepest decision with
-//! unexplored alternatives and reruns. The tree is exhausted when no
-//! decision can be advanced, at which point every equivalence class of
-//! post-failure executions (defined by which pre-failure stores the
-//! post-failure loads read) has been explored exactly once.
+//! recovery executions between them — steered by a decision trace
+//! ([`run_scenario`]). When a scenario finishes, the walk backtracks to
+//! the deepest decision with unexplored alternatives and reruns. The
+//! tree is exhausted when no decision can be advanced, at which point
+//! every equivalence class of post-failure executions (defined by which
+//! pre-failure stores the post-failure loads read) has been explored
+//! exactly once. The walk itself lives in `crate::parallel`: one worker
+//! runs it on the calling thread, several split the tree by donating
+//! subtrees to idle peers.
 //!
 //! Re-execution normally replays a scenario's pre-failure prefix from
 //! scratch. With snapshots enabled (the default), the environment instead
@@ -23,7 +26,7 @@
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,19 +37,18 @@ use crate::checker_env::CheckerEnv;
 use crate::config::Config;
 use crate::decision::DecisionLog;
 use crate::lint::lint_scenario;
+use crate::parallel::explore;
 use crate::parallel::merge::ReportAccumulator;
 use crate::report::{BugKind, BugReport, CheckReport, CheckStats, RaceReport};
 use crate::signal::{
-    install_panic_hook, panic_message, take_last_panic_location, with_quiet_panics, AbortSignal,
-    CrashSignal,
+    panic_message, take_last_panic_location, with_quiet_panics, AbortSignal, CrashSignal,
 };
 use crate::snapshot::CheckerSnapshot;
 use crate::Program;
 
 /// Everything one completed failure scenario contributes to the final
-/// report. Both the sequential DFS and the parallel workers produce
-/// these; [`ReportAccumulator`] folds them — in canonical trace order —
-/// into a [`CheckReport`].
+/// report. The exploration walk produces these; [`ReportAccumulator`]
+/// folds them — in canonical trace order — into a [`CheckReport`].
 #[derive(Clone, Debug)]
 pub(crate) struct ScenarioOutcome {
     /// The scenario's complete decision trace (its identity, and the
@@ -103,21 +105,20 @@ pub(crate) struct ExploreAux {
 
 /// Runs one complete failure scenario steered by `decisions` and returns
 /// its outcome, the decision log (with alternative counts filled in),
-/// ready for [`DecisionLog::backtrack`] or
-/// [`DecisionLog::sibling_prefixes`], and the checkpoints it captured.
+/// ready for [`DecisionLog::backtrack`] or [`DecisionLog::split`], and
+/// the checkpoints it captured.
 ///
 /// `checkpoint`, when given, is the checkpoint of the deepest crash the
 /// planned trace takes: the scenario restores it instead of replaying the
 /// executions before that crash (counted in `executions_restored`). With
 /// [`Config::snapshots`] on, every fresh crash decision the scenario makes
-/// captures a checkpoint, returned with the decision's index, for the
-/// scenarios that later take that crash.
+/// captures a checkpoint for the scenarios that later take that crash.
 pub(crate) fn run_scenario(
     config: &Config,
     program: &dyn Program,
     decisions: DecisionLog,
     checkpoint: Option<&CheckerSnapshot>,
-) -> (ScenarioOutcome, DecisionLog, Vec<(usize, CheckerSnapshot)>) {
+) -> (ScenarioOutcome, DecisionLog, Vec<CheckerSnapshot>) {
     let (env, executions_restored) = match checkpoint {
         Some(snap) => (
             CheckerEnv::from_snapshot(config, decisions, snap),
@@ -271,29 +272,30 @@ impl ModelChecker {
         self
     }
 
-    fn aborted(&self) -> bool {
-        self.abort
-            .as_ref()
-            .is_some_and(|a| a.load(Ordering::Relaxed))
-    }
-
     /// Exhaustively model checks `program` and reports every distinct bug
     /// found, with statistics matching the paper's Figure 14 columns.
     ///
-    /// With [`Config::jobs`] > 1 the scenario frontier is explored by a
-    /// work-stealing thread pool; for non-truncated runs the report is
-    /// byte-identical (per [`CheckReport::digest`]) to the sequential one.
+    /// With [`Config::jobs`] > 1 the depth-first walk runs on that many
+    /// threads, which split the tree by donating subtrees to idle peers;
+    /// for non-truncated runs the report is byte-identical (per
+    /// [`CheckReport::digest`]) to the one-thread one.
     ///
     /// With [`Config::lint_flush_redundancy`] on, an untruncated run also
     /// reports dead flushes: flushes of lines no recovery execution read
     /// (see [`jaaru_analysis::dead_flushes`]).
     pub fn check(&self, program: &(dyn Program + Sync)) -> CheckReport {
-        let (mut report, aux) = match self.config.effective_jobs() {
-            0 | 1 => self.check_sequential(program),
-            jobs => {
-                crate::parallel::check_parallel(&self.config, program, jobs, self.abort.clone())
-            }
-        };
+        let start = Instant::now();
+        let mut acc = ReportAccumulator::new();
+        let (truncated, parallel) = explore(&self.config, program, self.abort.clone(), |outcome| {
+            acc.add(outcome)
+        });
+        let aux = acc.take_aux();
+        let mut report = acc.into_report(
+            truncated,
+            start.elapsed(),
+            parallel,
+            self.config.snapshots_value(),
+        );
         // The footprint is complete only when every recovery branch ran:
         // a truncated run may have skipped the one that reads a line.
         if self.config.lint_flush_redundancy_value() && !report.truncated {
@@ -307,99 +309,32 @@ impl ModelChecker {
         report
     }
 
-    /// Runs the *static* persistence-slicing pass: a bounded sequential
-    /// exploration with op tracing forced on, whose recorded traces feed
+    /// Runs the *static* persistence-slicing pass: a bounded exploration
+    /// with op tracing forced on, whose recorded traces feed
     /// [`jaaru_analysis::SliceReport::build`]. The result names the
     /// recovery read footprint, absorption facts, and the predicted
     /// crash-point equivalence classes. Advisory only: it never affects
     /// `check`'s exploration or verdicts.
     pub fn slice(&self, program: &(dyn Program + Sync)) -> jaaru_analysis::SliceReport {
-        install_panic_hook();
         let mut config = self.config.clone();
         // `lints(true)` turns per-execution op tracing on. The pass
         // replays every prefix, so it captures no checkpoints.
-        config.lints(true).jobs(1).snapshots(false);
+        config.lints(true).snapshots(false);
         config.collect_traces = true;
 
-        let mut decisions = DecisionLog::new();
         let mut pre: Option<OpTrace> = None;
         let mut recoveries: Vec<OpTrace> = Vec::new();
-        let mut scenarios = 0u64;
-        loop {
-            let (mut outcome, log, _) = run_scenario(&config, program, decisions, None);
-            decisions = log;
-            scenarios += 1;
+        explore(&config, program, self.abort.clone(), |mut outcome| {
             if let Some(trace) = outcome.clean_trace.take() {
                 // The all-continue scenario's only trace is the complete
                 // pre-failure execution.
                 pre = Some(trace);
             }
             recoveries.extend(outcome.op_traces.drain(..).skip(1));
-            if scenarios >= self.config.scenario_limit() || !decisions.backtrack() {
-                break;
-            }
-        }
+        });
         let mut traces = vec![pre.unwrap_or_default()];
         traces.append(&mut recoveries);
         jaaru_analysis::SliceReport::build(&traces)
-    }
-
-    /// The single-threaded depth-first walk over the decision tree.
-    fn check_sequential(&self, program: &dyn Program) -> (CheckReport, ExploreAux) {
-        install_panic_hook();
-        let start = Instant::now();
-
-        let mut decisions = DecisionLog::new();
-        let mut acc = ReportAccumulator::new();
-        let mut truncated = false;
-        // The checkpoints of the crash decisions on the current decision
-        // path, by decision index (ascending).
-        let mut checkpoints: Vec<(usize, CheckerSnapshot)> = Vec::new();
-
-        loop {
-            if self.aborted() {
-                truncated = true;
-                break;
-            }
-            // The deepest crash the plan takes.
-            let checkpoint = checkpoints
-                .iter()
-                .rev()
-                .find(|(index, _)| decisions.crashes_at(*index))
-                .map(|(_, snap)| snap);
-            let (outcome, log, captures) =
-                run_scenario(&self.config, program, decisions, checkpoint);
-            decisions = log;
-            checkpoints.extend(captures);
-            let had_bug = outcome.bug.is_some();
-            acc.add(outcome);
-
-            if had_bug
-                && (self.config.stop_on_first_bug_value()
-                    || acc.distinct_bugs() >= self.config.bug_limit())
-            {
-                truncated = true;
-                break;
-            }
-            if acc.scenarios() >= self.config.scenario_limit() {
-                truncated = decisions.backtrack();
-                break;
-            }
-            if !decisions.backtrack() {
-                break;
-            }
-            // Backtracking popped every decision past the flipped one:
-            // their subtrees are done.
-            let depth = decisions.prefix_len();
-            checkpoints.truncate(checkpoints.partition_point(|(index, _)| *index < depth));
-        }
-
-        let aux = acc.take_aux();
-        let snapshots = self.config.snapshots_value();
-        (
-            acc.into_report(truncated, start.elapsed(), None, snapshots),
-            aux,
-        )
     }
 }
 
@@ -414,71 +349,38 @@ impl ModelChecker {
     /// Panics if the trace does not belong to this program (a decision
     /// index out of range).
     pub fn replay(&self, program: &dyn Program, trace: &[usize]) -> CheckReport {
-        install_panic_hook();
         let start = Instant::now();
-        let env = CheckerEnv::new(&self.config, DecisionLog::from_trace(trace));
-        let mut stats = CheckStats {
-            scenarios: 1,
-            ..Default::default()
-        };
-        let mut bugs = Vec::new();
-        loop {
-            stats.executions += 1;
-            stats.executions_replayed += 1;
-            let exec_index = env.current_execution();
-            let result = with_quiet_panics(|| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    program.run(&env);
-                    env.end_of_execution_point();
-                }))
-            });
-            match result {
-                Ok(()) => break,
-                Err(payload) if payload.is::<CrashSignal>() => {
-                    env.advance_execution();
+        let mut config = self.config.clone();
+        config.snapshots(false);
+        let (outcome, _, _) = run_scenario(&config, program, DecisionLog::from_trace(trace), None);
+        let bugs: Vec<BugReport> = outcome
+            .bug
+            .into_iter()
+            .map(|bug| {
+                if bug.kind == BugKind::GuestPanic
+                    && bug.message.contains("trace does not match this program")
+                {
+                    // A checker-usage error, not a guest bug.
+                    panic!("{}", bug.message);
                 }
-                Err(payload) => {
-                    let (kind, message, location) = match payload.downcast::<AbortSignal>() {
-                        Ok(sig) => {
-                            let loc = sig
-                                .location
-                                .map(|l| format!("{}:{}:{}", l.file(), l.line(), l.column()));
-                            (sig.kind, sig.message, loc)
-                        }
-                        Err(payload) => {
-                            let message = panic_message(payload.as_ref());
-                            if message.contains("trace does not match this program") {
-                                // A checker-usage error, not a guest bug.
-                                panic!("{message}");
-                            }
-                            (BugKind::GuestPanic, message, take_last_panic_location())
-                        }
-                    };
-                    bugs.push(BugReport {
-                        kind,
-                        message,
-                        location,
-                        execution_index: exec_index,
-                        crash_points: Vec::new(),
-                        trace: trace.to_vec(),
-                        occurrences: 1,
-                    });
-                    break;
+                BugReport {
+                    trace: trace.to_vec(),
+                    ..bug
                 }
-            }
-        }
-        let record = env.finish();
-        let diagnostics = lint_scenario(&record, !bugs.is_empty(), &self.config);
-        if let Some(bug) = bugs.first_mut() {
-            bug.crash_points = record.crash_points;
-        }
-        stats.failure_points = record.points_per_exec.first().copied().unwrap_or(0) as u64;
-        stats.duration = start.elapsed();
+            })
+            .collect();
         CheckReport {
             bugs,
-            races: record.races,
-            diagnostics,
-            stats,
+            races: outcome.races,
+            diagnostics: outcome.diagnostics,
+            stats: CheckStats {
+                scenarios: 1,
+                executions: outcome.executions_replayed as u64,
+                executions_replayed: outcome.executions_replayed as u64,
+                failure_points: outcome.failure_points,
+                duration: start.elapsed(),
+                ..Default::default()
+            },
             truncated: false,
             parallel: None,
             snapshots: None,

@@ -5,11 +5,11 @@
 //! decision trace. Because no complete trace is a strict prefix of
 //! another (a deterministic guest makes the same decisions after the
 //! same prefix), sorting outcomes lexicographically by trace reproduces
-//! exactly the order the sequential depth-first walk discovers them in.
-//! Folding the sorted outcomes through the same [`ReportAccumulator`]
-//! the sequential path uses therefore yields a byte-identical report —
-//! same representative bug per dedup key, same insertion order, same
-//! statistics — regardless of worker count.
+//! exactly the order a one-worker depth-first walk discovers them in.
+//! Folding the sorted outcomes through the [`ReportAccumulator`] the
+//! one-worker walk folds into as it goes therefore yields a
+//! byte-identical report — same representative bug per dedup key, same
+//! insertion order, same statistics — regardless of worker count.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -18,16 +18,15 @@ use jaaru_analysis::DiagnosticSet;
 use jaaru_snapshot::SnapshotStats;
 
 use crate::explorer::{bug_dedup_key, ExploreAux, ScenarioOutcome};
-use crate::report::{BugKind, BugReport, CheckReport, CheckStats, ParallelStats, RaceReport};
-
-use super::worker::WorkerPartial;
+use crate::report::{
+    BugKind, BugReport, CheckReport, CheckStats, ParallelStats, RaceReport, WorkerStats,
+};
 
 /// Folds [`ScenarioOutcome`]s into the deduplicated, ordered contents of
-/// a [`CheckReport`]. Feeding outcomes in canonical (sequential
+/// a [`CheckReport`]. Feeding outcomes in canonical (depth-first
 /// discovery) order makes the result independent of how they were
 /// produced. Diagnostics fold through [`DiagnosticSet`] — the same
-/// `(kind, site)` dedup the analysis passes use, so the sequential
-/// explorer and the parallel merge share one accumulation path.
+/// `(kind, site)` dedup the analysis passes use.
 #[derive(Debug, Default)]
 pub(crate) struct ReportAccumulator {
     stats: CheckStats,
@@ -90,16 +89,6 @@ impl ReportAccumulator {
         }
     }
 
-    /// Scenarios folded in so far.
-    pub fn scenarios(&self) -> u64 {
-        self.stats.scenarios
-    }
-
-    /// Distinct bugs seen so far.
-    pub fn distinct_bugs(&self) -> usize {
-        self.bugs.len()
-    }
-
     /// Takes the accumulated exploration by-products (the recovery read
     /// footprint and the crash-free trace). Call before
     /// [`into_report`](Self::into_report).
@@ -130,40 +119,26 @@ impl ReportAccumulator {
     }
 }
 
-/// Merges the workers' partial results into the final report: sort every
-/// outcome by trace (canonical sequential order), fold them through the
-/// accumulator, and attach the scheduling statistics.
+/// Merges the workers' results: every outcome in canonical trace order
+/// (the order the one-worker walk discovers them in), and the scheduling
+/// statistics.
 pub(crate) fn merge_partials(
-    partials: Vec<WorkerPartial>,
+    partials: Vec<(WorkerStats, Vec<ScenarioOutcome>)>,
     jobs: usize,
-    truncated: bool,
-    duration: Duration,
-    snapshots: bool,
-) -> (CheckReport, ExploreAux) {
+) -> (Vec<ScenarioOutcome>, ParallelStats) {
     let mut workers = Vec::with_capacity(jobs);
     let mut outcomes = Vec::new();
-    for partial in partials {
-        workers.push(partial.stats);
-        outcomes.extend(partial.outcomes);
+    for (stats, partial) in partials {
+        workers.push(stats);
+        outcomes.extend(partial);
     }
     workers.sort_by_key(|w| w.worker);
     outcomes.sort_by(|a, b| a.trace.cmp(&b.trace));
-
-    let mut acc = ReportAccumulator::new();
-    for outcome in outcomes {
-        acc.add(outcome);
-    }
     let steals = workers.iter().map(|w| w.steals).sum();
-    let aux = acc.take_aux();
-    let report = acc.into_report(
-        truncated,
-        duration,
-        Some(ParallelStats {
-            jobs,
-            steals,
-            workers,
-        }),
-        snapshots,
-    );
-    (report, aux)
+    let parallel = ParallelStats {
+        jobs,
+        steals,
+        workers,
+    };
+    (outcomes, parallel)
 }

@@ -1,31 +1,33 @@
-//! Parallel exploration: a work-stealing scheduler over the failure-
-//! scenario frontier with deterministic report merging.
+//! Exploration: one depth-first walk, run by one or more workers, with
+//! deterministic report merging.
 //!
 //! The paper's lazy interval refinement makes each failure scenario an
 //! independent deterministic re-execution (steered by its decision
-//! trace), so the scenario space is embarrassingly parallel. This module
-//! exploits that in three layers:
+//! trace), so disjoint subtrees of the decision tree can be explored in
+//! parallel. This module runs every check, in three layers:
 //!
-//! * [`scheduler`] — partitions the frontier by decision-trace prefix
-//!   and balances it across workers with work stealing, while enforcing
-//!   the scenario/bug budgets through shared atomics;
-//! * [`worker`] — each worker runs its items through the same
-//!   [`run_scenario`](crate::explorer::run_scenario) machinery the
-//!   sequential walk uses, with a private TSO machine per scenario; an
-//!   item carries the crash-point checkpoint of the deepest crash its
-//!   trace takes, so the scenario starts at its last execution (restores
-//!   are outcome-equivalent to replays, so which worker captured a
-//!   checkpoint never matters);
-//! * [`merge`] — orders every outcome by canonical trace order and folds
-//!   them through the sequential path's accumulator, making the final
-//!   report byte-identical (per [`CheckReport::digest`]) to the
-//!   sequential run for non-truncated explorations, regardless of worker
-//!   count or interleaving.
+//! * [`worker`] — the walk: [`DecisionLog::backtrack`] over the
+//!   decision tree, one [`run_scenario`](crate::explorer::run_scenario)
+//!   per leaf, restoring the checkpoint of the deepest crash each plan
+//!   takes; when a peer is idle it donates subtrees and raises its
+//!   floor;
+//! * [`scheduler`] — the pool of donated subtrees, termination, and the
+//!   scenario/bug budgets and abort flag every worker count shares;
+//! * [`merge`] — folds outcomes into the report. At one worker the walk
+//!   runs on the calling thread and its outcomes are folded as they
+//!   arrive, in depth-first order. At more, every outcome is sorted into
+//!   canonical trace order before folding, making the report
+//!   byte-identical (per [`CheckReport::digest`]) to the one-worker run
+//!   for non-truncated explorations, regardless of worker count or
+//!   interleaving.
 //!
 //! Truncated runs (scenario budget, bug caps, stop-on-first-bug) keep
-//! their early-exit *semantics* under parallelism but may differ from
-//! the sequential run in which scenarios they visited before stopping —
+//! their early-exit *semantics* with several workers but may differ from
+//! the one-worker run in which scenarios they visited before stopping —
 //! see DESIGN.md, "Parallel exploration".
+//!
+//! [`DecisionLog::backtrack`]: crate::decision::DecisionLog::backtrack
+//! [`CheckReport::digest`]: crate::CheckReport::digest
 
 pub(crate) mod merge;
 pub(crate) mod scheduler;
@@ -33,33 +35,43 @@ pub(crate) mod worker;
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::config::Config;
-use crate::explorer::ExploreAux;
-use crate::report::CheckReport;
-use crate::signal::install_panic_hook;
+use crate::explorer::ScenarioOutcome;
+use crate::report::ParallelStats;
 use crate::Program;
 
 use scheduler::Scheduler;
 use worker::worker_loop;
 
-/// Explores `program`'s scenario tree on `jobs` worker threads.
-pub(crate) fn check_parallel(
+/// Explores `program`'s decision tree on [`Config::effective_jobs`]
+/// workers and feeds every scenario outcome to `fold` in depth-first
+/// order. Returns whether the run was truncated, and the per-worker
+/// statistics of a run with more than one worker.
+pub(crate) fn explore(
     config: &Config,
     program: &(dyn Program + Sync),
-    jobs: usize,
     abort: Option<Arc<AtomicBool>>,
-) -> (CheckReport, ExploreAux) {
-    install_panic_hook();
-    let start = Instant::now();
+    mut fold: impl FnMut(ScenarioOutcome),
+) -> (bool, Option<ParallelStats>) {
+    let jobs = config.effective_jobs();
     let scheduler = Scheduler::new(jobs, config, abort);
+    if jobs == 1 {
+        worker_loop(0, &scheduler, config, program, &mut fold);
+        return (scheduler.truncated(), None);
+    }
 
     let partials = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..jobs)
             .map(|worker| {
                 let scheduler = &scheduler;
-                scope.spawn(move || worker_loop(worker, scheduler, config, program))
+                scope.spawn(move || {
+                    let mut outcomes = Vec::new();
+                    let stats = worker_loop(worker, scheduler, config, program, &mut |outcome| {
+                        outcomes.push(outcome)
+                    });
+                    (stats, outcomes)
+                })
             })
             .collect();
         handles
@@ -67,14 +79,9 @@ pub(crate) fn check_parallel(
             .map(|h| h.join().expect("worker thread panicked"))
             .collect::<Vec<_>>()
     });
-
-    merge::merge_partials(
-        partials,
-        jobs,
-        scheduler.truncated(),
-        start.elapsed(),
-        config.snapshots_value(),
-    )
+    let (outcomes, parallel) = merge::merge_partials(partials, jobs);
+    outcomes.into_iter().for_each(fold);
+    (scheduler.truncated(), Some(parallel))
 }
 
 #[cfg(test)]
@@ -209,6 +216,44 @@ mod tests {
         let report = ModelChecker::new(config).check(&buggy);
         assert!(!report.is_clean());
         assert!(report.truncated);
+    }
+
+    #[test]
+    fn a_nondeterministic_guest_is_caught_at_every_worker_count() {
+        use std::cell::Cell;
+        thread_local! {
+            /// Pre-failure runs of the guest on this thread so far.
+            static RUNS: Cell<u64> = const { Cell::new(0) };
+        }
+        // Stores to an unflushed line two or three times, alternating
+        // from one pre-failure run to the next on the same thread, so
+        // recovery's load of that line faces three or four stores: a
+        // replayed read-from decision changes its alternative count.
+        let guest = |env: &dyn PmEnv| {
+            let line = env.root() + 64;
+            if env.is_recovery() {
+                let _ = env.load_u64(line);
+                return;
+            }
+            let run = RUNS.with(|runs| runs.replace(runs.get() + 1));
+            for i in 0..2 + run % 2 {
+                env.store_u64(line, i + 1);
+            }
+        };
+        for jobs in [1usize, 2] {
+            let mut config = config_with_jobs(jobs);
+            // Every scenario replays its prefix, so every replayed
+            // decision is compared with the one recorded for it.
+            config.snapshots(false);
+            let report = ModelChecker::new(config).check(&guest);
+            assert_eq!(report.bugs.len(), 1, "jobs={jobs}: {report}");
+            assert!(
+                report.bugs[0]
+                    .message
+                    .starts_with("nondeterministic guest program"),
+                "jobs={jobs}: {report}"
+            );
+        }
     }
 
     #[test]

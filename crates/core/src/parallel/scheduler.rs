@@ -1,55 +1,63 @@
-//! The shared work-stealing scheduler.
+//! The scheduler shared by the workers of one check.
 //!
-//! A *work item* is a decision-trace prefix naming one unexplored
-//! scenario: replaying the prefix (fresh decisions default to
-//! alternative 0) runs exactly one leaf of the decision tree, and the
-//! fresh decisions' untaken alternatives become new items
-//! (`DecisionLog::sibling_prefixes`). With snapshots on, an item also
-//! carries the checkpoint of the deepest crash its prefix takes, so the
-//! scenario resumes there instead of replaying.
-//! Starting from the root (empty) prefix, this enumerates every leaf
-//! exactly once, in any order — which is what makes the frontier safe to
-//! distribute.
+//! A *work item* is a subtree of the decision tree: a decision log whose
+//! floor fixes the path to the subtree's root (with the metadata recorded
+//! by the run that made those decisions), plus the checkpoint of the
+//! deepest crash that path takes. The root item is the whole tree. Each
+//! worker walks its item depth-first; when it sees an idle peer, it
+//! splits off every untaken alternative of its shallowest open decision
+//! ([`DecisionLog::split`](crate::decision::DecisionLog::split)) into
+//! the shared pool, and its own floor rises past that decision. The
+//! donated subtrees and what the donor keeps partition what the donor
+//! had left, so every leaf is visited exactly once at any worker count.
 //!
-//! Each worker owns a deque: it pushes and pops at the back (LIFO keeps
-//! the working set deep and cache-warm, like the sequential DFS), while
-//! idle workers steal from the front of a victim's deque (FIFO steals
-//! take the shallowest — largest — subtrees, minimizing steal traffic).
-//! Termination uses a single `pending` counter of items created but not
-//! yet completed: children are registered *before* their parent
-//! completes, so `pending == 0` is only reachable when the tree is
-//! exhausted.
-//!
-//! Exploration budgets ([`Config::max_scenarios`](crate::Config::max_scenarios),
+//! Exploration ends when every worker is idle and the pool is empty.
+//! Budgets ([`Config::max_scenarios`](crate::Config::max_scenarios),
 //! [`Config::max_bugs`](crate::Config::max_bugs),
-//! [`Config::stop_on_first_bug`](crate::Config::stop_on_first_bug)) are
-//! enforced through shared atomics so early-exit semantics survive
-//! parallelism: a worker *claims* a scenario slot before running and
-//! raises the stop flag when the budget is exhausted or the bug limit is
-//! reached.
+//! [`Config::stop_on_first_bug`](crate::Config::stop_on_first_bug)) and
+//! the external abort flag are enforced here for every worker count: a
+//! worker *claims* each scenario before running it, and a failed claim
+//! means the worker holds unexplored work, so the run is truncated.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::config::Config;
+use crate::decision::DecisionLog;
 use crate::report::BugKind;
 use crate::snapshot::CheckerSnapshot;
 
-/// One unexplored scenario: the decision-trace prefix that steers to it.
+/// A worker panicked while holding a scheduler lock; its scope join
+/// reports the panic.
+const POISONED: &str = "a worker panicked while holding a scheduler lock";
+
+/// One subtree to explore.
 pub(crate) struct WorkItem {
-    pub trace: Vec<usize>,
-    /// The checkpoint of the deepest crash `trace` takes; `None` for the
-    /// root item and when snapshots are off. Shared by the read-from
-    /// siblings below that crash, and freed when the last of them is done.
+    /// The path to the subtree's root, below the log's floor.
+    pub decisions: DecisionLog,
+    /// The checkpoint of the deepest crash that path takes; `None` for
+    /// the root item and when snapshots are off.
     pub checkpoint: Option<Arc<CheckerSnapshot>>,
+    /// The worker that donated the item (`None` for the root).
+    pub donor: Option<usize>,
 }
 
-/// Shared scheduler state for one parallel check.
+/// The donated items and the workers waiting for one.
+#[derive(Default)]
+struct Pool {
+    items: Vec<WorkItem>,
+    idle: usize,
+    done: bool,
+}
+
+/// Shared scheduler state for one check.
 pub(crate) struct Scheduler {
-    queues: Vec<Mutex<VecDeque<WorkItem>>>,
-    /// Items created but not yet completed.
-    pending: AtomicUsize,
+    jobs: usize,
+    pool: Mutex<Pool>,
+    wake: Condvar,
+    /// Idle workers the pool holds no item for; read without the lock.
+    wanted: AtomicUsize,
     /// Raised when exploration must wind down (budget/bug limits).
     stop: AtomicBool,
     /// Whether stopping left unexplored work behind.
@@ -59,24 +67,27 @@ pub(crate) struct Scheduler {
     bug_limit: usize,
     stop_on_first_bug: bool,
     bug_keys: Mutex<HashSet<(BugKind, String)>>,
-    /// External cooperative abort (deadline/cancellation); observed in
-    /// [`stopped`](Self::stopped) and folded into the stop/truncated
-    /// flags like an exhausted budget.
+    /// External cooperative abort (deadline/cancellation), observed at
+    /// each claim.
     abort: Option<Arc<AtomicBool>>,
 }
 
 impl Scheduler {
-    /// A scheduler for `jobs` workers, seeded with the root work item.
+    /// A scheduler for `jobs` workers whose pool holds the root item.
     pub fn new(jobs: usize, config: &Config, abort: Option<Arc<AtomicBool>>) -> Self {
-        let mut queues: Vec<Mutex<VecDeque<WorkItem>>> =
-            (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-        queues[0].get_mut().unwrap().push_back(WorkItem {
-            trace: Vec::new(),
+        let root = WorkItem {
+            decisions: DecisionLog::new(),
             checkpoint: None,
-        });
+            donor: None,
+        };
         Scheduler {
-            queues,
-            pending: AtomicUsize::new(1),
+            jobs,
+            pool: Mutex::new(Pool {
+                items: vec![root],
+                ..Pool::default()
+            }),
+            wake: Condvar::new(),
+            wanted: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             truncated: AtomicBool::new(false),
             scenario_budget: AtomicU64::new(config.scenario_limit()),
@@ -87,89 +98,96 @@ impl Scheduler {
         }
     }
 
-    /// Whether workers should wind down.
-    pub fn stopped(&self) -> bool {
-        if self.stop.load(Ordering::Acquire) {
-            return true;
-        }
-        if let Some(abort) = &self.abort {
-            if abort.load(Ordering::Relaxed) {
-                // An external abort leaves work behind by construction.
-                self.truncated.store(true, Ordering::Release);
-                self.stop.store(true, Ordering::Release);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Whether every created item has completed.
-    pub fn drained(&self) -> bool {
-        self.pending.load(Ordering::Acquire) == 0
-    }
-
     /// Whether exploration stopped with work left behind.
     pub fn truncated(&self) -> bool {
         self.truncated.load(Ordering::Acquire)
     }
 
-    /// Pops a work item for `worker`: its own queue first (back = deepest,
-    /// DFS-like), then a steal sweep over the other queues (front =
-    /// shallowest). Returns the item and whether it was stolen.
-    pub fn pop(&self, worker: usize) -> Option<(WorkItem, bool)> {
-        if let Some(item) = self.queues[worker].lock().unwrap().pop_back() {
-            return Some((item, false));
-        }
-        let n = self.queues.len();
-        for offset in 1..n {
-            let victim = (worker + offset) % n;
-            if let Some(item) = self.queues[victim].lock().unwrap().pop_front() {
-                return Some((item, true));
+    /// Takes an item from the pool, waiting while peers may still donate
+    /// one. `None` once the tree is exhausted (every worker idle, the
+    /// pool empty) or exploration stopped.
+    pub fn take(&self) -> Option<WorkItem> {
+        let mut pool = self.pool();
+        loop {
+            if pool.done || self.stop.load(Ordering::Acquire) {
+                return None;
             }
+            if let Some(item) = pool.items.pop() {
+                self.update_wanted(&pool);
+                return Some(item);
+            }
+            pool.idle += 1;
+            if pool.idle == self.jobs {
+                pool.done = true;
+                self.wake.notify_all();
+                return None;
+            }
+            self.update_wanted(&pool);
+            pool = self.wake.wait(pool).expect(POISONED);
+            pool.idle -= 1;
         }
-        None
     }
 
-    /// Registers `children` as pending and enqueues them on `worker`'s
-    /// own queue. Must be called before [`complete`](Self::complete) on
-    /// the parent so `pending` never dips to zero while work remains.
-    pub fn push_children(&self, worker: usize, children: Vec<WorkItem>) {
-        if children.is_empty() {
+    /// Whether an idle peer is waiting for work the pool does not hold.
+    pub fn hungry(&self) -> bool {
+        self.wanted.load(Ordering::Relaxed) > 0
+    }
+
+    /// Adds donated items to the pool and wakes idle peers.
+    pub fn donate(&self, items: Vec<WorkItem>) {
+        if items.is_empty() {
             return;
         }
-        self.pending.fetch_add(children.len(), Ordering::AcqRel);
-        let mut queue = self.queues[worker].lock().unwrap();
-        for child in children {
-            queue.push_back(child);
-        }
+        let mut pool = self.pool();
+        pool.items.extend(items);
+        self.update_wanted(&pool);
+        self.wake.notify_all();
     }
 
-    /// Marks one item finished.
-    pub fn complete(&self) {
-        self.pending.fetch_sub(1, Ordering::AcqRel);
+    fn pool(&self) -> MutexGuard<'_, Pool> {
+        self.pool.lock().expect(POISONED)
     }
 
-    /// Claims one scenario slot from the budget. On failure the popped
-    /// item is unexplored work: the run is truncated and must stop.
+    fn update_wanted(&self, pool: &Pool) {
+        let wanted = pool.idle.saturating_sub(pool.items.len());
+        self.wanted.store(wanted, Ordering::Relaxed);
+    }
+
+    /// Claims one scenario slot. Fails, and marks the run truncated
+    /// since the caller holds unexplored work, once exploration stopped,
+    /// was aborted, or spent its scenario budget.
     pub fn claim_scenario(&self) -> bool {
-        let claimed = self
-            .scenario_budget
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |b| b.checked_sub(1))
-            .is_ok();
+        let aborted = self
+            .abort
+            .as_ref()
+            .is_some_and(|a| a.load(Ordering::Relaxed));
+        let claimed = !aborted
+            && !self.stop.load(Ordering::Acquire)
+            && self
+                .scenario_budget
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |b| b.checked_sub(1))
+                .is_ok();
         if !claimed {
-            self.truncated.store(true, Ordering::Release);
-            self.stop.store(true, Ordering::Release);
+            self.halt();
         }
         claimed
     }
 
     /// Records a found bug's dedup key and applies the bug limits.
     pub fn record_bug(&self, key: (BugKind, String)) {
-        let mut keys = self.bug_keys.lock().unwrap();
+        let mut keys = self.bug_keys.lock().expect(POISONED);
         keys.insert(key);
         if self.stop_on_first_bug || keys.len() >= self.bug_limit {
-            self.truncated.store(true, Ordering::Release);
-            self.stop.store(true, Ordering::Release);
+            self.halt();
         }
+    }
+
+    /// Stops exploration with work left behind and wakes idle workers so
+    /// they exit.
+    fn halt(&self) {
+        self.truncated.store(true, Ordering::Release);
+        self.stop.store(true, Ordering::Release);
+        let _pool = self.pool();
+        self.wake.notify_all();
     }
 }

@@ -1,14 +1,15 @@
-//! The per-thread worker loop.
+//! The exploration walk every worker runs.
 //!
-//! Each worker is a self-contained sequential checker: it owns its own
-//! [`CheckerEnv`](crate::checker_env::CheckerEnv) — and therefore its
-//! own TSO machine — per scenario, buffers its outcomes locally until
-//! the merge, and shares only the scheduler with the other workers. A
-//! scenario restores the checkpoint its work item carries, and hands
-//! each checkpoint it captures to the crash sibling of that decision;
-//! read-from siblings inherit the item's own. Restores are
-//! outcome-equivalent to replays, so whichever worker captured a
-//! checkpoint, restoring it changes performance, never results.
+//! A worker takes a subtree from the scheduler and walks it depth-first
+//! with [`DecisionLog::backtrack`]: it runs the planned scenario through
+//! [`run_scenario`], hands the outcome on, and moves to the next plan.
+//! It keeps the checkpoints of the crash decisions on its current path
+//! and restores the deepest one each plan takes, so a scenario starts at
+//! its last execution. When a peer is idle, the walk donates the
+//! subtrees of its shallowest open decision, each with the deepest
+//! checkpoint its path takes, and goes on above its raised floor.
+//! Restores are outcome-equivalent to replays, so which worker captured
+//! a checkpoint changes performance, never results.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -17,88 +18,123 @@ use crate::config::Config;
 use crate::decision::DecisionLog;
 use crate::explorer::{bug_dedup_key, run_scenario, ScenarioOutcome};
 use crate::report::WorkerStats;
+use crate::snapshot::CheckerSnapshot;
 use crate::Program;
 
 use super::scheduler::{Scheduler, WorkItem};
 
-/// What one worker hands to the merge layer.
-pub(crate) struct WorkerPartial {
-    pub stats: WorkerStats,
-    pub outcomes: Vec<ScenarioOutcome>,
-}
-
-/// Runs scenarios until the frontier drains or the scheduler stops.
+/// Walks subtrees until the tree is exhausted or the scheduler stops,
+/// passing each scenario's outcome to `sink` as it completes.
 pub(crate) fn worker_loop(
     worker: usize,
     scheduler: &Scheduler,
     config: &Config,
     program: &dyn Program,
-) -> WorkerPartial {
+    sink: &mut dyn FnMut(ScenarioOutcome),
+) -> WorkerStats {
     let start = Instant::now();
-    let mut stats = WorkerStats {
+    let mut walk = Walk {
         worker,
-        ..WorkerStats::default()
+        scheduler,
+        config,
+        program,
+        stats: WorkerStats {
+            worker,
+            ..WorkerStats::default()
+        },
+        sink,
     };
-    let mut outcomes = Vec::new();
-
-    loop {
-        if scheduler.stopped() {
+    while let Some(item) = scheduler.take() {
+        if item.donor.is_some_and(|donor| donor != worker) {
+            walk.stats.steals += 1;
+        }
+        if !walk.run(item) {
             break;
         }
-        let Some((item, stolen)) = scheduler.pop(worker) else {
-            if scheduler.drained() {
-                break;
+    }
+    walk.stats.busy = start.elapsed();
+    walk.stats
+}
+
+struct Walk<'a> {
+    worker: usize,
+    scheduler: &'a Scheduler,
+    config: &'a Config,
+    program: &'a dyn Program,
+    stats: WorkerStats,
+    sink: &'a mut dyn FnMut(ScenarioOutcome),
+}
+
+impl Walk<'_> {
+    /// Explores `item`'s subtree, minus what it donates. Returns `false`
+    /// when the scheduler stopped exploration.
+    fn run(&mut self, item: WorkItem) -> bool {
+        let mut decisions = item.decisions;
+        // The checkpoints of the crash decisions on the current path,
+        // shallowest first.
+        let mut checkpoints: Vec<Arc<CheckerSnapshot>> = item.checkpoint.into_iter().collect();
+        loop {
+            if !self.scheduler.claim_scenario() {
+                return false;
             }
-            std::thread::yield_now();
-            continue;
-        };
-        if stolen {
-            stats.steals += 1;
-        }
-        if !scheduler.claim_scenario() {
-            // The item stays unexplored; claim_scenario raised the stop
-            // flag and marked the run truncated.
-            scheduler.complete();
-            break;
-        }
+            let checkpoint = deepest_taken(&checkpoints, &decisions);
+            let (outcome, log, captures) = run_scenario(
+                self.config,
+                self.program,
+                decisions,
+                checkpoint.map(|snap| &**snap),
+            );
+            decisions = log;
+            checkpoints.extend(captures.into_iter().map(Arc::new));
+            self.account(&outcome);
+            if let Some(bug) = &outcome.bug {
+                self.scheduler.record_bug((bug.kind, bug_dedup_key(bug)));
+            }
+            (self.sink)(outcome);
 
-        let (outcome, log, captures) = run_scenario(
-            config,
-            program,
-            DecisionLog::from_trace(&item.trace),
-            item.checkpoint.as_deref(),
-        );
-        // Both run in decision order, and every capture is at a fresh
-        // crash decision, whose one sibling takes the crash.
-        let mut captures = captures.into_iter().peekable();
-        let children = log
-            .sibling_prefixes(log.prefix_len())
-            .into_iter()
-            .map(|trace| {
-                let decision = trace.len() - 1;
-                let checkpoint = match captures.next_if(|(index, _)| *index == decision) {
-                    Some((_, snap)) => Some(Arc::new(snap)),
-                    None => item.checkpoint.clone(),
-                };
-                WorkItem { trace, checkpoint }
-            })
-            .collect();
-        scheduler.push_children(worker, children);
-        scheduler.complete();
+            if self.scheduler.hungry() {
+                let items = decisions
+                    .split()
+                    .into_iter()
+                    .map(|decisions| WorkItem {
+                        checkpoint: deepest_taken(&checkpoints, &decisions).cloned(),
+                        decisions,
+                        donor: Some(self.worker),
+                    })
+                    .collect();
+                self.scheduler.donate(items);
+            }
+            if !decisions.backtrack() {
+                return true;
+            }
+            // Backtracking popped every decision past the flipped one:
+            // their subtrees are done.
+            let depth = decisions.prefix_len();
+            checkpoints.truncate(checkpoints.partition_point(|snap| snap.decision < depth));
+        }
+    }
 
+    fn account(&mut self, outcome: &ScenarioOutcome) {
+        let stats = &mut self.stats;
         stats.scenarios += 1;
-        // Same fork-equivalent formula as ReportAccumulator::add, over the
-        // scenario's logical execution count.
+        // Same fork-equivalent formula as ReportAccumulator::add, over
+        // the scenario's logical execution count.
         let execs = outcome.executions_replayed + outcome.executions_restored;
         stats.executions += (execs - outcome.divergence.min(execs - 1)) as u64;
         stats.executions_replayed += outcome.executions_replayed as u64;
         stats.executions_restored += outcome.executions_restored as u64;
-        if let Some(bug) = &outcome.bug {
-            scheduler.record_bug((bug.kind, bug_dedup_key(bug)));
-        }
-        outcomes.push(outcome);
     }
+}
 
-    stats.busy = start.elapsed();
-    WorkerPartial { stats, outcomes }
+/// The checkpoint of the deepest crash `plan` takes, among the
+/// checkpoints of the crash decisions on the path it shares with the
+/// walk.
+fn deepest_taken<'a>(
+    checkpoints: &'a [Arc<CheckerSnapshot>],
+    plan: &DecisionLog,
+) -> Option<&'a Arc<CheckerSnapshot>> {
+    checkpoints
+        .iter()
+        .rev()
+        .find(|snap| plan.crashes_at(snap.decision))
 }

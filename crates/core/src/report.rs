@@ -173,19 +173,20 @@ pub struct WorkerStats {
     pub executions_replayed: u64,
     /// Prefix executions this worker skipped by restoring checkpoints.
     pub executions_restored: u64,
-    /// Work items this worker stole from another worker's queue.
+    /// Subtrees this worker took that another worker donated.
     pub steals: u64,
     /// Wall-clock time the worker spent between start and exit.
     pub busy: Duration,
 }
 
 /// Aggregate statistics of a parallel exploration (absent from
-/// sequential runs).
+/// one-worker runs).
 #[derive(Clone, Debug, Default)]
 pub struct ParallelStats {
     /// Worker threads used.
     pub jobs: usize,
-    /// Total cross-worker steals.
+    /// Total subtrees taken from another worker (see
+    /// [`WorkerStats::steals`]).
     pub steals: u64,
     /// Per-worker breakdown, indexed by worker.
     pub workers: Vec<WorkerStats>,

@@ -15,26 +15,23 @@
 //! [`advance_execution`](crate::checker_env::CheckerEnv::advance_execution)
 //! would leave after a crash there. A fresh decision continues, so the
 //! checkpoint belongs to that decision's crash branch, which exploration
-//! takes later, and nothing ever looks it up:
-//!
-//! * the sequential walk keeps the checkpoints of the crash decisions on
-//!   its current decision path, drops each when backtracking pops its
-//!   decision, and restores the deepest one the next plan takes;
-//! * the parallel engine hands each checkpoint to the work item of its
-//!   crash sibling, and read-from siblings inherit their parent item's
-//!   (fresh decisions never crash, so that is still the deepest crash
-//!   their trace takes).
+//! takes later, and nothing ever looks it up. One rule hands checkpoints
+//! on: the exploration walk keeps the checkpoints of the crash decisions on
+//! its current decision path, drops each when backtracking pops its
+//! decision, and restores the deepest one the next plan takes. A subtree
+//! the walk donates to another worker carries the deepest checkpoint its
+//! path takes, by the same rule.
 //!
 //! A scenario therefore starts directly at its last execution: restoring
 //! is equivalent to replaying the executions before it, minus the
-//! replay.
+//! replay. The restored plan's decisions up to the crash keep the
+//! metadata their original run recorded.
 
 use std::collections::HashSet;
 
 use jaaru_tso::{ExecutionStorage, OpTrace};
 
 use crate::checker_env::LoadSite;
-use crate::decision::Decision;
 use crate::report::RaceReport;
 
 /// Everything a post-failure execution needs from the checker's past:
@@ -62,12 +59,9 @@ pub(crate) struct CheckerSnapshot {
     /// dead-flush footprint up to this point; empty unless that pass
     /// is on).
     pub(crate) recovery_reads: HashSet<u64>,
-    /// Full metadata of the consumed decision prefix, ending in the
-    /// crash, so a restore into a `DecisionLog::from_trace` placeholder
-    /// log can rehydrate the alternative counts and execution indices
-    /// replay would have derived (divergence accounting and sibling
-    /// expansion depend on them).
-    pub(crate) prefix: Vec<Decision>,
+    /// Index of the crash decision this checkpoint forks: a plan that
+    /// restores it has taken that crash, and resumes right after it.
+    pub(crate) decision: usize,
 }
 
 impl CheckerSnapshot {

@@ -29,6 +29,7 @@
 //! every `--jobs` setting.
 
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use jaaru::{CheckReport, Config, DiagnosticKind, ModelChecker};
 use jaaru_yat::{eager_check_bounded, YatConfig, YatError};
@@ -521,11 +522,16 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 /// generated with `ops_max` and [`FaultMode::Auto`], checked by
 /// `oracle`. Returns the deterministic aggregate; per-seed outcomes are
 /// streamed to `on_outcome` (corpus harvesting, progress display).
+///
+/// `stop`, when given, is checked between seeds: once it is raised the
+/// campaign ends early, and the report covers (and its `seeds` counts)
+/// only the seeds checked.
 pub fn run_campaign(
     oracle: &Oracle,
     seed_start: u64,
     seeds: u64,
     ops_max: usize,
+    stop: Option<&AtomicBool>,
     mut on_outcome: impl FnMut(&GenProgram, &SeedOutcome),
 ) -> CampaignReport {
     let mut report = CampaignReport {
@@ -544,6 +550,10 @@ pub fn run_campaign(
         repair: None,
     };
     for seed in seed_start..seed_start.saturating_add(seeds) {
+        if stop.is_some_and(|stop| stop.load(Ordering::Relaxed)) {
+            report.seeds = seed - seed_start;
+            break;
+        }
         let program = generate(seed, ops_max, FaultMode::Auto);
         let outcome = oracle.check_program(&program);
         if outcome.buggy {
@@ -597,13 +607,24 @@ mod tests {
     }
 
     #[test]
+    fn a_raised_stop_flag_ends_the_campaign_between_seeds() {
+        let oracle = Oracle::default();
+        let stop = AtomicBool::new(true);
+        let report = run_campaign(&oracle, 0, 2000, 10, Some(&stop), |_, _| {
+            panic!("no seed is checked once the flag is raised")
+        });
+        assert_eq!(report.seeds, 0);
+        assert_eq!(report.buggy + report.clean, 0);
+    }
+
+    #[test]
     fn campaign_is_deterministic() {
         let oracle = Oracle {
             differential: false,
             ..Oracle::default()
         };
-        let a = run_campaign(&oracle, 0, 20, 10, |_, _| {});
-        let b = run_campaign(&oracle, 0, 20, 10, |_, _| {});
+        let a = run_campaign(&oracle, 0, 20, 10, None, |_, _| {});
+        let b = run_campaign(&oracle, 0, 20, 10, None, |_, _| {});
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.to_json(), b.to_json());
         assert!(a.is_clean(), "{:#?}", a.divergences);

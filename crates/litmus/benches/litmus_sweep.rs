@@ -22,6 +22,7 @@ fn main() {
             max_total_ops: 2,
         },
         jobs,
+        None,
     );
     assert!(
         warm.is_clean(),
@@ -32,7 +33,7 @@ fn main() {
     // The measured run: the default CI bound.
     let bound = SweepBound::default();
     let start = Instant::now();
-    let report = run_sweep(&bound, jobs);
+    let report = run_sweep(&bound, jobs, None);
     let wall = start.elapsed();
     assert!(
         report.is_clean(),

@@ -38,6 +38,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::ax::{AxOp, AxOutcome, AxProgram};
 use crate::conform::{self, render_program, Verdict};
@@ -394,20 +395,30 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// The returned report is byte-identical for any `jobs ≥ 1`: programs
 /// are generated in a fixed order, chunked contiguously, and results
 /// merged in chunk order, with an order-independent XOR fingerprint.
-pub fn run_sweep(bound: &SweepBound, jobs: usize) -> SweepReport {
+///
+/// `stop`, when given, is checked between programs: once it is raised
+/// every worker ends early, and the report covers (and its `programs`
+/// counts) only the programs checked.
+pub fn run_sweep(bound: &SweepBound, jobs: usize, stop: Option<&AtomicBool>) -> SweepReport {
     let (programs, skipped_symmetric) = generate(bound);
     let jobs = jobs.max(1).min(programs.len().max(1));
     let chunk_size = programs.len().div_ceil(jobs);
 
     struct ChunkResult {
+        checked: u64,
         divergences: Vec<DivergenceRecord>,
         fingerprint: u64,
     }
 
     let check_chunk = |chunk: &[AxProgram]| -> ChunkResult {
+        let mut checked = 0;
         let mut divergences = Vec::new();
         let mut fingerprint = 0u64;
         for p in chunk {
+            if stop.is_some_and(|stop| stop.load(Ordering::Relaxed)) {
+                break;
+            }
+            checked += 1;
             let rendered = render_program(p);
             let verdict = conform::check(p);
             let tag = match &verdict {
@@ -425,6 +436,7 @@ pub fn run_sweep(bound: &SweepBound, jobs: usize) -> SweepReport {
             }
         }
         ChunkResult {
+            checked,
             divergences,
             fingerprint,
         }
@@ -447,7 +459,9 @@ pub fn run_sweep(bound: &SweepBound, jobs: usize) -> SweepReport {
     let mut divergences: Vec<DivergenceRecord> = Vec::new();
     let mut seen: BTreeSet<String> = BTreeSet::new();
     let mut fingerprint = 0u64;
+    let mut checked = 0;
     for r in results {
+        checked += r.checked;
         fingerprint ^= r.fingerprint;
         for d in r.divergences {
             if seen.insert(d.program.clone()) {
@@ -461,7 +475,7 @@ pub fn run_sweep(bound: &SweepBound, jobs: usize) -> SweepReport {
         .count() as u64;
     SweepReport {
         bound: *bound,
-        programs: programs.len() as u64,
+        programs: checked,
         skipped_symmetric,
         divergences,
         allowlisted,
@@ -487,10 +501,10 @@ mod tests {
             max_ops_per_thread: 2,
             max_total_ops: 2,
         };
-        let one = run_sweep(&bound, 1);
+        let one = run_sweep(&bound, 1, None);
         assert!(one.is_clean(), "{}", one.to_text());
-        let two = run_sweep(&bound, 2);
-        let four = run_sweep(&bound, 4);
+        let two = run_sweep(&bound, 2, None);
+        let four = run_sweep(&bound, 4, None);
         assert_eq!(one, two);
         assert_eq!(one, four);
         assert_eq!(one.to_json(), four.to_json());
@@ -507,7 +521,7 @@ mod tests {
             max_ops_per_thread: 5,
             max_total_ops: 5,
         };
-        let report = run_sweep(&bound, 4);
+        let report = run_sweep(&bound, 4, None);
         assert!(report.is_clean(), "{}", report.to_text());
     }
 

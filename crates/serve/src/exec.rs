@@ -188,23 +188,16 @@ fn find_program(workload: &Workload) -> Result<Box<dyn Program + Sync>, String> 
     }
 }
 
-fn verdict(report: &CheckReport) -> JobStatus {
-    if report.is_clean() && !report.has_errors() {
-        JobStatus::Ok
-    } else {
-        JobStatus::Violation
-    }
-}
-
 /// Runs one job to a terminal outcome.
 ///
 /// `cancel` is the registry flag for this job's id: set before the run
-/// starts → `cancelled` without executing; set mid-run → the checker
-/// winds down at the next scenario boundary and the reply fails closed
-/// (no artifact). A run that returns at or after its deadline reports
-/// `deadline` the same way, and a watchdog thread trips the cooperative
-/// stop once the deadline passes. A panicking run is caught and retried
-/// once; a second panic is a `failed` outcome.
+/// starts → `cancelled` without executing; set mid-run → the checker (or
+/// the fuzz campaign or litmus sweep) winds down at the next scenario,
+/// seed or program and the reply fails closed (no artifact). A run that
+/// returns at or after its deadline reports `deadline` the same way, and
+/// a watchdog thread trips the cooperative stop once the deadline
+/// passes. A panicking run is caught and retried once; a second panic is
+/// a `failed` outcome.
 pub fn execute(spec: &JobSpec, config: &Config, cancel: &Arc<AtomicBool>) -> JobOutcome {
     if cancel.load(Ordering::Relaxed) {
         return JobOutcome {
@@ -214,33 +207,12 @@ pub fn execute(spec: &JobSpec, config: &Config, cancel: &Arc<AtomicBool>) -> Job
             retried: false,
         };
     }
-    if let Workload::Campaign {
-        seeds,
-        seed_start,
-        ops_max,
-        differential,
-    } = spec.workload
-    {
-        return run_fuzz(spec, seeds, seed_start, ops_max, differential);
-    }
-    if let Workload::Litmus {
-        sweep,
-        max_threads,
-        max_ops_per_thread,
-        max_total_ops,
-    } = spec.workload
-    {
-        let bound = SweepBound {
-            max_threads,
-            max_ops_per_thread,
-            max_total_ops,
-        };
-        return run_litmus(spec, sweep, &bound);
-    }
-
-    let program = match find_program(&spec.workload) {
-        Ok(program) => program,
-        Err(error) => return JobOutcome::failed(error),
+    let program = match &spec.workload {
+        Workload::Campaign { .. } | Workload::Litmus { .. } => None,
+        workload => match find_program(workload) {
+            Ok(program) => Some(program),
+            Err(error) => return JobOutcome::failed(error),
+        },
     };
 
     // The deadline: a run that returns at or after it fails closed, and
@@ -268,24 +240,7 @@ pub fn execute(spec: &JobSpec, config: &Config, cancel: &Arc<AtomicBool>) -> Job
     let mut retried = false;
     let outcome = loop {
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            if is_panic_workload(&spec.workload) {
-                panic!("injected panic workload");
-            }
-            if spec.kind == JobKind::Repair {
-                let mut driver = RepairDriver::new(config.clone());
-                driver.abort_flag(Arc::clone(cancel));
-                let outcome = driver.synthesize(&*program);
-                let status = if outcome.verified {
-                    JobStatus::Ok
-                } else {
-                    JobStatus::Violation
-                };
-                return (status, JobResult::Repair(Box::new(outcome)));
-            }
-            let mut checker = ModelChecker::new(config.clone());
-            checker.abort_flag(Arc::clone(cancel));
-            let report = checker.check(&*program);
-            (verdict(&report), JobResult::Check(Box::new(report)))
+            run(spec, config, cancel, program.as_deref())
         }));
         match attempt {
             Ok((status, result)) => {
@@ -336,70 +291,78 @@ pub fn execute(spec: &JobSpec, config: &Config, cancel: &Arc<AtomicBool>) -> Job
     outcome
 }
 
-fn run_fuzz(
+/// One attempt at a job: its verdict and result. `program` is the
+/// registry program of a check, bug, lint or repair job. Every run
+/// stops cooperatively once `cancel` is raised.
+fn run(
     spec: &JobSpec,
-    seeds: u64,
-    seed_start: u64,
-    ops_max: usize,
-    differential: bool,
-) -> JobOutcome {
-    let oracle = Oracle {
-        jobs: spec.jobs,
-        differential,
-        ..Oracle::default()
-    };
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        run_campaign(&oracle, seed_start, seeds, ops_max, |_, _| {})
-    }));
-    match attempt {
-        Ok(report) => JobOutcome {
-            status: if report.is_clean() {
-                JobStatus::Ok
-            } else {
-                JobStatus::Violation
-            },
-            result: Some(JobResult::Json(report.to_json())),
-            error: None,
-            retried: false,
-        },
-        Err(payload) => JobOutcome::failed(format!(
-            "fuzz campaign panicked: {}",
-            panic_message(payload.as_ref())
-        )),
+    config: &Config,
+    cancel: &Arc<AtomicBool>,
+    program: Option<&(dyn Program + Sync)>,
+) -> (JobStatus, JobResult) {
+    if is_panic_workload(&spec.workload) {
+        panic!("injected panic workload");
     }
-}
-
-/// A `litmus` job: the named corpus or the exhaustive conformance
-/// sweep. The result is the deterministic JSON report; a divergence or
-/// corpus failure is a `violation` reply so batch mode fails the
-/// pipeline.
-fn run_litmus(spec: &JobSpec, sweep: bool, bound: &SweepBound) -> JobOutcome {
-    let jobs = spec.jobs.max(1);
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        if sweep {
-            let report = run_sweep(bound, jobs);
-            (report.is_clean(), report.to_json())
-        } else {
-            let report = run_corpus_report();
-            (report.is_clean(), report.to_json())
+    let (clean, result) = match spec.workload {
+        Workload::Campaign {
+            seeds,
+            seed_start,
+            ops_max,
+            differential,
+        } => {
+            let oracle = Oracle {
+                jobs: spec.jobs,
+                differential,
+                ..Oracle::default()
+            };
+            let report = run_campaign(&oracle, seed_start, seeds, ops_max, Some(cancel), |_, _| {});
+            (report.is_clean(), JobResult::Json(report.to_json()))
         }
-    }));
-    match attempt {
-        Ok((clean, json)) => JobOutcome {
-            status: if clean {
-                JobStatus::Ok
+        // The named corpus or the exhaustive conformance sweep; a
+        // divergence or corpus failure is a `violation` reply so batch
+        // mode fails the pipeline.
+        Workload::Litmus {
+            sweep,
+            max_threads,
+            max_ops_per_thread,
+            max_total_ops,
+        } => {
+            let bound = SweepBound {
+                max_threads,
+                max_ops_per_thread,
+                max_total_ops,
+            };
+            let (clean, json) = if sweep {
+                let report = run_sweep(&bound, spec.jobs.max(1), Some(cancel));
+                (report.is_clean(), report.to_json())
             } else {
-                JobStatus::Violation
-            },
-            result: Some(JobResult::Json(json)),
-            error: None,
-            retried: false,
-        },
-        Err(payload) => JobOutcome::failed(format!(
-            "litmus run panicked: {}",
-            panic_message(payload.as_ref())
-        )),
-    }
+                let report = run_corpus_report();
+                (report.is_clean(), report.to_json())
+            };
+            (clean, JobResult::Json(json))
+        }
+        _ => {
+            let program = program.expect("registry workloads have a program");
+            if spec.kind == JobKind::Repair {
+                let mut driver = RepairDriver::new(config.clone());
+                driver.abort_flag(Arc::clone(cancel));
+                let outcome = driver.synthesize(program);
+                (outcome.verified, JobResult::Repair(Box::new(outcome)))
+            } else {
+                let mut checker = ModelChecker::new(config.clone());
+                checker.abort_flag(Arc::clone(cancel));
+                let report = checker.check(program);
+                let clean = report.is_clean() && !report.has_errors();
+                (clean, JobResult::Check(Box::new(report)))
+            }
+        }
+    };
+    let status = if clean {
+        JobStatus::Ok
+    } else {
+        JobStatus::Violation
+    };
+    (status, result)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
@@ -485,6 +448,18 @@ mod tests {
         let report = artifact(&sweep).expect("sweep report");
         assert!(report.contains("\"clean\": true"), "{report}");
         assert!(report.contains("\"fingerprint\""), "{report}");
+    }
+
+    #[test]
+    fn fuzz_and_litmus_jobs_obey_their_deadline() {
+        for line in [
+            r#"{"kind":"fuzz","seeds":2000,"deadline_ms":1}"#,
+            r#"{"kind":"litmus","mode":"sweep","max_total_ops":3,"deadline_ms":1}"#,
+        ] {
+            let out = run(&spec(line));
+            assert_eq!(out.status, JobStatus::Deadline, "{line}: {:?}", out.error);
+            assert!(out.result.is_none(), "{line}: fails closed");
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! ```
 
 use jaaru::Config;
+use jaaru_litmus::sweep::SweepBound;
 
 use crate::json::Value;
 
@@ -246,11 +247,18 @@ fn parse_job(kind: &str, value: &Value, default_jobs: usize) -> Result<JobSpec, 
                 Some("sweep") => true,
                 Some(other) => return Err(SpecError(format!("unknown litmus mode {other:?}"))),
             };
+            // A sweep builds every program at its bound before checking
+            // one, so the default sweep is also the largest a job may
+            // ask for; `jaaru_cli litmus` runs deeper ones.
+            let max = SweepBound::default();
             Workload::Litmus {
                 sweep,
-                max_threads: get_usize("max_threads")?.unwrap_or(2),
-                max_ops_per_thread: get_usize("max_ops_per_thread")?.unwrap_or(4),
-                max_total_ops: get_usize("max_total_ops")?.unwrap_or(4),
+                max_threads: get_bounded("max_threads", max.max_threads)?
+                    .unwrap_or(max.max_threads),
+                max_ops_per_thread: get_bounded("max_ops_per_thread", max.max_ops_per_thread)?
+                    .unwrap_or(max.max_ops_per_thread),
+                max_total_ops: get_bounded("max_total_ops", max.max_total_ops)?
+                    .unwrap_or(max.max_total_ops),
             }
         }
         JobKind::Check => {
@@ -545,6 +553,19 @@ mod tests {
             0,
             "0 still means one worker per core"
         );
+        // The default sweep is the largest a job may ask for.
+        let sweep = job(
+            r#"{"kind":"litmus","mode":"sweep","max_threads":2,"max_ops_per_thread":4,"max_total_ops":4}"#,
+        );
+        assert_eq!(
+            sweep.workload,
+            Workload::Litmus {
+                sweep: true,
+                max_threads: 2,
+                max_ops_per_thread: 4,
+                max_total_ops: 4
+            }
+        );
 
         for (line, key) in [
             (
@@ -568,6 +589,22 @@ mod tests {
             (
                 format!(r#"{{"kind":"fuzz","ops_max":{}}}"#, MAX_OPS + 1),
                 "ops_max",
+            ),
+            (
+                r#"{"kind":"litmus","mode":"sweep","max_threads":3}"#.to_string(),
+                "max_threads",
+            ),
+            (
+                r#"{"kind":"litmus","mode":"sweep","max_ops_per_thread":5}"#.to_string(),
+                "max_ops_per_thread",
+            ),
+            (
+                r#"{"kind":"litmus","max_total_ops":5}"#.to_string(),
+                "max_total_ops",
+            ),
+            (
+                r#"{"kind":"litmus","mode":"sweep","max_total_ops":1000000}"#.to_string(),
+                "max_total_ops",
             ),
         ] {
             let error = req(&line).expect_err(&line);

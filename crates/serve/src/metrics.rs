@@ -3,10 +3,10 @@
 //! JSON object (sorted keys, integer milliseconds) that rides inside
 //! every reply envelope and answers `stats` requests.
 
+use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use jaaru_bench::timing::percentile;
 use jaaru_snapshot::SnapshotStats;
 
 /// Terminal status of a job, as reported in the reply envelope.
@@ -51,7 +51,10 @@ struct Inner {
     retries: u64,
     queue_depth: u64,
     queue_peak: u64,
-    latencies: Vec<Duration>,
+    /// Completed jobs per whole millisecond of latency: the resolution
+    /// `latency_ms` reports, so its percentiles are exact while memory
+    /// stays bounded by the distinct latencies seen, not the jobs served.
+    latency_ms: BTreeMap<u64, u64>,
 }
 
 /// Aggregate service metrics, shared between the admission side and the
@@ -110,7 +113,8 @@ impl Metrics {
             JobStatus::Rejected => m.rejected += 1,
         }
         if status != JobStatus::Rejected {
-            m.latencies.push(latency);
+            let ms = u64::try_from(latency.as_millis()).unwrap_or(u64::MAX);
+            *m.latency_ms.entry(ms).or_default() += 1;
         }
     }
 
@@ -125,9 +129,8 @@ impl Metrics {
     /// counters in its `shared_*` axes (see `Daemon::cache_stats`).
     pub fn render(&self, caches: &SnapshotStats) -> String {
         let m = self.lock();
-        let mut lat = m.latencies.clone();
-        let p50 = percentile(&mut lat, 50.0).as_millis();
-        let p99 = percentile(&mut lat, 99.0).as_millis();
+        let p50 = percentile_ms(&m.latency_ms, 50.0);
+        let p99 = percentile_ms(&m.latency_ms, 99.0);
         let completed = m.ok + m.violation + m.failed + m.cancelled + m.deadline;
         format!(
             concat!(
@@ -158,10 +161,31 @@ impl Metrics {
     }
 }
 
+/// The nearest-rank percentile of the latencies counted in `histogram`
+/// (milliseconds → jobs), in whole milliseconds: the same rank
+/// `jaaru_bench::timing::percentile` takes over the full list, so the
+/// same number. Zero when nothing was recorded.
+fn percentile_ms(histogram: &BTreeMap<u64, u64>, p: f64) -> u64 {
+    let total: u64 = histogram.values().sum();
+    if total == 0 {
+        return 0;
+    }
+    let rank = (((p / 100.0) * total as f64).ceil() as u64).clamp(1, total);
+    let mut seen = 0;
+    for (&ms, &jobs) in histogram {
+        seen += jobs;
+        if seen >= rank {
+            return ms;
+        }
+    }
+    unreachable!("the rank is at most the total")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::{parse, Value};
+    use jaaru_bench::timing::percentile;
 
     #[test]
     fn counters_track_lifecycle() {
@@ -207,6 +231,30 @@ mod tests {
         let lat = v.get("latency_ms").unwrap();
         assert_eq!(lat.get("p50").and_then(Value::as_u64), Some(20));
         assert_eq!(lat.get("p99").and_then(Value::as_u64), Some(40));
+    }
+
+    #[test]
+    fn latency_percentiles_match_the_full_history() {
+        // 40,000 latencies with sub-millisecond parts, spread over a
+        // second: the histogram's p50/p99 must be what the percentile of
+        // the full list, truncated to milliseconds, reports.
+        let metrics = Metrics::new();
+        let mut all = Vec::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..40_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let latency = Duration::from_micros(state % 1_000_000);
+            metrics.finished(JobStatus::Ok, latency);
+            all.push(latency);
+        }
+        let v = parse(&metrics.render(&SnapshotStats::default())).unwrap();
+        let lat = v.get("latency_ms").unwrap();
+        for (key, p) in [("p50", 50.0), ("p99", 99.0)] {
+            let want = percentile(&mut all, p).as_millis() as u64;
+            assert_eq!(lat.get(key).and_then(Value::as_u64), Some(want), "{key}");
+        }
     }
 
     #[test]

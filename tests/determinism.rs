@@ -2,8 +2,8 @@
 //!
 //! The checker's contract is that exploration is a pure function of the
 //! program and the configuration: re-running yields the same bugs, the
-//! same traces, and the same statistics, and the parallel engine
-//! (`Config::jobs`) must be indistinguishable from the sequential walk in
+//! same traces, and the same statistics, and running the walk on several
+//! workers (`Config::jobs`) must be indistinguishable from one worker in
 //! everything but wall-clock time. `CheckReport::digest` is the
 //! comparison surface — it covers every bug, race, diagnostic,
 //! and exploration statistic, excluding only timing, per-worker
@@ -32,7 +32,7 @@ fn run(program: &(dyn Program + Sync), jobs: usize) -> CheckReport {
 }
 
 /// A small closure program with several independent flushed lines, so
-/// the decision tree fans out enough to exercise work stealing.
+/// the decision tree fans out enough for workers to donate subtrees.
 fn fan_out(env: &dyn PmEnv) {
     let root = env.root();
     if env.is_recovery() {

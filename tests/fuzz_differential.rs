@@ -18,7 +18,7 @@ const OPS_MAX: usize = 14;
 #[test]
 fn campaign_of_200_seeds_has_zero_divergences() {
     let oracle = Oracle::default();
-    let report = run_campaign(&oracle, 0, SEEDS, OPS_MAX, |_, _| {});
+    let report = run_campaign(&oracle, 0, SEEDS, OPS_MAX, None, |_, _| {});
     assert!(
         report.is_clean(),
         "oracles disagreed:\n{}",
@@ -47,9 +47,9 @@ fn campaign_json_is_identical_across_runs_and_worker_counts() {
     };
     // Smaller sweep than the full campaign: this test pins bytes, the
     // one above pins verdicts.
-    let a = run_campaign(&sequential, 0, 60, OPS_MAX, |_, _| {});
-    let b = run_campaign(&sequential, 0, 60, OPS_MAX, |_, _| {});
-    let c = run_campaign(&parallel, 0, 60, OPS_MAX, |_, _| {});
+    let a = run_campaign(&sequential, 0, 60, OPS_MAX, None, |_, _| {});
+    let b = run_campaign(&sequential, 0, 60, OPS_MAX, None, |_, _| {});
+    let c = run_campaign(&parallel, 0, 60, OPS_MAX, None, |_, _| {});
     assert_eq!(a.to_json(), b.to_json(), "re-run changed the report");
     assert_eq!(a.to_json(), c.to_json(), "worker count changed the report");
     assert_eq!(a.fingerprint, c.fingerprint);

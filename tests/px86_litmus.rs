@@ -98,11 +98,11 @@ fn sweep_report_is_jobs_invariant() {
         max_ops_per_thread: 3,
         max_total_ops: 3,
     };
-    let one = run_sweep(&bound, 1);
+    let one = run_sweep(&bound, 1, None);
     assert!(one.is_clean(), "{}", one.to_text());
     assert!(one.programs > 1_000, "bound actually exercises the space");
     for jobs in [2, 4] {
-        let parallel = run_sweep(&bound, jobs);
+        let parallel = run_sweep(&bound, jobs, None);
         assert_eq!(one, parallel, "report differs at jobs={jobs}");
         assert_eq!(
             one.to_json(),
