@@ -1,5 +1,5 @@
 //! The one JSON string escaper every hand-rolled JSON writer in the
-//! workspace shares (reports, slices, SARIF, the serve protocol).
+//! workspace shares (reports, SARIF, the serve protocol).
 
 use std::fmt::Write as _;
 

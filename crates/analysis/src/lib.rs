@@ -26,9 +26,11 @@
 //!    [`torn_candidates`]): stores whose flush/fence chain spans
 //!    threads without a synchronizing edge, and straddling stores
 //!    whose line halves persist independently across a crash point.
-//! 4. **The flush-redundancy performance pass**
-//!    ([`flush_redundancy`]): same-line re-flushes with no intervening
-//!    store, fences over empty buffers, and flushes before any store.
+//! 4. **The flush-redundancy performance passes**
+//!    ([`flush_redundancy`], [`dead_flushes`]): same-line re-flushes
+//!    with no intervening store, fences over empty buffers, flushes
+//!    before any store, and flushes of lines no recovery execution
+//!    reads (the footprint comes from the exploration itself).
 //! 5. **Bug localization** ([`localize`]): when exploration finds a
 //!    bug, candidates are confirmed against the failing scenario's
 //!    read-from evidence — the racy loads and the stores they could
@@ -40,13 +42,7 @@
 //!    deduplicating accumulation path used by both the sequential
 //!    explorer and the parallel merge, and SARIF 2.1.0 output
 //!    ([`to_sarif`]) for CI consumption.
-//! 7. **Static persistence slicing** ([`SliceReport`]): an advisory
-//!    report of the recovery read footprint (cache lines
-//!    recovery-flagged loads observe), absorption facts (a line's last
-//!    fenced store masks earlier writeback choices), and crash-point
-//!    equivalence classes, plus the footprint-driven dead-flush pass
-//!    ([`dead_flushes`]).
-//! 8. **Typed repair edits** ([`FixEdit`], [`minimize_edits`]): every
+//! 7. **Typed repair edits** ([`FixEdit`], [`minimize_edits`]): every
 //!    error-class diagnostic carries a machine-applicable edit —
 //!    insert flush, insert fence, delete flush — at its interned site,
 //!    and the delta-debugging reducer shrinks a candidate edit set to
@@ -67,7 +63,6 @@ mod races;
 mod repair;
 mod robust;
 mod sarif;
-mod slice;
 mod vclock;
 
 pub use diagnostic::{Diagnostic, DiagnosticKind, DiagnosticSet, Severity};
@@ -79,5 +74,4 @@ pub use races::{cross_thread_races, recovery_read_lines, torn_candidates};
 pub use repair::{minimize_edits, parse_site, FixEdit};
 pub use robust::{analyze_trace, robustness_candidates, Candidate};
 pub use sarif::{to_sarif, to_sarif_with_verified};
-pub use slice::{Absorption, CrashPointClass, SliceReport};
 pub use vclock::VClock;

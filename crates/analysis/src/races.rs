@@ -172,8 +172,7 @@ pub fn torn_candidates(graph: &PersistGraph<'_>) -> Vec<Candidate> {
 /// The cache lines a scenario's recovery executions actually read:
 /// recovery-flagged `Load` and `Rmw` ops (a failed recovery CAS still
 /// observes its cell). Buggy scenarios use this to keep cross-thread
-/// reports tied to state the failing recovery could observe; the
-/// persistence slice uses it to seed the recovery read footprint.
+/// reports tied to state the failing recovery could observe.
 pub fn recovery_read_lines(traces: &[OpTrace]) -> HashSet<u64> {
     let mut lines = HashSet::new();
     for trace in traces {

@@ -13,9 +13,7 @@ use jaaru_workloads::lockfree::{
     clevel::ClevelHash, harris::HarrisList, msqueue::MsQueue, treiber::TreiberStack, LfFault,
     LockFreeWorkload,
 };
-use jaaru_workloads::pmdk::{
-    btree_map, ctree_map, hashmap_atomic, hashmap_tx, MapWorkload, PmdkFaults,
-};
+use jaaru_workloads::pmdk::{btree_map, ctree_map, hashmap_atomic, hashmap_tx, MapWorkload};
 use jaaru_workloads::recipe::{
     cceh::{Cceh, CcehFault},
     fast_fair::{FastFair, FastFairFault},
@@ -472,9 +470,4 @@ pub fn lockfree_fixed_cases() -> Vec<(&'static str, Box<dyn Program + Sync>)> {
         ("LF-List", Box::new(LockFreeWorkload::<HarrisList>::fixed())),
         ("LF-Hash", Box::new(LockFreeWorkload::<ClevelHash>::fixed())),
     ]
-}
-
-/// `PmdkFaults` re-export for binaries.
-pub fn no_pmdk_faults() -> PmdkFaults {
-    PmdkFaults::default()
 }

@@ -11,8 +11,6 @@
 //! jaaru_cli [options] lint (recipe|pmdk) <row#> [keys]  # lint one bug row
 //! jaaru_cli [options] repair <benchmark> [keys]         # repair a fixed benchmark
 //! jaaru_cli [options] repair (recipe|pmdk) <row#> [keys] # repair one bug row
-//! jaaru_cli [options] analyze <benchmark> [keys]        # persistence slice report
-//! jaaru_cli [options] analyze (recipe|pmdk|lockfree) <row#> [keys]
 //! jaaru_cli [options] perf [keys]                       # Figure 14 run
 //! jaaru_cli [options] fuzz [fuzz options]               # differential fuzzing
 //! jaaru_cli [options] litmus [corpus|sweep] [opts]      # Px86 conformance harness
@@ -198,81 +196,6 @@ fn repair_run(
     i32::from(!outcome.verified)
 }
 
-/// The `analyze` subcommand: the advisory static persistence slice next
-/// to an ordinary lint check. Text shows the recovery read footprint
-/// with per-line read/write counts, absorption facts and predicted
-/// crash-point equivalence classes; JSON wraps the full report and the
-/// static slice in one object; SARIF carries the run's diagnostics
-/// (dead-flush findings included).
-fn analyze_run(
-    name: &str,
-    program: &(dyn Program + Sync),
-    jobs: usize,
-    format: Format,
-    snapshots: bool,
-) -> i32 {
-    let checker = ModelChecker::new(config(jobs, true, snapshots));
-    let report = checker.check(program);
-    let slice = checker.slice(program);
-    match format {
-        Format::Json | Format::JsonCanonical => {
-            let rendered = if format == Format::Json {
-                report.to_json()
-            } else {
-                report.to_canonical_json()
-            };
-            let indent = |s: &str| s.trim_end().replace('\n', "\n  ");
-            print!(
-                "{{\n  \"report\": {},\n  \"static_slice\": {}\n}}\n",
-                indent(&rendered),
-                slice.to_json()
-            );
-        }
-        Format::Sarif => print!(
-            "{}",
-            jaaru::to_sarif(&report.diagnostics, env!("CARGO_PKG_VERSION"))
-        ),
-        Format::Text => {
-            println!("== analyze {name} ==");
-            println!("recovery read footprint: {} line(s)", slice.footprint.len());
-            for (line, reads) in &slice.reads_per_line {
-                let writes = slice
-                    .writes_per_line
-                    .iter()
-                    .find(|(l, _)| l == line)
-                    .map_or(0, |(_, n)| *n);
-                println!("  line {line}: {reads} recovery read(s), {writes} pre-crash store(s)");
-            }
-            for a in &slice.absorptions {
-                println!(
-                    "absorption: line {} — {} earlier store(s) masked by the flush at {}",
-                    a.line, a.masked_stores, a.absorbing_site
-                );
-            }
-            println!(
-                "crash points: {} total, {} predicted skippable across {} class(es)",
-                slice.total_points,
-                slice.predicted_skipped,
-                slice.classes.len()
-            );
-            println!("{report}");
-            for d in &report.diagnostics {
-                println!("{d}");
-            }
-            if report.is_clean() && !report.has_errors() {
-                println!("VERDICT: crash consistent");
-            } else {
-                println!(
-                    "VERDICT: {} bug(s), {} diagnostic(s)",
-                    report.bugs.len(),
-                    report.diagnostics.len()
-                );
-            }
-        }
-    }
-    i32::from(!report.is_clean() || report.has_errors())
-}
-
 /// Looks a fixed benchmark up by name across all fixed registries.
 /// (The lock-free family runs a built-in script, so `keys` does not
 /// apply to it.)
@@ -285,6 +208,13 @@ fn find_fixed(name: &str, keys: usize) -> Option<(String, Box<dyn Program + Sync
         .map(|(n, p)| (n.to_string(), p))
 }
 
+/// The optional `keys` argument at `args[pos]`: `default` when absent,
+/// a usage error when it is not a number.
+fn keys_arg(args: &[String], pos: usize, default: usize) -> usize {
+    args.get(pos)
+        .map_or(default, |a| a.parse().unwrap_or_else(|_| usage()))
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage:\n  jaaru_cli [options] list\n  \
@@ -294,8 +224,6 @@ fn usage() -> ! {
          jaaru_cli [options] lint (recipe|pmdk|lockfree) <row#> [keys]\n  \
          jaaru_cli [options] repair <benchmark> [keys]\n  \
          jaaru_cli [options] repair (recipe|pmdk|lockfree) <row#> [keys]\n  \
-         jaaru_cli [options] analyze <benchmark> [keys]\n  \
-         jaaru_cli [options] analyze (recipe|pmdk|lockfree) <row#> [keys]\n  \
          jaaru_cli [options] perf [keys]\n  \
          jaaru_cli [options] fuzz [fuzz options]\n  \
          jaaru_cli [options] litmus [corpus|sweep] [litmus options]\n  \
@@ -750,8 +678,7 @@ fn main() {
         }
         Some("check") => {
             let name = args.get(1).unwrap_or_else(|| usage());
-            let keys = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(6);
-            match find_fixed(name, keys) {
+            match find_fixed(name, keys_arg(&args, 2, 6)) {
                 Some((name, program)) => run(&name, &*program, jobs, format, false, snapshots),
                 None => {
                     eprintln!("unknown benchmark {name:?}; try `jaaru_cli list`");
@@ -759,7 +686,7 @@ fn main() {
                 }
             }
         }
-        Some(cmd @ ("bug" | "lint" | "repair" | "analyze")) => {
+        Some(cmd @ ("bug" | "lint" | "repair")) => {
             let lint = cmd == "lint";
             let suite = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
             match suite {
@@ -768,7 +695,7 @@ fn main() {
                         .get(2)
                         .and_then(|a| a.parse().ok())
                         .unwrap_or_else(|| usage());
-                    let keys = args.get(3).and_then(|a| a.parse().ok()).unwrap_or(5);
+                    let keys = keys_arg(&args, 3, 5);
                     let cases = match suite {
                         "recipe" => recipe_bug_cases(keys),
                         "pmdk" => pmdk_bug_cases(keys),
@@ -783,14 +710,10 @@ fn main() {
                                 );
                             }
                             let name = format!("{suite} row {id}: {}", case.benchmark);
-                            match cmd {
-                                "repair" => {
-                                    repair_run(&name, &*case.program, jobs, format, snapshots)
-                                }
-                                "analyze" => {
-                                    analyze_run(&name, &*case.program, jobs, format, snapshots)
-                                }
-                                _ => run(&name, &*case.program, jobs, format, lint, snapshots),
+                            if cmd == "repair" {
+                                repair_run(&name, &*case.program, jobs, format, snapshots)
+                            } else {
+                                run(&name, &*case.program, jobs, format, lint, snapshots)
                             }
                         }
                         None => {
@@ -801,24 +724,16 @@ fn main() {
                 }
                 // `lint <benchmark>` / `repair <benchmark>`: a fixed
                 // configuration by name.
-                name if cmd != "bug" => {
-                    let keys = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(6);
-                    match find_fixed(name, keys) {
-                        Some((name, program)) if cmd == "repair" => {
-                            repair_run(&name, &*program, jobs, format, snapshots)
-                        }
-                        Some((name, program)) if cmd == "analyze" => {
-                            analyze_run(&name, &*program, jobs, format, snapshots)
-                        }
-                        Some((name, program)) => {
-                            run(&name, &*program, jobs, format, true, snapshots)
-                        }
-                        None => {
-                            eprintln!("unknown benchmark {name:?}; try `jaaru_cli list`");
-                            2
-                        }
+                name if cmd != "bug" => match find_fixed(name, keys_arg(&args, 2, 6)) {
+                    Some((name, program)) if cmd == "repair" => {
+                        repair_run(&name, &*program, jobs, format, snapshots)
                     }
-                }
+                    Some((name, program)) => run(&name, &*program, jobs, format, true, snapshots),
+                    None => {
+                        eprintln!("unknown benchmark {name:?}; try `jaaru_cli list`");
+                        2
+                    }
+                },
                 _ => usage(),
             }
         }
@@ -826,8 +741,7 @@ fn main() {
         Some("litmus") => litmus(parse_litmus_opts(&args[1..]), jobs, format),
         Some("serve") => serve(&args[1..], jobs, snapshots),
         Some("perf") => {
-            let keys = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(8);
-            for (name, program) in recipe_fixed_cases(keys) {
+            for (name, program) in recipe_fixed_cases(keys_arg(&args, 1, 8)) {
                 let report = ModelChecker::new(config(jobs, false, snapshots)).check(&*program);
                 println!("{name:<11} {}", report.summary());
             }

@@ -32,10 +32,6 @@ pub struct Config {
     jobs: usize,
     snapshots: bool,
     repair_max_rounds: usize,
-    /// Internal: keep every scenario's op traces on its outcome (the
-    /// static slicing pass consumes them). Collection-only — never part
-    /// of the fingerprint.
-    pub(crate) collect_traces: bool,
 }
 
 impl Config {
@@ -62,7 +58,6 @@ impl Config {
             jobs: 1,
             snapshots: true,
             repair_max_rounds: 8,
-            collect_traces: false,
         }
     }
 

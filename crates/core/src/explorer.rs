@@ -87,11 +87,6 @@ pub(crate) struct ScenarioOutcome {
     /// crash-free, bug-free scenario with lints on (one per run): the
     /// input of the footprint-driven dead-flush pass.
     pub clean_trace: Option<OpTrace>,
-    /// Every execution's op trace (pre-failure first, recoveries after),
-    /// kept only under [`Config::collect_traces`] — the static slicing
-    /// pass ([`ModelChecker::slice`]) consumes them. Empty otherwise, so
-    /// ordinary runs never retain per-scenario traces past the merge.
-    pub op_traces: Vec<OpTrace>,
 }
 
 /// Exploration by-products the dead-flush pass needs beyond the report:
@@ -187,11 +182,6 @@ pub(crate) fn run_scenario(
     } else {
         None
     };
-    let op_traces = if config.collect_traces {
-        record.op_traces
-    } else {
-        Vec::new()
-    };
     let outcome = ScenarioOutcome {
         trace: record.decisions.trace(),
         executions_replayed: executions_this_scenario,
@@ -206,7 +196,6 @@ pub(crate) fn run_scenario(
         bug,
         recovery_reads: record.recovery_reads,
         clean_trace,
-        op_traces,
     };
     (outcome, record.decisions, record.captures)
 }
@@ -309,36 +298,6 @@ impl ModelChecker {
         report
     }
 
-    /// Runs the *static* persistence-slicing pass: a bounded exploration
-    /// with op tracing forced on, whose recorded traces feed
-    /// [`jaaru_analysis::SliceReport::build`]. The result names the
-    /// recovery read footprint, absorption facts, and the predicted
-    /// crash-point equivalence classes. Advisory only: it never affects
-    /// `check`'s exploration or verdicts.
-    pub fn slice(&self, program: &(dyn Program + Sync)) -> jaaru_analysis::SliceReport {
-        let mut config = self.config.clone();
-        // `lints(true)` turns per-execution op tracing on. The pass
-        // replays every prefix, so it captures no checkpoints.
-        config.lints(true).snapshots(false);
-        config.collect_traces = true;
-
-        let mut pre: Option<OpTrace> = None;
-        let mut recoveries: Vec<OpTrace> = Vec::new();
-        explore(&config, program, self.abort.clone(), |mut outcome| {
-            if let Some(trace) = outcome.clean_trace.take() {
-                // The all-continue scenario's only trace is the complete
-                // pre-failure execution.
-                pre = Some(trace);
-            }
-            recoveries.extend(outcome.op_traces.drain(..).skip(1));
-        });
-        let mut traces = vec![pre.unwrap_or_default()];
-        traces.append(&mut recoveries);
-        jaaru_analysis::SliceReport::build(&traces)
-    }
-}
-
-impl ModelChecker {
     /// Replays a single recorded failure scenario — the `trace` of a
     /// [`BugReport`] — and returns its outcome. This is the paper's
     /// "strong witness" property made executable: a reported bug comes
@@ -1198,31 +1157,34 @@ mod tests {
     #[test]
     fn lints_flag_dead_flushes_from_the_recovery_footprint() {
         use jaaru_analysis::{FixEdit, Severity};
-        let program = |env: &dyn PmEnv| scratch_tail_program(env, true);
-        let mut config = small_config();
-        config.lints(true).lint_flush_redundancy(true);
-        let report = ModelChecker::new(config.clone()).check(&program);
-        assert!(!report.is_clean(), "{report}");
-        // Recovery reads lines 1 (root) and 2 (data): the scratch-tail
-        // flush site (lines 3..=10, eight times) is dead, nothing else.
-        let dead = dead_flushes_of(&report);
-        assert_eq!(dead.len(), 1, "{dead:?}");
-        assert_eq!(dead[0].occurrences, 8);
-        assert_eq!(dead[0].severity(), Severity::Warning);
-        assert!(
-            matches!(
-                dead[0].suggestion,
-                Some(FixEdit::DeleteFlush { line: Some(3), .. })
-            ),
-            "{}",
-            dead[0]
-        );
+        // Recovery reads lines 1 (root) and 2 (data), with or without
+        // the missing data flush: the scratch-tail flush site (lines
+        // 3..=10, eight times) is dead, nothing else.
+        for bug in [true, false] {
+            let program = move |env: &dyn PmEnv| scratch_tail_program(env, bug);
+            let mut config = small_config();
+            config.lints(true).lint_flush_redundancy(true);
+            let report = ModelChecker::new(config.clone()).check(&program);
+            assert_eq!(report.is_clean(), !bug, "{report}");
+            let dead = dead_flushes_of(&report);
+            assert_eq!(dead.len(), 1, "bug={bug}: {dead:?}");
+            assert_eq!(dead[0].occurrences, 8);
+            assert_eq!(dead[0].severity(), Severity::Warning);
+            assert!(
+                matches!(
+                    dead[0].suggestion,
+                    Some(FixEdit::DeleteFlush { line: Some(3), .. })
+                ),
+                "bug={bug}: {}",
+                dead[0]
+            );
 
-        for jobs in [2usize, 4] {
-            let mut config = config.clone();
-            config.jobs(jobs);
-            let parallel = ModelChecker::new(config).check(&program);
-            assert_eq!(report.digest(), parallel.digest(), "jobs={jobs}");
+            for jobs in [2usize, 4] {
+                let mut config = config.clone();
+                config.jobs(jobs);
+                let parallel = ModelChecker::new(config).check(&program);
+                assert_eq!(report.digest(), parallel.digest(), "bug={bug} jobs={jobs}");
+            }
         }
     }
 
@@ -1257,29 +1219,6 @@ mod tests {
         let cut = ModelChecker::new(config).check(&program);
         assert!(cut.truncated, "{cut}");
         assert!(dead_flushes_of(&cut).is_empty(), "{:?}", cut.diagnostics);
-    }
-
-    #[test]
-    fn static_slice_footprint_matches_the_dead_flush_lint() {
-        let program = |env: &dyn PmEnv| scratch_tail_program(env, false);
-        let mut config = small_config();
-        config.lints(true).lint_flush_redundancy(true);
-        let checker = ModelChecker::new(config);
-        let slice = checker.slice(&program);
-        assert_eq!(slice.footprint, vec![1, 2], "{slice:?}");
-        assert!(slice.predicted_skipped > 0, "{slice:?}");
-        assert!(slice.total_points > slice.predicted_skipped);
-
-        // The dead flush covers a line outside the static footprint.
-        let report = checker.check(&program);
-        let dead = dead_flushes_of(&report);
-        assert_eq!(dead.len(), 1, "{dead:?}");
-        match dead[0].suggestion {
-            Some(jaaru_analysis::FixEdit::DeleteFlush {
-                line: Some(line), ..
-            }) => assert!(!slice.footprint.contains(&line), "{}", dead[0]),
-            _ => panic!("{}", dead[0]),
-        }
     }
 
     #[test]

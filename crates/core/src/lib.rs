@@ -94,8 +94,8 @@ pub use signal::with_quiet_panics;
 // The unified diagnostic framework (lint findings + perf warnings),
 // its SARIF 2.1.0 rendering, and the shared JSON string escaper.
 pub use jaaru_analysis::{
-    json_string, minimize_edits, to_sarif, to_sarif_with_verified, Absorption, CrashPointClass,
-    Diagnostic, DiagnosticKind, DiagnosticSet, FixEdit, Severity, SliceReport,
+    json_string, minimize_edits, to_sarif, to_sarif_with_verified, Diagnostic, DiagnosticKind,
+    DiagnosticSet, FixEdit, Severity,
 };
 
 // Crash-point checkpoint counters, surfaced through `CheckReport::snapshots`.

@@ -33,7 +33,7 @@ use std::panic::Location;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use jaaru_analysis::{minimize_edits, parse_site, Diagnostic, FixEdit};
+use jaaru_analysis::{json_string, minimize_edits, parse_site, Diagnostic, FixEdit};
 use jaaru_pmem::PmAddr;
 
 use crate::config::Config;
@@ -295,15 +295,6 @@ pub struct RepairOutcome {
 }
 
 impl RepairOutcome {
-    /// The diagnostics of the final verified re-check (empty unless
-    /// `verified`); what remains is advisory-only by construction.
-    pub fn residual_warnings(&self) -> usize {
-        if !self.verified {
-            return 0;
-        }
-        self.repaired.as_ref().map_or(0, |r| r.diagnostics.len())
-    }
-
     /// Deterministic JSON rendering: report *summaries* instead of full
     /// reports, so the bytes are identical across worker counts and
     /// cache states. Shared by `jaaru_cli repair --format json` and the
@@ -320,7 +311,7 @@ impl RepairOutcome {
         };
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"program\": \"{}\",", self.program.escape_default());
+        let _ = writeln!(out, "  \"program\": {},", json_string(&self.program));
         let _ = writeln!(out, "  \"verified\": {},", self.verified);
         let _ = writeln!(out, "  \"rounds\": {},", self.rounds);
         let _ = writeln!(out, "  \"rechecks\": {},", self.rechecks);
@@ -333,11 +324,11 @@ impl RepairOutcome {
                 .map_or_else(|| "null".to_string(), |l| l.to_string());
             let _ = writeln!(
                 out,
-                "    {{\"edit\": \"{}\", \"site\": \"{}\", \"cache_line\": {line}, \
-                 \"action\": \"{}\"}}{comma}",
-                e.kind_str(),
-                e.site().escape_default(),
-                e.to_string().escape_default()
+                "    {{\"edit\": {}, \"site\": {}, \"cache_line\": {line}, \
+                 \"action\": {}}}{comma}",
+                json_string(e.kind_str()),
+                json_string(e.site()),
+                json_string(&e.to_string())
             );
         }
         let _ = writeln!(out, "  ],");
@@ -681,5 +672,21 @@ mod tests {
             "{:?}",
             repaired.diagnostics
         );
+    }
+
+    #[test]
+    fn json_strings_are_json_escaped() {
+        let outcome = RepairOutcome {
+            program: "it's é".to_string(),
+            edits: Vec::new(),
+            verified: false,
+            rounds: 0,
+            rechecks: 0,
+            baseline: CheckReport::default(),
+            repaired: None,
+            diagnosed: Vec::new(),
+        };
+        let json = outcome.to_json();
+        assert!(json.contains("\"program\": \"it's é\","), "{json}");
     }
 }

@@ -31,7 +31,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use jaaru::{CheckReport, Config, DiagnosticKind, ModelChecker};
+use jaaru::{json_string, CheckReport, Config, DiagnosticKind, ModelChecker};
 use jaaru_yat::{eager_check_bounded, YatConfig, YatError};
 
 use crate::gen::{generate, FaultClass, FaultMode, GenProgram};
@@ -482,8 +482,10 @@ impl CampaignReport {
                 };
                 let _ = writeln!(
                     out,
-                    "      {{\"class\": \"{}\", \"attempted\": {}, \"repaired\": {}}}{comma}",
-                    row.class, row.attempted, row.repaired
+                    "      {{\"class\": {}, \"attempted\": {}, \"repaired\": {}}}{comma}",
+                    json_string(&row.class.to_string()),
+                    row.attempted,
+                    row.repaired
                 );
             }
             let _ = writeln!(out, "    ]");
@@ -498,10 +500,10 @@ impl CampaignReport {
             };
             let _ = writeln!(
                 out,
-                "    {{\"seed\": {}, \"axis\": \"{}\", \"detail\": \"{}\"}}{comma}",
+                "    {{\"seed\": {}, \"axis\": {}, \"detail\": {}}}{comma}",
                 d.seed,
-                d.axis,
-                d.detail.escape_default()
+                json_string(d.axis),
+                json_string(&d.detail)
             );
         }
         out.push_str("  ]\n}\n");
@@ -688,5 +690,30 @@ mod tests {
         assert!(d.contains("line 2"), "{d}");
         let d = diff_digests("a\n", "a\nb\n");
         assert!(d.contains("length"), "{d}");
+    }
+
+    #[test]
+    fn json_strings_are_json_escaped() {
+        let report = CampaignReport {
+            seed_start: 0,
+            seeds: 1,
+            ops_max: 1,
+            differential: false,
+            buggy: 0,
+            clean: 1,
+            yat_skipped: 0,
+            scenarios: 0,
+            executions: 0,
+            yat_states: 0,
+            fingerprint: 0,
+            divergences: vec![Divergence {
+                seed: 0,
+                axis: "yat",
+                detail: "it's é".to_string(),
+            }],
+            repair: None,
+        };
+        let json = report.to_json();
+        assert!(json.contains("\"detail\": \"it's é\"}"), "{json}");
     }
 }

@@ -13,7 +13,7 @@
 //! corpus entry therefore fails either when a checker contradicts the
 //! literature or when the checkers contradict each other.
 
-use std::collections::BTreeSet;
+use jaaru::json_string;
 
 use crate::ax::{AxChecker, AxOp, AxOutcome, AxProgram};
 use crate::conform::{self, Verdict};
@@ -389,16 +389,12 @@ impl CorpusReport {
         let _ = writeln!(out, "  \"results\": [");
         for (i, r) in self.results.iter().enumerate() {
             let comma = if i + 1 < self.results.len() { "," } else { "" };
-            let failures: Vec<String> = r
-                .failures
-                .iter()
-                .map(|f| format!("\"{}\"", f.replace('\\', "\\\\").replace('"', "\\\"")))
-                .collect();
+            let failures: Vec<String> = r.failures.iter().map(|f| json_string(f)).collect();
             let _ = writeln!(
                 out,
-                "    {{\"name\": \"{}\", \"passed\": {}, \"conformant\": {}, \
+                "    {{\"name\": {}, \"passed\": {}, \"conformant\": {}, \
                  \"outcomes\": {}, \"failures\": [{}]}}{comma}",
-                r.name,
+                json_string(r.name),
                 r.passed(),
                 r.conformant,
                 r.outcomes,
@@ -416,13 +412,6 @@ pub fn run_corpus_report() -> CorpusReport {
     CorpusReport {
         results: run_corpus(),
     }
-}
-
-/// The distinct outcome count of a corpus entry under the axiomatic
-/// checker — exposed for reports.
-pub fn outcome_count(t: &CorpusTest) -> usize {
-    let set: BTreeSet<AxOutcome> = AxChecker::new(&t.program).allowed();
-    set.len()
 }
 
 #[cfg(test)]

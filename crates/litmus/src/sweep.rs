@@ -40,6 +40,8 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use jaaru::json_string;
+
 use crate::ax::{AxOp, AxOutcome, AxProgram};
 use crate::conform::{self, render_program, Verdict};
 
@@ -163,25 +165,17 @@ impl SweepReport {
             } else {
                 ""
             };
-            let ops: Vec<String> = d
-                .operational_only
-                .iter()
-                .map(|s| format!("\"{s}\""))
-                .collect();
-            let axs: Vec<String> = d
-                .axiomatic_only
-                .iter()
-                .map(|s| format!("\"{s}\""))
-                .collect();
-            let allow = match &d.allowlisted {
-                Some(r) => format!("\"{r}\""),
-                None => "null".to_string(),
-            };
+            let ops: Vec<String> = d.operational_only.iter().map(|s| json_string(s)).collect();
+            let axs: Vec<String> = d.axiomatic_only.iter().map(|s| json_string(s)).collect();
+            let allow = d
+                .allowlisted
+                .as_deref()
+                .map_or_else(|| "null".to_string(), json_string);
             let _ = writeln!(
                 out,
-                "    {{\"program\": \"{}\", \"operational_only\": [{}], \
+                "    {{\"program\": {}, \"operational_only\": [{}], \
                  \"axiomatic_only\": [{}], \"allowlisted\": {}}}{comma}",
-                d.program,
+                json_string(&d.program),
                 ops.join(", "),
                 axs.join(", "),
                 allow
@@ -481,13 +475,6 @@ pub fn run_sweep(bound: &SweepBound, jobs: usize, stop: Option<&AtomicBool>) -> 
         allowlisted,
         fingerprint,
     }
-}
-
-/// The number of programs the sweep would check at `bound`, without
-/// checking them (for reports and the bench).
-pub fn program_count(bound: &SweepBound) -> (u64, u64) {
-    let (programs, skipped) = generate(bound);
-    (programs.len() as u64, skipped)
 }
 
 #[cfg(test)]

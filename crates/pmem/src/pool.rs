@@ -179,23 +179,10 @@ impl PmPool {
         self.bump = 2 * CACHE_LINE_SIZE as u64;
     }
 
-    /// Current bump cursor position (next allocation candidate).
-    #[inline]
-    pub fn bump_cursor(&self) -> PmAddr {
-        PmAddr::new(self.bump)
-    }
-
     /// A read-only view of the raw pool contents.
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
-    }
-
-    /// A mutable view of the raw pool contents (used by the eager baseline
-    /// to materialize candidate post-failure states).
-    #[inline]
-    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes
     }
 }
 

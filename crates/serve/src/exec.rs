@@ -34,7 +34,7 @@ use crate::metrics::JobStatus;
 
 /// A hidden workload name that panics *outside* the checker's own
 /// guest-panic guard, as if the checking infrastructure itself blew up.
-/// The smoke tests (and operators running failure drills) submit it to
+/// The batch tests (and operators running failure drills) submit it to
 /// prove such a panic turns into a `failed` reply instead of taking the
 /// daemon down. (A panic *inside* a guest program is different: the
 /// checker reports it as a `GuestPanic` bug, i.e. a `violation` reply

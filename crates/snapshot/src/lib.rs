@@ -93,22 +93,6 @@ pub struct SnapshotStats {
     pub shared_evictions: u64,
 }
 
-impl SnapshotStats {
-    /// Folds another set of counters into this one. Every axis sums;
-    /// `bytes`/`peak_bytes` become totals.
-    pub fn merge(&mut self, other: &SnapshotStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.inserts += other.inserts;
-        self.evictions += other.evictions;
-        self.bytes += other.bytes;
-        self.peak_bytes += other.peak_bytes;
-        self.shared_hits += other.shared_hits;
-        self.shared_misses += other.shared_misses;
-        self.shared_evictions += other.shared_evictions;
-    }
-}
-
 impl fmt::Display for SnapshotStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -342,26 +326,6 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.peak_bytes, 40);
         assert_eq!(s.bytes, 20);
-    }
-
-    #[test]
-    fn merge_sums_counters() {
-        let mut a = SnapshotStats {
-            hits: 1,
-            misses: 2,
-            inserts: 3,
-            evictions: 4,
-            bytes: 5,
-            peak_bytes: 6,
-            shared_hits: 7,
-            shared_misses: 8,
-            shared_evictions: 9,
-        };
-        a.merge(&a.clone());
-        assert_eq!(a.hits, 2);
-        assert_eq!(a.peak_bytes, 12);
-        assert_eq!(a.shared_hits, 14);
-        assert_eq!(a.shared_evictions, 18);
     }
 
     #[test]

@@ -254,11 +254,6 @@ impl TsoMachine {
         self.storage.read_cache(line, miss, vals)
     }
 
-    /// Whether any thread still has buffered operations.
-    pub fn has_buffered_ops(&self) -> bool {
-        self.threads.iter().any(|t| !t.is_empty())
-    }
-
     /// Whether `tid` has deferred `clflushopt` operations whose persistency
     /// effect is still pending (waiting for an ordering instruction).
     pub fn flush_buffer_pending(&self, tid: ThreadId) -> bool {

@@ -25,8 +25,8 @@ pub enum TraceOpKind {
     /// A load of `len` bytes starting at `addr`. Loads never constrain
     /// persist order; they are recorded so analysis passes can tell
     /// which lines a recovery execution actually reads. `recovery` marks
-    /// loads issued by a post-failure execution — the seeds of the
-    /// recovery read footprint computed by persistence slicing.
+    /// loads issued by a post-failure execution, the lines
+    /// `jaaru_analysis::recovery_read_lines` collects.
     Load {
         addr: PmAddr,
         len: u32,
@@ -51,7 +51,7 @@ pub enum TraceOpKind {
     /// line — but publish nothing, so they carry no release edge.
     /// `recovery` marks RMWs issued by a post-failure execution: a
     /// failed recovery-phase CAS still *reads* the line, so it counts
-    /// toward the recovery read footprint like a load.
+    /// as a recovery read like a load.
     Rmw {
         addr: PmAddr,
         success: bool,

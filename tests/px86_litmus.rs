@@ -4,9 +4,9 @@
 //! conformance sweep must be clean and byte-deterministic across
 //! worker counts.
 //!
-//! These are the cross-crate guarantees the `litmus-smoke` CI job
-//! relies on; the per-crate unit tests in `jaaru-litmus` cover the
-//! axiom set itself.
+//! These are the cross-crate guarantees behind `jaaru_cli litmus`,
+//! whose output `crates/cli/tests/cli.rs` checks; the per-crate unit
+//! tests in `jaaru-litmus` cover the axiom set itself.
 
 use jaaru_litmus::ax::{AxChecker, AxOp, AxProgram};
 use jaaru_litmus::conform::{self, Verdict};
