@@ -369,6 +369,23 @@ pub fn pmdk_fixed_cases(keys: usize) -> Vec<(&'static str, Box<dyn Program + Syn
     ]
 }
 
+/// Every fixed benchmark: RECIPE, then PMDK, then lock-free. (The
+/// lock-free family runs a built-in script, so `keys` does not apply
+/// to it.)
+pub fn fixed_cases(keys: usize) -> Vec<(&'static str, Box<dyn Program + Sync>)> {
+    let mut cases = recipe_fixed_cases(keys);
+    cases.extend(pmdk_fixed_cases(keys));
+    cases.extend(lockfree_fixed_cases());
+    cases
+}
+
+/// Looks a fixed benchmark up by case-insensitive name.
+pub fn find_fixed(name: &str, keys: usize) -> Option<(&'static str, Box<dyn Program + Sync>)> {
+    fixed_cases(keys)
+        .into_iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+}
+
 /// The eight lock-free durable-linearizability bug rows: each structure
 /// of the `lockfree` family with its seeded faults. These are scripted
 /// operation workloads (stack/queue ops, not key-value inserts), judged

@@ -38,179 +38,116 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use jaaru::{
-    synthesize_repair, to_sarif_with_verified, CheckReport, Config, ModelChecker, Program,
-};
+use jaaru::{CheckReport, ModelChecker, Program, RepairOutcome};
 use jaaru_bench::registry::{
-    lockfree_bug_cases, lockfree_fixed_cases, pmdk_bug_cases, pmdk_fixed_cases, recipe_bug_cases,
+    find_fixed, fixed_cases, lockfree_bug_cases, pmdk_bug_cases, recipe_bug_cases,
     recipe_fixed_cases,
 };
 use jaaru_fuzz::{harvest, minimize_divergence, repair_seeded, run_campaign, Oracle, RepairStats};
 use jaaru_litmus::corpus::run_corpus_report;
 use jaaru_litmus::sweep::{run_sweep, SweepBound};
-use jaaru_serve::{daemon, Daemon, ServeOptions};
+use jaaru_serve::{
+    daemon, one_shot_config, run_program, ArtifactFormat, Daemon, JobKind, JobResult, ServeOptions,
+};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
     Text,
+    /// The timed, machine-readable report.
     Json,
-    JsonCanonical,
-    Sarif,
+    /// What the serve daemon replies for the same job: `json-canonical`
+    /// or `sarif`.
+    Artifact(ArtifactFormat),
 }
 
-fn config(jobs: usize, lint: bool, snapshots: bool) -> Config {
-    let mut c = Config::new();
-    c.pool_size(1 << 18)
-        .max_ops_per_execution(40_000)
-        .max_scenarios(20_000)
-        .jobs(jobs)
-        .snapshots(snapshots);
-    if lint {
-        // All graph passes on.
-        c.lints(true)
-            .lint_cross_thread(true)
-            .lint_torn_stores(true)
-            .lint_flush_redundancy(true);
-    }
-    c
-}
-
-/// Prints the report in the selected format and returns the process
-/// exit code: 1 when bugs or error-severity diagnostics were found.
-fn emit(name: &str, report: &CheckReport, format: Format) -> i32 {
-    match format {
-        Format::Json => print!("{}", report.to_json()),
-        Format::JsonCanonical => print!("{}", report.to_canonical_json()),
-        Format::Sarif => print!(
-            "{}",
-            jaaru::to_sarif(&report.diagnostics, env!("CARGO_PKG_VERSION"))
-        ),
-        Format::Text => {
-            println!("== {name} ==");
-            println!("{report}");
-            for race in &report.races {
-                println!("{race}");
-            }
-            for d in &report.diagnostics {
-                println!("{d}");
-            }
-            if report.has_errors() {
-                println!(
-                    "VERDICT: {} robustness diagnostic(s); fixes suggested above",
-                    report.diagnostics.iter().filter(|d| d.is_error()).count()
-                );
-            } else if report.is_clean() {
-                println!("VERDICT: crash consistent under exhaustive exploration");
-            } else {
-                println!(
-                    "VERDICT: {} bug(s) found; traces above reproduce them",
-                    report.bugs.len()
-                );
-            }
-        }
-    }
-    if report.is_clean() && !report.has_errors() {
-        0
-    } else {
-        1
-    }
-}
-
+/// Runs a `check`, `bug`, `lint` or `repair` job on `program`, prints
+/// its result and returns the process exit code: 1 when the run found
+/// bugs or error-severity diagnostics, or a repair did not verify.
 fn run(
-    name: &str,
-    program: &(dyn Program + Sync),
-    jobs: usize,
-    format: Format,
-    lint: bool,
-    snapshots: bool,
-) -> i32 {
-    let report = ModelChecker::new(config(jobs, lint, snapshots)).check(program);
-    emit(name, &report, format)
-}
-
-/// The checker configuration `repair` verifies against: every
-/// robustness pass, but not flush-redundancy — repair must converge on
-/// the crash-consistency fix, not chase advisory flush-hygiene
-/// warnings on flushes the bug rows plant on purpose. `fuzz --repair`
-/// exercises delete-flush synthesis on its redundant-flush class.
-fn repair_config(jobs: usize, snapshots: bool) -> Config {
-    let mut c = config(jobs, true, snapshots);
-    c.lint_flush_redundancy(false);
-    c
-}
-
-/// The `repair` subcommand: diagnose → fix → verify → minimize, then
-/// report. Exit 0 only for a *verified* repair; in SARIF output the
-/// proven edits carry the `verified` property flag.
-fn repair_run(
+    kind: JobKind,
     name: &str,
     program: &(dyn Program + Sync),
     jobs: usize,
     format: Format,
     snapshots: bool,
 ) -> i32 {
-    let outcome = synthesize_repair(&repair_config(jobs, snapshots), program);
-    match format {
-        Format::Json | Format::JsonCanonical => print!("{}", outcome.to_json()),
-        Format::Sarif => {
-            let verified: &[_] = if outcome.verified {
-                &outcome.edits
-            } else {
-                &[]
-            };
-            print!(
-                "{}",
-                to_sarif_with_verified(&outcome.diagnosed, env!("CARGO_PKG_VERSION"), verified)
-            );
-        }
-        Format::Text => {
-            println!("== repair {name} ==");
-            println!("baseline: {}", outcome.baseline.summary());
-            println!(
-                "{} distinct finding(s); {} round(s), {} re-check(s)",
-                outcome.diagnosed.len(),
-                outcome.rounds,
-                outcome.rechecks
-            );
-            for (i, e) in outcome.edits.iter().enumerate() {
-                println!("edit {}: {e}", i + 1);
-            }
-            if outcome.verified {
-                if let Some(r) = &outcome.repaired {
-                    println!("re-check: {}", r.summary());
-                }
-                println!(
-                    "VERDICT: verified minimal repair ({} edit(s)); re-check clean",
-                    outcome.edits.len()
-                );
-            } else {
-                println!(
-                    "VERDICT: no verified repair after {} round(s); \
-                     {} candidate edit(s) above",
-                    outcome.rounds,
-                    outcome.edits.len()
-                );
-            }
-        }
+    let mut config = one_shot_config(kind, jobs);
+    config.snapshots(snapshots);
+    let (clean, result) = run_program(kind, &config, program, &Arc::default());
+    match (format, &result) {
+        (Format::Artifact(artifact), _) => print!("{}", result.render(artifact)),
+        (Format::Json, JobResult::Check(report)) => print!("{}", report.to_json()),
+        (Format::Json, JobResult::Repair(outcome)) => print!("{}", outcome.to_json()),
+        (Format::Text, JobResult::Check(report)) => print_report(name, report),
+        (Format::Text, JobResult::Repair(outcome)) => print_repair(name, outcome),
+        (_, JobResult::Json(_)) => unreachable!("registry jobs report a check or a repair"),
     }
-    i32::from(!outcome.verified)
+    i32::from(!clean)
 }
 
-/// Looks a fixed benchmark up by name across all fixed registries.
-/// (The lock-free family runs a built-in script, so `keys` does not
-/// apply to it.)
-fn find_fixed(name: &str, keys: usize) -> Option<(String, Box<dyn Program + Sync>)> {
-    recipe_fixed_cases(keys)
-        .into_iter()
-        .chain(pmdk_fixed_cases(keys))
-        .chain(lockfree_fixed_cases())
-        .find(|(n, _)| n.eq_ignore_ascii_case(name))
-        .map(|(n, p)| (n.to_string(), p))
+/// The text view of a check, bug or lint report.
+fn print_report(name: &str, report: &CheckReport) {
+    println!("== {name} ==");
+    println!("{report}");
+    for race in &report.races {
+        println!("{race}");
+    }
+    for d in &report.diagnostics {
+        println!("{d}");
+    }
+    if report.has_errors() {
+        println!(
+            "VERDICT: {} robustness diagnostic(s); fixes suggested above",
+            report.diagnostics.iter().filter(|d| d.is_error()).count()
+        );
+    } else if report.is_clean() {
+        println!("VERDICT: crash consistent under exhaustive exploration");
+    } else {
+        println!(
+            "VERDICT: {} bug(s) found; traces above reproduce them",
+            report.bugs.len()
+        );
+    }
 }
 
-/// The optional `keys` argument at `args[pos]`: `default` when absent,
-/// a usage error when it is not a number.
+/// The text view of `repair`: diagnose → fix → verify → minimize.
+fn print_repair(name: &str, outcome: &RepairOutcome) {
+    println!("== repair {name} ==");
+    println!("baseline: {}", outcome.baseline.summary());
+    println!(
+        "{} distinct finding(s); {} round(s), {} re-check(s)",
+        outcome.diagnosed.len(),
+        outcome.rounds,
+        outcome.rechecks
+    );
+    for (i, e) in outcome.edits.iter().enumerate() {
+        println!("edit {}: {e}", i + 1);
+    }
+    if outcome.verified {
+        if let Some(r) = &outcome.repaired {
+            println!("re-check: {}", r.summary());
+        }
+        println!(
+            "VERDICT: verified minimal repair ({} edit(s)); re-check clean",
+            outcome.edits.len()
+        );
+    } else {
+        println!(
+            "VERDICT: no verified repair after {} round(s); \
+             {} candidate edit(s) above",
+            outcome.rounds,
+            outcome.edits.len()
+        );
+    }
+}
+
+/// The optional `keys` argument at `args[pos]`, the last argument a
+/// subcommand reads: `default` when absent, a usage error when it is
+/// not a number or more arguments follow it.
 fn keys_arg(args: &[String], pos: usize, default: usize) -> usize {
+    if args.len() > pos + 1 {
+        usage()
+    }
     args.get(pos)
         .map_or(default, |a| a.parse().unwrap_or_else(|_| usage()))
 }
@@ -377,8 +314,10 @@ fn fuzz(opts: FuzzOpts, jobs: usize, format: Format) -> i32 {
     }
 
     match format {
-        Format::Json | Format::JsonCanonical => print!("{}", report.to_json()),
-        Format::Text | Format::Sarif => {
+        Format::Json | Format::Artifact(ArtifactFormat::JsonCanonical) => {
+            print!("{}", report.to_json())
+        }
+        Format::Text | Format::Artifact(ArtifactFormat::Sarif) => {
             println!("== fuzz ==");
             let mut rows = vec![
                 vec!["seeds".to_string(), report.seeds.to_string()],
@@ -507,7 +446,7 @@ fn litmus(opts: LitmusOpts, jobs: usize, format: Format) -> i32 {
     let corpus = opts.corpus.then(run_corpus_report);
     let sweep = opts.sweep.then(|| run_sweep(&opts.bound, jobs, None));
     match format {
-        Format::Json | Format::JsonCanonical => match (&corpus, &sweep) {
+        Format::Json | Format::Artifact(ArtifactFormat::JsonCanonical) => match (&corpus, &sweep) {
             (Some(c), Some(s)) => {
                 // Both halves in one object, each renderer's bytes kept
                 // verbatim (indented one level).
@@ -522,7 +461,7 @@ fn litmus(opts: LitmusOpts, jobs: usize, format: Format) -> i32 {
             (None, Some(s)) => print!("{}", s.to_json()),
             (None, None) => unreachable!("one mode always selected"),
         },
-        Format::Text | Format::Sarif => {
+        Format::Text | Format::Artifact(ArtifactFormat::Sarif) => {
             if let Some(c) = &corpus {
                 println!("== litmus corpus ==");
                 print!("{}", c.to_text());
@@ -641,8 +580,8 @@ fn main() {
         format = match args.get(pos + 1).map(String::as_str) {
             Some("text") => Format::Text,
             Some("json") => Format::Json,
-            Some("json-canonical") => Format::JsonCanonical,
-            Some("sarif") => Format::Sarif,
+            Some("json-canonical") => Format::Artifact(ArtifactFormat::JsonCanonical),
+            Some("sarif") => Format::Artifact(ArtifactFormat::Sarif),
             _ => usage(),
         };
         args.drain(pos..=pos + 1);
@@ -653,13 +592,9 @@ fn main() {
         args.remove(pos);
     }
     let code = match args.first().map(String::as_str) {
-        Some("list") => {
+        Some("list") if args.len() == 1 => {
             println!("fixed benchmarks (check / lint):");
-            for (name, _) in recipe_fixed_cases(4)
-                .into_iter()
-                .chain(pmdk_fixed_cases(4))
-                .chain(lockfree_fixed_cases())
-            {
+            for (name, _) in fixed_cases(4) {
                 println!("  {name}");
             }
             println!("recipe bug rows (bug recipe N / lint recipe N):");
@@ -676,21 +611,17 @@ fn main() {
             }
             0
         }
-        Some("check") => {
-            let name = args.get(1).unwrap_or_else(|| usage());
-            match find_fixed(name, keys_arg(&args, 2, 6)) {
-                Some((name, program)) => run(&name, &*program, jobs, format, false, snapshots),
-                None => {
-                    eprintln!("unknown benchmark {name:?}; try `jaaru_cli list`");
-                    2
-                }
-            }
-        }
-        Some(cmd @ ("bug" | "lint" | "repair")) => {
-            let lint = cmd == "lint";
-            let suite = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
-            match suite {
-                "recipe" | "pmdk" | "lockfree" => {
+        Some(cmd @ ("check" | "bug" | "lint" | "repair")) => {
+            let kind = match cmd {
+                "check" => JobKind::Check,
+                "bug" => JobKind::Bug,
+                "lint" => JobKind::Lint,
+                _ => JobKind::Repair,
+            };
+            let target = args.get(1).map(String::as_str).unwrap_or_else(|| usage());
+            match target {
+                // `bug|lint|repair <suite> <row#>`: one bug-table row.
+                suite @ ("recipe" | "pmdk" | "lockfree") if kind != JobKind::Check => {
                     let id: usize = args
                         .get(2)
                         .and_then(|a| a.parse().ok())
@@ -710,11 +641,7 @@ fn main() {
                                 );
                             }
                             let name = format!("{suite} row {id}: {}", case.benchmark);
-                            if cmd == "repair" {
-                                repair_run(&name, &*case.program, jobs, format, snapshots)
-                            } else {
-                                run(&name, &*case.program, jobs, format, lint, snapshots)
-                            }
+                            run(kind, &name, &*case.program, jobs, format, snapshots)
                         }
                         None => {
                             eprintln!("no row {id} in {suite}; try `jaaru_cli list`");
@@ -722,13 +649,10 @@ fn main() {
                         }
                     }
                 }
-                // `lint <benchmark>` / `repair <benchmark>`: a fixed
-                // configuration by name.
-                name if cmd != "bug" => match find_fixed(name, keys_arg(&args, 2, 6)) {
-                    Some((name, program)) if cmd == "repair" => {
-                        repair_run(&name, &*program, jobs, format, snapshots)
-                    }
-                    Some((name, program)) => run(&name, &*program, jobs, format, true, snapshots),
+                // `check|lint|repair <benchmark>`: a fixed configuration
+                // by name.
+                name if kind != JobKind::Bug => match find_fixed(name, keys_arg(&args, 2, 6)) {
+                    Some((name, program)) => run(kind, name, &*program, jobs, format, snapshots),
                     None => {
                         eprintln!("unknown benchmark {name:?}; try `jaaru_cli list`");
                         2
@@ -741,8 +665,10 @@ fn main() {
         Some("litmus") => litmus(parse_litmus_opts(&args[1..]), jobs, format),
         Some("serve") => serve(&args[1..], jobs, snapshots),
         Some("perf") => {
+            let mut config = one_shot_config(JobKind::Check, jobs);
+            config.snapshots(snapshots);
             for (name, program) in recipe_fixed_cases(keys_arg(&args, 1, 8)) {
-                let report = ModelChecker::new(config(jobs, false, snapshots)).check(&*program);
+                let report = ModelChecker::new(config.clone()).check(&*program);
                 println!("{name:<11} {}", report.summary());
             }
             0

@@ -163,6 +163,31 @@ fn unparsable_keys_argument_is_a_usage_error() {
     }
 }
 
+#[test]
+fn an_argument_past_the_last_a_subcommand_reads_is_a_usage_error() {
+    for args in [
+        &["list", "extra"][..],
+        &["check", "CCEH", "6", "extra"],
+        &["bug", "recipe", "10", "5", "extra"],
+        &["lint", "CCEH", "6", "extra"],
+        &["lint", "pmdk", "1", "5", "extra"],
+        &["repair", "CCEH", "6", "extra"],
+        &["repair", "recipe", "1", "5", "extra"],
+        &["perf", "8", "extra"],
+    ] {
+        let run = expect(args, 2);
+        assert!(run.stdout.is_empty(), "{args:?}: {}", run.stdout);
+        assert!(run.stderr.starts_with("usage:"), "{args:?}: {}", run.stderr);
+    }
+}
+
+#[test]
+fn the_serve_panic_drill_is_not_a_one_shot_benchmark() {
+    let run = expect(&["check", "__panic__"], 2);
+    assert!(run.stdout.is_empty(), "{}", run.stdout);
+    assert!(run.stderr.contains("unknown benchmark"), "{}", run.stderr);
+}
+
 // ---------------------------------------------------------------- SARIF
 
 #[test]

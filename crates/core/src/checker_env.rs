@@ -17,7 +17,7 @@ use jaaru_tso::{
     RfCandidate, RfSource, SourceLoc, ThreadId, TraceOpKind, TsoMachine,
 };
 
-use crate::config::Config;
+use crate::config::{Config, Lints};
 use crate::decision::{ChoiceKind, DecisionLog};
 use crate::report::{BugKind, RaceCandidate, RaceReport};
 use crate::signal::{AbortSignal, CrashSignal};
@@ -67,7 +67,7 @@ struct Inner {
     /// Cache lines recovery read: post-failure loads that missed the
     /// running execution's own state and consulted pre-failure storage.
     /// Collected only for the dead-flush pass
-    /// ([`Config::lint_flush_redundancy`]); accumulates across
+    /// ([`Lints::All`](crate::Lints::All)); accumulates across
     /// executions and participates in snapshots.
     recovery_reads: HashSet<u64>,
 
@@ -153,7 +153,7 @@ impl CheckerEnv {
             // read-from evidence, so analysis passes imply race flagging.
             flag_races: config.flag_races_value() || config.trace_ops_value(),
             flag_lints: config.trace_ops_value(),
-            track_footprint: config.lint_flush_redundancy_value(),
+            track_footprint: config.lints_value() == Lints::All,
             lint_loc: Cell::new(None),
         }
     }

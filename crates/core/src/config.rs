@@ -2,15 +2,44 @@
 
 use jaaru_tso::EvictionPolicy;
 
+use crate::parallel::scheduler::BUG_CAP;
+
+/// Which analysis passes a check runs ([`Config::lints`]).
+///
+/// Every setting explores the same scenarios: the passes read the
+/// recorded operation traces and never add or reorder scenarios, so
+/// [`CheckReport::exploration_digest`](crate::CheckReport::exploration_digest)
+/// is the same under all three.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lints {
+    /// No analysis, and no operation traces recorded (the default).
+    Off,
+    /// The passes that produce every error-severity diagnostic: the
+    /// robustness pass (commit-store inference and persist ordering),
+    /// which localizes a bug's symptom back to the unordered store that
+    /// allowed it; the cross-thread persistency race pass; and the
+    /// torn-store pass. `jaaru_cli repair` and serve repair jobs run
+    /// under this setting: repair must converge on the crash-consistency
+    /// fix, not chase advisory warnings about flushes a program issues
+    /// on purpose.
+    Errors,
+    /// `Errors` plus the warning-severity flush-hygiene passes:
+    /// same-line re-flushes with no intervening store, fences over empty
+    /// flush buffers and flushes before any store (the performance-bug
+    /// extension the paper sketches in §5.1), and, on an untruncated
+    /// run, dead flushes: flushes of lines no recovery execution reads.
+    All,
+}
+
 /// Configuration for a [`ModelChecker`](crate::ModelChecker) run.
 ///
 /// Built with a non-consuming builder, per the usual Rust convention:
 ///
 /// ```
-/// use jaaru::Config;
+/// use jaaru::{Config, Lints};
 ///
 /// let mut config = Config::new();
-/// config.pool_size(1 << 16).max_failures(2).stop_on_first_bug(true);
+/// config.pool_size(1 << 16).max_failures(2).lints(Lints::Errors);
 /// assert_eq!(config.failure_limit(), 2);
 /// ```
 #[derive(Clone, Debug)]
@@ -22,16 +51,10 @@ pub struct Config {
     skip_unchanged: bool,
     max_ops_per_execution: u64,
     max_scenarios: u64,
-    max_bugs: usize,
-    stop_on_first_bug: bool,
     flag_races: bool,
-    lints: bool,
-    lint_cross_thread: bool,
-    lint_torn_stores: bool,
-    lint_flush_redundancy: bool,
+    lints: Lints,
     jobs: usize,
     snapshots: bool,
-    repair_max_rounds: usize,
 }
 
 impl Config {
@@ -48,16 +71,10 @@ impl Config {
             skip_unchanged: true,
             max_ops_per_execution: 2_000_000,
             max_scenarios: u64::MAX,
-            max_bugs: 64,
-            stop_on_first_bug: false,
             flag_races: true,
-            lints: false,
-            lint_cross_thread: false,
-            lint_torn_stores: false,
-            lint_flush_redundancy: false,
+            lints: Lints::Off,
             jobs: 1,
             snapshots: true,
-            repair_max_rounds: 8,
         }
     }
 
@@ -111,20 +128,9 @@ impl Config {
     }
 
     /// Upper bound on explored scenarios (safety valve for experiments).
+    /// Exploration also stops, truncated, at the 64th distinct bug.
     pub fn max_scenarios(&mut self, n: u64) -> &mut Self {
         self.max_scenarios = n;
-        self
-    }
-
-    /// Stop after this many distinct bugs (default 64).
-    pub fn max_bugs(&mut self, n: usize) -> &mut Self {
-        self.max_bugs = n.max(1);
-        self
-    }
-
-    /// Stop exploring at the first bug found (default `false`).
-    pub fn stop_on_first_bug(&mut self, yes: bool) -> &mut Self {
-        self.stop_on_first_bug = yes;
         self
     }
 
@@ -182,93 +188,32 @@ impl Config {
         self.max_scenarios
     }
 
-    /// Upper bound on distinct reported bugs.
-    pub fn bug_limit(&self) -> usize {
-        self.max_bugs
-    }
-
-    /// Whether exploration stops at the first bug.
-    pub fn stop_on_first_bug_value(&self) -> bool {
-        self.stop_on_first_bug
-    }
-
     /// Whether multi-store loads are flagged.
     pub fn flag_races_value(&self) -> bool {
         self.flag_races
     }
 
-    /// Enable the persistency lint engine (default `false`).
+    /// Selects the analysis passes (default [`Lints::Off`]).
     ///
-    /// With lints on, the checker records the full per-thread operation
-    /// stream of every execution, runs the `jaaru-analysis` robustness
-    /// checker over it (commit-store inference + persist-ordering
-    /// constraints), and — when exploration finds a bug — localizes the
-    /// symptom back to the unordered store that allowed it. Findings
-    /// surface as error-severity [`Diagnostic`](crate::Diagnostic)s in
-    /// [`CheckReport::diagnostics`](crate::CheckReport). Lints imply
-    /// race flagging (the localization pass consumes read-from
-    /// evidence).
-    pub fn lints(&mut self, yes: bool) -> &mut Self {
-        self.lints = yes;
+    /// With any pass on, the checker records the full per-thread
+    /// operation stream of every execution, lifts it into a persist-order
+    /// graph that the passes query, and reports their findings as
+    /// [`Diagnostic`](crate::Diagnostic)s in
+    /// [`CheckReport::diagnostics`](crate::CheckReport). Lints imply race
+    /// flagging: localization consumes read-from evidence.
+    pub fn lints(&mut self, lints: Lints) -> &mut Self {
+        self.lints = lints;
         self
     }
 
-    /// Whether the persistency lint engine is enabled.
-    pub fn lints_value(&self) -> bool {
+    /// The selected analysis passes.
+    pub fn lints_value(&self) -> Lints {
         self.lints
     }
 
-    /// Enable the cross-thread persistency race pass (default `false`):
-    /// report stores whose flush/fence chain runs on another thread
-    /// with no synchronizing edge (flush-on-the-wrong-thread,
-    /// fence-on-the-wrong-thread). Queries the persist-order constraint
-    /// graph built from the same recorded traces as [`Config::lints`],
-    /// which this knob implies recording.
-    pub fn lint_cross_thread(&mut self, yes: bool) -> &mut Self {
-        self.lint_cross_thread = yes;
-        self
-    }
-
-    /// Whether the cross-thread persistency race pass is enabled.
-    pub fn lint_cross_thread_value(&self) -> bool {
-        self.lint_cross_thread
-    }
-
-    /// Enable the torn-store pass (default `false`): report stores
-    /// straddling a cache-line boundary whose halves persist at
-    /// different points, confirmed against a failing scenario's
-    /// read-from evidence like the robustness candidates.
-    pub fn lint_torn_stores(&mut self, yes: bool) -> &mut Self {
-        self.lint_torn_stores = yes;
-        self
-    }
-
-    /// Whether the torn-store pass is enabled.
-    pub fn lint_torn_stores_value(&self) -> bool {
-        self.lint_torn_stores
-    }
-
-    /// Enable the flush-redundancy performance pass (default `false`):
-    /// report same-line re-flushes with no intervening store, fences
-    /// over empty flush buffers, and flushes before any store, as
-    /// warning-severity diagnostics with occurrence counts — the
-    /// performance-bug extension the paper sketches in §5.1. On an
-    /// untruncated run it also reports dead flushes: flushes of lines
-    /// no recovery execution reads.
-    pub fn lint_flush_redundancy(&mut self, yes: bool) -> &mut Self {
-        self.lint_flush_redundancy = yes;
-        self
-    }
-
-    /// Whether the flush-redundancy pass is enabled.
-    pub fn lint_flush_redundancy_value(&self) -> bool {
-        self.lint_flush_redundancy
-    }
-
-    /// Whether any analysis pass needs per-execution op traces
-    /// recorded: the lint engine proper or any of the graph passes.
-    pub fn trace_ops_value(&self) -> bool {
-        self.lints || self.lint_cross_thread || self.lint_torn_stores || self.lint_flush_redundancy
+    /// Whether the selected passes need per-execution op traces.
+    pub(crate) fn trace_ops_value(&self) -> bool {
+        self.lints != Lints::Off
     }
 
     /// Enable crash-point snapshots (default `true`): checkpoint, at
@@ -288,27 +233,6 @@ impl Config {
     /// Whether crash-point snapshots are enabled.
     pub fn snapshots_value(&self) -> bool {
         self.snapshots
-    }
-
-    /// Bounds the diagnose → edit → re-check iterations of repair
-    /// synthesis (`jaaru::repair`, default 8). Each round can only
-    /// discover edits the previous round's repair exposed, so a
-    /// handful suffices. A driver knob like `jobs`: it never changes
-    /// what a single check explores, so it stays out of
-    /// [`Config::fingerprint`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero rounds (repair could never even diagnose).
-    pub fn repair_max_rounds(&mut self, rounds: usize) -> &mut Self {
-        assert!(rounds >= 1, "repair needs at least one round");
-        self.repair_max_rounds = rounds;
-        self
-    }
-
-    /// The configured repair-round bound.
-    pub fn repair_max_rounds_value(&self) -> usize {
-        self.repair_max_rounds
     }
 
     /// The configured worker count, as set (`0` = auto).
@@ -350,16 +274,21 @@ impl Config {
         fold(self.max_failures as u64);
         fold(self.max_ops_per_execution);
         fold(self.max_scenarios);
-        fold(self.max_bugs as u64);
+        fold(BUG_CAP as u64);
+        // One bit per pass group, in a layout that keeps fingerprints
+        // stable: robustness, cross-thread and torn-store (each on from
+        // `Errors`), then flush hygiene (`All`). The third bit is retired
+        // and always clear.
+        let errors = self.lints != Lints::Off;
         let flags = [
             self.inject_at_end,
             self.skip_unchanged,
-            self.stop_on_first_bug,
+            false,
             self.flag_races,
-            self.lints,
-            self.lint_cross_thread,
-            self.lint_torn_stores,
-            self.lint_flush_redundancy,
+            errors,
+            errors,
+            errors,
+            self.lints == Lints::All,
         ]
         .iter()
         .fold(0u64, |acc, &b| (acc << 1) | b as u64);
@@ -385,7 +314,7 @@ mod tests {
         assert!(c.inject_at_end_value());
         assert!(c.skip_unchanged_value());
         assert!(c.flag_races_value());
-        assert!(!c.stop_on_first_bug_value());
+        assert_eq!(c.lints_value(), Lints::Off);
         assert_eq!(c.eviction_value(), EvictionPolicy::Eager);
         assert_eq!(c.jobs_value(), 1, "sequential by default");
         assert!(c.snapshots_value(), "snapshots on by default");
@@ -397,12 +326,12 @@ mod tests {
         c.pool_size(4096)
             .max_failures(3)
             .flag_races(false)
-            .max_bugs(5)
+            .lints(Lints::All)
             .jobs(4);
         assert_eq!(c.pool_size_value(), 4096);
         assert_eq!(c.failure_limit(), 3);
         assert!(!c.flag_races_value());
-        assert_eq!(c.bug_limit(), 5);
+        assert_eq!(c.lints_value(), Lints::All);
         assert_eq!(c.effective_jobs(), 4);
     }
 
@@ -431,46 +360,21 @@ mod tests {
     #[test]
     fn graph_passes_default_off_and_imply_trace_recording() {
         let c = Config::new();
-        assert!(!c.lint_cross_thread_value());
-        assert!(!c.lint_torn_stores_value());
-        assert!(!c.lint_flush_redundancy_value());
+        assert_eq!(c.lints_value(), Lints::Off);
         assert!(!c.trace_ops_value());
-
-        let mut c = Config::new();
-        c.lint_cross_thread(true);
-        assert!(c.trace_ops_value());
-        let mut c = Config::new();
-        c.lint_torn_stores(true);
-        assert!(c.trace_ops_value());
-        let mut c = Config::new();
-        c.lint_flush_redundancy(true);
-        assert!(c.trace_ops_value());
-        let mut c = Config::new();
-        c.lints(true);
-        assert!(c.trace_ops_value());
-    }
-
-    #[test]
-    fn max_bugs_floor_is_one() {
-        let mut c = Config::new();
-        c.max_bugs(0);
-        assert_eq!(c.bug_limit(), 1);
+        for lints in [Lints::Errors, Lints::All] {
+            let mut c = Config::new();
+            c.lints(lints);
+            assert!(c.trace_ops_value(), "{lints:?}");
+        }
     }
 
     #[test]
     fn fingerprint_ignores_performance_knobs() {
         let base = Config::new().fingerprint();
         let mut c = Config::new();
-        c.jobs(4).snapshots(false).repair_max_rounds(3);
+        c.jobs(4).snapshots(false);
         assert_eq!(c.fingerprint(), base, "driver knobs excluded");
-    }
-
-    #[test]
-    fn repair_rounds_default_and_override() {
-        let mut c = Config::new();
-        assert_eq!(c.repair_max_rounds_value(), 8);
-        c.repair_max_rounds(2);
-        assert_eq!(c.repair_max_rounds_value(), 2);
     }
 
     #[test]
@@ -479,9 +383,13 @@ mod tests {
         let mut c = Config::new();
         c.max_failures(2);
         assert_ne!(c.fingerprint(), base);
-        let mut c = Config::new();
-        c.lints(true);
-        assert_ne!(c.fingerprint(), base);
+        let mut errors = Config::new();
+        errors.lints(Lints::Errors);
+        assert_ne!(errors.fingerprint(), base);
+        let mut all = Config::new();
+        all.lints(Lints::All);
+        assert_ne!(all.fingerprint(), base);
+        assert_ne!(all.fingerprint(), errors.fingerprint());
         let mut c = Config::new();
         c.eviction(EvictionPolicy::OnFence);
         assert_ne!(c.fingerprint(), base);
@@ -492,7 +400,7 @@ mod tests {
         let mut a = Config::new();
         a.skip_unchanged(false);
         let mut b = Config::new();
-        b.stop_on_first_bug(true);
+        b.flag_races(false);
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
 }

@@ -34,7 +34,7 @@ use jaaru_analysis::{dead_flushes, Diagnostic, PersistGraph};
 use jaaru_tso::OpTrace;
 
 use crate::checker_env::CheckerEnv;
-use crate::config::Config;
+use crate::config::{Config, Lints};
 use crate::decision::DecisionLog;
 use crate::lint::lint_scenario;
 use crate::parallel::explore;
@@ -269,9 +269,9 @@ impl ModelChecker {
     /// for non-truncated runs the report is byte-identical (per
     /// [`CheckReport::digest`]) to the one-thread one.
     ///
-    /// With [`Config::lint_flush_redundancy`] on, an untruncated run also
-    /// reports dead flushes: flushes of lines no recovery execution read
-    /// (see [`jaaru_analysis::dead_flushes`]).
+    /// Under [`Lints::All`], an untruncated run also reports dead
+    /// flushes: flushes of lines no recovery execution read (see
+    /// [`jaaru_analysis::dead_flushes`]).
     pub fn check(&self, program: &(dyn Program + Sync)) -> CheckReport {
         let start = Instant::now();
         let mut acc = ReportAccumulator::new();
@@ -287,7 +287,7 @@ impl ModelChecker {
         );
         // The footprint is complete only when every recovery branch ran:
         // a truncated run may have skipped the one that reads a line.
-        if self.config.lint_flush_redundancy_value() && !report.truncated {
+        if self.config.lints_value() == Lints::All && !report.truncated {
             if let Some(trace) = &aux.clean_trace {
                 let graph = PersistGraph::build(trace);
                 report
@@ -493,25 +493,6 @@ mod tests {
         assert_eq!(report.bugs.len(), 1, "{report}");
         assert_eq!(report.bugs[0].kind, BugKind::GuestPanic);
         assert!(report.bugs[0].message.contains("corrupt value 13"));
-    }
-
-    #[test]
-    fn stop_on_first_bug_truncates() {
-        let program = |env: &dyn PmEnv| {
-            let root = env.root();
-            if env.is_recovery() {
-                env.pm_assert(env.load_u8(root) != 1, "saw intermediate");
-                return;
-            }
-            env.store_u8(root, 1);
-            env.store_u8(root, 2);
-            env.clflush(root, 1);
-        };
-        let mut config = small_config();
-        config.stop_on_first_bug(true);
-        let report = ModelChecker::new(config).check(&program);
-        assert_eq!(report.bugs.len(), 1);
-        assert!(report.truncated);
     }
 
     #[test]
@@ -905,7 +886,7 @@ mod tests {
             env.sfence(); // nothing to order: wasted fence
         };
         let mut config = small_config();
-        config.lint_flush_redundancy(true);
+        config.lints(Lints::All);
         let report = ModelChecker::new(config).check(&program);
         assert!(report.is_clean(), "perf issues are not bugs: {report}");
         assert!(!report.has_errors(), "perf warnings are not errors");
@@ -932,7 +913,7 @@ mod tests {
         let off = ModelChecker::new(small_config()).check(&program);
         assert!(off.diagnostics.is_empty());
         let mut config = small_config();
-        config.lint_flush_redundancy(true);
+        config.lints(Lints::All);
         let on = ModelChecker::new(config).check(&program);
         assert_eq!(off.exploration_digest(), on.exploration_digest());
         assert!(!on.diagnostics.is_empty());
@@ -949,7 +930,7 @@ mod tests {
             env.sfence(); // orders the clflushopt: necessary
         };
         let mut config = small_config();
-        config.lint_flush_redundancy(true);
+        config.lints(Lints::All);
         let report = ModelChecker::new(config).check(&program);
         assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
     }
@@ -970,7 +951,7 @@ mod tests {
             env.sfence();
         };
         let mut config = small_config();
-        config.lints(true);
+        config.lints(Lints::Errors);
         let report = ModelChecker::new(config).check(&program);
         assert!(!report.is_clean(), "the bug is still found: {report}");
         assert!(report.has_errors(), "{report}");
@@ -998,7 +979,7 @@ mod tests {
             env.persist(root, 8);
         };
         let mut config = small_config();
-        config.lints(true);
+        config.lints(Lints::Errors);
         let report = ModelChecker::new(config).check(&program);
         assert!(report.is_clean(), "{report}");
         assert!(!report.has_errors(), "{:?}", report.diagnostics);
@@ -1015,7 +996,7 @@ mod tests {
         let off = ModelChecker::new(small_config()).check(&program);
         assert!(off.diagnostics.is_empty());
         let mut config = small_config();
-        config.lints(true);
+        config.lints(Lints::Errors);
         let on = ModelChecker::new(config).check(&program);
         assert_eq!(off.stats.scenarios, on.stats.scenarios, "analysis only");
         assert_eq!(off.digest(), on.digest(), "clean program: same digest");
@@ -1163,7 +1144,7 @@ mod tests {
         for bug in [true, false] {
             let program = move |env: &dyn PmEnv| scratch_tail_program(env, bug);
             let mut config = small_config();
-            config.lints(true).lint_flush_redundancy(true);
+            config.lints(Lints::All);
             let report = ModelChecker::new(config.clone()).check(&program);
             assert_eq!(report.is_clean(), !bug, "{report}");
             let dead = dead_flushes_of(&report);
@@ -1210,7 +1191,7 @@ mod tests {
             env.sfence();
         };
         let mut config = small_config();
-        config.lints(true).lint_flush_redundancy(true);
+        config.lints(Lints::All);
         let full = ModelChecker::new(config.clone()).check(&program);
         assert!(!full.truncated && full.is_clean(), "{full}");
         assert!(dead_flushes_of(&full).is_empty(), "{:?}", full.diagnostics);

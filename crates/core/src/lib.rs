@@ -79,7 +79,7 @@ mod report;
 mod signal;
 mod snapshot;
 
-pub use config::Config;
+pub use config::{Config, Lints};
 pub use env::PmEnv;
 pub use explorer::{check, ModelChecker};
 pub use native::NativeEnv;

@@ -1,12 +1,10 @@
 //! The per-scenario lint pass: graph-based analysis plus localization.
 //!
-//! With any analysis knob on ([`Config::lints`](crate::Config::lints),
-//! [`Config::lint_cross_thread`](crate::Config::lint_cross_thread),
-//! [`Config::lint_torn_stores`](crate::Config::lint_torn_stores),
-//! [`Config::lint_flush_redundancy`](crate::Config::lint_flush_redundancy)),
-//! every execution's operation stream is recorded, lifted into a
-//! [`PersistGraph`] — one replay of the Figure 7/8 buffer rules shared
-//! by all passes — and queried:
+//! With [`Config::lints`](crate::Config::lints) on, every execution's
+//! operation stream is recorded, lifted into a [`PersistGraph`] — one
+//! replay of the Figure 7/8 buffer rules shared by all passes — and
+//! queried. [`Lints::Errors`] runs the three passes that produce
+//! error-severity diagnostics:
 //!
 //! * the **robustness pass** infers commit stores (the
 //!   flushed-and-fenced guard-store idiom of the paper's Figure 4) and
@@ -15,8 +13,10 @@
 //! * the **torn-store pass** flags straddling stores whose line halves
 //!   persist at different points;
 //! * the **cross-thread race pass** flags stores whose flush/fence
-//!   chain spans threads without a synchronizing edge;
-//! * the **flush-redundancy pass** flags wasted persistency ops.
+//!   chain spans threads without a synchronizing edge.
+//!
+//! [`Lints::All`] adds the **flush-redundancy pass**, which flags wasted
+//! persistency ops as warnings.
 //!
 //! Findings are emitted through two complementary routes, chosen per
 //! scenario:
@@ -41,11 +41,11 @@ use jaaru_analysis::{
 };
 
 use crate::checker_env::ScenarioRecord;
-use crate::config::Config;
+use crate::config::{Config, Lints};
 
-/// Runs the enabled analysis passes over one scenario's recorded traces
-/// and returns the diagnostics they contribute. Empty when no pass is
-/// enabled (no traces were recorded).
+/// Runs the selected analysis passes over one scenario's recorded
+/// traces and returns the diagnostics they contribute. Empty under
+/// [`Lints::Off`] (no traces were recorded).
 pub(crate) fn lint_scenario(
     record: &ScenarioRecord,
     had_bug: bool,
@@ -62,7 +62,7 @@ pub(crate) fn lint_scenario(
     }
     let static_route = crash_free && !had_bug;
 
-    // One graph per execution trace; every enabled pass queries it.
+    // One graph per execution trace; every selected pass queries it.
     // Robustness and torn candidates carry the index of the execution
     // whose stores they constrain (localization matches racy loads
     // against stores of that same execution). Cross-thread and
@@ -73,21 +73,13 @@ pub(crate) fn lint_scenario(
     let mut redundancy: Vec<Diagnostic> = Vec::new();
     for (exec, trace) in record.op_traces.iter().enumerate() {
         let graph = PersistGraph::build(trace);
-        if config.lints_value() {
-            for c in robustness_candidates(&graph) {
-                candidates.push((exec, c));
-            }
-        }
-        if config.lint_torn_stores_value() {
-            for c in torn_candidates(&graph) {
-                candidates.push((exec, c));
-            }
-        }
+        let found = robustness_candidates(&graph)
+            .into_iter()
+            .chain(torn_candidates(&graph));
+        candidates.extend(found.map(|c| (exec, c)));
         if exec == 0 {
-            if config.lint_cross_thread_value() {
-                cross = cross_thread_races(&graph);
-            }
-            if config.lint_flush_redundancy_value() && static_route {
+            cross = cross_thread_races(&graph);
+            if config.lints_value() == Lints::All && static_route {
                 redundancy = flush_redundancy(&graph);
             }
         }

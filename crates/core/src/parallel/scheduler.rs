@@ -12,12 +12,11 @@
 //! had left, so every leaf is visited exactly once at any worker count.
 //!
 //! Exploration ends when every worker is idle and the pool is empty.
-//! Budgets ([`Config::max_scenarios`](crate::Config::max_scenarios),
-//! [`Config::max_bugs`](crate::Config::max_bugs),
-//! [`Config::stop_on_first_bug`](crate::Config::stop_on_first_bug)) and
-//! the external abort flag are enforced here for every worker count: a
-//! worker *claims* each scenario before running it, and a failed claim
-//! means the worker holds unexplored work, so the run is truncated.
+//! The budgets ([`Config::max_scenarios`](crate::Config::max_scenarios)
+//! and the cap of [`BUG_CAP`] distinct bugs) and the external abort flag
+//! are enforced here for every worker count: a worker *claims* each
+//! scenario before running it, and a failed claim means the worker holds
+//! unexplored work, so the run is truncated.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -27,6 +26,9 @@ use crate::config::Config;
 use crate::decision::DecisionLog;
 use crate::report::BugKind;
 use crate::snapshot::CheckerSnapshot;
+
+/// Distinct bugs after which exploration stops, truncated.
+pub(crate) const BUG_CAP: usize = 64;
 
 /// A worker panicked while holding a scheduler lock; its scope join
 /// reports the panic.
@@ -58,14 +60,12 @@ pub(crate) struct Scheduler {
     wake: Condvar,
     /// Idle workers the pool holds no item for; read without the lock.
     wanted: AtomicUsize,
-    /// Raised when exploration must wind down (budget/bug limits).
+    /// Raised when exploration must wind down (budget/bug cap).
     stop: AtomicBool,
     /// Whether stopping left unexplored work behind.
     truncated: AtomicBool,
     /// Remaining scenario budget (claims decrement).
     scenario_budget: AtomicU64,
-    bug_limit: usize,
-    stop_on_first_bug: bool,
     bug_keys: Mutex<HashSet<(BugKind, String)>>,
     /// External cooperative abort (deadline/cancellation), observed at
     /// each claim.
@@ -91,8 +91,6 @@ impl Scheduler {
             stop: AtomicBool::new(false),
             truncated: AtomicBool::new(false),
             scenario_budget: AtomicU64::new(config.scenario_limit()),
-            bug_limit: config.bug_limit(),
-            stop_on_first_bug: config.stop_on_first_bug_value(),
             bug_keys: Mutex::new(HashSet::new()),
             abort,
         }
@@ -173,11 +171,11 @@ impl Scheduler {
         claimed
     }
 
-    /// Records a found bug's dedup key and applies the bug limits.
+    /// Records a found bug's dedup key and applies the bug cap.
     pub fn record_bug(&self, key: (BugKind, String)) {
         let mut keys = self.bug_keys.lock().expect(POISONED);
         keys.insert(key);
-        if self.stop_on_first_bug || keys.len() >= self.bug_limit {
+        if keys.len() >= BUG_CAP {
             self.halt();
         }
     }
@@ -189,5 +187,27 @@ impl Scheduler {
         self.stop.store(true, Ordering::Release);
         let _pool = self.pool();
         self.wake.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_bug_cap_halts_exploration_at_its_last_distinct_bug() {
+        let scheduler = Scheduler::new(1, &Config::new(), None);
+        let key = |i: usize| (BugKind::AssertionFailure, format!("bug {i}"));
+        for i in 1..BUG_CAP {
+            scheduler.record_bug(key(i));
+            // A duplicate key is not a new bug.
+            scheduler.record_bug(key(i));
+        }
+        assert!(scheduler.claim_scenario(), "63 distinct bugs: still going");
+        assert!(!scheduler.truncated());
+        scheduler.record_bug(key(BUG_CAP));
+        assert!(scheduler.truncated(), "the 64th distinct bug truncates");
+        assert!(!scheduler.claim_scenario(), "and stops further scenarios");
+        assert!(scheduler.take().is_none());
     }
 }

@@ -17,7 +17,8 @@
 //! 3. **Verify.** The fixed program is re-checked; fresh diagnostics
 //!    (e.g. the inserted flush now missing a fence, or an original
 //!    flush made redundant) contribute new edits for the next round,
-//!    up to [`Config::repair_max_rounds`](crate::Config::repair_max_rounds).
+//!    up to eight rounds. Each round can only discover edits the
+//!    previous round's repair exposed, so a handful suffices.
 //! 4. **Minimize.** A verified edit set is shrunk to a 1-minimal
 //!    repair with [`minimize_edits`]; every probe is one more
 //!    model-checking run, memoized by subset.
@@ -346,6 +347,9 @@ impl RepairOutcome {
     }
 }
 
+/// The bound on diagnose → edit → re-check rounds.
+const REPAIR_ROUNDS: usize = 8;
+
 /// Drives repair synthesis over a [`ModelChecker`] configuration.
 /// Mirrors the checker's builder surface: an optional cooperative abort
 /// flag.
@@ -409,7 +413,7 @@ impl RepairDriver {
         let mut rounds = 0;
         let mut fixed = false;
         if !edits.is_empty() {
-            for _ in 0..self.config.repair_max_rounds_value() {
+            for _ in 0..REPAIR_ROUNDS {
                 rounds += 1;
                 let report = run(&edits, &mut rechecks);
                 absorb(&mut diagnosed, &report);
@@ -537,6 +541,7 @@ fn absorb(diagnosed: &mut Vec<Diagnostic>, report: &CheckReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Lints;
     use jaaru_analysis::DiagnosticKind;
 
     fn lint_config() -> Config {
@@ -544,9 +549,7 @@ mod tests {
         c.pool_size(4096)
             .max_ops_per_execution(2_000)
             .max_scenarios(500)
-            .lints(true)
-            .lint_cross_thread(true)
-            .lint_torn_stores(true);
+            .lints(Lints::Errors);
         c
     }
 
@@ -655,7 +658,7 @@ mod tests {
             env.sfence();
         }
         let mut config = lint_config();
-        config.lint_flush_redundancy(true);
+        config.lints(Lints::All);
         let outcome = synthesize_repair(&config, &doubled);
         assert!(outcome.verified, "diagnosed: {:?}", outcome.diagnosed);
         assert!(

@@ -234,11 +234,10 @@ pub struct CheckReport {
     /// debugging aid), deduplicated by load location.
     pub races: Vec<RaceReport>,
     /// Findings of the analysis passes, deduplicated by `(kind, site)`:
-    /// error-severity robustness violations from the lint engine (with
-    /// [`Config::lints`](crate::Config::lints) on) and warning-severity
-    /// wasted persistency operations (with
-    /// [`Config::lint_flush_redundancy`](crate::Config::lint_flush_redundancy)
-    /// on).
+    /// error-severity persistency violations (from
+    /// [`Lints::Errors`](crate::Lints::Errors)) and warning-severity
+    /// wasted persistency operations (from
+    /// [`Lints::All`](crate::Lints::All)).
     pub diagnostics: Vec<Diagnostic>,
     /// Exploration statistics.
     pub stats: CheckStats,

@@ -31,7 +31,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use jaaru::{json_string, CheckReport, Config, DiagnosticKind, ModelChecker};
+use jaaru::{json_string, CheckReport, Config, DiagnosticKind, Lints, ModelChecker};
 use jaaru_yat::{eager_check_bounded, YatConfig, YatError};
 
 use crate::gen::{generate, FaultClass, FaultMode, GenProgram};
@@ -236,10 +236,7 @@ impl Oracle {
             ("jobs-4", self.base_config(4)),
             ("lints-on", {
                 let mut c = self.base_config(1);
-                c.lints(true)
-                    .lint_cross_thread(true)
-                    .lint_torn_stores(true)
-                    .lint_flush_redundancy(true);
+                c.lints(Lints::All);
                 c
             }),
         ];

@@ -11,7 +11,7 @@
 //! so repairs land correctly only through the cache-line filter on
 //! [`FixEdit`](jaaru::FixEdit).
 
-use jaaru::{synthesize_repair, Config, RepairOutcome};
+use jaaru::{synthesize_repair, Config, Lints, RepairOutcome};
 
 use crate::gen::{FaultClass, GenProgram};
 use crate::oracle::POOL_SIZE;
@@ -19,24 +19,23 @@ use crate::oracle::POOL_SIZE;
 /// The checker configuration used to diagnose and verify repairs of a
 /// seeded fault.
 ///
-/// All classes get the robustness, cross-thread, and torn-store passes.
-/// The flush-redundancy pass is enabled *only* for
-/// [`FaultClass::RedundantFlush`]: it is the pass whose diagnostics
-/// carry that class's `DeleteFlush` edit, but on bug-seeded programs it
-/// would demand deletions of flushes the generator emitted on purpose
-/// (e.g. re-flushes straddling a crash point), turning a fixable bug
-/// into a warning chase.
+/// All classes get the error-severity passes ([`Lints::Errors`]). Only
+/// [`FaultClass::RedundantFlush`] gets every pass ([`Lints::All`]): the
+/// flush-redundancy pass is the one whose diagnostics carry that class's
+/// `DeleteFlush` edit, but on bug-seeded programs it would demand
+/// deletions of flushes the generator emitted on purpose (e.g.
+/// re-flushes straddling a crash point), turning a fixable bug into a
+/// warning chase.
 pub fn repair_config(class: FaultClass, jobs: usize) -> Config {
     let mut config = Config::new();
     config
         .pool_size(POOL_SIZE)
         .jobs(jobs)
-        .lints(true)
-        .lint_cross_thread(true)
-        .lint_torn_stores(true);
-    if class == FaultClass::RedundantFlush {
-        config.lint_flush_redundancy(true);
-    }
+        .lints(if class == FaultClass::RedundantFlush {
+            Lints::All
+        } else {
+            Lints::Errors
+        });
     config
 }
 

@@ -4,10 +4,9 @@
 //! watchdog.
 //!
 //! A run yields a [`JobResult`], which holds no format. Every artifact
-//! is rendered from it by [`JobResult::render`], with the same renderers
-//! the one-shot CLI uses (`CheckReport::to_canonical_json`,
-//! `jaaru::to_sarif`), so a served reply is byte-identical to
-//! `jaaru_cli --format json-canonical` / `--format sarif` for the same
+//! is rendered from it by [`JobResult::render`], which is also what
+//! `jaaru_cli --format json-canonical` / `--format sarif` prints, so a
+//! served reply is byte-identical to the one-shot output for the same
 //! job.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -17,13 +16,10 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use jaaru::{
-    to_sarif_with_verified, CheckReport, Config, FixEdit, ModelChecker, Program, RepairDriver,
-    RepairOutcome,
+    to_sarif_with_verified, CheckReport, Config, FixEdit, Lints, ModelChecker, Program,
+    RepairDriver, RepairOutcome,
 };
-use jaaru_bench::registry::{
-    lockfree_bug_cases, lockfree_fixed_cases, pmdk_bug_cases, pmdk_fixed_cases, recipe_bug_cases,
-    recipe_fixed_cases,
-};
+use jaaru_bench::registry::{find_fixed, lockfree_bug_cases, pmdk_bug_cases, recipe_bug_cases};
 use jaaru_fuzz::{run_campaign, Oracle};
 use jaaru_litmus::corpus::run_corpus_report;
 use jaaru_litmus::sweep::{run_sweep, SweepBound};
@@ -125,34 +121,37 @@ impl SnapshotPayload for CachedReply {
     }
 }
 
-/// Builds the checker configuration for a job — the same knobs
-/// `jaaru_cli` sets for its one-shot subcommands, so result groups and
-/// artifacts line up between the two front ends.
+/// The checker configuration of a `kind` job on `jobs` workers. Both
+/// front ends build their check, bug, lint, repair and perf runs with
+/// it, so result groups and artifacts line up between `jaaru_cli` and
+/// the daemon.
+///
+/// A lint runs every pass. A repair runs only the error-severity
+/// passes: it must converge on the crash-consistency fix, not chase
+/// advisory flush-hygiene warnings on flushes the bug rows plant on
+/// purpose.
+pub fn one_shot_config(kind: JobKind, jobs: usize) -> Config {
+    let mut c = Config::new();
+    c.pool_size(1 << 18)
+        .max_ops_per_execution(40_000)
+        .max_scenarios(20_000)
+        .jobs(jobs)
+        .lints(match kind {
+            JobKind::Lint => Lints::All,
+            JobKind::Repair => Lints::Errors,
+            _ => Lints::Off,
+        });
+    c
+}
+
+/// The checker configuration for a job: [`one_shot_config`] for its
+/// kind and worker count.
 ///
 /// The second argument is retired and ignored: it was the snapshot
 /// cache's byte budget, and checkpoints are no longer cached. It stays
 /// only so existing callers keep compiling.
 pub fn job_config(spec: &JobSpec, _retired: Option<usize>) -> Config {
-    let mut c = Config::new();
-    c.pool_size(1 << 18)
-        .max_ops_per_execution(40_000)
-        .max_scenarios(20_000)
-        .jobs(spec.jobs)
-        .snapshots(true);
-    if spec.lint() {
-        c.lints(true)
-            .lint_cross_thread(true)
-            .lint_torn_stores(true)
-            .lint_flush_redundancy(true);
-    }
-    if spec.kind == JobKind::Repair {
-        // Same knobs as `jaaru_cli repair`: every robustness pass, but
-        // not flush-redundancy — repair must converge on the
-        // crash-consistency fix, not chase advisory flush-hygiene
-        // warnings on flushes the bug rows plant on purpose.
-        c.lint_flush_redundancy(false);
-    }
-    c
+    one_shot_config(spec.kind, spec.jobs)
 }
 
 /// Looks the job's program up in the bench registry.
@@ -164,11 +163,7 @@ fn find_program(workload: &Workload) -> Result<Box<dyn Program + Sync>, String> 
         Workload::Fixed { benchmark, .. } if benchmark == PANIC_WORKLOAD => {
             Ok(Box::new(|_: &dyn jaaru::PmEnv| {}))
         }
-        Workload::Fixed { benchmark, keys } => recipe_fixed_cases(*keys)
-            .into_iter()
-            .chain(pmdk_fixed_cases(*keys))
-            .chain(lockfree_fixed_cases())
-            .find(|(n, _)| n.eq_ignore_ascii_case(benchmark))
+        Workload::Fixed { benchmark, keys } => find_fixed(benchmark, *keys)
             .map(|(_, p)| p)
             .ok_or_else(|| format!("unknown benchmark {benchmark:?}")),
         Workload::Row { suite, row, keys } => {
@@ -343,18 +338,7 @@ fn run(
         }
         _ => {
             let program = program.expect("registry workloads have a program");
-            if spec.kind == JobKind::Repair {
-                let mut driver = RepairDriver::new(config.clone());
-                driver.abort_flag(Arc::clone(cancel));
-                let outcome = driver.synthesize(program);
-                (outcome.verified, JobResult::Repair(Box::new(outcome)))
-            } else {
-                let mut checker = ModelChecker::new(config.clone());
-                checker.abort_flag(Arc::clone(cancel));
-                let report = checker.check(program);
-                let clean = report.is_clean() && !report.has_errors();
-                (clean, JobResult::Check(Box::new(report)))
-            }
+            run_program(spec.kind, config, program, cancel)
         }
     };
     let status = if clean {
@@ -363,6 +347,31 @@ fn run(
         JobStatus::Violation
     };
     (status, result)
+}
+
+/// Runs a check, bug or lint job (a model check) or a repair job (repair
+/// synthesis) of `program` under `config`, stopping cooperatively once
+/// `cancel` is raised. Returns whether the run is clean, and its result.
+/// A check is clean with no bug and no error-severity diagnostic; a
+/// repair, when it verified.
+pub fn run_program(
+    kind: JobKind,
+    config: &Config,
+    program: &(dyn Program + Sync),
+    cancel: &Arc<AtomicBool>,
+) -> (bool, JobResult) {
+    if kind == JobKind::Repair {
+        let mut driver = RepairDriver::new(config.clone());
+        driver.abort_flag(Arc::clone(cancel));
+        let outcome = driver.synthesize(program);
+        (outcome.verified, JobResult::Repair(Box::new(outcome)))
+    } else {
+        let mut checker = ModelChecker::new(config.clone());
+        checker.abort_flag(Arc::clone(cancel));
+        let report = checker.check(program);
+        let clean = report.is_clean() && !report.has_errors();
+        (clean, JobResult::Check(Box::new(report)))
+    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
@@ -505,7 +514,8 @@ mod tests {
         let repair = spec(r#"{"kind":"repair","benchmark":"p-clht"}"#);
         let lint = spec(r#"{"kind":"lint","benchmark":"p-clht"}"#);
         let config = job_config(&repair, None);
-        assert!(config.lints_value() && !config.lint_flush_redundancy_value());
+        assert_eq!(config.lints_value(), Lints::Errors);
+        assert_eq!(job_config(&lint, None).lints_value(), Lints::All);
         assert_ne!(
             config.fingerprint(),
             job_config(&lint, None).fingerprint(),

@@ -328,13 +328,6 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 }
 
 impl JobSpec {
-    /// Whether this job's lint passes are on (mirrors one-shot `lint`;
-    /// repair diagnoses and verifies against the same passes, minus
-    /// flush-redundancy — see `job_config`).
-    pub fn lint(&self) -> bool {
-        matches!(self.kind, JobKind::Lint | JobKind::Repair)
-    }
-
     /// A stable hash of the *program* this job runs: kind-normalized
     /// workload identity, independent of format/jobs/deadline.
     pub fn program_hash(&self) -> u64 {
@@ -395,7 +388,9 @@ impl JobSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::job_config;
     use crate::json::parse;
+    use jaaru::Lints;
 
     fn req(line: &str) -> Result<Request, SpecError> {
         Request::from_value(&parse(line).unwrap(), 1)
@@ -422,7 +417,7 @@ mod tests {
         assert_eq!(spec.format, ArtifactFormat::JsonCanonical);
         assert_eq!(spec.jobs, 1, "default_jobs flows in");
         assert_eq!(spec.deadline_ms, None);
-        assert!(!spec.lint());
+        assert_eq!(job_config(&spec, None).lints_value(), Lints::Off);
     }
 
     #[test]
@@ -447,7 +442,7 @@ mod tests {
     #[test]
     fn lint_takes_either_shape() {
         let by_name = job(r#"{"kind":"lint","benchmark":"cceh"}"#);
-        assert!(by_name.lint());
+        assert_eq!(job_config(&by_name, None).lints_value(), Lints::All);
         assert!(matches!(by_name.workload, Workload::Fixed { .. }));
         let by_row = job(r#"{"kind":"lint","suite":"recipe","row":10}"#);
         assert!(matches!(
@@ -465,7 +460,11 @@ mod tests {
     fn repair_takes_either_shape_and_separates_cache_results() {
         let by_name = job(r#"{"kind":"repair","benchmark":"cceh"}"#);
         assert_eq!(by_name.kind, JobKind::Repair);
-        assert!(by_name.lint(), "repair runs the lint passes");
+        assert_eq!(
+            job_config(&by_name, None).lints_value(),
+            Lints::Errors,
+            "repair runs the error passes"
+        );
         assert!(matches!(by_name.workload, Workload::Fixed { .. }));
         let by_row = job(r#"{"kind":"repair","suite":"recipe","row":3}"#);
         assert!(matches!(by_row.workload, Workload::Row { .. }));

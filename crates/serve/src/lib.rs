@@ -43,6 +43,9 @@ pub mod metrics;
 pub mod queue;
 
 pub use daemon::{run_batch, serve, Daemon, LineAction, ServeOptions};
-pub use exec::{execute, job_config, CachedReply, JobOutcome, JobResult, PANIC_WORKLOAD};
+pub use exec::{
+    execute, job_config, one_shot_config, run_program, CachedReply, JobOutcome, JobResult,
+    PANIC_WORKLOAD,
+};
 pub use job::{ArtifactFormat, JobKind, JobSpec, Request, Suite, Workload};
 pub use metrics::{JobStatus, Metrics};

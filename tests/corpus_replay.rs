@@ -15,7 +15,7 @@
 
 use std::path::Path;
 
-use jaaru::{Config, ModelChecker};
+use jaaru::{Config, Lints, ModelChecker};
 use jaaru_fuzz::corpus::load_dir;
 use jaaru_fuzz::oracle::POOL_SIZE;
 
@@ -92,12 +92,7 @@ fn every_stored_trace_replays_its_bug() {
 fn graph_passes_do_not_perturb_corpus_exploration() {
     let base = checker();
     let mut config = Config::new();
-    config
-        .pool_size(POOL_SIZE)
-        .lints(true)
-        .lint_cross_thread(true)
-        .lint_torn_stores(true)
-        .lint_flush_redundancy(true);
+    config.pool_size(POOL_SIZE).lints(Lints::All);
     let linted = ModelChecker::new(config);
     for repro in corpus() {
         assert_eq!(

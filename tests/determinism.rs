@@ -10,8 +10,8 @@
 //! scheduling stats, and snapshot counters (crash-point snapshots are
 //! required to be invisible to results; the tests below enforce it).
 
-use jaaru::{CheckReport, Config, ModelChecker, PmEnv, Program};
-use jaaru_bench::registry::recipe_fixed_cases;
+use jaaru::{CheckReport, Config, Lints, ModelChecker, PmEnv, Program};
+use jaaru_bench::registry::{fixed_cases, recipe_fixed_cases};
 use jaaru_workloads::recipe::{
     fast_fair::{FastFair, FastFairFault},
     pclht::{Pclht, PclhtFault},
@@ -93,7 +93,7 @@ fn parallel_matches_sequential_on_a_buggy_workload() {
 
 fn lint_config(jobs: usize) -> Config {
     let mut c = config(jobs);
-    c.lints(true);
+    c.lints(Lints::Errors);
     c
 }
 
@@ -117,10 +117,7 @@ fn diagnostics_are_deterministic_across_worker_counts() {
 
 fn graph_lint_config(jobs: usize) -> Config {
     let mut c = config(jobs);
-    c.lints(true)
-        .lint_cross_thread(true)
-        .lint_torn_stores(true)
-        .lint_flush_redundancy(true);
+    c.lints(Lints::All);
     c
 }
 
@@ -141,6 +138,30 @@ fn graph_pass_diagnostics_are_deterministic_across_worker_counts() {
                 parallel.digest(),
                 "jobs={jobs} diverged with every graph pass enabled"
             );
+        }
+    }
+}
+
+/// The analysis passes read recorded traces; they never add or reorder
+/// scenarios. So on every fixed program in the registry (RECIPE, PMDK
+/// and lock-free) every lint setting explores the same scenarios, at
+/// one worker and at two.
+#[test]
+fn the_lint_setting_never_changes_what_is_explored() {
+    for (name, program) in fixed_cases(1) {
+        let baseline = run(&*program, 1);
+        assert!(!baseline.truncated, "{name}");
+        for jobs in [1usize, 2] {
+            for lints in [Lints::Off, Lints::Errors, Lints::All] {
+                let mut c = config(jobs);
+                c.lints(lints);
+                let report = ModelChecker::new(c).check(&*program);
+                assert_eq!(
+                    baseline.exploration_digest(),
+                    report.exploration_digest(),
+                    "{name}: jobs={jobs} lints={lints:?} changed what is explored"
+                );
+            }
         }
     }
 }

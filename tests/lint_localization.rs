@@ -12,7 +12,7 @@
 //! blamed on a store in `cceh.rs`, not on the shared allocator or a
 //! neighbouring structure.
 
-use jaaru::{Config, DiagnosticKind, ModelChecker, PmEnv};
+use jaaru::{Config, DiagnosticKind, Lints, ModelChecker, PmEnv};
 use jaaru_bench::registry::{
     pmdk_bug_cases, pmdk_fixed_cases, recipe_bug_cases, recipe_fixed_cases,
 };
@@ -22,12 +22,10 @@ fn lint_config() -> Config {
     c.pool_size(1 << 18)
         .max_ops_per_execution(40_000)
         .max_scenarios(2_000)
-        .lints(true)
-        // The graph-based passes ride along everywhere: the workloads
-        // are single-threaded and slot-aligned, so the sweeps double as
-        // a precision guard for cross-thread and torn-store analysis.
-        .lint_cross_thread(true)
-        .lint_torn_stores(true);
+        // The cross-thread and torn-store passes ride along: the
+        // workloads are single-threaded and slot-aligned, so the sweeps
+        // double as a precision guard for them.
+        .lints(Lints::Errors);
     c
 }
 
@@ -108,9 +106,7 @@ fn fixed_configurations_produce_zero_diagnostics() {
 /// a line in *this* file, with the shape-specific fix suggestion.
 fn graph_lint_config() -> Config {
     let mut c = Config::new();
-    c.pool_size(4096)
-        .lint_cross_thread(true)
-        .lint_torn_stores(true);
+    c.pool_size(4096).lints(Lints::Errors);
     c
 }
 

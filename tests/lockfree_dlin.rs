@@ -4,20 +4,23 @@
 //! across job counts and snapshot modes, and the flush-level faults
 //! auto-repair while the control-flow double-apply fault is refused.
 
-use jaaru::{synthesize_repair, CheckReport, Config, FixEdit, ModelChecker, Program};
+use jaaru::{synthesize_repair, CheckReport, Config, FixEdit, Lints, ModelChecker, Program};
 use jaaru_workloads::lockfree::clevel::ClevelHash;
 use jaaru_workloads::lockfree::harris::HarrisList;
 use jaaru_workloads::lockfree::msqueue::MsQueue;
 use jaaru_workloads::lockfree::treiber::TreiberStack;
 use jaaru_workloads::lockfree::{LfFault, LockFree, LockFreeWorkload};
 
+/// With `lints`, the error-severity passes: the lint setting repair
+/// runs, where flush-redundancy advisories cannot fight inserted flushes
+/// during minimization.
 fn config(jobs: usize, lints: bool, snapshots: bool) -> Config {
     let mut c = Config::new();
     c.pool_size(1 << 18)
         .max_scenarios(20_000)
         .max_ops_per_execution(20_000)
         .jobs(jobs)
-        .lints(lints)
+        .lints(if lints { Lints::Errors } else { Lints::Off })
         .snapshots(snapshots);
     c
 }
@@ -190,20 +193,12 @@ fn digests_are_identical_across_jobs_and_snapshot_modes() {
     );
 }
 
-fn repair_config() -> Config {
-    let mut c = config(2, true, true);
-    // Flush-redundancy advisories would fight inserted flushes during
-    // minimization, same as the CLI's repair mode.
-    c.lint_flush_redundancy(false);
-    c
-}
-
 /// The flush-level faults must auto-repair to verified, flush-only edit
 /// sets; the recovery-logic double-apply fault has no store-level fix
 /// and must be refused (left unverified).
 #[test]
 fn repair_sweep_fixes_flush_faults_and_refuses_double_apply() {
-    let cfg = repair_config();
+    let cfg = config(2, true, true);
     let fixable: [(&str, Box<dyn Program + Sync>); 2] = [
         (
             "lf-queue missing-link-flush",

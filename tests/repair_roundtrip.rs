@@ -15,15 +15,15 @@
 use std::path::Path;
 
 use jaaru::{
-    synthesize_repair, to_sarif_with_verified, CheckReport, Config, ModelChecker, RepairedProgram,
+    synthesize_repair, to_sarif_with_verified, CheckReport, Config, Lints, ModelChecker,
+    RepairedProgram,
 };
 use jaaru_bench::registry::{pmdk_bug_cases, recipe_bug_cases, BugCase};
 use jaaru_fuzz::{load_dir, repair_seeded, Reproducer};
 
 /// Same knobs as the lint-localization sweep (`lint_localization.rs`),
-/// and the same pass set as `jaaru_cli repair`: robustness lints plus
-/// the cross-thread and torn-store graph passes, but *not* the
-/// flush-redundancy pass — repair must converge on the
+/// and the same passes as `jaaru_cli repair`: the error-severity ones,
+/// but *not* flush redundancy — repair must converge on the
 /// crash-consistency fix, not chase advisory warnings about flushes the
 /// workloads emit on purpose.
 fn repair_config(jobs: usize) -> Config {
@@ -32,9 +32,7 @@ fn repair_config(jobs: usize) -> Config {
         .max_ops_per_execution(40_000)
         .max_scenarios(2_000)
         .jobs(jobs)
-        .lints(true)
-        .lint_cross_thread(true)
-        .lint_torn_stores(true);
+        .lints(Lints::Errors);
     c
 }
 
