@@ -24,6 +24,9 @@
 //! replies with); `--format sarif` prints the run's diagnostics as a
 //! SARIF 2.1.0 document for CI ingestion.
 //! `--no-snapshot` disables crash-point snapshots (replay every prefix).
+//! A global option the subcommand never reads is a usage error: `list`
+//! takes none, `perf` and `serve` no `--format`, and `fuzz` and `litmus`
+//! neither `--no-snapshot` nor `--format sarif`.
 //! e.g. `cargo run --release -p jaaru-cli --bin jaaru_cli -- bug recipe 10`
 //!
 //! The `serve` subcommand accepts newline-delimited JSON job specs on a
@@ -568,7 +571,8 @@ fn serve(args: &[String], jobs: usize, snapshots: bool) -> i32 {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut jobs = 1usize;
-    if let Some(pos) = args.iter().position(|a| a == "--jobs" || a == "-j") {
+    let jobs_at = args.iter().position(|a| a == "--jobs" || a == "-j");
+    if let Some(pos) = jobs_at {
         let Some(n) = args.get(pos + 1).and_then(|a| a.parse().ok()) else {
             usage()
         };
@@ -576,7 +580,8 @@ fn main() {
         args.drain(pos..=pos + 1);
     }
     let mut format = Format::Text;
-    if let Some(pos) = args.iter().position(|a| a == "--format" || a == "-f") {
+    let format_at = args.iter().position(|a| a == "--format" || a == "-f");
+    if let Some(pos) = format_at {
         format = match args.get(pos + 1).map(String::as_str) {
             Some("text") => Format::Text,
             Some("json") => Format::Json,
@@ -590,6 +595,17 @@ fn main() {
     if let Some(pos) = args.iter().position(|a| a == "--no-snapshot") {
         snapshots = false;
         args.remove(pos);
+    }
+    // A global option the subcommand never reads is a usage error, not a
+    // silent no-op.
+    let ignored = match args.first().map(String::as_str) {
+        Some("list") => jobs_at.is_some() || format_at.is_some() || !snapshots,
+        Some("fuzz" | "litmus") => !snapshots || format == Format::Artifact(ArtifactFormat::Sarif),
+        Some("perf" | "serve") => format_at.is_some(),
+        _ => false,
+    };
+    if ignored {
+        usage()
     }
     let code = match args.first().map(String::as_str) {
         Some("list") if args.len() == 1 => {

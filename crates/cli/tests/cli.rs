@@ -182,6 +182,26 @@ fn an_argument_past_the_last_a_subcommand_reads_is_a_usage_error() {
 }
 
 #[test]
+fn a_global_option_the_subcommand_never_reads_is_a_usage_error() {
+    for args in [
+        &["--no-snapshot", "list"][..],
+        &["--no-snapshot", "fuzz", "--seeds", "20"],
+        &["--no-snapshot", "litmus", "corpus"],
+        &["--format", "json", "list"],
+        &["--format", "text", "perf"],
+        &["-f", "json", "serve", "--batch", "jobs.ndjson"],
+        &["--format", "sarif", "fuzz", "--seeds", "20"],
+        &["-f", "sarif", "litmus", "corpus"],
+        &["--jobs", "2", "list"],
+        &["-j", "1", "list"],
+    ] {
+        let run = expect(args, 2);
+        assert!(run.stdout.is_empty(), "{args:?}: {}", run.stdout);
+        assert!(run.stderr.starts_with("usage:"), "{args:?}: {}", run.stderr);
+    }
+}
+
+#[test]
 fn the_serve_panic_drill_is_not_a_one_shot_benchmark() {
     let run = expect(&["check", "__panic__"], 2);
     assert!(run.stdout.is_empty(), "{}", run.stdout);

@@ -13,22 +13,19 @@ use std::panic::{panic_any, Location};
 
 use jaaru_pmem::{PmAddr, CACHE_LINE_SIZE, NULL_PAGE_SIZE};
 use jaaru_tso::{
-    do_read, line_parts, read_pre_failure_into, read_pre_failure_line, ExecutionStorage, OpTrace,
-    RfCandidate, RfSource, SourceLoc, ThreadId, TraceOpKind, TsoMachine,
+    do_read, line_parts, read_pre_failure_into, read_pre_failure_line, CrashPrefix,
+    ExecutionStorage, OpTrace, RfCandidate, RfSource, SourceLoc, ThreadId, TraceOpKind, TsoMachine,
 };
 
 use crate::config::{Config, Lints};
 use crate::decision::{ChoiceKind, DecisionLog};
-use crate::report::{BugKind, RaceCandidate, RaceReport};
+use crate::report::{site, BugKind, RaceRecord};
 use crate::signal::{AbortSignal, CrashSignal};
 use crate::snapshot::CheckerSnapshot;
 use crate::PmEnv;
 
 /// Cap on remembered race reports (debugging aid, not a bug list).
 const MAX_RACES: usize = 256;
-
-/// A load site as a race report names it: file, line and column.
-pub(crate) type LoadSite = (&'static str, u32, u32);
 
 struct Inner {
     machine: TsoMachine,
@@ -43,17 +40,17 @@ struct Inner {
     writes_since_point: bool,
     any_writes_this_exec: bool,
     points_this_exec: usize,
-    /// Injection points per execution (index = execution).
-    points_per_exec: Vec<usize>,
+    /// Injection points of the scenario's first execution, once it has
+    /// crashed.
+    failure_points: Option<usize>,
     /// Injection-point ordinal at which each failure was injected.
     crash_points: Vec<usize>,
 
     current_tid: ThreadId,
     next_tid: u32,
 
-    races: Vec<RaceReport>,
-    /// The load sites `races` reports.
-    race_keys: HashSet<LoadSite>,
+    /// One per load site, in the order the sites first raced.
+    races: Vec<RaceRecord>,
     load_choice_points: u64,
     max_rf_set: usize,
     /// Reads-from candidates of the byte being chosen for; kept to reuse
@@ -72,16 +69,18 @@ struct Inner {
     recovery_reads: HashSet<u64>,
 
     /// Checkpoints captured at this scenario's fresh crash decisions, in
-    /// decision order.
-    captures: Vec<CheckerSnapshot>,
+    /// decision order, each with the crash prefix of the running
+    /// execution that [`finish`](CheckerEnv::finish) completes it with.
+    captures: Vec<(CheckerSnapshot, CrashPrefix)>,
 }
 
 /// Per-scenario results harvested by the explorer after a run.
 pub(crate) struct ScenarioRecord {
     pub decisions: DecisionLog,
     pub crash_points: Vec<usize>,
-    pub points_per_exec: Vec<usize>,
-    pub races: Vec<RaceReport>,
+    /// Injection points of the scenario's first execution.
+    pub failure_points: usize,
+    pub races: Vec<RaceRecord>,
     pub op_traces: Vec<OpTrace>,
     pub load_choice_points: u64,
     pub max_rf_set: usize,
@@ -90,6 +89,10 @@ pub(crate) struct ScenarioRecord {
     /// The crash-point checkpoints this scenario captured at its fresh
     /// crash decisions (empty when snapshots are off).
     pub captures: Vec<CheckerSnapshot>,
+    /// The last execution's storage, for the next scenario to record into
+    /// (cleared, keeping its buffers) unless a checkpoint still views its
+    /// log.
+    pub storage: ExecutionStorage,
 }
 
 /// The instrumented environment for one failure scenario.
@@ -114,11 +117,13 @@ pub(crate) struct CheckerEnv {
 }
 
 impl CheckerEnv {
-    pub(crate) fn new(config: &Config, decisions: DecisionLog) -> Self {
+    /// An environment for a scenario steered by `decisions`, whose first
+    /// execution records into `storage` (cleared first).
+    pub(crate) fn new(config: &Config, decisions: DecisionLog, storage: ExecutionStorage) -> Self {
         CheckerEnv {
             capture: config.snapshots_value(),
             inner: RefCell::new(Inner {
-                machine: TsoMachine::new(config.eviction_value()),
+                machine: TsoMachine::with_storage(config.eviction_value(), storage),
                 stack: Vec::new(),
                 decisions,
                 exec_index: 0,
@@ -127,12 +132,11 @@ impl CheckerEnv {
                 writes_since_point: false,
                 any_writes_this_exec: false,
                 points_this_exec: 0,
-                points_per_exec: Vec::new(),
+                failure_points: None,
                 crash_points: Vec::new(),
                 current_tid: ThreadId(0),
                 next_tid: 1,
                 races: Vec::new(),
-                race_keys: HashSet::new(),
                 load_choice_points: 0,
                 max_rf_set: 1,
                 cands: Vec::new(),
@@ -164,10 +168,13 @@ impl CheckerEnv {
     pub(crate) fn advance_execution(&self) {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
+        // Every decision after a fresh one is fresh and continues, so an
+        // execution that captured a checkpoint runs to the scenario's end,
+        // and `finish` gives the captures its final log.
+        debug_assert!(inner.captures.is_empty(), "a capturing execution crashed");
         let eviction = inner.machine.policy();
         let machine = std::mem::replace(&mut inner.machine, TsoMachine::new(eviction));
-        let points = inner.points_this_exec;
-        inner.points_per_exec.push(points);
+        inner.failure_points.get_or_insert(inner.points_this_exec);
         inner.stack.push(machine.crash());
         inner.exec_index += 1;
         inner.ops = 0;
@@ -188,24 +195,25 @@ impl CheckerEnv {
     /// crashed executions' store logs are frozen and shared, so only their
     /// intervals are copied), per-execution volatile state starts fresh
     /// exactly as [`advance_execution`](Self::advance_execution) would
-    /// leave it, and the decision log resumes right after the crash the
-    /// snapshot forks. Running `Program::run` against the result is equivalent to
+    /// leave it, with the running execution recording into `storage`, and
+    /// the decision log resumes right after the crash the snapshot forks.
+    /// Running `Program::run` against the result is equivalent to
     /// replaying the prefix executions, minus the replay.
     pub(crate) fn from_snapshot(
         config: &Config,
         mut decisions: DecisionLog,
         snap: &CheckerSnapshot,
+        storage: ExecutionStorage,
     ) -> Self {
         decisions.adopt_prefix(snap.decision + 1);
-        let fresh = CheckerEnv::new(config, decisions);
+        let fresh = CheckerEnv::new(config, decisions, storage);
         {
             let mut inner = fresh.inner.borrow_mut();
             inner.stack = snap.stack.clone();
             inner.exec_index = snap.exec_index;
-            inner.points_per_exec = snap.points_per_exec.clone();
+            inner.failure_points = Some(snap.failure_points);
             inner.crash_points = snap.crash_points.clone();
             inner.races = snap.races.clone();
-            inner.race_keys = snap.race_keys.clone();
             inner.load_choice_points = snap.load_choice_points;
             inner.max_rf_set = snap.max_rf_set;
             inner.op_traces = snap.op_traces.clone();
@@ -223,20 +231,32 @@ impl CheckerEnv {
         }
     }
 
-    /// Harvests the scenario record after the final execution.
+    /// Harvests the scenario record after the final execution, and
+    /// completes each checkpoint it captured with a view of that
+    /// execution's final store log: every capture was taken in it.
     pub(crate) fn finish(self) -> ScenarioRecord {
-        let mut inner = self.inner.into_inner();
-        inner.points_per_exec.push(inner.points_this_exec);
+        let inner = self.inner.into_inner();
+        // Stores still buffered never reached the log, as in a crash.
+        let storage = inner.machine.crash();
+        let captures = inner
+            .captures
+            .into_iter()
+            .map(|(mut snapshot, prefix)| {
+                snapshot.stack.push(storage.view(prefix));
+                snapshot
+            })
+            .collect();
         ScenarioRecord {
             decisions: inner.decisions,
             crash_points: inner.crash_points,
-            points_per_exec: inner.points_per_exec,
+            failure_points: inner.failure_points.unwrap_or(inner.points_this_exec),
             races: inner.races,
             op_traces: inner.op_traces,
             load_choice_points: inner.load_choice_points,
             max_rf_set: inner.max_rf_set,
             recovery_reads: inner.recovery_reads,
-            captures: inner.captures,
+            captures,
+            storage,
         }
     }
 
@@ -337,8 +357,8 @@ impl CheckerEnv {
         // crash here leaves for the scenarios that later take it.
         let index = inner.decisions.consumed() - 1;
         if self.capture && index >= inner.decisions.prefix_len() {
-            let snapshot = self.capture(&inner, index, ordinal);
-            inner.captures.push(snapshot);
+            let capture = self.capture(&inner, index, ordinal);
+            inner.captures.push(capture);
         }
         if choice == 1 {
             inner.crash_points.push(ordinal);
@@ -351,33 +371,34 @@ impl CheckerEnv {
     /// (decision `decision`, point `ordinal` of the running execution)
     /// leaves: built from live state exactly as
     /// [`advance_execution`](Self::advance_execution) would leave it
-    /// after the crash.
-    fn capture(&self, inner: &Inner, decision: usize, ordinal: usize) -> CheckerSnapshot {
-        // `TsoMachine::crash` keeps the storage and drops the buffers.
+    /// after the crash, except that the running execution's storage is
+    /// its crash prefix until [`finish`](Self::finish) pushes the view.
+    fn capture(
+        &self,
+        inner: &Inner,
+        decision: usize,
+        ordinal: usize,
+    ) -> (CheckerSnapshot, CrashPrefix) {
         let mut stack = Vec::with_capacity(inner.stack.len() + 1);
         stack.extend_from_slice(&inner.stack);
-        stack.push(inner.machine.storage().clone());
-        let mut points_per_exec = inner.points_per_exec.clone();
-        points_per_exec.push(inner.points_this_exec);
-        let mut crash_points = inner.crash_points.clone();
-        crash_points.push(ordinal);
-        let mut op_traces = inner.op_traces.clone();
-        if self.flag_lints {
-            op_traces.push(OpTrace::new());
-        }
-        CheckerSnapshot {
+        let op_traces = if self.flag_lints {
+            pushed(&inner.op_traces, OpTrace::new())
+        } else {
+            Vec::new()
+        };
+        let snapshot = CheckerSnapshot {
             stack,
             exec_index: inner.exec_index + 1,
-            points_per_exec,
-            crash_points,
+            failure_points: inner.failure_points.unwrap_or(inner.points_this_exec),
+            crash_points: pushed(&inner.crash_points, ordinal),
             races: inner.races.clone(),
-            race_keys: inner.race_keys.clone(),
             load_choice_points: inner.load_choice_points,
             max_rf_set: inner.max_rf_set,
             op_traces,
             recovery_reads: inner.recovery_reads.clone(),
             decision,
-        }
+        };
+        (snapshot, inner.machine.crash_prefix())
     }
 
     /// Loads a byte of a recovery load that [`read_pre_failure_line`]
@@ -455,6 +476,15 @@ impl CheckerEnv {
     }
 }
 
+/// `items` followed by `last`, in one allocation.
+fn pushed<T: Clone>(items: &[T], last: T) -> Vec<T> {
+    let mut out = Vec::with_capacity(items.len() + 1);
+    out.extend_from_slice(items);
+    out.push(last);
+    out
+}
+
+/// Records the first race of each load site, up to [`MAX_RACES`].
 fn record_race(
     inner: &mut Inner,
     addr: PmAddr,
@@ -464,38 +494,23 @@ fn record_race(
     if inner.races.len() >= MAX_RACES {
         return;
     }
-    if !inner
-        .race_keys
-        .insert((loc.file(), loc.line(), loc.column()))
-    {
+    let load = site(loc);
+    if inner.races.iter().any(|race| site(race.load) == load) {
         return;
     }
+    let stack = &inner.stack;
     let candidates = cands
         .iter()
         .map(|c| match c.source {
-            RfSource::Initial => RaceCandidate {
-                exec_index: None,
-                value: c.value,
-                location: None,
-            },
+            RfSource::Initial => (c.value, None),
             RfSource::Store { exec, store } => {
-                let ev = inner.stack[exec].event(store);
-                RaceCandidate {
-                    exec_index: Some(exec),
-                    value: c.value,
-                    location: Some(format!(
-                        "{}:{}:{}",
-                        ev.loc.file(),
-                        ev.loc.line(),
-                        ev.loc.column()
-                    )),
-                }
+                (c.value, Some((exec, stack[exec].event(store).loc)))
             }
         })
         .collect();
-    inner.races.push(RaceReport {
+    inner.races.push(RaceRecord {
         addr,
-        load_location: format!("{}:{}:{}", loc.file(), loc.line(), loc.column()),
+        load: loc,
         execution_index: inner.exec_index,
         candidates,
     });
@@ -739,10 +754,16 @@ mod tests {
     use crate::decision::DecisionLog;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    fn env() -> CheckerEnv {
+    /// A small pool, and no checkpoints: these tests inject failures by
+    /// hand with `advance_execution`, which no capture could follow.
+    fn config() -> Config {
         let mut c = Config::new();
-        c.pool_size(4096);
-        CheckerEnv::new(&c, DecisionLog::new())
+        c.pool_size(4096).snapshots(false);
+        c
+    }
+
+    fn env() -> CheckerEnv {
+        CheckerEnv::new(&config(), DecisionLog::new(), ExecutionStorage::new())
     }
 
     #[test]
@@ -787,9 +808,8 @@ mod tests {
         e.clflush(a, 8);
         let mut rec = e.finish();
         assert!(rec.decisions.backtrack(), "one crash decision to flip");
-        let mut c = Config::new();
-        c.pool_size(4096);
-        let e = CheckerEnv::new(&c, rec.decisions);
+        let c = config();
+        let e = CheckerEnv::new(&c, rec.decisions, ExecutionStorage::new());
         let err = catch_unwind(AssertUnwindSafe(|| {
             e.store_u64(a, 1);
             e.clflush(a, 8);
@@ -801,14 +821,13 @@ mod tests {
     #[test]
     fn post_failure_load_explores_candidates() {
         // Store without flush, crash, recover: the load may see 1 or 0.
-        let mut c = Config::new();
-        c.pool_size(4096);
+        let c = config();
         let a = PmAddr::new(NULL_PAGE_SIZE);
 
         let mut seen = Vec::new();
         let mut decisions = DecisionLog::new();
         loop {
-            let e = CheckerEnv::new(&c, decisions);
+            let e = CheckerEnv::new(&c, decisions, ExecutionStorage::new());
             e.store_u8(a, 1); // pre-failure store, not flushed
             e.advance_execution(); // simulated power failure
             seen.push(e.load_u8(a));
@@ -823,11 +842,10 @@ mod tests {
 
     #[test]
     fn flushed_store_is_forced_in_recovery() {
-        let mut c = Config::new();
-        c.pool_size(4096);
+        let c = config();
         // Replay log where the single crash decision chooses "continue";
         // we crash manually via advance_execution.
-        let e = CheckerEnv::new(&c, DecisionLog::new());
+        let e = CheckerEnv::new(&c, DecisionLog::new(), ExecutionStorage::new());
         let a = e.root();
         e.store_u8(a, 7);
         e.clflush(a, 1);
@@ -842,9 +860,8 @@ mod tests {
 
     #[test]
     fn races_are_recorded_for_multi_store_loads() {
-        let mut c = Config::new();
-        c.pool_size(4096);
-        let e = CheckerEnv::new(&c, DecisionLog::new());
+        let c = config();
+        let e = CheckerEnv::new(&c, DecisionLog::new(), ExecutionStorage::new());
         let a = e.root();
         e.store_u8(a, 1);
         e.store_u8(a, 2);
@@ -870,7 +887,7 @@ mod tests {
     fn op_budget_catches_infinite_loops() {
         let mut c = Config::new();
         c.pool_size(4096).max_ops_per_execution(100);
-        let e = CheckerEnv::new(&c, DecisionLog::new());
+        let e = CheckerEnv::new(&c, DecisionLog::new(), ExecutionStorage::new());
         let a = e.root();
         let err = catch_unwind(AssertUnwindSafe(|| loop {
             let _ = e.load_u8(a);

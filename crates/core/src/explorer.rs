@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use jaaru_analysis::{dead_flushes, Diagnostic, PersistGraph};
-use jaaru_tso::OpTrace;
+use jaaru_tso::{ExecutionStorage, OpTrace};
 
 use crate::checker_env::CheckerEnv;
 use crate::config::{Config, Lints};
@@ -39,7 +39,7 @@ use crate::decision::DecisionLog;
 use crate::lint::lint_scenario;
 use crate::parallel::explore;
 use crate::parallel::merge::ReportAccumulator;
-use crate::report::{BugKind, BugReport, CheckReport, CheckStats, RaceReport};
+use crate::report::{BugKind, BugReport, CheckReport, CheckStats, RaceRecord};
 use crate::signal::{
     panic_message, take_last_panic_location, with_quiet_panics, AbortSignal, CrashSignal,
 };
@@ -73,8 +73,8 @@ pub(crate) struct ScenarioOutcome {
     pub max_rf_set: usize,
     /// Injection points in the scenario's first execution.
     pub failure_points: u64,
-    /// Racy loads observed (when race flagging is on).
-    pub races: Vec<RaceReport>,
+    /// Racy loads observed (when race flagging is on), one per load site.
+    pub races: Vec<RaceRecord>,
     /// Lint findings this scenario contributes (when lints are on).
     pub diagnostics: Vec<Diagnostic>,
     /// The bug this scenario hit, if any, with crash points and trace
@@ -108,18 +108,25 @@ pub(crate) struct ExploreAux {
 /// executions before that crash (counted in `executions_restored`). With
 /// [`Config::snapshots`] on, every fresh crash decision the scenario makes
 /// captures a checkpoint for the scenarios that later take that crash.
+///
+/// `storage` is the storage the scenario's first execution records into,
+/// cleared first; the scenario leaves its last execution's storage there,
+/// so a walk that passes the same slot to every scenario reuses one store
+/// log wherever no checkpoint holds it.
 pub(crate) fn run_scenario(
     config: &Config,
     program: &dyn Program,
     decisions: DecisionLog,
     checkpoint: Option<&CheckerSnapshot>,
+    storage: &mut Option<ExecutionStorage>,
 ) -> (ScenarioOutcome, DecisionLog, Vec<CheckerSnapshot>) {
+    let first = storage.take().unwrap_or_default();
     let (env, executions_restored) = match checkpoint {
         Some(snap) => (
-            CheckerEnv::from_snapshot(config, decisions, snap),
+            CheckerEnv::from_snapshot(config, decisions, snap, first),
             snap.executions_saved(),
         ),
-        None => (CheckerEnv::new(config, decisions), 0),
+        None => (CheckerEnv::new(config, decisions, first), 0),
     };
     let mut executions_this_scenario = 0usize;
     let mut scenario_bug: Option<BugReport> = None;
@@ -174,6 +181,7 @@ pub(crate) fn run_scenario(
         b.trace = record.decisions.trace();
     }
     let diagnostics = lint_scenario(&record, bug.is_some(), config);
+    *storage = Some(record.storage);
     // Exactly one scenario per run never crashes and never hits a bug:
     // the all-continue one. Its first (and only) trace is the canonical
     // complete pre-failure trace, which the dead-flush pass consumes.
@@ -190,7 +198,7 @@ pub(crate) fn run_scenario(
         divergence: record.decisions.divergence_exec_index(),
         load_choice_points: record.load_choice_points,
         max_rf_set: record.max_rf_set,
-        failure_points: record.points_per_exec.first().copied().unwrap_or(0) as u64,
+        failure_points: record.failure_points as u64,
         races: record.races,
         diagnostics,
         bug,
@@ -311,7 +319,13 @@ impl ModelChecker {
         let start = Instant::now();
         let mut config = self.config.clone();
         config.snapshots(false);
-        let (outcome, _, _) = run_scenario(&config, program, DecisionLog::from_trace(trace), None);
+        let (outcome, _, _) = run_scenario(
+            &config,
+            program,
+            DecisionLog::from_trace(trace),
+            None,
+            &mut None,
+        );
         let bugs: Vec<BugReport> = outcome
             .bug
             .into_iter()
@@ -330,7 +344,7 @@ impl ModelChecker {
             .collect();
         CheckReport {
             bugs,
-            races: outcome.races,
+            races: outcome.races.iter().map(RaceRecord::render).collect(),
             diagnostics: outcome.diagnostics,
             stats: CheckStats {
                 scenarios: 1,

@@ -111,9 +111,9 @@ pub(crate) fn lint_scenario(
         // named by a racy load of this failing scenario.
         let mut evidence = RfEvidence::new();
         for race in &record.races {
-            for cand in &race.candidates {
-                if let (Some(exec), Some(loc)) = (cand.exec_index, &cand.location) {
-                    evidence.insert((exec, loc.clone()));
+            for &(_, store) in race.candidates.iter() {
+                if let Some((exec, loc)) = store {
+                    evidence.insert((exec, loc.to_string()));
                 }
             }
         }

@@ -19,7 +19,7 @@ use jaaru_snapshot::SnapshotStats;
 
 use crate::explorer::{bug_dedup_key, ExploreAux, ScenarioOutcome};
 use crate::report::{
-    BugKind, BugReport, CheckReport, CheckStats, ParallelStats, RaceReport, WorkerStats,
+    site, BugKind, BugReport, CheckReport, CheckStats, ParallelStats, RaceReport, Site, WorkerStats,
 };
 
 /// Folds [`ScenarioOutcome`]s into the deduplicated, ordered contents of
@@ -33,7 +33,8 @@ pub(crate) struct ReportAccumulator {
     bugs: Vec<BugReport>,
     bug_index: HashMap<(BugKind, String), usize>,
     races: Vec<RaceReport>,
-    race_keys: HashSet<String>,
+    /// The load sites `races` reports.
+    race_sites: HashSet<Site>,
     diagnostics: DiagnosticSet,
     aux: ExploreAux,
     snapshots: SnapshotStats,
@@ -71,9 +72,9 @@ impl ReportAccumulator {
             self.aux.clean_trace = outcome.clean_trace;
         }
 
-        for race in outcome.races {
-            if self.race_keys.insert(race.load_location.clone()) {
-                self.races.push(race);
+        for race in &outcome.races {
+            if self.race_sites.insert(site(race.load)) {
+                self.races.push(race.render());
             }
         }
         self.diagnostics.extend(outcome.diagnostics);

@@ -14,6 +14,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use jaaru_tso::ExecutionStorage;
+
 use crate::config::Config;
 use crate::decision::DecisionLog;
 use crate::explorer::{bug_dedup_key, run_scenario, ScenarioOutcome};
@@ -43,6 +45,7 @@ pub(crate) fn worker_loop(
             ..WorkerStats::default()
         },
         sink,
+        storage: None,
     };
     while let Some(item) = scheduler.take() {
         if item.donor.is_some_and(|donor| donor != worker) {
@@ -63,6 +66,10 @@ struct Walk<'a> {
     program: &'a dyn Program,
     stats: WorkerStats,
     sink: &'a mut dyn FnMut(ScenarioOutcome),
+    /// The storage the last scenario's running execution left, which the
+    /// next one records into: one store log serves every scenario whose
+    /// log no checkpoint holds.
+    storage: Option<ExecutionStorage>,
 }
 
 impl Walk<'_> {
@@ -83,6 +90,7 @@ impl Walk<'_> {
                 self.program,
                 decisions,
                 checkpoint.map(|snap| &**snap),
+                &mut self.storage,
             );
             decisions = log;
             checkpoints.extend(captures.into_iter().map(Arc::new));

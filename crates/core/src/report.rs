@@ -1,11 +1,14 @@
 //! Bug reports, persistency-race reports, and check statistics.
 
 use std::fmt;
+use std::panic::Location;
+use std::sync::Arc;
 use std::time::Duration;
 
 use jaaru_analysis::{json_string, Diagnostic};
 use jaaru_pmem::PmAddr;
 use jaaru_snapshot::SnapshotStats;
+use jaaru_tso::SourceLoc;
 
 /// The symptom class of a detected bug, mirroring the paper's bug tables
 /// (Figures 12/13/15/16).
@@ -123,6 +126,50 @@ impl fmt::Display for RaceReport {
             }
         }
         Ok(())
+    }
+}
+
+/// A source site as reports name it: file, line and column.
+pub(crate) type Site = (&'static str, u32, u32);
+
+/// The site `loc` names.
+pub(crate) fn site(loc: &Location<'static>) -> Site {
+    (loc.file(), loc.line(), loc.column())
+}
+
+/// The execution that made a store, and the store's site.
+pub(crate) type StoreSite = (usize, SourceLoc);
+
+/// A racy load as exploration records it: source sites, not text, so
+/// checkpoints copy it cheaply. [`RaceRecord::render`] gives the public
+/// [`RaceReport`] once the race leaves the walk.
+#[derive(Clone, Debug)]
+pub(crate) struct RaceRecord {
+    pub addr: PmAddr,
+    pub load: SourceLoc,
+    pub execution_index: usize,
+    /// The values the load may read, newest first, each with its store
+    /// (`None` for the initial pool contents).
+    pub candidates: Arc<[(u8, Option<StoreSite>)]>,
+}
+
+impl RaceRecord {
+    /// The report of this race, its sites written `file:line:column`.
+    pub(crate) fn render(&self) -> RaceReport {
+        RaceReport {
+            addr: self.addr,
+            load_location: self.load.to_string(),
+            execution_index: self.execution_index,
+            candidates: self
+                .candidates
+                .iter()
+                .map(|&(value, store)| RaceCandidate {
+                    exec_index: store.map(|(exec, _)| exec),
+                    value,
+                    location: store.map(|(_, loc)| loc.to_string()),
+                })
+                .collect(),
+        }
     }
 }
 

@@ -3,11 +3,8 @@
 //! A power failure discards the guest's volatile state by definition, so
 //! the guest closure never needs to be resumed mid-flight — recovery
 //! always runs `Program::run` fresh. The only state that must round-trip
-//! is the *checker's*: the stack of crashed executions' storage (store
-//! logs, frozen at the crash and shared by every capture and restore, and
-//! writeback intervals, which post-failure reads refine in place — hence
-//! copy-on-restore, of the intervals only), crash bookkeeping, race
-//! accumulators, lint traces, and the decision-log position.
+//! is the *checker's*: the stack of crashed executions' storage, crash
+//! bookkeeping, race records, lint traces, and the decision-log position.
 //!
 //! A checkpoint is taken where the original system forks: at each
 //! crash-eligible injection point whose decision is fresh, the
@@ -22,17 +19,33 @@
 //! the walk donates to another worker carries the deepest checkpoint its
 //! path takes, by the same rule.
 //!
-//! A scenario therefore starts directly at its last execution: restoring
-//! is equivalent to replaying the executions before it, minus the
-//! replay. The restored plan's decisions up to the crash keep the
-//! metadata their original run recorded.
+//! Like `fork()`, a capture copies nothing the running execution goes on
+//! to write. The crashed state of the running execution is a prefix of the
+//! store log it finishes with, since stores only append, in `σ` order. So
+//! a capture keeps only that execution's writeback intervals, each ending
+//! at the capture's `σ + 1` ([`jaaru_tso::CrashPrefix`]), and when the
+//! scenario ends, `CheckerEnv::finish` completes every capture with a view
+//! of the execution's final log ([`jaaru_tso::ExecutionStorage::view`]).
+//! That is sound because every decision after a fresh one is fresh and
+//! continues, so a capturing execution never crashes later in its
+//! scenario, and every consumer of a checkpoint runs after the scenario
+//! that captured it. The stack of executions that had already crashed is
+//! copied as it stands, an `Arc` of each frozen log plus its intervals;
+//! race records keep source sites, so copying them bumps one `Arc` each.
+//! A scenario whose log no checkpoint views hands it back to the walk,
+//! whose next scenario records into it, cleared.
+//!
+//! Restoring clones the stack too, since post-failure reads refine
+//! intervals in place. A scenario therefore starts directly at its last
+//! execution: restoring is equivalent to replaying the executions before
+//! it, minus the replay. The restored plan's decisions up to the crash
+//! keep the metadata their original run recorded.
 
 use std::collections::HashSet;
 
 use jaaru_tso::{ExecutionStorage, OpTrace};
 
-use crate::checker_env::LoadSite;
-use crate::report::RaceReport;
+use crate::report::RaceRecord;
 
 /// Everything a post-failure execution needs from the checker's past:
 /// the state of a [`CheckerEnv`](crate::checker_env::CheckerEnv) as a
@@ -41,17 +54,18 @@ use crate::report::RaceReport;
 /// (op budget, bump cursor, thread ids — re-initialized fresh on
 /// restore).
 pub(crate) struct CheckerSnapshot {
-    /// Storage of every crashed execution, oldest first. Post-failure
-    /// reads *mutate* their intervals (refinement), so restoring clones:
-    /// an `Arc` bump of each frozen store log plus a copy of its intervals.
+    /// Storage of every crashed execution, oldest first; the last is a
+    /// view of the capturing execution's final log. Post-failure reads
+    /// *mutate* their intervals (refinement), so restoring clones: an
+    /// `Arc` bump of each frozen store log plus a copy of its intervals.
     pub(crate) stack: Vec<ExecutionStorage>,
     /// Executions completed so far — exactly the `Program::run`
     /// invocations a restore saves over full replay.
     pub(crate) exec_index: usize,
-    pub(crate) points_per_exec: Vec<usize>,
+    /// Injection points of the scenario's first execution.
+    pub(crate) failure_points: usize,
     pub(crate) crash_points: Vec<usize>,
-    pub(crate) races: Vec<RaceReport>,
-    pub(crate) race_keys: HashSet<LoadSite>,
+    pub(crate) races: Vec<RaceRecord>,
     pub(crate) load_choice_points: u64,
     pub(crate) max_rf_set: usize,
     pub(crate) op_traces: Vec<OpTrace>,

@@ -12,8 +12,10 @@
 //! * a global **cache total order** over stores and flushes ([`Seq`]),
 //! * per-execution **storage state**: per cache line, a log of the stores
 //!   that reached the cache and a most-recent-writeback interval
-//!   ([`ExecutionStorage`], [`FlushInterval`]); a crashed execution's log
-//!   is frozen and shared by every clone, which copies only the intervals,
+//!   ([`ExecutionStorage`], [`FlushInterval`]); a crash at a point of a
+//!   running execution is kept as a [`CrashPrefix`], a view of the log the
+//!   execution goes on to write, and a crashed execution's log is frozen
+//!   and shared by every clone, which copies only the intervals,
 //! * the **reads-from** computation and **constraint refinement** across a
 //!   stack of crashed executions ([`read_pre_failure`], [`do_read`];
 //!   Figures 9/10), with [`read_pre_failure_line`] settling a load's
@@ -72,5 +74,5 @@ pub use rf::{
     do_read, read_pre_failure, read_pre_failure_into, read_pre_failure_line, RfCandidate, RfSource,
 };
 pub use seq::Seq;
-pub use storage::{line_parts, ExecutionStorage};
+pub use storage::{line_parts, CrashPrefix, ExecutionStorage};
 pub use trace::{OpTrace, TraceOp, TraceOpKind, TRACE_LINE_SIZE};

@@ -6,12 +6,16 @@
 //! (`Evict_SB` / `Evict_FB`: take effect in the cache / persistent
 //! storage). A power failure is simulated by [`TsoMachine::crash`], which
 //! discards all buffered (not yet cache-visible) operations and freezes the
-//! execution's storage for post-failure refinement.
+//! execution's storage for post-failure refinement;
+//! [`TsoMachine::crash_prefix`] records what a failure at the current point
+//! would leave while the machine runs on.
 
 use jaaru_pmem::{CacheLineId, PmAddr, CACHE_LINE_SIZE};
 
 use crate::storage::offsets;
-use crate::{ExecutionStorage, FbEntry, SbEntry, Seq, SourceLoc, ThreadBuffers, ThreadId};
+use crate::{
+    CrashPrefix, ExecutionStorage, FbEntry, SbEntry, Seq, SourceLoc, ThreadBuffers, ThreadId,
+};
 
 /// When buffered operations drain to the cache.
 ///
@@ -65,10 +69,19 @@ pub struct TsoMachine {
 impl TsoMachine {
     /// Creates a machine with empty storage and no threads.
     pub fn new(policy: EvictionPolicy) -> Self {
+        Self::with_storage(policy, ExecutionStorage::new())
+    }
+
+    /// Creates a machine with no threads that records into `storage`,
+    /// emptied first: a finished execution's storage lends the new one its
+    /// buffers. A log that a [view](ExecutionStorage::view) still holds is
+    /// left to the view, never copied; the machine starts a new one.
+    pub fn with_storage(policy: EvictionPolicy, mut storage: ExecutionStorage) -> Self {
+        storage.clear();
         TsoMachine {
             sigma: Seq::ZERO,
             threads: Vec::new(),
-            storage: ExecutionStorage::new(),
+            storage,
             policy,
         }
     }
@@ -269,6 +282,14 @@ impl TsoMachine {
     /// never took effect in the cache) and the execution's storage freezes.
     pub fn crash(self) -> ExecutionStorage {
         self.storage
+    }
+
+    /// What [`crash`](Self::crash) would leave now, without stopping the
+    /// machine: once the execution ends,
+    /// [`ExecutionStorage::view`] of its final storage gives the crashed
+    /// storage, without copying the store log.
+    pub fn crash_prefix(&self) -> CrashPrefix {
+        self.storage.crash_prefix(self.sigma)
     }
 
     /// Ends the execution cleanly: drains store buffers so every executed

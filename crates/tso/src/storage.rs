@@ -9,11 +9,23 @@
 //! whose mask covers it.
 //!
 //! Stores and intervals live apart. While an execution runs, its
-//! [`TsoMachine`](crate::TsoMachine) owns the store log alone. After a
-//! simulated power failure nothing writes the log again: post-failure
-//! refinement (`DoRead`) only narrows intervals. So clones of a crashed
-//! execution's storage, which snapshot capture and restore make, share the
-//! log and copy only the intervals.
+//! [`TsoMachine`](crate::TsoMachine) owns the store log alone, and nothing
+//! else holds it (a cloned machine, which the litmus enumerator uses to
+//! fork executions, shares the log until one of the two records, which
+//! then copies it). A power failure at some point of the execution leaves
+//! a prefix of the log the execution goes on to write, since stores only
+//! append, in `σ` order. So the state a crash would leave needs no copy of
+//! the log: a [`CrashPrefix`] keeps the intervals of the lines touched so
+//! far, each ending at `σ + 1`, and [`ExecutionStorage::view`] later pairs
+//! them with the execution's final log. A view hides the slots created
+//! after its prefix, and the clamped ends keep every later store out of
+//! reads, pins and refinement (`DoRead`), which only narrows intervals.
+//! Clones of crashed storage share the log and copy only the intervals.
+//!
+//! [`TsoMachine::with_storage`](crate::TsoMachine::with_storage) empties a
+//! finished execution's storage for a new one and keeps its buffers, so a
+//! caller running one execution after another records each into the same
+//! log unless a view still holds it.
 
 use std::sync::Arc;
 
@@ -139,14 +151,17 @@ impl LineLog {
     }
 }
 
-/// The stores of one execution: frozen, and shared by every clone of the
-/// storage, once the execution has crashed.
+/// The stores of one execution: written only while it runs, then frozen
+/// and shared by every storage that views it.
 #[derive(Clone, Debug, Default)]
 struct StoreLog {
     /// Line → slot in `lines` (and in the storage's `intervals`).
     slots: LineMap<CacheLineId, u32>,
     lines: Vec<LineLog>,
     events: Vec<StoreEvent>,
+    /// Emptied line logs of an earlier execution, kept for their
+    /// capacity.
+    spare: Vec<LineLog>,
 }
 
 impl StoreLog {
@@ -156,11 +171,37 @@ impl StoreLog {
         let next = self.lines.len();
         let slot = *self.slots.entry(line).or_insert(next as u32) as usize;
         if slot == next {
-            self.lines.push(LineLog::new(line));
+            let log = match self.spare.pop() {
+                Some(log) => LineLog { line, ..log },
+                None => LineLog::new(line),
+            };
+            self.lines.push(log);
             intervals.push(FlushInterval::unconstrained());
         }
         slot
     }
+
+    /// Empties the log, keeping every buffer's capacity.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.events.clear();
+        self.spare.extend(self.lines.drain(..).map(|mut log| {
+            log.stores.clear();
+            log.data.clear();
+            log.written = 0;
+            log
+        }));
+    }
+}
+
+/// What a power failure at one point of a running execution leaves, minus
+/// the store log: the writeback intervals of the lines touched so far,
+/// each ending at `σ + 1` for the `σ` of the point, so no store that takes
+/// effect later is ever readable. [`ExecutionStorage::view`] pairs it with
+/// the log the execution goes on to write.
+#[derive(Debug)]
+pub struct CrashPrefix {
+    intervals: Vec<FlushInterval>,
 }
 
 /// The cache/persistency record of a single execution.
@@ -182,7 +223,8 @@ impl StoreLog {
 #[derive(Clone, Debug, Default)]
 pub struct ExecutionStorage {
     log: Arc<StoreLog>,
-    /// One interval per slot of the log.
+    /// One interval per slot this storage sees: every slot of the log,
+    /// or for a [view](Self::view), the slots its prefix had.
     intervals: Vec<FlushInterval>,
 }
 
@@ -192,8 +234,53 @@ impl ExecutionStorage {
         Self::default()
     }
 
+    /// Empties the storage for a fresh execution, keeping the capacity of
+    /// its log (each touched line's stores and bytes included). A log that
+    /// a [view](Self::view) still holds is left to it, never copied, and
+    /// the storage starts a new one.
+    pub(crate) fn clear(&mut self) {
+        match Arc::get_mut(&mut self.log) {
+            Some(log) => log.clear(),
+            None => self.log = Arc::default(),
+        }
+        self.intervals.clear();
+    }
+
+    /// What a power failure right after the event at `sigma` would leave,
+    /// for [`view`](Self::view) to pair with the final log.
+    pub(crate) fn crash_prefix(&self, sigma: Seq) -> CrashPrefix {
+        let mut intervals = self.intervals.clone();
+        let end = Seq::new(sigma.value() + 1);
+        for iv in &mut intervals {
+            iv.lower_end(end);
+        }
+        CrashPrefix { intervals }
+    }
+
+    /// The storage a power failure at `prefix`'s point left: this
+    /// storage's log, which must be the final log of the execution
+    /// `prefix` was taken from, seen through `prefix`'s intervals.
+    ///
+    /// What goes through the intervals sees exactly the crashed
+    /// execution's stores: [`read_pre_failure`](crate::read_pre_failure)
+    /// and its line form, [`do_read`](crate::do_read),
+    /// [`interval`](Self::interval) and
+    /// [`writeback_points`](Self::writeback_points). The lookups that do
+    /// not, such as [`next_store_after`](Self::next_store_after),
+    /// [`events`](Self::events) and
+    /// [`last_cache_value`](Self::last_cache_value), still see the whole
+    /// log.
+    pub fn view(&self, prefix: CrashPrefix) -> ExecutionStorage {
+        debug_assert!(prefix.intervals.len() <= self.log.lines.len());
+        ExecutionStorage {
+            log: Arc::clone(&self.log),
+            intervals: prefix.intervals,
+        }
+    }
+
     fn slot(&self, line: CacheLineId) -> Option<usize> {
-        self.log.slots.get(&line).map(|&s| s as usize)
+        let slot = *self.log.slots.get(&line)? as usize;
+        (slot < self.intervals.len()).then_some(slot)
     }
 
     /// The stores to `line` and its interval, if this execution touched it.
@@ -223,6 +310,7 @@ impl ExecutionStorage {
         loc: SourceLoc,
         seq: Seq,
     ) -> StoreId {
+        // Nothing shares a running execution's log, so this never copies.
         let log = Arc::make_mut(&mut self.log);
         let id = StoreId(log.events.len() as u32);
         for (line, mask, start) in line_parts(addr, bytes.len()) {
@@ -541,5 +629,38 @@ mod tests {
         assert_eq!(copy.interval(line).end(), s2);
         assert!(copy.interval_mut(CacheLineId::new(9)).is_none());
         assert_eq!(copy.writeback_points(line), vec![Seq::ZERO, s1]);
+    }
+
+    #[test]
+    fn a_view_sees_the_prefix_and_outlives_clearing() {
+        let mut st = ExecutionStorage::new();
+        let mut sigma = Seq::ZERO;
+        let s1 = store(&mut st, &mut sigma, 64, &[1]);
+        let prefix = st.crash_prefix(sigma);
+        store(&mut st, &mut sigma, 64, &[2]);
+        store(&mut st, &mut sigma, 128, &[3]);
+        let mut view = st.view(prefix);
+        assert!(Arc::ptr_eq(&st.log, &view.log), "a view never copies");
+        assert_eq!(
+            view.writeback_points(CacheLineId::new(1)),
+            vec![Seq::ZERO, s1]
+        );
+        assert!(
+            view.interval_mut(CacheLineId::new(2)).is_none(),
+            "slot hidden"
+        );
+        // The viewed log stays with the view; the storage starts anew.
+        st.clear();
+        assert!(!Arc::ptr_eq(&st.log, &view.log));
+        assert_eq!(view.snapshot_value(PmAddr::new(64), s1), Some(1));
+        assert_eq!(st.store_count(), 0);
+        // An unshared log is emptied in place, its line logs kept.
+        store(&mut st, &mut sigma, 64, &[4]);
+        let log = Arc::as_ptr(&st.log);
+        st.clear();
+        assert_eq!(Arc::as_ptr(&st.log), log);
+        assert_eq!((st.log.lines.len(), st.log.spare.len()), (0, 1));
+        assert!(st.last_cache_value(PmAddr::new(64)).is_none());
+        assert!(st.interval(CacheLineId::new(1)).is_unconstrained());
     }
 }

@@ -17,8 +17,8 @@ use std::panic::Location;
 
 use jaaru_pmem::{CacheLineId, PmAddr};
 use jaaru_tso::{
-    do_read, read_pre_failure, read_pre_failure_into, read_pre_failure_line, ExecutionStorage,
-    FlushInterval, RfCandidate, RfSource, Seq, ThreadId,
+    do_read, read_pre_failure, read_pre_failure_into, read_pre_failure_line, EvictionPolicy,
+    ExecutionStorage, FlushInterval, RfCandidate, RfSource, Seq, ThreadId, TsoMachine,
 };
 
 const LINE: CacheLineId = CacheLineId::new(1);
@@ -556,4 +556,143 @@ fn restored_stacks_are_isolated() {
         refined += 1;
     }
     assert!(refined > 100, "refining reads exercised: {refined}");
+}
+
+/// One operation of a single-thread program for the prefix-view test.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// A store of `len` bytes of `value` at `addr`.
+    Store {
+        addr: u64,
+        len: u64,
+        value: u8,
+    },
+    Clflush(u64),
+    Clflushopt(u64),
+    Sfence,
+    Mfence,
+}
+
+/// The lines the prefix-view programs use.
+const VIEW_LINES: std::ops::RangeInclusive<u64> = 1..=4;
+
+/// Up to 24 operations on four lines, mostly stores of 1, 2, 4 or 8
+/// bytes; a store may straddle two lines. `mfence` drains the store
+/// buffer, so buffered stores reach the cache under `OnFence` eviction
+/// too.
+fn random_program(rng: &mut Rng) -> Vec<Op> {
+    let end = (VIEW_LINES.end() + 1) * 64;
+    let line = |rng: &mut Rng| VIEW_LINES.start() + rng.below(VIEW_LINES.clone().count() as u64);
+    (0..4 + rng.below(21))
+        .map(|_| match rng.below(10) {
+            0..=4 => {
+                let len = 1 << rng.below(4);
+                let addr = 64 + rng.below(end - 64 - len + 1);
+                let value = (1 + rng.below(250)) as u8;
+                Op::Store { addr, len, value }
+            }
+            5 => Op::Clflush(line(rng)),
+            6 | 7 => Op::Clflushopt(line(rng)),
+            8 => Op::Sfence,
+            _ => Op::Mfence,
+        })
+        .collect()
+}
+
+fn apply(m: &mut TsoMachine, op: Op) {
+    let t = ThreadId(0);
+    match op {
+        Op::Store { addr, len, value } => m.store(
+            t,
+            PmAddr::new(addr),
+            &vec![value; len as usize],
+            Location::caller(),
+        ),
+        Op::Clflush(line) => m.clflush(t, CacheLineId::new(line)),
+        Op::Clflushopt(line) => m.clflushopt(t, CacheLineId::new(line)),
+        Op::Sfence => m.sfence(t),
+        Op::Mfence => m.mfence(t),
+    }
+}
+
+/// Every candidate of some bytes, and the multi-candidate mask and
+/// single-candidate values of whole-line reads of some lines.
+type Observed = (Vec<Vec<RfCandidate>>, Vec<(u64, [u8; 64])>);
+
+/// What recovery can observe of a crashed stack: every candidate of each
+/// of `bytes`, and the single-candidate values and multi-candidate mask
+/// of a whole-line read of each of `lines`.
+fn observe(stack: &[ExecutionStorage], bytes: &[PmAddr], lines: &[CacheLineId]) -> Observed {
+    let cands = bytes.iter().map(|&a| read_pre_failure(stack, a)).collect();
+    let reads = lines
+        .iter()
+        .map(|&line| {
+            let mut vals = [0; 64];
+            let multi = read_pre_failure_line(stack, line, u64::MAX, &mut vals);
+            (multi, vals)
+        })
+        .collect();
+    (cands, reads)
+}
+
+/// A checkpoint views the final store log of the execution it was taken
+/// in, through the intervals the crash would have frozen. For every point
+/// of random single-thread programs, under both eviction policies, the
+/// view must read as the storage of a machine that really crashed there:
+/// the same candidates for every byte, the same line reads, and the same
+/// of both after committing a load of any multi-candidate byte to its
+/// newest or its oldest candidate. Lines first stored to or flushed after
+/// the point are among those read.
+#[test]
+fn a_prefix_view_reads_what_the_crash_froze() {
+    let mut points = 0;
+    let mut refinements = 0;
+    for seed in 0..150u64 {
+        let mut rng = Rng::new(seed ^ 0x0f_1e_2d);
+        let program = random_program(&mut rng);
+        for policy in [EvictionPolicy::Eager, EvictionPolicy::OnFence] {
+            let mut full = TsoMachine::new(policy);
+            let mut prefixes = vec![full.crash_prefix()];
+            for &op in &program {
+                apply(&mut full, op);
+                prefixes.push(full.crash_prefix());
+            }
+            let last = full.finish();
+            let lines: Vec<CacheLineId> = VIEW_LINES.map(CacheLineId::new).collect();
+            let bytes: Vec<PmAddr> = (64..(VIEW_LINES.end() + 1) * 64)
+                .map(PmAddr::new)
+                .filter(|&a| last.first_store_seq(a).is_some())
+                .collect();
+            for (k, prefix) in prefixes.into_iter().enumerate() {
+                let at = format!("seed {seed}, {policy:?}, crash after {k} of {program:?}");
+                let mut crashed = TsoMachine::new(policy);
+                for &op in &program[..k] {
+                    apply(&mut crashed, op);
+                }
+                let crashed = vec![crashed.crash()];
+                let view = vec![last.view(prefix)];
+                let seen = observe(&crashed, &bytes, &lines);
+                assert_eq!(observe(&view, &bytes, &lines), seen, "{at}");
+                points += 1;
+                for (&addr, cands) in bytes.iter().zip(&seen.0) {
+                    if cands.len() < 2 {
+                        continue;
+                    }
+                    for chosen in [cands[0], cands[cands.len() - 1]] {
+                        let (mut crashed, mut view) = (crashed.clone(), view.clone());
+                        do_read(&mut crashed, addr, chosen);
+                        do_read(&mut view, addr, chosen);
+                        assert_eq!(
+                            observe(&view, &bytes, &lines),
+                            observe(&crashed, &bytes, &lines),
+                            "{at}: after reading {chosen:?} at {addr}"
+                        );
+                        refinements += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(points > 2000, "crash points compared: {points}");
+    assert!(refinements > 2000, "refinements compared: {refinements}");
 }
