@@ -1,19 +1,18 @@
 //! The persist-order constraint graph.
 //!
 //! One replay of the paper's Figure 7/8 buffer rules over a recorded
-//! [`OpTrace`] produces an explicit DAG of *persist-before* facts that
-//! every analysis pass queries, instead of each pass re-walking the
-//! trace with its own ad-hoc state machine:
+//! [`OpTrace`] produces the *persist-before* facts that every analysis
+//! pass queries, instead of each pass re-walking the trace with its own
+//! ad-hoc state machine:
 //!
 //! * **nodes** are the trace ops themselves (identified by trace
 //!   index), with a [`StoreNode`] of reconstructed facts per store:
 //!   which flush first covered each of its cache lines, and at which
-//!   op each line — and the store as a whole — became persist-ordered;
-//! * **edges** record why: `FlushCovers` (store → flush of its line),
-//!   `FenceDrains` (`clflushopt` → the same-thread fence or locked RMW
-//!   that applied it), `EagerDrains` (`clflushopt` → a `clflush` of the
-//!   same line issued by *any* thread, the simulator's eager writeback
-//!   forcing parked lines out);
+//!   op each line — and the store as a whole — became persist-ordered.
+//!   That op is a `clflush` of the line, or for a `clflushopt` the
+//!   same-thread fence or locked RMW that applied it, or a `clflush` of
+//!   the same line issued by *any* thread (the simulator's eager
+//!   writeback forcing parked lines out);
 //! * **vector clocks** give happens-before reachability: per-thread
 //!   program order plus locked RMWs on a shared cache line as
 //!   release/acquire pairs — the only cross-thread synchronization the
@@ -66,31 +65,6 @@ impl SiteTable {
     pub fn is_empty(&self) -> bool {
         self.rendered.is_empty()
     }
-}
-
-/// Why one op persist-orders another.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EdgeKind {
-    /// A flush instruction covered (one of) the store's cache lines.
-    FlushCovers,
-    /// A fence or locked RMW applied the issuing thread's parked
-    /// `clflushopt`.
-    FenceDrains,
-    /// A `clflush` of the same line forced a `clflushopt` parked in
-    /// (possibly another) thread's flush buffer to take effect.
-    EagerDrains,
-}
-
-/// A persist-before edge between two trace ops (`from` persists no
-/// later than `to` takes effect).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Edge {
-    /// Trace index of the ordered op (store or `clflushopt`).
-    pub from: usize,
-    /// Trace index of the op that orders it.
-    pub to: usize,
-    /// Which buffer rule created the edge.
-    pub kind: EdgeKind,
 }
 
 /// The first flush instruction that covered a store's cache line.
@@ -152,7 +126,6 @@ pub struct PersistGraph<'a> {
     /// Per-op interned site id, parallel to `trace.ops()`.
     op_sites: Vec<u32>,
     stores: Vec<StoreNode>,
-    edges: Vec<Edge>,
     /// Per-op vector clock (the op's own event included).
     clocks: Vec<VClock>,
     /// Per-op tick within its own thread's component.
@@ -167,16 +140,14 @@ impl<'a> PersistGraph<'a> {
         let mut site_table = SiteTable::default();
         let mut op_sites = Vec::with_capacity(ops.len());
         let mut stores: Vec<StoreNode> = Vec::new();
-        let mut edges: Vec<Edge> = Vec::new();
         let mut clocks: Vec<VClock> = Vec::with_capacity(ops.len());
         let mut ticks: Vec<u32> = Vec::with_capacity(ops.len());
         // Remaining unpersisted lines per store, parallel to `stores`.
         let mut lines_pending: Vec<u32> = Vec::new();
         // line -> indices into `stores` with that line still unflushed.
         let mut dirty: HashMap<u64, Vec<usize>> = HashMap::new();
-        // thread -> (line, flush op, stores) entries awaiting a fence.
-        #[allow(clippy::type_complexity)]
-        let mut waiting: HashMap<usize, Vec<(u64, usize, Vec<usize>)>> = HashMap::new();
+        // thread -> (line, stores) entries awaiting a fence.
+        let mut waiting: HashMap<usize, Vec<(u64, Vec<usize>)>> = HashMap::new();
         // Happens-before state: per-thread clocks plus the release
         // clock of the last locked RMW per cache line.
         let mut thread_clocks: HashMap<usize, VClock> = HashMap::new();
@@ -270,11 +241,6 @@ impl<'a> PersistGraph<'a> {
                                 if let Some(fact) = node.lines.iter_mut().find(|f| f.line == l) {
                                     fact.flush.get_or_insert(flush);
                                 }
-                                edges.push(Edge {
-                                    from: node.op_idx,
-                                    to: i,
-                                    kind: EdgeKind::FlushCovers,
-                                });
                             }
                             persist(&mut stores, &mut lines_pending, &idxs, l, i);
                         }
@@ -285,12 +251,7 @@ impl<'a> PersistGraph<'a> {
                             let mut k = 0;
                             while k < entries.len() {
                                 if entries[k].0 == l {
-                                    let (_, flush_op, idxs) = entries.swap_remove(k);
-                                    edges.push(Edge {
-                                        from: flush_op,
-                                        to: i,
-                                        kind: EdgeKind::EagerDrains,
-                                    });
+                                    let (_, idxs) = entries.swap_remove(k);
                                     persist(&mut stores, &mut lines_pending, &idxs, l, i);
                                 } else {
                                     k += 1;
@@ -315,24 +276,14 @@ impl<'a> PersistGraph<'a> {
                                 if let Some(fact) = node.lines.iter_mut().find(|f| f.line == l) {
                                     fact.flush.get_or_insert(flush);
                                 }
-                                edges.push(Edge {
-                                    from: node.op_idx,
-                                    to: i,
-                                    kind: EdgeKind::FlushCovers,
-                                });
                             }
-                            waiting.entry(t).or_default().push((l, i, idxs));
+                            waiting.entry(t).or_default().push((l, idxs));
                         }
                     }
                 }
                 TraceOpKind::Sfence | TraceOpKind::Mfence | TraceOpKind::Rmw { .. } => {
                     if let Some(entries) = waiting.remove(&t) {
-                        for (l, flush_op, idxs) in entries {
-                            edges.push(Edge {
-                                from: flush_op,
-                                to: i,
-                                kind: EdgeKind::FenceDrains,
-                            });
+                        for (l, idxs) in entries {
                             persist(&mut stores, &mut lines_pending, &idxs, l, i);
                         }
                     }
@@ -345,7 +296,6 @@ impl<'a> PersistGraph<'a> {
             site_table,
             op_sites,
             stores,
-            edges,
             clocks,
             ticks,
         }
@@ -359,11 +309,6 @@ impl<'a> PersistGraph<'a> {
     /// Reconstructed store facts, in program order.
     pub fn stores(&self) -> &[StoreNode] {
         &self.stores
-    }
-
-    /// Every persist-before edge, in discovery order.
-    pub fn edges(&self) -> &[Edge] {
-        &self.edges
     }
 
     /// The interned `file:line:column` site of op `op_idx` (borrowed —
@@ -446,16 +391,6 @@ mod tests {
         assert_eq!(g.stores()[0].lines[0].persist_point, Some(2));
         assert_eq!(g.stores()[0].flush.unwrap().op_idx, 1);
         assert!(g.stores()[0].flush.unwrap().opt);
-        assert!(g.edges().contains(&Edge {
-            from: 0,
-            to: 1,
-            kind: EdgeKind::FlushCovers
-        }));
-        assert!(g.edges().contains(&Edge {
-            from: 1,
-            to: 2,
-            kind: EdgeKind::FenceDrains
-        }));
     }
 
     #[test]
@@ -476,11 +411,7 @@ mod tests {
         flush(&mut t, 0, 2); // op 2: forces it out
         let g = PersistGraph::build(&t);
         assert_eq!(g.stores()[0].persist_point, Some(2));
-        assert!(g.edges().contains(&Edge {
-            from: 1,
-            to: 2,
-            kind: EdgeKind::EagerDrains
-        }));
+        assert_eq!(g.stores()[0].flush.unwrap().op_idx, 1);
     }
 
     #[test]

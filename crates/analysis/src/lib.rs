@@ -10,12 +10,11 @@
 //!
 //! 1. **The persist-order constraint graph** ([`PersistGraph`]): one
 //!    replay of the Figure 7/8 buffer rules lifts a recorded
-//!    [`OpTrace`](jaaru_tso::OpTrace) into an explicit DAG of
-//!    persist-before edges (store → flush coverage, flush → fence
-//!    ordering, eager cross-thread drains) with per-store, per-line
-//!    persist facts, interned sites, and vector-clock happens-before
-//!    reachability ([`VClock`]). Every pass below queries the graph
-//!    instead of re-walking the trace.
+//!    [`OpTrace`](jaaru_tso::OpTrace) into per-store, per-line persist
+//!    facts (the flush that covered each line, and the flush, fence or
+//!    eager cross-thread drain at which it persisted), interned sites,
+//!    and vector-clock happens-before reachability ([`VClock`]). Every
+//!    pass below queries the graph instead of re-walking the trace.
 //! 2. **Commit-store inference + robustness checking**
 //!    ([`analyze_trace`], [`robustness_candidates`]): identifies the
 //!    flushed-and-fenced guard-store idiom (commit stores) and emits a
@@ -66,7 +65,7 @@ mod sarif;
 mod vclock;
 
 pub use diagnostic::{Diagnostic, DiagnosticKind, DiagnosticSet, Severity};
-pub use graph::{Edge, EdgeKind, FlushRef, LinePersist, PersistGraph, SiteTable, StoreNode};
+pub use graph::{FlushRef, LinePersist, PersistGraph, SiteTable, StoreNode};
 pub use json::json_string;
 pub use localize::{localize, RfEvidence};
 pub use perf::{dead_flushes, flush_redundancy};

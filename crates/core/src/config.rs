@@ -2,8 +2,6 @@
 
 use jaaru_tso::EvictionPolicy;
 
-use crate::parallel::scheduler::BUG_CAP;
-
 /// Which analysis passes a check runs ([`Config::lints`]).
 ///
 /// Every setting explores the same scenarios: the passes read the
@@ -250,51 +248,6 @@ impl Config {
             n => n,
         }
     }
-
-    /// A stable fingerprint of every *semantic* knob: two configs with
-    /// equal fingerprints explore the same scenario tree and produce
-    /// digest-identical reports for the same program. Performance-only
-    /// knobs — `jobs`, `snapshots` — are deliberately excluded, so a
-    /// serving daemon keying its cross-job result cache on (program
-    /// hash, fingerprint) serves one cached result to submissions that
-    /// differ only in worker count.
-    pub fn fingerprint(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |word: u64| {
-            for byte in word.to_le_bytes() {
-                hash ^= byte as u64;
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        fold(self.pool_size as u64);
-        fold(match self.eviction {
-            EvictionPolicy::Eager => 0,
-            EvictionPolicy::OnFence => 1,
-        });
-        fold(self.max_failures as u64);
-        fold(self.max_ops_per_execution);
-        fold(self.max_scenarios);
-        fold(BUG_CAP as u64);
-        // One bit per pass group, in a layout that keeps fingerprints
-        // stable: robustness, cross-thread and torn-store (each on from
-        // `Errors`), then flush hygiene (`All`). The third bit is retired
-        // and always clear.
-        let errors = self.lints != Lints::Off;
-        let flags = [
-            self.inject_at_end,
-            self.skip_unchanged,
-            false,
-            self.flag_races,
-            errors,
-            errors,
-            errors,
-            self.lints == Lints::All,
-        ]
-        .iter()
-        .fold(0u64, |acc, &b| (acc << 1) | b as u64);
-        fold(flags);
-        hash
-    }
 }
 
 impl Default for Config {
@@ -367,40 +320,5 @@ mod tests {
             c.lints(lints);
             assert!(c.trace_ops_value(), "{lints:?}");
         }
-    }
-
-    #[test]
-    fn fingerprint_ignores_performance_knobs() {
-        let base = Config::new().fingerprint();
-        let mut c = Config::new();
-        c.jobs(4).snapshots(false);
-        assert_eq!(c.fingerprint(), base, "driver knobs excluded");
-    }
-
-    #[test]
-    fn fingerprint_tracks_semantic_knobs() {
-        let base = Config::new().fingerprint();
-        let mut c = Config::new();
-        c.max_failures(2);
-        assert_ne!(c.fingerprint(), base);
-        let mut errors = Config::new();
-        errors.lints(Lints::Errors);
-        assert_ne!(errors.fingerprint(), base);
-        let mut all = Config::new();
-        all.lints(Lints::All);
-        assert_ne!(all.fingerprint(), base);
-        assert_ne!(all.fingerprint(), errors.fingerprint());
-        let mut c = Config::new();
-        c.eviction(EvictionPolicy::OnFence);
-        assert_ne!(c.fingerprint(), base);
-        let mut c = Config::new();
-        c.pool_size(1 << 16);
-        assert_ne!(c.fingerprint(), base);
-        // Distinct flag combinations don't collide by shifting.
-        let mut a = Config::new();
-        a.skip_unchanged(false);
-        let mut b = Config::new();
-        b.flag_races(false);
-        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 }

@@ -24,11 +24,12 @@
 //! deadline-exceeded jobs carry `"artifact":null` plus an `error`
 //! string, and are never admitted to the result cache. Only completed
 //! `ok`/`violation` results are cached. The cache holds a job's result,
-//! not its artifact, keyed without the format
-//! ([`JobSpec::result_group`]): a resubmission in either format is
+//! not its artifact, keyed by the job without its format
+//! ([`JobSpec::result_key`]): a resubmission in either format is
 //! answered from it (with `"cached":true`) by rendering the result in
 //! the resubmission's own format.
 
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,16 +39,20 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use jaaru::json_string;
-use jaaru_snapshot::{SnapshotCache, SnapshotStats};
+use jaaru_snapshot::SnapshotStats;
 
-use crate::exec::{execute, job_config, CachedReply};
-use crate::job::{JobSpec, Request};
+use crate::exec::{execute, job_config, JobResult};
+use crate::job::{JobKind, JobSpec, Request, Workload};
 use crate::json::parse;
 use crate::metrics::{JobStatus, Metrics};
 use crate::queue::{BoundedQueue, CancelRegistry, DEFAULT_QUEUE_CAP};
 
 /// Default byte budget for the cross-job result cache.
 pub const DEFAULT_RESULT_CAP: usize = 16 << 20;
+
+/// Most results the cache keeps, whatever their size: a backstop
+/// against many tiny entries.
+const RESULT_ENTRY_CAP: usize = 4096;
 
 /// Daemon-wide settings, normally filled from `jaaru_cli serve` flags.
 #[derive(Clone, Copy, Debug)]
@@ -66,6 +71,99 @@ impl Default for ServeOptions {
             queue_cap: DEFAULT_QUEUE_CAP,
             default_jobs: 1,
             result_cap: DEFAULT_RESULT_CAP,
+        }
+    }
+}
+
+/// A cached result: the terminal status and the shared result of a
+/// completed job, which every reply renders in its own format. Only
+/// `ok`/`violation` results are cached — failures, cancellations, and
+/// deadline kills always re-run (fail closed, never fail cached).
+#[derive(Clone)]
+struct CachedReply {
+    status: JobStatus,
+    result: Arc<JobResult>,
+    /// The byte charge against the cache budget, fixed at insert: the
+    /// length of the inserting reply's artifact.
+    bytes: usize,
+}
+
+impl CachedReply {
+    /// What the entry costs the budget: its artifact and itself.
+    fn charge(&self) -> usize {
+        self.bytes + std::mem::size_of::<CachedReply>()
+    }
+}
+
+/// Completed results by [`JobSpec::result_key`], within a byte budget
+/// and [`RESULT_ENTRY_CAP`] entries; over either, the least recently
+/// used entry goes first.
+#[derive(Default)]
+struct ResultCache {
+    /// Each reply with the tick of its last use.
+    entries: HashMap<(JobKind, Workload), (CachedReply, u64)>,
+    cap_bytes: usize,
+    bytes: usize,
+    /// The LRU clock: bumped by every hit and insert, so no two entries
+    /// share a tick.
+    tick: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl ResultCache {
+    fn new(cap_bytes: usize) -> ResultCache {
+        ResultCache {
+            cap_bytes,
+            ..ResultCache::default()
+        }
+    }
+
+    /// The reply cached under `key`, touched as most recently used.
+    /// Counts one hit or one miss. The clone copies a pointer to the
+    /// result.
+    fn get(&mut self, key: &(JobKind, Workload)) -> Option<CachedReply> {
+        match self.entries.get_mut(key) {
+            Some((reply, last_used)) => {
+                self.tick += 1;
+                self.hits += 1;
+                *last_used = self.tick;
+                Some(reply.clone())
+            }
+            None => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
+
+    /// Caches `reply` under `key`, then evicts least recently used
+    /// entries until the budgets hold again, the new entry too if it
+    /// alone exceeds the byte budget. A key already cached keeps its
+    /// entry: the first result for a job is the one later submissions
+    /// must replay byte for byte.
+    fn insert(&mut self, key: (JobKind, Workload), reply: CachedReply) {
+        if self.entries.contains_key(&key) {
+            return;
+        }
+        self.tick += 1;
+        self.bytes += reply.charge();
+        self.entries.insert(key, (reply, self.tick));
+        // `bytes` counts only cached entries, so the loop ends by the
+        // time the map is empty.
+        while self.bytes > self.cap_bytes || self.entries.len() > RESULT_ENTRY_CAP {
+            // Ticks are unique, so the victim does not depend on the
+            // map's iteration order.
+            let victim = self
+                .entries
+                .iter()
+                .min_by_key(|(_, (_, last_used))| *last_used)
+                .map(|(key, _)| key.clone())
+                .expect("a cache over budget holds an entry");
+            let (reply, _) = self.entries.remove(&victim).expect("the victim is cached");
+            self.bytes -= reply.charge();
+            self.evictions += 1;
         }
     }
 }
@@ -101,9 +199,9 @@ pub struct Daemon {
     queue: BoundedQueue<QueuedJob>,
     cancels: CancelRegistry,
     metrics: Metrics,
-    /// Completed results by result group. Only the executor touches it;
-    /// the lock lets `stats` requests read its counters.
-    results: Mutex<SnapshotCache<CachedReply>>,
+    /// Completed results by job. Only the executor touches it; the lock
+    /// lets `stats` requests read its counters.
+    results: Mutex<ResultCache>,
     next_ordinal: AtomicU64,
     shutting_down: AtomicBool,
 }
@@ -115,7 +213,7 @@ impl Daemon {
             queue: BoundedQueue::new(opts.queue_cap),
             cancels: CancelRegistry::new(),
             metrics: Metrics::new(),
-            results: Mutex::new(SnapshotCache::new(opts.result_cap)),
+            results: Mutex::new(ResultCache::new(opts.result_cap)),
             next_ordinal: AtomicU64::new(1),
             shutting_down: AtomicBool::new(false),
         }
@@ -141,7 +239,7 @@ impl Daemon {
     /// [`SnapshotStats`]; the other axes read 0 (checks share no
     /// checkpoints across jobs).
     pub fn cache_stats(&self) -> SnapshotStats {
-        let results = self.results().stats();
+        let results = self.results();
         SnapshotStats {
             shared_hits: results.hits,
             shared_misses: results.misses,
@@ -263,8 +361,7 @@ impl Daemon {
 
     fn process(&self, job: QueuedJob) {
         self.metrics.dequeued();
-        let config = job_config(&job.spec, None);
-        let result_group = job.spec.result_group(&config);
+        let key = job.spec.result_key();
 
         // Cancellation beats the cache: a cancelled duplicate must not
         // come back as a cached success. Every artifact is rendered
@@ -276,7 +373,7 @@ impl Daemon {
                 Some("cancelled before execution".to_string()),
                 false,
             )
-        } else if let Some(hit) = self.cached(result_group) {
+        } else if let Some(hit) = self.cached(&key) {
             (
                 hit.status,
                 Some(hit.result.render(job.spec.format)),
@@ -284,7 +381,7 @@ impl Daemon {
                 true,
             )
         } else {
-            let outcome = execute(&job.spec, &config, &job.cancel);
+            let outcome = execute(&job.spec, &job_config(&job.spec, None), &job.cancel);
             if outcome.retried {
                 self.metrics.retried();
             }
@@ -294,7 +391,7 @@ impl Daemon {
                 (outcome.status, result, artifact.as_ref())
             {
                 self.results().insert(
-                    result_group,
+                    key,
                     CachedReply {
                         status: outcome.status,
                         result,
@@ -316,14 +413,13 @@ impl Daemon {
         self.cancels.deregister(&job.id);
     }
 
-    /// The cached reply of `result_group`, if any. The clone copies a
-    /// pointer to the result, and the lock is released before the reply
-    /// is rendered or a miss runs the job.
-    fn cached(&self, result_group: u64) -> Option<CachedReply> {
-        self.results().get(result_group).cloned()
+    /// The cached reply for `key`, if any. The lock is released before
+    /// the reply is rendered or a miss runs the job.
+    fn cached(&self, key: &(JobKind, Workload)) -> Option<CachedReply> {
+        self.results().get(key)
     }
 
-    fn results(&self) -> MutexGuard<'_, SnapshotCache<CachedReply>> {
+    fn results(&self) -> MutexGuard<'_, ResultCache> {
         self.results
             .lock()
             .expect("only a lookup or an insert runs under the result-cache lock")
@@ -551,6 +647,95 @@ mod tests {
         assert_eq!(field(&replies[1], "id").as_str(), Some("second"));
         assert_eq!(field(&replies[1], "status").as_str(), Some("failed"));
         assert_eq!(field(&replies[2], "id").as_str(), Some("stats"));
+    }
+
+    /// A distinct cache key per `n`.
+    fn key(n: u64) -> (JobKind, Workload) {
+        (
+            JobKind::Fuzz,
+            Workload::Campaign {
+                seeds: n,
+                seed_start: 0,
+                ops_max: 10,
+                differential: false,
+            },
+        )
+    }
+
+    /// A reply whose artifact is `bytes` long.
+    fn reply(bytes: usize) -> CachedReply {
+        CachedReply {
+            status: JobStatus::Ok,
+            result: Arc::new(JobResult::Json(String::new())),
+            bytes,
+        }
+    }
+
+    /// What a reply with a `bytes`-long artifact costs the budget.
+    fn charge(bytes: usize) -> usize {
+        reply(bytes).charge()
+    }
+
+    #[test]
+    fn byte_budget_evicts_least_recently_used() {
+        let mut c = ResultCache::new(2 * charge(10) + 5);
+        c.insert(key(1), reply(10));
+        c.insert(key(2), reply(10));
+        assert!(c.get(&key(1)).is_some(), "touch 1");
+        c.insert(key(3), reply(10)); // over budget: evict the LRU, 2
+        assert!(!c.entries.contains_key(&key(2)));
+        assert!(c.entries.contains_key(&key(1)) && c.entries.contains_key(&key(3)));
+        assert_eq!(c.evictions, 1);
+        assert_eq!(c.bytes, 2 * charge(10));
+    }
+
+    #[test]
+    fn one_insert_evicts_several_entries() {
+        let mut c = ResultCache::new(2 * charge(10) + 5);
+        c.insert(key(1), reply(10));
+        c.insert(key(2), reply(10));
+        c.insert(key(3), reply(10)); // over budget: evict 1
+        assert!(!c.entries.contains_key(&key(1)));
+        c.insert(key(4), reply(20)); // evict 2, then 3
+        assert_eq!(c.entries.len(), 1);
+        assert!(c.entries.contains_key(&key(4)));
+        assert_eq!(c.evictions, 3);
+    }
+
+    #[test]
+    fn oversized_result_is_evicted_immediately() {
+        let mut c = ResultCache::new(charge(5));
+        c.insert(key(1), reply(100));
+        assert!(c.entries.is_empty());
+        assert_eq!((c.bytes, c.evictions), (0, 1));
+        // The cache stays usable: a miss only re-runs the job.
+        assert!(c.get(&key(1)).is_none());
+        assert_eq!(c.misses, 1);
+    }
+
+    #[test]
+    fn entry_cap_is_enforced() {
+        let mut c = ResultCache::new(usize::MAX);
+        for n in 0..=RESULT_ENTRY_CAP as u64 {
+            c.insert(key(n), reply(1));
+        }
+        assert_eq!(c.entries.len(), RESULT_ENTRY_CAP);
+        assert!(!c.entries.contains_key(&key(0)), "oldest entry evicted");
+        assert_eq!(c.evictions, 1);
+    }
+
+    #[test]
+    fn the_first_result_for_a_key_is_kept() {
+        let mut c = ResultCache::new(usize::MAX);
+        c.insert(key(1), reply(10));
+        let mut second = reply(99);
+        second.status = JobStatus::Violation;
+        c.insert(key(1), second);
+        assert_eq!(c.entries.len(), 1);
+        assert_eq!(c.bytes, charge(10), "second insert is a no-op");
+        let kept = c.get(&key(1)).expect("cached");
+        assert_eq!((kept.status, kept.bytes), (JobStatus::Ok, 10));
+        assert_eq!((c.hits, c.misses), (1, 0));
     }
 
     #[test]

@@ -23,7 +23,6 @@ use jaaru_bench::registry::{find_fixed, lockfree_bug_cases, pmdk_bug_cases, reci
 use jaaru_fuzz::{run_campaign, Oracle};
 use jaaru_litmus::corpus::run_corpus_report;
 use jaaru_litmus::sweep::{run_sweep, SweepBound};
-use jaaru_snapshot::SnapshotPayload;
 
 use crate::job::{ArtifactFormat, JobKind, JobSpec, Suite, Workload};
 use crate::metrics::JobStatus;
@@ -102,29 +101,9 @@ impl JobOutcome {
     }
 }
 
-/// A result-cache payload: the terminal status and the shared result of
-/// a completed job, which every reply renders in its own format. Only
-/// `ok`/`violation` results are cached — failures, cancellations, and
-/// deadline kills always re-run (fail closed, never fail cached).
-#[derive(Clone, Debug)]
-pub struct CachedReply {
-    pub status: JobStatus,
-    pub result: Arc<JobResult>,
-    /// The byte charge against the cache budget, fixed at insert: the
-    /// length of the inserting reply's artifact.
-    pub bytes: usize,
-}
-
-impl SnapshotPayload for CachedReply {
-    fn approx_bytes(&self) -> usize {
-        self.bytes + std::mem::size_of::<CachedReply>()
-    }
-}
-
 /// The checker configuration of a `kind` job on `jobs` workers. Both
 /// front ends build their check, bug, lint, repair and perf runs with
-/// it, so result groups and artifacts line up between `jaaru_cli` and
-/// the daemon.
+/// it, so artifacts line up between `jaaru_cli` and the daemon.
 ///
 /// A lint runs every pass. A repair runs only the error-severity
 /// passes: it must converge on the crash-consistency fix, not chase
@@ -145,7 +124,9 @@ pub fn one_shot_config(kind: JobKind, jobs: usize) -> Config {
 }
 
 /// The checker configuration for a job: [`one_shot_config`] for its
-/// kind and worker count.
+/// kind and worker count. Every daemon config is built here, and the
+/// worker count changes no result, so a job's kind stands for its
+/// configuration in [`JobSpec::result_key`].
 ///
 /// The second argument is retired and ignored: it was the snapshot
 /// cache's byte budget, and checkpoints are no longer cached. It stays
@@ -513,12 +494,11 @@ mod tests {
     fn repair_config_drops_flush_redundancy_but_keeps_lints() {
         let repair = spec(r#"{"kind":"repair","benchmark":"p-clht"}"#);
         let lint = spec(r#"{"kind":"lint","benchmark":"p-clht"}"#);
-        let config = job_config(&repair, None);
-        assert_eq!(config.lints_value(), Lints::Errors);
+        assert_eq!(job_config(&repair, None).lints_value(), Lints::Errors);
         assert_eq!(job_config(&lint, None).lints_value(), Lints::All);
         assert_ne!(
-            config.fingerprint(),
-            job_config(&lint, None).fingerprint(),
+            repair.result_key(),
+            lint.result_key(),
             "repair verifies under its own semantic config"
         );
     }
@@ -527,9 +507,11 @@ mod tests {
     fn lint_config_matches_cli_lint_knobs() {
         let lint = spec(r#"{"kind":"lint","benchmark":"p-clht"}"#);
         let check = spec(r#"{"kind":"check","benchmark":"p-clht"}"#);
+        assert_eq!(job_config(&check, None).lints_value(), Lints::Off);
+        assert_eq!(job_config(&lint, None).lints_value(), Lints::All);
         assert_ne!(
-            job_config(&lint, None).fingerprint(),
-            job_config(&check, None).fingerprint(),
+            lint.result_key(),
+            check.result_key(),
             "lint passes are semantic"
         );
     }

@@ -18,7 +18,6 @@
 //! {"kind": "shutdown"}
 //! ```
 
-use jaaru::Config;
 use jaaru_litmus::sweep::SweepBound;
 
 use crate::json::Value;
@@ -38,7 +37,7 @@ pub(crate) const MAX_KEYS: usize = 1024;
 pub(crate) const MAX_OPS: usize = 4096;
 
 /// What kind of work a job runs; mirrors the one-shot subcommands.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum JobKind {
     /// Exhaustively check a fixed benchmark by name.
     Check,
@@ -70,7 +69,7 @@ impl JobKind {
 }
 
 /// Which bug table a `bug`/`lint` row job indexes into.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Suite {
     Recipe,
     Pmdk,
@@ -88,7 +87,7 @@ impl Suite {
 }
 
 /// The program a job runs, by registry identity.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// A fixed benchmark by (case-insensitive) name.
     Fixed { benchmark: String, keys: usize },
@@ -169,29 +168,71 @@ impl Request {
     /// Parses one request from an already-parsed JSON line. `default_jobs`
     /// fills the per-job worker count when the spec has no `jobs` field.
     pub fn from_value(value: &Value, default_jobs: usize) -> Result<Request, SpecError> {
-        let kind = value
-            .get("kind")
-            .and_then(Value::as_str)
+        let fields = Fields(value);
+        let kind = fields
+            .str("kind")?
             .ok_or_else(|| SpecError("missing \"kind\"".into()))?;
         match kind {
             "stats" => Ok(Request::Stats),
             "shutdown" => Ok(Request::Shutdown),
             "cancel" => {
-                let id = value
-                    .get("id")
-                    .and_then(Value::as_str)
+                let id = fields
+                    .str("id")?
                     .ok_or_else(|| SpecError("cancel requires \"id\"".into()))?;
                 Ok(Request::Cancel { id: id.to_string() })
             }
             "check" | "bug" | "lint" | "repair" | "fuzz" | "litmus" => {
-                Ok(Request::Job(parse_job(kind, value, default_jobs)?))
+                Ok(Request::Job(parse_job(kind, &fields, default_jobs)?))
             }
             other => Err(SpecError(format!("unknown kind {other:?}"))),
         }
     }
 }
 
-fn parse_job(kind: &str, value: &Value, default_jobs: usize) -> Result<JobSpec, SpecError> {
+/// A request object's fields, read one JSON type at a time. A missing or
+/// `null` field is absent; a field of any other type is refused with an
+/// error that names it, never read as absent.
+struct Fields<'v>(&'v Value);
+
+impl<'v> Fields<'v> {
+    fn typed<T>(
+        &self,
+        key: &str,
+        expected: &str,
+        read: impl FnOnce(&'v Value) -> Option<T>,
+    ) -> Result<Option<T>, SpecError> {
+        match self.0.get(key) {
+            None | Some(Value::Null) => Ok(None),
+            Some(v) => read(v)
+                .map(Some)
+                .ok_or_else(|| SpecError(format!("{key:?} must be {expected}"))),
+        }
+    }
+
+    fn str(&self, key: &str) -> Result<Option<&'v str>, SpecError> {
+        self.typed(key, "a string", Value::as_str)
+    }
+
+    fn u64(&self, key: &str) -> Result<Option<u64>, SpecError> {
+        self.typed(key, "a non-negative integer", Value::as_u64)
+    }
+
+    fn bool(&self, key: &str) -> Result<Option<bool>, SpecError> {
+        self.typed(key, "a boolean", Value::as_bool)
+    }
+
+    /// A count that sizes threads or allocations before a run starts:
+    /// refused above `max`, never clamped, since a clamped job would not
+    /// be the job that was asked for.
+    fn bounded(&self, key: &str, max: usize) -> Result<Option<usize>, SpecError> {
+        match self.u64(key)? {
+            Some(n) if n > max as u64 => Err(SpecError(format!("{key:?} must be at most {max}"))),
+            n => Ok(n.map(|n| n as usize)),
+        }
+    }
+}
+
+fn parse_job(kind: &str, fields: &Fields, default_jobs: usize) -> Result<JobSpec, SpecError> {
     let kind = match kind {
         "check" => JobKind::Check,
         "bug" => JobKind::Bug,
@@ -201,48 +242,27 @@ fn parse_job(kind: &str, value: &Value, default_jobs: usize) -> Result<JobSpec, 
         "litmus" => JobKind::Litmus,
         _ => unreachable!("caller matched kind"),
     };
-    let get_usize = |key: &str| -> Result<Option<usize>, SpecError> {
-        match value.get(key) {
-            None | Some(Value::Null) => Ok(None),
-            Some(v) => v
-                .as_u64()
-                .map(|n| Some(n as usize))
-                .ok_or_else(|| SpecError(format!("{key:?} must be a non-negative integer"))),
-        }
-    };
-    // Fields that size threads or allocations before a run starts are
-    // refused above their bound, never clamped: a clamped job would not
-    // be the job that was asked for.
-    let get_bounded = |key: &str, max: usize| -> Result<Option<usize>, SpecError> {
-        match get_usize(key)? {
-            Some(n) if n > max => Err(SpecError(format!("{key:?} must be at most {max}"))),
-            n => Ok(n),
-        }
-    };
-    let keys = get_bounded("keys", MAX_KEYS)?;
+    let keys = fields.bounded("keys", MAX_KEYS)?;
 
-    let benchmark = value.get("benchmark").and_then(Value::as_str);
-    let suite = match value.get("suite").and_then(Value::as_str) {
+    let benchmark = fields.str("benchmark")?;
+    let suite = match fields.str("suite")? {
         None => None,
         Some("recipe") => Some(Suite::Recipe),
         Some("pmdk") => Some(Suite::Pmdk),
         Some("lockfree") => Some(Suite::Lockfree),
         Some(other) => return Err(SpecError(format!("unknown suite {other:?}"))),
     };
-    let row = get_usize("row")?;
+    let row = fields.u64("row")?.map(|n| n as usize);
 
     let workload = match kind {
         JobKind::Fuzz => Workload::Campaign {
-            seeds: value.get("seeds").and_then(Value::as_u64).unwrap_or(20),
-            seed_start: value.get("seed_start").and_then(Value::as_u64).unwrap_or(0),
-            ops_max: get_bounded("ops_max", MAX_OPS)?.unwrap_or(10),
-            differential: value
-                .get("differential")
-                .and_then(Value::as_bool)
-                .unwrap_or(false),
+            seeds: fields.u64("seeds")?.unwrap_or(20),
+            seed_start: fields.u64("seed_start")?.unwrap_or(0),
+            ops_max: fields.bounded("ops_max", MAX_OPS)?.unwrap_or(10),
+            differential: fields.bool("differential")?.unwrap_or(false),
         },
         JobKind::Litmus => {
-            let sweep = match value.get("mode").and_then(Value::as_str) {
+            let sweep = match fields.str("mode")? {
                 None | Some("corpus") => false,
                 Some("sweep") => true,
                 Some(other) => return Err(SpecError(format!("unknown litmus mode {other:?}"))),
@@ -253,11 +273,14 @@ fn parse_job(kind: &str, value: &Value, default_jobs: usize) -> Result<JobSpec, 
             let max = SweepBound::default();
             Workload::Litmus {
                 sweep,
-                max_threads: get_bounded("max_threads", max.max_threads)?
+                max_threads: fields
+                    .bounded("max_threads", max.max_threads)?
                     .unwrap_or(max.max_threads),
-                max_ops_per_thread: get_bounded("max_ops_per_thread", max.max_ops_per_thread)?
+                max_ops_per_thread: fields
+                    .bounded("max_ops_per_thread", max.max_ops_per_thread)?
                     .unwrap_or(max.max_ops_per_thread),
-                max_total_ops: get_bounded("max_total_ops", max.max_total_ops)?
+                max_total_ops: fields
+                    .bounded("max_total_ops", max.max_total_ops)?
                     .unwrap_or(max.max_total_ops),
             }
         }
@@ -304,84 +327,38 @@ fn parse_job(kind: &str, value: &Value, default_jobs: usize) -> Result<JobSpec, 
         },
     };
 
-    let format = match value.get("format").and_then(Value::as_str) {
+    let format = match fields.str("format")? {
         None | Some("json") | Some("json-canonical") => ArtifactFormat::JsonCanonical,
         Some("sarif") => ArtifactFormat::Sarif,
         Some(other) => return Err(SpecError(format!("unknown format {other:?}"))),
     };
 
     Ok(JobSpec {
-        id: value.get("id").and_then(Value::as_str).map(str::to_string),
+        id: fields.str("id")?.map(str::to_string),
         kind,
         workload,
         format,
-        jobs: get_bounded("jobs", MAX_JOBS)?.unwrap_or(default_jobs),
-        deadline_ms: value.get("deadline_ms").and_then(Value::as_u64),
+        jobs: fields.bounded("jobs", MAX_JOBS)?.unwrap_or(default_jobs),
+        deadline_ms: fields.u64("deadline_ms")?,
     })
 }
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 impl JobSpec {
-    /// A stable hash of the *program* this job runs: kind-normalized
-    /// workload identity, independent of format/jobs/deadline.
-    pub fn program_hash(&self) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        match &self.workload {
-            Workload::Fixed { benchmark, keys } => {
-                fnv1a(&mut hash, b"fixed:");
-                fnv1a(&mut hash, benchmark.to_ascii_lowercase().as_bytes());
-                fnv1a(&mut hash, &(*keys as u64).to_le_bytes());
-            }
-            Workload::Row { suite, row, keys } => {
-                fnv1a(&mut hash, b"row:");
-                fnv1a(&mut hash, suite.as_str().as_bytes());
-                fnv1a(&mut hash, &(*row as u64).to_le_bytes());
-                fnv1a(&mut hash, &(*keys as u64).to_le_bytes());
-            }
-            Workload::Campaign {
-                seeds,
-                seed_start,
-                ops_max,
-                differential,
-            } => {
-                fnv1a(&mut hash, b"fuzz:");
-                fnv1a(&mut hash, &seeds.to_le_bytes());
-                fnv1a(&mut hash, &seed_start.to_le_bytes());
-                fnv1a(&mut hash, &(*ops_max as u64).to_le_bytes());
-                fnv1a(&mut hash, &[*differential as u8]);
-            }
-            Workload::Litmus {
-                sweep,
-                max_threads,
-                max_ops_per_thread,
-                max_total_ops,
-            } => {
-                fnv1a(&mut hash, b"litmus:");
-                fnv1a(&mut hash, &[*sweep as u8]);
-                fnv1a(&mut hash, &(*max_threads as u64).to_le_bytes());
-                fnv1a(&mut hash, &(*max_ops_per_thread as u64).to_le_bytes());
-                fnv1a(&mut hash, &(*max_total_ops as u64).to_le_bytes());
-            }
+    /// The key this job's result lives under in the daemon's result
+    /// cache: its kind and its workload, with a fixed benchmark's name
+    /// lower-cased, the way the registry matches names. A lint and a
+    /// check of the same program produce different results. The kind
+    /// also stands for the checker configuration, which
+    /// [`job_config`](crate::exec::job_config) builds from the kind and
+    /// the worker count alone. Worker count, deadline, id and artifact
+    /// format are not part of the key: none of them changes the result,
+    /// and each reply renders it in its own format.
+    pub fn result_key(&self) -> (JobKind, Workload) {
+        let mut workload = self.workload.clone();
+        if let Workload::Fixed { benchmark, .. } = &mut workload {
+            benchmark.make_ascii_lowercase();
         }
-        hash
-    }
-
-    /// The key this job's *result* lives under in the daemon's result
-    /// cache: (program, semantic config, kind). A lint and a check of
-    /// the same program produce different results. The artifact format
-    /// is not part of the key: the cache holds the result, and each
-    /// reply renders it in its own format.
-    pub fn result_group(&self, config: &Config) -> u64 {
-        let mut hash = self.program_hash();
-        fnv1a(&mut hash, &config.fingerprint().to_le_bytes());
-        fnv1a(&mut hash, self.kind.as_str().as_bytes());
-        hash
+        (self.kind, workload)
     }
 }
 
@@ -472,9 +449,8 @@ mod tests {
 
         // A repair and a lint of the same row share no result: a repair
         // outcome is not a lint report.
-        let config = Config::new();
         let lint = job(r#"{"kind":"lint","suite":"recipe","row":3}"#);
-        assert_ne!(by_row.result_group(&config), lint.result_group(&config));
+        assert_ne!(by_row.result_key(), lint.result_key());
     }
 
     #[test]
@@ -502,31 +478,63 @@ mod tests {
 
     #[test]
     fn cache_keys_separate_programs_but_not_performance_knobs() {
-        let config = Config::new();
         let a = job(r#"{"kind":"check","benchmark":"P-CLHT"}"#);
-        let b = job(r#"{"kind":"check","benchmark":"p-clht","jobs":4,"deadline_ms":99}"#);
-        assert_eq!(a.program_hash(), b.program_hash(), "case and knobs ignored");
-        assert_eq!(a.result_group(&config), b.result_group(&config));
+        let b = job(r#"{"kind":"check","benchmark":"p-clht","jobs":4,"deadline_ms":99,"id":"b"}"#);
+        assert_eq!(a.result_key(), b.result_key(), "case and knobs ignored");
 
         let other = job(r#"{"kind":"check","benchmark":"CCEH"}"#);
-        assert_ne!(a.program_hash(), other.program_hash());
+        assert_ne!(a.result_key(), other.result_key());
 
         let more_keys = job(r#"{"kind":"check","benchmark":"P-CLHT","keys":9}"#);
-        assert_ne!(a.program_hash(), more_keys.program_hash());
+        assert_ne!(a.result_key(), more_keys.result_key());
+
+        let row = job(r#"{"kind":"bug","suite":"recipe","row":10}"#);
+        let other_row = job(r#"{"kind":"bug","suite":"recipe","row":11}"#);
+        assert_ne!(row.result_key(), other_row.result_key());
     }
 
     #[test]
-    fn result_group_separates_kind_but_not_format() {
-        let config = Config::new();
+    fn result_key_separates_kind_but_not_format() {
         let json = job(r#"{"kind":"bug","suite":"recipe","row":10}"#);
         let sarif = job(r#"{"kind":"bug","suite":"recipe","row":10,"format":"sarif"}"#);
-        assert_eq!(json.result_group(&config), sarif.result_group(&config));
+        assert_eq!(json.result_key(), sarif.result_key());
         let lint = job(r#"{"kind":"lint","suite":"recipe","row":10}"#);
-        assert_ne!(json.result_group(&config), lint.result_group(&config));
-        let mut other = Config::new();
-        other.max_failures(2);
-        assert_ne!(config.fingerprint(), other.fingerprint());
-        assert_ne!(json.result_group(&config), json.result_group(&other));
+        assert_ne!(json.result_key(), lint.result_key());
+    }
+
+    #[test]
+    fn a_field_of_the_wrong_type_is_refused_not_read_as_absent() {
+        for (line, key) in [
+            (
+                r#"{"kind":"check","benchmark":"CCEH","deadline_ms":"1"}"#,
+                "deadline_ms",
+            ),
+            (
+                r#"{"kind":"check","benchmark":"CCEH","format":7}"#,
+                "format",
+            ),
+            (r#"{"kind":"check","benchmark":"CCEH","id":5}"#, "id"),
+            (r#"{"kind":"check","benchmark":7}"#, "benchmark"),
+            (r#"{"kind":"bug","suite":["recipe"],"row":1}"#, "suite"),
+            (r#"{"kind":"bug","suite":"recipe","row":"1"}"#, "row"),
+            (r#"{"kind":"litmus","mode":1}"#, "mode"),
+            (r#"{"kind":"fuzz","seeds":"3"}"#, "seeds"),
+            (r#"{"kind":"fuzz","seed_start":-1}"#, "seed_start"),
+            (r#"{"kind":"fuzz","differential":"true"}"#, "differential"),
+            (r#"{"kind":"cancel","id":5}"#, "id"),
+            (r#"{"kind":5}"#, "kind"),
+        ] {
+            let error = req(line).expect_err(line);
+            assert!(error.0.contains(&format!("{key:?}")), "{line}: {error}");
+        }
+
+        // `null` still reads as absent.
+        let spec = job(
+            r#"{"kind":"check","benchmark":"CCEH","deadline_ms":null,"format":null,"id":null}"#,
+        );
+        assert_eq!(spec.deadline_ms, None);
+        assert_eq!(spec.format, ArtifactFormat::JsonCanonical);
+        assert_eq!(spec.id, None);
     }
 
     #[test]
@@ -634,8 +642,8 @@ mod tests {
             }
         ));
         assert_ne!(
-            corpus.program_hash(),
-            sweep.program_hash(),
+            corpus.result_key(),
+            sweep.result_key(),
             "mode and bound are workload identity"
         );
         assert!(req(r#"{"kind":"litmus","mode":"nope"}"#).is_err());

@@ -18,11 +18,12 @@
 //!   transient failures, and cooperative deadline/cancellation stops at
 //!   scenario boundaries.
 //! - **Cross-job result cache**: the result of each completed
-//!   `ok`/`violation` job ([`JobResult`]) is kept under its program,
-//!   semantic configuration and kind, without the artifact format. A
-//!   duplicate submission, or a resubmission in the other format, is
-//!   answered by rendering the cached result in its own format, byte
-//!   for byte what a fresh run would reply. Checks share nothing else:
+//!   `ok`/`violation` job ([`JobResult`]) is kept under the job itself,
+//!   its kind and workload ([`JobSpec::result_key`]), without the
+//!   worker count, deadline, id or artifact format. A duplicate
+//!   submission, or a resubmission in the other format, is answered by
+//!   rendering the cached result in its own format, byte for byte what
+//!   a fresh run would reply. Checks share nothing else:
 //!   each one's crash-point checkpoints live and die with its own
 //!   exploration.
 //! - **Service metrics** ([`metrics`]): queue depth, per-status
@@ -44,8 +45,7 @@ pub mod queue;
 
 pub use daemon::{run_batch, serve, Daemon, LineAction, ServeOptions};
 pub use exec::{
-    execute, job_config, one_shot_config, run_program, CachedReply, JobOutcome, JobResult,
-    PANIC_WORKLOAD,
+    execute, job_config, one_shot_config, run_program, JobOutcome, JobResult, PANIC_WORKLOAD,
 };
 pub use job::{ArtifactFormat, JobKind, JobSpec, Request, Suite, Workload};
 pub use metrics::{JobStatus, Metrics};

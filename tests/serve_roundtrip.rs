@@ -131,6 +131,46 @@ fn different_configs_do_not_share_results() {
 }
 
 #[test]
+fn a_resubmission_that_changes_only_performance_settings_is_a_cache_hit() {
+    let d = new_daemon();
+    let input = [
+        r#"{"kind":"check","benchmark":"CCEH","keys":2}"#,
+        r#"{"kind":"check","benchmark":"cceh","keys":2,"jobs":2,"deadline_ms":600000,"id":"copy"}"#,
+        r#"{"kind":"check","benchmark":"CCEH","keys":3}"#,
+        BUG_ROW,
+        r#"{"kind":"bug","suite":"recipe","row":11}"#,
+    ]
+    .join("\n");
+    let (_, replies) = batch(&d, &input);
+    let cached: Vec<Option<bool>> = replies
+        .iter()
+        .map(|reply| field(reply, "cached").as_bool())
+        .collect();
+    assert_eq!(
+        cached,
+        [
+            Some(false),
+            Some(true),
+            Some(false),
+            Some(false),
+            Some(false)
+        ],
+        "only the copy that differs in worker count, deadline, id and \
+         letter case is served from the cache"
+    );
+    assert_eq!(status(&replies[0]), "ok");
+    assert_eq!(field(&replies[1], "id").as_str(), Some("copy"));
+    assert_eq!(status(&replies[1]), "ok");
+    assert_eq!(
+        artifact(&replies[1]),
+        artifact(&replies[0]),
+        "cached bytes identical"
+    );
+    let stats = d.cache_stats();
+    assert_eq!((stats.shared_hits, stats.shared_misses), (1, 4));
+}
+
+#[test]
 fn other_format_resubmission_renders_the_cached_result() {
     let json_line = r#"{"kind":"lint","suite":"recipe","row":10}"#;
     let sarif_line = r#"{"kind":"lint","suite":"recipe","row":10,"format":"sarif"}"#;
