@@ -14,6 +14,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use jaaru_pmem::PmAddr;
+use jaaru_tso::SourceLoc;
 
 use crate::repair::FixEdit;
 
@@ -172,11 +173,11 @@ impl fmt::Display for Severity {
 pub struct Diagnostic {
     /// Finding class.
     pub kind: DiagnosticKind,
-    /// The source site (`file:line:column`) the finding anchors to —
-    /// the unordered store for `MissingFlush`, the unfenced flush for
+    /// The source site the finding anchors to — the unordered store for
+    /// `MissingFlush`, the unfenced flush for
     /// `MissingFence`/`FlushNotFenced`, the wasted op for the redundant
     /// kinds.
-    pub site: String,
+    pub site: SourceLoc,
     /// A concrete, actionable fix, rendered for humans ("insert
     /// clflush + sfence after the store at …, before the commit store
     /// at …").
@@ -232,7 +233,7 @@ impl fmt::Display for Diagnostic {
 #[derive(Clone, Debug, Default)]
 pub struct DiagnosticSet {
     items: Vec<Diagnostic>,
-    index: HashMap<(DiagnosticKind, String), usize>,
+    index: HashMap<(DiagnosticKind, SourceLoc), usize>,
 }
 
 impl DiagnosticSet {
@@ -246,7 +247,7 @@ impl DiagnosticSet {
     /// the richer typed edit: an edit-carrying duplicate upgrades an
     /// entry recorded without one.
     pub fn insert(&mut self, d: Diagnostic) {
-        match self.index.get(&(d.kind, d.site.clone())) {
+        match self.index.get(&(d.kind, d.site)) {
             Some(&i) => {
                 self.items[i].occurrences += d.occurrences;
                 if self.items[i].suggestion.is_none() {
@@ -254,8 +255,7 @@ impl DiagnosticSet {
                 }
             }
             None => {
-                self.index
-                    .insert((d.kind, d.site.clone()), self.items.len());
+                self.index.insert((d.kind, d.site), self.items.len());
                 self.items.push(d);
             }
         }
@@ -292,11 +292,12 @@ impl DiagnosticSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::Location;
 
-    fn diag(kind: DiagnosticKind, site: &str) -> Diagnostic {
+    fn diag(kind: DiagnosticKind, site: SourceLoc) -> Diagnostic {
         Diagnostic {
             kind,
-            site: site.into(),
+            site,
             message: "do the thing".into(),
             suggestion: None,
             addr: None,
@@ -317,8 +318,8 @@ mod tests {
             DiagnosticKind::FlushBeforeStore.severity(),
             Severity::Warning
         );
-        assert!(diag(DiagnosticKind::MissingFlush, "a.rs:1:1").is_error());
-        assert!(!diag(DiagnosticKind::RedundantFlush, "a.rs:1:1").is_error());
+        assert!(diag(DiagnosticKind::MissingFlush, Location::caller()).is_error());
+        assert!(!diag(DiagnosticKind::RedundantFlush, Location::caller()).is_error());
     }
 
     #[test]
@@ -346,21 +347,22 @@ mod tests {
 
     #[test]
     fn set_dedups_by_kind_and_site() {
+        let (a, b) = (Location::caller(), Location::caller());
         let mut set = DiagnosticSet::new();
-        set.insert(diag(DiagnosticKind::MissingFlush, "a.rs:1:1"));
-        set.insert(diag(DiagnosticKind::MissingFlush, "b.rs:2:2"));
-        set.insert(diag(DiagnosticKind::MissingFlush, "a.rs:1:1"));
-        set.insert(diag(DiagnosticKind::RedundantFlush, "a.rs:1:1"));
+        set.insert(diag(DiagnosticKind::MissingFlush, a));
+        set.insert(diag(DiagnosticKind::MissingFlush, b));
+        set.insert(diag(DiagnosticKind::MissingFlush, a));
+        set.insert(diag(DiagnosticKind::RedundantFlush, a));
         assert_eq!(set.len(), 3);
         assert_eq!(set.items()[0].occurrences, 2);
-        assert_eq!(set.items()[0].site, "a.rs:1:1");
-        assert_eq!(set.items()[1].site, "b.rs:2:2");
+        assert_eq!(set.items()[0].site, a);
+        assert_eq!(set.items()[1].site, b);
     }
 
     #[test]
     fn occurrence_counts_add() {
         let mut set = DiagnosticSet::new();
-        let mut d = diag(DiagnosticKind::RedundantFence, "x.rs:9:9");
+        let mut d = diag(DiagnosticKind::RedundantFence, Location::caller());
         d.occurrences = 3;
         set.insert(d.clone());
         d.occurrences = 4;
@@ -370,10 +372,12 @@ mod tests {
 
     #[test]
     fn display_mentions_severity_kind_and_site() {
-        let d = diag(DiagnosticKind::FlushNotFenced, "tree.rs:7:3");
+        let site = Location::caller();
+        let d = diag(DiagnosticKind::FlushNotFenced, site);
         let s = d.to_string();
         assert!(s.contains("error[flush-not-fenced]"), "{s}");
-        assert!(s.contains("tree.rs:7:3"), "{s}");
+        assert!(s.contains(&format!(" at {site}: ")), "{s}");
+        assert!(s.contains("diagnostic.rs:"), "{s}");
         assert!(s.contains("1 occurrence(s)"), "{s}");
     }
 }

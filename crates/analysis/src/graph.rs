@@ -20,9 +20,9 @@
 //!   relation is deliberately conservative: an op on another thread is
 //!   unordered unless an RMW chain connects them.
 //!
-//! Sites are interned once per trace: each distinct source location is
-//! rendered to its `file:line:column` string exactly once, and passes
-//! borrow it — the lint dedup path no longer allocates per op.
+//! A site is the op's own [`SourceLoc`]: passes copy that reference into
+//! the diagnostics they emit, and nothing is rendered to text until a
+//! report is written.
 
 use std::collections::HashMap;
 
@@ -30,42 +30,6 @@ use jaaru_pmem::PmAddr;
 use jaaru_tso::{OpTrace, SourceLoc, TraceOp, TraceOpKind};
 
 use crate::vclock::VClock;
-
-/// Interned `file:line:column` renderings, one per distinct source
-/// location in a trace.
-#[derive(Debug, Default)]
-pub struct SiteTable {
-    rendered: Vec<String>,
-    index: HashMap<SourceLoc, u32>,
-}
-
-impl SiteTable {
-    fn intern(&mut self, loc: SourceLoc) -> u32 {
-        if let Some(&id) = self.index.get(&loc) {
-            return id;
-        }
-        let id = self.rendered.len() as u32;
-        self.rendered
-            .push(format!("{}:{}:{}", loc.file(), loc.line(), loc.column()));
-        self.index.insert(loc, id);
-        id
-    }
-
-    /// The rendered site for an interned id.
-    pub fn get(&self, id: u32) -> &str {
-        &self.rendered[id as usize]
-    }
-
-    /// Number of distinct sites seen.
-    pub fn len(&self) -> usize {
-        self.rendered.len()
-    }
-
-    /// Whether no site was interned.
-    pub fn is_empty(&self) -> bool {
-        self.rendered.is_empty()
-    }
-}
 
 /// The first flush instruction that covered a store's cache line.
 #[derive(Clone, Copy, Debug)]
@@ -122,9 +86,6 @@ impl StoreNode {
 #[derive(Debug)]
 pub struct PersistGraph<'a> {
     trace: &'a OpTrace,
-    site_table: SiteTable,
-    /// Per-op interned site id, parallel to `trace.ops()`.
-    op_sites: Vec<u32>,
     stores: Vec<StoreNode>,
     /// Per-op vector clock (the op's own event included).
     clocks: Vec<VClock>,
@@ -137,8 +98,6 @@ impl<'a> PersistGraph<'a> {
     /// graph.
     pub fn build(trace: &'a OpTrace) -> Self {
         let ops = trace.ops();
-        let mut site_table = SiteTable::default();
-        let mut op_sites = Vec::with_capacity(ops.len());
         let mut stores: Vec<StoreNode> = Vec::new();
         let mut clocks: Vec<VClock> = Vec::with_capacity(ops.len());
         let mut ticks: Vec<u32> = Vec::with_capacity(ops.len());
@@ -171,8 +130,6 @@ impl<'a> PersistGraph<'a> {
         };
 
         for (i, op) in ops.iter().enumerate() {
-            op_sites.push(site_table.intern(op.loc));
-
             // Happens-before bookkeeping first: acquire on RMW, then
             // the op's own tick, then release on RMW. A *failed* CAS
             // still acquires (the locked load observed the line) but
@@ -293,8 +250,6 @@ impl<'a> PersistGraph<'a> {
 
         PersistGraph {
             trace,
-            site_table,
-            op_sites,
             stores,
             clocks,
             ticks,
@@ -311,15 +266,9 @@ impl<'a> PersistGraph<'a> {
         &self.stores
     }
 
-    /// The interned `file:line:column` site of op `op_idx` (borrowed —
-    /// rendered once per distinct location).
-    pub fn site(&self, op_idx: usize) -> &str {
-        self.site_table.get(self.op_sites[op_idx])
-    }
-
-    /// The interned site table.
-    pub fn sites(&self) -> &SiteTable {
-        &self.site_table
+    /// The source site of op `op_idx`.
+    pub fn site(&self, op_idx: usize) -> SourceLoc {
+        self.trace.ops()[op_idx].loc
     }
 
     /// Whether op `a` happens-before op `b` under per-thread program
@@ -555,26 +504,6 @@ mod tests {
             g.happens_before(0, 3),
             "a failed CAS still acquires from a successful release"
         );
-    }
-
-    #[test]
-    fn sites_are_interned_once_per_location() {
-        let mut t = OpTrace::new();
-        let loc = Location::caller();
-        for _ in 0..5 {
-            t.record(
-                ThreadId(0),
-                loc,
-                TraceOpKind::Store {
-                    addr: PmAddr::new(128),
-                    len: 8,
-                },
-            );
-        }
-        let g = PersistGraph::build(&t);
-        assert_eq!(g.sites().len(), 1);
-        assert!(g.site(0).contains("graph.rs"));
-        assert_eq!(g.site(0), g.site(4));
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!    replay of the Figure 7/8 buffer rules lifts a recorded
 //!    [`OpTrace`](jaaru_tso::OpTrace) into per-store, per-line persist
 //!    facts (the flush that covered each line, and the flush, fence or
-//!    eager cross-thread drain at which it persisted), interned sites,
-//!    and vector-clock happens-before reachability ([`VClock`]). Every
-//!    pass below queries the graph instead of re-walking the trace.
+//!    eager cross-thread drain at which it persisted) and vector-clock
+//!    happens-before reachability ([`VClock`]). Every pass below
+//!    queries the graph instead of re-walking the trace.
 //! 2. **Commit-store inference + robustness checking**
 //!    ([`analyze_trace`], [`robustness_candidates`]): identifies the
 //!    flushed-and-fenced guard-store idiom (commit stores) and emits a
@@ -43,7 +43,7 @@
 //!    ([`to_sarif`]) for CI consumption.
 //! 7. **Typed repair edits** ([`FixEdit`], [`minimize_edits`]): every
 //!    error-class diagnostic carries a machine-applicable edit —
-//!    insert flush, insert fence, delete flush — at its interned site,
+//!    insert flush, insert fence, delete flush — at its source site,
 //!    and the delta-debugging reducer shrinks a candidate edit set to
 //!    a 1-minimal repair against any verification oracle. The repair
 //!    *driver* (apply edits, re-check, prove) lives in the checker
@@ -65,12 +65,12 @@ mod sarif;
 mod vclock;
 
 pub use diagnostic::{Diagnostic, DiagnosticKind, DiagnosticSet, Severity};
-pub use graph::{FlushRef, LinePersist, PersistGraph, SiteTable, StoreNode};
+pub use graph::{FlushRef, LinePersist, PersistGraph, StoreNode};
 pub use json::json_string;
 pub use localize::{localize, RfEvidence};
 pub use perf::{dead_flushes, flush_redundancy};
 pub use races::{cross_thread_races, recovery_read_lines, torn_candidates};
-pub use repair::{minimize_edits, parse_site, FixEdit};
+pub use repair::{minimize_edits, FixEdit};
 pub use robust::{analyze_trace, robustness_candidates, Candidate};
 pub use sarif::{to_sarif, to_sarif_with_verified};
 pub use vclock::VClock;

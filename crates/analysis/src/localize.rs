@@ -10,8 +10,11 @@
 //!
 //! Localization is the join of the two: a candidate is **confirmed**
 //! when the failing scenario contains a racy load whose read-from set
-//! includes the candidate's store (matched by execution index and
-//! store source site). The unordered store *caused* the nondeterminism
+//! includes the candidate's store, matched by execution index and by
+//! the store's source site. Both sides hold that site as the guest's
+//! `&'static Location` (the race report takes it from the store event,
+//! the candidate from the trace), so the join renders nothing. The
+//! unordered store *caused* the nondeterminism
 //! the failing read-from choice exploited, so the confirmed candidate's
 //! site is the root cause of the observed symptom — and its suggestion
 //! is the fix.
@@ -22,13 +25,15 @@
 
 use std::collections::HashSet;
 
+use jaaru_tso::SourceLoc;
+
 use crate::diagnostic::Diagnostic;
 use crate::robust::Candidate;
 
 /// Read-from evidence extracted from one scenario's racy loads: the
 /// execution index that performed a candidate store, and the store's
-/// source site (`file:line:column`).
-pub type RfEvidence = HashSet<(usize, String)>;
+/// source site, as the race report holds it.
+pub type RfEvidence = HashSet<(usize, SourceLoc)>;
 
 /// Filters per-execution candidates down to those corroborated by the
 /// scenario's read-from evidence, converting each confirmed candidate
@@ -37,7 +42,7 @@ pub type RfEvidence = HashSet<(usize, String)>;
 pub fn localize(candidates: Vec<(usize, Candidate)>, evidence: &RfEvidence) -> Vec<Diagnostic> {
     candidates
         .into_iter()
-        .filter(|(exec, c)| evidence.contains(&(*exec, c.store_loc.clone())))
+        .filter(|(exec, c)| evidence.contains(&(*exec, c.store_loc)))
         .map(|(_, c)| c.into_diagnostic())
         .collect()
 }
@@ -50,7 +55,7 @@ mod tests {
     use jaaru_tso::{OpTrace, ThreadId, TraceOpKind};
     use std::panic::Location;
 
-    fn buggy_trace() -> (OpTrace, String) {
+    fn buggy_trace() -> (OpTrace, SourceLoc) {
         let mut t = OpTrace::new();
         let store_loc = Location::caller();
         t.record(
@@ -78,13 +83,7 @@ mod tests {
             },
         );
         t.record(ThreadId(0), Location::caller(), TraceOpKind::Sfence);
-        let site = format!(
-            "{}:{}:{}",
-            store_loc.file(),
-            store_loc.line(),
-            store_loc.column()
-        );
-        (t, site)
+        (t, store_loc)
     }
 
     #[test]
@@ -96,7 +95,7 @@ mod tests {
             .collect();
         assert_eq!(cands.len(), 1);
         let mut evidence = RfEvidence::new();
-        evidence.insert((0, store_site.clone()));
+        evidence.insert((0, store_site));
         let confirmed = localize(cands, &evidence);
         assert_eq!(confirmed.len(), 1);
         assert_eq!(confirmed[0].site, store_site);
@@ -110,7 +109,7 @@ mod tests {
             .map(|c| (0usize, c))
             .collect();
         let mut evidence = RfEvidence::new();
-        evidence.insert((0, "elsewhere.rs:1:1".to_string()));
+        evidence.insert((0, Location::caller()));
         assert!(localize(cands, &evidence).is_empty());
     }
 

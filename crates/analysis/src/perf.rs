@@ -90,13 +90,13 @@ pub fn flush_redundancy(graph: &PersistGraph<'_>) -> Vec<Diagnostic> {
                     };
                     out.insert(Diagnostic {
                         kind,
-                        site: graph.site(i).to_string(),
+                        site: graph.site(i),
                         message,
                         // The line filter keeps the deletion from
                         // swallowing useful flushes issued through the
                         // same (interpreter-style) call site.
                         suggestion: Some(FixEdit::DeleteFlush {
-                            site: graph.site(i).to_string(),
+                            site: graph.site(i),
                             line: Some(first),
                         }),
                         addr: None,
@@ -112,7 +112,7 @@ pub fn flush_redundancy(graph: &PersistGraph<'_>) -> Vec<Diagnostic> {
                 if work_since_fence == 0 {
                     out.insert(Diagnostic {
                         kind: DiagnosticKind::RedundantFence,
-                        site: graph.site(i).to_string(),
+                        site: graph.site(i),
                         message: format!(
                             "the fence at {} has no stores or flushes to order \
                              since the previous ordering op; remove it",
@@ -166,14 +166,14 @@ pub fn dead_flushes(graph: &PersistGraph<'_>, footprint: &HashSet<u64>) -> Vec<D
         }
         out.insert(Diagnostic {
             kind: DiagnosticKind::DeadFlush,
-            site: graph.site(i).to_string(),
+            site: graph.site(i),
             message: format!(
                 "the flush at {} covers lines {first}..={last}, which no \
                  recovery execution ever reads; remove it",
                 graph.site(i)
             ),
             suggestion: Some(FixEdit::DeleteFlush {
-                site: graph.site(i).to_string(),
+                site: graph.site(i),
                 line: Some(first),
             }),
             addr: None,

@@ -58,7 +58,7 @@ pub fn cross_thread_races(graph: &PersistGraph<'_>) -> Vec<Diagnostic> {
             if flush_thread != store_thread && !graph.happens_before(s.op_idx, flush.op_idx) {
                 out.insert(Diagnostic {
                     kind: DiagnosticKind::CrossThreadRace,
-                    site: graph.site(s.op_idx).to_string(),
+                    site: graph.site(s.op_idx),
                     message: format!(
                         "the store at {} (thread {}) is flushed only by thread {} \
                          (at {}) with no synchronization ordering the flush after \
@@ -71,7 +71,7 @@ pub fn cross_thread_races(graph: &PersistGraph<'_>) -> Vec<Diagnostic> {
                         graph.site(flush.op_idx),
                     ),
                     suggestion: Some(FixEdit::InsertFlush {
-                        site: graph.site(s.op_idx).to_string(),
+                        site: graph.site(s.op_idx),
                         line: Some(fact.line),
                     }),
                     addr: Some(s.addr),
@@ -91,7 +91,7 @@ pub fn cross_thread_races(graph: &PersistGraph<'_>) -> Vec<Diagnostic> {
                 if let Some(fence) = wrong_fence {
                     out.insert(Diagnostic {
                         kind: DiagnosticKind::CrossThreadRace,
-                        site: graph.site(flush.op_idx).to_string(),
+                        site: graph.site(flush.op_idx),
                         message: format!(
                             "the clflushopt at {} parks line {} in thread {}'s \
                              flush buffer, but only thread {} fences afterwards \
@@ -105,7 +105,7 @@ pub fn cross_thread_races(graph: &PersistGraph<'_>) -> Vec<Diagnostic> {
                             flush_thread.0,
                         ),
                         suggestion: Some(FixEdit::InsertFence {
-                            site: graph.site(flush.op_idx).to_string(),
+                            site: graph.site(flush.op_idx),
                             line: Some(fact.line),
                         }),
                         addr: Some(s.addr),
@@ -142,10 +142,10 @@ pub fn torn_candidates(graph: &PersistGraph<'_>) -> Vec<Candidate> {
             })
             .collect::<Vec<_>>()
             .join(", ");
-        let site = graph.site(s.op_idx).to_string();
+        let site = graph.site(s.op_idx);
         out.push(Candidate {
             kind: DiagnosticKind::TornStore,
-            site: site.clone(),
+            site,
             suggestion: format!(
                 "the store at {site} straddles cache lines {}..={} and its halves \
                  persist independently ({halves}); a crash between the writebacks \
@@ -157,12 +157,11 @@ pub fn torn_candidates(graph: &PersistGraph<'_>) -> Vec<Candidate> {
             // single trace op, so both halves persist at the same
             // point — the mechanical fix for a tear.
             fix: Some(FixEdit::InsertFlush {
-                site: site.clone(),
+                site,
                 line: Some(s.first_line),
             }),
             store_loc: site,
             addr: s.addr,
-            commit_loc: String::new(),
             persists_eventually: s.persist_point.is_some(),
         });
     }

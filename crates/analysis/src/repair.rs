@@ -2,11 +2,13 @@
 //!
 //! Every error-class diagnostic the lint engine emits names a concrete
 //! persistency edit — insert a flush, insert a fence, delete a wasted
-//! flush — anchored at the interned source site the persist-order
-//! graph blamed. [`FixEdit`] is that edit as data: precise enough for
-//! the repair engine (`jaaru::repair`) to apply it to the recorded
-//! guest program and re-check, and for the SARIF exporter to render it
-//! as a machine-applicable `fix` object.
+//! flush — anchored at the source site the persist-order graph blamed:
+//! the guest's own `&'static Location`, as the trace recorded it.
+//! [`FixEdit`] is that edit as data: precise enough for the repair
+//! engine (`jaaru::repair`) to apply it to the recorded guest program
+//! and re-check, by comparing its site with each guest operation's
+//! `Location::caller()`, and for the SARIF exporter to render it as a
+//! machine-applicable `fix` object.
 //!
 //! Edits carry an optional cache-line filter. Interpreter-style guests
 //! (the fuzz generator, any table-driven workload) funnel every store
@@ -24,25 +26,27 @@
 
 use std::fmt;
 
-/// One machine-applicable persistency edit at an interned source site.
+use jaaru_tso::SourceLoc;
+
+/// One machine-applicable persistency edit at a source site.
 ///
-/// `site` is the `file:line:column` string the diagnostic anchors to;
-/// `line` is an optional cache-line index (pool offset / 64) narrowing
-/// the edit to operations that touch that line at that site.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// `site` is the source site the diagnostic anchors to; `line` is an
+/// optional cache-line index (pool offset / 64) narrowing the edit to
+/// operations that touch that line at that site.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FixEdit {
     /// Insert `clflush(addr, len); sfence()` immediately after the
     /// store at `site` — the repair for `MissingFlush`, `TornStore`
     /// (one flush covering both halves persists them at one point) and
     /// shape-1 `CrossThreadRace` (flush on the storing thread).
-    InsertFlush { site: String, line: Option<u64> },
+    InsertFlush { site: SourceLoc, line: Option<u64> },
     /// Insert `sfence()` immediately after the flush at `site` — the
     /// repair for `MissingFence`, `FlushNotFenced` and shape-2
     /// `CrossThreadRace` (fence on the flushing thread).
-    InsertFence { site: String, line: Option<u64> },
+    InsertFence { site: SourceLoc, line: Option<u64> },
     /// Delete the flush at `site` — the repair for `RedundantFlush`,
     /// `RedundantFlushOpt` and `FlushBeforeStore`.
-    DeleteFlush { site: String, line: Option<u64> },
+    DeleteFlush { site: SourceLoc, line: Option<u64> },
 }
 
 impl FixEdit {
@@ -55,9 +59,9 @@ impl FixEdit {
         }
     }
 
-    /// The `file:line:column` site the edit anchors to.
-    pub fn site(&self) -> &str {
-        match self {
+    /// The source site the edit anchors to.
+    pub fn site(&self) -> SourceLoc {
+        match *self {
             FixEdit::InsertFlush { site, .. }
             | FixEdit::InsertFence { site, .. }
             | FixEdit::DeleteFlush { site, .. } => site,
@@ -82,19 +86,10 @@ impl FixEdit {
     /// those lines one by one never converges; the site-wide edit
     /// covers them all at once.
     pub fn generalized(&self) -> FixEdit {
-        match self {
-            FixEdit::InsertFlush { site, .. } => FixEdit::InsertFlush {
-                site: site.clone(),
-                line: None,
-            },
-            FixEdit::InsertFence { site, .. } => FixEdit::InsertFence {
-                site: site.clone(),
-                line: None,
-            },
-            FixEdit::DeleteFlush { site, .. } => FixEdit::DeleteFlush {
-                site: site.clone(),
-                line: None,
-            },
+        match *self {
+            FixEdit::InsertFlush { site, .. } => FixEdit::InsertFlush { site, line: None },
+            FixEdit::InsertFence { site, .. } => FixEdit::InsertFence { site, line: None },
+            FixEdit::DeleteFlush { site, .. } => FixEdit::DeleteFlush { site, line: None },
         }
     }
 
@@ -135,14 +130,6 @@ impl fmt::Display for FixEdit {
     }
 }
 
-/// Splits a `file:line:column` site into its parts; `None` when the
-/// site is not in that shape.
-pub fn parse_site(site: &str) -> Option<(&str, u32, u32)> {
-    let (rest, column) = site.rsplit_once(':')?;
-    let (file, line) = rest.rsplit_once(':')?;
-    Some((file, line.parse().ok()?, column.parse().ok()?))
-}
-
 /// Delta-debugging reduction of an edit set against a verification
 /// oracle: greedily drops any edit whose removal still verifies, and
 /// repeats until no single removal does. The result is 1-minimal.
@@ -179,28 +166,33 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::Location;
 
-    fn insert_flush(site: &str, line: Option<u64>) -> FixEdit {
+    #[track_caller]
+    fn insert_flush(line: Option<u64>) -> FixEdit {
         FixEdit::InsertFlush {
-            site: site.into(),
+            site: Location::caller(),
             line,
         }
     }
 
     #[test]
     fn display_names_the_edit_and_site() {
-        let e = insert_flush("a.rs:1:2", Some(3));
+        let e = insert_flush(Some(3));
         let s = e.to_string();
         assert!(s.contains("clflush + sfence"), "{s}");
-        assert!(s.contains("a.rs:1:2"), "{s}");
-        assert!(s.contains("cache line 3"), "{s}");
+        assert!(
+            s.ends_with(&format!(" at {} (cache line 3)", e.site())),
+            "{s}"
+        );
+        assert!(s.contains("repair.rs:"), "{s}");
         let fence = FixEdit::InsertFence {
-            site: "b.rs:4:5".into(),
+            site: Location::caller(),
             line: None,
         };
         assert!(fence.to_string().contains("insert sfence after the flush"));
         let del = FixEdit::DeleteFlush {
-            site: "c.rs:6:7".into(),
+            site: Location::caller(),
             line: None,
         };
         assert!(del.to_string().contains("delete the flush"));
@@ -209,20 +201,10 @@ mod tests {
     }
 
     #[test]
-    fn parse_site_roundtrips() {
-        assert_eq!(parse_site("src/a.rs:10:5"), Some(("src/a.rs", 10, 5)));
-        assert_eq!(parse_site("weird"), None);
-    }
-
-    #[test]
     fn minimize_drops_every_unneeded_edit() {
-        let edits = vec![
-            insert_flush("a.rs:1:1", None),
-            insert_flush("b.rs:2:2", None),
-            insert_flush("c.rs:3:3", None),
-        ];
-        // Only the b.rs edit is load-bearing.
-        let needed = insert_flush("b.rs:2:2", None);
+        let edits = vec![insert_flush(None), insert_flush(None), insert_flush(None)];
+        // Only the second edit is load-bearing.
+        let needed = edits[1];
         let mut probes = 0;
         let minimal = minimize_edits(edits, |subset| {
             probes += 1;
@@ -234,23 +216,23 @@ mod tests {
 
     #[test]
     fn minimize_result_is_one_minimal_not_globally_minimal() {
-        let a = insert_flush("a.rs:1:1", None);
-        let b = insert_flush("b.rs:2:2", None);
+        let a = insert_flush(None);
+        let b = insert_flush(None);
         // The oracle accepts {a, b} and {} but rejects both singletons:
         // no single removal verifies, so the pair survives. 1-minimal
         // is the contract — removing any single edit breaks the check.
-        let minimal = minimize_edits(vec![a.clone(), b.clone()], |subset| subset.len() != 1);
+        let minimal = minimize_edits(vec![a, b], |subset| subset.len() != 1);
         assert_eq!(minimal, vec![a, b]);
     }
 
     #[test]
     fn minimize_resweeps_after_a_late_drop() {
-        let a = insert_flush("a.rs:1:1", None);
-        let b = insert_flush("b.rs:2:2", None);
+        let a = insert_flush(None);
+        let b = insert_flush(None);
         // Rejecting only {b} means sweep 1 keeps a (trial {b} fails),
         // then drops b (trial {a} passes) and ends; only the second
         // sweep can probe the now-reachable empty set.
-        let reject = vec![b.clone()];
+        let reject = vec![b];
         let minimal = minimize_edits(vec![a, b], |subset| subset != reject.as_slice());
         assert!(minimal.is_empty(), "{minimal:?}");
     }

@@ -22,7 +22,7 @@
 //! suggestion naming both the store and the commit store it races with.
 
 use jaaru_pmem::PmAddr;
-use jaaru_tso::OpTrace;
+use jaaru_tso::{OpTrace, SourceLoc};
 
 use crate::diagnostic::{Diagnostic, DiagnosticKind};
 use crate::graph::PersistGraph;
@@ -36,15 +36,12 @@ pub struct Candidate {
     pub kind: DiagnosticKind,
     /// Site the fix anchors to: the store for `MissingFlush`, the
     /// unfenced flush otherwise.
-    pub site: String,
-    /// Source site (`file:line:column`) of the unordered store — the
-    /// key the bug-localization pass correlates with read-from
-    /// evidence.
-    pub store_loc: String,
+    pub site: SourceLoc,
+    /// Source site of the unordered store — the key the
+    /// bug-localization pass correlates with read-from evidence.
+    pub store_loc: SourceLoc,
     /// First byte of the unordered store.
     pub addr: PmAddr,
-    /// Source site of the commit store the violation races with.
-    pub commit_loc: String,
     /// The concrete fix, rendered for humans.
     pub suggestion: String,
     /// The same fix as a machine-applicable edit.
@@ -107,14 +104,14 @@ pub fn robustness_candidates(graph: &PersistGraph<'_>) -> Vec<Candidate> {
             });
         let Some(&c) = violating else { continue };
         let commit = &stores[c];
-        let commit_loc = graph.site(commit.op_idx).to_string();
-        let store_loc = graph.site(s.op_idx).to_string();
+        let commit_loc = graph.site(commit.op_idx);
+        let store_loc = graph.site(s.op_idx);
         let store_line = Some(s.addr.cache_line().index());
         let candidate = match s.flush {
             Some(f) if f.op_idx < commit.op_idx && f.opt => match s.persist_point {
                 None => Candidate {
                     kind: DiagnosticKind::MissingFence,
-                    site: graph.site(f.op_idx).to_string(),
+                    site: graph.site(f.op_idx),
                     suggestion: format!(
                         "the clflushopt at {} is never fenced, so the store at \
                          {store_loc} may not persist; insert an sfence after the \
@@ -122,17 +119,16 @@ pub fn robustness_candidates(graph: &PersistGraph<'_>) -> Vec<Candidate> {
                         graph.site(f.op_idx)
                     ),
                     fix: Some(FixEdit::InsertFence {
-                        site: graph.site(f.op_idx).to_string(),
+                        site: graph.site(f.op_idx),
                         line: store_line,
                     }),
                     store_loc,
                     addr: s.addr,
-                    commit_loc,
                     persists_eventually: false,
                 },
                 Some(p) => Candidate {
                     kind: DiagnosticKind::FlushNotFenced,
-                    site: graph.site(f.op_idx).to_string(),
+                    site: graph.site(f.op_idx),
                     suggestion: format!(
                         "the clflushopt at {} takes effect only at {} — after the \
                          commit store at {commit_loc}; insert an sfence between the \
@@ -141,18 +137,17 @@ pub fn robustness_candidates(graph: &PersistGraph<'_>) -> Vec<Candidate> {
                         graph.site(p)
                     ),
                     fix: Some(FixEdit::InsertFence {
-                        site: graph.site(f.op_idx).to_string(),
+                        site: graph.site(f.op_idx),
                         line: store_line,
                     }),
                     store_loc,
                     addr: s.addr,
-                    commit_loc,
                     persists_eventually: true,
                 },
             },
             Some(f) if f.op_idx > commit.op_idx => Candidate {
                 kind: DiagnosticKind::MissingFlush,
-                site: store_loc.clone(),
+                site: store_loc,
                 suggestion: format!(
                     "the store at {store_loc} is flushed only at {} — after the \
                      commit store at {commit_loc}; move the flush (plus its fence) \
@@ -160,28 +155,26 @@ pub fn robustness_candidates(graph: &PersistGraph<'_>) -> Vec<Candidate> {
                     graph.site(f.op_idx)
                 ),
                 fix: Some(FixEdit::InsertFlush {
-                    site: store_loc.clone(),
+                    site: store_loc,
                     line: store_line,
                 }),
                 store_loc,
                 addr: s.addr,
-                commit_loc,
                 persists_eventually: true,
             },
             _ => Candidate {
                 kind: DiagnosticKind::MissingFlush,
-                site: store_loc.clone(),
+                site: store_loc,
                 suggestion: format!(
                     "insert clflush + sfence (or clflushopt + sfence) after the \
                      store at {store_loc}, before the commit store at {commit_loc}"
                 ),
                 fix: Some(FixEdit::InsertFlush {
-                    site: store_loc.clone(),
+                    site: store_loc,
                     line: store_line,
                 }),
                 store_loc,
                 addr: s.addr,
-                commit_loc,
                 persists_eventually: s.persist_point.is_some(),
             },
         };
@@ -263,7 +256,7 @@ mod tests {
         assert_eq!(cands[0].kind, DiagnosticKind::MissingFlush);
         assert_eq!(cands[0].addr, PmAddr::new(2 * LINE));
         assert!(cands[0].suggestion.contains("insert clflush + sfence"));
-        assert!(cands[0].site.contains("robust.rs"));
+        assert!(cands[0].site.file().ends_with("robust.rs"));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   in [`DiagnosticKind::ALL`] declaration order;
 //! * results appear in input order, which is [`DiagnosticSet`]
 //!   first-insertion order — deterministic across worker counts;
-//! * each result carries the source site parsed into a
+//! * each result carries its source site's file, line and column as a
 //!   `physicalLocation` and the fix suggestion as its message.
 //!
 //! [`DiagnosticSet`]: crate::DiagnosticSet
@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 
 use crate::diagnostic::{Diagnostic, DiagnosticKind, Severity};
 use crate::json::json_string;
-use crate::repair::{parse_site, FixEdit};
+use crate::repair::FixEdit;
 
 fn level(sev: Severity) -> &'static str {
     match sev {
@@ -41,11 +41,8 @@ pub fn to_sarif(diagnostics: &[Diagnostic], tool_version: &str) -> String {
 
 /// Emits one `fixes` array entry for a diagnostic's machine edit.
 fn push_fix(out: &mut String, fix: &FixEdit) {
-    let Some((file, line, column)) = parse_site(fix.site()) else {
-        // An unparsable site has no physical anchor to patch.
-        out.push_str("          \"fixes\": [],\n");
-        return;
-    };
+    let site = fix.site();
+    let (line, column) = (site.line(), site.column());
     out.push_str("          \"fixes\": [\n            {\n");
     let _ = writeln!(
         out,
@@ -56,7 +53,7 @@ fn push_fix(out: &mut String, fix: &FixEdit) {
     let _ = writeln!(
         out,
         "                  \"artifactLocation\": {{ \"uri\": {} }},",
-        json_string(file)
+        json_string(site.file())
     );
     out.push_str("                  \"replacements\": [\n                    {\n");
     match fix.inserted_text() {
@@ -152,26 +149,17 @@ pub fn to_sarif_with_verified(
         );
         out.push_str("          \"locations\": [\n            {\n");
         out.push_str("              \"physicalLocation\": {\n");
-        match parse_site(&d.site) {
-            Some((file, line, column)) => {
-                let _ = writeln!(
-                    out,
-                    "                \"artifactLocation\": {{ \"uri\": {} }},",
-                    json_string(file)
-                );
-                let _ = writeln!(
-                    out,
-                    "                \"region\": {{ \"startLine\": {line}, \"startColumn\": {column} }}"
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "                \"artifactLocation\": {{ \"uri\": {} }}",
-                    json_string(&d.site)
-                );
-            }
-        }
+        let _ = writeln!(
+            out,
+            "                \"artifactLocation\": {{ \"uri\": {} }},",
+            json_string(d.site.file())
+        );
+        let _ = writeln!(
+            out,
+            "                \"region\": {{ \"startLine\": {}, \"startColumn\": {} }}",
+            d.site.line(),
+            d.site.column()
+        );
         out.push_str("              }\n            }\n          ],\n");
         if let Some(fix) = &d.suggestion {
             push_fix(&mut out, fix);
@@ -216,11 +204,13 @@ pub fn to_sarif_with_verified(
 mod tests {
     use super::*;
     use jaaru_pmem::PmAddr;
+    use jaaru_tso::SourceLoc;
+    use std::panic::Location;
 
-    fn diag(kind: DiagnosticKind, site: &str, message: &str) -> Diagnostic {
+    fn diag(kind: DiagnosticKind, site: SourceLoc, message: &str) -> Diagnostic {
         Diagnostic {
             kind,
-            site: site.into(),
+            site,
             message: message.into(),
             suggestion: None,
             addr: Some(PmAddr::new(128)),
@@ -228,22 +218,23 @@ mod tests {
         }
     }
 
-    fn diag_with_fix(kind: DiagnosticKind, site: &str, fix: FixEdit) -> Diagnostic {
+    fn diag_with_fix(kind: DiagnosticKind, fix: FixEdit) -> Diagnostic {
         Diagnostic {
             suggestion: Some(fix),
-            ..diag(kind, site, "fix it")
+            ..diag(kind, fix.site(), "fix it")
         }
     }
 
     #[test]
     fn document_has_required_structure() {
+        let site = Location::caller();
         let diags = vec![
+            diag(DiagnosticKind::MissingFlush, site, "insert clflush"),
             diag(
-                DiagnosticKind::MissingFlush,
-                "src/a.rs:10:5",
-                "insert clflush",
+                DiagnosticKind::RedundantFence,
+                Location::caller(),
+                "remove it",
             ),
-            diag(DiagnosticKind::RedundantFence, "src/b.rs:20:9", "remove it"),
         ];
         let doc = to_sarif(&diags, "1.2.3");
         assert!(doc.contains("\"version\": \"2.1.0\""));
@@ -252,8 +243,18 @@ mod tests {
         assert!(doc.contains("\"id\": \"missing-flush\""));
         assert!(doc.contains("\"id\": \"redundant-fence\""));
         assert!(doc.contains("\"ruleId\": \"missing-flush\""));
-        assert!(doc.contains("\"uri\": \"src/a.rs\""));
-        assert!(doc.contains("\"startLine\": 10, \"startColumn\": 5"));
+        assert!(
+            doc.contains(&format!("\"uri\": \"{}\"", site.file())),
+            "{doc}"
+        );
+        assert!(
+            doc.contains(&format!(
+                "\"startLine\": {}, \"startColumn\": {}",
+                site.line(),
+                site.column()
+            )),
+            "{doc}"
+        );
         assert!(doc.contains("\"level\": \"error\""));
         assert!(doc.contains("\"level\": \"warning\""));
         assert!(doc.contains("\"occurrences\": 2"));
@@ -264,8 +265,8 @@ mod tests {
         // Insert results out of declaration order; rules must still be
         // listed in DiagnosticKind::ALL order with matching ruleIndex.
         let diags = vec![
-            diag(DiagnosticKind::RedundantFlush, "a.rs:1:1", "x"),
-            diag(DiagnosticKind::MissingFlush, "b.rs:2:2", "y"),
+            diag(DiagnosticKind::RedundantFlush, Location::caller(), "x"),
+            diag(DiagnosticKind::MissingFlush, Location::caller(), "y"),
         ];
         let doc = to_sarif(&diags, "0");
         let missing = doc.find("\"id\": \"missing-flush\"").unwrap();
@@ -284,14 +285,13 @@ mod tests {
     fn output_is_deterministic_and_escaped() {
         let diags = vec![diag(
             DiagnosticKind::MissingFence,
-            "weird\"file.rs:3:4",
+            Location::caller(),
             "fix \"this\"\nnow",
         )];
         let a = to_sarif(&diags, "0");
         let b = to_sarif(&diags, "0");
         assert_eq!(a, b);
         assert!(a.contains("fix \\\"this\\\"\\nnow"));
-        assert!(a.contains("weird\\\"file.rs"));
     }
 
     #[test]
@@ -303,18 +303,12 @@ mod tests {
 
     #[test]
     fn structured_fix_becomes_a_sarif_fixes_object() {
+        let site = Location::caller();
         let fix = FixEdit::InsertFlush {
-            site: "src/a.rs:10:5".into(),
+            site,
             line: Some(2),
         };
-        let doc = to_sarif(
-            &[diag_with_fix(
-                DiagnosticKind::MissingFlush,
-                "src/a.rs:10:5",
-                fix,
-            )],
-            "0",
-        );
+        let doc = to_sarif(&[diag_with_fix(DiagnosticKind::MissingFlush, fix)], "0");
         assert!(doc.contains("\"fixes\": ["), "{doc}");
         assert!(doc.contains("\"artifactChanges\""), "{doc}");
         assert!(doc.contains("\"replacements\""), "{doc}");
@@ -324,11 +318,12 @@ mod tests {
             ),
             "{doc}"
         );
+        let (line, column) = (site.line(), site.column());
         assert!(
-            doc.contains(
-                "\"deletedRegion\": { \"startLine\": 10, \"startColumn\": 5, \
-                 \"endLine\": 10, \"endColumn\": 5 }"
-            ),
+            doc.contains(&format!(
+                "\"deletedRegion\": {{ \"startLine\": {line}, \"startColumn\": {column}, \
+                 \"endLine\": {line}, \"endColumn\": {column} }}"
+            )),
             "{doc}"
         );
         // Unverified candidates carry the fix but no verified flag.
@@ -337,20 +332,14 @@ mod tests {
 
     #[test]
     fn deletion_fix_drops_the_line_without_inserted_content() {
-        let fix = FixEdit::DeleteFlush {
-            site: "src/b.rs:7:3".into(),
-            line: None,
-        };
-        let doc = to_sarif(
-            &[diag_with_fix(
-                DiagnosticKind::RedundantFlush,
-                "src/b.rs:7:3",
-                fix,
-            )],
-            "0",
-        );
+        let site = Location::caller();
+        let fix = FixEdit::DeleteFlush { site, line: None };
+        let doc = to_sarif(&[diag_with_fix(DiagnosticKind::RedundantFlush, fix)], "0");
+        let line = site.line();
         assert!(
-            doc.contains("\"deletedRegion\": { \"startLine\": 7, \"endLine\": 7 }"),
+            doc.contains(&format!(
+                "\"deletedRegion\": {{ \"startLine\": {line}, \"endLine\": {line} }}"
+            )),
             "{doc}"
         );
         assert!(!doc.contains("insertedContent"), "{doc}");
@@ -359,18 +348,18 @@ mod tests {
     #[test]
     fn verified_edits_flag_their_results() {
         let fix = FixEdit::InsertFlush {
-            site: "src/a.rs:10:5".into(),
+            site: Location::caller(),
             line: None,
         };
         let other = FixEdit::InsertFence {
-            site: "src/c.rs:1:1".into(),
+            site: Location::caller(),
             line: None,
         };
         let diags = vec![
-            diag_with_fix(DiagnosticKind::MissingFlush, "src/a.rs:10:5", fix.clone()),
-            diag_with_fix(DiagnosticKind::MissingFence, "src/c.rs:1:1", other),
+            diag_with_fix(DiagnosticKind::MissingFlush, fix),
+            diag_with_fix(DiagnosticKind::MissingFence, other),
         ];
-        let doc = to_sarif_with_verified(&diags, "0", std::slice::from_ref(&fix));
+        let doc = to_sarif_with_verified(&diags, "0", &[fix]);
         assert_eq!(doc.matches("\"verified\": true").count(), 1, "{doc}");
         let first = doc.find("\"ruleId\": \"missing-flush\"").unwrap();
         let second = doc.find("\"ruleId\": \"missing-fence\"").unwrap();
@@ -387,31 +376,24 @@ mod tests {
         // Repair may widen a per-line suggestion to its whole site
         // before verification converges; the proven site-wide edit
         // still vouches for the narrow suggestions it covers.
+        let site = Location::caller();
         let narrow = FixEdit::InsertFlush {
-            site: "src/a.rs:10:5".into(),
+            site,
             line: Some(17),
         };
-        let diags = vec![diag_with_fix(
-            DiagnosticKind::MissingFlush,
-            "src/a.rs:10:5",
-            narrow.clone(),
-        )];
-        let wide = narrow.generalized();
-        let doc = to_sarif_with_verified(&diags, "0", std::slice::from_ref(&wide));
+        let diags = vec![diag_with_fix(DiagnosticKind::MissingFlush, narrow)];
+        let doc = to_sarif_with_verified(&diags, "0", &[narrow.generalized()]);
         assert_eq!(doc.matches("\"verified\": true").count(), 1, "{doc}");
         // A narrow verified edit at a *different* line does not.
         let other_line = FixEdit::InsertFlush {
-            site: "src/a.rs:10:5".into(),
+            site,
             line: Some(18),
         };
-        let doc = to_sarif_with_verified(&diags, "0", std::slice::from_ref(&other_line));
+        let doc = to_sarif_with_verified(&diags, "0", &[other_line]);
         assert!(!doc.contains("\"verified\""), "{doc}");
         // Nor does a site-wide edit of a different kind.
-        let wrong_kind = FixEdit::InsertFence {
-            site: "src/a.rs:10:5".into(),
-            line: None,
-        };
-        let doc = to_sarif_with_verified(&diags, "0", std::slice::from_ref(&wrong_kind));
+        let wrong_kind = FixEdit::InsertFence { site, line: None };
+        let doc = to_sarif_with_verified(&diags, "0", &[wrong_kind]);
         assert!(!doc.contains("\"verified\""), "{doc}");
     }
 }

@@ -25,8 +25,9 @@
 //! SARIF 2.1.0 document for CI ingestion.
 //! `--no-snapshot` disables crash-point snapshots (replay every prefix).
 //! A global option the subcommand never reads is a usage error: `list`
-//! takes none, `perf` and `serve` no `--format`, and `fuzz` and `litmus`
-//! neither `--no-snapshot` nor `--format sarif`.
+//! takes none, `perf` no `--format`, `serve` neither `--format` nor
+//! `--no-snapshot`, and `fuzz` and `litmus` neither `--no-snapshot` nor
+//! `--format sarif`.
 //! e.g. `cargo run --release -p jaaru-cli --bin jaaru_cli -- bug recipe 10`
 //!
 //! The `serve` subcommand accepts newline-delimited JSON job specs on a
@@ -489,7 +490,7 @@ fn litmus(opts: LitmusOpts, jobs: usize, format: Format) -> i32 {
 
 /// The `serve` subcommand: stand the daemon up on a socket, or run a
 /// batch file of request lines for CI.
-fn serve(args: &[String], jobs: usize, snapshots: bool) -> i32 {
+fn serve(args: &[String], jobs: usize) -> i32 {
     let mut socket: Option<PathBuf> = None;
     let mut batch: Option<PathBuf> = None;
     let mut opts = ServeOptions {
@@ -517,10 +518,6 @@ fn serve(args: &[String], jobs: usize, snapshots: bool) -> i32 {
             },
             _ => usage(),
         }
-    }
-    if !snapshots {
-        eprintln!("serve requires snapshots (drop --no-snapshot)");
-        return 2;
     }
     let d = Arc::new(Daemon::new(opts));
     match (socket, batch) {
@@ -601,7 +598,8 @@ fn main() {
     let ignored = match args.first().map(String::as_str) {
         Some("list") => jobs_at.is_some() || format_at.is_some() || !snapshots,
         Some("fuzz" | "litmus") => !snapshots || format == Format::Artifact(ArtifactFormat::Sarif),
-        Some("perf" | "serve") => format_at.is_some(),
+        Some("perf") => format_at.is_some(),
+        Some("serve") => format_at.is_some() || !snapshots,
         _ => false,
     };
     if ignored {
@@ -679,7 +677,7 @@ fn main() {
         }
         Some("fuzz") => fuzz(parse_fuzz_opts(&args[1..]), jobs, format),
         Some("litmus") => litmus(parse_litmus_opts(&args[1..]), jobs, format),
-        Some("serve") => serve(&args[1..], jobs, snapshots),
+        Some("serve") => serve(&args[1..], jobs),
         Some("perf") => {
             let mut config = one_shot_config(JobKind::Check, jobs);
             config.snapshots(snapshots);

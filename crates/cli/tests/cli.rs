@@ -190,6 +190,7 @@ fn a_global_option_the_subcommand_never_reads_is_a_usage_error() {
         &["--format", "json", "list"],
         &["--format", "text", "perf"],
         &["-f", "json", "serve", "--batch", "jobs.ndjson"],
+        &["--no-snapshot", "serve", "--batch", "jobs.ndjson"],
         &["--format", "sarif", "fuzz", "--seeds", "20"],
         &["-f", "sarif", "litmus", "corpus"],
         &["--jobs", "2", "list"],

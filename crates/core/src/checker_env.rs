@@ -19,7 +19,7 @@ use jaaru_tso::{
 
 use crate::config::{Config, Lints};
 use crate::decision::{ChoiceKind, DecisionLog};
-use crate::report::{site, BugKind, RaceRecord};
+use crate::report::{BugKind, RaceReport};
 use crate::signal::{AbortSignal, CrashSignal};
 use crate::snapshot::CheckerSnapshot;
 use crate::PmEnv;
@@ -50,7 +50,7 @@ struct Inner {
     next_tid: u32,
 
     /// One per load site, in the order the sites first raced.
-    races: Vec<RaceRecord>,
+    races: Vec<RaceReport>,
     load_choice_points: u64,
     max_rf_set: usize,
     /// Reads-from candidates of the byte being chosen for; kept to reuse
@@ -80,7 +80,7 @@ pub(crate) struct ScenarioRecord {
     pub crash_points: Vec<usize>,
     /// Injection points of the scenario's first execution.
     pub failure_points: usize,
-    pub races: Vec<RaceRecord>,
+    pub races: Vec<RaceReport>,
     pub op_traces: Vec<OpTrace>,
     pub load_choice_points: u64,
     pub max_rf_set: usize,
@@ -494,8 +494,7 @@ fn record_race(
     if inner.races.len() >= MAX_RACES {
         return;
     }
-    let load = site(loc);
-    if inner.races.iter().any(|race| site(race.load) == load) {
+    if inner.races.iter().any(|race| race.load == loc) {
         return;
     }
     let stack = &inner.stack;
@@ -508,7 +507,7 @@ fn record_race(
             }
         })
         .collect();
-    inner.races.push(RaceRecord {
+    inner.races.push(RaceReport {
         addr,
         load: loc,
         execution_index: inner.exec_index,

@@ -86,8 +86,8 @@ pub use native::NativeEnv;
 pub use program::{Named, Program};
 pub use repair::{synthesize_repair, RepairDriver, RepairOutcome, RepairedProgram};
 pub use report::{
-    BugKind, BugReport, CheckReport, CheckStats, ParallelStats, RaceCandidate, RaceReport,
-    SliceSummary, WorkerStats,
+    BugKind, BugReport, CheckReport, CheckStats, ParallelStats, RaceReport, SliceSummary,
+    StoreSite, WorkerStats,
 };
 pub use signal::with_quiet_panics;
 

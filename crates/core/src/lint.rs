@@ -103,7 +103,7 @@ pub(crate) fn lint_scenario(
         candidates
             .into_iter()
             .filter(|(_, c)| c.kind == DiagnosticKind::MissingFence && !c.persists_eventually)
-            .filter(|(_, c)| seen.insert((c.kind, c.site.clone())))
+            .filter(|(_, c)| seen.insert((c.kind, c.site)))
             .map(|(_, c)| c.into_diagnostic())
             .collect()
     } else {
@@ -111,11 +111,7 @@ pub(crate) fn lint_scenario(
         // named by a racy load of this failing scenario.
         let mut evidence = RfEvidence::new();
         for race in &record.races {
-            for &(_, store) in race.candidates.iter() {
-                if let Some((exec, loc)) = store {
-                    evidence.insert((exec, loc.to_string()));
-                }
-            }
+            evidence.extend(race.candidates.iter().filter_map(|&(_, store)| store));
         }
         localize(candidates, &evidence)
     };

@@ -16,10 +16,11 @@ use std::time::Duration;
 
 use jaaru_analysis::DiagnosticSet;
 use jaaru_snapshot::SnapshotStats;
+use jaaru_tso::SourceLoc;
 
 use crate::explorer::{bug_dedup_key, ExploreAux, ScenarioOutcome};
 use crate::report::{
-    site, BugKind, BugReport, CheckReport, CheckStats, ParallelStats, RaceReport, Site, WorkerStats,
+    BugKind, BugReport, CheckReport, CheckStats, ParallelStats, RaceReport, WorkerStats,
 };
 
 /// Folds [`ScenarioOutcome`]s into the deduplicated, ordered contents of
@@ -34,7 +35,7 @@ pub(crate) struct ReportAccumulator {
     bug_index: HashMap<(BugKind, String), usize>,
     races: Vec<RaceReport>,
     /// The load sites `races` reports.
-    race_sites: HashSet<Site>,
+    race_sites: HashSet<SourceLoc>,
     diagnostics: DiagnosticSet,
     aux: ExploreAux,
     snapshots: SnapshotStats,
@@ -72,9 +73,9 @@ impl ReportAccumulator {
             self.aux.clean_trace = outcome.clean_trace;
         }
 
-        for race in &outcome.races {
-            if self.race_sites.insert(site(race.load)) {
-                self.races.push(race.render());
+        for race in outcome.races {
+            if self.race_sites.insert(race.load) {
+                self.races.push(race);
             }
         }
         self.diagnostics.extend(outcome.diagnostics);

@@ -9,11 +9,12 @@
 //! 1. **Diagnose.** A baseline check collects diagnostics; their edits
 //!    seed the candidate set.
 //! 2. **Fix.** [`RepairedProgram`] wraps the guest in a [`PmEnv`]
-//!    interposer that rewrites the operation stream in flight — edits
-//!    anchor to source sites via `#[track_caller]`, exactly the
-//!    locations the diagnostics named, narrowed by cache line so that
-//!    interpreter-style guests (where one source line issues every
-//!    store) are repaired per-line, not per-site.
+//!    interposer that rewrites the operation stream in flight. An
+//!    edit's site is the `&'static Location` its diagnostic named, and
+//!    the interposer compares it with each operation's
+//!    `Location::caller()` (`#[track_caller]`), narrowed by cache line
+//!    so that interpreter-style guests (where one source line issues
+//!    every store) are repaired per-line, not per-site.
 //! 3. **Verify.** The fixed program is re-checked; fresh diagnostics
 //!    (e.g. the inserted flush now missing a fence, or an original
 //!    flush made redundant) contribute new edits for the next round,
@@ -34,54 +35,15 @@ use std::panic::Location;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use jaaru_analysis::{json_string, minimize_edits, parse_site, Diagnostic, FixEdit};
+use jaaru_analysis::{json_string, minimize_edits, Diagnostic, FixEdit};
 use jaaru_pmem::PmAddr;
+use jaaru_tso::SourceLoc;
 
 use crate::config::Config;
 use crate::env::PmEnv;
 use crate::explorer::ModelChecker;
 use crate::program::Program;
-use crate::report::CheckReport;
-
-/// A [`FixEdit`] with its site string parsed once into the
-/// `(file, line, column)` triple that [`Location`] comparisons need.
-#[derive(Clone, Debug)]
-struct CompiledEdit {
-    edit: FixEdit,
-    file: String,
-    line: u32,
-    column: u32,
-}
-
-impl CompiledEdit {
-    fn compile(edit: &FixEdit) -> Option<CompiledEdit> {
-        let (file, line, column) = parse_site(edit.site())?;
-        Some(CompiledEdit {
-            edit: edit.clone(),
-            file: file.to_string(),
-            line,
-            column,
-        })
-    }
-
-    /// Whether the edit anchors at this call site.
-    fn at(&self, loc: &Location<'_>) -> bool {
-        loc.line() == self.line && loc.column() == self.column && loc.file() == self.file
-    }
-
-    /// Whether the edit's cache-line filter admits an operation on
-    /// `[addr, addr + len)`. Edits without a filter admit everything.
-    fn covers(&self, addr: PmAddr, len: usize) -> bool {
-        match self.edit.cache_line() {
-            None => true,
-            Some(line) => {
-                let first = addr.cache_line().index();
-                let last = (addr + len.saturating_sub(1) as u64).cache_line().index();
-                first <= line && line <= last
-            }
-        }
-    }
-}
+use crate::report::{json_site, CheckReport};
 
 /// The in-flight edit interposer. Forwards every [`PmEnv`] operation
 /// to the wrapped environment — through `#[track_caller]`, so the
@@ -93,26 +55,36 @@ impl CompiledEdit {
 /// across repair rounds.
 struct RepairEnv<'a> {
     inner: &'a dyn PmEnv,
-    edits: &'a [CompiledEdit],
+    edits: &'a [FixEdit],
 }
 
 impl RepairEnv<'_> {
-    fn wants_flush_after(&self, loc: &Location<'_>, addr: PmAddr, len: usize) -> bool {
-        self.edits.iter().any(|e| {
-            matches!(e.edit, FixEdit::InsertFlush { .. }) && e.at(loc) && e.covers(addr, len)
+    /// The edits anchored at the guest call site `loc` whose cache-line
+    /// filter admits an operation on `[addr, addr + len)`. Edits without
+    /// a filter admit everything.
+    fn at(&self, loc: SourceLoc, addr: PmAddr, len: usize) -> impl Iterator<Item = &FixEdit> {
+        let first = addr.cache_line().index();
+        let last = (addr + len.saturating_sub(1) as u64).cache_line().index();
+        self.edits.iter().filter(move |e| {
+            e.site() == loc
+                && e.cache_line()
+                    .is_none_or(|line| first <= line && line <= last)
         })
     }
 
-    fn deletes_flush(&self, loc: &Location<'_>, addr: PmAddr, len: usize) -> bool {
-        self.edits.iter().any(|e| {
-            matches!(e.edit, FixEdit::DeleteFlush { .. }) && e.at(loc) && e.covers(addr, len)
-        })
+    fn wants_flush_after(&self, loc: SourceLoc, addr: PmAddr, len: usize) -> bool {
+        self.at(loc, addr, len)
+            .any(|e| matches!(e, FixEdit::InsertFlush { .. }))
     }
 
-    fn wants_fence_after(&self, loc: &Location<'_>, addr: PmAddr, len: usize) -> bool {
-        self.edits.iter().any(|e| {
-            matches!(e.edit, FixEdit::InsertFence { .. }) && e.at(loc) && e.covers(addr, len)
-        })
+    fn deletes_flush(&self, loc: SourceLoc, addr: PmAddr, len: usize) -> bool {
+        self.at(loc, addr, len)
+            .any(|e| matches!(e, FixEdit::DeleteFlush { .. }))
+    }
+
+    fn wants_fence_after(&self, loc: SourceLoc, addr: PmAddr, len: usize) -> bool {
+        self.at(loc, addr, len)
+            .any(|e| matches!(e, FixEdit::InsertFence { .. }))
     }
 }
 
@@ -239,17 +211,16 @@ impl PmEnv for RepairEnv<'_> {
 /// [`CheckReport::digest`].
 pub struct RepairedProgram<'a> {
     inner: &'a (dyn Program + Sync),
-    edits: Vec<CompiledEdit>,
+    edits: Vec<FixEdit>,
     name: String,
 }
 
 impl<'a> RepairedProgram<'a> {
-    /// Wraps `inner` with `edits`. Edits whose site string does not
-    /// parse as `file:line:column` are ignored.
+    /// Wraps `inner` with `edits`.
     pub fn new(inner: &'a (dyn Program + Sync), edits: &[FixEdit]) -> Self {
         RepairedProgram {
             inner,
-            edits: edits.iter().filter_map(CompiledEdit::compile).collect(),
+            edits: edits.to_vec(),
             name: format!("repaired:{}", inner.name()),
         }
     }
@@ -328,7 +299,7 @@ impl RepairOutcome {
                 "    {{\"edit\": {}, \"site\": {}, \"cache_line\": {line}, \
                  \"action\": {}}}{comma}",
                 json_string(e.kind_str()),
-                json_string(e.site()),
+                json_site(e.site()),
                 json_string(&e.to_string())
             );
         }
@@ -492,7 +463,7 @@ fn derive_edits(report: &CheckReport, known: &[FixEdit]) -> Vec<FixEdit> {
         let candidate = if known.iter().chain(&out).any(|k| k.same_fix(e)) {
             widen(e)
         } else {
-            e.clone()
+            *e
         };
         if !known.contains(&candidate) && !out.contains(&candidate) {
             out.push(candidate);
@@ -508,7 +479,7 @@ fn derive_edits(report: &CheckReport, known: &[FixEdit]) -> Vec<FixEdit> {
 /// Deletions therefore always stay at cache-line scope.
 fn widen(e: &FixEdit) -> FixEdit {
     match e {
-        FixEdit::DeleteFlush { .. } => e.clone(),
+        FixEdit::DeleteFlush { .. } => *e,
         _ => e.generalized(),
     }
 }

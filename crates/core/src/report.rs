@@ -1,7 +1,13 @@
 //! Bug reports, persistency-race reports, and check statistics.
+//!
+//! A race report keeps its sites as the guest's `&'static Location`s
+//! ([`SourceLoc`]), as exploration recorded them, and so do the
+//! diagnostics a report carries; they become text only when the report
+//! is displayed or written as JSON. A bug's location is text from the
+//! start: a guest panic's location comes from the panic hook, whose
+//! `Location` is not `'static`.
 
 use std::fmt;
-use std::panic::Location;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -79,32 +85,27 @@ impl fmt::Display for BugReport {
     }
 }
 
-/// One candidate store a racy load could have read (the paper's §4
-/// debugging output lists each store, its trace position, and its source
-/// location).
-#[derive(Clone, Debug)]
-pub struct RaceCandidate {
-    /// Execution that performed the store (`None` = the initial zeroed
-    /// pool contents).
-    pub exec_index: Option<usize>,
-    /// Byte value observed.
-    pub value: u8,
-    /// Source location of the store (`file:line:column`).
-    pub location: Option<String>,
-}
+/// A store a racy load may read: the execution that made it, and the
+/// store's source site.
+pub type StoreSite = (usize, SourceLoc);
 
 /// A load that could read from more than one pre-failure store — the
-/// typical signature of a missing cache-line flush.
+/// typical signature of a missing cache-line flush. The paper's §4
+/// debugging output lists each store, its trace position, and its source
+/// location. Sites are the guest's own locations, so a checkpoint copies
+/// a report by bumping one `Arc`; [`Display`](fmt::Display) and the JSON
+/// report write them as `file:line:column`.
 #[derive(Clone, Debug)]
 pub struct RaceReport {
     /// First byte of the racy load.
     pub addr: PmAddr,
-    /// Source location of the load.
-    pub load_location: String,
+    /// Source site of the load.
+    pub load: SourceLoc,
     /// Execution performing the load.
     pub execution_index: usize,
-    /// The stores it may read from, newest first.
-    pub candidates: Vec<RaceCandidate>,
+    /// The values the load may read, newest first, each with its store
+    /// (`None` for the initial zeroed pool contents).
+    pub candidates: Arc<[(u8, Option<StoreSite>)]>,
 }
 
 impl fmt::Display for RaceReport {
@@ -112,64 +113,20 @@ impl fmt::Display for RaceReport {
         writeln!(
             f,
             "load at {} (addr {}, execution {}) may read from {} stores:",
-            self.load_location,
+            self.load,
             self.addr,
             self.execution_index,
             self.candidates.len()
         )?;
-        for c in &self.candidates {
-            match (&c.exec_index, &c.location) {
-                (Some(e), Some(loc)) => {
-                    writeln!(f, "  - {:#04x} stored by execution {e} at {loc}", c.value)?
+        for &(value, store) in self.candidates.iter() {
+            match store {
+                Some((exec, loc)) => {
+                    writeln!(f, "  - {value:#04x} stored by execution {exec} at {loc}")?
                 }
-                _ => writeln!(f, "  - {:#04x} from initial pool contents", c.value)?,
+                None => writeln!(f, "  - {value:#04x} from initial pool contents")?,
             }
         }
         Ok(())
-    }
-}
-
-/// A source site as reports name it: file, line and column.
-pub(crate) type Site = (&'static str, u32, u32);
-
-/// The site `loc` names.
-pub(crate) fn site(loc: &Location<'static>) -> Site {
-    (loc.file(), loc.line(), loc.column())
-}
-
-/// The execution that made a store, and the store's site.
-pub(crate) type StoreSite = (usize, SourceLoc);
-
-/// A racy load as exploration records it: source sites, not text, so
-/// checkpoints copy it cheaply. [`RaceRecord::render`] gives the public
-/// [`RaceReport`] once the race leaves the walk.
-#[derive(Clone, Debug)]
-pub(crate) struct RaceRecord {
-    pub addr: PmAddr,
-    pub load: SourceLoc,
-    pub execution_index: usize,
-    /// The values the load may read, newest first, each with its store
-    /// (`None` for the initial pool contents).
-    pub candidates: Arc<[(u8, Option<StoreSite>)]>,
-}
-
-impl RaceRecord {
-    /// The report of this race, its sites written `file:line:column`.
-    pub(crate) fn render(&self) -> RaceReport {
-        RaceReport {
-            addr: self.addr,
-            load_location: self.load.to_string(),
-            execution_index: self.execution_index,
-            candidates: self
-                .candidates
-                .iter()
-                .map(|&(value, store)| RaceCandidate {
-                    exec_index: store.map(|(exec, _)| exec),
-                    value,
-                    location: store.map(|(_, loc)| loc.to_string()),
-                })
-                .collect(),
-        }
     }
 }
 
@@ -508,23 +465,20 @@ impl CheckReport {
                 "{{\"addr\": {}, \"load_location\": {}, \"execution_index\": {}, \
                  \"candidates\": [",
                 r.addr.offset(),
-                json_string(&r.load_location),
+                json_site(r.load),
                 r.execution_index,
             );
-            for (j, c) in r.candidates.iter().enumerate() {
+            for (j, &(value, store)) in r.candidates.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let exec = match c.exec_index {
-                    Some(e) => e.to_string(),
-                    None => "null".into(),
+                let (exec, location) = match store {
+                    Some((exec, loc)) => (exec.to_string(), json_site(loc)),
+                    None => ("null".into(), "null".into()),
                 };
                 let _ = write!(
                     out,
-                    "{{\"exec_index\": {}, \"value\": {}, \"location\": {}}}",
-                    exec,
-                    c.value,
-                    json_opt_string(c.location.as_deref()),
+                    "{{\"exec_index\": {exec}, \"value\": {value}, \"location\": {location}}}"
                 );
             }
             out.push_str("]}");
@@ -543,7 +497,7 @@ impl CheckReport {
                 Some(edit) => format!(
                     "{{\"edit\": {}, \"site\": {}, \"cache_line\": {}}}",
                     json_string(edit.kind_str()),
-                    json_string(edit.site()),
+                    json_site(edit.site()),
                     match edit.cache_line() {
                         Some(line) => line.to_string(),
                         None => "null".into(),
@@ -557,7 +511,7 @@ impl CheckReport {
                  \"message\": {}, \"fix\": {fix}, \"addr\": {}, \"occurrences\": {}}}",
                 json_string(d.kind.as_str()),
                 json_string(d.severity().as_str()),
-                json_string(&d.site),
+                json_site(d.site),
                 json_string(&d.message),
                 addr,
                 d.occurrences,
@@ -573,6 +527,11 @@ fn json_opt_string(s: Option<&str>) -> String {
         Some(s) => json_string(s),
         None => "null".into(),
     }
+}
+
+/// A source site as a JSON string: `"file:line:column"`.
+pub(crate) fn json_site(site: SourceLoc) -> String {
+    json_string(&site.to_string())
 }
 
 impl fmt::Display for CheckReport {
@@ -594,6 +553,7 @@ impl fmt::Display for CheckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::Location;
 
     #[test]
     fn bug_kinds_display() {
@@ -621,27 +581,22 @@ mod tests {
 
     #[test]
     fn race_report_lists_candidates() {
+        let (load, store) = (Location::caller(), Location::caller());
         let r = RaceReport {
             addr: PmAddr::new(64),
-            load_location: "recovery.rs:5:9".into(),
+            load,
             execution_index: 1,
-            candidates: vec![
-                RaceCandidate {
-                    exec_index: Some(0),
-                    value: 7,
-                    location: Some("init.rs:3:5".into()),
-                },
-                RaceCandidate {
-                    exec_index: None,
-                    value: 0,
-                    location: None,
-                },
-            ],
+            candidates: Arc::new([(7, Some((0, store))), (0, None)]),
         };
         let s = r.to_string();
+        assert!(s.starts_with(&format!("load at {load} (addr")), "{s}");
         assert!(s.contains("may read from 2 stores"));
         assert!(s.contains("initial pool contents"));
-        assert!(s.contains("init.rs:3:5"));
+        assert!(
+            s.contains(&format!("0x07 stored by execution 0 at {store}\n")),
+            "{s}"
+        );
+        assert!(s.contains("report.rs:"), "{s}");
     }
 
     #[test]
@@ -658,7 +613,7 @@ mod tests {
         let mut r = CheckReport::default();
         r.diagnostics.push(Diagnostic {
             kind: DiagnosticKind::RedundantFlush,
-            site: "a.rs:1:1".into(),
+            site: Location::caller(),
             message: "remove it".into(),
             suggestion: None,
             addr: None,
@@ -667,7 +622,7 @@ mod tests {
         assert!(!r.has_errors(), "warnings are not errors");
         r.diagnostics.push(Diagnostic {
             kind: DiagnosticKind::MissingFlush,
-            site: "b.rs:2:2".into(),
+            site: Location::caller(),
             message: "insert a flush".into(),
             suggestion: None,
             addr: Some(PmAddr::new(64)),
@@ -695,12 +650,13 @@ mod tests {
             trace: vec![1, 0],
             occurrences: 3,
         });
+        let site = Location::caller();
         r.diagnostics.push(Diagnostic {
             kind: DiagnosticKind::MissingFence,
-            site: "lib.rs:10:5".into(),
+            site,
             message: "insert an sfence".into(),
             suggestion: Some(jaaru_analysis::FixEdit::InsertFence {
-                site: "lib.rs:10:5".into(),
+                site,
                 line: Some(2),
             }),
             addr: Some(PmAddr::new(128)),
@@ -732,10 +688,16 @@ mod tests {
         assert!(json.contains("\"addr\": 128"), "{json}");
         assert!(json.contains("\"message\": \"insert an sfence\""), "{json}");
         assert!(
-            json.contains(
-                "\"fix\": {\"edit\": \"insert-fence\", \"site\": \"lib.rs:10:5\", \
-                 \"cache_line\": 2}"
-            ),
+            json.contains(&format!(
+                "\"site\": \"{site}\", \"message\": \"insert an sfence\""
+            )),
+            "{json}"
+        );
+        assert!(
+            json.contains(&format!(
+                "\"fix\": {{\"edit\": \"insert-fence\", \"site\": \"{site}\", \
+                 \"cache_line\": 2}}"
+            )),
             "{json}"
         );
         // Balanced braces/brackets (cheap well-formedness check).

@@ -30,7 +30,7 @@ thread_local! {
     static SUPPRESS_PANIC_OUTPUT: Cell<bool> = const { Cell::new(false) };
     /// Location of the most recent panic on this thread, captured by the
     /// hook so guest `assert!` failures can be attributed to source lines.
-    static LAST_PANIC_LOCATION: RefCell<Option<(String, u32, u32)>> = const { RefCell::new(None) };
+    static LAST_PANIC_LOCATION: RefCell<Option<String>> = const { RefCell::new(None) };
 }
 
 static HOOK: Once = Once::new();
@@ -43,9 +43,7 @@ pub(crate) fn install_panic_hook() {
         let previous = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
             if let Some(loc) = info.location() {
-                LAST_PANIC_LOCATION.with(|l| {
-                    *l.borrow_mut() = Some((loc.file().to_string(), loc.line(), loc.column()));
-                });
+                LAST_PANIC_LOCATION.with(|l| *l.borrow_mut() = Some(loc.to_string()));
             }
             if !SUPPRESS_PANIC_OUTPUT.with(Cell::get) {
                 previous(info);
@@ -81,9 +79,7 @@ pub(crate) fn with_quiet_panics_inner<T>(f: impl FnOnce() -> T) -> T {
 /// The location of the most recent panic on this thread, as
 /// `file:line:column`, if any panic occurred.
 pub(crate) fn take_last_panic_location() -> Option<String> {
-    LAST_PANIC_LOCATION
-        .with(|l| l.borrow_mut().take())
-        .map(|(f, line, col)| format!("{f}:{line}:{col}"))
+    LAST_PANIC_LOCATION.with(|l| l.borrow_mut().take())
 }
 
 /// Extracts a human-readable message from an arbitrary panic payload.

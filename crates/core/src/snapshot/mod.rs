@@ -45,7 +45,7 @@ use std::collections::HashSet;
 
 use jaaru_tso::{ExecutionStorage, OpTrace};
 
-use crate::report::RaceRecord;
+use crate::report::RaceReport;
 
 /// Everything a post-failure execution needs from the checker's past:
 /// the state of a [`CheckerEnv`](crate::checker_env::CheckerEnv) as a
@@ -65,7 +65,7 @@ pub(crate) struct CheckerSnapshot {
     /// Injection points of the scenario's first execution.
     pub(crate) failure_points: usize,
     pub(crate) crash_points: Vec<usize>,
-    pub(crate) races: Vec<RaceRecord>,
+    pub(crate) races: Vec<RaceReport>,
     pub(crate) load_choice_points: u64,
     pub(crate) max_rf_set: usize,
     pub(crate) op_traces: Vec<OpTrace>,

@@ -11,6 +11,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -193,22 +194,18 @@ pub fn execute(spec: &JobSpec, config: &Config, cancel: &Arc<AtomicBool>) -> Job
 
     // The deadline: a run that returns at or after it fails closed, and
     // a watchdog trips the job's cooperative stop once it passes, so a
-    // long run winds down. `done` disarms the watchdog when the run
-    // finishes first.
+    // long run winds down. The watchdog sleeps until the deadline, or
+    // until dropping `done` tells it the run finished first.
     let deadline = spec
         .deadline_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let done = Arc::new(AtomicBool::new(false));
+    let (done, finished) = mpsc::channel::<()>();
     let watchdog = deadline.map(|deadline| {
         let cancel = Arc::clone(cancel);
-        let done = Arc::clone(&done);
         thread::spawn(move || {
-            while !done.load(Ordering::Relaxed) {
-                if Instant::now() >= deadline {
-                    cancel.store(true, Ordering::Relaxed);
-                    return;
-                }
-                thread::sleep(Duration::from_millis(1));
+            let wait = deadline.saturating_duration_since(Instant::now());
+            if finished.recv_timeout(wait) == Err(RecvTimeoutError::Timeout) {
+                cancel.store(true, Ordering::Relaxed);
             }
         })
     });
@@ -260,7 +257,7 @@ pub fn execute(spec: &JobSpec, config: &Config, cancel: &Arc<AtomicBool>) -> Job
             }
         }
     };
-    done.store(true, Ordering::Relaxed);
+    drop(done);
     if let Some(handle) = watchdog {
         let _ = handle.join();
     }

@@ -17,6 +17,11 @@
 //! {"kind": "stats"}
 //! {"kind": "shutdown"}
 //! ```
+//!
+//! A job refuses any key its kind does not read, so a misspelled field
+//! is `rejected` instead of silently taking its default.
+
+use std::cell::RefCell;
 
 use jaaru_litmus::sweep::SweepBound;
 
@@ -105,8 +110,8 @@ pub enum Workload {
         differential: bool,
     },
     /// A Px86 conformance run: the named corpus, or an exhaustive
-    /// sweep at the given bound (bound fields are ignored for the
-    /// corpus mode but kept so the workload identity is total).
+    /// sweep at the given bound. A corpus job takes no bound field, and
+    /// its identity holds the default bound.
     Litmus {
         sweep: bool,
         max_threads: usize,
@@ -168,7 +173,10 @@ impl Request {
     /// Parses one request from an already-parsed JSON line. `default_jobs`
     /// fills the per-job worker count when the spec has no `jobs` field.
     pub fn from_value(value: &Value, default_jobs: usize) -> Result<Request, SpecError> {
-        let fields = Fields(value);
+        let fields = Fields {
+            value,
+            read: RefCell::default(),
+        };
         let kind = fields
             .str("kind")?
             .ok_or_else(|| SpecError("missing \"kind\"".into()))?;
@@ -191,17 +199,22 @@ impl Request {
 
 /// A request object's fields, read one JSON type at a time. A missing or
 /// `null` field is absent; a field of any other type is refused with an
-/// error that names it, never read as absent.
-struct Fields<'v>(&'v Value);
+/// error that names it, never read as absent. Every key looked up is
+/// remembered, so a job can refuse the keys it never read.
+struct Fields<'v> {
+    value: &'v Value,
+    read: RefCell<Vec<&'static str>>,
+}
 
 impl<'v> Fields<'v> {
     fn typed<T>(
         &self,
-        key: &str,
+        key: &'static str,
         expected: &str,
         read: impl FnOnce(&'v Value) -> Option<T>,
     ) -> Result<Option<T>, SpecError> {
-        match self.0.get(key) {
+        self.read.borrow_mut().push(key);
+        match self.value.get(key) {
             None | Some(Value::Null) => Ok(None),
             Some(v) => read(v)
                 .map(Some)
@@ -209,22 +222,40 @@ impl<'v> Fields<'v> {
         }
     }
 
-    fn str(&self, key: &str) -> Result<Option<&'v str>, SpecError> {
+    fn str(&self, key: &'static str) -> Result<Option<&'v str>, SpecError> {
         self.typed(key, "a string", Value::as_str)
     }
 
-    fn u64(&self, key: &str) -> Result<Option<u64>, SpecError> {
+    fn u64(&self, key: &'static str) -> Result<Option<u64>, SpecError> {
         self.typed(key, "a non-negative integer", Value::as_u64)
     }
 
-    fn bool(&self, key: &str) -> Result<Option<bool>, SpecError> {
+    fn bool(&self, key: &'static str) -> Result<Option<bool>, SpecError> {
         self.typed(key, "a boolean", Value::as_bool)
+    }
+
+    /// Accepts `key` without reading it.
+    fn ignore(&self, key: &'static str) {
+        self.read.borrow_mut().push(key);
+    }
+
+    /// Refuses the request if it has a key nothing read, naming the
+    /// first in key order; `what` names the job in the error.
+    fn refuse_unread(&self, what: &str) -> Result<(), SpecError> {
+        let Value::Object(map) = self.value else {
+            return Ok(());
+        };
+        let read = self.read.borrow();
+        match map.keys().find(|key| !read.contains(&key.as_str())) {
+            Some(key) => Err(SpecError(format!("{key:?} is not a field of a {what} job"))),
+            None => Ok(()),
+        }
     }
 
     /// A count that sizes threads or allocations before a run starts:
     /// refused above `max`, never clamped, since a clamped job would not
     /// be the job that was asked for.
-    fn bounded(&self, key: &str, max: usize) -> Result<Option<usize>, SpecError> {
+    fn bounded(&self, key: &'static str, max: usize) -> Result<Option<usize>, SpecError> {
         match self.u64(key)? {
             Some(n) if n > max as u64 => Err(SpecError(format!("{key:?} must be at most {max}"))),
             n => Ok(n.map(|n| n as usize)),
@@ -232,6 +263,11 @@ impl<'v> Fields<'v> {
     }
 }
 
+/// Parses a job of `kind`. A job reads only the keys its kind and shape
+/// use, plus `id`, `format`, `jobs` and `deadline_ms`, and refuses any
+/// other key, so a misspelled field is an error instead of a default.
+/// The retired `prune` key is still accepted, and ignored, on the
+/// registry kinds.
 fn parse_job(kind: &str, fields: &Fields, default_jobs: usize) -> Result<JobSpec, SpecError> {
     let kind = match kind {
         "check" => JobKind::Check,
@@ -242,18 +278,24 @@ fn parse_job(kind: &str, fields: &Fields, default_jobs: usize) -> Result<JobSpec
         "litmus" => JobKind::Litmus,
         _ => unreachable!("caller matched kind"),
     };
-    let keys = fields.bounded("keys", MAX_KEYS)?;
-
-    let benchmark = fields.str("benchmark")?;
-    let suite = match fields.str("suite")? {
-        None => None,
-        Some("recipe") => Some(Suite::Recipe),
-        Some("pmdk") => Some(Suite::Pmdk),
-        Some("lockfree") => Some(Suite::Lockfree),
-        Some(other) => return Err(SpecError(format!("unknown suite {other:?}"))),
+    let keys = |default| -> Result<usize, SpecError> {
+        Ok(fields.bounded("keys", MAX_KEYS)?.unwrap_or(default))
     };
-    let row = fields.u64("row")?.map(|n| n as usize);
+    let suite = || -> Result<Option<Suite>, SpecError> {
+        match fields.str("suite")? {
+            None => Ok(None),
+            Some("recipe") => Ok(Some(Suite::Recipe)),
+            Some("pmdk") => Ok(Some(Suite::Pmdk)),
+            Some("lockfree") => Ok(Some(Suite::Lockfree)),
+            Some(other) => Err(SpecError(format!("unknown suite {other:?}"))),
+        }
+    };
+    let row = || -> Result<Option<usize>, SpecError> { Ok(fields.u64("row")?.map(|n| n as usize)) };
+    if !matches!(kind, JobKind::Fuzz | JobKind::Litmus) {
+        fields.ignore("prune");
+    }
 
+    let mut what = kind.as_str();
     let workload = match kind {
         JobKind::Fuzz => Workload::Campaign {
             seeds: fields.u64("seeds")?.unwrap_or(20),
@@ -269,53 +311,59 @@ fn parse_job(kind: &str, fields: &Fields, default_jobs: usize) -> Result<JobSpec
             };
             // A sweep builds every program at its bound before checking
             // one, so the default sweep is also the largest a job may
-            // ask for; `jaaru_cli litmus` runs deeper ones.
+            // ask for; `jaaru_cli litmus` runs deeper ones. The corpus
+            // reads no bound.
+            let bound = |key, max| -> Result<usize, SpecError> {
+                if sweep {
+                    Ok(fields.bounded(key, max)?.unwrap_or(max))
+                } else {
+                    Ok(max)
+                }
+            };
+            if !sweep {
+                what = "litmus corpus";
+            }
             let max = SweepBound::default();
             Workload::Litmus {
                 sweep,
-                max_threads: fields
-                    .bounded("max_threads", max.max_threads)?
-                    .unwrap_or(max.max_threads),
-                max_ops_per_thread: fields
-                    .bounded("max_ops_per_thread", max.max_ops_per_thread)?
-                    .unwrap_or(max.max_ops_per_thread),
-                max_total_ops: fields
-                    .bounded("max_total_ops", max.max_total_ops)?
-                    .unwrap_or(max.max_total_ops),
+                max_threads: bound("max_threads", max.max_threads)?,
+                max_ops_per_thread: bound("max_ops_per_thread", max.max_ops_per_thread)?,
+                max_total_ops: bound("max_total_ops", max.max_total_ops)?,
             }
         }
         JobKind::Check => {
-            let benchmark = benchmark
+            let benchmark = fields
+                .str("benchmark")?
                 .ok_or_else(|| SpecError("check requires \"benchmark\"".into()))?
                 .to_string();
             Workload::Fixed {
                 benchmark,
-                keys: keys.unwrap_or(DEFAULT_CHECK_KEYS),
+                keys: keys(DEFAULT_CHECK_KEYS)?,
             }
         }
         JobKind::Bug => {
-            let suite = suite.ok_or_else(|| SpecError("bug requires \"suite\"".into()))?;
-            let row = row.ok_or_else(|| SpecError("bug requires \"row\"".into()))?;
+            let suite = suite()?.ok_or_else(|| SpecError("bug requires \"suite\"".into()))?;
+            let row = row()?.ok_or_else(|| SpecError("bug requires \"row\"".into()))?;
             Workload::Row {
                 suite,
                 row,
-                keys: keys.unwrap_or(DEFAULT_BUG_KEYS),
+                keys: keys(DEFAULT_BUG_KEYS)?,
             }
         }
         // Lint and repair take either shape, like the one-shot CLI.
-        JobKind::Lint | JobKind::Repair => match (benchmark, suite) {
+        JobKind::Lint | JobKind::Repair => match (fields.str("benchmark")?, suite()?) {
             (Some(benchmark), None) => Workload::Fixed {
                 benchmark: benchmark.to_string(),
-                keys: keys.unwrap_or(DEFAULT_CHECK_KEYS),
+                keys: keys(DEFAULT_CHECK_KEYS)?,
             },
             (None, Some(suite)) => {
-                let row = row.ok_or_else(|| {
+                let row = row()?.ok_or_else(|| {
                     SpecError(format!("{} by suite requires \"row\"", kind.as_str()))
                 })?;
                 Workload::Row {
                     suite,
                     row,
-                    keys: keys.unwrap_or(DEFAULT_BUG_KEYS),
+                    keys: keys(DEFAULT_BUG_KEYS)?,
                 }
             }
             _ => {
@@ -332,15 +380,16 @@ fn parse_job(kind: &str, fields: &Fields, default_jobs: usize) -> Result<JobSpec
         Some("sarif") => ArtifactFormat::Sarif,
         Some(other) => return Err(SpecError(format!("unknown format {other:?}"))),
     };
-
-    Ok(JobSpec {
+    let spec = JobSpec {
         id: fields.str("id")?.map(str::to_string),
         kind,
         workload,
         format,
         jobs: fields.bounded("jobs", MAX_JOBS)?.unwrap_or(default_jobs),
         deadline_ms: fields.u64("deadline_ms")?,
-    })
+    };
+    fields.refuse_unread(what)?;
+    Ok(spec)
 }
 
 impl JobSpec {
@@ -538,6 +587,52 @@ mod tests {
     }
 
     #[test]
+    fn a_key_the_job_kind_does_not_read_is_refused() {
+        for (line, key) in [
+            (r#"{"kind":"check","benchmark":"CCEH","kyes":2}"#, "kyes"),
+            (r#"{"kind":"check","benchmark":"CCEH","row":3}"#, "row"),
+            (
+                r#"{"kind":"bug","suite":"recipe","row":1,"benchmark":"CCEH"}"#,
+                "benchmark",
+            ),
+            (r#"{"kind":"lint","benchmark":"CCEH","row":3}"#, "row"),
+            (
+                r#"{"kind":"repair","suite":"pmdk","row":4,"seeds":3}"#,
+                "seeds",
+            ),
+            (r#"{"kind":"fuzz","keys":2}"#, "keys"),
+            (r#"{"kind":"fuzz","prune":false}"#, "prune"),
+            (
+                r#"{"kind":"litmus","mode":"corpus","max_threads":2}"#,
+                "max_threads",
+            ),
+            (
+                r#"{"kind":"litmus","max_ops_per_thread":1}"#,
+                "max_ops_per_thread",
+            ),
+            (r#"{"kind":"litmus","mode":"sweep","seeds":1}"#, "seeds"),
+            (r#"{"kind":"check","benchmark":"CCEH","kyes":null}"#, "kyes"),
+        ] {
+            let error = req(line).expect_err(line);
+            assert!(error.0.contains(&format!("{key:?}")), "{line}: {error}");
+        }
+
+        // The knobs every job takes, and the retired `prune` key on the
+        // registry kinds, are still accepted.
+        for line in [
+            r#"{"kind":"check","benchmark":"CCEH","keys":2,"prune":true,"id":"a","format":"json","jobs":2,"deadline_ms":9}"#,
+            r#"{"kind":"bug","suite":"recipe","row":10,"prune":false}"#,
+            r#"{"kind":"lint","suite":"recipe","row":3,"keys":4,"prune":false}"#,
+            r#"{"kind":"repair","benchmark":"CCEH","prune":true,"format":"sarif"}"#,
+            r#"{"kind":"fuzz","seeds":2,"id":"f","format":"json","jobs":1,"deadline_ms":5}"#,
+            r#"{"kind":"litmus","mode":"sweep","max_total_ops":3,"id":"l","jobs":1}"#,
+            r#"{"kind":"litmus","mode":"corpus","deadline_ms":5}"#,
+        ] {
+            job(line);
+        }
+    }
+
+    #[test]
     fn sizing_fields_are_refused_above_their_bounds() {
         let at = job(&format!(
             r#"{{"kind":"check","benchmark":"CCEH","jobs":{MAX_JOBS},"keys":{MAX_KEYS}}}"#
@@ -606,7 +701,7 @@ mod tests {
                 "max_ops_per_thread",
             ),
             (
-                r#"{"kind":"litmus","max_total_ops":5}"#.to_string(),
+                r#"{"kind":"litmus","mode":"sweep","max_total_ops":5}"#.to_string(),
                 "max_total_ops",
             ),
             (

@@ -166,7 +166,7 @@ impl PmTestEnv {
                     .borrow_mut()
                     .push(PmTestViolation::RedundantFlush {
                         addr,
-                        location: fmt_loc(loc),
+                        location: loc.to_string(),
                     });
             }
             st.last_flush = t;
@@ -187,10 +187,6 @@ impl PmTestEnv {
             }
         }
     }
-}
-
-fn fmt_loc(loc: &'static Location<'static>) -> String {
-    format!("{}:{}:{}", loc.file(), loc.line(), loc.column())
 }
 
 impl PmEnv for PmTestEnv {
@@ -292,7 +288,7 @@ impl PmEnv for PmTestEnv {
                 .push(PmTestViolation::NotPersisted {
                     addr,
                     len,
-                    location: fmt_loc(Location::caller()),
+                    location: Location::caller().to_string(),
                 });
         }
     }
@@ -318,7 +314,7 @@ impl PmEnv for PmTestEnv {
                 .push(PmTestViolation::OrderViolation {
                     first: a,
                     second: b,
-                    location: fmt_loc(Location::caller()),
+                    location: Location::caller().to_string(),
                 });
         }
     }

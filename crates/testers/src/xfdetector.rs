@@ -294,11 +294,9 @@ impl PmEnv for XfPostEnv {
             .map(|i| addr + i)
             .find(|a| self.dirty.contains(a))
         {
-            let loc = Location::caller();
-            self.violations.borrow_mut().push((
-                first_dirty,
-                format!("{}:{}:{}", loc.file(), loc.line(), loc.column()),
-            ));
+            self.violations
+                .borrow_mut()
+                .push((first_dirty, Location::caller().to_string()));
         }
     }
 

@@ -38,6 +38,10 @@ impl fmt::Debug for StoreId {
 /// The model checker's debugging reports (the paper's §4 "Debugging
 /// support") print the source locations of loads that can read from more
 /// than one store, and of each candidate store.
+///
+/// This is the only in-memory form of a source site: traces, race
+/// reports, diagnostics and fix edits all hold it, and output writes it
+/// through `Location`'s `Display` as `file:line:column`.
 pub type SourceLoc = &'static Location<'static>;
 
 /// A store that has taken effect in the cache.
@@ -65,13 +69,8 @@ impl fmt::Display for StoreEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "store {}B @ {} ({} at {}:{}:{})",
-            self.len,
-            self.addr,
-            self.seq,
-            self.loc.file(),
-            self.loc.line(),
-            self.loc.column(),
+            "store {}B @ {} ({} at {})",
+            self.len, self.addr, self.seq, self.loc
         )
     }
 }

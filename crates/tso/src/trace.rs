@@ -10,8 +10,9 @@
 //! A trace is strictly program-ordered: the checker executes guest
 //! threads deterministically, so the recording order *is* the program
 //! order, and [`TraceOp::seq`] is simply the op's index in the trace.
-//! Every op carries its guest source location (captured with
-//! `#[track_caller]`) so diagnostics can point at the exact line.
+//! Every op carries its guest source location, the [`SourceLoc`]
+//! captured with `#[track_caller]`, so diagnostics can point at the
+//! exact line.
 
 use jaaru_pmem::{PmAddr, CACHE_LINE_SIZE};
 
@@ -112,19 +113,6 @@ pub struct TraceOp {
     pub loc: SourceLoc,
     /// Program-order index within the execution's trace.
     pub seq: u32,
-}
-
-impl TraceOp {
-    /// The op's source location rendered as `file:line:column` — the
-    /// format used throughout bug and diagnostic reports.
-    pub fn site(&self) -> String {
-        format!(
-            "{}:{}:{}",
-            self.loc.file(),
-            self.loc.line(),
-            self.loc.column()
-        )
-    }
 }
 
 /// The recorded op stream of one execution, in program order.
@@ -284,12 +272,5 @@ mod tests {
             last_line: 0
         }
         .is_ordering());
-    }
-
-    #[test]
-    fn site_renders_file_line_column() {
-        let mut t = OpTrace::new();
-        t.record(ThreadId(1), here(), TraceOpKind::Mfence);
-        assert!(t.ops()[0].site().contains("trace.rs"));
     }
 }

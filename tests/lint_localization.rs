@@ -12,10 +12,14 @@
 //! blamed on a store in `cceh.rs`, not on the shared allocator or a
 //! neighbouring structure.
 
-use jaaru::{Config, DiagnosticKind, Lints, ModelChecker, PmEnv};
+use std::panic::Location;
+use std::sync::OnceLock;
+
+use jaaru::{to_sarif, Config, DiagnosticKind, Lints, ModelChecker, PmAddr, PmEnv};
 use jaaru_bench::registry::{
     pmdk_bug_cases, pmdk_fixed_cases, recipe_bug_cases, recipe_fixed_cases,
 };
+use jaaru_serve::json::{parse, Value};
 
 fn lint_config() -> Config {
     let mut c = Config::new();
@@ -137,7 +141,7 @@ fn flush_on_another_thread_is_localized_here() {
     assert!(
         races
             .iter()
-            .all(|d| d.site.contains("lint_localization.rs")),
+            .all(|d| d.site.file().ends_with("lint_localization.rs")),
         "{races:#?}"
     );
     assert!(
@@ -173,7 +177,10 @@ fn fence_on_the_wrong_thread_is_localized_here() {
         .filter(|d| d.kind == DiagnosticKind::CrossThreadRace)
         .collect();
     assert!(!races.is_empty(), "{:#?}", report.diagnostics);
-    assert!(races[0].site.contains("lint_localization.rs"), "{races:#?}");
+    assert!(
+        races[0].site.file().ends_with("lint_localization.rs"),
+        "{races:#?}"
+    );
     assert!(races[0].message.contains("fence on thread 1"), "{races:#?}");
 }
 
@@ -210,6 +217,113 @@ fn torn_straddling_store_is_confirmed_by_the_failing_recovery() {
         .filter(|d| d.kind == DiagnosticKind::TornStore)
         .collect();
     assert!(!torn.is_empty(), "{:#?}", report.diagnostics);
-    assert!(torn[0].site.contains("lint_localization.rs"), "{torn:#?}");
+    assert!(
+        torn[0].site.file().ends_with("lint_localization.rs"),
+        "{torn:#?}"
+    );
     assert!(torn[0].message.contains("never persists"), "{torn:#?}");
+}
+
+/// The site of the store `unflushed_commit` never flushes, as the guest
+/// call recorded it.
+static UNFLUSHED: OnceLock<&'static Location<'static>> = OnceLock::new();
+
+/// Stores `value` at `addr` and captures the site the checker records
+/// for that store: both are the caller's location.
+#[track_caller]
+fn store_and_capture(env: &dyn PmEnv, addr: PmAddr, value: u64) {
+    env.store_u64(addr, value);
+    let here = Location::caller();
+    UNFLUSHED.get_or_init(|| here);
+}
+
+/// The Figure 4 commit-store idiom with the data store never flushed.
+fn unflushed_commit(env: &dyn PmEnv) {
+    let root = env.root();
+    let data = root + 64;
+    if env.is_recovery() {
+        if env.load_u64(root) == 1 {
+            env.pm_assert(env.load_u64(data) == 42, "committed data lost");
+        }
+        return;
+    }
+    store_and_capture(env, data, 42);
+    env.store_u64(root, 1);
+    env.clflush(root, 8);
+    env.sfence();
+}
+
+fn field<'v>(value: &'v Value, key: &str) -> &'v Value {
+    value
+        .get(key)
+        .unwrap_or_else(|| panic!("no {key:?} in {value:?}"))
+}
+
+fn items(value: &Value) -> &[Value] {
+    match value {
+        Value::Array(items) => items,
+        other => panic!("not an array: {other:?}"),
+    }
+}
+
+#[test]
+fn a_store_site_reaches_every_renderer_unchanged() {
+    let report = ModelChecker::new(graph_lint_config()).check(&unflushed_commit);
+    let site = *UNFLUSHED.get().expect("the store ran");
+    let file = site.file();
+    let (line, column) = (u64::from(site.line()), u64::from(site.column()));
+
+    // The diagnostic and its fix hold the recorded site itself.
+    let diagnostic = report
+        .diagnostics
+        .iter()
+        .find(|d| d.kind == DiagnosticKind::MissingFlush)
+        .unwrap_or_else(|| panic!("{:#?}", report.diagnostics));
+    assert_eq!(diagnostic.site, site);
+    assert_eq!(diagnostic.suggestion.map(|fix| fix.site()), Some(site));
+
+    // The JSON report writes it as `file:line:column`, for the finding
+    // and for its fix.
+    let written = format!("{file}:{line}:{column}");
+    let json = parse(&report.to_json()).expect("the JSON report parses");
+    let entry = items(field(&json, "diagnostics"))
+        .iter()
+        .find(|d| field(d, "kind").as_str() == Some("missing-flush"))
+        .expect("the JSON report lists the finding");
+    assert_eq!(field(entry, "site").as_str(), Some(written.as_str()));
+    assert_eq!(
+        field(field(entry, "fix"), "site").as_str(),
+        Some(written.as_str())
+    );
+
+    // SARIF splits it into a file, a line and a column, for the result
+    // and for its fix.
+    let sarif = parse(&to_sarif(&report.diagnostics, "0")).expect("the SARIF document parses");
+    let run = &items(field(&sarif, "runs"))[0];
+    let result = items(field(run, "results"))
+        .iter()
+        .find(|r| field(r, "ruleId").as_str() == Some("missing-flush"))
+        .expect("SARIF lists the finding");
+    let physical = field(&items(field(result, "locations"))[0], "physicalLocation");
+    assert_eq!(
+        field(field(physical, "artifactLocation"), "uri").as_str(),
+        Some(file)
+    );
+    let region = field(physical, "region");
+    assert_eq!(field(region, "startLine").as_u64(), Some(line));
+    assert_eq!(field(region, "startColumn").as_u64(), Some(column));
+    let change = &items(field(&items(field(result, "fixes"))[0], "artifactChanges"))[0];
+    assert_eq!(
+        field(field(change, "artifactLocation"), "uri").as_str(),
+        Some(file)
+    );
+    let deleted = field(&items(field(change, "replacements"))[0], "deletedRegion");
+    for (key, want) in [
+        ("startLine", line),
+        ("startColumn", column),
+        ("endLine", line),
+        ("endColumn", column),
+    ] {
+        assert_eq!(field(deleted, key).as_u64(), Some(want), "{key}");
+    }
 }

@@ -116,7 +116,7 @@ fn races_flag_the_missing_flush_sites() {
     assert!(report
         .races
         .iter()
-        .any(|r| r.candidates.iter().any(|c| c.location.is_some())));
+        .any(|r| r.candidates.iter().any(|(_, store)| store.is_some())));
 }
 
 /// Fixed FAST_FAIR at 16 keys, checked with the configuration a

@@ -118,7 +118,7 @@ fn sweep(suite: &str, cases: Vec<BugCase>) {
             case.id
         );
         assert!(
-            outcome.edits.iter().any(|e| e.site().contains(file)),
+            outcome.edits.iter().any(|e| e.site().file().contains(file)),
             "{suite} row {} ({}): no edit lands in {file}; got {:#?}",
             case.id,
             case.cause,
