@@ -10,6 +10,7 @@
 //! occurrence counts add, so folding the same scenarios in the same
 //! order always yields the same list.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -257,6 +258,27 @@ impl DiagnosticSet {
             None => {
                 self.index.insert((d.kind, d.site), self.items.len());
                 self.items.push(d);
+            }
+        }
+    }
+
+    /// Folds in one occurrence of `(kind, site)`, building its
+    /// diagnostic (of that kind and site, one occurrence) with `make`
+    /// only when the pair is new; a known pair just counts it. Where a
+    /// pass's findings of one kind either all carry an edit or none
+    /// does, this is [`insert`](Self::insert) of `make()`, minus the
+    /// message rendered for every repeat.
+    pub fn insert_with(
+        &mut self,
+        kind: DiagnosticKind,
+        site: SourceLoc,
+        make: impl FnOnce() -> Diagnostic,
+    ) {
+        match self.index.entry((kind, site)) {
+            Entry::Occupied(entry) => self.items[*entry.get()].occurrences += 1,
+            Entry::Vacant(entry) => {
+                entry.insert(self.items.len());
+                self.items.push(make());
             }
         }
     }

@@ -12,24 +12,29 @@
 //!   That op is a `clflush` of the line, or for a `clflushopt` the
 //!   same-thread fence or locked RMW that applied it, or a `clflush` of
 //!   the same line issued by *any* thread (the simulator's eager
-//!   writeback forcing parked lines out);
-//! * **vector clocks** give happens-before reachability: per-thread
-//!   program order plus locked RMWs on a shared cache line as
-//!   release/acquire pairs — the only cross-thread synchronization the
-//!   guest API offers. Spawns are not recorded in traces, so the
-//!   relation is deliberately conservative: an op on another thread is
-//!   unordered unless an RMW chain connects them.
+//!   writeback forcing parked lines out). The per-line facts of every
+//!   store sit in one array of the graph; a node holds its range
+//!   ([`PersistGraph::lines`]);
+//! * **happens-before** reachability is per-thread program order plus
+//!   locked RMWs on a shared cache line as release/acquire pairs — the
+//!   only cross-thread synchronization the guest API offers. Spawns are
+//!   not recorded in traces, so the relation is deliberately
+//!   conservative: an op on another thread is unordered unless an RMW
+//!   chain connects them. Only the cross-thread pass asks, so the
+//!   vector clocks behind it are built on the first
+//!   [`happens_before`](PersistGraph::happens_before) query: one `u32`
+//!   per guest thread per op, in one flat array.
 //!
 //! A site is the op's own [`SourceLoc`]: passes copy that reference into
 //! the diagnostics they emit, and nothing is rendered to text until a
 //! report is written.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::ops::Range;
 
 use jaaru_pmem::PmAddr;
 use jaaru_tso::{OpTrace, SourceLoc, TraceOp, TraceOpKind};
-
-use crate::vclock::VClock;
 
 /// The first flush instruction that covered a store's cache line.
 #[derive(Clone, Copy, Debug)]
@@ -70,15 +75,22 @@ pub struct StoreNode {
     pub persist_point: Option<usize>,
     /// First flush that covered any of the store's lines.
     pub flush: Option<FlushRef>,
-    /// Per-line persist facts, in ascending line order — the torn-store
-    /// pass compares these.
-    pub lines: Vec<LinePersist>,
+    /// Where the store's per-line persist facts sit among the graph's,
+    /// one per line in ascending line order; read them through
+    /// [`PersistGraph::lines`]. The torn-store pass compares them.
+    pub lines: Range<usize>,
 }
 
 impl StoreNode {
     /// Whether the store straddles a cache-line boundary.
     pub fn straddles(&self) -> bool {
         self.last_line > self.first_line
+    }
+
+    /// Index of `line`'s fact among the graph's (`line` is one of the
+    /// store's).
+    fn fact(&self, line: u64) -> usize {
+        self.lines.start + (line - self.first_line) as usize
     }
 }
 
@@ -87,10 +99,11 @@ impl StoreNode {
 pub struct PersistGraph<'a> {
     trace: &'a OpTrace,
     stores: Vec<StoreNode>,
-    /// Per-op vector clock (the op's own event included).
-    clocks: Vec<VClock>,
-    /// Per-op tick within its own thread's component.
-    ticks: Vec<u32>,
+    /// Every store's per-line facts, store after store.
+    lines: Vec<LinePersist>,
+    /// Per-op vector clocks (the op's own event included), built on the
+    /// first happens-before query.
+    clocks: OnceCell<Clocks>,
 }
 
 impl<'a> PersistGraph<'a> {
@@ -99,68 +112,53 @@ impl<'a> PersistGraph<'a> {
     pub fn build(trace: &'a OpTrace) -> Self {
         let ops = trace.ops();
         let mut stores: Vec<StoreNode> = Vec::new();
-        let mut clocks: Vec<VClock> = Vec::with_capacity(ops.len());
-        let mut ticks: Vec<u32> = Vec::with_capacity(ops.len());
+        let mut lines: Vec<LinePersist> = Vec::new();
         // Remaining unpersisted lines per store, parallel to `stores`.
         let mut lines_pending: Vec<u32> = Vec::new();
         // line -> indices into `stores` with that line still unflushed.
         let mut dirty: HashMap<u64, Vec<usize>> = HashMap::new();
         // thread -> (line, stores) entries awaiting a fence.
         let mut waiting: HashMap<usize, Vec<(u64, Vec<usize>)>> = HashMap::new();
-        // Happens-before state: per-thread clocks plus the release
-        // clock of the last locked RMW per cache line.
-        let mut thread_clocks: HashMap<usize, VClock> = HashMap::new();
-        let mut last_sync: HashMap<u64, VClock> = HashMap::new();
 
-        let persist = |stores: &mut Vec<StoreNode>,
+        let persist = |stores: &mut [StoreNode],
+                       lines: &mut [LinePersist],
                        lines_pending: &mut [u32],
                        idxs: &[usize],
                        line: u64,
                        at: usize| {
             for &s in idxs {
                 let node = &mut stores[s];
-                if let Some(fact) = node.lines.iter_mut().find(|f| f.line == line) {
-                    fact.persist_point.get_or_insert(at);
-                }
+                lines[node.fact(line)].persist_point.get_or_insert(at);
                 lines_pending[s] = lines_pending[s].saturating_sub(1);
                 if lines_pending[s] == 0 && node.persist_point.is_none() {
                     node.persist_point = Some(at);
                 }
             }
         };
+        let cover = |stores: &mut [StoreNode],
+                     lines: &mut [LinePersist],
+                     idxs: &[usize],
+                     line: u64,
+                     flush: FlushRef| {
+            for &s in idxs {
+                let node = &mut stores[s];
+                node.flush.get_or_insert(flush);
+                lines[node.fact(line)].flush.get_or_insert(flush);
+            }
+        };
 
         for (i, op) in ops.iter().enumerate() {
-            // Happens-before bookkeeping first: acquire on RMW, then
-            // the op's own tick, then release on RMW. A *failed* CAS
-            // still acquires (the locked load observed the line) but
-            // releases nothing: it made no store another thread could
-            // synchronize with, so giving it a release edge would
-            // fabricate happens-before out of a lost race.
-            let (sync_line, releases) = match op.kind {
-                TraceOpKind::Rmw { addr, success, .. } => {
-                    (Some(addr.cache_line().index()), success)
-                }
-                _ => (None, false),
-            };
             let t = op.thread.0 as usize;
-            let clock = thread_clocks.entry(t).or_default();
-            if let Some(line) = sync_line {
-                if let Some(rel) = last_sync.get(&line) {
-                    clock.join(rel);
-                }
-            }
-            ticks.push(clock.advance(t));
-            clocks.push(clock.clone());
-            if releases {
-                if let Some(line) = sync_line {
-                    last_sync.insert(line, clock.clone());
-                }
-            }
-
             match op.kind {
                 TraceOpKind::Store { addr, .. } => {
                     let (first_line, last_line) = op.kind.line_range().unwrap();
                     let idx = stores.len();
+                    let start = lines.len();
+                    lines.extend((first_line..=last_line).map(|line| LinePersist {
+                        line,
+                        flush: None,
+                        persist_point: None,
+                    }));
                     stores.push(StoreNode {
                         op_idx: i,
                         addr,
@@ -168,13 +166,7 @@ impl<'a> PersistGraph<'a> {
                         last_line,
                         persist_point: None,
                         flush: None,
-                        lines: (first_line..=last_line)
-                            .map(|line| LinePersist {
-                                line,
-                                flush: None,
-                                persist_point: None,
-                            })
-                            .collect(),
+                        lines: start..lines.len(),
                     });
                     lines_pending.push((last_line - first_line + 1) as u32);
                     for l in first_line..=last_line {
@@ -186,20 +178,14 @@ impl<'a> PersistGraph<'a> {
                     first_line,
                     last_line,
                 } => {
+                    let flush = FlushRef {
+                        op_idx: i,
+                        opt: false,
+                    };
                     for l in first_line..=last_line {
                         if let Some(idxs) = dirty.remove(&l) {
-                            for &s in &idxs {
-                                let node = &mut stores[s];
-                                let flush = FlushRef {
-                                    op_idx: i,
-                                    opt: false,
-                                };
-                                node.flush.get_or_insert(flush);
-                                if let Some(fact) = node.lines.iter_mut().find(|f| f.line == l) {
-                                    fact.flush.get_or_insert(flush);
-                                }
-                            }
-                            persist(&mut stores, &mut lines_pending, &idxs, l, i);
+                            cover(&mut stores, &mut lines, &idxs, l, flush);
+                            persist(&mut stores, &mut lines, &mut lines_pending, &idxs, l, i);
                         }
                         // A clflush also forces lines parked in any
                         // thread's flush buffer: the eager writeback
@@ -209,7 +195,14 @@ impl<'a> PersistGraph<'a> {
                             while k < entries.len() {
                                 if entries[k].0 == l {
                                     let (_, idxs) = entries.swap_remove(k);
-                                    persist(&mut stores, &mut lines_pending, &idxs, l, i);
+                                    persist(
+                                        &mut stores,
+                                        &mut lines,
+                                        &mut lines_pending,
+                                        &idxs,
+                                        l,
+                                        i,
+                                    );
                                 } else {
                                     k += 1;
                                 }
@@ -221,19 +214,13 @@ impl<'a> PersistGraph<'a> {
                     first_line,
                     last_line,
                 } => {
+                    let flush = FlushRef {
+                        op_idx: i,
+                        opt: true,
+                    };
                     for l in first_line..=last_line {
                         if let Some(idxs) = dirty.remove(&l) {
-                            for &s in &idxs {
-                                let node = &mut stores[s];
-                                let flush = FlushRef {
-                                    op_idx: i,
-                                    opt: true,
-                                };
-                                node.flush.get_or_insert(flush);
-                                if let Some(fact) = node.lines.iter_mut().find(|f| f.line == l) {
-                                    fact.flush.get_or_insert(flush);
-                                }
-                            }
+                            cover(&mut stores, &mut lines, &idxs, l, flush);
                             waiting.entry(t).or_default().push((l, idxs));
                         }
                     }
@@ -241,7 +228,7 @@ impl<'a> PersistGraph<'a> {
                 TraceOpKind::Sfence | TraceOpKind::Mfence | TraceOpKind::Rmw { .. } => {
                     if let Some(entries) = waiting.remove(&t) {
                         for (l, idxs) in entries {
-                            persist(&mut stores, &mut lines_pending, &idxs, l, i);
+                            persist(&mut stores, &mut lines, &mut lines_pending, &idxs, l, i);
                         }
                     }
                 }
@@ -251,8 +238,8 @@ impl<'a> PersistGraph<'a> {
         PersistGraph {
             trace,
             stores,
-            clocks,
-            ticks,
+            lines,
+            clocks: OnceCell::new(),
         }
     }
 
@@ -266,6 +253,11 @@ impl<'a> PersistGraph<'a> {
         &self.stores
     }
 
+    /// `store`'s per-line persist facts, in ascending line order.
+    pub fn lines(&self, store: &StoreNode) -> &[LinePersist] {
+        &self.lines[store.lines.clone()]
+    }
+
     /// The source site of op `op_idx`.
     pub fn site(&self, op_idx: usize) -> SourceLoc {
         self.trace.ops()[op_idx].loc
@@ -277,8 +269,72 @@ impl<'a> PersistGraph<'a> {
         if a == b {
             return false;
         }
+        let clocks = self.clocks.get_or_init(|| Clocks::build(self.ops()));
         let ta = self.trace.ops()[a].thread.0 as usize;
-        self.clocks[b].get(ta) >= self.ticks[a]
+        // `a`'s own component of its clock is its tick on its thread.
+        clocks.of(b)[ta] >= clocks.of(a)[ta]
+    }
+}
+
+/// Vector clocks of every op of a trace: component `t` of an op's clock
+/// counts the events of thread `t` that happen-before the op, or are
+/// the op. `width` components per op (the highest thread id plus one),
+/// op after op, in one array.
+#[derive(Debug)]
+struct Clocks {
+    width: usize,
+    ticks: Vec<u32>,
+}
+
+impl Clocks {
+    fn build(ops: &[TraceOp]) -> Clocks {
+        let width = ops
+            .iter()
+            .map(|op| op.thread.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut ticks = vec![0u32; width * ops.len()];
+        // The last op of each thread: the clock its next op starts from.
+        let mut last: Vec<Option<usize>> = vec![None; width];
+        // The last successful locked RMW on each cache line: the clock
+        // an RMW on that line acquires.
+        let mut released: HashMap<u64, usize> = HashMap::new();
+        for (i, op) in ops.iter().enumerate() {
+            let t = op.thread.0 as usize;
+            let (before, rest) = ticks.split_at_mut(i * width);
+            let clock = &mut rest[..width];
+            let row = |j: usize| &before[j * width..(j + 1) * width];
+            if let Some(prev) = last[t] {
+                clock.copy_from_slice(row(prev));
+            }
+            last[t] = Some(i);
+            // Acquire on RMW, then the op's own tick, then release on
+            // RMW. A *failed* CAS still acquires (the locked load
+            // observed the line) but releases nothing: it made no store
+            // another thread could synchronize with, so giving it a
+            // release edge would fabricate happens-before out of a lost
+            // race.
+            let TraceOpKind::Rmw { addr, success, .. } = op.kind else {
+                clock[t] += 1;
+                continue;
+            };
+            let line = addr.cache_line().index();
+            if let Some(&rel) = released.get(&line) {
+                for (tick, &seen) in clock.iter_mut().zip(row(rel)) {
+                    *tick = (*tick).max(seen);
+                }
+            }
+            clock[t] += 1;
+            if success {
+                released.insert(line, i);
+            }
+        }
+        Clocks { width, ticks }
+    }
+
+    /// Op `i`'s clock.
+    fn of(&self, i: usize) -> &[u32] {
+        &self.ticks[i * self.width..(i + 1) * self.width]
     }
 }
 
@@ -337,7 +393,7 @@ mod tests {
         let g = PersistGraph::build(&t);
         assert_eq!(g.stores().len(), 1);
         assert_eq!(g.stores()[0].persist_point, Some(2));
-        assert_eq!(g.stores()[0].lines[0].persist_point, Some(2));
+        assert_eq!(g.lines(&g.stores()[0])[0].persist_point, Some(2));
         assert_eq!(g.stores()[0].flush.unwrap().op_idx, 1);
         assert!(g.stores()[0].flush.unwrap().opt);
     }
@@ -372,9 +428,11 @@ mod tests {
         let g = PersistGraph::build(&t);
         let s = &g.stores()[0];
         assert!(s.straddles());
-        assert_eq!(s.lines.len(), 2);
-        assert_eq!(s.lines[0].persist_point, Some(1));
-        assert_eq!(s.lines[1].persist_point, Some(2));
+        let lines = g.lines(s);
+        assert_eq!(lines.len(), 2);
+        assert_eq!((lines[0].line, lines[1].line), (2, 3));
+        assert_eq!(lines[0].persist_point, Some(1));
+        assert_eq!(lines[1].persist_point, Some(2));
         assert_eq!(s.persist_point, Some(2));
     }
 
@@ -442,6 +500,43 @@ mod tests {
         flush(&mut t, 1, 2);
         let g = PersistGraph::build(&t);
         assert!(!g.happens_before(0, 3));
+    }
+
+    fn rmw(t: &mut OpTrace, tid: u32, line: u64) {
+        rec(
+            t,
+            tid,
+            TraceOpKind::Rmw {
+                addr: PmAddr::new(line * LINE),
+                success: true,
+                recovery: false,
+            },
+        );
+    }
+
+    #[test]
+    fn release_acquire_chains_order_a_third_thread() {
+        // Thread 0 releases on line A, thread 1 acquires A and releases
+        // on line B, thread 2 acquires B: three clock components, and
+        // happens-before is transitive along the chain.
+        let (a, b) = (6, 7);
+        let mut t = OpTrace::new();
+        store(&mut t, 0, 2 * LINE, 8); // op 0, thread 0
+        rmw(&mut t, 0, a); // op 1: release A
+        store(&mut t, 0, 3 * LINE, 8); // op 2, thread 0, after the release
+        rmw(&mut t, 1, a); // op 3: acquire A
+        rmw(&mut t, 1, b); // op 4: release B
+        rmw(&mut t, 2, b); // op 5: acquire B
+        flush(&mut t, 2, 2); // op 6, thread 2
+        let g = PersistGraph::build(&t);
+        assert!(g.happens_before(0, 6), "the chain orders the store");
+        assert!(g.happens_before(1, 5) && g.happens_before(3, 6));
+        assert!(
+            !g.happens_before(2, 6),
+            "an op after the release is not ordered before the chain's end"
+        );
+        assert!(!g.happens_before(6, 0) && !g.happens_before(5, 4));
+        assert!(!g.happens_before(2, 3), "thread 1 acquired before op 2");
     }
 
     #[test]

@@ -13,14 +13,16 @@
 //!    [`OpTrace`](jaaru_tso::OpTrace) into per-store, per-line persist
 //!    facts (the flush that covered each line, and the flush, fence or
 //!    eager cross-thread drain at which it persisted) and vector-clock
-//!    happens-before reachability ([`VClock`]). Every pass below
-//!    queries the graph instead of re-walking the trace.
+//!    happens-before reachability, built on the first query. Every
+//!    pass below queries the graph instead of re-walking the trace.
 //! 2. **Commit-store inference + robustness checking**
 //!    ([`analyze_trace`], [`robustness_candidates`]): identifies the
 //!    flushed-and-fenced guard-store idiom (commit stores) and emits a
 //!    [`Candidate`] for every store that can reach a commit store
 //!    unpersisted — classified as `MissingFlush`, `MissingFence` or
-//!    `FlushNotFenced`, each with a concrete fix suggestion.
+//!    `FlushNotFenced`, each with a concrete fix suggestion. A
+//!    candidate keeps the sites its suggestion names ([`Cause`]) and
+//!    renders the text only when it becomes a [`Diagnostic`].
 //! 3. **Cross-thread and torn-store passes** ([`cross_thread_races`],
 //!    [`torn_candidates`]): stores whose flush/fence chain spans
 //!    threads without a synchronizing edge, and straddling stores
@@ -34,7 +36,8 @@
 //!    bug, candidates are confirmed against the failing scenario's
 //!    read-from evidence — the racy loads and the stores they could
 //!    have read. A confirmed candidate is the root cause of the
-//!    observed symptom.
+//!    observed symptom; confirmed candidates fold by `(kind, site)`,
+//!    so a diagnostic is built once per finding.
 //! 6. **The diagnostic framework** ([`Diagnostic`], [`DiagnosticSet`])
 //!    and its renderings: the unified finding type (kind, severity,
 //!    site, rendered message, typed edit, occurrences), the single
@@ -62,7 +65,6 @@ mod races;
 mod repair;
 mod robust;
 mod sarif;
-mod vclock;
 
 pub use diagnostic::{Diagnostic, DiagnosticKind, DiagnosticSet, Severity};
 pub use graph::{FlushRef, LinePersist, PersistGraph, StoreNode};
@@ -71,6 +73,5 @@ pub use localize::{localize, RfEvidence};
 pub use perf::{dead_flushes, flush_redundancy};
 pub use races::{cross_thread_races, recovery_read_lines, torn_candidates};
 pub use repair::{minimize_edits, FixEdit};
-pub use robust::{analyze_trace, robustness_candidates, Candidate};
+pub use robust::{analyze_trace, robustness_candidates, Candidate, Cause};
 pub use sarif::{to_sarif, to_sarif_with_verified};
-pub use vclock::VClock;

@@ -19,6 +19,14 @@
 //! site is the root cause of the observed symptom — and its suggestion
 //! is the fix.
 //!
+//! A failing scenario confirms the same finding many times over: a
+//! store site runs once per loop iteration and again in every
+//! execution, and each run that reaches a commit store unpersisted is a
+//! candidate of its own. Confirmed candidates fold by
+//! `(kind, site)` through a [`DiagnosticSet`], and a diagnostic (with
+//! its rendered message) is built only for the first candidate of each
+//! pair; the rest add occurrences.
+//!
 //! Confirmation is what keeps the lint engine precise on correct code:
 //! a fixed configuration explores cleanly, produces no bug and hence no
 //! confirmed candidates, so `jaaru_cli lint` reports zero diagnostics.
@@ -27,7 +35,7 @@ use std::collections::HashSet;
 
 use jaaru_tso::SourceLoc;
 
-use crate::diagnostic::Diagnostic;
+use crate::diagnostic::{Diagnostic, DiagnosticSet};
 use crate::robust::Candidate;
 
 /// Read-from evidence extracted from one scenario's racy loads: the
@@ -36,15 +44,19 @@ use crate::robust::Candidate;
 pub type RfEvidence = HashSet<(usize, SourceLoc)>;
 
 /// Filters per-execution candidates down to those corroborated by the
-/// scenario's read-from evidence, converting each confirmed candidate
-/// into a diagnostic. `candidates` pairs each candidate with the index
-/// of the execution whose trace produced it.
+/// scenario's read-from evidence, and folds the confirmed ones into
+/// diagnostics by `(kind, site)`, in first-confirmation order, each
+/// counting its confirmed candidates as occurrences. `candidates` pairs
+/// each candidate with the index of the execution whose trace produced
+/// it.
 pub fn localize(candidates: Vec<(usize, Candidate)>, evidence: &RfEvidence) -> Vec<Diagnostic> {
-    candidates
-        .into_iter()
-        .filter(|(exec, c)| evidence.contains(&(*exec, c.store_loc)))
-        .map(|(_, c)| c.into_diagnostic())
-        .collect()
+    let mut confirmed = DiagnosticSet::new();
+    for (exec, c) in candidates {
+        if evidence.contains(&(exec, c.store_loc)) {
+            confirmed.insert_with(c.kind, c.site, || c.into_diagnostic());
+        }
+    }
+    confirmed.into_vec()
 }
 
 #[cfg(test)]
@@ -99,6 +111,26 @@ mod tests {
         let confirmed = localize(cands, &evidence);
         assert_eq!(confirmed.len(), 1);
         assert_eq!(confirmed[0].site, store_site);
+    }
+
+    #[test]
+    fn confirmed_candidates_fold_by_kind_and_site() {
+        // The same buggy execution twice over: one diagnostic, two
+        // occurrences, the first candidate's message.
+        let (trace, store_site) = buggy_trace();
+        let cands: Vec<(usize, Candidate)> = analyze_trace(&trace)
+            .into_iter()
+            .chain(analyze_trace(&trace))
+            .map(|c| (0usize, c))
+            .collect();
+        assert_eq!(cands.len(), 2);
+        let message = cands[0].1.clone().into_diagnostic().message;
+        let mut evidence = RfEvidence::new();
+        evidence.insert((0, store_site));
+        let confirmed = localize(cands, &evidence);
+        assert_eq!(confirmed.len(), 1);
+        assert_eq!(confirmed[0].occurrences, 2);
+        assert_eq!(confirmed[0].message, message);
     }
 
     #[test]

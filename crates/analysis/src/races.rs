@@ -34,7 +34,7 @@ use jaaru_tso::{OpTrace, TraceOpKind};
 use crate::diagnostic::{Diagnostic, DiagnosticKind, DiagnosticSet};
 use crate::graph::PersistGraph;
 use crate::repair::FixEdit;
-use crate::robust::Candidate;
+use crate::robust::{Candidate, Cause};
 
 /// Reports stores whose flush/fence chain spans threads without a
 /// synchronizing edge, deduplicated by site.
@@ -49,29 +49,29 @@ pub fn cross_thread_races(graph: &PersistGraph<'_>) -> Vec<Diagnostic> {
 
     for s in graph.stores() {
         let store_thread = ops[s.op_idx].thread;
-        for fact in &s.lines {
+        for fact in graph.lines(s) {
             let Some(flush) = fact.flush else { continue };
             let flush_thread = ops[flush.op_idx].thread;
 
             // Shape 1: the flush itself runs on another thread,
             // unordered with the store.
             if flush_thread != store_thread && !graph.happens_before(s.op_idx, flush.op_idx) {
-                out.insert(Diagnostic {
+                let site = graph.site(s.op_idx);
+                out.insert_with(DiagnosticKind::CrossThreadRace, site, || Diagnostic {
                     kind: DiagnosticKind::CrossThreadRace,
-                    site: graph.site(s.op_idx),
+                    site,
                     message: format!(
-                        "the store at {} (thread {}) is flushed only by thread {} \
+                        "the store at {site} (thread {}) is flushed only by thread {} \
                          (at {}) with no synchronization ordering the flush after \
                          the store; under another interleaving the flush runs first \
                          and persists nothing — flush on the storing thread or \
                          synchronize via a locked RMW",
-                        graph.site(s.op_idx),
                         store_thread.0,
                         flush_thread.0,
                         graph.site(flush.op_idx),
                     ),
                     suggestion: Some(FixEdit::InsertFlush {
-                        site: graph.site(s.op_idx),
+                        site,
                         line: Some(fact.line),
                     }),
                     addr: Some(s.addr),
@@ -89,15 +89,15 @@ pub fn cross_thread_races(graph: &PersistGraph<'_>) -> Vec<Diagnostic> {
                     .copied()
                     .find(|&f| f > flush.op_idx && ops[f].thread != flush_thread);
                 if let Some(fence) = wrong_fence {
-                    out.insert(Diagnostic {
+                    let site = graph.site(flush.op_idx);
+                    out.insert_with(DiagnosticKind::CrossThreadRace, site, || Diagnostic {
                         kind: DiagnosticKind::CrossThreadRace,
-                        site: graph.site(flush.op_idx),
+                        site,
                         message: format!(
-                            "the clflushopt at {} parks line {} in thread {}'s \
+                            "the clflushopt at {site} parks line {} in thread {}'s \
                              flush buffer, but only thread {} fences afterwards \
                              (at {}); a fence drains only its own thread's buffer, \
                              so the flush never takes effect — fence on thread {}",
-                            graph.site(flush.op_idx),
                             fact.line,
                             flush_thread.0,
                             ops[fence].thread.0,
@@ -105,7 +105,7 @@ pub fn cross_thread_races(graph: &PersistGraph<'_>) -> Vec<Diagnostic> {
                             flush_thread.0,
                         ),
                         suggestion: Some(FixEdit::InsertFence {
-                            site: graph.site(flush.op_idx),
+                            site,
                             line: Some(fact.line),
                         }),
                         addr: Some(s.addr),
@@ -126,40 +126,33 @@ pub fn torn_candidates(graph: &PersistGraph<'_>) -> Vec<Candidate> {
         if !s.straddles() {
             continue;
         }
-        let first = s.lines[0].persist_point;
-        if s.lines.iter().all(|f| f.persist_point == first) {
+        let lines = graph.lines(s);
+        let first = lines[0].persist_point;
+        if lines.iter().all(|f| f.persist_point == first) {
             // All halves persist at the same op (one wide flush, or one
             // fence draining every line) — or none ever does, which is
             // the robustness pass's missing-flush domain, not a tear.
             continue;
         }
-        let halves = s
-            .lines
-            .iter()
-            .map(|f| match f.persist_point {
-                Some(p) => format!("line {} persists at {}", f.line, graph.site(p)),
-                None => format!("line {} never persists", f.line),
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
         let site = graph.site(s.op_idx);
         out.push(Candidate {
             kind: DiagnosticKind::TornStore,
             site,
-            suggestion: format!(
-                "the store at {site} straddles cache lines {}..={} and its halves \
-                 persist independently ({halves}); a crash between the writebacks \
-                 recovers a torn value — split the store at the line boundary or \
-                 keep it within one line",
-                s.first_line, s.last_line,
-            ),
+            cause: Cause::Torn {
+                first_line: s.first_line,
+                last_line: s.last_line,
+                halves: lines
+                    .iter()
+                    .map(|f| f.persist_point.map(|p| graph.site(p)))
+                    .collect(),
+            },
             // One wide clflush spanning the store's byte range is a
             // single trace op, so both halves persist at the same
             // point — the mechanical fix for a tear.
-            fix: Some(FixEdit::InsertFlush {
+            fix: FixEdit::InsertFlush {
                 site,
                 line: Some(s.first_line),
-            }),
+            },
             store_loc: site,
             addr: s.addr,
             persists_eventually: s.persist_point.is_some(),
@@ -172,7 +165,7 @@ pub fn torn_candidates(graph: &PersistGraph<'_>) -> Vec<Candidate> {
 /// recovery-flagged `Load` and `Rmw` ops (a failed recovery CAS still
 /// observes its cell). Buggy scenarios use this to keep cross-thread
 /// reports tied to state the failing recovery could observe.
-pub fn recovery_read_lines(traces: &[OpTrace]) -> HashSet<u64> {
+pub fn recovery_read_lines<'a>(traces: impl IntoIterator<Item = &'a OpTrace>) -> HashSet<u64> {
     let mut lines = HashSet::new();
     for trace in traces {
         for op in trace.ops() {
@@ -319,7 +312,8 @@ mod tests {
         let cands = torn_candidates(&PersistGraph::build(&t));
         assert_eq!(cands.len(), 1, "{cands:?}");
         assert_eq!(cands[0].kind, DiagnosticKind::TornStore);
-        assert!(cands[0].suggestion.contains("never persists"), "{cands:?}");
+        let message = cands[0].clone().into_diagnostic().message;
+        assert!(message.contains("line 3 never persists"), "{message}");
 
         // Flushing both lines separately still tears (a crash can land
         // between the two clflushes).
@@ -380,7 +374,7 @@ mod tests {
                 recovery: true,
             },
         );
-        let lines = recovery_read_lines(&[pre, rec1]);
+        let lines = recovery_read_lines([&pre, &rec1]);
         assert!(!lines.contains(&2), "pre-failure loads don't count");
         assert!(lines.contains(&4) && lines.contains(&5), "{lines:?}");
         assert!(lines.contains(&7), "failed recovery CAS reads its line");

@@ -20,6 +20,9 @@
 //! `MissingFence` (flushed with `clflushopt` but never fenced) or
 //! `FlushNotFenced` (fenced only after the commit), with a concrete fix
 //! suggestion naming both the store and the commit store it races with.
+//! A candidate keeps the sites its suggestion names ([`Cause`]); the
+//! text is rendered only when the candidate becomes a [`Diagnostic`],
+//! so the many candidates that are never reported cost no formatting.
 
 use jaaru_pmem::PmAddr;
 use jaaru_tso::{OpTrace, SourceLoc};
@@ -42,16 +45,43 @@ pub struct Candidate {
     pub store_loc: SourceLoc,
     /// First byte of the unordered store.
     pub addr: PmAddr,
-    /// The concrete fix, rendered for humans.
-    pub suggestion: String,
-    /// The same fix as a machine-applicable edit.
-    pub fix: Option<FixEdit>,
+    /// What the fix suggestion names besides `site` and `store_loc`.
+    pub cause: Cause,
+    /// The fix as a machine-applicable edit.
+    pub fix: FixEdit,
     /// Whether the store does persist later in the trace (a late flush
     /// or late fence), just not before the commit store. Late-ordered
     /// stores are only wrong if recovery actually observes the window,
     /// so static reporting restricts itself to never-persisted stores
     /// and leaves this class to dynamic (race-confirmed) localization.
     pub persists_eventually: bool,
+}
+
+/// What a candidate's fix suggestion names besides its own site and
+/// store: the commit store it races with and the flush or fence that
+/// came too late, or a torn store's per-line persist points.
+#[derive(Clone, Debug)]
+pub enum Cause {
+    /// `MissingFlush`: no flush of the store's line before the commit
+    /// store at `commit`.
+    Unflushed { commit: SourceLoc },
+    /// `MissingFlush`: the store is flushed only at `flush`, after the
+    /// commit store at `commit`.
+    FlushedLate { flush: SourceLoc, commit: SourceLoc },
+    /// `MissingFence`: the `clflushopt` at the candidate's site is never
+    /// fenced, and the commit store at `commit` follows it.
+    Unfenced { commit: SourceLoc },
+    /// `FlushNotFenced`: the `clflushopt` at the candidate's site takes
+    /// effect only at `fence`, after the commit store at `commit`.
+    FencedLate { fence: SourceLoc, commit: SourceLoc },
+    /// `TornStore`: the store covers lines `first_line..=last_line`, and
+    /// `halves` holds where each of them persists (`None`: never), in
+    /// line order.
+    Torn {
+        first_line: u64,
+        last_line: u64,
+        halves: Vec<Option<SourceLoc>>,
+    },
 }
 
 impl Candidate {
@@ -61,10 +91,57 @@ impl Candidate {
         Diagnostic {
             kind: self.kind,
             site: self.site,
-            message: self.suggestion,
-            suggestion: self.fix,
+            message: self.message(),
+            suggestion: Some(self.fix),
             addr: Some(self.addr),
             occurrences: 1,
+        }
+    }
+
+    /// The fix suggestion, rendered for humans.
+    fn message(&self) -> String {
+        let (site, store_loc) = (self.site, self.store_loc);
+        match &self.cause {
+            Cause::Unfenced { commit } => format!(
+                "the clflushopt at {site} is never fenced, so the store at \
+                 {store_loc} may not persist; insert an sfence after the \
+                 flush, before the commit store at {commit}"
+            ),
+            Cause::FencedLate { fence, commit } => format!(
+                "the clflushopt at {site} takes effect only at {fence} — after the \
+                 commit store at {commit}; insert an sfence between the \
+                 flush and the commit store"
+            ),
+            Cause::FlushedLate { flush, commit } => format!(
+                "the store at {store_loc} is flushed only at {flush} — after the \
+                 commit store at {commit}; move the flush (plus its fence) \
+                 before the commit store"
+            ),
+            Cause::Unflushed { commit } => format!(
+                "insert clflush + sfence (or clflushopt + sfence) after the \
+                 store at {store_loc}, before the commit store at {commit}"
+            ),
+            Cause::Torn {
+                first_line,
+                last_line,
+                halves,
+            } => {
+                let halves = halves
+                    .iter()
+                    .zip(*first_line..)
+                    .map(|(point, line)| match point {
+                        Some(p) => format!("line {line} persists at {p}"),
+                        None => format!("line {line} never persists"),
+                    })
+                    .collect::<Vec<_>>()
+                    .join(", ");
+                format!(
+                    "the store at {site} straddles cache lines {first_line}..={last_line} \
+                     and its halves persist independently ({halves}); a crash between \
+                     the writebacks recovers a torn value — split the store at the line \
+                     boundary or keep it within one line"
+                )
+            }
         }
     }
 }
@@ -80,13 +157,11 @@ pub fn analyze_trace(trace: &OpTrace) -> Vec<Candidate> {
 pub fn robustness_candidates(graph: &PersistGraph<'_>) -> Vec<Candidate> {
     let stores = graph.stores();
 
-    // Commit stores: stores that are themselves flushed and fenced.
-    // Their trace indices, ascending (stores are already in program
-    // order), plus a parallel index into `stores`.
+    // Commit stores: stores that are themselves flushed and fenced, as
+    // indices into `stores` (already in program order).
     let commits: Vec<usize> = (0..stores.len())
         .filter(|&s| stores[s].persist_point.is_some())
         .collect();
-    let commit_ops: Vec<usize> = commits.iter().map(|&s| stores[s].op_idx).collect();
 
     let mut out = Vec::new();
     for s in stores {
@@ -94,7 +169,7 @@ pub fn robustness_candidates(graph: &PersistGraph<'_>) -> Vec<Candidate> {
         // First commit store strictly after the store and strictly
         // before its persist point whose lines are disjoint from the
         // store's.
-        let start = commit_ops.partition_point(|&c| c <= s.op_idx);
+        let start = commits.partition_point(|&c| stores[c].op_idx <= s.op_idx);
         let violating = commits[start..]
             .iter()
             .take_while(|&&c| stores[c].op_idx < horizon)
@@ -103,82 +178,67 @@ pub fn robustness_candidates(graph: &PersistGraph<'_>) -> Vec<Candidate> {
                 commit.last_line < s.first_line || commit.first_line > s.last_line
             });
         let Some(&c) = violating else { continue };
-        let commit = &stores[c];
-        let commit_loc = graph.site(commit.op_idx);
+        let commit_op = stores[c].op_idx;
+        let commit = graph.site(commit_op);
         let store_loc = graph.site(s.op_idx);
         let store_line = Some(s.addr.cache_line().index());
-        let candidate = match s.flush {
-            Some(f) if f.op_idx < commit.op_idx && f.opt => match s.persist_point {
-                None => Candidate {
-                    kind: DiagnosticKind::MissingFence,
-                    site: graph.site(f.op_idx),
-                    suggestion: format!(
-                        "the clflushopt at {} is never fenced, so the store at \
-                         {store_loc} may not persist; insert an sfence after the \
-                         flush, before the commit store at {commit_loc}",
-                        graph.site(f.op_idx)
+        let (kind, site, cause, persists_eventually) = match s.flush {
+            Some(f) if f.op_idx < commit_op && f.opt => {
+                let site = graph.site(f.op_idx);
+                match s.persist_point {
+                    None => (
+                        DiagnosticKind::MissingFence,
+                        site,
+                        Cause::Unfenced { commit },
+                        false,
                     ),
-                    fix: Some(FixEdit::InsertFence {
-                        site: graph.site(f.op_idx),
-                        line: store_line,
-                    }),
-                    store_loc,
-                    addr: s.addr,
-                    persists_eventually: false,
-                },
-                Some(p) => Candidate {
-                    kind: DiagnosticKind::FlushNotFenced,
-                    site: graph.site(f.op_idx),
-                    suggestion: format!(
-                        "the clflushopt at {} takes effect only at {} — after the \
-                         commit store at {commit_loc}; insert an sfence between the \
-                         flush and the commit store",
-                        graph.site(f.op_idx),
-                        graph.site(p)
+                    Some(p) => (
+                        DiagnosticKind::FlushNotFenced,
+                        site,
+                        Cause::FencedLate {
+                            fence: graph.site(p),
+                            commit,
+                        },
+                        true,
                     ),
-                    fix: Some(FixEdit::InsertFence {
-                        site: graph.site(f.op_idx),
-                        line: store_line,
-                    }),
-                    store_loc,
-                    addr: s.addr,
-                    persists_eventually: true,
+                }
+            }
+            Some(f) if f.op_idx > commit_op => (
+                DiagnosticKind::MissingFlush,
+                store_loc,
+                Cause::FlushedLate {
+                    flush: graph.site(f.op_idx),
+                    commit,
                 },
-            },
-            Some(f) if f.op_idx > commit.op_idx => Candidate {
-                kind: DiagnosticKind::MissingFlush,
-                site: store_loc,
-                suggestion: format!(
-                    "the store at {store_loc} is flushed only at {} — after the \
-                     commit store at {commit_loc}; move the flush (plus its fence) \
-                     before the commit store",
-                    graph.site(f.op_idx)
-                ),
-                fix: Some(FixEdit::InsertFlush {
-                    site: store_loc,
-                    line: store_line,
-                }),
+                true,
+            ),
+            _ => (
+                DiagnosticKind::MissingFlush,
                 store_loc,
-                addr: s.addr,
-                persists_eventually: true,
-            },
-            _ => Candidate {
-                kind: DiagnosticKind::MissingFlush,
-                site: store_loc,
-                suggestion: format!(
-                    "insert clflush + sfence (or clflushopt + sfence) after the \
-                     store at {store_loc}, before the commit store at {commit_loc}"
-                ),
-                fix: Some(FixEdit::InsertFlush {
-                    site: store_loc,
-                    line: store_line,
-                }),
-                store_loc,
-                addr: s.addr,
-                persists_eventually: s.persist_point.is_some(),
-            },
+                Cause::Unflushed { commit },
+                s.persist_point.is_some(),
+            ),
         };
-        out.push(candidate);
+        let fix = if kind == DiagnosticKind::MissingFlush {
+            FixEdit::InsertFlush {
+                site,
+                line: store_line,
+            }
+        } else {
+            FixEdit::InsertFence {
+                site,
+                line: store_line,
+            }
+        };
+        out.push(Candidate {
+            kind,
+            site,
+            store_loc,
+            addr: s.addr,
+            cause,
+            fix,
+            persists_eventually,
+        });
     }
     out
 }
@@ -251,12 +311,13 @@ mod tests {
         store(&mut t, 3 * LINE, 8); // commit
         flush(&mut t, 3);
         sfence(&mut t, 0);
-        let cands = analyze_trace(&t);
+        let mut cands = analyze_trace(&t);
         assert_eq!(cands.len(), 1, "{cands:?}");
         assert_eq!(cands[0].kind, DiagnosticKind::MissingFlush);
         assert_eq!(cands[0].addr, PmAddr::new(2 * LINE));
-        assert!(cands[0].suggestion.contains("insert clflush + sfence"));
         assert!(cands[0].site.file().ends_with("robust.rs"));
+        let message = cands.remove(0).into_diagnostic().message;
+        assert!(message.contains("insert clflush + sfence"), "{message}");
     }
 
     #[test]
@@ -268,10 +329,11 @@ mod tests {
         sfence(&mut t, 0);
         flush(&mut t, 2); // data flushed only after the commit
         sfence(&mut t, 0);
-        let cands = analyze_trace(&t);
+        let mut cands = analyze_trace(&t);
         assert_eq!(cands.len(), 1, "{cands:?}");
         assert_eq!(cands[0].kind, DiagnosticKind::MissingFlush);
-        assert!(cands[0].suggestion.contains("move the flush"), "{cands:?}");
+        let message = cands.remove(0).into_diagnostic().message;
+        assert!(message.contains("move the flush"), "{message}");
     }
 
     #[test]
@@ -293,10 +355,11 @@ mod tests {
         store(&mut t, 3 * LINE, 8);
         flush(&mut t, 3);
         sfence(&mut t, 0);
-        let cands = analyze_trace(&t);
+        let mut cands = analyze_trace(&t);
         assert_eq!(cands.len(), 1, "{cands:?}");
         assert_eq!(cands[0].kind, DiagnosticKind::MissingFence);
-        assert!(cands[0].suggestion.contains("never fenced"));
+        let message = cands.remove(0).into_diagnostic().message;
+        assert!(message.contains("never fenced"), "{message}");
     }
 
     #[test]
@@ -307,10 +370,11 @@ mod tests {
         store(&mut t, 3 * LINE, 8); // commit, before the fence
         flush(&mut t, 3);
         sfence(&mut t, 0); // orders the flushopt — but too late
-        let cands = analyze_trace(&t);
+        let mut cands = analyze_trace(&t);
         assert_eq!(cands.len(), 1, "{cands:?}");
         assert_eq!(cands[0].kind, DiagnosticKind::FlushNotFenced);
-        assert!(cands[0].suggestion.contains("takes effect only at"));
+        let message = cands.remove(0).into_diagnostic().message;
+        assert!(message.contains("takes effect only at"), "{message}");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::panic::{panic_any, Location};
+use std::sync::Arc;
 
 use jaaru_pmem::{PmAddr, CACHE_LINE_SIZE, NULL_PAGE_SIZE};
 use jaaru_tso::{
@@ -57,15 +58,20 @@ struct Inner {
     /// its allocation.
     cands: Vec<RfCandidate>,
 
-    /// Per-execution operation traces for the lint engine (empty unless
-    /// [`Config::lints`] is on); the last entry is the running execution.
-    op_traces: Vec<OpTrace>,
+    /// Operation traces of the crashed executions for the lint engine,
+    /// oldest first (empty unless [`Config::lints`] is on). A crashed
+    /// execution's trace never changes again, so checkpoints share it.
+    op_traces: Vec<Arc<OpTrace>>,
+    /// The running execution's operation trace (recorded only when
+    /// [`Config::lints`] is on).
+    op_trace: OpTrace,
 
-    /// Cache lines recovery read: post-failure loads that missed the
-    /// running execution's own state and consulted pre-failure storage.
-    /// Collected only for the dead-flush pass
-    /// ([`Lints::All`](crate::Lints::All)); accumulates across
-    /// executions and participates in snapshots.
+    /// Cache lines this scenario's recoveries read: post-failure loads
+    /// that missed the running execution's own state and consulted
+    /// pre-failure storage. Collected only for the dead-flush pass
+    /// ([`Lints::All`](crate::Lints::All)). A restored scenario starts
+    /// empty: the scenario that captured its checkpoint read every line
+    /// the skipped executions read, and the footprint is their union.
     recovery_reads: HashSet<u64>,
 
     /// Checkpoints captured at this scenario's fresh crash decisions, in
@@ -81,10 +87,13 @@ pub(crate) struct ScenarioRecord {
     /// Injection points of the scenario's first execution.
     pub failure_points: usize,
     pub races: Vec<RaceReport>,
-    pub op_traces: Vec<OpTrace>,
+    /// Every execution's operation trace, oldest first (empty unless
+    /// [`Config::lints`] is on).
+    pub op_traces: Vec<Arc<OpTrace>>,
     pub load_choice_points: u64,
     pub max_rf_set: usize,
-    /// Cache lines recovery read (empty unless the dead-flush pass is on).
+    /// Cache lines this scenario's own recoveries read (empty unless the
+    /// dead-flush pass is on).
     pub recovery_reads: HashSet<u64>,
     /// The crash-point checkpoints this scenario captured at its fresh
     /// crash decisions (empty when snapshots are off).
@@ -140,11 +149,8 @@ impl CheckerEnv {
                 load_choice_points: 0,
                 max_rf_set: 1,
                 cands: Vec::new(),
-                op_traces: if config.trace_ops_value() {
-                    vec![OpTrace::new()]
-                } else {
-                    Vec::new()
-                },
+                op_traces: Vec::new(),
+                op_trace: OpTrace::new(),
                 recovery_reads: HashSet::new(),
                 captures: Vec::new(),
             }),
@@ -185,18 +191,20 @@ impl CheckerEnv {
         inner.current_tid = ThreadId(0);
         inner.next_tid = 1;
         if self.flag_lints {
-            inner.op_traces.push(OpTrace::new());
+            let crashed = std::mem::take(&mut inner.op_trace);
+            inner.op_traces.push(Arc::new(crashed));
         }
     }
 
     /// Builds an environment that resumes from a crash-point snapshot:
     /// accumulated checker state is cloned from the capture
     /// (copy-on-restore — post-failure reads refine intervals in place; the
-    /// crashed executions' store logs are frozen and shared, so only their
-    /// intervals are copied), per-execution volatile state starts fresh
-    /// exactly as [`advance_execution`](Self::advance_execution) would
-    /// leave it, with the running execution recording into `storage`, and
-    /// the decision log resumes right after the crash the snapshot forks.
+    /// crashed executions' store logs and op traces are frozen and shared,
+    /// so only their intervals are copied), per-execution volatile state
+    /// starts fresh exactly as [`advance_execution`](Self::advance_execution)
+    /// would leave it, with the running execution recording into `storage`,
+    /// the recovery footprint starts empty, and the decision log resumes
+    /// right after the crash the snapshot forks.
     /// Running `Program::run` against the result is equivalent to
     /// replaying the prefix executions, minus the replay.
     pub(crate) fn from_snapshot(
@@ -217,7 +225,6 @@ impl CheckerEnv {
             inner.load_choice_points = snap.load_choice_points;
             inner.max_rf_set = snap.max_rf_set;
             inner.op_traces = snap.op_traces.clone();
-            inner.recovery_reads = snap.recovery_reads.clone();
         }
         fresh
     }
@@ -235,7 +242,10 @@ impl CheckerEnv {
     /// completes each checkpoint it captured with a view of that
     /// execution's final store log: every capture was taken in it.
     pub(crate) fn finish(self) -> ScenarioRecord {
-        let inner = self.inner.into_inner();
+        let mut inner = self.inner.into_inner();
+        if self.flag_lints {
+            inner.op_traces.push(Arc::new(inner.op_trace));
+        }
         // Stores still buffered never reached the log, as in a crash.
         let storage = inner.machine.crash();
         let captures = inner
@@ -381,8 +391,9 @@ impl CheckerEnv {
     ) -> (CheckerSnapshot, CrashPrefix) {
         let mut stack = Vec::with_capacity(inner.stack.len() + 1);
         stack.extend_from_slice(&inner.stack);
+        // The running execution's trace is the one copied: it goes on.
         let op_traces = if self.flag_lints {
-            pushed(&inner.op_traces, OpTrace::new())
+            pushed(&inner.op_traces, Arc::new(inner.op_trace.clone()))
         } else {
             Vec::new()
         };
@@ -395,7 +406,6 @@ impl CheckerEnv {
             load_choice_points: inner.load_choice_points,
             max_rf_set: inner.max_rf_set,
             op_traces,
-            recovery_reads: inner.recovery_reads.clone(),
             decision,
         };
         (snapshot, inner.machine.crash_prefix())
@@ -436,11 +446,7 @@ impl CheckerEnv {
     fn record_trace(&self, inner: &mut Inner, loc: SourceLoc, kind: TraceOpKind) {
         let tid = inner.current_tid;
         let loc = self.lint_loc.get().unwrap_or(loc);
-        inner
-            .op_traces
-            .last_mut()
-            .expect("lint trace present")
-            .record(tid, loc, kind);
+        inner.op_trace.record(tid, loc, kind);
     }
 
     fn flush_lines(&self, addr: PmAddr, len: usize, opt: bool, loc: &'static Location<'static>) {

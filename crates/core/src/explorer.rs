@@ -86,7 +86,7 @@ pub(crate) struct ScenarioOutcome {
     /// The complete pre-failure operation trace, present only for the
     /// crash-free, bug-free scenario with lints on (one per run): the
     /// input of the footprint-driven dead-flush pass.
-    pub clean_trace: Option<OpTrace>,
+    pub clean_trace: Option<Arc<OpTrace>>,
 }
 
 /// Exploration by-products the dead-flush pass needs beyond the report:
@@ -95,7 +95,7 @@ pub(crate) struct ScenarioOutcome {
 #[derive(Debug, Default)]
 pub(crate) struct ExploreAux {
     pub recovery_reads: HashSet<u64>,
-    pub clean_trace: Option<OpTrace>,
+    pub clean_trace: Option<Arc<OpTrace>>,
 }
 
 /// Runs one complete failure scenario steered by `decisions` and returns

@@ -123,7 +123,7 @@ pub(crate) fn lint_scenario(
             // A buggy scenario ties cross-thread reports to state the
             // failing recovery observed: keep a report only when some
             // recovery execution read the store's cache line.
-            let read = recovery_read_lines(&record.op_traces);
+            let read = recovery_read_lines(record.op_traces.iter().map(|t| &**t));
             out.extend(cross.into_iter().filter(|d| {
                 d.addr
                     .is_some_and(|addr| read.contains(&addr.cache_line().index()))

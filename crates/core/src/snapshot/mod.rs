@@ -5,6 +5,10 @@
 //! always runs `Program::run` fresh. The only state that must round-trip
 //! is the *checker's*: the stack of crashed executions' storage, crash
 //! bookkeeping, race records, lint traces, and the decision-log position.
+//! The dead-flush footprint (the lines recoveries read) is not among
+//! them: it is only ever unioned across scenarios, and the scenario that
+//! captured a checkpoint ran the executions a restore skips, so each
+//! scenario reports only the lines its own executions read.
 //!
 //! A checkpoint is taken where the original system forks: at each
 //! crash-eligible injection point whose decision is fresh, the
@@ -32,16 +36,20 @@
 //! that captured it. The stack of executions that had already crashed is
 //! copied as it stands, an `Arc` of each frozen log plus its intervals;
 //! race records keep source sites, so copying them bumps one `Arc` each.
+//! With lints on, the crashed executions' op traces are frozen too and
+//! held as `Arc`s; a capture copies only the running execution's trace,
+//! once.
 //! A scenario whose log no checkpoint views hands it back to the walk,
 //! whose next scenario records into it, cleared.
 //!
 //! Restoring clones the stack too, since post-failure reads refine
-//! intervals in place. A scenario therefore starts directly at its last
-//! execution: restoring is equivalent to replaying the executions before
-//! it, minus the replay. The restored plan's decisions up to the crash
-//! keep the metadata their original run recorded.
+//! intervals in place, and bumps the op traces' reference counts. A
+//! scenario therefore starts directly at its last execution: restoring
+//! is equivalent to replaying the executions before it, minus the
+//! replay. The restored plan's decisions up to the crash keep the
+//! metadata their original run recorded.
 
-use std::collections::HashSet;
+use std::sync::Arc;
 
 use jaaru_tso::{ExecutionStorage, OpTrace};
 
@@ -68,11 +76,9 @@ pub(crate) struct CheckerSnapshot {
     pub(crate) races: Vec<RaceReport>,
     pub(crate) load_choice_points: u64,
     pub(crate) max_rf_set: usize,
-    pub(crate) op_traces: Vec<OpTrace>,
-    /// Cache lines the snapshotted executions' recoveries read (the
-    /// dead-flush footprint up to this point; empty unless that pass
-    /// is on).
-    pub(crate) recovery_reads: HashSet<u64>,
+    /// The crashed executions' op traces, oldest first (empty unless
+    /// lints are on); restoring shares them.
+    pub(crate) op_traces: Vec<Arc<OpTrace>>,
     /// Index of the crash decision this checkpoint forks: a plan that
     /// restores it has taken that crash, and resumes right after it.
     pub(crate) decision: usize,

@@ -180,20 +180,22 @@ impl Request {
         let kind = fields
             .str("kind")?
             .ok_or_else(|| SpecError("missing \"kind\"".into()))?;
-        match kind {
-            "stats" => Ok(Request::Stats),
-            "shutdown" => Ok(Request::Shutdown),
+        let request = match kind {
+            "stats" => Request::Stats,
+            "shutdown" => Request::Shutdown,
             "cancel" => {
                 let id = fields
                     .str("id")?
                     .ok_or_else(|| SpecError("cancel requires \"id\"".into()))?;
-                Ok(Request::Cancel { id: id.to_string() })
+                Request::Cancel { id: id.to_string() }
             }
             "check" | "bug" | "lint" | "repair" | "fuzz" | "litmus" => {
-                Ok(Request::Job(parse_job(kind, &fields, default_jobs)?))
+                return Ok(Request::Job(parse_job(kind, &fields, default_jobs)?));
             }
-            other => Err(SpecError(format!("unknown kind {other:?}"))),
-        }
+            other => return Err(SpecError(format!("unknown kind {other:?}"))),
+        };
+        fields.refuse_unread(kind, "request")?;
+        Ok(request)
     }
 }
 
@@ -240,14 +242,17 @@ impl<'v> Fields<'v> {
     }
 
     /// Refuses the request if it has a key nothing read, naming the
-    /// first in key order; `what` names the job in the error.
-    fn refuse_unread(&self, what: &str) -> Result<(), SpecError> {
+    /// first in key order; the error calls it a field of a `what`
+    /// `noun` ("a check job", "a stats request").
+    fn refuse_unread(&self, what: &str, noun: &str) -> Result<(), SpecError> {
         let Value::Object(map) = self.value else {
             return Ok(());
         };
         let read = self.read.borrow();
         match map.keys().find(|key| !read.contains(&key.as_str())) {
-            Some(key) => Err(SpecError(format!("{key:?} is not a field of a {what} job"))),
+            Some(key) => Err(SpecError(format!(
+                "{key:?} is not a field of a {what} {noun}"
+            ))),
             None => Ok(()),
         }
     }
@@ -388,7 +393,7 @@ fn parse_job(kind: &str, fields: &Fields, default_jobs: usize) -> Result<JobSpec
         jobs: fields.bounded("jobs", MAX_JOBS)?.unwrap_or(default_jobs),
         deadline_ms: fields.u64("deadline_ms")?,
     };
-    fields.refuse_unread(what)?;
+    fields.refuse_unread(what, "job")?;
     Ok(spec)
 }
 
@@ -513,6 +518,31 @@ mod tests {
         assert!(req(r#"{"kind":"cancel"}"#).is_err());
         assert!(req(r#"{"kind":"frobnicate"}"#).is_err());
         assert!(req(r#"{"benchmark":"cceh"}"#).is_err(), "kind required");
+    }
+
+    #[test]
+    fn a_key_a_control_request_does_not_read_is_refused() {
+        for (line, key) in [
+            (r#"{"kind":"stats","bogus":1}"#, "bogus"),
+            (r#"{"kind":"stats","id":"s"}"#, "id"),
+            (r#"{"kind":"shutdown","now":true}"#, "now"),
+            (r#"{"kind":"shutdown","bogus":null}"#, "bogus"),
+            (r#"{"kind":"cancel","id":"job-7","jobs":2}"#, "jobs"),
+            (
+                r#"{"kind":"cancel","id":"job-7","benchmark":"CCEH"}"#,
+                "benchmark",
+            ),
+        ] {
+            let error = req(line).expect_err(line);
+            assert!(error.0.contains(&format!("{key:?}")), "{line}: {error}");
+            assert!(error.0.ends_with(" request"), "{line}: {error}");
+        }
+        // `stats` and `shutdown` take only `kind`; `cancel` adds `id`.
+        assert_eq!(req(r#"{"kind":"stats"}"#).unwrap(), Request::Stats);
+        assert_eq!(
+            req(r#"{"id":"job-7","kind":"cancel"}"#).unwrap(),
+            Request::Cancel { id: "job-7".into() }
+        );
     }
 
     #[test]

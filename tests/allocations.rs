@@ -9,6 +9,15 @@
 //! This binary counts the allocations the checking thread makes, through
 //! its own global allocator, and pins the count per scenario on every
 //! fixed RECIPE and PMDK row under the Figure 14 depth-3 configuration.
+//!
+//! A linted scenario also records op traces and lifts them into persist
+//! graphs. That stays cheap because the graph builds no per-op clocks
+//! and keeps every store's line facts in one array, lint candidates
+//! render no message until they are reported, and checkpoints share
+//! crashed executions' traces instead of copying them. The second test
+//! pins the count per linted scenario on the bug rows a served CI stream
+//! lints.
+//!
 //! It is a test target of its own, so its allocator counts for no other
 //! test binary.
 
@@ -16,11 +25,28 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use jaaru::ModelChecker;
-use jaaru_bench::registry::{pmdk_fixed_cases, recipe_fixed_cases};
+use jaaru_bench::registry::{
+    lockfree_bug_cases, pmdk_bug_cases, pmdk_fixed_cases, recipe_bug_cases, recipe_fixed_cases,
+};
 use jaaru_serve::{one_shot_config, JobKind};
 
 /// Allocations and reallocations a scenario may make on average.
 const MAX_PER_SCENARIO: f64 = 35.0;
+
+/// Allocations and reallocations a linted scenario may make on average.
+const MAX_PER_LINT_SCENARIO: f64 = 120.0;
+
+/// Bug rows left out of the lint bound, as `(suite, row)`: the rows a
+/// served CI stream skips, because each of their jobs takes half a
+/// second or more (RECIPE rows 1, 9 and 17 exhaust the op budget in an
+/// infinite loop, and row 17 runs up to the scenario cap).
+const SLOW_ROWS: [(&str, usize); 5] = [
+    ("recipe", 1),
+    ("recipe", 9),
+    ("recipe", 13),
+    ("recipe", 17),
+    ("pmdk", 6),
+];
 
 thread_local! {
     /// Allocations and reallocations made by this thread so far.
@@ -92,5 +118,47 @@ fn a_depth_three_scenario_makes_at_most_35_allocations() {
     assert!(
         over.is_empty(),
         "more than {MAX_PER_SCENARIO} allocations per scenario: {over:?}"
+    );
+}
+
+#[test]
+fn a_linted_bug_row_scenario_makes_at_most_120_allocations() {
+    // A one-shot lint job at the serve default of 5 keys, on every bug
+    // row but the slow ones: RECIPE 2-8, 10-12, 14-16 and 18, PMDK 1-5
+    // and 7, and lock-free 1-8.
+    let config = one_shot_config(JobKind::Lint, 1);
+    let rows = recipe_bug_cases(5)
+        .into_iter()
+        .map(|case| ("recipe", case))
+        .chain(pmdk_bug_cases(5).into_iter().map(|case| ("pmdk", case)))
+        .chain(
+            lockfree_bug_cases()
+                .into_iter()
+                .map(|case| ("lockfree", case)),
+        )
+        .filter(|(suite, case)| !SLOW_ROWS.contains(&(suite, case.id)));
+    let mut over = Vec::new();
+    let mut checked = 0;
+    for (suite, case) in rows {
+        let checker = ModelChecker::new(config.clone());
+        let before = allocations();
+        let report = checker.check(&*case.program);
+        let made = allocations() - before;
+        assert!(!report.truncated, "{suite} {}: {report}", case.id);
+        assert!(!report.is_clean(), "{suite} {}: {report}", case.id);
+        let per_scenario = made as f64 / report.stats.scenarios as f64;
+        println!(
+            "{suite:<8} {:>2} {:>6} scenarios {per_scenario:>6.1} allocations per scenario",
+            case.id, report.stats.scenarios
+        );
+        if per_scenario > MAX_PER_LINT_SCENARIO {
+            over.push(format!("{suite} {}: {per_scenario:.1}", case.id));
+        }
+        checked += 1;
+    }
+    assert_eq!(checked, 28, "the served bug rows");
+    assert!(
+        over.is_empty(),
+        "more than {MAX_PER_LINT_SCENARIO} allocations per linted scenario: {over:?}"
     );
 }

@@ -10,8 +10,8 @@
 //! scheduling stats, and snapshot counters (crash-point snapshots are
 //! required to be invisible to results; the tests below enforce it).
 
-use jaaru::{CheckReport, Config, Lints, ModelChecker, PmEnv, Program};
-use jaaru_bench::registry::fixed_cases;
+use jaaru::{CheckReport, Config, DiagnosticKind, Lints, ModelChecker, PmEnv, Program};
+use jaaru_bench::registry::{fixed_cases, recipe_bug_cases};
 use jaaru_workloads::recipe::{
     fast_fair::{FastFair, FastFairFault},
     pclht::{Pclht, PclhtFault},
@@ -337,6 +337,48 @@ fn snapshots_do_not_change_bug_or_lint_results() {
                 ModelChecker::new(c).check(&program).digest(),
                 "jobs={jobs} without snapshots diverged at max_failures={max_failures}"
             );
+        }
+    }
+}
+
+/// The dead-flush footprint, the lines recoveries read, is not part of a
+/// checkpoint: a restored scenario reports only the lines its own
+/// executions read, and the scenario that captured the checkpoint
+/// reported the rest. So the union, and with it every dead-flush
+/// diagnostic, must not depend on snapshots or the worker count, on a
+/// buggy row that reports dead flushes, one and two failures deep.
+#[test]
+fn snapshots_do_not_change_dead_flush_results() {
+    // At the serve default of 5 keys.
+    let row = recipe_bug_cases(5)
+        .into_iter()
+        .find(|case| case.id == 2)
+        .expect("RECIPE row 2");
+    for max_failures in [1usize, 2] {
+        // Replay is the reference: every scenario runs every execution.
+        let mut replay = graph_lint_config(1);
+        replay.max_failures(max_failures).snapshots(false);
+        let baseline = ModelChecker::new(replay).check(&*row.program);
+        assert!(!baseline.truncated && !baseline.is_clean(), "{baseline}");
+        assert!(
+            baseline
+                .diagnostics
+                .iter()
+                .any(|d| d.kind == DiagnosticKind::DeadFlush),
+            "max_failures={max_failures}: no dead flush in {:?}",
+            baseline.diagnostics
+        );
+        for jobs in [1usize, 2, 4] {
+            for snapshots in [true, false] {
+                let mut c = graph_lint_config(jobs);
+                c.max_failures(max_failures).snapshots(snapshots);
+                let report = ModelChecker::new(c).check(&*row.program);
+                assert_eq!(
+                    baseline.digest(),
+                    report.digest(),
+                    "max_failures={max_failures} jobs={jobs} snapshots={snapshots} diverged"
+                );
+            }
         }
     }
 }
