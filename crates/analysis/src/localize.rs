@@ -48,12 +48,16 @@ pub type RfEvidence = HashSet<(usize, SourceLoc)>;
 /// diagnostics by `(kind, site)`, in first-confirmation order, each
 /// counting its confirmed candidates as occurrences. `candidates` pairs
 /// each candidate with the index of the execution whose trace produced
-/// it.
-pub fn localize(candidates: Vec<(usize, Candidate)>, evidence: &RfEvidence) -> Vec<Diagnostic> {
+/// it; they are borrowed, so the candidates of a trace that many
+/// scenarios share are computed once.
+pub fn localize<'a>(
+    candidates: impl IntoIterator<Item = (usize, &'a Candidate)>,
+    evidence: &RfEvidence,
+) -> Vec<Diagnostic> {
     let mut confirmed = DiagnosticSet::new();
     for (exec, c) in candidates {
         if evidence.contains(&(exec, c.store_loc)) {
-            confirmed.insert_with(c.kind, c.site, || c.into_diagnostic());
+            confirmed.insert_with(c.kind, c.site, || c.clone().into_diagnostic());
         }
     }
     confirmed.into_vec()
@@ -101,14 +105,11 @@ mod tests {
     #[test]
     fn corroborated_candidates_are_confirmed() {
         let (trace, store_site) = buggy_trace();
-        let cands: Vec<(usize, Candidate)> = analyze_trace(&trace)
-            .into_iter()
-            .map(|c| (0usize, c))
-            .collect();
+        let cands = analyze_trace(&trace);
         assert_eq!(cands.len(), 1);
         let mut evidence = RfEvidence::new();
         evidence.insert((0, store_site));
-        let confirmed = localize(cands, &evidence);
+        let confirmed = localize(cands.iter().map(|c| (0, c)), &evidence);
         assert_eq!(confirmed.len(), 1);
         assert_eq!(confirmed[0].site, store_site);
     }
@@ -118,16 +119,13 @@ mod tests {
         // The same buggy execution twice over: one diagnostic, two
         // occurrences, the first candidate's message.
         let (trace, store_site) = buggy_trace();
-        let cands: Vec<(usize, Candidate)> = analyze_trace(&trace)
-            .into_iter()
-            .chain(analyze_trace(&trace))
-            .map(|c| (0usize, c))
-            .collect();
+        let mut cands = analyze_trace(&trace);
+        cands.extend(analyze_trace(&trace));
         assert_eq!(cands.len(), 2);
-        let message = cands[0].1.clone().into_diagnostic().message;
+        let message = cands[0].clone().into_diagnostic().message;
         let mut evidence = RfEvidence::new();
         evidence.insert((0, store_site));
-        let confirmed = localize(cands, &evidence);
+        let confirmed = localize(cands.iter().map(|c| (0, c)), &evidence);
         assert_eq!(confirmed.len(), 1);
         assert_eq!(confirmed[0].occurrences, 2);
         assert_eq!(confirmed[0].message, message);
@@ -136,24 +134,18 @@ mod tests {
     #[test]
     fn unrelated_evidence_confirms_nothing() {
         let (trace, _) = buggy_trace();
-        let cands: Vec<(usize, Candidate)> = analyze_trace(&trace)
-            .into_iter()
-            .map(|c| (0usize, c))
-            .collect();
+        let cands = analyze_trace(&trace);
         let mut evidence = RfEvidence::new();
         evidence.insert((0, Location::caller()));
-        assert!(localize(cands, &evidence).is_empty());
+        assert!(localize(cands.iter().map(|c| (0, c)), &evidence).is_empty());
     }
 
     #[test]
     fn execution_index_must_match() {
         let (trace, store_site) = buggy_trace();
-        let cands: Vec<(usize, Candidate)> = analyze_trace(&trace)
-            .into_iter()
-            .map(|c| (0usize, c))
-            .collect();
+        let cands = analyze_trace(&trace);
         let mut evidence = RfEvidence::new();
         evidence.insert((1, store_site));
-        assert!(localize(cands, &evidence).is_empty());
+        assert!(localize(cands.iter().map(|c| (0, c)), &evidence).is_empty());
     }
 }

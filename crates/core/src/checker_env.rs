@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use jaaru_pmem::{PmAddr, CACHE_LINE_SIZE, NULL_PAGE_SIZE};
 use jaaru_tso::{
-    do_read, line_parts, read_pre_failure_into, read_pre_failure_line, CrashPrefix,
-    ExecutionStorage, OpTrace, RfCandidate, RfSource, SourceLoc, ThreadId, TraceOpKind, TsoMachine,
+    do_read, line_parts, read_pre_failure_into, CrashPrefix, ExecutionStorage, OpTrace,
+    RfCandidate, RfSource, SettledLines, SourceLoc, ThreadId, TraceOpKind, TsoMachine,
 };
 
 use crate::config::{Config, Lints};
@@ -57,6 +57,10 @@ struct Inner {
     /// Reads-from candidates of the byte being chosen for; kept to reuse
     /// its allocation.
     cands: Vec<RfCandidate>,
+    /// The running execution's resolved pre-failure lines. Emptied
+    /// whenever the stack changes other than by refinement: at the start
+    /// of the scenario and at each failure.
+    settled: SettledLines,
 
     /// Operation traces of the crashed executions for the lint engine,
     /// oldest first (empty unless [`Config::lints`] is on). A crashed
@@ -68,7 +72,8 @@ struct Inner {
 
     /// Cache lines this scenario's recoveries read: post-failure loads
     /// that missed the running execution's own state and consulted
-    /// pre-failure storage. Collected only for the dead-flush pass
+    /// pre-failure storage, recorded as each line enters `settled`.
+    /// Collected only for the dead-flush pass
     /// ([`Lints::All`](crate::Lints::All)). A restored scenario starts
     /// empty: the scenario that captured its checkpoint read every line
     /// the skipped executions read, and the footprint is their union.
@@ -98,10 +103,21 @@ pub(crate) struct ScenarioRecord {
     /// The crash-point checkpoints this scenario captured at its fresh
     /// crash decisions (empty when snapshots are off).
     pub captures: Vec<CheckerSnapshot>,
-    /// The last execution's storage, for the next scenario to record into
-    /// (cleared, keeping its buffers) unless a checkpoint still views its
+    /// The buffers the scenario was lent, for the next scenario: its
+    /// storage is the last execution's.
+    pub buffers: Buffers,
+}
+
+/// The buffers a walk lends each scenario it runs and takes back from its
+/// [`ScenarioRecord`], so that one set serves every scenario.
+#[derive(Default)]
+pub(crate) struct Buffers {
+    /// The storage the scenario's first execution records into, cleared
+    /// first (keeping its buffers) unless a checkpoint still views its
     /// log.
     pub storage: ExecutionStorage,
+    /// The settled-line table, emptied first.
+    pub settled: SettledLines,
 }
 
 /// The instrumented environment for one failure scenario.
@@ -127,8 +143,13 @@ pub(crate) struct CheckerEnv {
 
 impl CheckerEnv {
     /// An environment for a scenario steered by `decisions`, whose first
-    /// execution records into `storage` (cleared first).
-    pub(crate) fn new(config: &Config, decisions: DecisionLog, storage: ExecutionStorage) -> Self {
+    /// execution records into the lent storage (cleared first).
+    pub(crate) fn new(config: &Config, decisions: DecisionLog, buffers: Buffers) -> Self {
+        let Buffers {
+            storage,
+            mut settled,
+        } = buffers;
+        settled.clear();
         CheckerEnv {
             capture: config.snapshots_value(),
             inner: RefCell::new(Inner {
@@ -149,6 +170,7 @@ impl CheckerEnv {
                 load_choice_points: 0,
                 max_rf_set: 1,
                 cands: Vec::new(),
+                settled,
                 op_traces: Vec::new(),
                 op_trace: OpTrace::new(),
                 recovery_reads: HashSet::new(),
@@ -182,6 +204,7 @@ impl CheckerEnv {
         let machine = std::mem::replace(&mut inner.machine, TsoMachine::new(eviction));
         inner.failure_points.get_or_insert(inner.points_this_exec);
         inner.stack.push(machine.crash());
+        inner.settled.clear();
         inner.exec_index += 1;
         inner.ops = 0;
         inner.bump = 2 * CACHE_LINE_SIZE as u64;
@@ -202,19 +225,19 @@ impl CheckerEnv {
     /// crashed executions' store logs and op traces are frozen and shared,
     /// so only their intervals are copied), per-execution volatile state
     /// starts fresh exactly as [`advance_execution`](Self::advance_execution)
-    /// would leave it, with the running execution recording into `storage`,
-    /// the recovery footprint starts empty, and the decision log resumes
-    /// right after the crash the snapshot forks.
+    /// would leave it, with the running execution recording into the lent
+    /// storage, the recovery footprint starts empty, and the decision log
+    /// resumes right after the crash the snapshot forks.
     /// Running `Program::run` against the result is equivalent to
     /// replaying the prefix executions, minus the replay.
     pub(crate) fn from_snapshot(
         config: &Config,
         mut decisions: DecisionLog,
         snap: &CheckerSnapshot,
-        storage: ExecutionStorage,
+        buffers: Buffers,
     ) -> Self {
         decisions.adopt_prefix(snap.decision + 1);
-        let fresh = CheckerEnv::new(config, decisions, storage);
+        let fresh = CheckerEnv::new(config, decisions, buffers);
         {
             let mut inner = fresh.inner.borrow_mut();
             inner.stack = snap.stack.clone();
@@ -266,7 +289,10 @@ impl CheckerEnv {
             max_rf_set: inner.max_rf_set,
             recovery_reads: inner.recovery_reads,
             captures,
-            storage,
+            buffers: Buffers {
+                storage,
+                settled: inner.settled,
+            },
         }
     }
 
@@ -411,11 +437,11 @@ impl CheckerEnv {
         (snapshot, inner.machine.crash_prefix())
     }
 
-    /// Loads a byte of a recovery load that [`read_pre_failure_line`]
-    /// found more than one candidate for. Its candidates are recomputed
-    /// under the intervals the load's lower bytes left; if several remain,
-    /// the decision log picks one and the intervals are refined
-    /// (Figures 9–11).
+    /// Loads a byte of a recovery load that [`SettledLines::read`] left
+    /// unsettled: it had more than one candidate when its line was
+    /// resolved. Its candidates are recomputed under the intervals the
+    /// execution's earlier reads left; if several remain, the decision log
+    /// picks one and the intervals are refined (Figures 9–11).
     fn read_from(&self, inner: &mut Inner, addr: PmAddr, loc: &'static Location<'static>) -> u8 {
         let mut cands = std::mem::take(&mut inner.cands);
         read_pre_failure_into(&inner.stack, addr, &mut cands);
@@ -545,25 +571,31 @@ impl PmEnv for CheckerEnv {
         }
         // Byte accesses performed atomically, low address first (paper §4,
         // "Mixed size accesses"), one cache line at a time. The running
-        // execution, then the pre-failure stack, settle every byte with a
-        // single candidate; each other byte's committed choice refines the
-        // line interval before the next byte's candidates are computed.
-        // Refinement only narrows intervals, so it never unsettles a byte.
+        // execution serves the bytes it wrote; the settled-line table
+        // serves every other byte with a single candidate, resolving the
+        // line against the pre-failure stack on its first read in this
+        // execution. Each other byte's committed choice refines the line
+        // interval before the next byte's candidates are computed, and
+        // settles the byte. Refinement only narrows intervals, so it never
+        // unsettles a byte.
         let tid = inner.current_tid;
         let mut vals = [0; CACHE_LINE_SIZE];
         for (line, want, start) in line_parts(addr, buf.len()) {
             let missed = inner.machine.read_current(tid, line, want, &mut vals);
             if missed != 0 {
-                if self.track_footprint && inner.exec_index >= 1 {
+                let (mut multi, resolved) =
+                    inner.settled.read(&inner.stack, line, missed, &mut vals);
+                if resolved && self.track_footprint && inner.exec_index >= 1 {
                     // A recovery read: this load consulted pre-failure
                     // persisted state, so its line is in the footprint.
                     inner.recovery_reads.insert(line.index());
                 }
-                let mut multi = read_pre_failure_line(&inner.stack, line, missed, &mut vals);
                 while multi != 0 {
                     let off = multi.trailing_zeros() as usize;
                     multi &= multi - 1;
-                    vals[off] = self.read_from(inner, line.base() + off as u64, loc);
+                    let value = self.read_from(inner, line.base() + off as u64, loc);
+                    inner.settled.settle(line, off, value);
+                    vals[off] = value;
                 }
             }
             let first = want.trailing_zeros() as usize;
@@ -768,7 +800,7 @@ mod tests {
     }
 
     fn env() -> CheckerEnv {
-        CheckerEnv::new(&config(), DecisionLog::new(), ExecutionStorage::new())
+        CheckerEnv::new(&config(), DecisionLog::new(), Buffers::default())
     }
 
     #[test]
@@ -814,7 +846,7 @@ mod tests {
         let mut rec = e.finish();
         assert!(rec.decisions.backtrack(), "one crash decision to flip");
         let c = config();
-        let e = CheckerEnv::new(&c, rec.decisions, ExecutionStorage::new());
+        let e = CheckerEnv::new(&c, rec.decisions, Buffers::default());
         let err = catch_unwind(AssertUnwindSafe(|| {
             e.store_u64(a, 1);
             e.clflush(a, 8);
@@ -832,7 +864,7 @@ mod tests {
         let mut seen = Vec::new();
         let mut decisions = DecisionLog::new();
         loop {
-            let e = CheckerEnv::new(&c, decisions, ExecutionStorage::new());
+            let e = CheckerEnv::new(&c, decisions, Buffers::default());
             e.store_u8(a, 1); // pre-failure store, not flushed
             e.advance_execution(); // simulated power failure
             seen.push(e.load_u8(a));
@@ -850,7 +882,7 @@ mod tests {
         let c = config();
         // Replay log where the single crash decision chooses "continue";
         // we crash manually via advance_execution.
-        let e = CheckerEnv::new(&c, DecisionLog::new(), ExecutionStorage::new());
+        let e = CheckerEnv::new(&c, DecisionLog::new(), Buffers::default());
         let a = e.root();
         e.store_u8(a, 7);
         e.clflush(a, 1);
@@ -866,7 +898,7 @@ mod tests {
     #[test]
     fn races_are_recorded_for_multi_store_loads() {
         let c = config();
-        let e = CheckerEnv::new(&c, DecisionLog::new(), ExecutionStorage::new());
+        let e = CheckerEnv::new(&c, DecisionLog::new(), Buffers::default());
         let a = e.root();
         e.store_u8(a, 1);
         e.store_u8(a, 2);
@@ -892,7 +924,7 @@ mod tests {
     fn op_budget_catches_infinite_loops() {
         let mut c = Config::new();
         c.pool_size(4096).max_ops_per_execution(100);
-        let e = CheckerEnv::new(&c, DecisionLog::new(), ExecutionStorage::new());
+        let e = CheckerEnv::new(&c, DecisionLog::new(), Buffers::default());
         let a = e.root();
         let err = catch_unwind(AssertUnwindSafe(|| loop {
             let _ = e.load_u8(a);

@@ -31,12 +31,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use jaaru_analysis::{dead_flushes, Diagnostic, PersistGraph};
-use jaaru_tso::{ExecutionStorage, OpTrace};
+use jaaru_tso::OpTrace;
 
-use crate::checker_env::CheckerEnv;
+use crate::checker_env::{Buffers, CheckerEnv};
 use crate::config::{Config, Lints};
 use crate::decision::DecisionLog;
-use crate::lint::lint_scenario;
+use crate::lint::{lint_scenario, FirstTraceLint};
 use crate::parallel::explore;
 use crate::parallel::merge::ReportAccumulator;
 use crate::report::{BugKind, BugReport, CheckReport, CheckStats, RaceReport};
@@ -109,24 +109,27 @@ pub(crate) struct ExploreAux {
 /// [`Config::snapshots`] on, every fresh crash decision the scenario makes
 /// captures a checkpoint for the scenarios that later take that crash.
 ///
-/// `storage` is the storage the scenario's first execution records into,
-/// cleared first; the scenario leaves its last execution's storage there,
-/// so a walk that passes the same slot to every scenario reuses one store
-/// log wherever no checkpoint holds it.
+/// `buffers` are the buffers the scenario runs with: its first execution
+/// records into their storage, cleared first, and the scenario leaves its
+/// last execution's storage there, so a walk that passes the same slot to
+/// every scenario reuses one store log wherever no checkpoint holds it,
+/// and one settled-line table. `lint` keeps the analysis of the last
+/// execution-0 trace linted, for the scenarios that share that trace.
 pub(crate) fn run_scenario(
     config: &Config,
     program: &dyn Program,
     decisions: DecisionLog,
     checkpoint: Option<&CheckerSnapshot>,
-    storage: &mut Option<ExecutionStorage>,
+    buffers: &mut Option<Buffers>,
+    lint: &mut FirstTraceLint,
 ) -> (ScenarioOutcome, DecisionLog, Vec<CheckerSnapshot>) {
-    let first = storage.take().unwrap_or_default();
+    let lent = buffers.take().unwrap_or_default();
     let (env, executions_restored) = match checkpoint {
         Some(snap) => (
-            CheckerEnv::from_snapshot(config, decisions, snap, first),
+            CheckerEnv::from_snapshot(config, decisions, snap, lent),
             snap.executions_saved(),
         ),
-        None => (CheckerEnv::new(config, decisions, first), 0),
+        None => (CheckerEnv::new(config, decisions, lent), 0),
     };
     let mut executions_this_scenario = 0usize;
     let mut scenario_bug: Option<BugReport> = None;
@@ -175,8 +178,8 @@ pub(crate) fn run_scenario(
         b.crash_points = record.crash_points.clone();
         b.trace = record.decisions.trace();
     }
-    let diagnostics = lint_scenario(&record, bug.is_some(), config);
-    *storage = Some(record.storage);
+    let diagnostics = lint_scenario(&record, bug.is_some(), config, lint);
+    *buffers = Some(record.buffers);
     // Exactly one scenario per run never crashes and never hits a bug:
     // the all-continue one. Its first (and only) trace is the canonical
     // complete pre-failure trace, which the dead-flush pass consumes.
@@ -320,6 +323,7 @@ impl ModelChecker {
             DecisionLog::from_trace(trace),
             None,
             &mut None,
+            &mut FirstTraceLint::default(),
         );
         let bugs: Vec<BugReport> = outcome
             .bug

@@ -32,24 +32,67 @@
 //!   candidate whose unordered store appears among them is the root
 //!   cause of an observed symptom. Cross-thread reports are kept only
 //!   when the failing recovery actually read the store's cache lines.
+//!
+//! Scenarios restored from one checkpoint share their crashed executions'
+//! traces, execution 0's above all, so a walk keeps the analysis of the
+//! last execution-0 trace it linted ([`FirstTraceLint`]) and reuses it
+//! for every scenario that shares the trace.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use jaaru_analysis::{
     cross_thread_races, flush_redundancy, localize, recovery_read_lines, robustness_candidates,
     torn_candidates, Candidate, Diagnostic, DiagnosticKind, PersistGraph, RfEvidence,
 };
+use jaaru_tso::OpTrace;
 
 use crate::checker_env::ScenarioRecord;
 use crate::config::{Config, Lints};
 
+/// The analysis of one execution-0 trace: its robustness and torn-store
+/// candidates and its cross-thread findings. A trace never changes once
+/// its execution has crashed, so the analysis holds for every scenario
+/// that shares it (the same `Arc`).
+#[derive(Default)]
+pub(crate) struct FirstTraceLint {
+    trace: Option<Arc<OpTrace>>,
+    candidates: Vec<Candidate>,
+    cross: Vec<Diagnostic>,
+}
+
+impl FirstTraceLint {
+    /// Analyses `trace` unless it is the trace analysed last.
+    /// `redundancy` asks for the flush-redundancy findings too, which are
+    /// never kept: only the clean scenario wants them.
+    fn analyse(&mut self, trace: &Arc<OpTrace>, redundancy: bool) -> Vec<Diagnostic> {
+        let held = self.trace.as_ref().is_some_and(|t| Arc::ptr_eq(t, trace));
+        if held && !redundancy {
+            return Vec::new();
+        }
+        let graph = PersistGraph::build(trace);
+        self.candidates = robustness_candidates(&graph);
+        self.candidates.extend(torn_candidates(&graph));
+        self.cross = cross_thread_races(&graph);
+        self.trace = Some(Arc::clone(trace));
+        if redundancy {
+            flush_redundancy(&graph)
+        } else {
+            Vec::new()
+        }
+    }
+}
+
 /// Runs the selected analysis passes over one scenario's recorded
 /// traces and returns the diagnostics they contribute. Empty under
-/// [`Lints::Off`] (no traces were recorded).
+/// [`Lints::Off`] (no traces were recorded). `first` is the analysis of
+/// the last execution-0 trace linted, reused when this scenario shares
+/// that trace and replaced otherwise.
 pub(crate) fn lint_scenario(
     record: &ScenarioRecord,
     had_bug: bool,
     config: &Config,
+    first: &mut FirstTraceLint,
 ) -> Vec<Diagnostic> {
     if record.op_traces.is_empty() {
         return Vec::new();
@@ -68,22 +111,24 @@ pub(crate) fn lint_scenario(
     // against stores of that same execution). Cross-thread and
     // redundancy findings describe the pre-failure program stream, so
     // only execution 0's graph feeds them.
-    let mut candidates: Vec<(usize, Candidate)> = Vec::new();
-    let mut cross: Vec<Diagnostic> = Vec::new();
-    let mut redundancy: Vec<Diagnostic> = Vec::new();
-    for (exec, trace) in record.op_traces.iter().enumerate() {
+    let redundancy = first.analyse(
+        &record.op_traces[0],
+        config.lints_value() == Lints::All && static_route,
+    );
+    let mut recovery: Vec<(usize, Candidate)> = Vec::new();
+    for (exec, trace) in record.op_traces.iter().enumerate().skip(1) {
         let graph = PersistGraph::build(trace);
         let found = robustness_candidates(&graph)
             .into_iter()
             .chain(torn_candidates(&graph));
-        candidates.extend(found.map(|c| (exec, c)));
-        if exec == 0 {
-            cross = cross_thread_races(&graph);
-            if config.lints_value() == Lints::All && static_route {
-                redundancy = flush_redundancy(&graph);
-            }
-        }
+        recovery.extend(found.map(|c| (exec, c)));
     }
+    let candidates = first
+        .candidates
+        .iter()
+        .map(|c| (0, c))
+        .chain(recovery.iter().map(|(exec, c)| (*exec, c)));
+    let cross = &first.cross;
 
     let mut out: Vec<Diagnostic> = if static_route {
         // Static route: of the clean scenario's candidates, only the
@@ -101,10 +146,9 @@ pub(crate) fn lint_scenario(
         // can precede many commit stores.
         let mut seen = HashSet::new();
         candidates
-            .into_iter()
             .filter(|(_, c)| c.kind == DiagnosticKind::MissingFence && !c.persists_eventually)
             .filter(|(_, c)| seen.insert((c.kind, c.site)))
-            .map(|(_, c)| c.into_diagnostic())
+            .map(|(_, c)| c.clone().into_diagnostic())
             .collect()
     } else {
         // Dynamic route: keep only candidates whose unordered store is
@@ -118,16 +162,21 @@ pub(crate) fn lint_scenario(
 
     if !cross.is_empty() {
         if static_route {
-            out.extend(cross);
+            out.extend(cross.iter().cloned());
         } else {
             // A buggy scenario ties cross-thread reports to state the
             // failing recovery observed: keep a report only when some
             // recovery execution read the store's cache line.
             let read = recovery_read_lines(record.op_traces.iter().map(|t| &**t));
-            out.extend(cross.into_iter().filter(|d| {
-                d.addr
-                    .is_some_and(|addr| read.contains(&addr.cache_line().index()))
-            }));
+            out.extend(
+                cross
+                    .iter()
+                    .filter(|d| {
+                        d.addr
+                            .is_some_and(|addr| read.contains(&addr.cache_line().index()))
+                    })
+                    .cloned(),
+            );
         }
     }
     out.extend(redundancy);

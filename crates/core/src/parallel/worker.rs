@@ -14,11 +14,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use jaaru_tso::ExecutionStorage;
-
+use crate::checker_env::Buffers;
 use crate::config::Config;
 use crate::decision::DecisionLog;
 use crate::explorer::{bug_dedup_key, run_scenario, ScenarioOutcome};
+use crate::lint::FirstTraceLint;
 use crate::report::WorkerStats;
 use crate::snapshot::CheckerSnapshot;
 use crate::Program;
@@ -45,7 +45,8 @@ pub(crate) fn worker_loop(
             ..WorkerStats::default()
         },
         sink,
-        storage: None,
+        buffers: None,
+        lint: FirstTraceLint::default(),
     };
     while let Some(item) = scheduler.take() {
         if item.donor.is_some_and(|donor| donor != worker) {
@@ -66,10 +67,12 @@ struct Walk<'a> {
     program: &'a dyn Program,
     stats: WorkerStats,
     sink: &'a mut dyn FnMut(ScenarioOutcome),
-    /// The storage the last scenario's running execution left, which the
-    /// next one records into: one store log serves every scenario whose
-    /// log no checkpoint holds.
-    storage: Option<ExecutionStorage>,
+    /// The buffers the last scenario left, which the next one runs with:
+    /// one store log serves every scenario whose log no checkpoint holds,
+    /// and one settled-line table every scenario.
+    buffers: Option<Buffers>,
+    /// The analysis of the last execution-0 trace linted.
+    lint: FirstTraceLint,
 }
 
 impl Walk<'_> {
@@ -90,7 +93,8 @@ impl Walk<'_> {
                 self.program,
                 decisions,
                 checkpoint.map(|snap| &**snap),
-                &mut self.storage,
+                &mut self.buffers,
+                &mut self.lint,
             );
             decisions = log;
             checkpoints.extend(captures.into_iter().map(Arc::new));

@@ -19,7 +19,8 @@
 //! * the **reads-from** computation and **constraint refinement** across a
 //!   stack of crashed executions ([`read_pre_failure`], [`do_read`];
 //!   Figures 9/10), with [`read_pre_failure_line`] settling a load's
-//!   single-candidate bytes one cache line at a time.
+//!   single-candidate bytes one cache line at a time, once per recovery
+//!   execution in a [`SettledLines`] table.
 //!
 //! The reordering constraints of the paper's Table 1 are emergent from the
 //! buffer rules; `tests/table1_reordering.rs` in the workspace derives the
@@ -72,6 +73,7 @@ pub use interval::FlushInterval;
 pub use machine::{EvictionPolicy, TsoMachine};
 pub use rf::{
     do_read, read_pre_failure, read_pre_failure_into, read_pre_failure_line, RfCandidate, RfSource,
+    SettledLines,
 };
 pub use seq::Seq;
 pub use storage::{line_parts, CrashPrefix, ExecutionStorage};

@@ -10,7 +10,10 @@
 //! every byte a load wants from one cache line at once and settles each
 //! byte with a single candidate; the rare byte with several goes through
 //! [`read_pre_failure`] (or [`read_pre_failure_into`]), which lists them
-//! for the exploration to choose from.
+//! for the exploration to choose from. A recovery execution resolves each
+//! line it reads once, in a [`SettledLines`] table: refinement only
+//! narrows intervals, so a settled byte stays settled until the stack
+//! changes.
 //!
 //! The *execution stack* passed to these functions holds the storage of
 //! every execution that ended in a failure, oldest first; the currently
@@ -158,15 +161,19 @@ pub fn read_pre_failure_line(
         let window = after[..readable].iter().fold(0, |m, s| m | s.mask);
         multi |= need & window;
         need &= !window;
-        // Each other byte's newest store at or before `begin` pins it.
+        // Each other byte's newest store at or before `begin` pins it. A
+        // byte no store of the line writes has nothing to find, so the
+        // scan stops once every byte some store writes is pinned.
+        let mut pinnable = need & log.written;
         for s in before.iter().rev() {
-            if need == 0 {
+            if pinnable == 0 {
                 break;
             }
-            let pinned = need & s.mask;
+            let pinned = pinnable & s.mask;
             for off in offsets(pinned) {
                 vals[off] = log.value(s, off);
             }
+            pinnable &= !pinned;
             need &= !pinned;
         }
     }
@@ -174,6 +181,132 @@ pub fn read_pre_failure_line(
         vals[off] = RfCandidate::INITIAL.value;
     }
     multi
+}
+
+/// Cache lines a [`SettledLines`] table holds at once.
+const SETTLED_LINES: usize = 64;
+
+/// One line of a [`SettledLines`] table.
+#[derive(Clone, Copy, Debug)]
+struct SettledLine {
+    /// The table epoch the line was resolved in; any other is empty.
+    epoch: u64,
+    line: CacheLineId,
+    /// The bytes with a single candidate: bit `i` is line offset `i`.
+    settled: u64,
+    /// The value of each settled byte, at its line offset.
+    vals: [u8; CACHE_LINE_SIZE],
+}
+
+/// The settled bytes of the cache lines one recovery execution has read:
+/// [`read_pre_failure_line`] of each line, done once per execution.
+///
+/// A byte with a single candidate keeps it, and its value, whatever
+/// [`do_read`] refines (refinement only narrows intervals), and a byte
+/// whose read committed a candidate has that one left. So a line resolved
+/// once against a stack answers every later read of its settled bytes for
+/// as long as the stack changes only by refinement; only the others need
+/// [`read_pre_failure`] again, and each of those is settled by its read.
+/// [`clear`](Self::clear) it whenever the stack changes otherwise: a new
+/// execution pushed on it, or another stack.
+///
+/// The table is direct-mapped, 64 lines, so a line that meets another in
+/// its slot is resolved again; a recovery execution that reads more lines
+/// than that at once is slower, never wrong.
+///
+/// ```
+/// use jaaru_pmem::PmAddr;
+/// use jaaru_tso::{do_read, read_pre_failure, EvictionPolicy, SettledLines, ThreadId, TsoMachine};
+///
+/// let (x, y) = (PmAddr::new(72), PmAddr::new(64)); // same cache line
+/// let mut m = TsoMachine::new(EvictionPolicy::Eager);
+/// let loc = std::panic::Location::caller();
+/// m.store(ThreadId(0), y, &[1], loc);
+/// m.clflush(ThreadId(0), y.cache_line());
+/// m.store(ThreadId(0), x, &[2], loc);
+/// let mut stack = vec![m.crash()];
+///
+/// // y is pinned to 1; x may read 2 or initial 0.
+/// let mut settled = SettledLines::new();
+/// let mut vals = [0; 64];
+/// let (line, want) = (x.cache_line(), 0x101);
+/// assert_eq!(settled.read(&stack, line, want, &mut vals), (0x100, true));
+/// assert_eq!(vals[0], 1);
+/// let chosen = read_pre_failure(&stack, x)[0];
+/// do_read(&mut stack, x, chosen);
+/// settled.settle(line, 8, chosen.value);
+/// assert_eq!(settled.read(&stack, line, want, &mut vals), (0, false));
+/// assert_eq!((vals[0], vals[8]), (1, 2));
+/// ```
+#[derive(Debug)]
+pub struct SettledLines {
+    epoch: u64,
+    lines: Box<[SettledLine; SETTLED_LINES]>,
+}
+
+impl SettledLines {
+    /// An empty table.
+    pub fn new() -> Self {
+        let empty = SettledLine {
+            epoch: 0,
+            line: CacheLineId::new(0),
+            settled: 0,
+            vals: [0; CACHE_LINE_SIZE],
+        };
+        SettledLines {
+            epoch: 1,
+            lines: Box::new([empty; SETTLED_LINES]),
+        }
+    }
+
+    /// Forgets every line, for a stack that changed other than by
+    /// refinement.
+    pub fn clear(&mut self) {
+        self.epoch += 1;
+    }
+
+    /// Reads the bytes `want` of `line` (bit `i` is line offset `i`) from
+    /// `stack`, resolving the whole line with [`read_pre_failure_line`]
+    /// first unless the table holds it. Writes each wanted settled byte
+    /// into `vals` at its line offset, leaves the others as they are, and
+    /// returns the mask of the others, which need [`read_pre_failure`] and
+    /// then [`settle`](Self::settle), with whether this read resolved the
+    /// line.
+    pub fn read(
+        &mut self,
+        stack: &[ExecutionStorage],
+        line: CacheLineId,
+        want: u64,
+        vals: &mut [u8; CACHE_LINE_SIZE],
+    ) -> (u64, bool) {
+        let slot = &mut self.lines[line.index() as usize % SETTLED_LINES];
+        let resolve = slot.epoch != self.epoch || slot.line != line;
+        if resolve {
+            slot.epoch = self.epoch;
+            slot.line = line;
+            slot.settled = !read_pre_failure_line(stack, line, u64::MAX, &mut slot.vals);
+        }
+        for off in offsets(want & slot.settled) {
+            vals[off] = slot.vals[off];
+        }
+        (want & !slot.settled, resolve)
+    }
+
+    /// Settles the byte at offset `off` of `line` at `value`: the value
+    /// its read just committed to, or found to be the only candidate left.
+    /// `line` must be the line this table last [read](Self::read).
+    pub fn settle(&mut self, line: CacheLineId, off: usize, value: u8) {
+        let slot = &mut self.lines[line.index() as usize % SETTLED_LINES];
+        debug_assert!(slot.epoch == self.epoch && slot.line == line);
+        slot.settled |= 1 << off;
+        slot.vals[off] = value;
+    }
+}
+
+impl Default for SettledLines {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// `DoRead`/`UpdateRanges` (Figure 10): refine writeback intervals after

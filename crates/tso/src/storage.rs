@@ -109,7 +109,9 @@ pub(crate) struct LineLog {
     data: Vec<u8>,
     /// The line's cache image: the newest value of each byte in `written`.
     cur: [u8; CACHE_LINE_SIZE],
-    written: u64,
+    /// The bytes some store of the whole log writes (a view's prefix may
+    /// hold fewer).
+    pub(crate) written: u64,
 }
 
 impl LineLog {

@@ -18,7 +18,8 @@ use std::panic::Location;
 use jaaru_pmem::{CacheLineId, PmAddr};
 use jaaru_tso::{
     do_read, read_pre_failure, read_pre_failure_into, read_pre_failure_line, EvictionPolicy,
-    ExecutionStorage, FlushInterval, RfCandidate, RfSource, Seq, ThreadId, TsoMachine,
+    ExecutionStorage, FlushInterval, RfCandidate, RfSource, Seq, SettledLines, ThreadId,
+    TsoMachine,
 };
 
 const LINE: CacheLineId = CacheLineId::new(1);
@@ -521,6 +522,63 @@ fn line_reads_match_per_byte_reads() {
         }
     }
     assert!(wanted_multi > 1000, "multi-candidate bytes: {wanted_multi}");
+    assert!(refinements > 500, "refining reads: {refinements}");
+}
+
+/// A settled-line table serves a recovery execution's loads as the
+/// per-byte reference would, on random stacks read by random loads of
+/// random masks of either line, as the checker drives it: each byte the
+/// table settles holds the value of the sole candidate
+/// [`read_pre_failure`] gives it, every byte with several candidates
+/// comes back unsettled, and each unsettled byte, low first, commits a
+/// random candidate through [`do_read`] and is settled at its value. A
+/// line is resolved on its first read after [`SettledLines::clear`] only.
+/// One table serves every stack, cleared between them.
+#[test]
+fn settled_lines_serve_only_sole_candidates() {
+    let (mut served, mut unsettled, mut refinements) = (0, 0, 0);
+    let mut settled = SettledLines::new();
+    for seed in 0..300u64 {
+        let mut rng = Rng::new(seed ^ 0x5e_771e_d11e);
+        let (mut stack, _) = random_stack(&mut rng);
+        settled.clear();
+        let mut resolved = [false; 2];
+        for step in 0..12 {
+            let which = rng.below(2) as usize;
+            let line = LINES[which];
+            let want = random_want(&mut rng);
+            let ctx = format!("seed {seed}, step {step}: {line:?} mask {want:#x}");
+            let mut vals = [UNTOUCHED; 64];
+            let (open, resolve) = settled.read(&stack, line, want, &mut vals);
+            assert_eq!(resolve, !resolved[which], "{ctx}: resolved");
+            resolved[which] = true;
+            assert_eq!(open & !want, 0, "{ctx}: unwanted bytes left open");
+            for (off, &val) in vals.iter().enumerate() {
+                let (addr, bit) = (line.base() + off as u64, 1u64 << off);
+                if want & bit == 0 || open & bit != 0 {
+                    assert_eq!(val, UNTOUCHED, "{ctx}: byte {addr} written");
+                    continue;
+                }
+                let cands = read_pre_failure(&stack, addr);
+                assert_eq!(cands.len(), 1, "{ctx}: byte {addr} settled at {val}");
+                assert_eq!(val, cands[0].value, "{ctx}: value of byte {addr}");
+                served += 1;
+            }
+            for off in (0..64).filter(|off| open >> off & 1 != 0) {
+                let addr = line.base() + off as u64;
+                let cands = read_pre_failure(&stack, addr);
+                let chosen = cands[rng.below(cands.len() as u64) as usize];
+                if cands.len() > 1 {
+                    do_read(&mut stack, addr, chosen);
+                    refinements += 1;
+                }
+                settled.settle(line, off, chosen.value);
+                unsettled += 1;
+            }
+        }
+    }
+    assert!(served > 50_000, "settled bytes served: {served}");
+    assert!(unsettled > 2000, "unsettled bytes read: {unsettled}");
     assert!(refinements > 500, "refining reads: {refinements}");
 }
 

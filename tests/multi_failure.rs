@@ -162,3 +162,65 @@ fn crash_points_are_recorded_per_failure() {
     );
     assert_eq!(bug.execution_index, 2);
 }
+
+/// Execution 0 persists 1 in a cell, the first recovery reads the cell's
+/// line and rewrites it to 2, then persists a done flag on another line;
+/// the third execution, after a failure in the first recovery, reads the
+/// cell and the flag and records what it saw in `seen`.
+fn rewritten_line_program(seen: &Mutex<BTreeSet<(u64, u64)>>) -> impl jaaru::Program + '_ {
+    move |env: &dyn PmEnv| {
+        let (cell, done) = (env.root(), env.root() + 64);
+        let value = env.load_u64(cell);
+        match env.execution_index() {
+            0 => {
+                env.store_u64(cell, 1);
+                env.persist(cell, 8);
+            }
+            1 => {
+                env.store_u64(cell, 2);
+                env.persist(cell, 8);
+                env.store_u64(done, 1);
+                env.persist(done, 8);
+            }
+            _ => {
+                let flag = env.load_u64(done);
+                seen.lock().unwrap().insert((value, flag));
+                env.pm_assert(
+                    flag == 0 || value == 2,
+                    "the third execution read a value the second overwrote",
+                );
+            }
+        }
+    }
+}
+
+/// A recovery load resolves each pre-failure line once per execution, and
+/// keeps what it settled only while the crashed executions stay the same:
+/// a line the first recovery read, then rewrote and persisted, reads as
+/// rewritten in the third execution. Every combination of worker count
+/// and snapshot setting must also give the digest of replay, where every
+/// scenario runs every execution.
+#[test]
+fn a_line_a_recovery_rewrote_reads_as_rewritten_after_the_next_failure() {
+    let check = |jobs: usize, snapshots: bool| {
+        let seen = Mutex::new(BTreeSet::new());
+        let mut c = config(2);
+        c.jobs(jobs).snapshots(snapshots);
+        let report = ModelChecker::new(c).check(&rewritten_line_program(&seen));
+        (report, seen.into_inner().unwrap())
+    };
+    let (replay, seen) = check(1, false);
+    assert!(replay.is_clean(), "{replay}");
+    assert!(
+        seen.contains(&(2, 1)),
+        "the rewrite was never read: {seen:?}"
+    );
+    for jobs in [1usize, 2] {
+        for snapshots in [true, false] {
+            let (report, again) = check(jobs, snapshots);
+            let at = format!("jobs={jobs} snapshots={snapshots}");
+            assert_eq!(replay.digest(), report.digest(), "{at} diverged");
+            assert_eq!(seen, again, "{at}");
+        }
+    }
+}
