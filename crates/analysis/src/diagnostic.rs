@@ -18,6 +18,7 @@ use jaaru_pmem::PmAddr;
 use jaaru_tso::SourceLoc;
 
 use crate::repair::FixEdit;
+use crate::site_key::{SiteHash, SiteKey};
 
 /// What a diagnostic is about.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -234,7 +235,7 @@ impl fmt::Display for Diagnostic {
 #[derive(Clone, Debug, Default)]
 pub struct DiagnosticSet {
     items: Vec<Diagnostic>,
-    index: HashMap<(DiagnosticKind, SourceLoc), usize>,
+    index: HashMap<SiteKey<DiagnosticKind>, usize, SiteHash>,
 }
 
 impl DiagnosticSet {
@@ -248,7 +249,7 @@ impl DiagnosticSet {
     /// the richer typed edit: an edit-carrying duplicate upgrades an
     /// entry recorded without one.
     pub fn insert(&mut self, d: Diagnostic) {
-        match self.index.get(&(d.kind, d.site)) {
+        match self.index.get(&SiteKey(d.kind, d.site)) {
             Some(&i) => {
                 self.items[i].occurrences += d.occurrences;
                 if self.items[i].suggestion.is_none() {
@@ -256,7 +257,7 @@ impl DiagnosticSet {
                 }
             }
             None => {
-                self.index.insert((d.kind, d.site), self.items.len());
+                self.index.insert(SiteKey(d.kind, d.site), self.items.len());
                 self.items.push(d);
             }
         }
@@ -274,7 +275,7 @@ impl DiagnosticSet {
         site: SourceLoc,
         make: impl FnOnce() -> Diagnostic,
     ) {
-        match self.index.entry((kind, site)) {
+        match self.index.entry(SiteKey(kind, site)) {
             Entry::Occupied(entry) => self.items[*entry.get()].occurrences += 1,
             Entry::Vacant(entry) => {
                 entry.insert(self.items.len());

@@ -65,6 +65,7 @@ mod races;
 mod repair;
 mod robust;
 mod sarif;
+mod site_key;
 
 pub use diagnostic::{Diagnostic, DiagnosticKind, DiagnosticSet, Severity};
 pub use graph::{FlushRef, LinePersist, PersistGraph, StoreNode};

@@ -37,11 +37,35 @@ use jaaru_tso::SourceLoc;
 
 use crate::diagnostic::{Diagnostic, DiagnosticSet};
 use crate::robust::Candidate;
+use crate::site_key::{SiteHash, SiteKey};
 
-/// Read-from evidence extracted from one scenario's racy loads: the
-/// execution index that performed a candidate store, and the store's
-/// source site, as the race report holds it.
-pub type RfEvidence = HashSet<(usize, SourceLoc)>;
+/// Read-from evidence extracted from one scenario's racy loads: pairs of
+/// the execution index that performed a candidate store and the store's
+/// source site, as the race report holds it. Every lint candidate of a
+/// buggy scenario is looked up in it, so a lookup hashes the execution
+/// and the site's line and column, not its file path (see `SiteKey`).
+#[derive(Clone, Debug, Default)]
+pub struct RfEvidence(HashSet<SiteKey<usize>, SiteHash>);
+
+impl RfEvidence {
+    /// An empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether a racy load could read a store of execution `exec` at
+    /// `site`.
+    pub(crate) fn contains(&self, exec: usize, site: SourceLoc) -> bool {
+        self.0.contains(&SiteKey(exec, site))
+    }
+}
+
+impl Extend<(usize, SourceLoc)> for RfEvidence {
+    fn extend<I: IntoIterator<Item = (usize, SourceLoc)>>(&mut self, pairs: I) {
+        self.0
+            .extend(pairs.into_iter().map(|(exec, site)| SiteKey(exec, site)));
+    }
+}
 
 /// Filters per-execution candidates down to those corroborated by the
 /// scenario's read-from evidence, and folds the confirmed ones into
@@ -56,7 +80,7 @@ pub fn localize<'a>(
 ) -> Vec<Diagnostic> {
     let mut confirmed = DiagnosticSet::new();
     for (exec, c) in candidates {
-        if evidence.contains(&(exec, c.store_loc)) {
+        if evidence.contains(exec, c.store_loc) {
             confirmed.insert_with(c.kind, c.site, || c.clone().into_diagnostic());
         }
     }
@@ -108,7 +132,7 @@ mod tests {
         let cands = analyze_trace(&trace);
         assert_eq!(cands.len(), 1);
         let mut evidence = RfEvidence::new();
-        evidence.insert((0, store_site));
+        evidence.extend([(0, store_site)]);
         let confirmed = localize(cands.iter().map(|c| (0, c)), &evidence);
         assert_eq!(confirmed.len(), 1);
         assert_eq!(confirmed[0].site, store_site);
@@ -124,7 +148,7 @@ mod tests {
         assert_eq!(cands.len(), 2);
         let message = cands[0].clone().into_diagnostic().message;
         let mut evidence = RfEvidence::new();
-        evidence.insert((0, store_site));
+        evidence.extend([(0, store_site)]);
         let confirmed = localize(cands.iter().map(|c| (0, c)), &evidence);
         assert_eq!(confirmed.len(), 1);
         assert_eq!(confirmed[0].occurrences, 2);
@@ -136,7 +160,7 @@ mod tests {
         let (trace, _) = buggy_trace();
         let cands = analyze_trace(&trace);
         let mut evidence = RfEvidence::new();
-        evidence.insert((0, Location::caller()));
+        evidence.extend([(0, Location::caller())]);
         assert!(localize(cands.iter().map(|c| (0, c)), &evidence).is_empty());
     }
 
@@ -145,7 +169,7 @@ mod tests {
         let (trace, store_site) = buggy_trace();
         let cands = analyze_trace(&trace);
         let mut evidence = RfEvidence::new();
-        evidence.insert((1, store_site));
+        evidence.extend([(1, store_site)]);
         assert!(localize(cands.iter().map(|c| (0, c)), &evidence).is_empty());
     }
 }

@@ -112,12 +112,19 @@ pub(crate) struct ScenarioRecord {
 /// [`ScenarioRecord`], so that one set serves every scenario.
 #[derive(Default)]
 pub(crate) struct Buffers {
-    /// The storage the scenario's first execution records into, cleared
-    /// first (keeping its buffers) unless a checkpoint still views its
-    /// log.
-    pub storage: ExecutionStorage,
+    /// The machine every execution of the scenario runs on, reset at its
+    /// start and at each failure: its thread buffers are emptied in place,
+    /// and its storage is the last execution's, cleared first (keeping
+    /// its buffers) unless a checkpoint still views its log.
+    pub machine: TsoMachine,
     /// The settled-line table, emptied first.
     pub settled: SettledLines,
+    /// The stack of crashed executions: emptied, or overwritten with the
+    /// restored checkpoint's, each execution's intervals copied into the
+    /// vector the last scenario left at its place.
+    pub stack: Vec<ExecutionStorage>,
+    /// The candidate buffer of the bytes recovery loads choose for.
+    pub cands: Vec<RfCandidate>,
 }
 
 /// The instrumented environment for one failure scenario.
@@ -143,18 +150,28 @@ pub(crate) struct CheckerEnv {
 
 impl CheckerEnv {
     /// An environment for a scenario steered by `decisions`, whose first
-    /// execution records into the lent storage (cleared first).
-    pub(crate) fn new(config: &Config, decisions: DecisionLog, buffers: Buffers) -> Self {
+    /// execution runs on the lent machine (reset first).
+    pub(crate) fn new(config: &Config, decisions: DecisionLog, mut buffers: Buffers) -> Self {
+        buffers.stack.clear();
+        Self::with_buffers(config, decisions, buffers)
+    }
+
+    /// An environment whose first execution runs on the lent machine
+    /// (reset first), over the lent stack as it is.
+    fn with_buffers(config: &Config, decisions: DecisionLog, buffers: Buffers) -> Self {
         let Buffers {
-            storage,
+            mut machine,
             mut settled,
+            stack,
+            cands,
         } = buffers;
+        machine.reset(config.eviction_value());
         settled.clear();
         CheckerEnv {
             capture: config.snapshots_value(),
             inner: RefCell::new(Inner {
-                machine: TsoMachine::with_storage(config.eviction_value(), storage),
-                stack: Vec::new(),
+                machine,
+                stack,
                 decisions,
                 exec_index: 0,
                 ops: 0,
@@ -169,7 +186,7 @@ impl CheckerEnv {
                 races: Vec::new(),
                 load_choice_points: 0,
                 max_rf_set: 1,
-                cands: Vec::new(),
+                cands,
                 settled,
                 op_traces: Vec::new(),
                 op_trace: OpTrace::new(),
@@ -200,10 +217,9 @@ impl CheckerEnv {
         // execution that captured a checkpoint runs to the scenario's end,
         // and `finish` gives the captures its final log.
         debug_assert!(inner.captures.is_empty(), "a capturing execution crashed");
-        let eviction = inner.machine.policy();
-        let machine = std::mem::replace(&mut inner.machine, TsoMachine::new(eviction));
         inner.failure_points.get_or_insert(inner.points_this_exec);
-        inner.stack.push(machine.crash());
+        let crashed = inner.machine.crash_and_reset();
+        inner.stack.push(crashed);
         inner.settled.clear();
         inner.exec_index += 1;
         inner.ops = 0;
@@ -223,24 +239,25 @@ impl CheckerEnv {
     /// accumulated checker state is cloned from the capture
     /// (copy-on-restore — post-failure reads refine intervals in place; the
     /// crashed executions' store logs and op traces are frozen and shared,
-    /// so only their intervals are copied), per-execution volatile state
-    /// starts fresh exactly as [`advance_execution`](Self::advance_execution)
-    /// would leave it, with the running execution recording into the lent
-    /// storage, the recovery footprint starts empty, and the decision log
-    /// resumes right after the crash the snapshot forks.
+    /// so only their intervals are copied, into the lent stack's vectors),
+    /// per-execution volatile state starts fresh exactly as
+    /// [`advance_execution`](Self::advance_execution) would leave it, with
+    /// the running execution on the lent machine, the recovery footprint
+    /// starts empty, and the decision log resumes right after the crash
+    /// the snapshot forks.
     /// Running `Program::run` against the result is equivalent to
     /// replaying the prefix executions, minus the replay.
     pub(crate) fn from_snapshot(
         config: &Config,
         mut decisions: DecisionLog,
         snap: &CheckerSnapshot,
-        buffers: Buffers,
+        mut buffers: Buffers,
     ) -> Self {
         decisions.adopt_prefix(snap.decision + 1);
-        let fresh = CheckerEnv::new(config, decisions, buffers);
+        buffers.stack.clone_from(&snap.stack);
+        let fresh = CheckerEnv::with_buffers(config, decisions, buffers);
         {
             let mut inner = fresh.inner.borrow_mut();
-            inner.stack = snap.stack.clone();
             inner.exec_index = snap.exec_index;
             inner.failure_points = Some(snap.failure_points);
             inner.crash_points = snap.crash_points.clone();
@@ -270,7 +287,7 @@ impl CheckerEnv {
             inner.op_traces.push(Arc::new(inner.op_trace));
         }
         // Stores still buffered never reached the log, as in a crash.
-        let storage = inner.machine.crash();
+        let storage = inner.machine.storage();
         let captures = inner
             .captures
             .into_iter()
@@ -290,8 +307,10 @@ impl CheckerEnv {
             recovery_reads: inner.recovery_reads,
             captures,
             buffers: Buffers {
-                storage,
+                machine: inner.machine,
                 settled: inner.settled,
+                stack: inner.stack,
+                cands: inner.cands,
             },
         }
     }
@@ -508,6 +527,15 @@ impl CheckerEnv {
     }
 }
 
+/// `dst.copy_from_slice(src)`, with the 8 bytes of a `u64` access copied
+/// as one word rather than by a `memcpy` call.
+fn copy_bytes(dst: &mut [u8], src: &[u8]) {
+    match <&mut [u8; 8]>::try_from(&mut *dst) {
+        Ok(word) => *word = src.try_into().expect("as long as `dst`"),
+        Err(_) => dst.copy_from_slice(src),
+    }
+}
+
 /// `items` followed by `last`, in one allocation.
 fn pushed<T: Clone>(items: &[T], last: T) -> Vec<T> {
     let mut out = Vec::with_capacity(items.len() + 1);
@@ -600,7 +628,7 @@ impl PmEnv for CheckerEnv {
             }
             let first = want.trailing_zeros() as usize;
             let part = &mut buf[start..start + want.count_ones() as usize];
-            part.copy_from_slice(&vals[first..first + part.len()]);
+            copy_bytes(part, &vals[first..first + part.len()]);
         }
     }
 

@@ -109,12 +109,14 @@ pub(crate) struct ExploreAux {
 /// [`Config::snapshots`] on, every fresh crash decision the scenario makes
 /// captures a checkpoint for the scenarios that later take that crash.
 ///
-/// `buffers` are the buffers the scenario runs with: its first execution
-/// records into their storage, cleared first, and the scenario leaves its
-/// last execution's storage there, so a walk that passes the same slot to
-/// every scenario reuses one store log wherever no checkpoint holds it,
-/// and one settled-line table. `lint` keeps the analysis of the last
-/// execution-0 trace linted, for the scenarios that share that trace.
+/// `buffers` are the buffers the scenario runs with: its executions run
+/// on their machine, reset first, and the scenario leaves the machine
+/// there with its last execution's storage, so a walk that passes the
+/// same slot to every scenario reuses one store log wherever no
+/// checkpoint holds it, one set of thread buffers, one settled-line
+/// table, and the vectors of one stack of crashed executions. `lint`
+/// keeps the analysis of the last execution-0 trace linted, for the
+/// scenarios that share that trace.
 pub(crate) fn run_scenario(
     config: &Config,
     program: &dyn Program,

@@ -69,7 +69,8 @@ struct Walk<'a> {
     sink: &'a mut dyn FnMut(ScenarioOutcome),
     /// The buffers the last scenario left, which the next one runs with:
     /// one store log serves every scenario whose log no checkpoint holds,
-    /// and one settled-line table every scenario.
+    /// and one machine's thread buffers, one settled-line table, one
+    /// stack's vectors and one candidate buffer every scenario.
     buffers: Option<Buffers>,
     /// The analysis of the last execution-0 trace linted.
     lint: FirstTraceLint,

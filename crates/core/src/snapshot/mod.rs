@@ -43,7 +43,9 @@
 //! whose next scenario records into it, cleared.
 //!
 //! Restoring clones the stack too, since post-failure reads refine
-//! intervals in place, and bumps the op traces' reference counts. A
+//! intervals in place, and bumps the op traces' reference counts; it
+//! copies the intervals into the vectors the last scenario's stack left,
+//! so a restore allocates only where the stack grows. A
 //! scenario therefore starts directly at its last execution: restoring
 //! is equivalent to replaying the executions before it, minus the
 //! replay. The restored plan's decisions up to the crash keep the

@@ -74,7 +74,8 @@ pub struct ThreadBuffers {
     /// The flush buffer `F_τ` (unordered set; kept in insertion order).
     pub flush_buffer: Vec<FbEntry>,
     /// `t_{τ,cl}`: per line, the sequence number of the most recent store
-    /// or `clflush` to that line by this thread.
+    /// or `clflush` to that line by this thread that left the store buffer
+    /// ahead of other entries. See [`line_stamp`](Self::line_stamp).
     pub(crate) line_stamp: LineMap<CacheLineId, Seq>,
     /// `t_τ`: the sequence number of the most recent `sfence` by this
     /// thread.
@@ -101,7 +102,18 @@ impl ThreadBuffers {
         })
     }
 
-    /// `t_{τ,cl}` for a line (Seq::ZERO when the thread never touched it).
+    /// `t_{τ,cl}` for a line (Seq::ZERO when the thread never touched it),
+    /// as far as a `clflushopt` leaving the store buffer can need it.
+    ///
+    /// Only that eviction reads a stamp, as the lower bound
+    /// `max(σ_exec, t_{τ,cl}, t_τ)` (Figure 8). A `clflushopt` executed
+    /// after a store or `clflush` of the line left the buffer captured a
+    /// `σ_exec` at least that eviction's, so the stamp can raise the bound
+    /// only when the `clflushopt` was still queued behind the eviction.
+    /// So the machine stamps a line only when an eviction leaves entries
+    /// in the buffer; under eager eviction, which keeps the buffer empty,
+    /// it never does. A stamp read here may be older than the line's last
+    /// eviction, never newer, and the bound comes out the same.
     pub fn line_stamp(&self, line: CacheLineId) -> Seq {
         self.line_stamp.get(&line).copied().unwrap_or(Seq::ZERO)
     }
@@ -109,6 +121,15 @@ impl ThreadBuffers {
     /// Whether both buffers are empty.
     pub fn is_empty(&self) -> bool {
         self.store_buffer.is_empty() && self.flush_buffer.is_empty()
+    }
+
+    /// Empties both buffers and forgets both stamps, for a new execution,
+    /// keeping the buffers' capacity.
+    pub(crate) fn reset(&mut self) {
+        self.store_buffer.clear();
+        self.flush_buffer.clear();
+        self.line_stamp.clear();
+        self.sfence_stamp = Seq::ZERO;
     }
 }
 
@@ -153,6 +174,20 @@ mod tests {
         });
         b.store_buffer.push_back(SbEntry::Sfence);
         assert_eq!(b.bypass(PmAddr::new(64)), None);
+    }
+
+    #[test]
+    fn reset_empties_buffers_and_stamps() {
+        let mut b = ThreadBuffers::new();
+        b.store_buffer.push_back(SbEntry::Sfence);
+        let (line, seq) = (CacheLineId::new(1), Seq::new(3));
+        b.flush_buffer.push(FbEntry { line, seq });
+        b.line_stamp.insert(line, seq);
+        b.sfence_stamp = seq;
+        b.reset();
+        assert!(b.is_empty());
+        assert_eq!(b.line_stamp(line), Seq::ZERO);
+        assert_eq!(b.sfence_stamp, Seq::ZERO);
     }
 
     #[test]

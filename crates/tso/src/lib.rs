@@ -69,6 +69,7 @@ mod trace;
 
 pub use buffers::{FbEntry, SbEntry, ThreadBuffers};
 pub use event::{SourceLoc, StoreEvent, StoreId, ThreadId};
+pub use hash::IntHasher;
 pub use interval::FlushInterval;
 pub use machine::{EvictionPolicy, TsoMachine};
 pub use rf::{

@@ -26,7 +26,8 @@ use crate::{
 /// writeback intervals.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum EvictionPolicy {
-    /// Drain the store buffer immediately after every insertion. For
+    /// Every operation takes effect as soon as it is issued, as if the
+    /// store buffer drained right after each insertion. For
     /// persistency exploration this exposes the superset of post-failure
     /// states: cache-resident stores are *maybe* persistent (interval
     /// machinery), while buffer-resident stores at a crash are *definitely*
@@ -39,6 +40,9 @@ pub enum EvictionPolicy {
 }
 
 /// The simulated TSO machine for one execution.
+///
+/// Under [`EvictionPolicy::Eager`], an operation takes effect at once, as
+/// the buffer's eviction of it would, without entering the buffer.
 ///
 /// # Example
 ///
@@ -58,7 +62,7 @@ pub enum EvictionPolicy {
 /// let storage = m.crash();
 /// assert!(!storage.interval(a.cache_line()).is_unconstrained());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TsoMachine {
     sigma: Seq,
     threads: Vec<ThreadBuffers>,
@@ -69,21 +73,33 @@ pub struct TsoMachine {
 impl TsoMachine {
     /// Creates a machine with empty storage and no threads.
     pub fn new(policy: EvictionPolicy) -> Self {
-        Self::with_storage(policy, ExecutionStorage::new())
+        TsoMachine {
+            policy,
+            ..TsoMachine::default()
+        }
     }
 
-    /// Creates a machine with no threads that records into `storage`,
-    /// emptied first: a finished execution's storage lends the new one its
-    /// buffers. A log that a [view](ExecutionStorage::view) still holds is
-    /// left to the view, never copied; the machine starts a new one.
-    pub fn with_storage(policy: EvictionPolicy, mut storage: ExecutionStorage) -> Self {
-        storage.clear();
-        TsoMachine {
-            sigma: Seq::ZERO,
-            threads: Vec::new(),
-            storage,
-            policy,
+    /// Empties the machine for a new execution under `policy`, keeping
+    /// the capacity of every thread's buffers and of the store log (each
+    /// touched line's stores and bytes included). A log that a
+    /// [view](ExecutionStorage::view) still holds is left to the view,
+    /// never copied; the machine starts a new one.
+    pub fn reset(&mut self, policy: EvictionPolicy) {
+        self.sigma = Seq::ZERO;
+        self.policy = policy;
+        for thread in &mut self.threads {
+            thread.reset();
         }
+        self.storage.clear();
+    }
+
+    /// Simulates a power failure, as [`crash`](Self::crash) does, and
+    /// [resets](Self::reset) the machine for the next execution: every
+    /// thread's buffers are emptied in place.
+    pub fn crash_and_reset(&mut self) -> ExecutionStorage {
+        let crashed = std::mem::take(&mut self.storage);
+        self.reset(self.policy);
+        crashed
     }
 
     /// The eviction policy in effect.
@@ -109,30 +125,34 @@ impl TsoMachine {
         &mut self.threads[idx]
     }
 
-    fn thread_ref(&self, tid: ThreadId) -> Option<&ThreadBuffers> {
+    /// Read access to `tid`'s buffers and stamps, if the thread ever
+    /// issued an operation since the machine was created.
+    pub fn buffers(&self, tid: ThreadId) -> Option<&ThreadBuffers> {
         self.threads.get(tid.0 as usize)
     }
 
-    fn maybe_drain(&mut self, tid: ThreadId) {
-        if self.policy == EvictionPolicy::Eager {
-            self.drain_store_buffer(tid);
-        }
+    /// Whether an operation `tid` issues now takes effect at once, rather
+    /// than entering its store buffer (Figure 7). Under eager eviction
+    /// every store buffer is empty whenever an operation is issued: only
+    /// the other policy queues entries, and [`reset`](Self::reset) empties
+    /// every buffer when it sets the policy. So pushing the operation and
+    /// draining the buffer would evict it alone.
+    fn eager(&self, tid: ThreadId) -> bool {
+        let eager = self.policy == EvictionPolicy::Eager;
+        debug_assert!(!eager || self.buffers(tid).is_none_or(|t| t.store_buffer.is_empty()));
+        eager
     }
 
     /// `Exec_Store` (Figure 7): enqueue a store into `S_τ`.
     pub fn store(&mut self, tid: ThreadId, addr: PmAddr, bytes: &[u8], loc: SourceLoc) {
         assert!(!bytes.is_empty(), "zero-length store");
-        if self.policy == EvictionPolicy::Eager && self.thread(tid).store_buffer.is_empty() {
-            // Push-then-drain, without the buffer entry.
+        if self.eager(tid) {
             self.evict_store(tid, addr, bytes, loc);
-            return;
+        } else {
+            let bytes = bytes.to_vec();
+            let entry = SbEntry::Store { addr, bytes, loc };
+            self.thread(tid).store_buffer.push_back(entry);
         }
-        self.thread(tid).store_buffer.push_back(SbEntry::Store {
-            addr,
-            bytes: bytes.to_vec(),
-            loc,
-        });
-        self.maybe_drain(tid);
     }
 
     /// `Evict_SB(⟨store, addr, val⟩)` (Figure 8): the store takes effect in
@@ -140,21 +160,53 @@ impl TsoMachine {
     fn evict_store(&mut self, tid: ThreadId, addr: PmAddr, bytes: &[u8], loc: SourceLoc) {
         let seq = self.sigma.bump();
         self.storage.record_store(addr, bytes, tid, loc, seq);
-        // One stamp per touched line (a store may straddle lines).
-        let first = addr.cache_line();
-        let last = (addr + (bytes.len() as u64 - 1)).cache_line();
+        // One stamp per touched line (a store may straddle lines), needed
+        // only by a `clflushopt` still queued (see `line_stamp`).
         let th = self.thread(tid);
-        for l in first.index()..=last.index() {
-            th.line_stamp.insert(CacheLineId::new(l), seq);
+        if !th.store_buffer.is_empty() {
+            let first = addr.cache_line();
+            let last = (addr + (bytes.len() as u64 - 1)).cache_line();
+            for l in first.index()..=last.index() {
+                th.line_stamp.insert(CacheLineId::new(l), seq);
+            }
         }
+    }
+
+    /// `Evict_SB(⟨clflush, addr⟩)` (Figure 8): the flush raises the line's
+    /// interval at once.
+    fn evict_clflush(&mut self, tid: ThreadId, line: CacheLineId) {
+        let seq = self.sigma.bump();
+        self.storage.record_flush(line, seq);
+        let th = self.thread(tid);
+        if !th.store_buffer.is_empty() {
+            th.line_stamp.insert(line, seq);
+        }
+    }
+
+    /// `Evict_SB(⟨clflushopt, addr, σ_exec⟩)` (Figure 8): the flush moves
+    /// to `F_τ` with its lower bound.
+    fn evict_clflushopt(&mut self, tid: ThreadId, line: CacheLineId, seq_at_exec: Seq) {
+        let th = self.thread(tid);
+        let seq = seq_at_exec.max(th.line_stamp(line)).max(th.sfence_stamp);
+        th.flush_buffer.push(FbEntry { line, seq });
+    }
+
+    /// `Evict_SB(⟨sfence⟩)` (Figure 8): `F_τ` takes effect, and the fence
+    /// stamps the thread.
+    fn evict_sfence(&mut self, tid: ThreadId) {
+        let seq = self.sigma.bump();
+        self.flush_flush_buffer(tid);
+        self.thread(tid).sfence_stamp = seq;
     }
 
     /// `Exec_CLFLUSH` (Figure 7): enqueue a cache-line flush into `S_τ`.
     pub fn clflush(&mut self, tid: ThreadId, line: CacheLineId) {
-        self.thread(tid)
-            .store_buffer
-            .push_back(SbEntry::Clflush { line });
-        self.maybe_drain(tid);
+        if self.eager(tid) {
+            self.evict_clflush(tid, line);
+        } else {
+            let entry = SbEntry::Clflush { line };
+            self.thread(tid).store_buffer.push_back(entry);
+        }
     }
 
     /// `Exec_CLFLUSHOPT` (Figure 7): enqueue an optimized flush, capturing
@@ -162,10 +214,12 @@ impl TsoMachine {
     /// (paper §2) and shares this entry point.
     pub fn clflushopt(&mut self, tid: ThreadId, line: CacheLineId) {
         let seq_at_exec = self.sigma;
-        self.thread(tid)
-            .store_buffer
-            .push_back(SbEntry::Clflushopt { line, seq_at_exec });
-        self.maybe_drain(tid);
+        if self.eager(tid) {
+            self.evict_clflushopt(tid, line, seq_at_exec);
+        } else {
+            let entry = SbEntry::Clflushopt { line, seq_at_exec };
+            self.thread(tid).store_buffer.push_back(entry);
+        }
     }
 
     /// `clwb`: semantically identical to [`TsoMachine::clflushopt`] in
@@ -179,8 +233,11 @@ impl TsoMachine {
 
     /// `Exec_SFENCE` (Figure 7): enqueue a store fence into `S_τ`.
     pub fn sfence(&mut self, tid: ThreadId) {
-        self.thread(tid).store_buffer.push_back(SbEntry::Sfence);
-        self.maybe_drain(tid);
+        if self.eager(tid) {
+            self.evict_sfence(tid);
+        } else {
+            self.thread(tid).store_buffer.push_back(SbEntry::Sfence);
+        }
     }
 
     /// `Exec_MFENCE` (Figure 7): drain `S_τ`, then flush `F_τ`. Also used
@@ -198,21 +255,11 @@ impl TsoMachine {
         };
         match entry {
             SbEntry::Store { addr, bytes, loc } => self.evict_store(tid, addr, &bytes, loc),
-            SbEntry::Clflush { line } => {
-                let seq = self.sigma.bump();
-                self.storage.record_flush(line, seq);
-                self.thread(tid).line_stamp.insert(line, seq);
-            }
+            SbEntry::Clflush { line } => self.evict_clflush(tid, line),
             SbEntry::Clflushopt { line, seq_at_exec } => {
-                let th = self.thread(tid);
-                let seq = seq_at_exec.max(th.line_stamp(line)).max(th.sfence_stamp);
-                th.flush_buffer.push(FbEntry { line, seq });
+                self.evict_clflushopt(tid, line, seq_at_exec);
             }
-            SbEntry::Sfence => {
-                let seq = self.sigma.bump();
-                self.flush_flush_buffer(tid);
-                self.thread(tid).sfence_stamp = seq;
-            }
+            SbEntry::Sfence => self.evict_sfence(tid),
         }
         true
     }
@@ -223,10 +270,12 @@ impl TsoMachine {
     }
 
     /// `Evict_FB` for every entry (Figure 8): applies the deferred
-    /// `clflushopt` lower bounds and empties `F_τ`.
+    /// `clflushopt` lower bounds and empties `F_τ`, keeping its capacity.
     pub fn flush_flush_buffer(&mut self, tid: ThreadId) {
-        let entries = std::mem::take(&mut self.thread(tid).flush_buffer);
-        for FbEntry { line, seq } in entries {
+        let Some(thread) = self.threads.get_mut(tid.0 as usize) else {
+            return;
+        };
+        for FbEntry { line, seq } in thread.flush_buffer.drain(..) {
             if seq > Seq::ZERO {
                 self.storage.record_flush(line, seq);
             }
@@ -256,7 +305,7 @@ impl TsoMachine {
         vals: &mut [u8; CACHE_LINE_SIZE],
     ) -> u64 {
         let mut miss = want;
-        if let Some(t) = self.thread_ref(tid).filter(|t| !t.store_buffer.is_empty()) {
+        if let Some(t) = self.buffers(tid).filter(|t| !t.store_buffer.is_empty()) {
             for off in offsets(want) {
                 if let Some(v) = t.bypass(line.base() + off as u64) {
                     vals[off] = v;
@@ -270,7 +319,7 @@ impl TsoMachine {
     /// Whether `tid` has deferred `clflushopt` operations whose persistency
     /// effect is still pending (waiting for an ordering instruction).
     pub fn flush_buffer_pending(&self, tid: ThreadId) -> bool {
-        self.thread_ref(tid).is_some_and(|t| {
+        self.buffers(tid).is_some_and(|t| {
             !t.flush_buffer.is_empty()
                 || t.store_buffer
                     .iter()

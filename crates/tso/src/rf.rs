@@ -22,7 +22,7 @@
 
 use jaaru_pmem::{CacheLineId, PmAddr, CACHE_LINE_SIZE};
 
-use crate::storage::{offsets, LineStore};
+use crate::storage::{runs, LineStore};
 use crate::{ExecutionStorage, Seq, StoreId};
 
 /// Where a post-failure load's value comes from.
@@ -131,7 +131,10 @@ pub fn read_pre_failure_into(stack: &[ExecutionStorage], addr: PmAddr, out: &mut
 /// Writes the value of each wanted byte with a single candidate (see
 /// [`read_pre_failure_into`]) into `vals` at its line offset, and returns
 /// the mask of the other wanted bytes: those whose [`read_pre_failure`]
-/// has more than one candidate. Bytes outside `want` are left as they are.
+/// has more than one candidate (their bytes in `vals` may be written
+/// too). Bytes outside `want` are left as they are. Each run of bytes one store
+/// pins, and the initial memory under every wanted byte, is written as
+/// one slice.
 ///
 /// A byte with a single candidate keeps it, and its value, whatever
 /// [`do_read`] refines: refinement only narrows intervals, so no store
@@ -145,8 +148,12 @@ pub fn read_pre_failure_line(
     vals: &mut [u8; CACHE_LINE_SIZE],
 ) -> u64 {
     let mut multi = 0;
-    // Wanted bytes that no newer execution has pinned or made multi.
+    // Wanted bytes that no newer execution has pinned or made multi. Every
+    // wanted byte reads initial memory until a pinned store overwrites it.
     let mut need = want;
+    for run in runs(want) {
+        vals[run].fill(RfCandidate::INITIAL.value);
+    }
     for st in stack.iter().rev() {
         if need == 0 {
             break;
@@ -170,15 +177,10 @@ pub fn read_pre_failure_line(
                 break;
             }
             let pinned = pinnable & s.mask;
-            for off in offsets(pinned) {
-                vals[off] = log.value(s, off);
-            }
+            log.copy_values(s, pinned, vals);
             pinnable &= !pinned;
             need &= !pinned;
         }
-    }
-    for off in offsets(need) {
-        vals[off] = RfCandidate::INITIAL.value;
     }
     multi
 }
@@ -286,8 +288,8 @@ impl SettledLines {
             slot.line = line;
             slot.settled = !read_pre_failure_line(stack, line, u64::MAX, &mut slot.vals);
         }
-        for off in offsets(want & slot.settled) {
-            vals[off] = slot.vals[off];
+        for run in runs(want & slot.settled) {
+            vals[run.clone()].copy_from_slice(&slot.vals[run]);
         }
         (want & !slot.settled, resolve)
     }

@@ -22,16 +22,16 @@
 //! reads, pins and refinement (`DoRead`), which only narrows intervals.
 //! Clones of crashed storage share the log and copy only the intervals.
 //!
-//! [`TsoMachine::with_storage`](crate::TsoMachine::with_storage) empties a
-//! finished execution's storage for a new one and keeps its buffers, so a
-//! caller running one execution after another records each into the same
-//! log unless a view still holds it.
+//! [`TsoMachine::reset`](crate::TsoMachine::reset) empties a finished
+//! execution's storage for a new one and keeps its buffers, so a caller
+//! running one execution after another on one machine records each into
+//! the same log unless a view still holds it.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use jaaru_pmem::{CacheLineId, PmAddr, CACHE_LINE_SIZE};
 
-use crate::hash::LineMap;
 use crate::{FlushInterval, Seq, SourceLoc, StoreEvent, StoreId, ThreadId};
 
 /// Splits the `len` bytes at `addr` at cache-line boundaries: for each
@@ -74,6 +74,20 @@ pub(crate) fn offsets(mut mask: u64) -> impl Iterator<Item = usize> {
             let off = mask.trailing_zeros() as usize;
             mask &= mask - 1;
             off
+        })
+    })
+}
+
+/// The runs of consecutive line offsets set in `mask`, lowest first, so
+/// that a copy of the bytes `mask` takes one slice copy per run: one for
+/// the bytes of an access, or for a line's whole settled image.
+pub(crate) fn runs(mut mask: u64) -> impl Iterator<Item = Range<usize>> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let start = mask.trailing_zeros() as usize;
+            let len = (!(mask >> start)).trailing_zeros() as usize;
+            mask &= !((u64::MAX >> (CACHE_LINE_SIZE - len)) << start);
+            start..start + len
         })
     })
 }
@@ -147,18 +161,47 @@ impl LineLog {
         self.data[s.data as usize + off - first]
     }
 
+    /// Writes the values `s` wrote to the bytes `mask` (which its mask
+    /// must cover) into `vals` at their line offsets, one slice per run.
+    pub(crate) fn copy_values(&self, s: &LineStore, mask: u64, vals: &mut [u8; CACHE_LINE_SIZE]) {
+        let first = s.mask.trailing_zeros() as usize;
+        for run in runs(mask) {
+            let at = s.data as usize + run.start - first;
+            vals[run.clone()].copy_from_slice(&self.data[at..at + run.len()]);
+        }
+    }
+
     /// Index of the first store with `σ > seq`.
     pub(crate) fn after(&self, seq: Seq) -> usize {
         self.stores.partition_point(|s| s.seq <= seq)
     }
 }
 
+/// Buckets of a store log's first line index: 1 KB, room for 128 lines
+/// before it grows.
+const MIN_BUCKETS: usize = 256;
+
+/// Puts `slot`, which holds `line`, in a store log's line index.
+fn index_slot(index: &mut [u32], line: CacheLineId, slot: usize) {
+    let mask = index.len() - 1;
+    let mut bucket = line.index() as usize & mask;
+    while index[bucket] != 0 {
+        bucket = (bucket + 1) & mask;
+    }
+    index[bucket] = slot as u32 + 1;
+}
+
 /// The stores of one execution: written only while it runs, then frozen
 /// and shared by every storage that views it.
 #[derive(Clone, Debug, Default)]
 struct StoreLog {
-    /// Line → slot in `lines` (and in the storage's `intervals`).
-    slots: LineMap<CacheLineId, u32>,
+    /// Line → slot in `lines` (and in the storage's `intervals`), each
+    /// bucket holding its slot plus one, and 0 when empty: open addressing
+    /// with linear probing, a power of two of buckets at least twice the
+    /// lines, and a line's home bucket its index's low bits. A pool's
+    /// lines are consecutive, so they rarely meet, and a lookup reads one
+    /// bucket and compares the line of the slot it holds, with no hashing.
+    index: Vec<u32>,
     lines: Vec<LineLog>,
     events: Vec<StoreEvent>,
     /// Emptied line logs of an earlier execution, kept for their
@@ -167,25 +210,46 @@ struct StoreLog {
 }
 
 impl StoreLog {
+    /// The slot of `line`, if the execution touched it.
+    fn slot(&self, line: CacheLineId) -> Option<usize> {
+        let mask = self.index.len().checked_sub(1)?;
+        let mut bucket = line.index() as usize & mask;
+        loop {
+            let slot = (self.index[bucket] as usize).checked_sub(1)?;
+            if self.lines[slot].line == line {
+                return Some(slot);
+            }
+            bucket = (bucket + 1) & mask;
+        }
+    }
+
     /// The slot of `line`, created (with an unconstrained interval pushed
     /// onto `intervals`) if the execution never touched the line.
     fn slot_mut(&mut self, line: CacheLineId, intervals: &mut Vec<FlushInterval>) -> usize {
-        let next = self.lines.len();
-        let slot = *self.slots.entry(line).or_insert(next as u32) as usize;
-        if slot == next {
-            let log = match self.spare.pop() {
-                Some(log) => LineLog { line, ..log },
-                None => LineLog::new(line),
-            };
-            self.lines.push(log);
-            intervals.push(FlushInterval::unconstrained());
+        if let Some(slot) = self.slot(line) {
+            return slot;
+        }
+        let slot = self.lines.len();
+        let log = match self.spare.pop() {
+            Some(log) => LineLog { line, ..log },
+            None => LineLog::new(line),
+        };
+        self.lines.push(log);
+        intervals.push(FlushInterval::unconstrained());
+        if 2 * self.lines.len() > self.index.len() {
+            self.index = vec![0; (2 * self.index.len()).max(MIN_BUCKETS)];
+            for (slot, log) in self.lines.iter().enumerate() {
+                index_slot(&mut self.index, log.line, slot);
+            }
+        } else {
+            index_slot(&mut self.index, line, slot);
         }
         slot
     }
 
     /// Empties the log, keeping every buffer's capacity.
     fn clear(&mut self) {
-        self.slots.clear();
+        self.index.fill(0);
         self.events.clear();
         self.spare.extend(self.lines.drain(..).map(|mut log| {
             log.stores.clear();
@@ -208,6 +272,10 @@ pub struct CrashPrefix {
 
 /// The cache/persistency record of a single execution.
 ///
+/// A clone shares the store log and copies the intervals, and
+/// [`clone_from`](Clone::clone_from) copies them into the intervals it
+/// already has, so a stack restored into the last one reuses its vectors.
+///
 /// # Example
 ///
 /// ```
@@ -222,12 +290,26 @@ pub struct CrashPrefix {
 /// assert_eq!(st.last_cache_value(addr), Some(42));
 /// assert!(st.interval(addr.cache_line()).is_unconstrained());
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct ExecutionStorage {
     log: Arc<StoreLog>,
     /// One interval per slot this storage sees: every slot of the log,
     /// or for a [view](Self::view), the slots its prefix had.
     intervals: Vec<FlushInterval>,
+}
+
+impl Clone for ExecutionStorage {
+    fn clone(&self) -> Self {
+        ExecutionStorage {
+            log: self.log.clone(),
+            intervals: self.intervals.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.log.clone_from(&source.log);
+        self.intervals.clone_from(&source.intervals);
+    }
 }
 
 impl ExecutionStorage {
@@ -281,7 +363,7 @@ impl ExecutionStorage {
     }
 
     fn slot(&self, line: CacheLineId) -> Option<usize> {
-        let slot = *self.log.slots.get(&line)? as usize;
+        let slot = self.log.slot(line)?;
         (slot < self.intervals.len()).then_some(slot)
     }
 
@@ -361,8 +443,8 @@ impl ExecutionStorage {
         let Some((log, _)) = self.line(line) else {
             return want;
         };
-        for off in offsets(want & log.written) {
-            vals[off] = log.cur[off];
+        for run in runs(want & log.written) {
+            vals[run.clone()].copy_from_slice(&log.cur[run]);
         }
         want & !log.written
     }
@@ -631,6 +713,11 @@ mod tests {
         assert_eq!(copy.interval(line).end(), s2);
         assert!(copy.interval_mut(CacheLineId::new(9)).is_none());
         assert_eq!(copy.writeback_points(line), vec![Seq::ZERO, s1]);
+        // `clone_from` copies the intervals into the vector it has.
+        let intervals = copy.intervals.as_ptr();
+        copy.clone_from(&st);
+        assert_eq!(copy.intervals.as_ptr(), intervals);
+        assert!(copy.interval(line).is_unconstrained());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::panic::Location;
 use jaaru_pmem::{CacheLineId, PmAddr};
 use jaaru_tso::{
     do_read, read_pre_failure, read_pre_failure_into, read_pre_failure_line, EvictionPolicy,
-    ExecutionStorage, FlushInterval, RfCandidate, RfSource, Seq, SettledLines, ThreadId,
+    ExecutionStorage, FbEntry, FlushInterval, RfCandidate, RfSource, Seq, SettledLines, ThreadId,
     TsoMachine,
 };
 
@@ -753,4 +753,134 @@ fn a_prefix_view_reads_what_the_crash_froze() {
     }
     assert!(points > 2000, "crash points compared: {points}");
     assert!(refinements > 2000, "refinements compared: {refinements}");
+}
+
+/// One operation of one thread in the eager fast-path test.
+#[derive(Clone, Copy, Debug)]
+enum ThreadOp {
+    /// A store of `len` bytes of `value` at `addr`.
+    Store {
+        addr: u64,
+        len: u64,
+        value: u8,
+    },
+    Clflush(u64),
+    Clflushopt(u64),
+    Clwb(u64),
+    Sfence,
+    Mfence,
+}
+
+/// Up to 32 operations of one to three threads on the prefix-view lines:
+/// stores of 1 to 16 bytes, which may straddle two lines, flushes of every
+/// kind, and fences.
+fn random_threaded_program(rng: &mut Rng) -> Vec<(ThreadId, ThreadOp)> {
+    let threads = 1 + rng.below(3);
+    let end = (VIEW_LINES.end() + 1) * 64;
+    let line = |rng: &mut Rng| VIEW_LINES.start() + rng.below(VIEW_LINES.clone().count() as u64);
+    (0..4 + rng.below(29))
+        .map(|_| {
+            let op = match rng.below(12) {
+                0..=4 => {
+                    let len = 1 + rng.below(16);
+                    let addr = 64 + rng.below(end - 64 - len + 1);
+                    let value = (1 + rng.below(250)) as u8;
+                    ThreadOp::Store { addr, len, value }
+                }
+                5 => ThreadOp::Clflush(line(rng)),
+                6 | 7 => ThreadOp::Clflushopt(line(rng)),
+                8 => ThreadOp::Clwb(line(rng)),
+                9 | 10 => ThreadOp::Sfence,
+                _ => ThreadOp::Mfence,
+            };
+            (ThreadId(rng.below(threads) as u32), op)
+        })
+        .collect()
+}
+
+fn apply_threaded(m: &mut TsoMachine, t: ThreadId, op: ThreadOp) {
+    match op {
+        ThreadOp::Store { addr, len, value } => m.store(
+            t,
+            PmAddr::new(addr),
+            &vec![value; len as usize],
+            Location::caller(),
+        ),
+        ThreadOp::Clflush(line) => m.clflush(t, CacheLineId::new(line)),
+        ThreadOp::Clflushopt(line) => m.clflushopt(t, CacheLineId::new(line)),
+        ThreadOp::Clwb(line) => m.clwb(t, CacheLineId::new(line)),
+        ThreadOp::Sfence => m.sfence(t),
+        ThreadOp::Mfence => m.mfence(t),
+    }
+}
+
+/// Each line's interval, what each thread reads of each line, and each
+/// thread's flush buffer and sfence stamp.
+type MachineState = (
+    Vec<FlushInterval>,
+    Vec<(u64, [u8; 64])>,
+    Vec<(Vec<FbEntry>, Seq)>,
+);
+
+fn machine_state(m: &TsoMachine) -> MachineState {
+    let lines = || VIEW_LINES.map(CacheLineId::new);
+    let intervals = lines().map(|line| m.storage().interval(line)).collect();
+    let threads = || (0..3).map(ThreadId);
+    let reads = threads()
+        .flat_map(|t| {
+            lines().map(move |line| {
+                let mut vals = [0; 64];
+                (m.read_current(t, line, u64::MAX, &mut vals), vals)
+            })
+        })
+        .collect();
+    let buffers = threads()
+        .map(|t| {
+            m.buffers(t).map_or((Vec::new(), Seq::ZERO), |b| {
+                (b.flush_buffer.clone(), b.sfence_stamp)
+            })
+        })
+        .collect();
+    (intervals, reads, buffers)
+}
+
+/// Under eager eviction, an operation takes effect at once, without
+/// entering the store buffer. On random
+/// programs of one to three threads, an eager machine must stay exactly
+/// where a buffering machine that drains the issuing thread's buffer after
+/// every operation is: the same `σ`, every line's interval, every
+/// thread's reads of every line, every thread's flush buffer and sfence
+/// stamp, and, once both finish, what a crash after each operation leaves.
+#[test]
+fn eager_fast_paths_match_the_buffered_path() {
+    let mut ops = 0;
+    for seed in 0..300u64 {
+        let mut rng = Rng::new(seed ^ 0xea_9e7);
+        let program = random_threaded_program(&mut rng);
+        let mut eager = TsoMachine::new(EvictionPolicy::Eager);
+        let mut buffered = TsoMachine::new(EvictionPolicy::OnFence);
+        let mut prefixes = Vec::new();
+        for (k, &(t, op)) in program.iter().enumerate() {
+            apply_threaded(&mut eager, t, op);
+            apply_threaded(&mut buffered, t, op);
+            buffered.drain_store_buffer(t);
+            let at = format!("seed {seed}, after {k} of {program:?}");
+            assert_eq!(eager.sigma(), buffered.sigma(), "{at}");
+            assert_eq!(machine_state(&eager), machine_state(&buffered), "{at}");
+            prefixes.push((eager.crash_prefix(), buffered.crash_prefix()));
+            ops += 1;
+        }
+        let (eager, buffered) = (eager.finish(), buffered.finish());
+        let lines: Vec<CacheLineId> = VIEW_LINES.map(CacheLineId::new).collect();
+        let bytes: Vec<PmAddr> = (64..(VIEW_LINES.end() + 1) * 64).map(PmAddr::new).collect();
+        for (k, (e, b)) in prefixes.into_iter().enumerate() {
+            let (e, b) = (vec![eager.view(e)], vec![buffered.view(b)]);
+            assert_eq!(
+                observe(&e, &bytes, &lines),
+                observe(&b, &bytes, &lines),
+                "seed {seed}, crash after {k} of {program:?}"
+            );
+        }
+    }
+    assert!(ops > 4000, "operations compared: {ops}");
 }

@@ -1,11 +1,14 @@
 //! Heap allocations per explored scenario.
 //!
 //! A scenario restores its checkpoint, runs one execution and hands its
-//! outcome on. Three things keep that nearly allocation-free: a
+//! outcome on. Four things keep that nearly allocation-free: a
 //! checkpoint is a prefix view of its execution's final store log, so
 //! capturing one never makes the running execution copy its log; the walk
-//! records every scenario whose log no checkpoint holds into the same
-//! store log, cleared; and race records keep source sites, not strings.
+//! lends every scenario one machine, whose thread buffers are emptied in
+//! place and whose store log is cleared unless a checkpoint holds it; a
+//! restore copies the checkpoint's stack and intervals into the vectors
+//! the last scenario left, and the candidate buffer of recovery loads is
+//! lent the same way; and race records keep source sites, not strings.
 //! This binary counts the allocations the checking thread makes, through
 //! its own global allocator, and pins the count per scenario on every
 //! fixed RECIPE and PMDK row under the Figure 14 depth-3 configuration.
@@ -31,7 +34,7 @@ use jaaru_bench::registry::{
 use jaaru_serve::{one_shot_config, JobKind};
 
 /// Allocations and reallocations a scenario may make on average.
-const MAX_PER_SCENARIO: f64 = 35.0;
+const MAX_PER_SCENARIO: f64 = 16.0;
 
 /// Allocations and reallocations a linted scenario may make on average.
 const MAX_PER_LINT_SCENARIO: f64 = 120.0;
@@ -93,7 +96,7 @@ fn allocations() -> u64 {
 }
 
 #[test]
-fn a_depth_three_scenario_makes_at_most_35_allocations() {
+fn a_depth_three_scenario_makes_at_most_16_allocations() {
     // The Figure 14 depth-3 configuration: a one-shot check at 1 key,
     // three failures deep. One worker walks the tree on this thread, so
     // the count sees every allocation of the check.

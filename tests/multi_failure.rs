@@ -224,3 +224,84 @@ fn a_line_a_recovery_rewrote_reads_as_rewritten_after_the_next_failure() {
         }
     }
 }
+
+/// Execution 0 stores 1 to `x` and lifts `σ`; then a spawned thread
+/// fences and flushes `x`'s line with a `clflushopt` it never fences, so
+/// a failure injected after it leaves the thread an unfenced flush and a
+/// fence stamp, both later than anything execution 1 does before its own
+/// fence. Execution 1 stores 2 to `x`; its spawned thread (the same
+/// thread id) flushes `y`'s line with a `clflushopt`, stores 5 to `y`
+/// and fences, and then `done` is set. After a failure there, the third
+/// execution records what it reads of `x` and `y` in `seen` if `done`
+/// reads 1, that is, if execution 1's fence ran.
+fn leftover_flush_program(seen: &Mutex<BTreeSet<(u8, u8)>>) -> impl jaaru::Program + '_ {
+    move |env: &dyn PmEnv| {
+        let root = env.root();
+        let (x, y, done, other, filler) = (root, root + 64, root + 128, root + 192, root + 256);
+        match env.execution_index() {
+            0 => {
+                env.store_u8(x, 1);
+                for i in 0..8 {
+                    env.store_u8(filler + i, 1);
+                }
+                env.spawn(&mut |t| {
+                    t.sfence();
+                    t.clflushopt(x, 1);
+                });
+                env.store_u8(other, 1);
+                env.clflush(other, 1);
+            }
+            1 => {
+                env.store_u8(x, 2);
+                env.spawn(&mut |t| {
+                    t.clflushopt(y, 1);
+                    t.store_u8(y, 5);
+                    t.sfence();
+                });
+                env.store_u8(done, 1);
+                env.clflush(done, 1);
+            }
+            _ => {
+                if env.load_u8(done) == 1 {
+                    let (x, y) = (env.load_u8(x), env.load_u8(y));
+                    seen.lock().unwrap().insert((x, y));
+                }
+            }
+        }
+    }
+}
+
+/// A failure discards every buffered operation, so the execution after it
+/// starts with empty thread buffers, although the machine keeps them for
+/// their capacity, and so does a scenario that restores a checkpoint on
+/// the machine the last scenario left. Execution 1's fence then applies
+/// only its own flush of `y`'s line, ordered before its store of 5 to
+/// `y`, and nothing of `x`'s line: the third execution can read each of
+/// 2, 1 and 0 from `x` and each of 5 and 0 from `y`. Had execution 1
+/// inherited execution 0's flush, its fence would pin `x` at 2; had it
+/// inherited the fence stamp, it would pin `y` at 5.
+#[test]
+fn a_failure_leaves_no_flush_or_fence_stamp_to_the_next_execution() {
+    let expected: BTreeSet<(u8, u8)> = [2, 1, 0]
+        .into_iter()
+        .flat_map(|x| [(x, 5), (x, 0)])
+        .collect();
+    for snapshots in [false, true] {
+        let seen = Mutex::new(BTreeSet::new());
+        let mut c = config(2);
+        c.snapshots(snapshots);
+        let report = ModelChecker::new(c).check(&leftover_flush_program(&seen));
+        assert!(report.is_clean(), "snapshots={snapshots}: {report}");
+        assert_eq!(
+            seen.into_inner().unwrap(),
+            expected,
+            "snapshots={snapshots}"
+        );
+        if snapshots {
+            assert!(
+                report.stats.executions_restored > 0,
+                "no scenario restored a checkpoint"
+            );
+        }
+    }
+}
