@@ -7,69 +7,41 @@
 //! unwinds the execution with a typed panic on simulated power failures
 //! and on detected bugs.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::panic::{panic_any, Location};
 use std::sync::Arc;
 
 use jaaru_pmem::{PmAddr, CACHE_LINE_SIZE, NULL_PAGE_SIZE};
 use jaaru_tso::{
-    do_read, line_parts, read_pre_failure_into, CrashPrefix, ExecutionStorage, OpTrace,
-    RfCandidate, RfSource, SettledLines, SourceLoc, ThreadId, TraceOpKind, TsoMachine,
+    do_read, line_parts, read_pre_failure_into, CrashPrefix, OpTrace, RfCandidate, SettledLines,
+    SourceLoc, ThreadId, TraceOpKind, TsoMachine,
 };
 
 use crate::config::{Config, Lints};
 use crate::decision::{ChoiceKind, DecisionLog};
-use crate::report::{BugKind, RaceReport};
+use crate::report::BugKind;
 use crate::signal::{AbortSignal, CrashSignal};
-use crate::snapshot::CheckerSnapshot;
+use crate::snapshot::{CheckerSnapshot, Crashed};
 use crate::PmEnv;
 
-/// Cap on remembered race reports (debugging aid, not a bug list).
-const MAX_RACES: usize = 256;
-
+/// The environment's state, in three parts: the machine and buffers it
+/// owns for the walk's lifetime, the crashed state of the running
+/// scenario, and the running execution's volatile state.
 struct Inner {
+    /// Reset in place at each scenario's start and at each failure.
     machine: TsoMachine,
-    /// Storage of every crashed execution, oldest first (the paper's
-    /// `exec` stack minus the running execution).
-    stack: Vec<ExecutionStorage>,
-    decisions: DecisionLog,
-
-    exec_index: usize,
-    ops: u64,
-    bump: u64,
-    writes_since_point: bool,
-    any_writes_this_exec: bool,
-    points_this_exec: usize,
-    /// Injection points of the scenario's first execution, once it has
-    /// crashed.
-    failure_points: Option<usize>,
-    /// Injection-point ordinal at which each failure was injected.
-    crash_points: Vec<usize>,
-
-    current_tid: ThreadId,
-    next_tid: u32,
-
-    /// One per load site, in the order the sites first raced.
-    races: Vec<RaceReport>,
-    load_choice_points: u64,
-    max_rf_set: usize,
+    /// The running execution's resolved pre-failure lines. Emptied
+    /// whenever the stack changes other than by refinement: at the start
+    /// of each scenario and at each failure.
+    settled: SettledLines,
     /// Reads-from candidates of the byte being chosen for; kept to reuse
     /// its allocation.
     cands: Vec<RfCandidate>,
-    /// The running execution's resolved pre-failure lines. Emptied
-    /// whenever the stack changes other than by refinement: at the start
-    /// of the scenario and at each failure.
-    settled: SettledLines,
 
-    /// Operation traces of the crashed executions for the lint engine,
-    /// oldest first (empty unless [`Config::lints`] is on). A crashed
-    /// execution's trace never changes again, so checkpoints share it.
-    op_traces: Vec<Arc<OpTrace>>,
-    /// The running execution's operation trace (recorded only when
-    /// [`Config::lints`] is on).
-    op_trace: OpTrace,
-
+    decisions: DecisionLog,
+    /// What the scenario's failures so far left, and its bookkeeping.
+    crashed: Crashed,
     /// Cache lines this scenario's recoveries read: post-failure loads
     /// that missed the running execution's own state and consulted
     /// pre-failure storage, recorded as each line enters `settled`.
@@ -78,56 +50,74 @@ struct Inner {
     /// empty: the scenario that captured its checkpoint read every line
     /// the skipped executions read, and the footprint is their union.
     recovery_reads: HashSet<u64>,
-
     /// Checkpoints captured at this scenario's fresh crash decisions, in
     /// decision order, each with the crash prefix of the running
     /// execution that [`finish`](CheckerEnv::finish) completes it with.
     captures: Vec<(CheckerSnapshot, CrashPrefix)>,
+
+    running: Running,
+}
+
+/// The running execution's volatile state, which a power failure loses:
+/// [`Inner::start_execution`] resets all of it.
+#[derive(Default)]
+struct Running {
+    ops: u64,
+    /// End of the last block `pm_alloc` handed out (0 before the first).
+    bump: u64,
+    writes_since_point: bool,
+    any_writes: bool,
+    /// Injection points consulted so far.
+    points: usize,
+    current_tid: ThreadId,
+    /// Threads spawned so far; the `n`-th is thread `n`.
+    spawned: u32,
+    /// The operation trace (recorded only when [`Config::lints`] is on).
+    op_trace: OpTrace,
+    /// Override for recorded trace sites while executing a composite
+    /// primitive (locked RMW): the constituent ops carry the guest call
+    /// site of the RMW, not the environment-internal one.
+    rmw_loc: Option<SourceLoc>,
+}
+
+impl Inner {
+    /// Starts the next execution with fresh volatile state, as a new
+    /// scenario or a power failure leaves it, and returns the op trace of
+    /// the one it replaces. Both change the stack other than by
+    /// refinement, so the settled lines go too.
+    fn start_execution(&mut self) -> OpTrace {
+        self.settled.clear();
+        std::mem::take(&mut self.running).op_trace
+    }
+
+    /// Injection points of the scenario's first execution as a crash now
+    /// would leave them.
+    fn failure_points(&self) -> usize {
+        if self.crashed.stack.is_empty() {
+            self.running.points
+        } else {
+            self.crashed.failure_points
+        }
+    }
 }
 
 /// Per-scenario results harvested by the explorer after a run.
 pub(crate) struct ScenarioRecord {
     pub decisions: DecisionLog,
-    pub crash_points: Vec<usize>,
-    /// Injection points of the scenario's first execution.
-    pub failure_points: usize,
-    pub races: Vec<RaceReport>,
-    /// Every execution's operation trace, oldest first (empty unless
-    /// [`Config::lints`] is on).
-    pub op_traces: Vec<Arc<OpTrace>>,
-    pub load_choice_points: u64,
-    pub max_rf_set: usize,
+    /// The crashed state the scenario ended with, its last execution's
+    /// op trace included; its stack stays with the environment.
+    pub crashed: Crashed,
     /// Cache lines this scenario's own recoveries read (empty unless the
     /// dead-flush pass is on).
     pub recovery_reads: HashSet<u64>,
     /// The crash-point checkpoints this scenario captured at its fresh
     /// crash decisions (empty when snapshots are off).
     pub captures: Vec<CheckerSnapshot>,
-    /// The buffers the scenario was lent, for the next scenario: its
-    /// storage is the last execution's.
-    pub buffers: Buffers,
 }
 
-/// The buffers a walk lends each scenario it runs and takes back from its
-/// [`ScenarioRecord`], so that one set serves every scenario.
-#[derive(Default)]
-pub(crate) struct Buffers {
-    /// The machine every execution of the scenario runs on, reset at its
-    /// start and at each failure: its thread buffers are emptied in place,
-    /// and its storage is the last execution's, cleared first (keeping
-    /// its buffers) unless a checkpoint still views its log.
-    pub machine: TsoMachine,
-    /// The settled-line table, emptied first.
-    pub settled: SettledLines,
-    /// The stack of crashed executions: emptied, or overwritten with the
-    /// restored checkpoint's, each execution's intervals copied into the
-    /// vector the last scenario left at its place.
-    pub stack: Vec<ExecutionStorage>,
-    /// The candidate buffer of the bytes recovery loads choose for.
-    pub cands: Vec<RfCandidate>,
-}
-
-/// The instrumented environment for one failure scenario.
+/// The instrumented environment of one exploration walk, which runs
+/// every scenario of the walk: [`start`](Self::start) begins one,
+/// [`finish`](Self::finish) ends it.
 pub(crate) struct CheckerEnv {
     inner: RefCell<Inner>,
     /// Whether fresh crash decisions capture a checkpoint
@@ -142,56 +132,22 @@ pub(crate) struct CheckerEnv {
     flag_lints: bool,
     /// Whether recovery reads are collected (the dead-flush footprint).
     track_footprint: bool,
-    /// Override for recorded trace sites while executing a composite
-    /// primitive (locked RMW): the constituent ops carry the guest call
-    /// site of the RMW, not the environment-internal one.
-    lint_loc: Cell<Option<SourceLoc>>,
 }
 
 impl CheckerEnv {
-    /// An environment for a scenario steered by `decisions`, whose first
-    /// execution runs on the lent machine (reset first).
-    pub(crate) fn new(config: &Config, decisions: DecisionLog, mut buffers: Buffers) -> Self {
-        buffers.stack.clear();
-        Self::with_buffers(config, decisions, buffers)
-    }
-
-    /// An environment whose first execution runs on the lent machine
-    /// (reset first), over the lent stack as it is.
-    fn with_buffers(config: &Config, decisions: DecisionLog, buffers: Buffers) -> Self {
-        let Buffers {
-            mut machine,
-            mut settled,
-            stack,
-            cands,
-        } = buffers;
-        machine.reset(config.eviction_value());
-        settled.clear();
+    /// The environment of a walk under `config`; no scenario has started.
+    pub(crate) fn new(config: &Config) -> Self {
         CheckerEnv {
             capture: config.snapshots_value(),
             inner: RefCell::new(Inner {
-                machine,
-                stack,
-                decisions,
-                exec_index: 0,
-                ops: 0,
-                bump: 2 * CACHE_LINE_SIZE as u64,
-                writes_since_point: false,
-                any_writes_this_exec: false,
-                points_this_exec: 0,
-                failure_points: None,
-                crash_points: Vec::new(),
-                current_tid: ThreadId(0),
-                next_tid: 1,
-                races: Vec::new(),
-                load_choice_points: 0,
-                max_rf_set: 1,
-                cands,
-                settled,
-                op_traces: Vec::new(),
-                op_trace: OpTrace::new(),
+                machine: TsoMachine::new(config.eviction_value()),
+                settled: SettledLines::new(),
+                cands: Vec::new(),
+                decisions: DecisionLog::new(),
+                crashed: Crashed::NONE,
                 recovery_reads: HashSet::new(),
                 captures: Vec::new(),
+                running: Running::default(),
             }),
             pool_size: config.pool_size_value() as u64,
             max_failures: config.failure_limit(),
@@ -203,8 +159,35 @@ impl CheckerEnv {
             flag_races: config.flag_races_value() || config.trace_ops_value(),
             flag_lints: config.trace_ops_value(),
             track_footprint: config.lints_value() == Lints::All,
-            lint_loc: Cell::new(None),
         }
+    }
+
+    /// Begins a scenario steered by `decisions`: from the crashed state
+    /// `checkpoint` holds, its decisions up to the crash adopted and the
+    /// running execution the one after it, or else from the start. The
+    /// machine is reset in place, and everything the last scenario left
+    /// goes. Running `Program::run` against a restored state is
+    /// equivalent to replaying the executions before it, minus the
+    /// replay.
+    pub(crate) fn start(
+        &mut self,
+        mut decisions: DecisionLog,
+        checkpoint: Option<&CheckerSnapshot>,
+    ) {
+        let inner = self.inner.get_mut();
+        let policy = inner.machine.policy();
+        inner.machine.reset(policy);
+        match checkpoint {
+            Some(snap) => {
+                decisions.adopt_prefix(snap.decision + 1);
+                inner.crashed.clone_from(&snap.crashed);
+            }
+            None => inner.crashed.clone_from(&Crashed::NONE),
+        }
+        inner.decisions = decisions;
+        inner.recovery_reads.clear();
+        inner.captures.clear();
+        inner.start_execution();
     }
 
     /// Rolls the environment over into the next (post-failure) execution:
@@ -217,56 +200,13 @@ impl CheckerEnv {
         // execution that captured a checkpoint runs to the scenario's end,
         // and `finish` gives the captures its final log.
         debug_assert!(inner.captures.is_empty(), "a capturing execution crashed");
-        inner.failure_points.get_or_insert(inner.points_this_exec);
+        inner.crashed.failure_points = inner.failure_points();
         let crashed = inner.machine.crash_and_reset();
-        inner.stack.push(crashed);
-        inner.settled.clear();
-        inner.exec_index += 1;
-        inner.ops = 0;
-        inner.bump = 2 * CACHE_LINE_SIZE as u64;
-        inner.writes_since_point = false;
-        inner.any_writes_this_exec = false;
-        inner.points_this_exec = 0;
-        inner.current_tid = ThreadId(0);
-        inner.next_tid = 1;
+        inner.crashed.stack.push(crashed);
+        let trace = inner.start_execution();
         if self.flag_lints {
-            let crashed = std::mem::take(&mut inner.op_trace);
-            inner.op_traces.push(Arc::new(crashed));
+            inner.crashed.op_traces.push(Arc::new(trace));
         }
-    }
-
-    /// Builds an environment that resumes from a crash-point snapshot:
-    /// accumulated checker state is cloned from the capture
-    /// (copy-on-restore — post-failure reads refine intervals in place; the
-    /// crashed executions' store logs and op traces are frozen and shared,
-    /// so only their intervals are copied, into the lent stack's vectors),
-    /// per-execution volatile state starts fresh exactly as
-    /// [`advance_execution`](Self::advance_execution) would leave it, with
-    /// the running execution on the lent machine, the recovery footprint
-    /// starts empty, and the decision log resumes right after the crash
-    /// the snapshot forks.
-    /// Running `Program::run` against the result is equivalent to
-    /// replaying the prefix executions, minus the replay.
-    pub(crate) fn from_snapshot(
-        config: &Config,
-        mut decisions: DecisionLog,
-        snap: &CheckerSnapshot,
-        mut buffers: Buffers,
-    ) -> Self {
-        decisions.adopt_prefix(snap.decision + 1);
-        buffers.stack.clone_from(&snap.stack);
-        let fresh = CheckerEnv::with_buffers(config, decisions, buffers);
-        {
-            let mut inner = fresh.inner.borrow_mut();
-            inner.exec_index = snap.exec_index;
-            inner.failure_points = Some(snap.failure_points);
-            inner.crash_points = snap.crash_points.clone();
-            inner.races = snap.races.clone();
-            inner.load_choice_points = snap.load_choice_points;
-            inner.max_rf_set = snap.max_rf_set;
-            inner.op_traces = snap.op_traces.clone();
-        }
-        fresh
     }
 
     /// The end-of-execution injection point (the paper's third point in
@@ -274,50 +214,38 @@ impl CheckerEnv {
     /// returns normally; may unwind with a [`CrashSignal`].
     pub(crate) fn end_of_execution_point(&self) {
         if self.inject_at_end {
-            self.injection_point_impl(true);
+            self.injection_point(true);
         }
     }
 
-    /// Harvests the scenario record after the final execution, and
-    /// completes each checkpoint it captured with a view of that
-    /// execution's final store log: every capture was taken in it.
-    pub(crate) fn finish(self) -> ScenarioRecord {
-        let mut inner = self.inner.into_inner();
+    /// Ends the scenario and harvests its record, and completes each
+    /// checkpoint it captured with a view of the last execution's final
+    /// store log: every capture was taken in it. The machine, the stack
+    /// and the buffers stay for the next scenario.
+    pub(crate) fn finish(&mut self) -> ScenarioRecord {
+        let inner = self.inner.get_mut();
+        inner.crashed.failure_points = inner.failure_points();
         if self.flag_lints {
-            inner.op_traces.push(Arc::new(inner.op_trace));
+            let trace = std::mem::take(&mut inner.running.op_trace);
+            inner.crashed.op_traces.push(Arc::new(trace));
         }
         // Stores still buffered never reached the log, as in a crash.
         let storage = inner.machine.storage();
-        let captures = inner
-            .captures
+        let captures = std::mem::take(&mut inner.captures)
             .into_iter()
             .map(|(mut snapshot, prefix)| {
-                snapshot.stack.push(storage.view(prefix));
+                snapshot.crashed.stack.push(storage.view(prefix));
                 snapshot
             })
             .collect();
+        let mut crashed = std::mem::replace(&mut inner.crashed, Crashed::NONE);
+        std::mem::swap(&mut inner.crashed.stack, &mut crashed.stack);
         ScenarioRecord {
-            decisions: inner.decisions,
-            crash_points: inner.crash_points,
-            failure_points: inner.failure_points.unwrap_or(inner.points_this_exec),
-            races: inner.races,
-            op_traces: inner.op_traces,
-            load_choice_points: inner.load_choice_points,
-            max_rf_set: inner.max_rf_set,
-            recovery_reads: inner.recovery_reads,
+            decisions: std::mem::take(&mut inner.decisions),
+            crashed,
+            recovery_reads: std::mem::take(&mut inner.recovery_reads),
             captures,
-            buffers: Buffers {
-                machine: inner.machine,
-                settled: inner.settled,
-                stack: inner.stack,
-                cands: inner.cands,
-            },
         }
-    }
-
-    /// Index of the execution currently running.
-    pub(crate) fn current_execution(&self) -> usize {
-        self.inner.borrow().exec_index
     }
 
     // ------------------------------------------------------------------
@@ -342,9 +270,9 @@ impl CheckerEnv {
     #[track_caller]
     fn tick(&self) {
         let mut inner = self.inner.borrow_mut();
-        inner.ops += 1;
-        if inner.ops > self.max_ops {
-            let ops = inner.ops;
+        inner.running.ops += 1;
+        if inner.running.ops > self.max_ops {
+            let ops = inner.running.ops;
             drop(inner);
             self.abort(
                 BugKind::InfiniteLoop,
@@ -379,78 +307,79 @@ impl CheckerEnv {
     /// A failure injection point: immediately before an operation that
     /// flushes cache lines, or at the end of an execution. Consults the
     /// decision log; on the crash alternative, unwinds the execution.
-    fn injection_point(&self) {
-        self.injection_point_impl(false);
-    }
-
+    ///
     /// `at_end` marks the end-of-execution point, which is exempt from the
     /// no-writes-since-last-point skip (the Figure 4 walkthrough injects
     /// at the end of `addChild` even though the last flush was the final
     /// operation) but still requires the execution to have written
     /// something at all.
-    fn injection_point_impl(&self, at_end: bool) {
+    fn injection_point(&self, at_end: bool) {
         let mut inner = self.inner.borrow_mut();
-        if inner.exec_index >= self.max_failures {
+        let inner = &mut *inner;
+        let exec = inner.crashed.stack.len();
+        if exec >= self.max_failures {
             return;
         }
+        let running = &mut inner.running;
         if self.skip_unchanged {
             let eligible = if at_end {
-                inner.any_writes_this_exec
+                running.any_writes
             } else {
-                inner.writes_since_point
+                running.writes_since_point
             };
             if !eligible {
                 return;
             }
         }
-        let exec = inner.exec_index;
-        let ordinal = inner.points_this_exec;
-        inner.points_this_exec += 1;
-        inner.writes_since_point = false;
+        let ordinal = running.points;
+        running.points += 1;
+        running.writes_since_point = false;
         let choice = inner.decisions.next(2, ChoiceKind::Crash, exec);
         // The fork: a fresh decision continues, so checkpoint what a
         // crash here leaves for the scenarios that later take it.
         let index = inner.decisions.consumed() - 1;
         if self.capture && index >= inner.decisions.prefix_len() {
-            let capture = self.capture(&inner, index, ordinal);
+            let capture = self.capture(inner, index, ordinal);
             inner.captures.push(capture);
         }
         if choice == 1 {
-            inner.crash_points.push(ordinal);
-            drop(inner);
+            inner.crashed.crash_points.push(ordinal);
             panic_any(CrashSignal);
         }
     }
 
-    /// The snapshot a crash at the injection point just consumed
+    /// The checkpoint a crash at the injection point just consumed
     /// (decision `decision`, point `ordinal` of the running execution)
-    /// leaves: built from live state exactly as
+    /// leaves: the [`Crashed`] state built from live state exactly as
     /// [`advance_execution`](Self::advance_execution) would leave it
     /// after the crash, except that the running execution's storage is
     /// its crash prefix until [`finish`](Self::finish) pushes the view.
+    /// Each vector is allocated once, with room for that view.
     fn capture(
         &self,
         inner: &Inner,
         decision: usize,
         ordinal: usize,
     ) -> (CheckerSnapshot, CrashPrefix) {
-        let mut stack = Vec::with_capacity(inner.stack.len() + 1);
-        stack.extend_from_slice(&inner.stack);
+        let crashed = &inner.crashed;
+        let mut stack = Vec::with_capacity(crashed.stack.len() + 1);
+        stack.extend_from_slice(&crashed.stack);
         // The running execution's trace is the one copied: it goes on.
         let op_traces = if self.flag_lints {
-            pushed(&inner.op_traces, Arc::new(inner.op_trace.clone()))
+            pushed(&crashed.op_traces, Arc::new(inner.running.op_trace.clone()))
         } else {
             Vec::new()
         };
         let snapshot = CheckerSnapshot {
-            stack,
-            exec_index: inner.exec_index + 1,
-            failure_points: inner.failure_points.unwrap_or(inner.points_this_exec),
-            crash_points: pushed(&inner.crash_points, ordinal),
-            races: inner.races.clone(),
-            load_choice_points: inner.load_choice_points,
-            max_rf_set: inner.max_rf_set,
-            op_traces,
+            crashed: Crashed {
+                stack,
+                crash_points: pushed(&crashed.crash_points, ordinal),
+                failure_points: inner.failure_points(),
+                races: crashed.races.clone(),
+                load_choice_points: crashed.load_choice_points,
+                max_rf_set: crashed.max_rf_set,
+                op_traces,
+            },
             decision,
         };
         (snapshot, inner.machine.crash_prefix())
@@ -463,41 +392,58 @@ impl CheckerEnv {
     /// picks one and the intervals are refined (Figures 9–11).
     fn read_from(&self, inner: &mut Inner, addr: PmAddr, loc: &'static Location<'static>) -> u8 {
         let mut cands = std::mem::take(&mut inner.cands);
-        read_pre_failure_into(&inner.stack, addr, &mut cands);
-        inner.max_rf_set = inner.max_rf_set.max(cands.len());
+        let crashed = &mut inner.crashed;
+        read_pre_failure_into(&crashed.stack, addr, &mut cands);
+        crashed.max_rf_set = crashed.max_rf_set.max(cands.len());
         // A sole candidate leaves every interval as it is, so it needs no
         // `do_read`.
         let value = if let [only] = cands[..] {
             only.value
         } else {
-            inner.load_choice_points += 1;
+            crashed.load_choice_points += 1;
             if self.flag_races {
-                record_race(inner, addr, loc, &cands);
+                crashed.record_race(addr, loc, &cands);
             }
+            let exec = crashed.stack.len();
             let choice = inner
                 .decisions
-                .next(cands.len(), ChoiceKind::ReadFrom, inner.exec_index);
+                .next(cands.len(), ChoiceKind::ReadFrom, exec);
             let chosen = cands[choice];
-            do_read(&mut inner.stack, addr, chosen);
+            do_read(&mut crashed.stack, addr, chosen);
             chosen.value
         };
         inner.cands = cands;
         value
     }
 
+    /// The injection point before a fence: a fence applies deferred
+    /// `clflushopt` effects, a persistency event, so it is one when
+    /// flushes are pending.
+    fn fence_point(&self) {
+        let pending = {
+            let inner = self.inner.borrow();
+            inner
+                .machine
+                .flush_buffer_pending(inner.running.current_tid)
+        };
+        if pending {
+            self.injection_point(false);
+        }
+    }
+
     /// Appends an op to the running execution's lint trace (callers
     /// check `flag_lints`). The RMW site override substitutes the guest
     /// call site for environment-internal constituent ops.
     fn record_trace(&self, inner: &mut Inner, loc: SourceLoc, kind: TraceOpKind) {
-        let tid = inner.current_tid;
-        let loc = self.lint_loc.get().unwrap_or(loc);
-        inner.op_trace.record(tid, loc, kind);
+        let running = &mut inner.running;
+        let loc = running.rmw_loc.unwrap_or(loc);
+        running.op_trace.record(running.current_tid, loc, kind);
     }
 
     fn flush_lines(&self, addr: PmAddr, len: usize, opt: bool, loc: &'static Location<'static>) {
         // The failure injection point sits immediately *before* the flush
         // instruction (paper §4, "Injecting failures").
-        self.injection_point();
+        self.injection_point(false);
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
         let first = addr.cache_line().index();
@@ -519,9 +465,9 @@ impl CheckerEnv {
         for l in first..=last {
             let line = jaaru_pmem::CacheLineId::new(l);
             if opt {
-                inner.machine.clflushopt(inner.current_tid, line);
+                inner.machine.clflushopt(inner.running.current_tid, line);
             } else {
-                inner.machine.clflush(inner.current_tid, line);
+                inner.machine.clflush(inner.running.current_tid, line);
             }
         }
     }
@@ -544,37 +490,6 @@ fn pushed<T: Clone>(items: &[T], last: T) -> Vec<T> {
     out
 }
 
-/// Records the first race of each load site, up to [`MAX_RACES`].
-fn record_race(
-    inner: &mut Inner,
-    addr: PmAddr,
-    loc: &'static Location<'static>,
-    cands: &[RfCandidate],
-) {
-    if inner.races.len() >= MAX_RACES {
-        return;
-    }
-    if inner.races.iter().any(|race| race.load == loc) {
-        return;
-    }
-    let stack = &inner.stack;
-    let candidates = cands
-        .iter()
-        .map(|c| match c.source {
-            RfSource::Initial => (c.value, None),
-            RfSource::Store { exec, store } => {
-                (c.value, Some((exec, stack[exec].event(store).loc)))
-            }
-        })
-        .collect();
-    inner.races.push(RaceReport {
-        addr,
-        load: loc,
-        execution_index: inner.exec_index,
-        candidates,
-    });
-}
-
 impl PmEnv for CheckerEnv {
     #[track_caller]
     fn load_bytes(&self, addr: PmAddr, buf: &mut [u8]) {
@@ -593,7 +508,7 @@ impl PmEnv for CheckerEnv {
                 TraceOpKind::Load {
                     addr,
                     len: buf.len() as u32,
-                    recovery: inner.exec_index >= 1,
+                    recovery: !inner.crashed.stack.is_empty(),
                 },
             );
         }
@@ -606,14 +521,16 @@ impl PmEnv for CheckerEnv {
         // interval before the next byte's candidates are computed, and
         // settles the byte. Refinement only narrows intervals, so it never
         // unsettles a byte.
-        let tid = inner.current_tid;
+        let tid = inner.running.current_tid;
         let mut vals = [0; CACHE_LINE_SIZE];
         for (line, want, start) in line_parts(addr, buf.len()) {
             let missed = inner.machine.read_current(tid, line, want, &mut vals);
             if missed != 0 {
                 let (mut multi, resolved) =
-                    inner.settled.read(&inner.stack, line, missed, &mut vals);
-                if resolved && self.track_footprint && inner.exec_index >= 1 {
+                    inner
+                        .settled
+                        .read(&inner.crashed.stack, line, missed, &mut vals);
+                if resolved && self.track_footprint && !inner.crashed.stack.is_empty() {
                     // A recovery read: this load consulted pre-failure
                     // persisted state, so its line is in the footprint.
                     inner.recovery_reads.insert(line.index());
@@ -639,9 +556,11 @@ impl PmEnv for CheckerEnv {
         let loc = Location::caller();
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        inner.machine.store(inner.current_tid, addr, bytes, loc);
-        inner.writes_since_point = true;
-        inner.any_writes_this_exec = true;
+        inner
+            .machine
+            .store(inner.running.current_tid, addr, bytes, loc);
+        inner.running.writes_since_point = true;
+        inner.running.any_writes = true;
         if self.flag_lints {
             self.record_trace(
                 inner,
@@ -671,43 +590,30 @@ impl PmEnv for CheckerEnv {
     #[track_caller]
     fn sfence(&self) {
         self.tick();
-        // An sfence applies deferred clflushopt effects — a persistency
-        // event, so it is an injection point when flushes are pending.
-        let pending = {
-            let inner = self.inner.borrow();
-            inner.machine.flush_buffer_pending(inner.current_tid)
-        };
-        if pending {
-            self.injection_point();
-        }
+        self.fence_point();
         let loc = Location::caller();
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
         if self.flag_lints {
             self.record_trace(inner, loc, TraceOpKind::Sfence);
         }
-        inner.machine.sfence(inner.current_tid);
+        let tid = inner.running.current_tid;
+        inner.machine.sfence(tid);
         // Under OnFence eviction the fence is also the drain point.
-        inner.machine.drain_store_buffer(inner.current_tid);
+        inner.machine.drain_store_buffer(tid);
     }
 
     #[track_caller]
     fn mfence(&self) {
         self.tick();
-        let pending = {
-            let inner = self.inner.borrow();
-            inner.machine.flush_buffer_pending(inner.current_tid)
-        };
-        if pending {
-            self.injection_point();
-        }
+        self.fence_point();
         let loc = Location::caller();
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
         if self.flag_lints {
             self.record_trace(inner, loc, TraceOpKind::Mfence);
         }
-        inner.machine.mfence(inner.current_tid);
+        inner.machine.mfence(inner.running.current_tid);
     }
 
     #[track_caller]
@@ -717,15 +623,15 @@ impl PmEnv for CheckerEnv {
         // site; the trailing machine-level mfence is recorded as the RMW
         // marker itself (fence semantics for the persist analysis).
         let loc = Location::caller();
-        let prev = self.lint_loc.replace(Some(loc));
+        let prev = self.inner.borrow_mut().running.rmw_loc.replace(loc);
         self.mfence();
         let observed = self.load_u64(addr);
         if observed == current {
             self.store_bytes(addr, &new.to_le_bytes());
         }
-        self.lint_loc.set(prev);
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
+        inner.running.rmw_loc = prev;
         if self.flag_lints {
             // Failed attempts are recorded too: a failed CAS is still a
             // locked instruction (fences, acquires) — it just publishes
@@ -736,11 +642,11 @@ impl PmEnv for CheckerEnv {
                 TraceOpKind::Rmw {
                     addr,
                     success: observed == current,
-                    recovery: inner.exec_index >= 1,
+                    recovery: !inner.crashed.stack.is_empty(),
                 },
             );
         }
-        inner.machine.mfence(inner.current_tid);
+        inner.machine.mfence(inner.running.current_tid);
         observed
     }
 
@@ -755,10 +661,12 @@ impl PmEnv for CheckerEnv {
             );
         }
         let mut inner = self.inner.borrow_mut();
-        let base = PmAddr::new(inner.bump).align_up(align);
+        // Blocks start past the null page and the root's line.
+        let bottom = 2 * CACHE_LINE_SIZE as u64;
+        let base = PmAddr::new(inner.running.bump.max(bottom)).align_up(align);
         match base.offset().checked_add(size) {
             Some(end) if end <= self.pool_size => {
-                inner.bump = end;
+                inner.running.bump = end;
                 base
             }
             _ => {
@@ -784,7 +692,7 @@ impl PmEnv for CheckerEnv {
     }
 
     fn execution_index(&self) -> usize {
-        self.inner.borrow().exec_index
+        self.inner.borrow().crashed.stack.len()
     }
 
     #[track_caller]
@@ -799,17 +707,18 @@ impl PmEnv for CheckerEnv {
     fn spawn(&self, body: &mut dyn FnMut(&dyn PmEnv)) {
         let (old, new) = {
             let mut inner = self.inner.borrow_mut();
-            let old = inner.current_tid;
-            let new = ThreadId(inner.next_tid);
-            inner.next_tid += 1;
-            inner.current_tid = new;
+            let running = &mut inner.running;
+            let old = running.current_tid;
+            running.spawned += 1;
+            let new = ThreadId(running.spawned);
+            running.current_tid = new;
             (old, new)
         };
         debug_assert_ne!(old, new);
         // If the body unwinds (crash/bug) the execution is over and thread
         // state resets with it; no need to restore on the panic path.
         body(self);
-        self.inner.borrow_mut().current_tid = old;
+        self.inner.borrow_mut().running.current_tid = old;
     }
 }
 
@@ -827,8 +736,15 @@ mod tests {
         c
     }
 
+    /// An environment under `config` with its first scenario started.
+    fn started(config: &Config) -> CheckerEnv {
+        let mut e = CheckerEnv::new(config);
+        e.start(DecisionLog::new(), None);
+        e
+    }
+
     fn env() -> CheckerEnv {
-        CheckerEnv::new(&config(), DecisionLog::new(), Buffers::default())
+        started(&config())
     }
 
     #[test]
@@ -866,15 +782,14 @@ mod tests {
 
     #[test]
     fn crash_decision_unwinds_with_crash_signal() {
-        let e = env();
+        let mut e = env();
         let a = e.root();
         // First flush: decision "continue" (default 0). Backtrack to crash.
         e.store_u64(a, 1);
         e.clflush(a, 8);
         let mut rec = e.finish();
         assert!(rec.decisions.backtrack(), "one crash decision to flip");
-        let c = config();
-        let e = CheckerEnv::new(&c, rec.decisions, Buffers::default());
+        e.start(rec.decisions, None);
         let err = catch_unwind(AssertUnwindSafe(|| {
             e.store_u64(a, 1);
             e.clflush(a, 8);
@@ -886,13 +801,13 @@ mod tests {
     #[test]
     fn post_failure_load_explores_candidates() {
         // Store without flush, crash, recover: the load may see 1 or 0.
-        let c = config();
+        let mut e = CheckerEnv::new(&config());
         let a = PmAddr::new(NULL_PAGE_SIZE);
 
         let mut seen = Vec::new();
         let mut decisions = DecisionLog::new();
         loop {
-            let e = CheckerEnv::new(&c, decisions, Buffers::default());
+            e.start(decisions, None);
             e.store_u8(a, 1); // pre-failure store, not flushed
             e.advance_execution(); // simulated power failure
             seen.push(e.load_u8(a));
@@ -900,17 +815,16 @@ mod tests {
             if !rec.decisions.backtrack() {
                 break;
             }
-            decisions = std::mem::take(&mut rec.decisions);
+            decisions = rec.decisions;
         }
         assert_eq!(seen, vec![1, 0], "newest-first exploration order");
     }
 
     #[test]
     fn flushed_store_is_forced_in_recovery() {
-        let c = config();
         // Replay log where the single crash decision chooses "continue";
         // we crash manually via advance_execution.
-        let e = CheckerEnv::new(&c, DecisionLog::new(), Buffers::default());
+        let mut e = env();
         let a = e.root();
         e.store_u8(a, 7);
         e.clflush(a, 1);
@@ -920,23 +834,22 @@ mod tests {
         let rec = e.finish();
         // Crash decision at the clflush is in the log; the recovery load
         // had exactly one candidate so only that decision can branch.
-        assert_eq!(rec.load_choice_points, 0);
+        assert_eq!(rec.crashed.load_choice_points, 0);
     }
 
     #[test]
     fn races_are_recorded_for_multi_store_loads() {
-        let c = config();
-        let e = CheckerEnv::new(&c, DecisionLog::new(), Buffers::default());
+        let mut e = env();
         let a = e.root();
         e.store_u8(a, 1);
         e.store_u8(a, 2);
         e.advance_execution();
         let _ = e.load_u8(a);
         let rec = e.finish();
-        assert_eq!(rec.races.len(), 1);
-        assert_eq!(rec.races[0].candidates.len(), 3); // 2, 1, initial 0
-        assert_eq!(rec.max_rf_set, 3);
-        assert_eq!(rec.load_choice_points, 1);
+        assert_eq!(rec.crashed.races.len(), 1);
+        assert_eq!(rec.crashed.races[0].candidates.len(), 3); // 2, 1, initial 0
+        assert_eq!(rec.crashed.max_rf_set, 3);
+        assert_eq!(rec.crashed.load_choice_points, 1);
     }
 
     #[test]
@@ -952,7 +865,7 @@ mod tests {
     fn op_budget_catches_infinite_loops() {
         let mut c = Config::new();
         c.pool_size(4096).max_ops_per_execution(100);
-        let e = CheckerEnv::new(&c, DecisionLog::new(), Buffers::default());
+        let e = started(&c);
         let a = e.root();
         let err = catch_unwind(AssertUnwindSafe(|| loop {
             let _ = e.load_u8(a);
@@ -965,7 +878,7 @@ mod tests {
     #[test]
     fn spawned_thread_has_its_own_fences() {
         // clflushopt by thread A is not ordered by an sfence in thread B.
-        let e = env();
+        let mut e = env();
         let a = e.root();
         e.store_u8(a, 1);
         e.spawn(&mut |t| {
@@ -977,7 +890,7 @@ mod tests {
         // Both 1 and 0 must be candidates: the flush never took effect.
         let _ = e.load_u8(a);
         let rec = e.finish();
-        assert_eq!(rec.max_rf_set, 2);
+        assert_eq!(rec.crashed.max_rf_set, 2);
     }
 
     #[test]
@@ -989,5 +902,43 @@ mod tests {
         assert_eq!(e.load_u64(a), 20);
         assert_eq!(e.compare_exchange_u64(a, 10, 30), 20);
         assert_eq!(e.load_u64(a), 20);
+    }
+
+    #[test]
+    fn a_started_environment_keeps_nothing_from_an_unwound_scenario() {
+        // A spawned thread allocates, then aborts inside an RMW: the
+        // unwind leaves its thread current, the cursor past its block
+        // and the RMW's site as the trace override.
+        let mut c = config();
+        c.lints(Lints::Errors);
+        let mut e = started(&c);
+        let mut first = None;
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            e.spawn(&mut |t| {
+                first = Some(t.pm_alloc(16, 8));
+                t.compare_exchange_u64(PmAddr::new(4096), 0, 1);
+            })
+        }))
+        .unwrap_err();
+        let sig = err.downcast::<AbortSignal>().expect("abort signal");
+        assert_eq!(sig.kind, BugKind::IllegalAccess);
+        // The RMW's leading fence was recorded under the RMW's site.
+        let rec = e.finish();
+        let rmw_site = rec.crashed.op_traces[0]
+            .ops()
+            .last()
+            .expect("the fence")
+            .loc;
+
+        e.start(DecisionLog::new(), None);
+        assert_eq!(e.pm_alloc(16, 8), first.expect("allocated"));
+        e.store_u64(e.root(), 1);
+        let rec = e.finish();
+        let [store] = rec.crashed.op_traces[0].ops() else {
+            panic!("one op recorded: {:?}", rec.crashed.op_traces[0]);
+        };
+        assert_eq!(store.thread, ThreadId(0));
+        assert!(matches!(store.kind, TraceOpKind::Store { .. }));
+        assert_ne!(store.loc, rmw_site);
     }
 }

@@ -15,6 +15,7 @@
 //! post-failure executions".
 
 use std::fmt;
+use std::panic::panic_any;
 
 /// What a decision chooses between.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,7 +74,8 @@ impl DecisionLog {
     /// a [`BugReport`](crate::BugReport)): the k-th decision takes the
     /// k-th alternative. Alternative counts are re-derived during the
     /// run; an out-of-range index means the trace does not belong to
-    /// this program and panics.
+    /// this program, and [`next`](Self::next) unwinds with a
+    /// [`ForeignTrace`].
     pub fn from_trace(trace: &[usize]) -> Self {
         DecisionLog {
             decisions: trace
@@ -97,7 +99,10 @@ impl DecisionLog {
     ///
     /// Panics if a replayed decision disagrees with the recorded one in
     /// kind or alternative count — that means the guest program is
-    /// nondeterministic, which the checker requires it not to be.
+    /// nondeterministic, which the checker requires it not to be. Unwinds
+    /// with a [`ForeignTrace`] payload if a
+    /// [`from_trace`](Self::from_trace) decision chose an alternative
+    /// that does not exist.
     pub fn next(&mut self, total: usize, kind: ChoiceKind, exec_index: usize) -> usize {
         assert!(total >= 1, "decision with no alternatives");
         let idx = self.cursor;
@@ -106,12 +111,13 @@ impl DecisionLog {
             let d = &mut self.decisions[idx];
             if d.total == usize::MAX {
                 // Replaying an external trace: adopt the real metadata.
-                assert!(
-                    d.chosen < total,
-                    "trace does not match this program: decision {idx} chose \
-                     alternative {} of {total}",
-                    d.chosen,
-                );
+                if d.chosen >= total {
+                    panic_any(ForeignTrace {
+                        decision: idx,
+                        chosen: d.chosen,
+                        alternatives: total,
+                    });
+                }
                 d.total = total;
                 d.kind = kind;
                 d.exec_index = exec_index;
@@ -258,6 +264,29 @@ impl DecisionLog {
         self.decisions.is_empty()
     }
 }
+
+/// A replayed trace that does not belong to the program, which
+/// [`ModelChecker::replay`](crate::ModelChecker::replay) returns: its
+/// decision `decision` chose alternative `chosen`, and the program has
+/// `alternatives` there.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ForeignTrace {
+    pub decision: usize,
+    pub chosen: usize,
+    pub alternatives: usize,
+}
+
+impl fmt::Display for ForeignTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "trace does not match this program: decision {} chose alternative {} of {}",
+            self.decision, self.chosen, self.alternatives
+        )
+    }
+}
+
+impl std::error::Error for ForeignTrace {}
 
 impl fmt::Display for DecisionLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -11,21 +11,22 @@
 //! pre-failure stores the post-failure loads read) has been explored
 //! exactly once. The walk itself lives in `crate::parallel`: one worker
 //! runs it on the calling thread, several split the tree by donating
-//! subtrees to idle peers.
+//! subtrees to idle peers. Each walk owns one checker environment
+//! (`CheckerEnv`) for its lifetime and starts every scenario on it.
 //!
 //! Re-execution normally replays a scenario's pre-failure prefix from
 //! scratch. With snapshots enabled (the default), the environment instead
-//! checkpoints, at each fresh crash decision, the checker state a crash
+//! checkpoints, at each fresh crash decision, the crashed state a crash
 //! there would leave — where the original system forks, without a guest
 //! process to fork (see `crate::snapshot`). The walk keeps the
 //! checkpoints of the crash decisions on its current decision path; when
 //! depth-first search flips one of those decisions to crash, each
-//! scenario below it restores the deepest checkpoint its plan takes and
-//! starts directly at recovery, so every guest run is some scenario's
-//! last execution.
+//! scenario below it starts from the crashed state of the deepest
+//! checkpoint its plan takes, directly at recovery, so every guest run is
+//! some scenario's last execution.
 
 use std::collections::HashSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,9 +34,9 @@ use std::time::Instant;
 use jaaru_analysis::{dead_flushes, Diagnostic, PersistGraph};
 use jaaru_tso::OpTrace;
 
-use crate::checker_env::{Buffers, CheckerEnv};
+use crate::checker_env::CheckerEnv;
 use crate::config::{Config, Lints};
-use crate::decision::DecisionLog;
+use crate::decision::{DecisionLog, ForeignTrace};
 use crate::lint::{lint_scenario, FirstTraceLint};
 use crate::parallel::explore;
 use crate::parallel::merge::ReportAccumulator;
@@ -44,7 +45,7 @@ use crate::signal::{
     panic_message, take_last_panic_location, with_quiet_panics, AbortSignal, CrashSignal,
 };
 use crate::snapshot::CheckerSnapshot;
-use crate::Program;
+use crate::{PmEnv, Program};
 
 /// Everything one completed failure scenario contributes to the final
 /// report. The exploration walk produces these; [`ReportAccumulator`]
@@ -64,9 +65,11 @@ pub(crate) struct ScenarioOutcome {
     pub executions_restored: usize,
     /// Crash-point checkpoints this scenario captured.
     pub checkpoints_captured: usize,
-    /// Execution index from which this scenario diverged from its
-    /// predecessor (fork-equivalent accounting).
-    pub divergence: usize,
+    /// Executions a fork-based checker runs for this scenario: its
+    /// logical (replayed + restored) executions from the one where it
+    /// diverged from its predecessor on, so invariant across snapshot
+    /// settings.
+    pub executions: usize,
     /// Loads that faced more than one possible store.
     pub load_choice_points: u64,
     /// Largest may-read-from set encountered.
@@ -98,50 +101,43 @@ pub(crate) struct ExploreAux {
     pub clean_trace: Option<Arc<OpTrace>>,
 }
 
-/// Runs one complete failure scenario steered by `decisions` and returns
-/// its outcome, the decision log (with alternative counts filled in),
-/// ready for [`DecisionLog::backtrack`] or [`DecisionLog::split`], and
-/// the checkpoints it captured.
+/// Runs one complete failure scenario steered by `decisions` on the
+/// walk's environment `env` and returns its outcome, the decision log
+/// (with alternative counts filled in), ready for
+/// [`DecisionLog::backtrack`] or [`DecisionLog::split`], and the
+/// checkpoints it captured.
 ///
 /// `checkpoint`, when given, is the checkpoint of the deepest crash the
-/// planned trace takes: the scenario restores it instead of replaying the
-/// executions before that crash (counted in `executions_restored`). With
-/// [`Config::snapshots`] on, every fresh crash decision the scenario makes
-/// captures a checkpoint for the scenarios that later take that crash.
+/// planned trace takes: the scenario starts from the crashed state it
+/// holds instead of replaying the executions before that crash (counted
+/// in `executions_restored`). With [`Config::snapshots`] on, every fresh
+/// crash decision the scenario makes captures a checkpoint for the
+/// scenarios that later take that crash.
 ///
-/// `buffers` are the buffers the scenario runs with: its executions run
-/// on their machine, reset first, and the scenario leaves the machine
-/// there with its last execution's storage, so a walk that passes the
-/// same slot to every scenario reuses one store log wherever no
-/// checkpoint holds it, one set of thread buffers, one settled-line
-/// table, and the vectors of one stack of crashed executions. `lint`
-/// keeps the analysis of the last execution-0 trace linted, for the
-/// scenarios that share that trace.
+/// A walk runs every scenario on one environment, which keeps its
+/// machine, stack and buffers from one scenario to the next (see
+/// [`CheckerEnv::start`]). `lint` keeps the analysis of the last
+/// execution-0 trace linted, for the scenarios that share that trace.
 pub(crate) fn run_scenario(
     config: &Config,
+    env: &mut CheckerEnv,
     program: &dyn Program,
     decisions: DecisionLog,
     checkpoint: Option<&CheckerSnapshot>,
-    buffers: &mut Option<Buffers>,
     lint: &mut FirstTraceLint,
 ) -> (ScenarioOutcome, DecisionLog, Vec<CheckerSnapshot>) {
-    let lent = buffers.take().unwrap_or_default();
-    let (env, executions_restored) = match checkpoint {
-        Some(snap) => (
-            CheckerEnv::from_snapshot(config, decisions, snap, lent),
-            snap.executions_saved(),
-        ),
-        None => (CheckerEnv::new(config, decisions, lent), 0),
-    };
-    let mut executions_this_scenario = 0usize;
+    env.start(decisions, checkpoint);
+    // The executions before the running one are the restored ones.
+    let executions_restored = env.execution_index();
+    let mut executions_replayed = 0usize;
     let mut scenario_bug: Option<BugReport> = None;
 
     loop {
-        executions_this_scenario += 1;
-        let exec_index = env.current_execution();
+        executions_replayed += 1;
+        let exec_index = env.execution_index();
         let result = with_quiet_panics(|| {
             catch_unwind(AssertUnwindSafe(|| {
-                program.run(&env);
+                program.run(&*env);
                 env.end_of_execution_point();
             }))
         });
@@ -154,6 +150,8 @@ pub(crate) fn run_scenario(
                 }
                 let (kind, message, location) = match payload.downcast::<AbortSignal>() {
                     Ok(sig) => (sig.kind, sig.message, sig.location.map(|l| l.to_string())),
+                    // Not the program's fault: `replay` reports it.
+                    Err(payload) if payload.is::<ForeignTrace>() => resume_unwind(payload),
                     Err(payload) => (
                         BugKind::GuestPanic,
                         panic_message(payload.as_ref()),
@@ -175,31 +173,33 @@ pub(crate) fn run_scenario(
     }
 
     let record = env.finish();
+    let crashed = record.crashed;
     let mut bug = scenario_bug;
     if let Some(b) = &mut bug {
-        b.crash_points = record.crash_points.clone();
+        b.crash_points = crashed.crash_points.clone();
         b.trace = record.decisions.trace();
     }
-    let diagnostics = lint_scenario(&record, bug.is_some(), config, lint);
-    *buffers = Some(record.buffers);
+    let diagnostics = lint_scenario(&crashed, bug.is_some(), config, lint);
     // Exactly one scenario per run never crashes and never hits a bug:
     // the all-continue one. Its first (and only) trace is the canonical
     // complete pre-failure trace, which the dead-flush pass consumes.
-    let clean_trace = if record.crash_points.is_empty() && bug.is_none() {
-        record.op_traces.first().cloned()
+    let clean_trace = if crashed.crash_points.is_empty() && bug.is_none() {
+        crashed.op_traces.first().cloned()
     } else {
         None
     };
+    let logical = executions_replayed + executions_restored;
+    let divergence = record.decisions.divergence_exec_index();
     let outcome = ScenarioOutcome {
         trace: record.decisions.trace(),
-        executions_replayed: executions_this_scenario,
+        executions_replayed,
         executions_restored,
         checkpoints_captured: record.captures.len(),
-        divergence: record.decisions.divergence_exec_index(),
-        load_choice_points: record.load_choice_points,
-        max_rf_set: record.max_rf_set,
-        failure_points: record.failure_points as u64,
-        races: record.races,
+        executions: logical - divergence.min(logical - 1),
+        load_choice_points: crashed.load_choice_points,
+        max_rf_set: crashed.max_rf_set,
+        failure_points: crashed.failure_points as u64,
+        races: crashed.races,
         diagnostics,
         bug,
         recovery_reads: record.recovery_reads,
@@ -311,39 +311,43 @@ impl ModelChecker {
     /// "strong witness" property made executable: a reported bug comes
     /// with the exact decision trace that reproduces it.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the trace does not belong to this program (a decision
-    /// index out of range).
-    pub fn replay(&self, program: &dyn Program, trace: &[usize]) -> CheckReport {
+    /// [`ForeignTrace`] if the trace does not belong to this program: one
+    /// of its decisions chooses an alternative the program does not have.
+    pub fn replay(
+        &self,
+        program: &dyn Program,
+        trace: &[usize],
+    ) -> Result<CheckReport, ForeignTrace> {
         let start = Instant::now();
         let mut config = self.config.clone();
         config.snapshots(false);
-        let (outcome, _, _) = run_scenario(
-            &config,
-            program,
-            DecisionLog::from_trace(trace),
-            None,
-            &mut None,
-            &mut FirstTraceLint::default(),
-        );
+        let mut env = CheckerEnv::new(&config);
+        let scenario = catch_unwind(AssertUnwindSafe(|| {
+            run_scenario(
+                &config,
+                &mut env,
+                program,
+                DecisionLog::from_trace(trace),
+                None,
+                &mut FirstTraceLint::default(),
+            )
+        }));
+        let (outcome, _, _) = scenario.map_err(|payload| {
+            *payload
+                .downcast::<ForeignTrace>()
+                .unwrap_or_else(|p| resume_unwind(p))
+        })?;
         let bugs: Vec<BugReport> = outcome
             .bug
             .into_iter()
-            .map(|bug| {
-                if bug.kind == BugKind::GuestPanic
-                    && bug.message.contains("trace does not match this program")
-                {
-                    // A checker-usage error, not a guest bug.
-                    panic!("{}", bug.message);
-                }
-                BugReport {
-                    trace: trace.to_vec(),
-                    ..bug
-                }
+            .map(|bug| BugReport {
+                trace: trace.to_vec(),
+                ..bug
             })
             .collect();
-        CheckReport {
+        Ok(CheckReport {
             bugs,
             races: outcome.races,
             diagnostics: outcome.diagnostics,
@@ -359,7 +363,7 @@ impl ModelChecker {
             parallel: None,
             snapshots: None,
             slice: None,
-        }
+        })
     }
 }
 
@@ -389,7 +393,6 @@ pub fn check(program: &(dyn Program + Sync)) -> CheckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PmEnv;
 
     fn small_config() -> Config {
         let mut c = Config::new();
@@ -855,7 +858,9 @@ mod tests {
         let checker = ModelChecker::new(small_config());
         let report = checker.check(&program);
         let bug = &report.bugs[0];
-        let replayed = checker.replay(&program, &bug.trace);
+        let replayed = checker
+            .replay(&program, &bug.trace)
+            .expect("the bug's own trace");
         assert_eq!(replayed.bugs.len(), 1, "{replayed}");
         assert_eq!(replayed.bugs[0].kind, bug.kind);
         assert_eq!(replayed.bugs[0].message, bug.message);
@@ -872,12 +877,11 @@ mod tests {
         };
         let checker = ModelChecker::new(small_config());
         // The empty trace is the all-defaults scenario: the clean run.
-        let replayed = checker.replay(&program, &[]);
+        let replayed = checker.replay(&program, &[]).expect("the empty trace");
         assert!(replayed.is_clean());
     }
 
     #[test]
-    #[should_panic(expected = "trace does not match")]
     fn foreign_traces_are_rejected() {
         let program = |env: &dyn PmEnv| {
             let root = env.root();
@@ -885,7 +889,37 @@ mod tests {
             env.persist(root, 8);
         };
         let checker = ModelChecker::new(small_config());
-        let _ = checker.replay(&program, &[7]);
+        let err = checker.replay(&program, &[7]).unwrap_err();
+        assert_eq!(
+            err,
+            ForeignTrace {
+                decision: 0,
+                chosen: 7,
+                alternatives: 2
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "trace does not match this program: decision 0 chose alternative 7 of 2"
+        );
+    }
+
+    #[test]
+    fn a_guest_panic_naming_a_foreign_trace_is_a_guest_bug() {
+        let program = |env: &dyn PmEnv| {
+            let root = env.root();
+            env.store_u64(root, 5);
+            env.persist(root, 8);
+            if env.is_recovery() {
+                panic!("trace does not match this program");
+            }
+        };
+        let checker = ModelChecker::new(small_config());
+        let replayed = checker
+            .replay(&program, &[1])
+            .expect("the program's own trace");
+        assert_eq!(replayed.bugs.len(), 1, "{replayed}");
+        assert_eq!(replayed.bugs[0].kind, BugKind::GuestPanic);
     }
 
     #[test]

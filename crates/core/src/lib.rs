@@ -80,6 +80,7 @@ mod signal;
 mod snapshot;
 
 pub use config::{Config, Lints};
+pub use decision::ForeignTrace;
 pub use env::PmEnv;
 pub use explorer::{check, ModelChecker};
 pub use native::NativeEnv;

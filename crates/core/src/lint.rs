@@ -47,8 +47,8 @@ use jaaru_analysis::{
 };
 use jaaru_tso::OpTrace;
 
-use crate::checker_env::ScenarioRecord;
 use crate::config::{Config, Lints};
+use crate::snapshot::Crashed;
 
 /// The analysis of one execution-0 trace: its robustness and torn-store
 /// candidates and its cross-thread findings. A trace never changes once
@@ -83,21 +83,21 @@ impl FirstTraceLint {
     }
 }
 
-/// Runs the selected analysis passes over one scenario's recorded
-/// traces and returns the diagnostics they contribute. Empty under
+/// Runs the selected analysis passes over the traces a scenario ended
+/// with (`crashed`) and returns the diagnostics they contribute. Empty under
 /// [`Lints::Off`] (no traces were recorded). `first` is the analysis of
 /// the last execution-0 trace linted, reused when this scenario shares
 /// that trace and replaced otherwise.
 pub(crate) fn lint_scenario(
-    record: &ScenarioRecord,
+    crashed: &Crashed,
     had_bug: bool,
     config: &Config,
     first: &mut FirstTraceLint,
 ) -> Vec<Diagnostic> {
-    if record.op_traces.is_empty() {
+    if crashed.op_traces.is_empty() {
         return Vec::new();
     }
-    let crash_free = record.crash_points.is_empty();
+    let crash_free = crashed.crash_points.is_empty();
     if !crash_free && !had_bug {
         // Crashed-but-clean scenarios prove nothing the clean scenario
         // does not already cover; skip the analysis cost.
@@ -112,11 +112,11 @@ pub(crate) fn lint_scenario(
     // redundancy findings describe the pre-failure program stream, so
     // only execution 0's graph feeds them.
     let redundancy = first.analyse(
-        &record.op_traces[0],
+        &crashed.op_traces[0],
         config.lints_value() == Lints::All && static_route,
     );
     let mut recovery: Vec<(usize, Candidate)> = Vec::new();
-    for (exec, trace) in record.op_traces.iter().enumerate().skip(1) {
+    for (exec, trace) in crashed.op_traces.iter().enumerate().skip(1) {
         let graph = PersistGraph::build(trace);
         let found = robustness_candidates(&graph)
             .into_iter()
@@ -154,7 +154,7 @@ pub(crate) fn lint_scenario(
         // Dynamic route: keep only candidates whose unordered store is
         // named by a racy load of this failing scenario.
         let mut evidence = RfEvidence::new();
-        for race in &record.races {
+        for race in &crashed.races {
             evidence.extend(race.candidates.iter().filter_map(|&(_, store)| store));
         }
         localize(candidates, &evidence)
@@ -167,7 +167,7 @@ pub(crate) fn lint_scenario(
             // A buggy scenario ties cross-thread reports to state the
             // failing recovery observed: keep a report only when some
             // recovery execution read the store's cache line.
-            let read = recovery_read_lines(record.op_traces.iter().map(|t| &**t));
+            let read = recovery_read_lines(crashed.op_traces.iter().map(|t| &**t));
             out.extend(
                 cross
                     .iter()

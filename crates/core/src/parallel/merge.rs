@@ -49,13 +49,7 @@ impl ReportAccumulator {
     /// Folds in one scenario's results.
     pub fn add(&mut self, outcome: ScenarioOutcome) {
         self.stats.scenarios += 1;
-        // Fork-equivalent execution accounting: executions up to the
-        // divergence point are ones a fork-based checker would not have
-        // re-run — whether this run replayed them or restored them from a
-        // snapshot, so the count uses the logical (replayed + restored)
-        // total and stays invariant across snapshot settings.
-        let execs = outcome.executions_replayed + outcome.executions_restored;
-        self.stats.executions += (execs - outcome.divergence.min(execs - 1)) as u64;
+        self.stats.executions += outcome.executions as u64;
         self.stats.executions_replayed += outcome.executions_replayed as u64;
         self.stats.executions_restored += outcome.executions_restored as u64;
         if outcome.executions_restored > 0 {

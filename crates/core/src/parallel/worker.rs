@@ -14,7 +14,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::checker_env::Buffers;
+use crate::checker_env::CheckerEnv;
 use crate::config::Config;
 use crate::decision::DecisionLog;
 use crate::explorer::{bug_dedup_key, run_scenario, ScenarioOutcome};
@@ -45,7 +45,7 @@ pub(crate) fn worker_loop(
             ..WorkerStats::default()
         },
         sink,
-        buffers: None,
+        env: CheckerEnv::new(config),
         lint: FirstTraceLint::default(),
     };
     while let Some(item) = scheduler.take() {
@@ -67,11 +67,8 @@ struct Walk<'a> {
     program: &'a dyn Program,
     stats: WorkerStats,
     sink: &'a mut dyn FnMut(ScenarioOutcome),
-    /// The buffers the last scenario left, which the next one runs with:
-    /// one store log serves every scenario whose log no checkpoint holds,
-    /// and one machine's thread buffers, one settled-line table, one
-    /// stack's vectors and one candidate buffer every scenario.
-    buffers: Option<Buffers>,
+    /// The environment every scenario of the walk runs on.
+    env: CheckerEnv,
     /// The analysis of the last execution-0 trace linted.
     lint: FirstTraceLint,
 }
@@ -91,10 +88,10 @@ impl Walk<'_> {
             let checkpoint = deepest_taken(&checkpoints, &decisions);
             let (outcome, log, captures) = run_scenario(
                 self.config,
+                &mut self.env,
                 self.program,
                 decisions,
                 checkpoint.map(|snap| &**snap),
-                &mut self.buffers,
                 &mut self.lint,
             );
             decisions = log;
@@ -130,10 +127,7 @@ impl Walk<'_> {
     fn account(&mut self, outcome: &ScenarioOutcome) {
         let stats = &mut self.stats;
         stats.scenarios += 1;
-        // Same fork-equivalent formula as ReportAccumulator::add, over
-        // the scenario's logical execution count.
-        let execs = outcome.executions_replayed + outcome.executions_restored;
-        stats.executions += (execs - outcome.divergence.min(execs - 1)) as u64;
+        stats.executions += outcome.executions as u64;
         stats.executions_replayed += outcome.executions_replayed as u64;
         stats.executions_restored += outcome.executions_restored as u64;
     }

@@ -147,16 +147,20 @@ fn merge_lines(
 
 /// Shrinks a bug's decision trace by replaying ever-shorter prefixes:
 /// decisions past the trace default to the first alternative, so any
-/// prefix is a valid scenario. Returns the shortest prefix whose replay
-/// still reports a bug with `message`, or the full trace when none does.
+/// prefix of the program's own trace is a valid scenario. Returns the
+/// shortest prefix whose replay still reports a bug with `message`, or
+/// the full trace when none does (a trace of another program reproduces
+/// nothing).
 pub fn shrink_trace(program: &GenProgram, trace: &[usize], message: &str) -> Vec<usize> {
     let mut config = Config::new();
     config.pool_size(POOL_SIZE);
     let checker = ModelChecker::new(config);
     for len in 0..trace.len() {
         let prefix = &trace[..len];
-        let report = checker.replay(program, prefix);
-        if report.bugs.iter().any(|b| b.message == message) {
+        let reproduces = checker
+            .replay(program, prefix)
+            .is_ok_and(|report| report.bugs.iter().any(|b| b.message == message));
+        if reproduces {
             return prefix.to_vec();
         }
     }
@@ -290,7 +294,9 @@ mod tests {
         config.pool_size(POOL_SIZE);
         let checker = ModelChecker::new(config);
         assert_eq!(checker.check(&repro.program).digest(), repro.digest);
-        let replayed = checker.replay(&repro.program, &repro.trace);
+        let replayed = checker
+            .replay(&repro.program, &repro.trace)
+            .expect("the stored trace");
         assert!(!replayed.bugs.is_empty(), "stored trace reproduces the bug");
     }
 
@@ -324,7 +330,9 @@ mod tests {
         config.pool_size(POOL_SIZE);
         let checker = ModelChecker::new(config);
         assert_eq!(checker.check(&parsed.program).digest(), parsed.digest);
-        let replayed = checker.replay(&parsed.program, &parsed.trace);
+        let replayed = checker
+            .replay(&parsed.program, &parsed.trace)
+            .expect("the stored trace");
         assert!(
             replayed
                 .bugs
@@ -375,7 +383,9 @@ mod tests {
         assert!(short.len() <= outcome.trace.len());
         let mut config = Config::new();
         config.pool_size(crate::oracle::POOL_SIZE);
-        let replayed = ModelChecker::new(config).replay(&program, &short);
+        let replayed = ModelChecker::new(config)
+            .replay(&program, &short)
+            .expect("a prefix of the program's own trace");
         assert!(replayed.bugs.iter().any(|b| b.message == message));
     }
 }

@@ -3,12 +3,14 @@
 //! A scenario restores its checkpoint, runs one execution and hands its
 //! outcome on. Four things keep that nearly allocation-free: a
 //! checkpoint is a prefix view of its execution's final store log, so
-//! capturing one never makes the running execution copy its log; the walk
-//! lends every scenario one machine, whose thread buffers are emptied in
-//! place and whose store log is cleared unless a checkpoint holds it; a
-//! restore copies the checkpoint's stack and intervals into the vectors
-//! the last scenario left, and the candidate buffer of recovery loads is
-//! lent the same way; and race records keep source sites, not strings.
+//! capturing one never makes the running execution copy its log; every
+//! scenario of a walk starts on the walk's one checker environment, whose
+//! machine's thread buffers are emptied in place and whose store log is
+//! cleared unless a checkpoint holds it; a restore copies the checkpoint's
+//! crashed state, stack and intervals included, into the vectors the
+//! environment's last scenario left, and the candidate buffer of recovery
+//! loads stays with the environment too; and race records keep source
+//! sites, not strings.
 //! This binary counts the allocations the checking thread makes, through
 //! its own global allocator, and pins the count per scenario on every
 //! fixed RECIPE and PMDK row under the Figure 14 depth-3 configuration.

@@ -67,7 +67,9 @@ fn every_reproducer_checks_to_its_recorded_digest() {
 fn every_stored_trace_replays_its_bug() {
     let checker = checker();
     for repro in corpus() {
-        let replayed = checker.replay(&repro.program, &repro.trace);
+        let replayed = checker
+            .replay(&repro.program, &repro.trace)
+            .expect("the stored trace");
         assert!(
             !replayed.bugs.is_empty(),
             "{}: stored trace no longer reproduces the bug",
@@ -110,8 +112,12 @@ fn graph_passes_do_not_perturb_corpus_exploration() {
 fn corpus_replay_is_deterministic() {
     let checker = checker();
     for repro in corpus() {
-        let a = checker.replay(&repro.program, &repro.trace);
-        let b = checker.replay(&repro.program, &repro.trace);
+        let replay = || {
+            checker
+                .replay(&repro.program, &repro.trace)
+                .expect("the stored trace")
+        };
+        let (a, b) = (replay(), replay());
         assert_eq!(a.digest(), b.digest(), "{}", repro.name);
     }
 }

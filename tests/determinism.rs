@@ -311,32 +311,67 @@ fn snapshots_do_not_change_the_digest_at_any_worker_count() {
     }
 }
 
-/// Same contract on a real workload with bugs and lints in play.
+/// A missing flush that a second failure exposes, after a first failure
+/// that may fall at a `compare_exchange_u64`'s leading fence. A live
+/// failure there must not leave the RMW's site on the next execution's
+/// trace: the unflushed store would be recorded under the RMW's site and
+/// its finding lost in that scenario, only with snapshots off, since a
+/// restored scenario never runs the crash.
+fn crash_at_an_rmw_fence(env: &dyn PmEnv) {
+    let root = env.root();
+    let (a, b, x, y) = (root + 64, root + 128, root + 192, root + 256);
+    match env.execution_index() {
+        0 => {
+            env.store_u64(a, 1);
+            env.clflushopt(a, 8);
+            env.store_u64(root, 1);
+            // The clflushopt is pending, so the RMW's leading fence is an
+            // injection point.
+            env.compare_exchange_u64(b, 0, 1);
+            env.sfence();
+        }
+        1 => {
+            env.store_u64(x, 42); // never flushed before the commit
+            env.store_u64(y, 1);
+            env.clflush(y, 8);
+            env.sfence();
+        }
+        _ => {
+            if env.load_u64(y) == 1 {
+                env.pm_assert(env.load_u64(x) == 42, "committed data lost");
+            }
+        }
+    }
+}
+
+/// Same contract on a real workload with bugs and lints in play, and on
+/// a failure at an RMW's fence.
 #[test]
 fn snapshots_do_not_change_bug_or_lint_results() {
-    let program = IndexWorkload::<Pclht>::new(PclhtFault::CtorNotFlushed, 4);
+    let pclht = IndexWorkload::<Pclht>::new(PclhtFault::CtorNotFlushed, 4);
     // Two failures deep, snapshots also carry recovery executions' op
     // traces and races.
-    for max_failures in [1usize, 2] {
-        let mut on = lint_config(1);
-        on.max_failures(max_failures);
-        let baseline = ModelChecker::new(on.clone()).check(&program);
-        assert!(!baseline.is_clean());
-        on.snapshots(false);
-        let replayed = ModelChecker::new(on).check(&program);
-        assert_eq!(
-            baseline.digest(),
-            replayed.digest(),
-            "max_failures={max_failures}"
-        );
-        for jobs in [2usize, 4] {
-            let mut c = lint_config(jobs);
-            c.max_failures(max_failures).snapshots(false);
-            assert_eq!(
-                baseline.digest(),
-                ModelChecker::new(c).check(&program).digest(),
-                "jobs={jobs} without snapshots diverged at max_failures={max_failures}"
-            );
+    let inputs: [(&str, &(dyn Program + Sync), &[usize]); 2] = [
+        ("P-CLHT", &pclht, &[1, 2]),
+        ("RMW fence", &crash_at_an_rmw_fence, &[2]),
+    ];
+    for (name, program, depths) in inputs {
+        for &max_failures in depths {
+            let mut on = lint_config(1);
+            on.max_failures(max_failures);
+            let baseline = ModelChecker::new(on).check(program);
+            assert!(!baseline.is_clean(), "{name}");
+            for jobs in [1usize, 2, 4] {
+                for snapshots in [true, false] {
+                    let mut c = lint_config(jobs);
+                    c.max_failures(max_failures).snapshots(snapshots);
+                    assert_eq!(
+                        baseline.digest(),
+                        ModelChecker::new(c).check(program).digest(),
+                        "{name} max_failures={max_failures} jobs={jobs} snapshots={snapshots}"
+                    );
+                }
+            }
         }
     }
 }

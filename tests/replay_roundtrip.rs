@@ -37,7 +37,9 @@ fn replaying_a_bug_trace_reproduces_the_bug() {
     let report = checker.check(&missing_flush);
     assert!(!report.is_clean());
     for bug in &report.bugs {
-        let replayed = checker.replay(&missing_flush, &bug.trace);
+        let replayed = checker
+            .replay(&missing_flush, &bug.trace)
+            .expect("the bug's own trace");
         assert_eq!(
             replayed.stats.scenarios, 1,
             "replay runs exactly one scenario"
@@ -71,7 +73,7 @@ fn replaying_the_root_scenario_of_a_clean_program_is_clean() {
     let checker = checker();
     assert!(checker.check(&clean).is_clean());
     // The empty trace steers to the all-defaults scenario.
-    let replayed = checker.replay(&clean, &[]);
+    let replayed = checker.replay(&clean, &[]).expect("the empty trace");
     assert!(replayed.is_clean());
     assert_eq!(replayed.stats.scenarios, 1);
 }
@@ -83,7 +85,9 @@ fn workload_bug_traces_round_trip() {
     let report = checker.check(&program);
     assert!(!report.is_clean());
     let bug = &report.bugs[0];
-    let replayed = checker.replay(&program, &bug.trace);
+    let replayed = checker
+        .replay(&program, &bug.trace)
+        .expect("the bug's own trace");
     assert_eq!(replayed.bugs.len(), 1);
     assert_eq!(replayed.bugs[0].kind, bug.kind);
     assert_eq!(replayed.bugs[0].execution_index, bug.execution_index);
@@ -102,7 +106,9 @@ fn parallel_bug_traces_replay_identically() {
     let report = checker.check(&missing_flush);
     assert!(!report.is_clean());
     for bug in &report.bugs {
-        let replayed = checker.replay(&missing_flush, &bug.trace);
+        let replayed = checker
+            .replay(&missing_flush, &bug.trace)
+            .expect("the bug's own trace");
         assert_eq!(replayed.bugs.len(), 1);
         assert_eq!(replayed.bugs[0].kind, bug.kind);
     }
