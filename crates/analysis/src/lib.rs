@@ -76,3 +76,4 @@ pub use races::{cross_thread_races, recovery_read_lines, torn_candidates};
 pub use repair::{minimize_edits, FixEdit};
 pub use robust::{analyze_trace, robustness_candidates, Candidate, Cause};
 pub use sarif::{to_sarif, to_sarif_with_verified};
+pub use site_key::{SiteHash, SiteKey};

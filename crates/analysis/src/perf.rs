@@ -23,7 +23,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use jaaru_tso::TraceOpKind;
+use jaaru_tso::{LineSet, TraceOpKind};
 
 use crate::diagnostic::{Diagnostic, DiagnosticKind, DiagnosticSet};
 use crate::graph::PersistGraph;
@@ -148,7 +148,7 @@ pub fn flush_redundancy(graph: &PersistGraph<'_>) -> Vec<Diagnostic> {
 /// running the pass only after an untruncated run. An empty footprint
 /// means no recovery ever ran (or read nothing) — the pass stays
 /// silent rather than condemning every flush in the program.
-pub fn dead_flushes(graph: &PersistGraph<'_>, footprint: &HashSet<u64>) -> Vec<Diagnostic> {
+pub fn dead_flushes(graph: &PersistGraph<'_>, footprint: &LineSet) -> Vec<Diagnostic> {
     if footprint.is_empty() {
         return Vec::new();
     }
@@ -325,7 +325,7 @@ mod tests {
         store(&mut t, 5 * LINE);
         flush(&mut t, 5); // line 5: recovery never reads it — dead
         rec(&mut t, TraceOpKind::Sfence);
-        let footprint: HashSet<u64> = [2].into_iter().collect();
+        let footprint: LineSet = [2].into_iter().collect();
         let d = dead_flushes(&PersistGraph::build(&t), &footprint);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].kind, DiagnosticKind::DeadFlush);
@@ -344,7 +344,7 @@ mod tests {
         let mut t = OpTrace::new();
         store(&mut t, 2 * LINE);
         flush(&mut t, 2);
-        assert!(dead_flushes(&PersistGraph::build(&t), &HashSet::new()).is_empty());
+        assert!(dead_flushes(&PersistGraph::build(&t), &LineSet::default()).is_empty());
     }
 
     #[test]
@@ -358,7 +358,7 @@ mod tests {
                 last_line: 3,
             },
         );
-        let footprint: HashSet<u64> = [3].into_iter().collect();
+        let footprint: LineSet = [3].into_iter().collect();
         assert!(dead_flushes(&PersistGraph::build(&t), &footprint).is_empty());
     }
 

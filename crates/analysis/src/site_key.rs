@@ -4,9 +4,10 @@
 //! passes look a site up once per candidate: the read-from evidence of
 //! [`localize`](crate::localize) and the `(kind, site)` index of
 //! [`DiagnosticSet`](crate::DiagnosticSet) see millions of lookups on a
-//! scenario-capped run. A [`SiteKey`] hashes only the site's line and
-//! column, with `jaaru_tso::IntHasher`, and compares the whole site,
-//! file path included, only among the keys that share them.
+//! scenario-capped run, and the checker's report looks up the load site
+//! of every race every scenario reports. A [`SiteKey`] hashes only the
+//! site's line and column, with `jaaru_tso::IntHasher`, and compares the
+//! whole site, file path included, only among the keys that share them.
 
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -15,7 +16,7 @@ use jaaru_tso::{IntHasher, SourceLoc};
 /// `value` at `site`: equal to another with an equal value and site,
 /// hashed by the value and the site's line and column.
 #[derive(Clone, Copy, Debug, Eq)]
-pub(crate) struct SiteKey<T>(pub(crate) T, pub(crate) SourceLoc);
+pub struct SiteKey<T>(pub T, pub SourceLoc);
 
 impl<T: PartialEq> PartialEq for SiteKey<T> {
     fn eq(&self, other: &Self) -> bool {
@@ -34,7 +35,7 @@ impl<T: Hash> Hash for SiteKey<T> {
 /// The hasher of maps keyed by [`SiteKey`]: a multiplicative hash, since
 /// line and column numbers are positions in the guest's own source, not
 /// outside input.
-pub(crate) type SiteHash = BuildHasherDefault<IntHasher>;
+pub type SiteHash = BuildHasherDefault<IntHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -8,13 +8,12 @@
 //! and on detected bugs.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::panic::{panic_any, Location};
 use std::sync::Arc;
 
 use jaaru_pmem::{PmAddr, CACHE_LINE_SIZE, NULL_PAGE_SIZE};
 use jaaru_tso::{
-    do_read, line_parts, read_pre_failure_into, CrashPrefix, OpTrace, RfCandidate, SettledLines,
+    do_read, line_parts, read_pre_failure_into, CrashPrefix, LineSet, OpTrace, RfCandidate,
     SourceLoc, ThreadId, TraceOpKind, TsoMachine,
 };
 
@@ -29,12 +28,10 @@ use crate::PmEnv;
 /// owns for the walk's lifetime, the crashed state of the running
 /// scenario, and the running execution's volatile state.
 struct Inner {
-    /// Reset in place at each scenario's start and at each failure.
+    /// Reset in place at each scenario's start and at each failure, which
+    /// empties the line image its loads read: those are the points where
+    /// the stack changes other than by refinement.
     machine: TsoMachine,
-    /// The running execution's resolved pre-failure lines. Emptied
-    /// whenever the stack changes other than by refinement: at the start
-    /// of each scenario and at each failure.
-    settled: SettledLines,
     /// Reads-from candidates of the byte being chosen for; kept to reuse
     /// its allocation.
     cands: Vec<RfCandidate>,
@@ -44,12 +41,12 @@ struct Inner {
     crashed: Crashed,
     /// Cache lines this scenario's recoveries read: post-failure loads
     /// that missed the running execution's own state and consulted
-    /// pre-failure storage, recorded as each line enters `settled`.
+    /// pre-failure storage, recorded as the machine resolves each line.
     /// Collected only for the dead-flush pass
     /// ([`Lints::All`](crate::Lints::All)). A restored scenario starts
     /// empty: the scenario that captured its checkpoint read every line
     /// the skipped executions read, and the footprint is their union.
-    recovery_reads: HashSet<u64>,
+    recovery_reads: LineSet,
     /// Checkpoints captured at this scenario's fresh crash decisions, in
     /// decision order, each with the crash prefix of the running
     /// execution that [`finish`](CheckerEnv::finish) completes it with.
@@ -83,10 +80,8 @@ struct Running {
 impl Inner {
     /// Starts the next execution with fresh volatile state, as a new
     /// scenario or a power failure leaves it, and returns the op trace of
-    /// the one it replaces. Both change the stack other than by
-    /// refinement, so the settled lines go too.
+    /// the one it replaces.
     fn start_execution(&mut self) -> OpTrace {
-        self.settled.clear();
         std::mem::take(&mut self.running).op_trace
     }
 
@@ -109,7 +104,7 @@ pub(crate) struct ScenarioRecord {
     pub crashed: Crashed,
     /// Cache lines this scenario's own recoveries read (empty unless the
     /// dead-flush pass is on).
-    pub recovery_reads: HashSet<u64>,
+    pub recovery_reads: LineSet,
     /// The crash-point checkpoints this scenario captured at its fresh
     /// crash decisions (empty when snapshots are off).
     pub captures: Vec<CheckerSnapshot>,
@@ -141,11 +136,10 @@ impl CheckerEnv {
             capture: config.snapshots_value(),
             inner: RefCell::new(Inner {
                 machine: TsoMachine::new(config.eviction_value()),
-                settled: SettledLines::new(),
                 cands: Vec::new(),
                 decisions: DecisionLog::new(),
                 crashed: Crashed::NONE,
-                recovery_reads: HashSet::new(),
+                recovery_reads: LineSet::default(),
                 captures: Vec::new(),
                 running: Running::default(),
             }),
@@ -385,7 +379,7 @@ impl CheckerEnv {
         (snapshot, inner.machine.crash_prefix())
     }
 
-    /// Loads a byte of a recovery load that [`SettledLines::read`] left
+    /// Loads a byte of a recovery load that [`TsoMachine::load`] left
     /// unsettled: it had more than one candidate when its line was
     /// resolved. Its candidates are recomputed under the intervals the
     /// execution's earlier reads left; if several remain, the decision log
@@ -414,6 +408,42 @@ impl CheckerEnv {
         };
         inner.cands = cands;
         value
+    }
+
+    /// A load the line image could not answer in one probe. Byte accesses
+    /// are performed atomically, low address first (paper §4, "Mixed size
+    /// accesses"), one cache line at a time. The machine serves the bytes
+    /// the running execution wrote and every other byte with a single
+    /// candidate, resolving the line against the pre-failure stack on the
+    /// first load in this execution that wants one of those. Each other
+    /// byte's committed choice refines the line interval before the next
+    /// byte's candidates are computed, and settles the byte in the image.
+    /// Refinement only narrows intervals, so it never unsettles a byte.
+    #[inline(never)]
+    fn load_lines(&self, inner: &mut Inner, addr: PmAddr, buf: &mut [u8], loc: SourceLoc) {
+        let tid = inner.running.current_tid;
+        let mut vals = [0; CACHE_LINE_SIZE];
+        for (line, want, start) in line_parts(addr, buf.len()) {
+            let (mut multi, resolved) =
+                inner
+                    .machine
+                    .load(tid, &inner.crashed.stack, line, want, &mut vals);
+            if resolved && self.track_footprint && !inner.crashed.stack.is_empty() {
+                // A recovery read: this load consulted pre-failure
+                // persisted state, so its line is in the footprint.
+                inner.recovery_reads.insert(line.index());
+            }
+            while multi != 0 {
+                let off = multi.trailing_zeros() as usize;
+                multi &= multi - 1;
+                let value = self.read_from(inner, line.base() + off as u64, loc);
+                inner.machine.settle(line, off, value);
+                vals[off] = value;
+            }
+            let first = want.trailing_zeros() as usize;
+            let part = &mut buf[start..start + want.count_ones() as usize];
+            copy_bytes(part, &vals[first..first + part.len()]);
+        }
     }
 
     /// The injection point before a fence: a fence applies deferred
@@ -512,41 +542,17 @@ impl PmEnv for CheckerEnv {
                 },
             );
         }
-        // Byte accesses performed atomically, low address first (paper §4,
-        // "Mixed size accesses"), one cache line at a time. The running
-        // execution serves the bytes it wrote; the settled-line table
-        // serves every other byte with a single candidate, resolving the
-        // line against the pre-failure stack on its first read in this
-        // execution. Each other byte's committed choice refines the line
-        // interval before the next byte's candidates are computed, and
-        // settles the byte. Refinement only narrows intervals, so it never
-        // unsettles a byte.
-        let tid = inner.running.current_tid;
-        let mut vals = [0; CACHE_LINE_SIZE];
-        for (line, want, start) in line_parts(addr, buf.len()) {
-            let missed = inner.machine.read_current(tid, line, want, &mut vals);
-            if missed != 0 {
-                let (mut multi, resolved) =
-                    inner
-                        .settled
-                        .read(&inner.crashed.stack, line, missed, &mut vals);
-                if resolved && self.track_footprint && !inner.crashed.stack.is_empty() {
-                    // A recovery read: this load consulted pre-failure
-                    // persisted state, so its line is in the footprint.
-                    inner.recovery_reads.insert(line.index());
-                }
-                while multi != 0 {
-                    let off = multi.trailing_zeros() as usize;
-                    multi &= multi - 1;
-                    let value = self.read_from(inner, line.base() + off as u64, loc);
-                    inner.settled.settle(line, off, value);
-                    vals[off] = value;
-                }
-            }
-            let first = want.trailing_zeros() as usize;
-            let part = &mut buf[start..start + want.count_ones() as usize];
-            copy_bytes(part, &vals[first..first + part.len()]);
+        // One probe of the machine's line image answers a load of bytes
+        // it knows, inside one line, by a thread with an empty store
+        // buffer.
+        if let Some(bytes) = inner
+            .machine
+            .load_known(inner.running.current_tid, addr, buf.len())
+        {
+            copy_bytes(buf, bytes);
+            return;
         }
+        self.load_lines(inner, addr, buf, loc);
     }
 
     #[track_caller]

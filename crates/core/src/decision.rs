@@ -268,7 +268,8 @@ impl DecisionLog {
 /// A replayed trace that does not belong to the program, which
 /// [`ModelChecker::replay`](crate::ModelChecker::replay) returns: its
 /// decision `decision` chose alternative `chosen`, and the program has
-/// `alternatives` there.
+/// `alternatives` there, 0 when the program makes no decision
+/// `decision`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ForeignTrace {
     pub decision: usize,
@@ -278,11 +279,16 @@ pub struct ForeignTrace {
 
 impl fmt::Display for ForeignTrace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trace does not match this program: decision {} chose alternative {} of {}",
-            self.decision, self.chosen, self.alternatives
-        )
+        write!(f, "trace does not match this program: ")?;
+        if self.alternatives == 0 {
+            write!(f, "the program makes no decision {}", self.decision)
+        } else {
+            write!(
+                f,
+                "decision {} chose alternative {} of {}",
+                self.decision, self.chosen, self.alternatives
+            )
+        }
     }
 }
 

@@ -25,14 +25,13 @@
 //! checkpoint its plan takes, directly at recovery, so every guest run is
 //! some scenario's last execution.
 
-use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
 use jaaru_analysis::{dead_flushes, Diagnostic, PersistGraph};
-use jaaru_tso::OpTrace;
+use jaaru_tso::{LineSet, OpTrace};
 
 use crate::checker_env::CheckerEnv;
 use crate::config::{Config, Lints};
@@ -85,7 +84,7 @@ pub(crate) struct ScenarioOutcome {
     pub bug: Option<BugReport>,
     /// Cache lines this scenario's recoveries read (collected only for
     /// the dead-flush pass).
-    pub recovery_reads: HashSet<u64>,
+    pub recovery_reads: LineSet,
     /// The complete pre-failure operation trace, present only for the
     /// crash-free, bug-free scenario with lints on (one per run): the
     /// input of the footprint-driven dead-flush pass.
@@ -97,7 +96,7 @@ pub(crate) struct ScenarioOutcome {
 /// canonical crash-free trace.
 #[derive(Debug, Default)]
 pub(crate) struct ExploreAux {
-    pub recovery_reads: HashSet<u64>,
+    pub recovery_reads: LineSet,
     pub clean_trace: Option<Arc<OpTrace>>,
 }
 
@@ -314,7 +313,8 @@ impl ModelChecker {
     /// # Errors
     ///
     /// [`ForeignTrace`] if the trace does not belong to this program: one
-    /// of its decisions chooses an alternative the program does not have.
+    /// of its decisions chooses an alternative the program does not have,
+    /// or the program makes fewer decisions than the trace holds.
     pub fn replay(
         &self,
         program: &dyn Program,
@@ -334,11 +334,19 @@ impl ModelChecker {
                 &mut FirstTraceLint::default(),
             )
         }));
-        let (outcome, _, _) = scenario.map_err(|payload| {
+        let (outcome, decisions, _) = scenario.map_err(|payload| {
             *payload
                 .downcast::<ForeignTrace>()
                 .unwrap_or_else(|p| resume_unwind(p))
         })?;
+        let made = decisions.consumed();
+        if let Some(&chosen) = trace.get(made) {
+            return Err(ForeignTrace {
+                decision: made,
+                chosen,
+                alternatives: 0,
+            });
+        }
         let bugs: Vec<BugReport> = outcome
             .bug
             .into_iter()
@@ -905,6 +913,37 @@ mod tests {
     }
 
     #[test]
+    fn traces_with_decisions_the_program_never_makes_are_rejected() {
+        // Two injection points: before the flush and at the end.
+        let program = |env: &dyn PmEnv| {
+            let root = env.root();
+            env.store_u64(root, 5);
+            env.persist(root, 8);
+        };
+        let checker = ModelChecker::new(small_config());
+        for trace in [&[0, 0][..], &[0, 1], &[1]] {
+            let replayed = checker.replay(&program, trace);
+            assert!(replayed.is_ok(), "{trace:?}: {replayed:?}");
+        }
+        let err = checker.replay(&program, &[0, 0, 0, 0, 0, 0]).unwrap_err();
+        assert_eq!(
+            err,
+            ForeignTrace {
+                decision: 2,
+                chosen: 0,
+                alternatives: 0
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "trace does not match this program: the program makes no decision 2"
+        );
+        // A crash at the first point leaves a recovery that decides nothing.
+        let err = checker.replay(&program, &[1, 1]).unwrap_err();
+        assert_eq!((err.decision, err.chosen, err.alternatives), (1, 1, 0));
+    }
+
+    #[test]
     fn a_guest_panic_naming_a_foreign_trace_is_a_guest_bug() {
         let program = |env: &dyn PmEnv| {
             let root = env.root();
@@ -1249,6 +1288,57 @@ mod tests {
         let cut = ModelChecker::new(config).check(&program);
         assert!(cut.truncated, "{cut}");
         assert!(dead_flushes_of(&cut).is_empty(), "{:?}", cut.diagnostics);
+    }
+
+    /// A line joins the recovery footprint when a recovery reads a byte of
+    /// it that the recovery never wrote, so that the load consulted what
+    /// the failure left. A recovery that writes line B and reads back only
+    /// what it wrote leaves the flush of B dead; one more load, of a byte
+    /// of B it never wrote, makes it live.
+    #[test]
+    fn the_footprint_holds_lines_recovery_read_beyond_its_own_writes() {
+        for unwritten in [false, true] {
+            let program = move |env: &dyn PmEnv| {
+                let a = env.root();
+                let b = a + 64;
+                if env.is_recovery() {
+                    let _ = env.load_u64(a);
+                    env.store_u64(b, 9);
+                    env.pm_assert(env.load_u64(b) == 9, "own store lost");
+                    env.pm_assert(env.load_u8(b + 3) == 0, "own store torn");
+                    if unwritten {
+                        let _ = env.load_u8(b + 8);
+                    }
+                    return;
+                }
+                env.store_u64(b, 1);
+                env.clflush(b, 8);
+                env.store_u64(a, 1);
+                env.clflush(a, 8);
+                env.sfence();
+            };
+            let mut config = small_config();
+            config.lints(Lints::All);
+            let report = ModelChecker::new(config.clone()).check(&program);
+            assert!(report.is_clean(), "{report}");
+            let dead = dead_flushes_of(&report);
+            if unwritten {
+                assert!(dead.is_empty(), "{dead:?}");
+            } else {
+                assert_eq!(dead.len(), 1, "{dead:?}");
+                assert!(dead[0].message.contains("lines 2..=2"), "{}", dead[0]);
+            }
+            for (snapshots, jobs) in [(true, 2), (false, 1), (false, 2)] {
+                let mut config = config.clone();
+                config.snapshots(snapshots).jobs(jobs);
+                let other = ModelChecker::new(config).check(&program);
+                assert_eq!(
+                    report.digest(),
+                    other.digest(),
+                    "unwritten={unwritten} snapshots={snapshots} jobs={jobs}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,9 +14,8 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
-use jaaru_analysis::DiagnosticSet;
+use jaaru_analysis::{DiagnosticSet, SiteHash, SiteKey};
 use jaaru_snapshot::SnapshotStats;
-use jaaru_tso::SourceLoc;
 
 use crate::explorer::{bug_dedup_key, ExploreAux, ScenarioOutcome};
 use crate::report::{
@@ -35,7 +34,7 @@ pub(crate) struct ReportAccumulator {
     bug_index: HashMap<(BugKind, String), usize>,
     races: Vec<RaceReport>,
     /// The load sites `races` reports.
-    race_sites: HashSet<SourceLoc>,
+    race_sites: HashSet<SiteKey<()>, SiteHash>,
     diagnostics: DiagnosticSet,
     aux: ExploreAux,
     snapshots: SnapshotStats,
@@ -68,7 +67,7 @@ impl ReportAccumulator {
         }
 
         for race in outcome.races {
-            if self.race_sites.insert(race.load) {
+            if self.race_sites.insert(SiteKey((), race.load)) {
                 self.races.push(race);
             }
         }

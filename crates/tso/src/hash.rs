@@ -1,6 +1,6 @@
 //! A fast hasher for maps keyed by integers the program computes itself.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplicative (Fibonacci) hashing of integer keys. The keys it is
@@ -38,3 +38,6 @@ impl Hasher for IntHasher {
 
 /// A `HashMap` hashed with [`IntHasher`].
 pub(crate) type LineMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+/// A set of cache-line indices, hashed with [`IntHasher`].
+pub type LineSet = HashSet<u64, BuildHasherDefault<IntHasher>>;

@@ -19,8 +19,12 @@
 //! * the **reads-from** computation and **constraint refinement** across a
 //!   stack of crashed executions ([`read_pre_failure`], [`do_read`];
 //!   Figures 9/10), with [`read_pre_failure_line`] settling a load's
-//!   single-candidate bytes one cache line at a time, once per recovery
-//!   execution in a [`SettledLines`] table.
+//!   single-candidate bytes one cache line at a time,
+//! * one **line image** per running execution, which holds every byte a
+//!   load can be answered with: the execution's own stores, written
+//!   through as they reach the cache, and the bytes
+//!   [`read_pre_failure_line`] settled, resolved once per line and
+//!   execution ([`TsoMachine::load`]).
 //!
 //! The reordering constraints of the paper's Table 1 are emergent from the
 //! buffer rules; `tests/table1_reordering.rs` in the workspace derives the
@@ -69,12 +73,11 @@ mod trace;
 
 pub use buffers::{FbEntry, SbEntry, ThreadBuffers};
 pub use event::{SourceLoc, StoreEvent, StoreId, ThreadId};
-pub use hash::IntHasher;
+pub use hash::{IntHasher, LineSet};
 pub use interval::FlushInterval;
 pub use machine::{EvictionPolicy, TsoMachine};
 pub use rf::{
     do_read, read_pre_failure, read_pre_failure_into, read_pre_failure_line, RfCandidate, RfSource,
-    SettledLines,
 };
 pub use seq::Seq;
 pub use storage::{line_parts, CrashPrefix, ExecutionStorage};

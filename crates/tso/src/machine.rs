@@ -9,9 +9,21 @@
 //! execution's storage for post-failure refinement;
 //! [`TsoMachine::crash_prefix`] records what a failure at the current point
 //! would leave while the machine runs on.
+//!
+//! A load is answered as Figure 9 orders it: the issuing thread's store
+//! buffer first, then the running execution's cache, then the pre-failure
+//! executions. The machine keeps the answers of the last two in one line
+//! image: each store is written through to it where it reaches the cache
+//! (`evict_store`, under both eviction policies), and the bytes the
+//! execution never wrote are resolved against the crashed stack once per
+//! line. So a load inside one line, by a thread whose store buffer is
+//! empty, is one probe of the image ([`TsoMachine::load_known`]), and
+//! every other load takes [`TsoMachine::load`], which fills the image.
+//! [`TsoMachine::reset`] empties it.
 
 use jaaru_pmem::{CacheLineId, PmAddr, CACHE_LINE_SIZE};
 
+use crate::rf::LineImage;
 use crate::storage::offsets;
 use crate::{
     CrashPrefix, ExecutionStorage, FbEntry, SbEntry, Seq, SourceLoc, ThreadBuffers, ThreadId,
@@ -68,6 +80,8 @@ pub struct TsoMachine {
     threads: Vec<ThreadBuffers>,
     storage: ExecutionStorage,
     policy: EvictionPolicy,
+    /// What the running execution's loads read beyond store buffers.
+    image: LineImage,
 }
 
 impl TsoMachine {
@@ -83,7 +97,9 @@ impl TsoMachine {
     /// the capacity of every thread's buffers and of the store log (each
     /// touched line's stores and bytes included). A log that a
     /// [view](ExecutionStorage::view) still holds is left to the view,
-    /// never copied; the machine starts a new one.
+    /// never copied; the machine starts a new one. The line image
+    /// [`load`](Self::load) fills is emptied: the crashed stack may change
+    /// from here on.
     pub fn reset(&mut self, policy: EvictionPolicy) {
         self.sigma = Seq::ZERO;
         self.policy = policy;
@@ -91,6 +107,7 @@ impl TsoMachine {
             thread.reset();
         }
         self.storage.clear();
+        self.image.clear();
     }
 
     /// Simulates a power failure, as [`crash`](Self::crash) does, and
@@ -139,8 +156,13 @@ impl TsoMachine {
     /// draining the buffer would evict it alone.
     fn eager(&self, tid: ThreadId) -> bool {
         let eager = self.policy == EvictionPolicy::Eager;
-        debug_assert!(!eager || self.buffers(tid).is_none_or(|t| t.store_buffer.is_empty()));
+        debug_assert!(!eager || self.buffered(tid).is_none());
         eager
+    }
+
+    /// `tid`'s buffers, if its store buffer holds an entry.
+    fn buffered(&self, tid: ThreadId) -> Option<&ThreadBuffers> {
+        self.buffers(tid).filter(|t| !t.store_buffer.is_empty())
     }
 
     /// `Exec_Store` (Figure 7): enqueue a store into `S_τ`.
@@ -160,6 +182,7 @@ impl TsoMachine {
     fn evict_store(&mut self, tid: ThreadId, addr: PmAddr, bytes: &[u8], loc: SourceLoc) {
         let seq = self.sigma.bump();
         self.storage.record_store(addr, bytes, tid, loc, seq);
+        self.image.write(addr, bytes);
         // One stamp per touched line (a store may straddle lines), needed
         // only by a `clflushopt` still queued (see `line_stamp`).
         let th = self.thread(tid);
@@ -304,8 +327,22 @@ impl TsoMachine {
         want: u64,
         vals: &mut [u8; CACHE_LINE_SIZE],
     ) -> u64 {
+        let miss = self.bypass(tid, line, want, vals);
+        self.storage.read_cache(line, miss, vals)
+    }
+
+    /// Writes each byte of `want` that `tid`'s store buffer holds into
+    /// `vals` at its line offset, newest store first, and returns the mask
+    /// of the others.
+    fn bypass(
+        &self,
+        tid: ThreadId,
+        line: CacheLineId,
+        want: u64,
+        vals: &mut [u8; CACHE_LINE_SIZE],
+    ) -> u64 {
         let mut miss = want;
-        if let Some(t) = self.buffers(tid).filter(|t| !t.store_buffer.is_empty()) {
+        if let Some(t) = self.buffered(tid) {
             for off in offsets(want) {
                 if let Some(v) = t.bypass(line.base() + off as u64) {
                     vals[off] = v;
@@ -313,7 +350,89 @@ impl TsoMachine {
                 }
             }
         }
-        self.storage.read_cache(line, miss, vals)
+        miss
+    }
+
+    /// `tid`'s load of the `len` bytes at `addr`, if one probe of the line
+    /// image answers it: the bytes lie in one cache line, `tid`'s store
+    /// buffer is empty, and the image knows every byte, from the running
+    /// execution's stores or the stack an earlier [`load`](Self::load) of
+    /// the line resolved. `None` sends the load to `load`.
+    #[inline]
+    pub fn load_known(&self, tid: ThreadId, addr: PmAddr, len: usize) -> Option<&[u8]> {
+        let off = addr.line_offset();
+        if len == 0 || off + len > CACHE_LINE_SIZE || self.buffered(tid).is_some() {
+            return None;
+        }
+        self.image.known(addr.cache_line(), off, len)
+    }
+
+    /// `tid`'s load of the bytes `want` of `line` (bit `i` is line offset
+    /// `i`), Figure 9 lines 2–5 and the single-candidate half of
+    /// `ReadPreFailure`: the store-buffer bypass first, then the running
+    /// execution's cache, then `stack`, the crashed executions. Writes
+    /// each byte answered into `vals` at its line offset, and returns the
+    /// mask of the others, with whether this load resolved the line
+    /// against `stack`.
+    ///
+    /// The bytes the execution never wrote are resolved with
+    /// [`read_pre_failure_line`](crate::read_pre_failure_line) on the
+    /// line's first load that wants one of them, and each with a single
+    /// candidate is kept in the line image, with the execution's own
+    /// bytes, for [`load_known`](Self::load_known) and later loads. A
+    /// returned byte had several candidates: the caller chooses one with
+    /// [`read_pre_failure`](crate::read_pre_failure) and
+    /// [`do_read`](crate::do_read), and [`settle`](Self::settle)s the byte
+    /// at its value. Pass the same stack, changed only by `do_read`, to
+    /// every load until the next [`reset`](Self::reset): the image keeps
+    /// what it resolved until then.
+    ///
+    /// ```
+    /// use jaaru_pmem::PmAddr;
+    /// use jaaru_tso::{do_read, read_pre_failure, EvictionPolicy, ThreadId, TsoMachine};
+    ///
+    /// let (x, y) = (PmAddr::new(72), PmAddr::new(64)); // same cache line
+    /// let (t, loc) = (ThreadId(0), std::panic::Location::caller());
+    /// let mut m = TsoMachine::new(EvictionPolicy::Eager);
+    /// m.store(t, y, &[1], loc);
+    /// m.clflush(t, y.cache_line());
+    /// m.store(t, x, &[2], loc);
+    /// let mut stack = vec![m.crash_and_reset()];
+    ///
+    /// // y is pinned to 1; x may read 2 or initial 0.
+    /// let mut vals = [0; 64];
+    /// let (line, want) = (x.cache_line(), 0x101);
+    /// assert_eq!(m.load(t, &stack, line, want, &mut vals), (0x100, true));
+    /// assert_eq!(vals[0], 1);
+    /// let chosen = read_pre_failure(&stack, x)[0];
+    /// do_read(&mut stack, x, chosen);
+    /// m.settle(line, 8, chosen.value);
+    /// assert_eq!(m.load_known(t, x, 1), Some(&[2][..]));
+    ///
+    /// // The recovery's own store is written through.
+    /// m.store(t, y, &[7], loc);
+    /// assert_eq!(m.load_known(t, y, 1), Some(&[7][..]));
+    /// ```
+    pub fn load(
+        &mut self,
+        tid: ThreadId,
+        stack: &[ExecutionStorage],
+        line: CacheLineId,
+        want: u64,
+        vals: &mut [u8; CACHE_LINE_SIZE],
+    ) -> (u64, bool) {
+        let miss = self.bypass(tid, line, want, vals);
+        if miss == 0 {
+            return (0, false);
+        }
+        self.image.read(stack, &self.storage, line, miss, vals)
+    }
+
+    /// Settles the byte at offset `off` of `line` at `value`, which a load
+    /// [`load`](Self::load) left to the caller just committed to: the
+    /// image answers it from here on.
+    pub fn settle(&mut self, line: CacheLineId, off: usize, value: u8) {
+        self.image.settle(line, off, value);
     }
 
     /// Whether `tid` has deferred `clflushopt` operations whose persistency

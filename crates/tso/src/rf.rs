@@ -10,19 +10,22 @@
 //! every byte a load wants from one cache line at once and settles each
 //! byte with a single candidate; the rare byte with several goes through
 //! [`read_pre_failure`] (or [`read_pre_failure_into`]), which lists them
-//! for the exploration to choose from. A recovery execution resolves each
-//! line it reads once, in a [`SettledLines`] table: refinement only
-//! narrows intervals, so a settled byte stays settled until the stack
-//! changes.
+//! for the exploration to choose from.
 //!
 //! The *execution stack* passed to these functions holds the storage of
 //! every execution that ended in a failure, oldest first; the currently
 //! running execution is *not* on the stack (its store buffer and cache are
-//! consulted first, by [`TsoMachine::read_current`](crate::TsoMachine::read_current)).
+//! consulted first, Figure 9 lines 2–5). The running execution's loads
+//! are answered by one line image, which the machine owns
+//! ([`TsoMachine::load`](crate::TsoMachine::load)): per cache line, the
+//! bytes the execution wrote, written through as its stores reach the
+//! cache, and the bytes [`read_pre_failure_line`] settled, resolved once
+//! per line and execution. Refinement only narrows intervals, so a
+//! settled byte stays settled until the stack changes otherwise.
 
 use jaaru_pmem::{CacheLineId, PmAddr, CACHE_LINE_SIZE};
 
-use crate::storage::{runs, LineStore};
+use crate::storage::{line_parts, runs, LineStore};
 use crate::{ExecutionStorage, Seq, StoreId};
 
 /// Where a post-failure load's value comes from.
@@ -185,129 +188,182 @@ pub fn read_pre_failure_line(
     multi
 }
 
-/// Cache lines a [`SettledLines`] table holds at once.
-const SETTLED_LINES: usize = 64;
+/// Cache lines a [`LineImage`] holds at once.
+const IMAGE_LINES: usize = 64;
 
-/// One line of a [`SettledLines`] table.
+/// One line of a [`LineImage`].
 #[derive(Clone, Copy, Debug)]
-struct SettledLine {
-    /// The table epoch the line was resolved in; any other is empty.
+struct ImageLine {
+    /// The image epoch the line entered in; any other is empty.
     epoch: u64,
     line: CacheLineId,
-    /// The bytes with a single candidate: bit `i` is line offset `i`.
-    settled: u64,
-    /// The value of each settled byte, at its line offset.
+    /// The bytes a load can be answered with: bit `i` is line offset `i`.
+    known: u64,
+    /// Whether the bytes the execution had not written were resolved
+    /// against the stack.
+    resolved: bool,
+    /// The value of each known byte, at its line offset.
     vals: [u8; CACHE_LINE_SIZE],
 }
 
-/// The settled bytes of the cache lines one recovery execution has read:
-/// [`read_pre_failure_line`] of each line, done once per execution.
-///
-/// A byte with a single candidate keeps it, and its value, whatever
-/// [`do_read`] refines (refinement only narrows intervals), and a byte
-/// whose read committed a candidate has that one left. So a line resolved
-/// once against a stack answers every later read of its settled bytes for
-/// as long as the stack changes only by refinement; only the others need
-/// [`read_pre_failure`] again, and each of those is settled by its read.
-/// [`clear`](Self::clear) it whenever the stack changes otherwise: a new
-/// execution pushed on it, or another stack.
-///
-/// The table is direct-mapped, 64 lines, so a line that meets another in
-/// its slot is resolved again; a recovery execution that reads more lines
-/// than that at once is slower, never wrong.
-///
-/// ```
-/// use jaaru_pmem::PmAddr;
-/// use jaaru_tso::{do_read, read_pre_failure, EvictionPolicy, SettledLines, ThreadId, TsoMachine};
-///
-/// let (x, y) = (PmAddr::new(72), PmAddr::new(64)); // same cache line
-/// let mut m = TsoMachine::new(EvictionPolicy::Eager);
-/// let loc = std::panic::Location::caller();
-/// m.store(ThreadId(0), y, &[1], loc);
-/// m.clflush(ThreadId(0), y.cache_line());
-/// m.store(ThreadId(0), x, &[2], loc);
-/// let mut stack = vec![m.crash()];
-///
-/// // y is pinned to 1; x may read 2 or initial 0.
-/// let mut settled = SettledLines::new();
-/// let mut vals = [0; 64];
-/// let (line, want) = (x.cache_line(), 0x101);
-/// assert_eq!(settled.read(&stack, line, want, &mut vals), (0x100, true));
-/// assert_eq!(vals[0], 1);
-/// let chosen = read_pre_failure(&stack, x)[0];
-/// do_read(&mut stack, x, chosen);
-/// settled.settle(line, 8, chosen.value);
-/// assert_eq!(settled.read(&stack, line, want, &mut vals), (0, false));
-/// assert_eq!((vals[0], vals[8]), (1, 2));
-/// ```
-#[derive(Debug)]
-pub struct SettledLines {
-    epoch: u64,
-    lines: Box<[SettledLine; SETTLED_LINES]>,
+impl ImageLine {
+    const EMPTY: ImageLine = ImageLine {
+        epoch: 0,
+        line: CacheLineId::new(0),
+        known: 0,
+        resolved: false,
+        vals: [0; CACHE_LINE_SIZE],
+    };
+
+    /// Whether the slot holds `line` in the image epoch `epoch`.
+    fn holds(&self, epoch: u64, line: CacheLineId) -> bool {
+        self.epoch == epoch && self.line == line
+    }
 }
 
-impl SettledLines {
-    /// An empty table.
-    pub fn new() -> Self {
-        let empty = SettledLine {
-            epoch: 0,
-            line: CacheLineId::new(0),
-            settled: 0,
-            vals: [0; CACHE_LINE_SIZE],
-        };
-        SettledLines {
+/// The index of `line`'s slot in a [`LineImage`].
+fn slot_index(line: CacheLineId) -> usize {
+    line.index() as usize % IMAGE_LINES
+}
+
+/// What the running execution's loads read, per cache line: every byte a
+/// load can be answered with (Figure 9), in one direct-mapped table of 64
+/// lines that [`TsoMachine`](crate::TsoMachine) owns.
+///
+/// A byte is known when the running execution wrote it (each store is
+/// written through as it reaches the cache), when it has a single
+/// pre-failure candidate, or when a read committed it to one
+/// ([`settle`](Self::settle)). A line enters with the execution's own
+/// bytes. The first load that wants a byte the execution never wrote
+/// resolves those bytes against the stack with [`read_pre_failure_line`],
+/// once per line, and the others, which have several candidates, are left
+/// for [`read_pre_failure`] and `settle`. Refinement only narrows
+/// intervals, so a byte with a single candidate keeps it, and its value,
+/// whatever [`do_read`] refines, and a committed byte has that candidate
+/// left: a known byte stays known for as long as the stack changes only by
+/// refinement. The machine [clears](Self::clear) the image at each reset,
+/// and its caller changes the stack otherwise only there: at a new
+/// scenario and at each failure.
+///
+/// A line meeting another in its slot enters again, and is resolved again
+/// if a load wants its pre-failure bytes; such a load is slower, never
+/// wrong. A line whose loads want only the execution's own bytes never
+/// takes the slot of a resolved line, so the image resolves a line exactly
+/// when a table of resolved lines alone would.
+#[derive(Clone, Debug)]
+pub(crate) struct LineImage {
+    epoch: u64,
+    /// Allocated by the first load through the image, so a machine that
+    /// never loads through it (the litmus enumerator, Yat) pays nothing,
+    /// and clones nothing when it forks.
+    lines: Option<Box<[ImageLine; IMAGE_LINES]>>,
+}
+
+impl Default for LineImage {
+    fn default() -> Self {
+        // Past every empty slot's epoch.
+        LineImage {
             epoch: 1,
-            lines: Box::new([empty; SETTLED_LINES]),
+            lines: None,
         }
     }
+}
 
-    /// Forgets every line, for a stack that changed other than by
-    /// refinement.
-    pub fn clear(&mut self) {
+impl LineImage {
+    /// Forgets every line: a new execution starts, or the stack changed
+    /// other than by refinement.
+    pub(crate) fn clear(&mut self) {
         self.epoch += 1;
     }
 
-    /// Reads the bytes `want` of `line` (bit `i` is line offset `i`) from
-    /// `stack`, resolving the whole line with [`read_pre_failure_line`]
-    /// first unless the table holds it. Writes each wanted settled byte
+    /// The `len` bytes at offset `off` of `line`, at least one and all in
+    /// the line, if the image knows them all.
+    #[inline]
+    pub(crate) fn known(&self, line: CacheLineId, off: usize, len: usize) -> Option<&[u8]> {
+        let slot = &self.lines.as_ref()?[slot_index(line)];
+        let mask = (u64::MAX >> (CACHE_LINE_SIZE - len)) << off;
+        (slot.holds(self.epoch, line) && slot.known & mask == mask)
+            .then(|| &slot.vals[off..off + len])
+    }
+
+    /// Writes a store of `bytes` at `addr` through to the lines the image
+    /// holds.
+    pub(crate) fn write(&mut self, addr: PmAddr, bytes: &[u8]) {
+        let epoch = self.epoch;
+        let Some(lines) = &mut self.lines else {
+            return;
+        };
+        for (line, mask, start) in line_parts(addr, bytes.len()) {
+            let slot = &mut lines[slot_index(line)];
+            if slot.holds(epoch, line) {
+                let off = mask.trailing_zeros() as usize;
+                let part = &bytes[start..start + mask.count_ones() as usize];
+                slot.vals[off..off + part.len()].copy_from_slice(part);
+                slot.known |= mask;
+            }
+        }
+    }
+
+    /// Reads the bytes `want` of `line` (bit `i` is line offset `i`): the
+    /// running execution's own from `cache`, its storage, and the others
+    /// from `stack`, resolving the bytes the execution never wrote first
+    /// unless this execution did already. Writes each known wanted byte
     /// into `vals` at its line offset, leaves the others as they are, and
     /// returns the mask of the others, which need [`read_pre_failure`] and
     /// then [`settle`](Self::settle), with whether this read resolved the
     /// line.
-    pub fn read(
+    pub(crate) fn read(
         &mut self,
         stack: &[ExecutionStorage],
+        cache: &ExecutionStorage,
         line: CacheLineId,
         want: u64,
         vals: &mut [u8; CACHE_LINE_SIZE],
     ) -> (u64, bool) {
-        let slot = &mut self.lines[line.index() as usize % SETTLED_LINES];
-        let resolve = slot.epoch != self.epoch || slot.line != line;
-        if resolve {
-            slot.epoch = self.epoch;
-            slot.line = line;
-            slot.settled = !read_pre_failure_line(stack, line, u64::MAX, &mut slot.vals);
+        let epoch = self.epoch;
+        let lines = self
+            .lines
+            .get_or_insert_with(|| Box::new([ImageLine::EMPTY; IMAGE_LINES]));
+        let slot = &mut lines[slot_index(line)];
+        if !slot.holds(epoch, line) {
+            // A resolved line keeps its slot from a load the execution's
+            // own bytes answer.
+            if slot.epoch == epoch && slot.resolved && cache.read_cache(line, want, vals) == 0 {
+                return (0, false);
+            }
+            *slot = ImageLine {
+                epoch,
+                line,
+                ..ImageLine::EMPTY
+            };
+            slot.known = !cache.read_cache(line, u64::MAX, &mut slot.vals);
         }
-        for run in runs(want & slot.settled) {
+        let resolve = want & !slot.known != 0 && !slot.resolved;
+        if resolve {
+            // Every byte not known yet is one the execution never wrote.
+            let multi = read_pre_failure_line(stack, line, !slot.known, &mut slot.vals);
+            slot.known = !multi;
+            slot.resolved = true;
+        }
+        for run in runs(want & slot.known) {
             vals[run.clone()].copy_from_slice(&slot.vals[run]);
         }
-        (want & !slot.settled, resolve)
+        (want & !slot.known, resolve)
     }
 
-    /// Settles the byte at offset `off` of `line` at `value`: the value
-    /// its read just committed to, or found to be the only candidate left.
-    /// `line` must be the line this table last [read](Self::read).
-    pub fn settle(&mut self, line: CacheLineId, off: usize, value: u8) {
-        let slot = &mut self.lines[line.index() as usize % SETTLED_LINES];
-        debug_assert!(slot.epoch == self.epoch && slot.line == line);
-        slot.settled |= 1 << off;
+    /// Knows the byte at offset `off` of `line` as `value`: the value its
+    /// read just committed to, or found to be the only candidate left.
+    /// `line` must be the line this image last [read](Self::read).
+    pub(crate) fn settle(&mut self, line: CacheLineId, off: usize, value: u8) {
+        let epoch = self.epoch;
+        let slot = self
+            .lines
+            .as_mut()
+            .map(|lines| &mut lines[slot_index(line)])
+            .filter(|slot| slot.holds(epoch, line))
+            .expect("a settled byte's line is in the image");
+        slot.known |= 1 << off;
         slot.vals[off] = value;
-    }
-}
-
-impl Default for SettledLines {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -17,8 +17,8 @@ use std::panic::Location;
 
 use jaaru_pmem::{CacheLineId, PmAddr};
 use jaaru_tso::{
-    do_read, read_pre_failure, read_pre_failure_into, read_pre_failure_line, EvictionPolicy,
-    ExecutionStorage, FbEntry, FlushInterval, RfCandidate, RfSource, Seq, SettledLines, ThreadId,
+    do_read, line_parts, read_pre_failure, read_pre_failure_into, read_pre_failure_line,
+    EvictionPolicy, ExecutionStorage, FbEntry, FlushInterval, RfCandidate, RfSource, Seq, ThreadId,
     TsoMachine,
 };
 
@@ -525,23 +525,25 @@ fn line_reads_match_per_byte_reads() {
     assert!(refinements > 500, "refining reads: {refinements}");
 }
 
-/// A settled-line table serves a recovery execution's loads as the
-/// per-byte reference would, on random stacks read by random loads of
-/// random masks of either line, as the checker drives it: each byte the
-/// table settles holds the value of the sole candidate
-/// [`read_pre_failure`] gives it, every byte with several candidates
-/// comes back unsettled, and each unsettled byte, low first, commits a
-/// random candidate through [`do_read`] and is settled at its value. A
-/// line is resolved on its first read after [`SettledLines::clear`] only.
-/// One table serves every stack, cleared between them.
+/// A line image with no bytes of the running execution serves a recovery
+/// execution's loads as the per-byte reference would, on random stacks
+/// read by random loads of random masks of either line, as the checker
+/// drives it: each byte the image settles holds the value of the sole
+/// candidate [`read_pre_failure`] gives it, every byte with several
+/// candidates comes back unsettled, and each unsettled byte, low first,
+/// commits a random candidate through [`do_read`] and is settled at its
+/// value. A line is resolved on its first read after
+/// [`TsoMachine::reset`] only. One machine serves every stack, reset
+/// between them.
 #[test]
 fn settled_lines_serve_only_sole_candidates() {
     let (mut served, mut unsettled, mut refinements) = (0, 0, 0);
-    let mut settled = SettledLines::new();
+    let mut machine = TsoMachine::new(EvictionPolicy::Eager);
+    let t = ThreadId(0);
     for seed in 0..300u64 {
         let mut rng = Rng::new(seed ^ 0x5e_771e_d11e);
         let (mut stack, _) = random_stack(&mut rng);
-        settled.clear();
+        machine.reset(EvictionPolicy::Eager);
         let mut resolved = [false; 2];
         for step in 0..12 {
             let which = rng.below(2) as usize;
@@ -549,7 +551,7 @@ fn settled_lines_serve_only_sole_candidates() {
             let want = random_want(&mut rng);
             let ctx = format!("seed {seed}, step {step}: {line:?} mask {want:#x}");
             let mut vals = [UNTOUCHED; 64];
-            let (open, resolve) = settled.read(&stack, line, want, &mut vals);
+            let (open, resolve) = machine.load(t, &stack, line, want, &mut vals);
             assert_eq!(resolve, !resolved[which], "{ctx}: resolved");
             resolved[which] = true;
             assert_eq!(open & !want, 0, "{ctx}: unwanted bytes left open");
@@ -572,7 +574,7 @@ fn settled_lines_serve_only_sole_candidates() {
                     do_read(&mut stack, addr, chosen);
                     refinements += 1;
                 }
-                settled.settle(line, off, chosen.value);
+                machine.settle(line, off, chosen.value);
                 unsettled += 1;
             }
         }
@@ -580,6 +582,317 @@ fn settled_lines_serve_only_sole_candidates() {
     assert!(served > 50_000, "settled bytes served: {served}");
     assert!(unsettled > 2000, "unsettled bytes read: {unsettled}");
     assert!(refinements > 500, "refining reads: {refinements}");
+}
+
+/// The lines of the line-image test: three groups of lines 64 apart,
+/// which share a slot of the image, and neighbours an access may
+/// straddle.
+const IMAGE_TEST_LINES: [u64; 8] = [1, 2, 3, 65, 66, 67, 129, 130];
+
+/// One operation of one thread in the line-image test.
+#[derive(Clone, Copy, Debug)]
+enum ImageOp {
+    /// A store of `len` bytes from `value` on at `addr`.
+    Store {
+        addr: u64,
+        len: u64,
+        value: u8,
+    },
+    Load {
+        addr: u64,
+        len: u64,
+    },
+    /// A locked exchange of 8 bytes: fence, load, store, fence.
+    Rmw {
+        addr: u64,
+        value: u8,
+    },
+    Clflush(u64),
+    Clflushopt(u64),
+    Sfence,
+    Mfence,
+    /// A power failure: the execution joins the stack.
+    Crash,
+}
+
+/// An access of 1 or 8 bytes in one of the test lines, or of 2 to 8
+/// bytes straddling one into the next.
+fn random_access(rng: &mut Rng) -> (u64, u64) {
+    let line = IMAGE_TEST_LINES[rng.below(IMAGE_TEST_LINES.len() as u64) as usize];
+    let base = line * 64;
+    match rng.below(5) {
+        0 | 1 => (base + rng.below(64), 1),
+        2 if IMAGE_TEST_LINES.contains(&(line + 1)) => {
+            let len = 2 + rng.below(7);
+            (base + 64 - 1 - rng.below(len - 1), len)
+        }
+        _ => (base + 8 * rng.below(8), 8),
+    }
+}
+
+/// 30 to 90 operations of one to three threads, loads and stores the
+/// most, with up to two power failures after the first ten.
+fn random_image_program(rng: &mut Rng) -> Vec<(ThreadId, ImageOp)> {
+    let threads = 1 + rng.below(3);
+    let len = 30 + rng.below(61);
+    let crashes: Vec<u64> = (0..rng.below(3))
+        .map(|_| 10 + rng.below(len - 10))
+        .collect();
+    let line = |rng: &mut Rng| IMAGE_TEST_LINES[rng.below(IMAGE_TEST_LINES.len() as u64) as usize];
+    (0..len)
+        .map(|k| {
+            let op = if crashes.contains(&k) {
+                ImageOp::Crash
+            } else {
+                match rng.below(16) {
+                    0..=4 => {
+                        let (addr, len) = random_access(rng);
+                        let value = rng.below(250) as u8;
+                        ImageOp::Store { addr, len, value }
+                    }
+                    5..=10 => {
+                        let (addr, len) = random_access(rng);
+                        ImageOp::Load { addr, len }
+                    }
+                    11 => ImageOp::Rmw {
+                        addr: line(rng) * 64 + 8 * rng.below(8),
+                        value: rng.below(250) as u8,
+                    },
+                    12 => ImageOp::Clflush(line(rng)),
+                    13 => ImageOp::Clflushopt(line(rng)),
+                    14 => ImageOp::Sfence,
+                    _ => ImageOp::Mfence,
+                }
+            };
+            (ThreadId(rng.below(threads) as u32), op)
+        })
+        .collect()
+}
+
+/// Counts of what the line-image test exercised.
+#[derive(Debug, Default)]
+struct ImageCounts {
+    probe_hits: usize,
+    slow_loads: usize,
+    buffered_loads: usize,
+    resolves: usize,
+    /// Resolves of a line this execution had resolved already: another
+    /// line took its slot in between.
+    conflict_resolves: usize,
+    /// Stores to a line after this execution resolved it.
+    stores_after_resolve: usize,
+    choices: usize,
+    crashes: usize,
+}
+
+/// A machine checked load by load against the reference: the running
+/// execution's cache and store buffers ([`TsoMachine::read_current`]),
+/// then the sole [`read_pre_failure`] candidate, and the two-step path's
+/// resolves, which a table of resolved lines alone makes.
+struct ImageCheck {
+    machine: TsoMachine,
+    stack: Vec<ExecutionStorage>,
+    /// The two-step path's direct-mapped table of resolved lines.
+    two_step: [Option<CacheLineId>; 64],
+    /// The lines resolved in the running execution.
+    resolved: BTreeSet<u64>,
+    counts: ImageCounts,
+}
+
+impl ImageCheck {
+    fn reset(&mut self, policy: EvictionPolicy) {
+        self.machine.reset(policy);
+        self.stack.clear();
+        self.two_step = [None; 64];
+        self.resolved.clear();
+    }
+
+    fn crash(&mut self) {
+        let crashed = self.machine.crash_and_reset();
+        self.stack.push(crashed);
+        self.two_step = [None; 64];
+        self.resolved.clear();
+        self.counts.crashes += 1;
+    }
+
+    fn store(&mut self, t: ThreadId, addr: u64, bytes: &[u8]) {
+        let lines = addr / 64..=(addr + bytes.len() as u64 - 1) / 64;
+        if lines.into_iter().any(|l| self.resolved.contains(&l)) {
+            self.counts.stores_after_resolve += 1;
+        }
+        self.machine
+            .store(t, PmAddr::new(addr), bytes, Location::caller());
+    }
+
+    /// What the reference reads of the bytes `want` of `line`, with the
+    /// mask of those that come from the stack, and whether the two-step
+    /// path resolves the line for them.
+    fn reference(&mut self, t: ThreadId, line: CacheLineId, want: u64) -> ([u8; 64], u64, bool) {
+        let mut vals = [0; 64];
+        let missed = self.machine.read_current(t, line, want, &mut vals);
+        let slot = &mut self.two_step[line.index() as usize % 64];
+        let resolve = missed != 0 && *slot != Some(line);
+        if resolve {
+            *slot = Some(line);
+        }
+        (vals, missed, resolve)
+    }
+
+    /// Checks a byte the machine answered: its own value, or else its
+    /// sole candidate's.
+    fn check_served(&self, addr: PmAddr, val: u8, reference: Option<u8>, at: &str) {
+        match reference {
+            Some(own) => assert_eq!(val, own, "{at}: own byte {addr}"),
+            None => {
+                let cands = read_pre_failure(&self.stack, addr);
+                assert_eq!(cands.len(), 1, "{at}: byte {addr} served as {val}");
+                assert_eq!(val, cands[0].value, "{at}: byte {addr}");
+            }
+        }
+    }
+
+    /// `t`'s load of `len` bytes at `addr`, as the checker makes it: one
+    /// probe, else line by line, each byte left open choosing a random
+    /// candidate. Returns the bytes loaded.
+    fn load(&mut self, t: ThreadId, addr: u64, len: u64, rng: &mut Rng, at: &str) -> Vec<u8> {
+        let addr = PmAddr::new(addr);
+        if self
+            .machine
+            .buffers(t)
+            .is_some_and(|b| !b.store_buffer.is_empty())
+        {
+            self.counts.buffered_loads += 1;
+        }
+        let parts: Vec<_> = line_parts(addr, len as usize).collect();
+        if let Some(bytes) = self.machine.load_known(t, addr, len as usize) {
+            let bytes = bytes.to_vec();
+            let [(line, want, _)] = parts[..] else {
+                panic!("{at}: a straddling load probed");
+            };
+            let (own, missed, resolve) = self.reference(t, line, want);
+            assert!(!resolve, "{at}: the two-step path resolves {line:?}");
+            for (i, &val) in bytes.iter().enumerate() {
+                let off = addr.line_offset() + i;
+                let reference = (missed >> off & 1 == 0).then_some(own[off]);
+                self.check_served(addr + i as u64, val, reference, at);
+            }
+            self.counts.probe_hits += 1;
+            return bytes;
+        }
+        self.counts.slow_loads += 1;
+        let mut out = vec![0; len as usize];
+        for (line, want, start) in parts {
+            let (own, missed, resolve) = self.reference(t, line, want);
+            let mut vals = [UNTOUCHED; 64];
+            let (open, resolved) = self.machine.load(t, &self.stack, line, want, &mut vals);
+            let at = format!("{at}: {line:?} mask {want:#x}");
+            assert_eq!(resolved, resolve, "{at}: resolved");
+            if resolved {
+                self.counts.resolves += 1;
+                if !self.resolved.insert(line.index()) {
+                    self.counts.conflict_resolves += 1;
+                }
+            }
+            assert_eq!(open & !missed, 0, "{at}: own bytes left open");
+            for off in offsets(want) {
+                let byte = line.base() + off as u64;
+                if open >> off & 1 == 0 {
+                    let reference = (missed >> off & 1 == 0).then_some(own[off]);
+                    self.check_served(byte, vals[off], reference, &at);
+                    continue;
+                }
+                let cands = read_pre_failure(&self.stack, byte);
+                let chosen = cands[rng.below(cands.len() as u64) as usize];
+                if cands.len() > 1 {
+                    do_read(&mut self.stack, byte, chosen);
+                    self.counts.choices += 1;
+                }
+                self.machine.settle(line, off, chosen.value);
+                vals[off] = chosen.value;
+            }
+            let first = want.trailing_zeros() as usize;
+            let n = want.count_ones() as usize;
+            out[start..start + n].copy_from_slice(&vals[first..first + n]);
+        }
+        out
+    }
+}
+
+/// The line offsets set in `mask`, lowest first.
+fn offsets(mask: u64) -> impl Iterator<Item = usize> {
+    (0..64).filter(move |off| mask >> off & 1 != 0)
+}
+
+/// The running execution's line image answers every load as Figure 9
+/// orders it. On random programs of one to three threads, under both
+/// eviction policies, with loads and stores of 1 and 8 bytes and across
+/// a line boundary, locked exchanges, flushes, fences and up to two power
+/// failures, on lines that share slots of the image: every byte a load
+/// gets from the image equals the issuing thread's store-buffer or cache
+/// value, or else the sole [`read_pre_failure`] candidate under the
+/// refinements so far; a byte with several candidates is left to a random
+/// choice, which refines the stack and is settled; and every load
+/// resolves a line exactly when the two-step path (the running
+/// execution's cache, then a table of resolved lines) would. One machine
+/// per policy runs every program, reset between them.
+#[test]
+fn the_line_image_answers_as_the_running_execution_or_the_sole_candidate() {
+    let mut counts = Vec::new();
+    for policy in [EvictionPolicy::Eager, EvictionPolicy::OnFence] {
+        let mut check = ImageCheck {
+            machine: TsoMachine::new(policy),
+            stack: Vec::new(),
+            two_step: [None; 64],
+            resolved: BTreeSet::new(),
+            counts: ImageCounts::default(),
+        };
+        for seed in 0..400u64 {
+            let mut rng = Rng::new(seed ^ 0x119e_1a6e);
+            let program = random_image_program(&mut rng);
+            check.reset(policy);
+            for (k, &(t, op)) in program.iter().enumerate() {
+                let at = format!("{policy:?}, seed {seed}, op {k} of {program:?}");
+                let bytes = |len: u64, value: u8| -> Vec<u8> {
+                    (0..len).map(|i| (value as u64 + i) as u8).collect()
+                };
+                match op {
+                    ImageOp::Store { addr, len, value } => {
+                        check.store(t, addr, &bytes(len, value));
+                    }
+                    ImageOp::Load { addr, len } => {
+                        check.load(t, addr, len, &mut rng, &at);
+                    }
+                    ImageOp::Rmw { addr, value } => {
+                        check.machine.mfence(t);
+                        check.load(t, addr, 8, &mut rng, &at);
+                        check.store(t, addr, &bytes(8, value));
+                        check.machine.mfence(t);
+                    }
+                    ImageOp::Clflush(line) => check.machine.clflush(t, CacheLineId::new(line)),
+                    ImageOp::Clflushopt(line) => {
+                        check.machine.clflushopt(t, CacheLineId::new(line));
+                    }
+                    ImageOp::Sfence => check.machine.sfence(t),
+                    ImageOp::Mfence => check.machine.mfence(t),
+                    ImageOp::Crash => check.crash(),
+                }
+            }
+        }
+        counts.push((policy, check.counts));
+    }
+    for (policy, c) in &counts {
+        let at = format!("{policy:?}: {c:?}");
+        assert!(c.probe_hits > 600, "{at}");
+        assert!(c.slow_loads > 4000, "{at}");
+        assert!(c.resolves > 4000, "{at}");
+        assert!(c.conflict_resolves > 1000, "{at}");
+        assert!(c.stores_after_resolve > 3000, "{at}");
+        assert!(c.choices > 150, "{at}");
+        assert!(c.crashes > 300, "{at}");
+        if *policy == EvictionPolicy::OnFence {
+            assert!(c.buffered_loads > 3000, "{at}");
+        }
+    }
 }
 
 /// Two environments restored from one snapshot share its frozen store
